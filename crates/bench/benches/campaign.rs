@@ -6,6 +6,7 @@
 //! Results land in `results/campaign_speedup.txt` via `scripts`/CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use harness::StageMode;
 
 const SEED: u64 = 20140705;
 const QUICK_VIDEOS: usize = 2;
@@ -16,7 +17,9 @@ fn bench_fig17_campaign(c: &mut Criterion) {
     for workers in [1usize, 2, 4] {
         g.bench_function(&format!("fig17_quick_jobs{workers}"), |b| {
             b.iter(|| {
-                let run = repro::exp75::campaign_fig17(QUICK_VIDEOS, SEED).run(workers);
+                let run = repro::exp75::staged_fig17(QUICK_VIDEOS, SEED)
+                    .into_campaign(&StageMode::Inline)
+                    .run(workers);
                 assert_eq!(run.failed(), 0);
                 run.jobs.len()
             })

@@ -5,6 +5,7 @@
 //! cascades, livelocks, runaway logs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use harness::StageMode;
 use repro::exp72::PostKind;
 use repro::NetKind;
 
@@ -17,7 +18,13 @@ fn cfg(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measuremen
 fn bench_table3_accuracy(c: &mut Criterion) {
     let mut g = cfg(c);
     g.bench_function("table3_fig6_accuracy", |b| {
-        b.iter(|| repro::exp71::run(3, 42).0.len())
+        b.iter(|| {
+            repro::exp71::staged(3, 42)
+                .into_campaign(&StageMode::Inline)
+                .run(1)
+                .into_outputs()
+                .len()
+        })
     });
     g.finish();
 }

@@ -683,7 +683,7 @@ pub fn net_latency_breakdown(
 /// The pre-index implementations, retained verbatim as the differential
 /// oracle: the optimized mapper and latency attribution must produce
 /// *identical* output (`tests/differential.rs`), and the before/after
-/// benches measure against these (`repro bench`, `cargo bench`).
+/// benches measure against these (`cargo bench`).
 pub mod reference {
     use super::*;
     use simcore::percentile;

@@ -8,22 +8,15 @@ use std::time::{Duration, Instant};
 use simcore::watchdog;
 use simcore::{SimDuration, SimTime};
 
-/// How a job's work is invoked.
-enum JobRun<T> {
-    /// Classic single-shot job: runs once, any panic is terminal.
-    Once(Box<dyn FnOnce() -> T + Send>),
-    /// Fault-aware job: the closure gets the attempt number (1-based) and
-    /// may fail softly with `Err(reason)`; the executor retries up to
-    /// `max_attempts` times before recording the job as faulted.
-    Fallible {
-        max_attempts: u32,
-        run: Box<dyn FnMut(u32) -> Result<T, String> + Send>,
-    },
-}
+/// A job's work: called with the attempt number (1-based), it either
+/// produces a row or fails softly with `Err(reason)`.
+type Attempts<T> = Box<dyn FnMut(u32) -> Result<T, String> + Send>;
 
 /// One cell of a campaign grid: a labelled, seeded unit of work producing a
-/// result row of type `T`. The closure builds and runs its own simulation
-/// world — jobs share nothing, which is what makes the campaign
+/// result row of type `T`. Every job has the same shape: an attempt budget
+/// and a closure that the executor calls once per attempt until it yields
+/// a row or the budget runs out. The closure builds and runs its own
+/// simulation world — jobs share nothing, which is what makes the campaign
 /// order-independent and therefore safely parallel.
 pub struct Job<T> {
     /// Human-readable label, unique within the campaign (e.g. `"lte/wv"`).
@@ -32,7 +25,8 @@ pub struct Job<T> {
     pub seed: u64,
     /// Simulated duration covered by this job, if known up front (seconds).
     pub sim_secs: Option<f64>,
-    run: JobRun<T>,
+    max_attempts: u32,
+    run: Attempts<T>,
 }
 
 /// How a job ended.
@@ -137,39 +131,19 @@ impl<T: Send> Campaign<T> {
         self
     }
 
-    /// Append a job. Jobs run in any order but their results always come
-    /// back in append order.
+    /// Append a single-attempt job. Jobs run in any order but their results
+    /// always come back in append order. A sim-watchdog trip makes the job
+    /// [`Outcome::Faulted`]; any other panic makes it [`Outcome::Panicked`].
     pub fn job(
         &mut self,
         label: impl Into<String>,
         seed: u64,
         run: impl FnOnce() -> T + Send + 'static,
     ) -> &mut Self {
-        self.jobs.push(Job {
-            label: label.into(),
-            seed,
-            sim_secs: None,
-            run: JobRun::Once(Box::new(run)),
-        });
-        self
-    }
-
-    /// Append a job that covers a known simulated duration (recorded in the
-    /// run journal).
-    pub fn timed_job(
-        &mut self,
-        label: impl Into<String>,
-        seed: u64,
-        sim_secs: f64,
-        run: impl FnOnce() -> T + Send + 'static,
-    ) -> &mut Self {
-        self.jobs.push(Job {
-            label: label.into(),
-            seed,
-            sim_secs: Some(sim_secs),
-            run: JobRun::Once(Box::new(run)),
-        });
-        self
+        let mut run = Some(run);
+        self.push(label.into(), seed, None, 1, move |_| {
+            Ok(run.take().expect("single-attempt job ran twice")())
+        })
     }
 
     /// Append a fault-aware job: the closure receives the attempt number
@@ -185,25 +159,29 @@ impl<T: Send> Campaign<T> {
         max_attempts: u32,
         run: impl FnMut(u32) -> Result<T, String> + Send + 'static,
     ) -> &mut Self {
-        assert!(max_attempts >= 1, "at least one attempt");
-        self.jobs.push(Job {
-            label: label.into(),
-            seed,
-            sim_secs: None,
-            run: JobRun::Fallible {
-                max_attempts,
-                run: Box::new(run),
-            },
-        });
-        self
+        self.push(label.into(), seed, None, max_attempts, run)
     }
 
-    /// Stamp the most recently appended job with a known simulated duration
-    /// (fallible jobs have no timed variant; staged lowering uses this).
-    pub(crate) fn set_last_sim_secs(&mut self, sim_secs: f64) {
-        if let Some(j) = self.jobs.last_mut() {
-            j.sim_secs = Some(sim_secs);
-        }
+    /// Append a job, optionally stamped with the simulated duration it
+    /// covers (recorded in the run journal). Every public constructor and
+    /// every staged lowering ends here.
+    pub(crate) fn push(
+        &mut self,
+        label: String,
+        seed: u64,
+        sim_secs: Option<f64>,
+        max_attempts: u32,
+        run: impl FnMut(u32) -> Result<T, String> + Send + 'static,
+    ) -> &mut Self {
+        assert!(max_attempts >= 1, "at least one attempt");
+        self.jobs.push(Job {
+            label,
+            seed,
+            sim_secs,
+            max_attempts,
+            run: Box::new(run),
+        });
+        self
     }
 
     /// Number of jobs in the grid.
@@ -257,6 +235,7 @@ impl<T: Send> Campaign<T> {
                         label,
                         seed,
                         sim_secs,
+                        max_attempts,
                         run,
                     } = pending[idx]
                         .lock()
@@ -264,7 +243,7 @@ impl<T: Send> Campaign<T> {
                         .take()
                         .expect("job claimed twice");
                     let t0 = Instant::now();
-                    let outcome = execute(run, sim_cap, event_budget);
+                    let outcome = execute(max_attempts, run, sim_cap, event_budget);
                     *done[idx].lock().unwrap() = Some(JobResult {
                         label,
                         seed,
@@ -302,42 +281,28 @@ fn attempt<T>(
     .map_err(|payload| panic_message(payload.as_ref()))
 }
 
-fn execute<T>(run: JobRun<T>, sim_cap: Option<SimTime>, event_budget: Option<u64>) -> Outcome<T> {
-    match run {
-        JobRun::Once(f) => match attempt(f, sim_cap, event_budget) {
-            Ok(row) => Outcome::Ok(row),
-            // A watchdog trip is a *diagnosed* fault (the job overran its
-            // sim budget), not a bug in the job.
-            Err(msg) if watchdog::is_trip(&msg) => Outcome::Faulted {
-                reason: msg,
-                attempts: 1,
-            },
-            Err(msg) => Outcome::Panicked(msg),
-        },
-        JobRun::Fallible {
-            max_attempts,
-            mut run,
-        } => {
-            let mut last_reason = String::new();
-            for att in 1..=max_attempts {
-                match attempt(|| run(att), sim_cap, event_budget) {
-                    Ok(Ok(row)) => {
-                        return if att == 1 {
-                            Outcome::Ok(row)
-                        } else {
-                            Outcome::Retried { row, attempts: att }
-                        };
-                    }
-                    Ok(Err(reason)) => last_reason = reason,
-                    Err(msg) if watchdog::is_trip(&msg) => last_reason = msg,
-                    Err(msg) => return Outcome::Panicked(msg),
-                }
-            }
-            Outcome::Faulted {
-                reason: last_reason,
-                attempts: max_attempts,
-            }
+/// Run a job's attempts until one yields a row or the budget runs out.
+fn execute<T>(
+    max_attempts: u32,
+    mut run: Attempts<T>,
+    sim_cap: Option<SimTime>,
+    event_budget: Option<u64>,
+) -> Outcome<T> {
+    let mut last_reason = String::new();
+    for att in 1..=max_attempts {
+        match attempt(|| run(att), sim_cap, event_budget) {
+            Ok(Ok(row)) if att == 1 => return Outcome::Ok(row),
+            Ok(Ok(row)) => return Outcome::Retried { row, attempts: att },
+            Ok(Err(reason)) => last_reason = reason,
+            // A watchdog trip is a *diagnosed* fault (the attempt overran
+            // its sim budget), not a bug in the job.
+            Err(msg) if watchdog::is_trip(&msg) => last_reason = msg,
+            Err(msg) => return Outcome::Panicked(msg),
         }
+    }
+    Outcome::Faulted {
+        reason: last_reason,
+        attempts: max_attempts,
     }
 }
 
@@ -369,18 +334,6 @@ pub struct CampaignRun<T> {
 }
 
 impl<T> CampaignRun<T> {
-    /// Rows of the jobs that produced one (first try or retried), in job
-    /// order.
-    pub fn ok_outputs(self) -> Vec<T> {
-        self.jobs
-            .into_iter()
-            .filter_map(|j| match j.outcome {
-                Outcome::Ok(v) | Outcome::Retried { row: v, .. } => Some(v),
-                Outcome::Faulted { .. } | Outcome::Panicked(_) => None,
-            })
-            .collect()
-    }
-
     /// Rows of all jobs in job order, resuming the first panic if any job
     /// failed. This restores pre-harness semantics for callers (tests,
     /// library users) that treat any failure as a bug rather than a data
@@ -435,7 +388,7 @@ pub fn default_workers() -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use simcore::{run_until, Tick};
 
@@ -489,7 +442,7 @@ mod tests {
             Outcome::Panicked(msg) if msg.contains("deliberate test panic")
         ));
         assert_eq!(run.jobs[2].outcome.ok(), Some(&30));
-        assert_eq!(run.ok_outputs(), vec![10, 30]);
+        assert_eq!(rows(&run), vec![10, 30]);
     }
 
     #[test]
@@ -530,7 +483,7 @@ mod tests {
             }
         ));
         assert!(matches!(run.jobs[1].outcome, Outcome::Ok(7)));
-        assert_eq!(run.ok_outputs(), vec![99, 7]);
+        assert_eq!(rows(&run), vec![99, 7]);
     }
 
     #[test]
@@ -547,22 +500,36 @@ mod tests {
             &run.jobs[0].outcome,
             Outcome::Faulted { reason, attempts: 2 } if reason.contains("attempt 2 failed")
         ));
-        assert_eq!(run.ok_outputs(), vec![5]);
+        assert_eq!(rows(&run), vec![5]);
     }
 
-    /// A component that always has more work: without the watchdog this
-    /// job's `run_until` would grind through ~10^14 wakes.
+    /// A component that always has more work.
     struct Endless {
-        now: simcore::SimTime,
+        now: SimTime,
     }
 
     impl Tick for Endless {
-        fn tick(&mut self, now: simcore::SimTime) {
+        fn tick(&mut self, now: SimTime) {
             self.now = now;
         }
-        fn next_wake(&self) -> Option<simcore::SimTime> {
+        fn next_wake(&self) -> Option<SimTime> {
             Some(self.now + SimDuration::from_millis(1))
         }
+    }
+
+    /// Drive an [`Endless`] component effectively forever in sim time:
+    /// without a watchdog this would grind through ~10^14 wakes.
+    pub(crate) fn run_forever() {
+        let mut e = Endless { now: SimTime::ZERO };
+        run_until(&mut e, SimTime::from_secs(100_000_000));
+    }
+
+    /// Rows of the jobs that produced one, in job order.
+    fn rows<T: Copy>(run: &CampaignRun<T>) -> Vec<T> {
+        run.jobs
+            .iter()
+            .filter_map(|j| j.outcome.ok().copied())
+            .collect()
     }
 
     #[test]
@@ -570,11 +537,7 @@ mod tests {
         let mut c: Campaign<u64> = Campaign::new("cap");
         c.sim_cap(SimDuration::from_secs(5));
         c.job("runaway", 1, || {
-            let mut e = Endless {
-                now: simcore::SimTime::ZERO,
-            };
-            // Effectively forever in sim time.
-            run_until(&mut e, simcore::SimTime::from_secs(100_000_000));
+            run_forever();
             0
         });
         c.job("bounded", 2, || 11);
@@ -592,10 +555,7 @@ mod tests {
         let mut c: Campaign<u64> = Campaign::new("budget");
         c.event_budget(10_000);
         c.fallible_job("spinner", 1, 2, |_| {
-            let mut e = Endless {
-                now: simcore::SimTime::ZERO,
-            };
-            run_until(&mut e, simcore::SimTime::from_secs(100_000_000));
+            run_forever();
             Ok(0)
         });
         let run = c.run(1);

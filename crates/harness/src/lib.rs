@@ -8,10 +8,14 @@
 //! for one worker and for N (`repro all --jobs 4` prints exactly what
 //! `--jobs 1` prints, just sooner).
 //!
-//! The three pieces:
+//! The pieces:
 //!
-//! * [`Campaign`] — the job grid. Each [`Job`] is a label, a seed, and a
-//!   closure producing one result row.
+//! * [`Campaign`] — the job grid. Each [`Job`] is a label, a seed, an
+//!   attempt budget, and a closure that produces one result row or fails
+//!   softly; a plain closure is a job with a budget of one attempt.
+//! * [`StagedCampaign`] — a grid whose jobs are split into record and
+//!   analyze stages, lowered to a [`Campaign`] in any [`StageMode`] or as
+//!   a record-only campaign.
 //! * The executor ([`Campaign::run`]) — scoped worker threads
 //!   (`std::thread::scope`) pulling jobs from a shared atomic cursor. A
 //!   panicking job is caught and recorded as a failed [`JobResult`]; it

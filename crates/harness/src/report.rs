@@ -169,7 +169,7 @@ mod tests {
     fn sample_run(with_panic: bool) -> CampaignRun<Row> {
         let mut c: Campaign<Row> = Campaign::new("unit/test");
         c.job("a", 1, || Row { value: 1.0 });
-        c.timed_job("b", 2, 60.0, || Row { value: 3.0 });
+        c.push("b".into(), 2, Some(60.0), 1, |_| Ok(Row { value: 3.0 }));
         if with_panic {
             c.job("c", 3, || panic!("kaboom"));
         }

@@ -184,7 +184,7 @@ struct StagedJob<A, T> {
     sim_secs: Option<f64>,
     config_digest: u64,
     record: Box<dyn FnOnce() -> A + Send>,
-    analyze: Box<dyn FnOnce(&A) -> T + Send>,
+    analyze: Analyze<A, T>,
 }
 
 /// A campaign whose jobs are split into record and analyze stages. Build
@@ -266,15 +266,7 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
         record: impl FnOnce() -> A + Send + 'static,
         analyze: impl FnOnce(&A) -> T + Send + 'static,
     ) -> &mut Self {
-        self.jobs.push(StagedJob {
-            label: label.into(),
-            seed,
-            sim_secs: None,
-            config_digest,
-            record: Box::new(record),
-            analyze: Box::new(analyze),
-        });
-        self
+        self.push(label.into(), seed, None, config_digest, record, analyze)
     }
 
     /// Append a staged job that covers a known simulated duration.
@@ -287,10 +279,29 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
         record: impl FnOnce() -> A + Send + 'static,
         analyze: impl FnOnce(&A) -> T + Send + 'static,
     ) -> &mut Self {
-        self.jobs.push(StagedJob {
-            label: label.into(),
+        self.push(
+            label.into(),
             seed,
-            sim_secs: Some(sim_secs),
+            Some(sim_secs),
+            config_digest,
+            record,
+            analyze,
+        )
+    }
+
+    fn push(
+        &mut self,
+        label: String,
+        seed: u64,
+        sim_secs: Option<f64>,
+        config_digest: u64,
+        record: impl FnOnce() -> A + Send + 'static,
+        analyze: impl FnOnce(&A) -> T + Send + 'static,
+    ) -> &mut Self {
+        self.jobs.push(StagedJob {
+            label,
+            seed,
+            sim_secs,
             config_digest,
             record: Box::new(record),
             analyze: Box::new(analyze),
@@ -308,20 +319,6 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
         self.jobs.is_empty()
     }
 
-    fn base_campaign(&self, counters: &Arc<StageCounters>, simulates: bool) -> Campaign<T> {
-        let mut c: Campaign<T> = Campaign::new(self.name.clone());
-        if simulates {
-            if let Some(cap) = self.sim_cap {
-                c.sim_cap(cap);
-            }
-            if let Some(budget) = self.event_budget {
-                c.event_budget(budget);
-            }
-        }
-        c.stage_counters = Some(Arc::clone(counters));
-        c
-    }
-
     /// Lower to a plain row-producing [`Campaign`] in `mode`.
     ///
     /// Whatever the mode, each job's row comes from the *same* analyze
@@ -329,191 +326,146 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
     /// rows — and anything printed from them — are byte-identical across
     /// modes, provided the bundle round-trip is lossless.
     pub fn into_campaign(self, mode: &StageMode) -> Campaign<T> {
-        let meta_for = |name: &str, j: &StagedJob<A, T>| BundleMeta {
-            seed: j.seed,
-            config_digest: j.config_digest,
-            scenario: format!("{name}/{}", j.label),
-            end: SimTime::ZERO,
+        let (name, root, obtain) = match mode {
+            StageMode::Inline => ("inline", None, Obtain::Record),
+            StageMode::Analyze(root) => ("analyze", Some(root.as_path()), Obtain::Load),
+            StageMode::Cached(root) => ("cached", Some(root.as_path()), Obtain::LoadOrRecord),
         };
-        match mode {
-            StageMode::Inline => {
-                let counters = StageCounters::new("inline");
-                let mut c = self.base_campaign(&counters, true);
-                for j in self.jobs {
-                    let counters = Arc::clone(&counters);
-                    let StagedJob {
-                        label,
-                        seed,
-                        sim_secs,
-                        record,
-                        analyze,
-                        ..
-                    } = j;
-                    let run = move || {
-                        let artifact = counters.timed_record(record);
-                        counters.timed_analyze(&artifact, analyze)
-                    };
-                    match sim_secs {
-                        Some(s) => c.timed_job(label, seed, s, run),
-                        None => c.job(label, seed, run),
-                    };
-                }
-                c
-            }
-            StageMode::Analyze(root) => {
-                let counters = StageCounters::new("analyze");
-                let mut c = self.base_campaign(&counters, false);
-                let name = self.name;
-                for j in self.jobs {
-                    let counters = Arc::clone(&counters);
-                    let dir = bundle_dir(root, &name, &j.label, j.seed, j.config_digest);
-                    let want = meta_for(&name, &j);
-                    let StagedJob {
-                        label,
-                        seed,
-                        sim_secs,
-                        analyze,
-                        ..
-                    } = j;
-                    let mut analyze = Some(analyze);
-                    let run = move |_attempt: u32| -> Result<T, String> {
-                        let analyze = analyze.take().expect("analyze ran twice");
-                        let (artifact, meta) = match A::load_bundle(&dir) {
-                            Ok(v) => v,
-                            Err(e) => {
-                                counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                                return Err(format!(
-                                    "no usable bundle at {}: {e} (run `record` first)",
-                                    dir.display()
-                                ));
-                            }
-                        };
-                        if let Err(e) = check_identity(&meta, &want) {
-                            counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                            return Err(format!("bundle {} is stale: {e}", dir.display()));
-                        }
-                        counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        Ok(counters.timed_analyze(&artifact, analyze))
-                    };
-                    match sim_secs {
-                        Some(s) => {
-                            // Keep the journal's sim_secs: the bundle covers
-                            // that much simulated time even if analysis
-                            // itself simulates nothing.
-                            c.fallible_job(label, seed, 1, run);
-                            c.set_last_sim_secs(s);
-                        }
-                        None => {
-                            c.fallible_job(label, seed, 1, run);
-                        }
-                    }
-                }
-                c
-            }
-            StageMode::Cached(root) => {
-                let counters = StageCounters::new("cached");
-                let mut c = self.base_campaign(&counters, true);
-                let name = self.name;
-                for j in self.jobs {
-                    let counters = Arc::clone(&counters);
-                    let dir = bundle_dir(root, &name, &j.label, j.seed, j.config_digest);
-                    let want = meta_for(&name, &j);
-                    let StagedJob {
-                        label,
-                        seed,
-                        sim_secs,
-                        record,
-                        analyze,
-                        ..
-                    } = j;
-                    let mut stage = Some((record, analyze));
-                    let run = move |_attempt: u32| -> Result<T, String> {
-                        let (record, analyze) = stage.take().expect("job ran twice");
-                        let artifact = match A::load_bundle(&dir) {
-                            Ok((artifact, meta)) if check_identity(&meta, &want).is_ok() => {
-                                counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                                artifact
-                            }
-                            _ => {
-                                // Missing, unreadable, or stale: re-record.
-                                counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                                if dir.exists() {
-                                    std::fs::remove_dir_all(&dir).map_err(|e| {
-                                        format!("cannot clear stale bundle {}: {e}", dir.display())
-                                    })?;
-                                }
-                                let artifact = counters.timed_record(record);
-                                artifact.save_bundle(&dir, &want).map_err(|e| {
-                                    format!("cannot save bundle {}: {e}", dir.display())
-                                })?;
-                                artifact
-                            }
-                        };
-                        Ok(counters.timed_analyze(&artifact, analyze))
-                    };
-                    c.fallible_job(label, seed, 1, run);
-                    if let Some(s) = sim_secs {
-                        c.set_last_sim_secs(s);
-                    }
-                }
-                c
-            }
-        }
+        self.lower(name, root, obtain, |counters, artifact, analyze, _| {
+            counters.timed_analyze(artifact, analyze)
+        })
     }
 
     /// Lower to a record-only [`Campaign`]: every job simulates, saves its
     /// bundle under `root`, and reports where it landed.
     pub fn into_record_campaign(self, root: &Path) -> Campaign<BundleRow> {
-        let counters = StageCounters::new("record");
-        let mut c: Campaign<BundleRow> = Campaign::new(self.name.clone());
-        if let Some(cap) = self.sim_cap {
-            c.sim_cap(cap);
-        }
-        if let Some(budget) = self.event_budget {
-            c.event_budget(budget);
+        self.lower("record", Some(root), Obtain::Record, |_, _, _, cell| {
+            BundleRow {
+                label: cell.label.clone(),
+                dir: cell.dir.clone().expect("record lowering has a bundle root"),
+            }
+        })
+    }
+
+    /// The one lowering every mode goes through. Each job becomes a
+    /// single-attempt [`Campaign`] job that obtains its artifact the
+    /// `obtain` way — under its content-addressed directory below `root`,
+    /// if there is one — and turns it into a row with `row`. The sim-time
+    /// cap and event budget are armed whenever the mode may simulate.
+    fn lower<R: Send + 'static>(
+        self,
+        mode: &'static str,
+        root: Option<&Path>,
+        obtain: Obtain,
+        row: fn(&StageCounters, &A, Analyze<A, T>, &Cell) -> R,
+    ) -> Campaign<R> {
+        let counters = StageCounters::new(mode);
+        let mut c: Campaign<R> = Campaign::new(self.name.clone());
+        if obtain != Obtain::Load {
+            if let Some(cap) = self.sim_cap {
+                c.sim_cap(cap);
+            }
+            if let Some(budget) = self.event_budget {
+                c.event_budget(budget);
+            }
         }
         c.stage_counters = Some(Arc::clone(&counters));
-        let name = self.name;
         for j in self.jobs {
+            let cell = Cell {
+                dir: root.map(|r| bundle_dir(r, &self.name, &j.label, j.seed, j.config_digest)),
+                meta: BundleMeta {
+                    seed: j.seed,
+                    config_digest: j.config_digest,
+                    scenario: format!("{}/{}", self.name, j.label),
+                    end: SimTime::ZERO,
+                },
+                label: j.label,
+            };
             let counters = Arc::clone(&counters);
-            let dir = bundle_dir(root, &name, &j.label, j.seed, j.config_digest);
-            let meta = BundleMeta {
-                seed: j.seed,
-                config_digest: j.config_digest,
-                scenario: format!("{name}/{}", j.label),
-                end: SimTime::ZERO,
-            };
-            let StagedJob {
-                label,
-                seed,
-                sim_secs,
-                record,
-                ..
-            } = j;
-            let row_label = label.clone();
-            let mut record = Some(record);
-            let run = move |_attempt: u32| -> Result<BundleRow, String> {
-                let record = record.take().expect("record ran twice");
-                let artifact = counters.timed_record(record);
-                if dir.exists() {
-                    std::fs::remove_dir_all(&dir)
-                        .map_err(|e| format!("cannot clear {}: {e}", dir.display()))?;
-                }
-                artifact
-                    .save_bundle(&dir, &meta)
-                    .map_err(|e| format!("cannot save bundle {}: {e}", dir.display()))?;
-                Ok(BundleRow {
-                    label: row_label.clone(),
-                    dir: dir.clone(),
-                })
-            };
-            c.fallible_job(label, seed, 1, run);
-            if let Some(s) = sim_secs {
-                c.set_last_sim_secs(s);
-            }
+            let mut stages = Some((j.record, j.analyze));
+            c.push(cell.label.clone(), j.seed, j.sim_secs, 1, move |_| {
+                let (record, analyze) = stages.take().expect("staged job ran twice");
+                let artifact = obtain.artifact(record, &cell, &counters)?;
+                Ok(row(&counters, &artifact, analyze, &cell))
+            });
         }
         c
     }
+}
+
+/// A staged job's analyze closure.
+type Analyze<A, T> = Box<dyn FnOnce(&A) -> T + Send>;
+
+/// Where one lowered job's bundle lives and what identity it must carry.
+struct Cell {
+    label: String,
+    /// Content-addressed bundle directory; `None` when the mode keeps the
+    /// artifact in memory.
+    dir: Option<PathBuf>,
+    meta: BundleMeta,
+}
+
+/// How a lowering obtains each job's artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Obtain {
+    /// Simulate; save the bundle when the job has a directory.
+    Record,
+    /// Load the job's bundle; a missing or stale one faults the job.
+    Load,
+    /// Load the job's bundle, or record and save it when it is missing,
+    /// unreadable or stale.
+    LoadOrRecord,
+}
+
+impl Obtain {
+    fn artifact<A: BundleArtifact>(
+        self,
+        record: Box<dyn FnOnce() -> A + Send>,
+        cell: &Cell,
+        counters: &StageCounters,
+    ) -> Result<A, String> {
+        if self != Obtain::Record {
+            let dir = cell
+                .dir
+                .as_deref()
+                .expect("loading lowering has a bundle root");
+            match load_checked(dir, &cell.meta) {
+                Ok(artifact) => {
+                    counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(artifact);
+                }
+                Err(e) => {
+                    counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    if self == Obtain::Load {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        let artifact = counters.timed_record(record);
+        if let Some(dir) = &cell.dir {
+            if dir.exists() {
+                std::fs::remove_dir_all(dir)
+                    .map_err(|e| format!("cannot clear {}: {e}", dir.display()))?;
+            }
+            artifact
+                .save_bundle(dir, &cell.meta)
+                .map_err(|e| format!("cannot save bundle {}: {e}", dir.display()))?;
+        }
+        Ok(artifact)
+    }
+}
+
+/// Load the bundle under `dir` and check it was recorded for `want`.
+fn load_checked<A: BundleArtifact>(dir: &Path, want: &BundleMeta) -> Result<A, String> {
+    let (artifact, meta) = A::load_bundle(dir).map_err(|e| {
+        format!(
+            "no usable bundle at {}: {e} (run `record` first)",
+            dir.display()
+        )
+    })?;
+    check_identity(&meta, want).map_err(|e| format!("bundle {} is stale: {e}", dir.display()))?;
+    Ok(artifact)
 }
 
 /// Compare a loaded bundle's identity against the job's expectation.
@@ -533,7 +485,11 @@ fn check_identity(found: &BundleMeta, want: &BundleMeta) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::tests::run_forever;
+    use crate::campaign::{CampaignRun, Outcome};
+    use simcore::watchdog;
     use std::fs;
+    use std::time::Duration;
     use trace::{BundleReader, BundleWriter, TraceError};
 
     /// Minimal artifact for exercising the staged executor.
@@ -687,6 +643,155 @@ mod tests {
         );
         let run = s.into_campaign(&StageMode::Cached(root.clone())).run(1);
         assert_eq!(run.stages.unwrap().cache_misses, 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A grid mixing timed and untimed jobs whose record stages finish in
+    /// reverse job order.
+    fn timed_staged() -> StagedCampaign<Blob, String> {
+        let mut s: StagedCampaign<Blob, String> = StagedCampaign::new("staged/timed");
+        for i in 0..4u64 {
+            let record = move || {
+                std::thread::sleep(Duration::from_millis((4 - i) * 3));
+                Blob(i)
+            };
+            let analyze = |b: &Blob| format!("value={}", b.0);
+            if i % 2 == 0 {
+                s.timed_job(
+                    format!("cell {i}"),
+                    200 + i,
+                    10.0 * (i + 1) as f64,
+                    i,
+                    record,
+                    analyze,
+                );
+            } else {
+                s.job(format!("cell {i}"), 200 + i, i, record, analyze);
+            }
+        }
+        s
+    }
+
+    /// Label, seed, sim_secs and whether a row came back, in job order.
+    fn identities<R>(run: &CampaignRun<R>) -> Vec<(String, u64, Option<f64>, bool)> {
+        run.jobs
+            .iter()
+            .map(|j| (j.label.clone(), j.seed, j.sim_secs, j.outcome.is_ok()))
+            .collect()
+    }
+
+    #[test]
+    fn every_lowering_keeps_job_order_and_identity() {
+        let want: Vec<(String, u64, Option<f64>, bool)> = vec![
+            ("cell 0".into(), 200, Some(10.0), true),
+            ("cell 1".into(), 201, None, true),
+            ("cell 2".into(), 202, Some(30.0), true),
+            ("cell 3".into(), 203, None, true),
+        ];
+        let bundles = tmp("identity");
+        let cache = tmp("identity-cache");
+        let lower = |mode: StageMode| identities(&timed_staged().into_campaign(&mode).run(2));
+        let runs = [
+            ("inline", lower(StageMode::Inline)),
+            (
+                "record",
+                identities(&timed_staged().into_record_campaign(&bundles).run(2)),
+            ),
+            ("analyze", lower(StageMode::Analyze(bundles.clone()))),
+            ("cold cache", lower(StageMode::Cached(cache.clone()))),
+            ("warm cache", lower(StageMode::Cached(cache.clone()))),
+        ];
+        for (mode, got) in runs {
+            assert_eq!(got, want, "{mode} lowering");
+        }
+        let _ = fs::remove_dir_all(&bundles);
+        let _ = fs::remove_dir_all(&cache);
+    }
+
+    fn runaway_staged() -> StagedCampaign<Blob, String> {
+        let mut s: StagedCampaign<Blob, String> = StagedCampaign::new("staged/runaway");
+        s.sim_cap(SimDuration::from_secs(5));
+        s.job(
+            "runaway",
+            1,
+            0x1,
+            || {
+                run_forever();
+                Blob(0)
+            },
+            |b: &Blob| format!("value={}", b.0),
+        );
+        s.job(
+            "bounded",
+            2,
+            0x2,
+            || Blob(7),
+            |b: &Blob| format!("value={}", b.0),
+        );
+        s
+    }
+
+    fn assert_runaway_faulted<R>(run: &CampaignRun<R>, mode: &str) {
+        assert!(
+            matches!(
+                &run.jobs[0].outcome,
+                Outcome::Faulted { reason, attempts: 1 } if watchdog::is_trip(reason)
+            ),
+            "{mode}: runaway job must fault on the sim cap"
+        );
+        assert!(
+            run.jobs[1].outcome.is_ok(),
+            "{mode}: bounded job unaffected"
+        );
+        assert_eq!((run.faulted(), run.failed()), (1, 0), "{mode}");
+    }
+
+    #[test]
+    fn sim_cap_faults_runaway_record_stage_in_every_simulating_lowering() {
+        let bundles = tmp("runaway-record");
+        let cache = tmp("runaway-cache");
+        assert_runaway_faulted(
+            &runaway_staged().into_campaign(&StageMode::Inline).run(2),
+            "inline",
+        );
+        assert_runaway_faulted(
+            &runaway_staged().into_record_campaign(&bundles).run(2),
+            "record",
+        );
+        let miss = runaway_staged()
+            .into_campaign(&StageMode::Cached(cache.clone()))
+            .run(2);
+        assert_runaway_faulted(&miss, "cache miss");
+        assert_eq!(miss.stages.unwrap().cache_misses, 2);
+        let _ = fs::remove_dir_all(&bundles);
+        let _ = fs::remove_dir_all(&cache);
+    }
+
+    #[test]
+    fn truncated_manifest_in_cache_is_re_recorded() {
+        let root = tmp("truncated");
+        let cold = staged(1)
+            .into_campaign(&StageMode::Cached(root.clone()))
+            .run(1)
+            .into_outputs();
+        let manifest = bundle_dir(&root, "staged/test", "cell 0", 100, 0xABC).join("manifest.txt");
+        let full = fs::read_to_string(&manifest).unwrap();
+        fs::write(&manifest, &full[..full.len() / 2]).unwrap();
+
+        let rerun = staged(1)
+            .into_campaign(&StageMode::Cached(root.clone()))
+            .run(1);
+        let stats = rerun.stages.unwrap();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1), "{stats:?}");
+        assert_eq!(stats.simulated, 1, "a truncated bundle is re-recorded");
+        assert_eq!(rerun.into_outputs(), cold);
+
+        // The re-recorded bundle is whole again: the next run hits.
+        let warm = staged(1)
+            .into_campaign(&StageMode::Cached(root.clone()))
+            .run(1);
+        assert_eq!(warm.stages.unwrap().cache_hits, 1);
+        assert_eq!(warm.into_outputs(), cold);
         let _ = fs::remove_dir_all(&root);
     }
 }

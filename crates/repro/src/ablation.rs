@@ -244,24 +244,6 @@ pub fn staged(
     c
 }
 
-/// The three ablation studies as a plain (fused record+analyze) campaign.
-pub fn campaign(
-    mapper_reps: usize,
-    cal_reps: usize,
-    rate_bps: f64,
-    seed: u64,
-) -> harness::Campaign<AblationPart> {
-    staged(mapper_reps, cal_reps, rate_bps, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Same token rate, same technology (LTE), shaping vs policing: isolates
-/// the discipline's throughput signature (Finding 7) from the 3G/LTE
-/// differences. Shaping should show a smooth plateau near the token rate
-/// with few retransmissions; policing a lower, bursty mean with many.
-pub fn discipline_ablation(rate_bps: f64, seed: u64) -> Vec<DisciplineRow> {
-    discipline_rows(&discipline_sessions(rate_bps, seed))
-}
-
 /// Record one custom-bearer LTE watch session with `cfg` applied to both
 /// directions.
 fn discipline_session(cfg: netstack::ShaperConfig, seed: u64) -> Collection {

@@ -484,9 +484,3 @@ pub fn campaign(seed: u64) -> Campaign<ChaosRow> {
     }
     c
 }
-
-/// Run the chaos campaign single-threaded (library entry point; the
-/// `repro` binary runs it with `--jobs`).
-pub fn run(seed: u64) -> Vec<ChaosRow> {
-    campaign(seed).run(1).ok_outputs()
-}

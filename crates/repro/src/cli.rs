@@ -42,7 +42,6 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
         "monitor",
         "Longitudinal monitoring: epoch regressions + layer attribution",
     ),
-    ("bench", "Hot-path performance snapshot (BENCH JSON)"),
     ("list", "Print this experiment index"),
     ("all", "Every experiment above at the requested scale"),
 ];

@@ -309,11 +309,6 @@ impl fmt::Display for ToolOverhead {
     }
 }
 
-/// Compute Table 3's mapping + overhead rows.
-pub fn overhead(reps: usize, seed: u64) -> ToolOverhead {
-    overhead_from(&run_posts(PostKind::Photos, NetKind::Umts3g, reps, seed))
-}
-
 /// Table 3's mapping + overhead rows from a recorded photo-post session.
 /// This is an evaluation-only analysis: it scores the mapper against the
 /// `pdu_truth` ground truth, which the bundle format keeps segregated from
@@ -398,22 +393,4 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Tab
         |col: &Collection| Table3Part::Overhead(overhead_from(col)),
     );
     c
-}
-
-/// The §7.1 evaluation as a plain (fused record+analyze) campaign.
-pub fn campaign(reps: usize, seed: u64) -> harness::Campaign<Table3Part> {
-    staged(reps, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Run the full §7.1 evaluation: Fig. 6's five bars plus Table 3.
-pub fn run(reps: usize, seed: u64) -> (Vec<MetricAccuracy>, ToolOverhead) {
-    let mut bars = Vec::new();
-    let mut overhead = None;
-    for part in campaign(reps, seed).run(1).into_outputs() {
-        match part {
-            Table3Part::Bars(b) => bars.extend(b),
-            Table3Part::Overhead(o) => overhead = Some(o),
-        }
-    }
-    (bars, overhead.expect("campaign includes the overhead job"))
 }

@@ -290,19 +290,3 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Pos
     }
     c
 }
-
-/// The §7.2 matrix as a plain (fused record+analyze) campaign.
-pub fn campaign(reps: usize, seed: u64) -> harness::Campaign<PostRun> {
-    staged(reps, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Run the whole §7.2 experiment: Fig. 7 rows + Fig. 8 rows.
-pub fn run(reps: usize, seed: u64) -> (Vec<PostBreakdownRow>, Vec<PhotoNetBreakdown>) {
-    let mut fig7 = Vec::new();
-    let mut fig8 = Vec::new();
-    for run in campaign(reps, seed).run(1).into_outputs() {
-        fig7.push(run.fig7);
-        fig8.extend(run.fig8);
-    }
-    (fig7, fig8)
-}

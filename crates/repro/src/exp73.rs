@@ -151,11 +151,6 @@ pub fn staged_fig10_11(
     c
 }
 
-/// Figs. 10 and 11 as a plain (fused record+analyze) campaign.
-pub fn campaign_fig10_11(hours: u64, seed: u64) -> harness::Campaign<BackgroundRow> {
-    staged_fig10_11(hours, seed).into_campaign(&harness::StageMode::Inline)
-}
-
 /// Figs. 12 and 13 as a two-stage campaign: sweep the refresh-interval
 /// setting with the friend posting every 30 minutes.
 pub fn staged_fig12_13(
@@ -180,19 +175,4 @@ pub fn staged_fig12_13(
         );
     }
     c
-}
-
-/// Figs. 12 and 13 as a plain (fused record+analyze) campaign.
-pub fn campaign_fig12_13(hours: u64, seed: u64) -> harness::Campaign<BackgroundRow> {
-    staged_fig12_13(hours, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Figs. 10 and 11 rows, computed serially.
-pub fn run_fig10_11(hours: u64, seed: u64) -> Vec<BackgroundRow> {
-    campaign_fig10_11(hours, seed).run(1).into_outputs()
-}
-
-/// Figs. 12 and 13 rows, computed serially.
-pub fn run_fig12_13(hours: u64, seed: u64) -> Vec<BackgroundRow> {
-    campaign_fig12_13(hours, seed).run(1).into_outputs()
 }

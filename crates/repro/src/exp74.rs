@@ -180,13 +180,3 @@ pub fn staged(updates: usize, seed: u64) -> harness::StagedCampaign<Collection, 
     }
     c
 }
-
-/// The §7.4 matrix as a plain (fused record+analyze) campaign.
-pub fn campaign(updates: usize, seed: u64) -> harness::Campaign<UpdateRun> {
-    staged(updates, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Run the full §7.4 matrix.
-pub fn run(updates: usize, seed: u64) -> Vec<UpdateRun> {
-    campaign(updates, seed).run(1).into_outputs()
-}

@@ -200,16 +200,6 @@ pub fn staged_fig17(count: usize, seed: u64) -> harness::StagedCampaign<Collecti
     c
 }
 
-/// Fig. 17 as a plain (fused record+analyze) campaign.
-pub fn campaign_fig17(count: usize, seed: u64) -> harness::Campaign<WatchRun> {
-    staged_fig17(count, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Fig. 17: throttled vs unthrottled on both technologies.
-pub fn run_fig17(count: usize, seed: u64) -> Vec<WatchRun> {
-    campaign_fig17(count, seed).run(1).into_outputs()
-}
-
 /// One Fig. 18 trace: per-second downlink throughput plus TCP health.
 #[derive(Debug, Clone)]
 pub struct ThroughputTrace {
@@ -295,16 +285,6 @@ pub fn staged_fig18(seed: u64) -> harness::StagedCampaign<Collection, Throughput
     c
 }
 
-/// Fig. 18 as a plain (fused record+analyze) campaign.
-pub fn campaign_fig18(seed: u64) -> harness::Campaign<ThroughputTrace> {
-    staged_fig18(seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Fig. 18: the throughput signature of shaping vs policing.
-pub fn run_fig18(seed: u64) -> Vec<ThroughputTrace> {
-    campaign_fig18(seed).run(1).into_outputs()
-}
-
 /// One Figs. 19/20 sweep point.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
@@ -371,14 +351,4 @@ pub fn staged_sweep(
         }
     }
     c
-}
-
-/// Figs. 19/20 as a plain (fused record+analyze) campaign.
-pub fn campaign_sweep(videos_per_point: usize, seed: u64) -> harness::Campaign<SweepPoint> {
-    staged_sweep(videos_per_point, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Figs. 19/20: sweep the throttled bandwidth on both technologies.
-pub fn run_sweep(videos_per_point: usize, seed: u64) -> Vec<SweepPoint> {
-    campaign_sweep(videos_per_point, seed).run(1).into_outputs()
 }

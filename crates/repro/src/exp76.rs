@@ -220,13 +220,3 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, AdR
     }
     c
 }
-
-/// The §7.6 matrix as a plain (fused record+analyze) campaign.
-pub fn campaign(reps: usize, seed: u64) -> harness::Campaign<AdRun> {
-    staged(reps, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Run the §7.6 matrix: WiFi / LTE / 3G × {no ad, skipped ad, watched ad}.
-pub fn run(reps: usize, seed: u64) -> Vec<AdRun> {
-    campaign(reps, seed).run(1).into_outputs()
-}

@@ -125,16 +125,6 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Pag
     c
 }
 
-/// The §7.7 matrix as a plain (fused record+analyze) campaign.
-pub fn campaign(reps: usize, seed: u64) -> harness::Campaign<PageLoadRun> {
-    staged(reps, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Run the §7.7 matrix: three browsers × default 3G / simplified 3G / LTE.
-pub fn run(reps: usize, seed: u64) -> Vec<PageLoadRun> {
-    campaign(reps, seed).run(1).into_outputs()
-}
-
 /// The headline number: mean reduction of page load time from simplifying
 /// the 3G machine, averaged across browsers.
 pub fn reduction_percent(rows: &[PageLoadRun]) -> f64 {

@@ -6,7 +6,6 @@
 //! outputs and the paper-vs-measured comparison.
 
 pub mod ablation;
-pub mod bench;
 pub mod chaos;
 pub mod cli;
 pub mod exp71;

@@ -14,9 +14,9 @@
 //! seeded simulation worlds executed on `--jobs` worker threads. Results
 //! are collected in job order, so the printed rows are byte-identical for
 //! `--jobs 1` and `--jobs N`. `--quick` runs reduced repetition counts
-//! (used by CI and the bench harness); the default counts match
-//! EXPERIMENTS.md. `--json DIR` additionally writes one machine-readable
-//! campaign report (run journal + merged aggregates) per campaign.
+//! (used by CI); the default counts match EXPERIMENTS.md. `--json DIR`
+//! additionally writes one machine-readable campaign report (run
+//! journal + merged aggregates) per campaign.
 //!
 //! `record` simulates each campaign job and persists its trace bundle
 //! under `--out DIR` without analyzing; `analyze DIR` re-runs only the
@@ -88,8 +88,6 @@ subcommands:
 
 other:
   list         print every experiment id with a one-line description
-  bench        hot-path performance snapshot; writes BENCH_pr3.json under
-               the --json directory (default: results/)
   monitor      longitudinal monitoring: re-measure a scenario grid over
                epochs, detect QoE regressions, attribute them to a layer
 
@@ -106,26 +104,11 @@ flags:
 
 /// How the record and analyze stages of each campaign are executed.
 enum RunMode {
-    /// Record and analyze fused in memory (the default).
-    Inline,
     /// Record bundles under the root; skip analysis.
     Record(PathBuf),
-    /// Analyze bundles under the root; never simulate.
-    Analyze(PathBuf),
-    /// Content-addressed cache under the root.
-    Cached(PathBuf),
-}
-
-impl RunMode {
-    /// The staged-campaign lowering for non-`record` modes.
-    fn stage_mode(&self) -> Option<StageMode> {
-        match self {
-            RunMode::Inline => Some(StageMode::Inline),
-            RunMode::Analyze(dir) => Some(StageMode::Analyze(dir.clone())),
-            RunMode::Cached(dir) => Some(StageMode::Cached(dir.clone())),
-            RunMode::Record(_) => None,
-        }
-    }
+    /// Produce analysis rows through a staged-campaign lowering (inline,
+    /// analyze-from-disk, or cached).
+    Staged(StageMode),
 }
 
 struct Opts {
@@ -162,8 +145,16 @@ fn parse_args(args: Vec<String>) -> (String, Opts) {
                 usage_error(&format!("{name} requires a value"));
             })
         };
+        let no_value = |name: &str| {
+            if inline.is_some() {
+                usage_error(&format!("{name} takes no value"));
+            }
+        };
         match flag.as_str() {
-            "--quick" => quick = true,
+            "--quick" => {
+                no_value("--quick");
+                quick = true;
+            }
             "--jobs" => {
                 let v = value("--jobs");
                 match v.parse::<usize>() {
@@ -182,6 +173,7 @@ fn parse_args(args: Vec<String>) -> (String, Opts) {
             "--out" => out = Some(PathBuf::from(value("--out"))),
             "--cache" => cache = Some(PathBuf::from(value("--cache"))),
             "--help" | "-h" => {
+                no_value(&flag);
                 print!("{USAGE}");
                 std::process::exit(0);
             }
@@ -213,7 +205,7 @@ fn parse_args(args: Vec<String>) -> (String, Opts) {
             }
             (
                 pos.next().unwrap_or_else(|| "all".to_string()),
-                RunMode::Analyze(PathBuf::from(root)),
+                RunMode::Staged(StageMode::Analyze(PathBuf::from(root))),
             )
         }
         first => {
@@ -224,10 +216,10 @@ fn parse_args(args: Vec<String>) -> (String, Opts) {
                 .map(str::to_string)
                 .unwrap_or_else(|| "all".to_string());
             let mode = match cache.take() {
-                Some(dir) => RunMode::Cached(dir),
-                None => RunMode::Inline,
+                Some(dir) => StageMode::Cached(dir),
+                None => StageMode::Inline,
             };
-            (what, mode)
+            (what, RunMode::Staged(mode))
         }
     };
     if let Some(extra) = pos.next() {
@@ -283,7 +275,7 @@ fn campaign_rows<T: Record + Send>(c: Campaign<T>, opts: &Opts, failed: &mut usi
         }
     }
     *failed += run.failed();
-    if !matches!(opts.mode, RunMode::Inline) {
+    if !matches!(opts.mode, RunMode::Staged(StageMode::Inline)) {
         // A faulted job in a staged mode means a bundle was missing, stale
         // or unreadable — that must fail the invocation, not just skip a
         // row (inline campaigns have their own retry/fault policy).
@@ -339,10 +331,7 @@ where
             }
             None
         }
-        mode => {
-            let stage = mode.stage_mode().expect("non-record mode");
-            Some(campaign_rows(staged.into_campaign(&stage), opts, failed))
-        }
+        RunMode::Staged(mode) => Some(campaign_rows(staged.into_campaign(mode), opts, failed)),
     }
 }
 
@@ -358,23 +347,23 @@ fn run(name: &str, opts: &Opts) -> usize {
             repro::cli::print_list();
         }
         "monitor" => {
-            if !matches!(opts.mode, RunMode::Inline | RunMode::Cached(_)) {
-                usage_error("monitor supports only inline and --cache runs");
-            }
+            let stage = match &opts.mode {
+                RunMode::Staged(mode @ (StageMode::Inline | StageMode::Cached(_))) => mode,
+                _ => usage_error("monitor supports only inline and --cache runs"),
+            };
             header(
                 name,
                 "Longitudinal QoE monitoring: epoch regressions + attribution",
             );
             let epochs = opts.epochs.unwrap_or(s.monitor_epochs);
             let spec = repro::monitor::spec(epochs, SEED);
-            let stage = opts.mode.stage_mode().expect("inline or cached");
-            let rows = campaign_rows(spec.build().into_campaign(&stage), opts, &mut failed);
+            let rows = campaign_rows(spec.build().into_campaign(stage), opts, &mut failed);
             for r in &rows {
                 println!("{}", r.row());
             }
             if rows.len() == spec.epochs * spec.cells.len() {
                 print!("{}", repro::monitor::report(rows));
-                if let RunMode::Cached(root) = &opts.mode {
+                if let StageMode::Cached(root) = stage {
                     // The epoch-history index is longitudinal state, not
                     // campaign output: report it on stderr so stdout stays
                     // byte-identical across runs and worker counts.
@@ -393,17 +382,6 @@ fn run(name: &str, opts: &Opts) -> usize {
             } else {
                 eprintln!("repro: monitor history incomplete; skipping detection");
             }
-        }
-        "bench" => {
-            if !matches!(opts.mode, RunMode::Inline) {
-                usage_error("bench does not support record/analyze/cache (it must run inline)");
-            }
-            header("bench", "Hot-path performance snapshot (BENCH_pr3.json)");
-            let out_dir = opts
-                .json
-                .clone()
-                .unwrap_or_else(|| PathBuf::from("results"));
-            failed += repro::bench::run_bench(opts.jobs, SEED, &out_dir);
         }
         "table1" => {
             // Static tables have nothing to record; in the staged modes they
@@ -567,7 +545,7 @@ fn run(name: &str, opts: &Opts) -> usize {
             }
         }
         "chaos" => {
-            if !matches!(opts.mode, RunMode::Inline) {
+            if !matches!(opts.mode, RunMode::Staged(StageMode::Inline)) {
                 usage_error("chaos does not support record/analyze/cache (it must run inline)");
             }
             header(name, "Fault injection: QoE deltas + layer attribution");

@@ -3,7 +3,7 @@
 //! worker count, and a panicking job degrades to a failed-job record
 //! instead of killing the campaign.
 
-use harness::{report_json, Campaign, Outcome, Record};
+use harness::{report_json, Campaign, Outcome, Record, StageMode};
 
 const SEED: u64 = 20140705;
 
@@ -35,8 +35,9 @@ fn fingerprint<T: Record>(run: &harness::CampaignRun<T>) -> Vec<(String, u64, St
 
 #[test]
 fn fig17_campaign_is_identical_for_1_and_4_workers() {
-    let a = repro::exp75::campaign_fig17(2, SEED).run(1);
-    let b = repro::exp75::campaign_fig17(2, SEED).run(4);
+    let fig17 = || repro::exp75::staged_fig17(2, SEED).into_campaign(&StageMode::Inline);
+    let a = fig17().run(1);
+    let b = fig17().run(4);
     assert_eq!(a.workers, 1);
     assert!(b.workers > 1);
     assert_eq!(fingerprint(&a), fingerprint(&b));
@@ -58,8 +59,9 @@ fn fig17_campaign_is_identical_for_1_and_4_workers() {
 fn background_campaign_is_identical_for_1_and_4_workers() {
     // 1-hour quick variant of the §7.3 sweep: exercises timed_job and the
     // scaled-duration path `--quick` uses.
-    let a = repro::exp73::campaign_fig10_11(1, SEED).run(1);
-    let b = repro::exp73::campaign_fig10_11(1, SEED).run(4);
+    let fig10 = || repro::exp73::staged_fig10_11(1, SEED).into_campaign(&StageMode::Inline);
+    let a = fig10().run(1);
+    let b = fig10().run(4);
     assert_eq!(fingerprint(&a), fingerprint(&b));
     assert!(a.jobs.iter().all(|j| j.sim_secs == Some(3600.0)));
 }

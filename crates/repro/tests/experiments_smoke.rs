@@ -3,6 +3,7 @@
 //! not the full magnitude. These guard the calibrated shape targets of
 //! DESIGN.md against regressions.
 
+use harness::StageMode;
 use repro::exp72::PostKind;
 use repro::NetKind;
 
@@ -88,7 +89,10 @@ fn exp75_throttling_degrades_qoe() {
 
 #[test]
 fn exp75_fig18_shaping_smoother_than_policing() {
-    let traces = repro::exp75::run_fig18(9);
+    let traces = repro::exp75::staged_fig18(9)
+        .into_campaign(&StageMode::Inline)
+        .run(1)
+        .into_outputs();
     let shaped = &traces[0];
     let policed = &traces[1];
     assert!(shaped.label.contains("shaped"));
@@ -128,7 +132,10 @@ fn exp76_ads_double_total_loading_on_3g_when_watched() {
 
 #[test]
 fn exp77_simplified_machine_reduces_page_loads_15_to_30_percent() {
-    let rows = repro::exp77::run(4, 11);
+    let rows = repro::exp77::staged(4, 11)
+        .into_campaign(&StageMode::Inline)
+        .run(1)
+        .into_outputs();
     let reduction = repro::exp77::reduction_percent(&rows);
     assert!(
         (15.0..=30.0).contains(&reduction),
