@@ -161,6 +161,9 @@ impl BundleArtifact for Collection {
     fn load_bundle(dir: &Path) -> Result<(Collection, BundleMeta), TraceError> {
         Collection::load(dir)
     }
+    fn end(&self) -> SimTime {
+        self.end
+    }
 }
 
 /// An ordered set of named collections recorded by one campaign job.
@@ -200,14 +203,8 @@ impl CollectionSet {
 
 impl BundleArtifact for CollectionSet {
     fn save_bundle(&self, dir: &Path, meta: &BundleMeta) -> Result<(), TraceError> {
-        let end = self
-            .items
-            .iter()
-            .map(|(_, c)| c.end)
-            .max()
-            .unwrap_or(SimTime::ZERO);
         let meta = BundleMeta {
-            end,
+            end: self.end(),
             ..meta.clone()
         };
         let mut w = BundleWriter::create(dir, &meta)?;
@@ -227,5 +224,14 @@ impl BundleArtifact for CollectionSet {
             items.push((name.to_string(), col));
         }
         Ok((CollectionSet { items }, meta))
+    }
+
+    /// The latest end over the set's sessions.
+    fn end(&self) -> SimTime {
+        self.items
+            .iter()
+            .map(|(_, c)| c.end)
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 }

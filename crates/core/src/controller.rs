@@ -241,18 +241,13 @@ impl Controller {
             }
             match self.world.next_wake() {
                 Some(w) if w <= target => self.now = w,
+                // Nothing is due by `target`, and `next_wake` cannot change
+                // before the next tick: jumping the clock there leaves no
+                // work unsettled.
                 _ => break,
             }
         }
         self.now = target;
-        // Settle at the target instant too.
-        let mut settles = 0;
-        while self.world.next_wake().is_some_and(|w| w <= self.now) {
-            simcore::watchdog::observe(self.now);
-            self.world.tick(self.now);
-            settles += 1;
-            assert!(settles < 100_000, "livelock at {}", self.now);
-        }
     }
 
     /// Let the scenario run for `d` (idle data collection).

@@ -8,49 +8,35 @@ use std::time::{Duration, Instant};
 use simcore::watchdog;
 use simcore::{SimDuration, SimTime};
 
-/// A job's work: called with the attempt number (1-based), it either
-/// produces a row or fails softly with `Err(reason)`.
-type Attempts<T> = Box<dyn FnMut(u32) -> Result<T, String> + Send>;
+/// A job's work: called once, it either produces a row — with the
+/// simulated seconds it measured, when it knows them — or fails softly
+/// with `Err(reason)`.
+type Work<T> = Box<dyn FnOnce() -> Result<(T, Option<f64>), String> + Send>;
 
 /// One cell of a campaign grid: a labelled, seeded unit of work producing a
-/// result row of type `T`. Every job has the same shape: an attempt budget
-/// and a closure that the executor calls once per attempt until it yields
-/// a row or the budget runs out. The closure builds and runs its own
-/// simulation world — jobs share nothing, which is what makes the campaign
-/// order-independent and therefore safely parallel.
+/// result row of type `T`. The executor calls its closure exactly once:
+/// the closure builds and runs its own seeded simulation world, so a rerun
+/// would replay the same result — recovery from app failures belongs to
+/// the session's controller, not to the harness. Jobs share nothing, which
+/// is what makes the campaign order-independent and therefore safely
+/// parallel.
 pub struct Job<T> {
     /// Human-readable label, unique within the campaign (e.g. `"lte/wv"`).
     pub label: String,
     /// Seed the job's world is built from.
     pub seed: u64,
-    /// Simulated duration covered by this job, if known up front (seconds).
-    pub sim_secs: Option<f64>,
-    max_attempts: u32,
-    run: Attempts<T>,
+    run: Work<T>,
 }
 
 /// How a job ended.
 #[derive(Debug)]
 pub enum Outcome<T> {
-    /// The job ran to completion on the first attempt and produced a row.
+    /// The job ran to completion and produced a row.
     Ok(T),
-    /// The job produced a row, but only after one or more failed attempts
-    /// (a fault-injection campaign's "recovered" case).
-    Retried {
-        /// The row the successful attempt produced.
-        row: T,
-        /// Total attempts, including the successful one (≥ 2).
-        attempts: u32,
-    },
-    /// Every attempt failed softly (an `Err` from a fallible job, or a
-    /// sim-watchdog trip): the job is recorded — with the last failure
-    /// reason — instead of poisoning the campaign.
-    Faulted {
-        /// Reason from the last failed attempt.
-        reason: String,
-        /// Attempts made.
-        attempts: u32,
-    },
+    /// The job failed softly (an `Err` from a fallible job, or a
+    /// sim-watchdog trip): it is recorded — with the failure reason —
+    /// instead of poisoning the campaign.
+    Faulted(String),
     /// The job panicked with a non-watchdog panic; the payload is the panic
     /// message. A panicking job is reported, not propagated — the rest of
     /// the campaign still runs.
@@ -58,11 +44,11 @@ pub enum Outcome<T> {
 }
 
 impl<T> Outcome<T> {
-    /// The row, if the job produced one (first try or after retries).
+    /// The row, if the job produced one.
     pub fn ok(&self) -> Option<&T> {
         match self {
-            Outcome::Ok(v) | Outcome::Retried { row: v, .. } => Some(v),
-            Outcome::Faulted { .. } | Outcome::Panicked(_) => None,
+            Outcome::Ok(v) => Some(v),
+            Outcome::Faulted(_) | Outcome::Panicked(_) => None,
         }
     }
 
@@ -81,7 +67,9 @@ pub struct JobResult<T> {
     pub label: String,
     /// Seed copied from the [`Job`].
     pub seed: u64,
-    /// Simulated duration copied from the [`Job`].
+    /// Simulated seconds the job measured: a staged job's recorded (or
+    /// loaded) artifact end; `None` for plain jobs and for jobs that
+    /// produced no row.
     pub sim_secs: Option<f64>,
     /// Host wall-clock time the job took (nondeterministic).
     pub wall: Duration,
@@ -114,16 +102,16 @@ impl<T: Send> Campaign<T> {
         }
     }
 
-    /// Arm a per-job simulated-time watchdog: any attempt whose simulation
-    /// clock passes `cap` is aborted (via [`simcore::watchdog`]) and the
-    /// attempt counts as failed — a runaway job can never hang the
+    /// Arm a per-job simulated-time watchdog: any job whose simulation
+    /// clock passes `cap` is aborted (via [`simcore::watchdog`]) and
+    /// recorded as [`Outcome::Faulted`] — a runaway job can never hang the
     /// campaign. The cap is simulated time, so it trips deterministically.
     pub fn sim_cap(&mut self, cap: SimDuration) -> &mut Self {
         self.sim_cap = Some(SimTime::ZERO + cap);
         self
     }
 
-    /// Arm a per-job event budget: an attempt that ticks more than `budget`
+    /// Arm a per-job event budget: a job that ticks more than `budget`
     /// times is aborted the same way as a sim-time cap. Catches livelocks
     /// that spin without advancing the clock.
     pub fn event_budget(&mut self, budget: u64) -> &mut Self {
@@ -131,8 +119,8 @@ impl<T: Send> Campaign<T> {
         self
     }
 
-    /// Append a single-attempt job. Jobs run in any order but their results
-    /// always come back in append order. A sim-watchdog trip makes the job
+    /// Append a job. Jobs run in any order but their results always come
+    /// back in append order. A sim-watchdog trip makes the job
     /// [`Outcome::Faulted`]; any other panic makes it [`Outcome::Panicked`].
     pub fn job(
         &mut self,
@@ -140,45 +128,33 @@ impl<T: Send> Campaign<T> {
         seed: u64,
         run: impl FnOnce() -> T + Send + 'static,
     ) -> &mut Self {
-        let mut run = Some(run);
-        self.push(label.into(), seed, None, 1, move |_| {
-            Ok(run.take().expect("single-attempt job ran twice")())
-        })
+        self.push(label.into(), seed, move || Ok((run(), None)))
     }
 
-    /// Append a fault-aware job: the closure receives the attempt number
-    /// (starting at 1) and may fail softly by returning `Err(reason)`. The
-    /// executor retries up to `max_attempts` times; success after a failure
-    /// becomes [`Outcome::Retried`], exhaustion becomes
-    /// [`Outcome::Faulted`]. Sim-watchdog trips count as soft failures;
-    /// any other panic is still terminal for the job.
+    /// Append a job that may fail softly by returning `Err(reason)`, which
+    /// makes it [`Outcome::Faulted`] — as does a sim-watchdog trip; any
+    /// other panic makes it [`Outcome::Panicked`].
     pub fn fallible_job(
         &mut self,
         label: impl Into<String>,
         seed: u64,
-        max_attempts: u32,
-        run: impl FnMut(u32) -> Result<T, String> + Send + 'static,
+        run: impl FnOnce() -> Result<T, String> + Send + 'static,
     ) -> &mut Self {
-        self.push(label.into(), seed, None, max_attempts, run)
+        self.push(label.into(), seed, move || run().map(|row| (row, None)))
     }
 
-    /// Append a job, optionally stamped with the simulated duration it
-    /// covers (recorded in the run journal). Every public constructor and
-    /// every staged lowering ends here.
+    /// Append a job whose row comes with the simulated seconds it measured
+    /// (recorded in the run journal). Every public constructor and every
+    /// staged lowering ends here.
     pub(crate) fn push(
         &mut self,
         label: String,
         seed: u64,
-        sim_secs: Option<f64>,
-        max_attempts: u32,
-        run: impl FnMut(u32) -> Result<T, String> + Send + 'static,
+        run: impl FnOnce() -> Result<(T, Option<f64>), String> + Send + 'static,
     ) -> &mut Self {
-        assert!(max_attempts >= 1, "at least one attempt");
         self.jobs.push(Job {
             label,
             seed,
-            sim_secs,
-            max_attempts,
             run: Box::new(run),
         });
         self
@@ -199,13 +175,12 @@ impl<T: Send> Campaign<T> {
     ///
     /// Workers pull the next unclaimed job index from a shared atomic
     /// cursor (work-sharing: a free worker always takes the next job, so an
-    /// uneven grid balances itself). Each attempt runs under `catch_unwind`
-    /// with the campaign's sim watchdog armed; failures become
-    /// [`Outcome::Faulted`] / [`Outcome::Panicked`] for that slot and the
-    /// campaign carries on. Because jobs are independent, retries are
-    /// job-local, and slots are positional, the returned sequence — and
-    /// anything printed from it — is identical for `workers = 1` and
-    /// `workers = N`.
+    /// uneven grid balances itself). Each job runs once under
+    /// `catch_unwind` with the campaign's sim watchdog armed; failures
+    /// become [`Outcome::Faulted`] / [`Outcome::Panicked`] for that slot
+    /// and the campaign carries on. Because jobs are independent and slots
+    /// are positional, the returned sequence — and anything printed from
+    /// it — is identical for `workers = 1` and `workers = N`.
     pub fn run(self, workers: usize) -> CampaignRun<T> {
         let Campaign {
             name,
@@ -231,19 +206,13 @@ impl<T: Send> Campaign<T> {
                     if idx >= n {
                         break;
                     }
-                    let Job {
-                        label,
-                        seed,
-                        sim_secs,
-                        max_attempts,
-                        run,
-                    } = pending[idx]
+                    let Job { label, seed, run } = pending[idx]
                         .lock()
                         .unwrap()
                         .take()
                         .expect("job claimed twice");
                     let t0 = Instant::now();
-                    let outcome = execute(max_attempts, run, sim_cap, event_budget);
+                    let (outcome, sim_secs) = execute(run, sim_cap, event_budget);
                     *done[idx].lock().unwrap() = Some(JobResult {
                         label,
                         seed,
@@ -268,41 +237,26 @@ impl<T: Send> Campaign<T> {
     }
 }
 
-/// One guarded attempt: watchdog armed for its duration, panics caught.
-fn attempt<T>(
-    run: impl FnOnce() -> T,
+/// Run a job once with the watchdog armed and panics caught; returns how
+/// it ended and the simulated seconds it measured.
+fn execute<T>(
+    run: Work<T>,
     sim_cap: Option<SimTime>,
     event_budget: Option<u64>,
-) -> Result<T, String> {
-    catch_unwind(AssertUnwindSafe(|| {
+) -> (Outcome<T>, Option<f64>) {
+    let ran = catch_unwind(AssertUnwindSafe(|| {
         let _guard = watchdog::arm(sim_cap, event_budget);
         run()
-    }))
-    .map_err(|payload| panic_message(payload.as_ref()))
-}
-
-/// Run a job's attempts until one yields a row or the budget runs out.
-fn execute<T>(
-    max_attempts: u32,
-    mut run: Attempts<T>,
-    sim_cap: Option<SimTime>,
-    event_budget: Option<u64>,
-) -> Outcome<T> {
-    let mut last_reason = String::new();
-    for att in 1..=max_attempts {
-        match attempt(|| run(att), sim_cap, event_budget) {
-            Ok(Ok(row)) if att == 1 => return Outcome::Ok(row),
-            Ok(Ok(row)) => return Outcome::Retried { row, attempts: att },
-            Ok(Err(reason)) => last_reason = reason,
-            // A watchdog trip is a *diagnosed* fault (the attempt overran
-            // its sim budget), not a bug in the job.
-            Err(msg) if watchdog::is_trip(&msg) => last_reason = msg,
-            Err(msg) => return Outcome::Panicked(msg),
-        }
-    }
-    Outcome::Faulted {
-        reason: last_reason,
-        attempts: max_attempts,
+    }));
+    match ran {
+        Ok(Ok((row, sim_secs))) => (Outcome::Ok(row), sim_secs),
+        Ok(Err(reason)) => (Outcome::Faulted(reason), None),
+        Err(payload) => match panic_message(payload.as_ref()) {
+            // A watchdog trip is a *diagnosed* fault (the job overran its
+            // sim budget), not a bug in the job.
+            msg if watchdog::is_trip(&msg) => (Outcome::Faulted(msg), None),
+            msg => (Outcome::Panicked(msg), None),
+        },
     }
 }
 
@@ -342,13 +296,8 @@ impl<T> CampaignRun<T> {
         self.jobs
             .into_iter()
             .map(|j| match j.outcome {
-                Outcome::Ok(v) | Outcome::Retried { row: v, .. } => v,
-                Outcome::Faulted { reason, attempts } => {
-                    panic!(
-                        "job {} faulted after {attempts} attempts: {reason}",
-                        j.label
-                    )
-                }
+                Outcome::Ok(v) => v,
+                Outcome::Faulted(reason) => panic!("job {} faulted: {reason}", j.label),
                 Outcome::Panicked(msg) => panic!("job {} panicked: {msg}", j.label),
             })
             .collect()
@@ -366,15 +315,7 @@ impl<T> CampaignRun<T> {
     pub fn faulted(&self) -> usize {
         self.jobs
             .iter()
-            .filter(|j| matches!(j.outcome, Outcome::Faulted { .. }))
-            .count()
-    }
-
-    /// Number of jobs that recovered after at least one failed attempt.
-    pub fn retried(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| matches!(j.outcome, Outcome::Retried { .. }))
+            .filter(|j| matches!(j.outcome, Outcome::Faulted(_)))
             .count()
     }
 }
@@ -391,6 +332,7 @@ pub fn default_workers() -> usize {
 pub(crate) mod tests {
     use super::*;
     use simcore::{run_until, Tick};
+    use std::sync::Arc;
 
     #[test]
     fn results_come_back_in_job_order() {
@@ -463,44 +405,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn fallible_job_retries_then_recovers() {
-        let mut c: Campaign<u32> = Campaign::new("retry");
-        c.fallible_job("flaky", 1, 3, |attempt| {
-            if attempt < 3 {
-                Err(format!("injected failure on attempt {attempt}"))
-            } else {
-                Ok(99)
-            }
+    fn failing_fallible_job_runs_once_and_is_faulted_not_panicked() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut c: Campaign<u32> = Campaign::new("fault");
+        let counted = Arc::clone(&calls);
+        c.fallible_job("doomed", 1, move || {
+            let n = counted.fetch_add(1, Ordering::Relaxed) + 1;
+            Err(format!("call {n} failed"))
         });
-        c.fallible_job("steady", 2, 3, |_| Ok(7));
+        c.fallible_job("steady", 2, || Ok(7));
+        c.job("fine", 3, || 5);
         let run = c.run(2);
-        assert_eq!(run.retried(), 1);
-        assert!(matches!(
-            run.jobs[0].outcome,
-            Outcome::Retried {
-                row: 99,
-                attempts: 3
-            }
-        ));
-        assert!(matches!(run.jobs[1].outcome, Outcome::Ok(7)));
-        assert_eq!(rows(&run), vec![99, 7]);
-    }
-
-    #[test]
-    fn fallible_job_exhaustion_is_faulted_not_panicked() {
-        let mut c: Campaign<u32> = Campaign::new("exhaust");
-        c.fallible_job("doomed", 1, 2, |attempt| {
-            Err(format!("attempt {attempt} failed"))
-        });
-        c.job("fine", 2, || 5);
-        let run = c.run(1);
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "a job runs exactly once");
         assert_eq!(run.faulted(), 1);
         assert_eq!(run.failed(), 0);
         assert!(matches!(
             &run.jobs[0].outcome,
-            Outcome::Faulted { reason, attempts: 2 } if reason.contains("attempt 2 failed")
+            Outcome::Faulted(reason) if reason == "call 1 failed"
         ));
-        assert_eq!(rows(&run), vec![5]);
+        assert!(matches!(run.jobs[1].outcome, Outcome::Ok(7)));
+        assert_eq!(rows(&run), vec![7, 5]);
+        assert!(run.jobs.iter().all(|j| j.sim_secs.is_none()));
     }
 
     /// A component that always has more work.
@@ -545,7 +470,7 @@ pub(crate) mod tests {
         assert_eq!(run.faulted(), 1);
         assert!(matches!(
             &run.jobs[0].outcome,
-            Outcome::Faulted { reason, attempts: 1 } if watchdog::is_trip(reason)
+            Outcome::Faulted(reason) if watchdog::is_trip(reason)
         ));
         assert_eq!(run.jobs[1].outcome.ok(), Some(&11));
     }
@@ -554,14 +479,14 @@ pub(crate) mod tests {
     fn event_budget_catches_livelock_without_advancing_clock() {
         let mut c: Campaign<u64> = Campaign::new("budget");
         c.event_budget(10_000);
-        c.fallible_job("spinner", 1, 2, |_| {
+        c.fallible_job("spinner", 1, || {
             run_forever();
             Ok(0)
         });
         let run = c.run(1);
         assert!(matches!(
             &run.jobs[0].outcome,
-            Outcome::Faulted { reason, attempts: 2 } if watchdog::is_trip(reason)
+            Outcome::Faulted(reason) if watchdog::is_trip(reason)
         ));
     }
 }

@@ -15,8 +15,9 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Integer number (kept apart from floats so counts print without `.0`).
-    Int(i64),
+    /// Integer number (kept apart from floats so counts print without `.0`);
+    /// wide enough to hold every `i64` and every `u64` exactly.
+    Int(i128),
     /// Floating-point number; NaN/±∞ serialize as `null`.
     Num(f64),
     /// String.
@@ -174,19 +175,19 @@ impl From<f64> for Json {
 
 impl From<usize> for Json {
     fn from(v: usize) -> Json {
-        Json::Int(v as i64)
+        Json::Int(v as i128)
     }
 }
 
 impl From<u64> for Json {
     fn from(v: u64) -> Json {
-        Json::Int(v as i64)
+        Json::Int(v.into())
     }
 }
 
 impl From<i64> for Json {
     fn from(v: i64) -> Json {
-        Json::Int(v)
+        Json::Int(v.into())
     }
 }
 
@@ -226,6 +227,17 @@ mod tests {
         assert!(s.contains("[true, null]"));
         assert!(s.contains("\"empty\": {}"));
         assert!(s.ends_with("}\n"));
+    }
+
+    #[test]
+    fn integers_print_exactly_at_both_extremes() {
+        let doc = Json::obj([
+            ("seed", Json::from(u64::MAX)),
+            ("low", Json::from(i64::MIN)),
+        ]);
+        let s = doc.pretty();
+        assert!(s.contains("\"seed\": 18446744073709551615,"), "{s}");
+        assert!(s.contains("\"low\": -9223372036854775808"), "{s}");
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //!
 //! The pieces:
 //!
-//! * [`Campaign`] — the job grid. Each [`Job`] is a label, a seed, an
-//!   attempt budget, and a closure that produces one result row or fails
-//!   softly; a plain closure is a job with a budget of one attempt.
+//! * [`Campaign`] — the job grid. Each [`Job`] is a label, a seed, and a
+//!   closure that the executor calls exactly once to produce one result
+//!   row or fail softly. A job is a seeded, deterministic world, so a
+//!   rerun would replay the same failure: there are no harness retries —
+//!   recovery from app failures lives in the session's controller.
 //! * [`StagedCampaign`] — a grid whose jobs are split into record and
 //!   analyze stages, lowered to a [`Campaign`] in any [`StageMode`] or as
-//!   a record-only campaign.
+//!   a record-only campaign. Each lowered job reports the simulated time
+//!   it measured: the end of the artifact it recorded or loaded.
 //! * The executor ([`Campaign::run`]) — scoped worker threads
 //!   (`std::thread::scope`) pulling jobs from a shared atomic cursor. A
 //!   panicking job is caught and recorded as a failed [`JobResult`]; it

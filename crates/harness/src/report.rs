@@ -46,15 +46,8 @@ pub fn report_json<T: Record>(run: &CampaignRun<T>) -> Json {
                 fields.push(("row".to_string(), Json::from(row.row())));
                 fields.push(("data".to_string(), row.to_json()));
             }
-            Outcome::Retried { row, attempts } => {
-                fields.push(("outcome".to_string(), Json::from("retried")));
-                fields.push(("attempts".to_string(), Json::from(*attempts as u64)));
-                fields.push(("row".to_string(), Json::from(row.row())));
-                fields.push(("data".to_string(), row.to_json()));
-            }
-            Outcome::Faulted { reason, attempts } => {
+            Outcome::Faulted(reason) => {
                 fields.push(("outcome".to_string(), Json::from("faulted")));
-                fields.push(("attempts".to_string(), Json::from(*attempts as u64)));
                 fields.push(("reason".to_string(), Json::from(reason.as_str())));
             }
             Outcome::Panicked(msg) => {
@@ -126,7 +119,6 @@ pub fn report_json<T: Record>(run: &CampaignRun<T>) -> Json {
         ("jobs_total".to_string(), Json::from(run.jobs.len())),
         ("jobs_failed".to_string(), Json::from(run.failed())),
         ("jobs_faulted".to_string(), Json::from(run.faulted())),
-        ("jobs_retried".to_string(), Json::from(run.retried())),
     ];
     if let Some(stages) = &run.stages {
         fields.push(("stages".to_string(), stages.to_json()));
@@ -169,7 +161,7 @@ mod tests {
     fn sample_run(with_panic: bool) -> CampaignRun<Row> {
         let mut c: Campaign<Row> = Campaign::new("unit/test");
         c.job("a", 1, || Row { value: 1.0 });
-        c.push("b".into(), 2, Some(60.0), 1, |_| Ok(Row { value: 3.0 }));
+        c.push("b".into(), 2, || Ok((Row { value: 3.0 }, Some(60.0))));
         if with_panic {
             c.job("c", 3, || panic!("kaboom"));
         }
@@ -200,26 +192,18 @@ mod tests {
     }
 
     #[test]
-    fn retried_and_faulted_jobs_land_in_report() {
+    fn faulted_job_lands_in_report() {
         let mut c: Campaign<Row> = Campaign::new("faults/test");
-        c.fallible_job("recovers", 1, 2, |attempt| {
-            if attempt == 1 {
-                Err("first try lost".to_string())
-            } else {
-                Ok(Row { value: 5.0 })
-            }
-        });
-        c.fallible_job("doomed", 2, 2, |_| Err("always lost".to_string()));
+        c.fallible_job("fine", 1, || Ok(Row { value: 5.0 }));
+        c.fallible_job("doomed", 2, || Err("always lost".to_string()));
         let run = c.run(1);
-        assert_eq!(run.retried(), 1);
         assert_eq!(run.faulted(), 1);
         let doc = report_json(&run).pretty();
-        assert!(doc.contains("\"outcome\": \"retried\""));
         assert!(doc.contains("\"outcome\": \"faulted\""));
         assert!(doc.contains("\"reason\": \"always lost\""));
         assert!(doc.contains("\"jobs_faulted\": 1"));
-        assert!(doc.contains("\"jobs_retried\": 1"));
-        // The recovered row still feeds the aggregates: samples {5,6}.
+        assert!(!doc.contains("attempts"), "{doc}");
+        // The completed row still feeds the aggregates: samples {5,6}.
         assert!(doc.contains("\"n\": 2"));
     }
 

@@ -181,7 +181,6 @@ impl Record for BundleRow {
 struct StagedJob<A, T> {
     label: String,
     seed: u64,
-    sim_secs: Option<f64>,
     config_digest: u64,
     record: Box<dyn FnOnce() -> A + Send>,
     analyze: Analyze<A, T>,
@@ -257,7 +256,9 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
     /// Append a staged job. `config_digest` must cover every parameter
     /// (besides the seed) that shapes what `record` simulates — it is the
     /// job's cache identity. `analyze` must be pure: same artifact, same
-    /// row.
+    /// row. The job's simulated time is measured, not declared: every
+    /// lowering reports the [`BundleArtifact::end`] of the artifact it
+    /// recorded or loaded.
     pub fn job(
         &mut self,
         label: impl Into<String>,
@@ -266,42 +267,9 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
         record: impl FnOnce() -> A + Send + 'static,
         analyze: impl FnOnce(&A) -> T + Send + 'static,
     ) -> &mut Self {
-        self.push(label.into(), seed, None, config_digest, record, analyze)
-    }
-
-    /// Append a staged job that covers a known simulated duration.
-    pub fn timed_job(
-        &mut self,
-        label: impl Into<String>,
-        seed: u64,
-        sim_secs: f64,
-        config_digest: u64,
-        record: impl FnOnce() -> A + Send + 'static,
-        analyze: impl FnOnce(&A) -> T + Send + 'static,
-    ) -> &mut Self {
-        self.push(
-            label.into(),
-            seed,
-            Some(sim_secs),
-            config_digest,
-            record,
-            analyze,
-        )
-    }
-
-    fn push(
-        &mut self,
-        label: String,
-        seed: u64,
-        sim_secs: Option<f64>,
-        config_digest: u64,
-        record: impl FnOnce() -> A + Send + 'static,
-        analyze: impl FnOnce(&A) -> T + Send + 'static,
-    ) -> &mut Self {
         self.jobs.push(StagedJob {
-            label,
+            label: label.into(),
             seed,
-            sim_secs,
             config_digest,
             record: Box::new(record),
             analyze: Box::new(analyze),
@@ -348,10 +316,11 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
     }
 
     /// The one lowering every mode goes through. Each job becomes a
-    /// single-attempt [`Campaign`] job that obtains its artifact the
-    /// `obtain` way — under its content-addressed directory below `root`,
-    /// if there is one — and turns it into a row with `row`. The sim-time
-    /// cap and event budget are armed whenever the mode may simulate.
+    /// [`Campaign`] job that obtains its artifact the `obtain` way — under
+    /// its content-addressed directory below `root`, if there is one —
+    /// turns it into a row with `row`, and reports the artifact's end as
+    /// the simulated time it measured. The sim-time cap and event budget
+    /// are armed whenever the mode may simulate.
     fn lower<R: Send + 'static>(
         self,
         mode: &'static str,
@@ -382,11 +351,10 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
                 label: j.label,
             };
             let counters = Arc::clone(&counters);
-            let mut stages = Some((j.record, j.analyze));
-            c.push(cell.label.clone(), j.seed, j.sim_secs, 1, move |_| {
-                let (record, analyze) = stages.take().expect("staged job ran twice");
-                let artifact = obtain.artifact(record, &cell, &counters)?;
-                Ok(row(&counters, &artifact, analyze, &cell))
+            c.push(cell.label.clone(), j.seed, move || {
+                let artifact = obtain.artifact(j.record, &cell, &counters)?;
+                let sim_secs = artifact.end().as_secs_f64();
+                Ok((row(&counters, &artifact, j.analyze, &cell), Some(sim_secs)))
             });
         }
         c
@@ -492,13 +460,18 @@ mod tests {
     use std::time::Duration;
     use trace::{BundleReader, BundleWriter, TraceError};
 
-    /// Minimal artifact for exercising the staged executor.
+    /// Minimal artifact for exercising the staged executor: its payload
+    /// doubles as its recording's end, in seconds.
     #[derive(Debug, PartialEq)]
     struct Blob(u64);
 
     impl BundleArtifact for Blob {
         fn save_bundle(&self, dir: &Path, meta: &BundleMeta) -> Result<(), TraceError> {
-            let mut w = BundleWriter::create(dir, meta)?;
+            let meta = BundleMeta {
+                end: self.end(),
+                ..meta.clone()
+            };
+            let mut w = BundleWriter::create(dir, &meta)?;
             w.artifact("blob", "blob.bin", &self.0.to_le_bytes())?;
             w.finish()
         }
@@ -510,6 +483,9 @@ mod tests {
                 .try_into()
                 .map_err(|_| TraceError::UnexpectedEof)?;
             Ok((Blob(u64::from_le_bytes(arr)), r.meta()))
+        }
+        fn end(&self) -> SimTime {
+            SimTime::from_secs(self.0)
         }
     }
 
@@ -646,28 +622,21 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// A grid mixing timed and untimed jobs whose record stages finish in
-    /// reverse job order.
-    fn timed_staged() -> StagedCampaign<Blob, String> {
-        let mut s: StagedCampaign<Blob, String> = StagedCampaign::new("staged/timed");
+    /// A grid whose artifacts end at distinct times (10, 20, 30, 40 s) and
+    /// whose record stages finish in reverse job order.
+    fn ending_staged() -> StagedCampaign<Blob, String> {
+        let mut s: StagedCampaign<Blob, String> = StagedCampaign::new("staged/ends");
         for i in 0..4u64 {
-            let record = move || {
-                std::thread::sleep(Duration::from_millis((4 - i) * 3));
-                Blob(i)
-            };
-            let analyze = |b: &Blob| format!("value={}", b.0);
-            if i % 2 == 0 {
-                s.timed_job(
-                    format!("cell {i}"),
-                    200 + i,
-                    10.0 * (i + 1) as f64,
-                    i,
-                    record,
-                    analyze,
-                );
-            } else {
-                s.job(format!("cell {i}"), 200 + i, i, record, analyze);
-            }
+            s.job(
+                format!("cell {i}"),
+                200 + i,
+                i,
+                move || {
+                    std::thread::sleep(Duration::from_millis((4 - i) * 3));
+                    Blob(10 * (i + 1))
+                },
+                |b: &Blob| format!("value={}", b.0),
+            );
         }
         s
     }
@@ -682,20 +651,20 @@ mod tests {
 
     #[test]
     fn every_lowering_keeps_job_order_and_identity() {
-        let want: Vec<(String, u64, Option<f64>, bool)> = vec![
-            ("cell 0".into(), 200, Some(10.0), true),
-            ("cell 1".into(), 201, None, true),
-            ("cell 2".into(), 202, Some(30.0), true),
-            ("cell 3".into(), 203, None, true),
-        ];
+        let want: Vec<(String, u64, Option<f64>, bool)> = (0..4u64)
+            .map(|i| {
+                let end = 10.0 * (i + 1) as f64;
+                (format!("cell {i}"), 200 + i, Some(end), true)
+            })
+            .collect();
         let bundles = tmp("identity");
         let cache = tmp("identity-cache");
-        let lower = |mode: StageMode| identities(&timed_staged().into_campaign(&mode).run(2));
+        let lower = |mode: StageMode| identities(&ending_staged().into_campaign(&mode).run(2));
         let runs = [
             ("inline", lower(StageMode::Inline)),
             (
                 "record",
-                identities(&timed_staged().into_record_campaign(&bundles).run(2)),
+                identities(&ending_staged().into_record_campaign(&bundles).run(2)),
             ),
             ("analyze", lower(StageMode::Analyze(bundles.clone()))),
             ("cold cache", lower(StageMode::Cached(cache.clone()))),
@@ -735,7 +704,7 @@ mod tests {
         assert!(
             matches!(
                 &run.jobs[0].outcome,
-                Outcome::Faulted { reason, attempts: 1 } if watchdog::is_trip(reason)
+                Outcome::Faulted(reason) if watchdog::is_trip(reason)
             ),
             "{mode}: runaway job must fault on the sim cap"
         );
@@ -744,6 +713,8 @@ mod tests {
             "{mode}: bounded job unaffected"
         );
         assert_eq!((run.faulted(), run.failed()), (1, 0), "{mode}");
+        assert_eq!(run.jobs[0].sim_secs, None, "{mode}: no artifact, no time");
+        assert_eq!(run.jobs[1].sim_secs, Some(7.0), "{mode}");
     }
 
     #[test]

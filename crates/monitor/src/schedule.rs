@@ -35,8 +35,6 @@ pub struct CellSpec<A> {
     /// Whether this is a no-change control cell (reporting only; the
     /// detector treats every cell identically).
     pub control: bool,
-    /// Simulated seconds one epoch covers, if known (journal metadata).
-    pub sim_secs: Option<f64>,
     /// Build and run epoch `e`'s world with the given seed; returns the
     /// recorded artifact.
     pub record: Arc<dyn Fn(usize, u64) -> A + Send + Sync>,
@@ -162,10 +160,7 @@ impl<A: BundleArtifact + Send + 'static> MonitorSpec<A> {
                     config_digest,
                     metrics: analyze(epoch, a),
                 };
-                match spec.sim_secs {
-                    Some(s) => staged.timed_job(label, seed, s, config_digest, rec, ana),
-                    None => staged.job(label, seed, config_digest, rec, ana),
-                };
+                staged.job(label, seed, config_digest, rec, ana);
             }
         }
         staged
@@ -224,6 +219,7 @@ mod tests {
     use super::*;
     use crate::detect::LayerShares;
     use harness::StageMode;
+    use simcore::SimTime;
     use std::path::PathBuf;
     use trace::{BundleMeta, BundleReader, BundleWriter, TraceError};
 
@@ -246,13 +242,15 @@ mod tests {
                 .map_err(|_| TraceError::UnexpectedEof)?;
             Ok((Blob(u64::from_le_bytes(arr)), r.meta()))
         }
+        fn end(&self) -> SimTime {
+            SimTime::ZERO
+        }
     }
 
     fn spec() -> MonitorSpec<Blob> {
         let cell = |name: &str, drift_at: usize| CellSpec {
             cell: name.to_string(),
             control: drift_at == usize::MAX,
-            sim_secs: Some(10.0),
             record: Arc::new(move |epoch, seed| {
                 Blob(if epoch >= drift_at {
                     1000 + seed % 7

@@ -439,7 +439,8 @@ fn expected_layer(plan: &FaultPlan) -> Option<FaultLayer> {
 }
 
 /// The chaos campaign: video + page fault grids, plus a crash-looping
-/// video cell that exhausts its retry budget and must land as `faulted`.
+/// video cell that exhausts the controller's retries and must land as
+/// `faulted`.
 pub fn campaign(seed: u64) -> Campaign<ChaosRow> {
     let mut c = Campaign::new("chaos");
     // Per-job sim watchdog: far above any cell's legitimate sim span
@@ -452,14 +453,14 @@ pub fn campaign(seed: u64) -> Campaign<ChaosRow> {
     let net = NetKind::LteThrottled(900e3);
     for (fault, plan) in video_grid() {
         let expected = expected_layer(&plan);
-        c.fallible_job(format!("video/{fault}"), seed, 1, move |_| {
+        c.fallible_job(format!("video/{fault}"), seed, move || {
             video_cell(fault.to_string(), expected, &plan, net, seed)
         });
     }
     // Crash loop: on a throttled link the ~7 s initial buffering never
     // fits inside the ~3.5 s of uptime between crashes, every
     // controller-level retry fails, and the harness records the cell as
-    // faulted after two attempts — without disturbing any other job.
+    // faulted — without disturbing any other job.
     let mut loop_plan = FaultPlan::new();
     for at in (16..1_200).step_by(5) {
         loop_plan = loop_plan.with_kind(FaultKind::AppCrash {
@@ -467,7 +468,7 @@ pub fn campaign(seed: u64) -> Campaign<ChaosRow> {
             relaunch: SimDuration::from_millis(1_500),
         });
     }
-    c.fallible_job("video/crash_loop", seed, 2, move |_| {
+    c.fallible_job("video/crash_loop", seed, move || {
         video_cell(
             "crash_loop".to_string(),
             Some(FaultLayer::Device),

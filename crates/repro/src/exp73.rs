@@ -139,10 +139,9 @@ pub fn staged_fig10_11(
         ("1 hr", Some(hour)),
         ("none", None),
     ] {
-        c.timed_job(
+        c.job(
             format!("push={label}"),
             seed,
-            (hours * 3600) as f64,
             crate::stage::config_digest("fig10_11", &format!("push={label}"), &[hours]),
             move || session(push, Some(hour), hours, seed),
             move |col: &Collection| background_row(col, label),
@@ -165,10 +164,9 @@ pub fn staged_fig12_13(
         ("2 hr", SimDuration::from_hours(2)),
         ("4 hr", SimDuration::from_hours(4)),
     ] {
-        c.timed_job(
+        c.job(
             format!("refresh={label}"),
             seed,
-            (hours * 3600) as f64,
             crate::stage::config_digest("fig12_13", &format!("refresh={label}"), &[hours]),
             move || session(push, Some(refresh), hours, seed),
             move |col: &Collection| background_row(col, label),

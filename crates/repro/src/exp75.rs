@@ -273,10 +273,9 @@ pub fn staged_fig18(seed: u64) -> harness::StagedCampaign<Collection, Throughput
     ] {
         let label = net.label();
         let cfg = crate::stage::config_digest("fig18", &label, &[]);
-        c.timed_job(
+        c.job(
             label,
             seed,
-            315.0,
             cfg,
             move || trace_session(net, seed),
             move |col: &Collection| throughput_trace(col, net.label()),

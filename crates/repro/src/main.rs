@@ -278,23 +278,16 @@ fn campaign_rows<T: Record + Send>(c: Campaign<T>, opts: &Opts, failed: &mut usi
     if !matches!(opts.mode, RunMode::Staged(StageMode::Inline)) {
         // A faulted job in a staged mode means a bundle was missing, stale
         // or unreadable — that must fail the invocation, not just skip a
-        // row (inline campaigns have their own retry/fault policy).
+        // row (inline campaigns have their own fault policy).
         *failed += run.faulted();
     }
     run.jobs
         .into_iter()
         .filter_map(|j| match j.outcome {
             Outcome::Ok(row) => Some(row),
-            Outcome::Retried { row, attempts } => {
+            Outcome::Faulted(reason) => {
                 eprintln!(
-                    "repro: job {}/{} (seed {}) recovered after {attempts} attempts",
-                    run.name, j.label, j.seed
-                );
-                Some(row)
-            }
-            Outcome::Faulted { reason, attempts } => {
-                eprintln!(
-                    "repro: job {}/{} (seed {}) faulted after {attempts} attempts: {reason}",
+                    "repro: job {}/{} (seed {}) faulted: {reason}",
                     run.name, j.label, j.seed
                 );
                 None

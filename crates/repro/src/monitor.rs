@@ -354,7 +354,6 @@ fn page_metrics(epoch: usize, drifted: bool, col: &Collection) -> EpochMetrics {
 fn cell(
     info: &'static CellInfo,
     drift_at: Option<usize>,
-    sim_secs: f64,
     record: impl Fn(bool, u64) -> Collection + Send + Sync + 'static,
     analyze: impl Fn(usize, &Collection) -> EpochMetrics + Send + Sync + 'static,
 ) -> CellSpec<Collection> {
@@ -362,7 +361,6 @@ fn cell(
     CellSpec {
         cell: info.cell.to_string(),
         control: info.control,
-        sim_secs: Some(sim_secs),
         record: Arc::new(move |epoch, seed| record(drifted(epoch), seed)),
         analyze: Arc::new(analyze),
         config_digest: Arc::new(move |epoch| {
@@ -375,49 +373,40 @@ fn cell(
 /// at epoch `epochs / 2`.
 pub fn spec(epochs: usize, seed: u64) -> MonitorSpec<Collection> {
     let change = epochs / 2;
-    let fb_secs = 20.0 + UPDATES_PER_EPOCH as f64 * 130.0;
-    let video_secs = 15.0 + VIDEOS_PER_EPOCH as f64 * 120.0;
-    let page_secs = 2.0 + LOADS_PER_EPOCH as f64 * 40.0;
     let cells = vec![
         cell(
             &CELLS[0],
             Some(change),
-            fb_secs,
             |drifted, seed| fb_session(drifted, UPDATES_PER_EPOCH, seed),
             |epoch, col| fb_metrics(epoch, col),
         ),
         cell(
             &CELLS[1],
             None,
-            fb_secs,
             |drifted, seed| fb_session(drifted, UPDATES_PER_EPOCH, seed),
             |epoch, col| fb_metrics(epoch, col),
         ),
         cell(
             &CELLS[2],
             Some(change),
-            video_secs,
             |drifted, seed| video_session(drifted, VIDEOS_PER_EPOCH, seed),
             |epoch, col| video_metrics(epoch, col),
         ),
         cell(
             &CELLS[3],
             None,
-            video_secs,
             |drifted, seed| video_session(drifted, VIDEOS_PER_EPOCH, seed),
             |epoch, col| video_metrics(epoch, col),
         ),
         cell(
             &CELLS[4],
             Some(change),
-            page_secs,
             |drifted, seed| page_session(drifted, LOADS_PER_EPOCH, seed),
             move |epoch, col| page_metrics(epoch, epoch >= change, col),
         ),
         cell(
             &CELLS[5],
             None,
-            page_secs,
             |drifted, seed| page_session(drifted, LOADS_PER_EPOCH, seed),
             |epoch, col| page_metrics(epoch, false, col),
         ),

@@ -1,7 +1,7 @@
 //! The chaos campaign's two robustness guarantees, end-to-end: a fixed-seed
 //! run is byte-identical whatever the worker count, and a crash-looping app
-//! exhausts its retry budget into a `faulted` record while every other cell
-//! of the same campaign completes normally.
+//! exhausts the controller's retries into a `faulted` record while every
+//! other cell of the same campaign completes normally.
 //!
 //! Uses a reduced grid (one healthy video cell, one recoverable crash, the
 //! crash loop, one page fault) so the test stays fast; the full grid runs
@@ -22,16 +22,7 @@ fn fingerprint(run: &harness::CampaignRun<ChaosRow>) -> Vec<(String, u64, String
         .map(|j| {
             let row = match &j.outcome {
                 Outcome::Ok(r) => format!("ok:{}\n{}", r.row(), r.to_json().pretty()),
-                Outcome::Retried { row, attempts } => {
-                    format!(
-                        "retried[{attempts}]:{}\n{}",
-                        row.row(),
-                        row.to_json().pretty()
-                    )
-                }
-                Outcome::Faulted { reason, attempts } => {
-                    format!("faulted[{attempts}]:{reason}")
-                }
+                Outcome::Faulted(reason) => format!("faulted:{reason}"),
                 Outcome::Panicked(msg) => format!("panicked:{msg}"),
             };
             (j.label.clone(), j.seed, format!("{:?}", j.sim_secs), row)
@@ -46,7 +37,7 @@ fn small_campaign(seed: u64) -> Campaign<ChaosRow> {
     let net = NetKind::LteThrottled(900e3);
 
     let baseline = FaultPlan::new();
-    c.fallible_job("video/baseline", seed, 1, move |_| {
+    c.fallible_job("video/baseline", seed, move || {
         video_cell("baseline".into(), None, &baseline, net, seed)
     });
 
@@ -55,7 +46,7 @@ fn small_campaign(seed: u64) -> Campaign<ChaosRow> {
         at: SimTime::from_secs(17),
         relaunch: SimDuration::from_millis(2_500),
     });
-    c.fallible_job("video/app_crash", seed, 1, move |_| {
+    c.fallible_job("video/app_crash", seed, move || {
         video_cell(
             "app_crash".into(),
             Some(FaultLayer::Device),
@@ -66,8 +57,8 @@ fn small_campaign(seed: u64) -> Campaign<ChaosRow> {
     });
 
     // Crash every 5 s: loading (~7 s on the throttled link) never fits in
-    // the ~3.5 s of uptime, so every attempt fails and the harness faults
-    // the cell after two tries.
+    // the ~3.5 s of uptime, so every controller attempt fails and the
+    // harness faults the cell.
     let mut loop_plan = FaultPlan::new();
     for at in (16..1_200).step_by(5) {
         loop_plan = loop_plan.with_kind(FaultKind::AppCrash {
@@ -75,7 +66,7 @@ fn small_campaign(seed: u64) -> Campaign<ChaosRow> {
             relaunch: SimDuration::from_millis(1_500),
         });
     }
-    c.fallible_job("video/crash_loop", seed, 2, move |_| {
+    c.fallible_job("video/crash_loop", seed, move || {
         video_cell(
             "crash_loop".into(),
             Some(FaultLayer::Device),
@@ -113,14 +104,14 @@ fn chaos_campaign_is_identical_for_1_and_4_workers() {
     };
     assert_eq!(strip(&a), strip(&b));
 
-    // The crash loop lands as a faulted record — budget exhausted, reason
-    // preserved — while the other three cells complete.
+    // The crash loop lands as a faulted record — controller retries
+    // exhausted, reason preserved — while the other three cells complete.
     assert_eq!(a.jobs.len(), 4);
     assert_eq!(a.faulted(), 1);
     assert_eq!(a.failed(), 0);
     assert!(matches!(
         &a.jobs[2].outcome,
-        Outcome::Faulted { reason, attempts: 2 } if reason.contains("no measurement")
+        Outcome::Faulted(reason) if reason.contains("no measurement after 3 attempts")
     ));
     assert!(a.jobs[0].outcome.is_ok());
     assert!(a.jobs[1].outcome.is_ok());

@@ -63,3 +63,32 @@ fn warm_cache_skips_simulation_with_identical_rows() {
     assert_eq!(warm_rows, cold_rows);
     let _ = fs::remove_dir_all(&root);
 }
+
+#[test]
+fn every_job_reports_its_bundle_end_as_sim_secs() {
+    let root = tmp("sim-secs");
+    let rec = repro::exp77::staged(REPS, SEED)
+        .into_record_campaign(&root)
+        .run(2);
+    assert_eq!(rec.failed() + rec.faulted(), 0, "recording must succeed");
+    // The manifest's `end_us` of every recorded bundle, in job order.
+    let ends: Vec<Option<f64>> = rec
+        .jobs
+        .iter()
+        .map(|j| {
+            let dir = &j.outcome.ok().expect("recorded").dir;
+            let meta = trace::BundleReader::open(dir).expect("bundle opens").meta();
+            Some(meta.end.as_micros() as f64 / 1e6)
+        })
+        .collect();
+    assert!(ends.iter().all(|e| e.is_some_and(|s| s > 0.0)), "{ends:?}");
+    let recorded: Vec<Option<f64>> = rec.jobs.iter().map(|j| j.sim_secs).collect();
+    assert_eq!(recorded, ends, "record run");
+
+    let an = repro::exp77::staged(REPS, SEED)
+        .into_campaign(&StageMode::Analyze(root.clone()))
+        .run(2);
+    let analyzed: Vec<Option<f64>> = an.jobs.iter().map(|j| j.sim_secs).collect();
+    assert_eq!(analyzed, ends, "analyze run");
+    let _ = fs::remove_dir_all(&root);
+}

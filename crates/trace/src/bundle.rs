@@ -35,6 +35,9 @@ pub trait BundleArtifact: Sized {
     fn save_bundle(&self, dir: &Path, meta: &BundleMeta) -> Result<(), TraceError>;
     /// Restore a value (and the recording's identity) from `dir`.
     fn load_bundle(dir: &Path) -> Result<(Self, BundleMeta), TraceError>;
+    /// Simulated clock at the end of the recording — what a saved bundle's
+    /// manifest records as its `end`.
+    fn end(&self) -> SimTime;
 }
 
 /// Writes one bundle directory: artifacts first, manifest last.
