@@ -154,13 +154,6 @@ impl WaitCondition {
     }
 }
 
-/// The outcome of one measured wait.
-#[derive(Debug, Clone)]
-pub struct Measured {
-    /// The record appended to the behaviour log.
-    pub record: BehaviorRecord,
-}
-
 /// A summary of a monitored video playback (initial loading handled
 /// separately via [`Controller::measure_after`]).
 #[derive(Debug, Clone, Default)]
@@ -329,7 +322,7 @@ impl Controller {
         trigger: &UiEvent,
         cond: &WaitCondition,
         timeout: SimDuration,
-    ) -> (Measured, Option<ControlError>) {
+    ) -> (BehaviorRecord, Option<ControlError>) {
         let start = self.now;
         self.interact(trigger);
         let deadline = start + timeout;
@@ -354,7 +347,7 @@ impl Controller {
                 frozen_for,
             }),
         };
-        (Measured { record }, err)
+        (record, err)
     }
 
     /// Measure a trigger-started latency: inject `trigger`, then wait for
@@ -368,7 +361,7 @@ impl Controller {
         trigger: &UiEvent,
         cond: &WaitCondition,
         timeout: SimDuration,
-    ) -> Measured {
+    ) -> BehaviorRecord {
         self.measure_after_inner(action, trigger, cond, timeout).0
     }
 
@@ -383,7 +376,7 @@ impl Controller {
         trigger: &UiEvent,
         cond: &WaitCondition,
         timeout: SimDuration,
-    ) -> Result<Measured, ControlError> {
+    ) -> Result<BehaviorRecord, ControlError> {
         match self.measure_after_inner(action, trigger, cond, timeout) {
             (m, None) => Ok(m),
             (_, Some(e)) => Err(e),
@@ -405,7 +398,7 @@ impl Controller {
         cond: &WaitCondition,
         timeout: SimDuration,
         policy: &RetryPolicy,
-    ) -> Result<(Measured, u32), ControlError> {
+    ) -> Result<(BehaviorRecord, u32), ControlError> {
         assert!(policy.max_attempts >= 1, "at least one attempt");
         let mut backoff = policy.backoff;
         let mut last_err = None;
@@ -441,7 +434,7 @@ impl Controller {
         begin: &WaitCondition,
         end_cond: &WaitCondition,
         timeout: SimDuration,
-    ) -> Option<Measured> {
+    ) -> Option<BehaviorRecord> {
         let deadline = self.now + timeout;
         let begin_wait = self.wait_for(begin, deadline);
         if !begin_wait.met() {
@@ -457,7 +450,7 @@ impl Controller {
             timed_out: !w.met(),
         };
         self.log.push(w.pass_end, record.clone());
-        Some(Measured { record })
+        Some(record)
     }
 
     /// Monitor a video that has finished initial loading: record every
@@ -683,8 +676,8 @@ mod tests {
             .expect("second attempt should succeed after relaunch");
         assert_eq!(attempts, 2);
         assert_eq!(doctor.world.phone.crashes, 1);
-        assert!(!m.record.timed_out);
-        assert!(m.record.calibrated() > SimDuration::ZERO);
+        assert!(!m.timed_out);
+        assert!(m.calibrated() > SimDuration::ZERO);
     }
 
     #[test]

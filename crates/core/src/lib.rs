@@ -9,10 +9,10 @@
 //!
 //! ```
 //! use device::apps::{BrowserApp, BrowserConfig};
-//! use device::{Internet, NetAttachment, Phone, RpcServer, UiEvent, ViewSignature, World};
+//! use device::{Internet, NetAttachment, Phone, RpcServer, World};
 //! use netstack::dns::DNS_PORT;
 //! use netstack::{IpAddr, SocketAddr};
-//! use qoe_doctor::{Controller, WaitCondition};
+//! use qoe_doctor::{replay, Controller};
 //! use simcore::{DetRng, SimDuration};
 //!
 //! // Assemble: a phone on WiFi running Chrome, and a web server.
@@ -30,16 +30,10 @@
 //! // Replay: type a URL, press ENTER, measure until the progress bar hides.
 //! let mut doctor = Controller::new(World::new(phone, internet));
 //! doctor.advance(SimDuration::from_secs(1));
-//! doctor.interact(&UiEvent::TypeText {
-//!     target: ViewSignature::by_id("url_bar"),
-//!     text: "http://www.example.com/".into(),
-//! });
-//! let m = doctor.measure_after(
-//!     "page_load", &UiEvent::KeyEnter,
-//!     &WaitCondition::Hidden { id: "page_progress".into() },
-//!     SimDuration::from_secs(60));
-//! assert!(!m.record.timed_out);
-//! assert!(m.record.calibrated() > SimDuration::ZERO);
+//! doctor.interact(&replay::type_url("http://www.example.com/"));
+//! let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
+//! assert!(!rec.timed_out);
+//! assert!(rec.calibrated() > SimDuration::ZERO);
 //! ```
 
 #![warn(missing_docs)]
@@ -55,8 +49,5 @@ pub mod replay;
 pub use behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
 pub use bundle::CollectionSet;
 pub use collect::Collection;
-pub use controller::{
-    ControlError, Controller, Measured, PlaybackReport, RetryPolicy, WaitCondition,
-};
+pub use controller::{ControlError, Controller, PlaybackReport, RetryPolicy, WaitCondition};
 pub use diagnose::{diagnose, diagnose_worst, Diagnosis};
-pub use replay::{InteractSpec, ReplaySpec, ReplayStep, WaitSpec};

@@ -1,372 +1,191 @@
-//! Replay specifications — the paper's "control specifications" (§4.1).
+//! The Table 1 user behaviours — the paper's control specifications (§4.1).
 //!
-//! The paper's controller replays *user interaction sequences* described by
-//! control specifications that an average app developer can write, naming
-//! views by signature rather than coordinates. This module is that layer: a
-//! declarative, serializable description of a replay session that the
-//! [`Controller`] executes. The specifications for the behaviours of
-//! Table 1 ship in [`specs`].
+//! The paper's controller replays *user interaction sequences* that name
+//! views by signature rather than coordinates. Each behaviour of Table 1
+//! is one function here: it drives a [`Controller`] through the behaviour's
+//! interactions and waits, and returns the [`BehaviorRecord`] it logged.
+//! Pauses between behaviours (the replayed inter-action timing) stay with
+//! the caller, as does video playback monitoring
+//! ([`Controller::monitor_playback`]).
+//!
+//! The fixed action labels the analyzers filter the behaviour log on are
+//! the constants below; post uploads take their label from the caller.
 
+use crate::behavior::BehaviorRecord;
 use crate::controller::{Controller, WaitCondition};
 use device::ui::ViewSignature;
 use device::UiEvent;
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
-/// A serializable wait condition (mirrors [`WaitCondition`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WaitSpec {
-    /// Text containing `needle` appears under the view `container`.
-    TextAppears {
-        /// Subtree root id.
-        container: String,
-        /// Needle to search for.
-        needle: String,
-    },
-    /// The view becomes visible.
-    Shown {
-        /// View id.
-        id: String,
-    },
-    /// The view becomes invisible.
-    Hidden {
-        /// View id.
-        id: String,
-    },
-    /// The view's text equals `value`.
-    TextIs {
-        /// View id.
-        id: String,
-        /// Expected text.
-        value: String,
-    },
+/// Action label of a page load ([`load_page`]).
+pub const PAGE_LOAD: &str = "page_load";
+/// Action label of a video's initial loading ([`load_video`]).
+pub const VIDEO_INITIAL_LOADING: &str = "video:initial_loading";
+/// Action label of a news-feed update ([`pull_to_update`]).
+pub const PULL_TO_UPDATE: &str = "pull_to_update";
+
+const SEARCH_BOX: &str = "search_box";
+const PLAYER_PROGRESS: &str = "player_progress";
+const URL_BAR: &str = "url_bar";
+const PAGE_PROGRESS: &str = "page_progress";
+const FEED_PROGRESS: &str = "feed_progress";
+const COMPOSER: &str = "composer";
+const POST_BUTTON: &str = "post_button";
+const NEWS_FEED: &str = "news_feed";
+
+/// YouTube: search the video list — type an empty query into the search
+/// box and press ENTER, which lists every video as a `result_<name>` row.
+pub fn search_videos(doctor: &mut Controller) {
+    doctor.interact(&UiEvent::TypeText {
+        target: ViewSignature::by_id(SEARCH_BOX),
+        text: String::new(),
+    });
+    doctor.interact(&UiEvent::KeyEnter);
 }
 
-impl From<&WaitSpec> for WaitCondition {
-    fn from(w: &WaitSpec) -> WaitCondition {
-        match w {
-            WaitSpec::TextAppears { container, needle } => WaitCondition::TextAppears {
-                container: container.clone(),
-                needle: needle.clone(),
-            },
-            WaitSpec::Shown { id } => WaitCondition::Shown { id: id.clone() },
-            WaitSpec::Hidden { id } => WaitCondition::Hidden { id: id.clone() },
-            WaitSpec::TextIs { id, value } => WaitCondition::TextIs {
-                id: id.clone(),
-                value: value.clone(),
-            },
-        }
+/// The tap on the search result for the video named `video`.
+pub fn video_result(video: &str) -> UiEvent {
+    UiEvent::Click {
+        target: ViewSignature::by_id(&format!("result_{video}")),
     }
 }
 
-/// A UI interaction in a specification (addressed by view id).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum InteractSpec {
-    /// Tap a view.
-    Click {
-        /// Target view id.
-        id: String,
-    },
-    /// Pull/scroll gesture.
-    Scroll {
-        /// Target view id.
-        id: String,
-    },
-    /// Type text into a view.
-    Type {
-        /// Target view id.
-        id: String,
-        /// The text.
-        text: String,
-    },
-    /// Press ENTER.
-    PressEnter,
-}
-
-impl InteractSpec {
-    fn to_event(&self) -> UiEvent {
-        match self {
-            InteractSpec::Click { id } => UiEvent::Click {
-                target: ViewSignature::by_id(id),
-            },
-            InteractSpec::Scroll { id } => UiEvent::Scroll {
-                target: ViewSignature::by_id(id),
-            },
-            InteractSpec::Type { id, text } => UiEvent::TypeText {
-                target: ViewSignature::by_id(id),
-                text: text.clone(),
-            },
-            InteractSpec::PressEnter => UiEvent::KeyEnter,
-        }
+/// The player's progress bar is hidden: loading is over.
+pub fn player_ready() -> WaitCondition {
+    WaitCondition::Hidden {
+        id: PLAYER_PROGRESS.into(),
     }
 }
 
-/// One step of a replay session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ReplayStep {
-    /// Let the scenario run idle for a while (inter-action timing — the
-    /// paper supports replaying sequences "both with and without replaying
-    /// the timing between each action").
-    Dwell {
-        /// Idle seconds.
-        secs: f64,
-    },
-    /// Perform an interaction without measuring.
-    Interact(InteractSpec),
-    /// Trigger an interaction and measure until `until` holds.
-    MeasureAfter {
-        /// Action label for the behaviour log.
-        action: String,
-        /// The triggering interaction.
-        trigger: InteractSpec,
-        /// Wait-ending condition.
-        until: WaitSpec,
-        /// Timeout in seconds.
-        timeout_secs: f64,
-    },
-    /// Measure an app-triggered span (`begin` observed → `end` observed).
-    MeasureSpan {
-        /// Action label.
-        action: String,
-        /// Span start condition.
-        begin: WaitSpec,
-        /// Span end condition.
-        end: WaitSpec,
-        /// Timeout in seconds.
-        timeout_secs: f64,
-    },
-    /// Monitor a playing video until it finishes, logging rebuffer spans.
-    MonitorPlayback {
-        /// Action label prefix.
-        action: String,
-        /// Timeout in seconds.
-        timeout_secs: f64,
-    },
+/// YouTube: load a video — tap its search result and wait until the
+/// player's progress bar is hidden.
+pub fn load_video(doctor: &mut Controller, video: &str, timeout: SimDuration) -> BehaviorRecord {
+    doctor.measure_after(
+        VIDEO_INITIAL_LOADING,
+        &video_result(video),
+        &player_ready(),
+        timeout,
+    )
 }
 
-/// A named, replayable user-behaviour specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplaySpec {
-    /// Specification name (e.g. `facebook:upload_post`).
-    pub name: String,
-    /// The steps, in order.
-    pub steps: Vec<ReplayStep>,
-}
-
-impl ReplaySpec {
-    /// Execute the specification; returns the number of measurements added
-    /// to the behaviour log.
-    pub fn execute(&self, doctor: &mut Controller) -> usize {
-        let before = doctor.log.len();
-        for step in &self.steps {
-            match step {
-                ReplayStep::Dwell { secs } => {
-                    doctor.advance(SimDuration::from_secs_f64(*secs));
-                }
-                ReplayStep::Interact(i) => doctor.interact(&i.to_event()),
-                ReplayStep::MeasureAfter {
-                    action,
-                    trigger,
-                    until,
-                    timeout_secs,
-                } => {
-                    doctor.measure_after(
-                        action,
-                        &trigger.to_event(),
-                        &until.into(),
-                        SimDuration::from_secs_f64(*timeout_secs),
-                    );
-                }
-                ReplayStep::MeasureSpan {
-                    action,
-                    begin,
-                    end,
-                    timeout_secs,
-                } => {
-                    doctor.measure_span(
-                        action,
-                        &begin.into(),
-                        &end.into(),
-                        SimDuration::from_secs_f64(*timeout_secs),
-                    );
-                }
-                ReplayStep::MonitorPlayback {
-                    action,
-                    timeout_secs,
-                } => {
-                    doctor.monitor_playback(action, SimDuration::from_secs_f64(*timeout_secs));
-                }
-            }
-        }
-        doctor.log.len() - before
+/// Typing `url` into the browser's URL bar.
+pub fn type_url(url: &str) -> UiEvent {
+    UiEvent::TypeText {
+        target: ViewSignature::by_id(URL_BAR),
+        text: url.into(),
     }
 }
 
-/// The Table 1 behaviours as executable specifications.
-pub mod specs {
-    use super::*;
-
-    /// Facebook: upload a post with the given composer text; the post kind
-    /// is encoded by the text prefix (`status:` / `checkin:` / `photos:`).
-    pub fn facebook_upload_post(text: &str) -> ReplaySpec {
-        ReplaySpec {
-            name: "facebook:upload_post".into(),
-            steps: vec![
-                ReplayStep::Interact(InteractSpec::Type {
-                    id: "composer".into(),
-                    text: text.into(),
-                }),
-                ReplayStep::MeasureAfter {
-                    action: format!("upload_post:{}", text.split(':').next().unwrap_or("status")),
-                    trigger: InteractSpec::Click {
-                        id: "post_button".into(),
-                    },
-                    until: WaitSpec::TextAppears {
-                        container: "news_feed".into(),
-                        needle: text.into(),
-                    },
-                    timeout_secs: 120.0,
-                },
-            ],
-        }
+/// The page's progress bar is hidden: the page has loaded.
+pub fn page_loaded() -> WaitCondition {
+    WaitCondition::Hidden {
+        id: PAGE_PROGRESS.into(),
     }
+}
 
-    /// Facebook: pull-to-update (the scroll gesture variant).
-    pub fn facebook_pull_to_update() -> ReplaySpec {
-        ReplaySpec {
-            name: "facebook:pull_to_update".into(),
-            steps: vec![
-                ReplayStep::Interact(InteractSpec::Scroll {
-                    id: "news_feed".into(),
-                }),
-                ReplayStep::MeasureSpan {
-                    action: "pull_to_update".into(),
-                    begin: WaitSpec::Shown {
-                        id: "feed_progress".into(),
-                    },
-                    end: WaitSpec::Hidden {
-                        id: "feed_progress".into(),
-                    },
-                    timeout_secs: 60.0,
-                },
-            ],
-        }
-    }
+/// Web browsing: load the page whose URL was typed with [`type_url`] —
+/// press ENTER and wait until the page's progress bar is hidden.
+pub fn load_page(doctor: &mut Controller, timeout: SimDuration) -> BehaviorRecord {
+    doctor.measure_after(PAGE_LOAD, &UiEvent::KeyEnter, &page_loaded(), timeout)
+}
 
-    /// YouTube: search for `query`, play the result named `video`, watch it
-    /// to the end while logging rebuffer spans.
-    pub fn youtube_watch(query: &str, video: &str, watch_timeout_secs: f64) -> ReplaySpec {
-        ReplaySpec {
-            name: "youtube:watch_video".into(),
-            steps: vec![
-                ReplayStep::Interact(InteractSpec::Type {
-                    id: "search_box".into(),
-                    text: query.into(),
-                }),
-                ReplayStep::Interact(InteractSpec::PressEnter),
-                ReplayStep::Dwell { secs: 5.0 },
-                ReplayStep::MeasureAfter {
-                    action: "video:initial_loading".into(),
-                    trigger: InteractSpec::Click {
-                        id: format!("result_{video}"),
-                    },
-                    until: WaitSpec::Hidden {
-                        id: "player_progress".into(),
-                    },
-                    timeout_secs: 240.0,
-                },
-                ReplayStep::MonitorPlayback {
-                    action: "video".into(),
-                    timeout_secs: watch_timeout_secs,
-                },
-            ],
-        }
-    }
+/// Facebook: pull-to-update — the span from the feed's progress bar
+/// appearing to it disappearing. `None` if it never appeared within
+/// `timeout`.
+pub fn pull_to_update(doctor: &mut Controller, timeout: SimDuration) -> Option<BehaviorRecord> {
+    doctor.measure_span(
+        PULL_TO_UPDATE,
+        &WaitCondition::Shown {
+            id: FEED_PROGRESS.into(),
+        },
+        &WaitCondition::Hidden {
+            id: FEED_PROGRESS.into(),
+        },
+        timeout,
+    )
+}
 
-    /// Web browsing: load `url` and measure the page load time.
-    pub fn browser_load_page(url: &str) -> ReplaySpec {
-        ReplaySpec {
-            name: "browser:load_page".into(),
-            steps: vec![
-                ReplayStep::Interact(InteractSpec::Type {
-                    id: "url_bar".into(),
-                    text: url.into(),
-                }),
-                ReplayStep::MeasureAfter {
-                    action: "page_load".into(),
-                    trigger: InteractSpec::PressEnter,
-                    until: WaitSpec::Hidden {
-                        id: "page_progress".into(),
-                    },
-                    timeout_secs: 90.0,
-                },
-            ],
-        }
-    }
+/// Facebook: upload a post — type `text` into the composer, tap the post
+/// button, and wait until `text` appears in the news feed. Logged as
+/// `action`, which names the post kind.
+pub fn upload_post(
+    doctor: &mut Controller,
+    action: &str,
+    text: &str,
+    timeout: SimDuration,
+) -> BehaviorRecord {
+    doctor.interact(&UiEvent::TypeText {
+        target: ViewSignature::by_id(COMPOSER),
+        text: text.into(),
+    });
+    doctor.measure_after(
+        action,
+        &UiEvent::Click {
+            target: ViewSignature::by_id(POST_BUTTON),
+        },
+        &WaitCondition::TextAppears {
+            container: NEWS_FEED.into(),
+            needle: text.into(),
+        },
+        timeout,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use device::apps::{
+        BrowserApp, BrowserConfig, FacebookApp, FacebookConfig, FbVersion, YouTubeApp,
+        YouTubeConfig,
+    };
+    use device::{App, Internet, NetAttachment, Phone, World};
+    use netstack::dns::DNS_PORT;
+    use netstack::{IpAddr, SocketAddr};
+    use simcore::DetRng;
+
+    /// Launch `app` on a phone with no reachable servers and return the
+    /// controller once its layout is up.
+    fn launched(app: Box<dyn App>) -> Controller {
+        let mut rng = DetRng::seed_from_u64(5);
+        let resolver = SocketAddr::new(IpAddr::new(8, 8, 8, 8), DNS_PORT);
+        let internet = Internet::new(resolver, rng.fork(1));
+        let phone = Phone::new(
+            IpAddr::new(10, 0, 0, 1),
+            resolver,
+            NetAttachment::wifi(&mut rng),
+            app,
+            rng.fork(2),
+        );
+        let mut doctor = Controller::new(World::new(phone, internet));
+        doctor.advance(SimDuration::from_secs(1));
+        doctor
+    }
 
     #[test]
     fn builtin_specs_cover_table1() {
-        let all = [
-            specs::facebook_upload_post("status: hi"),
-            specs::facebook_pull_to_update(),
-            specs::youtube_watch("a", "a01", 300.0),
-            specs::browser_load_page("http://www.example.com/"),
+        // Every view a Table 1 behaviour addresses exists in the launched
+        // layout of the app it replays.
+        let apps: [(Box<dyn App>, &[&str]); 3] = [
+            (
+                Box::new(BrowserApp::new(BrowserConfig::chrome())),
+                &[URL_BAR, PAGE_PROGRESS],
+            ),
+            (
+                Box::new(FacebookApp::new(FacebookConfig::new(FbVersion::ListView50))),
+                &[COMPOSER, POST_BUTTON, NEWS_FEED, FEED_PROGRESS],
+            ),
+            (
+                Box::new(YouTubeApp::new(YouTubeConfig::default())),
+                &[SEARCH_BOX, PLAYER_PROGRESS],
+            ),
         ];
-        // Every Table 1 behaviour is present and each spec measures
-        // something.
-        assert!(all.iter().any(|s| s.name.contains("upload_post")));
-        assert!(all.iter().any(|s| s.name.contains("pull_to_update")));
-        assert!(all.iter().any(|s| s.name.contains("watch_video")));
-        assert!(all.iter().any(|s| s.name.contains("load_page")));
-        for spec in &all {
-            assert!(spec.steps.iter().any(|st| matches!(
-                st,
-                ReplayStep::MeasureAfter { .. }
-                    | ReplayStep::MeasureSpan { .. }
-                    | ReplayStep::MonitorPlayback { .. }
-            )));
-            assert_eq!(spec, &spec.clone());
-        }
-    }
-
-    #[test]
-    fn wait_spec_converts_to_condition() {
-        let w = WaitSpec::Hidden {
-            id: "page_progress".into(),
-        };
-        let c: WaitCondition = (&w).into();
-        assert_eq!(
-            c,
-            WaitCondition::Hidden {
-                id: "page_progress".into()
+        for (app, ids) in apps {
+            let name = app.name();
+            let doctor = launched(app);
+            let root = doctor.world.phone.ui.root();
+            for id in ids {
+                assert!(root.find(id).is_some(), "{name} has no view {id}");
             }
-        );
-        let w = WaitSpec::TextAppears {
-            container: "feed".into(),
-            needle: "x".into(),
-        };
-        let c: WaitCondition = (&w).into();
-        assert_eq!(
-            c,
-            WaitCondition::TextAppears {
-                container: "feed".into(),
-                needle: "x".into()
-            }
-        );
-    }
-
-    #[test]
-    fn interact_spec_builds_events() {
-        assert_eq!(InteractSpec::PressEnter.to_event(), UiEvent::KeyEnter);
-        let click = InteractSpec::Click { id: "go".into() };
-        match click.to_event() {
-            UiEvent::Click { target } => assert_eq!(target.id.as_deref(), Some("go")),
-            other => panic!("unexpected event {other:?}"),
         }
     }
 }

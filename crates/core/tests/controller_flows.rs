@@ -94,14 +94,14 @@ fn trigger_measurement_approximates_scripted_delay() {
         },
         SimDuration::from_secs(10),
     );
-    assert!(!m.record.timed_out);
-    assert_eq!(m.record.start_kind, StartKind::Trigger);
-    let lat = m.record.calibrated().as_secs_f64();
+    assert!(!m.timed_out);
+    assert_eq!(m.start_kind, StartKind::Trigger);
+    let lat = m.calibrated().as_secs_f64();
     // Scripted at 900 ms; measurement error should be bounded by roughly a
     // parse interval plus calibration residue.
     assert!((lat - 0.9).abs() < 0.05, "latency {lat}");
     // Raw is strictly larger than calibrated (positive correction).
-    assert!(m.record.raw() > m.record.calibrated());
+    assert!(m.raw() > m.calibrated());
 }
 
 #[test]
@@ -121,8 +121,8 @@ fn span_measurement_approximates_spinner_window() {
             SimDuration::from_secs(10),
         )
         .expect("spinner observed");
-    assert_eq!(m.record.start_kind, StartKind::Parse);
-    let lat = m.record.calibrated().as_secs_f64();
+    assert_eq!(m.start_kind, StartKind::Parse);
+    let lat = m.calibrated().as_secs_f64();
     assert!((lat - 0.7).abs() < 0.05, "span {lat}");
 }
 
@@ -139,8 +139,8 @@ fn wait_timeout_is_flagged_not_fatal() {
         },
         SimDuration::from_secs(2),
     );
-    assert!(m.record.timed_out);
-    assert!(m.record.raw() >= SimDuration::from_secs(2));
+    assert!(m.timed_out);
+    assert!(m.raw() >= SimDuration::from_secs(2));
     // The log still recorded the attempt.
     assert_eq!(doctor.log.len(), 1);
 }
@@ -192,7 +192,7 @@ fn measurements_are_seed_deterministic() {
             },
             SimDuration::from_secs(10),
         );
-        m.record.calibrated()
+        m.calibrated()
     };
     assert_eq!(run(), run());
 }

@@ -10,7 +10,7 @@
 use trace::{Codec, Reader, TraceError, Writer};
 
 use crate::qxdm::{PduRecord, QxdmLog, StatusRecord};
-use crate::rlc::{PduEvent, StatusEvent};
+use crate::rlc::PduEvent;
 use crate::rrc::{RrcState, RrcTransition};
 use netstack::pcap::Direction;
 use simcore::RecordLog;
@@ -89,19 +89,6 @@ impl Codec for StatusRecord {
     }
     fn decode(r: &mut Reader) -> Result<Self, TraceError> {
         Ok(StatusRecord {
-            data_dir: Direction::decode(r)?,
-            acks_sn: r.u32()?,
-        })
-    }
-}
-
-impl Codec for StatusEvent {
-    fn encode(&self, w: &mut Writer) {
-        self.data_dir.encode(w);
-        w.u32(self.acks_sn);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, TraceError> {
-        Ok(StatusEvent {
             data_dir: Direction::decode(r)?,
             acks_sn: r.u32()?,
         })

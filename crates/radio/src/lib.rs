@@ -28,7 +28,7 @@ pub mod rrc;
 pub use bearer::{BearerConfig, CellBearer};
 pub use power::{EnergyBreakdown, PowerModel};
 pub use qxdm::{PduRecord, Qxdm, QxdmConfig, QxdmLog, StatusRecord};
-pub use rlc::{PduEvent, RlcChannel, RlcConfig, StatusEvent};
+pub use rlc::{PduEvent, RlcChannel, RlcConfig};
 pub use rrc::{
     RadioTech, Rrc3gConfig, RrcConfig, RrcLteConfig, RrcMachine, RrcState, RrcTransition,
 };

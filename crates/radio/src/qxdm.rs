@@ -10,7 +10,7 @@
 //! Ground-truth PDU coverage is retained in a *separate* log that only the
 //! accuracy evaluation reads; the analyzers never touch it.
 
-use crate::rlc::{PduEvent, StatusEvent};
+use crate::rlc::PduEvent;
 use crate::rrc::RrcTransition;
 use netstack::pcap::Direction;
 use serde::{Deserialize, Serialize};
@@ -81,10 +81,12 @@ pub struct PduRecord {
     pub retransmission: bool,
 }
 
-/// A recorded STATUS PDU.
+/// A STATUS PDU, as the RLC receiver sends it in response to a poll and
+/// as QxDM records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatusRecord {
-    /// Direction of the data the STATUS acknowledges.
+    /// Direction of the data the STATUS acknowledges; the STATUS itself
+    /// travels the opposite way.
     pub data_dir: Direction,
     /// Highest acknowledged sequence number.
     pub acks_sn: u32,
@@ -157,14 +159,8 @@ impl Qxdm {
     }
 
     /// Observe a STATUS PDU arrival.
-    pub fn observe_status(&mut self, at: SimTime, ev: &StatusEvent) {
-        self.log.statuses.push(
-            at,
-            StatusRecord {
-                data_dir: ev.data_dir,
-                acks_sn: ev.acks_sn,
-            },
-        );
+    pub fn observe_status(&mut self, at: SimTime, ev: &StatusRecord) {
+        self.log.statuses.push(at, *ev);
     }
 
     /// Observe an RRC state transition.
@@ -299,7 +295,7 @@ mod tests {
         );
         q.observe_status(
             SimTime::from_millis(5),
-            &StatusEvent {
+            &StatusRecord {
                 data_dir: Direction::Uplink,
                 acks_sn: 17,
             },

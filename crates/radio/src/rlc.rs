@@ -21,6 +21,7 @@
 //! log (sequence number, length, *first two payload bytes*, LI, poll bit)
 //! and the ground-truth packet coverage used to score the mapping algorithm.
 
+use crate::qxdm::StatusRecord;
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use simcore::{earlier, DetRng, EventQueue, SimDuration, SimTime};
@@ -132,15 +133,6 @@ impl PduEvent {
     }
 }
 
-/// A STATUS PDU arriving in response to a poll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatusEvent {
-    /// Direction the *data* flowed; the STATUS travels the opposite way.
-    pub data_dir: Direction,
-    /// Highest data PDU sequence number acknowledged.
-    pub acks_sn: u32,
-}
-
 #[derive(Debug)]
 struct QueuedPacket {
     pkt: IpPacket,
@@ -175,7 +167,7 @@ pub struct RlcChannel {
     pdus_since_poll: u32,
     retx: EventQueue<RetxPdu>,
     pdu_events: EventQueue<PduEvent>,
-    status_events: EventQueue<StatusEvent>,
+    status_events: EventQueue<StatusRecord>,
     exits: EventQueue<IpPacket>,
     last_exit_at: SimTime,
     /// Injected retransmission storm: inside `[from, until)` the effective
@@ -377,7 +369,7 @@ impl RlcChannel {
             let rtt = self.rng.jittered(self.cfg.ota_rtt, self.cfg.ota_jitter);
             self.status_events.push(
                 done + rtt,
-                StatusEvent {
+                StatusRecord {
                     data_dir: self.dir,
                     acks_sn: pdu.sn,
                 },
@@ -434,7 +426,7 @@ impl RlcChannel {
     }
 
     /// STATUS PDUs arrived by `now` (diagnostics feed).
-    pub fn take_status_events(&mut self, now: SimTime) -> Vec<(SimTime, StatusEvent)> {
+    pub fn take_status_events(&mut self, now: SimTime) -> Vec<(SimTime, StatusRecord)> {
         let mut out = Vec::new();
         while let Some((at, ev)) = self.status_events.pop_due(now) {
             out.push((at, ev));

@@ -14,13 +14,12 @@
 use crate::exp72::{run_posts, PostKind};
 use crate::scenario::{youtube_world, NetKind};
 use device::apps::VideoSpec;
-use device::{UiEvent, ViewSignature};
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use qoe_doctor::analyze::crosslayer::{
     long_jump_map_with, score_mapping, MapperOptions, MappingScore,
 };
-use qoe_doctor::{Collection, CollectionSet, Controller};
+use qoe_doctor::{replay, Collection, CollectionSet, Controller};
 use simcore::{SimDuration, SimTime};
 use std::fmt;
 
@@ -265,15 +264,9 @@ fn discipline_session(cfg: netstack::ShaperConfig, seed: u64) -> Collection {
         device::NetAttachment::Cell(Box::new(radio::bearer::CellBearer::new(bearer, &mut rng)));
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(5));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("search_box"),
-        text: String::new(),
-    });
-    doctor.interact(&UiEvent::KeyEnter);
+    replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(5));
-    doctor.interact(&UiEvent::Click {
-        target: ViewSignature::by_id("result_abl"),
-    });
+    doctor.interact(&replay::video_result("abl"));
     doctor.monitor_playback("video", SimDuration::from_secs(280));
     doctor.collect()
 }

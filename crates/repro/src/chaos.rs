@@ -15,10 +15,11 @@
 
 use crate::scenario::{browser_world, youtube_world, NetKind};
 use device::apps::{BrowserConfig, VideoSpec};
-use device::{UiEvent, ViewSignature};
+use device::UiEvent;
 use faults::{FaultKind, FaultLayer, FaultPlan, Window};
 use harness::{Campaign, Json, Record};
 use netstack::GilbertElliott;
+use qoe_doctor::replay::{self, PAGE_LOAD, VIDEO_INITIAL_LOADING};
 use qoe_doctor::{diagnose_worst, ControlError, Controller, RetryPolicy, WaitCondition};
 use radio::{RadioTech, RrcState};
 use simcore::{SimDuration, SimTime};
@@ -137,16 +138,6 @@ fn attribute(crashes: u32, ui_frozen: bool, worst: Option<&qoe_doctor::Diagnosis
 
 const VIDEO_NAME: &str = "chaosvid";
 
-fn search_events() -> [UiEvent; 2] {
-    [
-        UiEvent::TypeText {
-            target: ViewSignature::by_id("search_box"),
-            text: String::new(),
-        },
-        UiEvent::KeyEnter,
-    ]
-}
-
 /// Run one video chaos cell: search, play one video under `plan`, recover
 /// as needed, and attribute the worst wait. Returns `Err` when the cell
 /// could not produce a measurement within its retry budget (crash loops).
@@ -171,14 +162,10 @@ pub fn video_cell(
         // threshold must clear that, or every healthy cell reads as frozen.
         .with_watchdog(SimDuration::from_secs(75));
     doctor.advance(SimDuration::from_secs(5));
-    for ev in search_events() {
-        doctor.interact(&ev);
-    }
+    replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(10));
 
-    let click = UiEvent::Click {
-        target: ViewSignature::by_id(&format!("result_{VIDEO_NAME}")),
-    };
+    let click = replay::video_result(VIDEO_NAME);
     // "status reads playing" rather than "progress bar gone": a crashed
     // app's blank relaunch UI satisfies the latter vacuously, which would
     // turn a dead player into a fast bogus success.
@@ -191,7 +178,7 @@ pub fn video_cell(
     let mut attempts = 1u32;
     let mut ui_frozen = false;
     let mut measured = doctor.try_measure_after(
-        "video:initial_loading",
+        VIDEO_INITIAL_LOADING,
         &click,
         &loaded,
         SimDuration::from_secs(120),
@@ -205,12 +192,10 @@ pub fn video_cell(
         }
         attempts += 1;
         doctor.advance(SimDuration::from_secs(5));
-        for ev in search_events() {
-            doctor.interact(&ev);
-        }
+        replay::search_videos(&mut doctor);
         doctor.advance(SimDuration::from_secs(5));
         measured = doctor.try_measure_after(
-            "video:initial_loading",
+            VIDEO_INITIAL_LOADING,
             &click,
             &loaded,
             SimDuration::from_secs(120),
@@ -222,10 +207,7 @@ pub fn video_cell(
             let budget = SimDuration::from_secs(60) * 2 + SimDuration::from_secs(120);
             let report = doctor.monitor_playback("video", budget);
             ui_frozen |= report.ui_frozen;
-            (
-                m.record.calibrated().as_secs_f64(),
-                report.rebuffering_ratio(),
-            )
+            (m.calibrated().as_secs_f64(), report.rebuffering_ratio())
         }
         Err(e) => {
             if fault == "crash_loop" {
@@ -270,23 +252,17 @@ pub fn page_cell(
     plan.arm(&mut world);
     let mut doctor = Controller::new(world).with_watchdog(SimDuration::from_secs(20));
     doctor.advance(SimDuration::from_secs(2));
-    let type_url = UiEvent::TypeText {
-        target: ViewSignature::by_id("url_bar"),
-        text: "http://www.example.com/".into(),
-    };
-    let loaded = WaitCondition::Hidden {
-        id: "page_progress".into(),
-    };
+    let type_url = replay::type_url("http://www.example.com/");
     let policy = RetryPolicy {
         max_attempts: 3,
         backoff: SimDuration::from_secs(5),
         relaunch: None,
     };
     let result = doctor.measure_with_retry(
-        "page_load",
+        PAGE_LOAD,
         std::slice::from_ref(&type_url),
         &UiEvent::KeyEnter,
-        &loaded,
+        &replay::page_loaded(),
         SimDuration::from_secs(60),
         &policy,
     );
@@ -300,12 +276,7 @@ pub fn page_cell(
     // A second, fault-free load for contrast in the log.
     doctor.advance(SimDuration::from_secs(25));
     doctor.interact(&type_url);
-    doctor.measure_after(
-        "page_load",
-        &UiEvent::KeyEnter,
-        &loaded,
-        SimDuration::from_secs(60),
-    );
+    replay::load_page(&mut doctor, SimDuration::from_secs(60));
 
     let crashes = doctor.world.phone.crashes;
     let col = doctor.collect();

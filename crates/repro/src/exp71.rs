@@ -9,12 +9,12 @@
 use crate::exp72::{run_posts, PostKind};
 use crate::scenario::{browser_world, facebook_world, youtube_world, NetKind};
 use device::apps::{BrowserConfig, FbVersion, VideoSpec};
-use device::{UiEvent, ViewSignature};
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use qoe_doctor::analyze::app::{accuracy_span, accuracy_trigger, AccuracySample};
 use qoe_doctor::analyze::crosslayer::{long_jump_map, score_mapping, MappingScore};
-use qoe_doctor::{Collection, Controller, WaitCondition};
+use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING};
+use qoe_doctor::{Collection, Controller};
 use simcore::{SimDuration, SimTime};
 use std::fmt;
 
@@ -97,19 +97,10 @@ fn posts_session(reps: usize, seed: u64) -> Collection {
     doctor.advance(SimDuration::from_secs(10));
     for rep in 0..reps {
         let text = format!("status: accuracy ts#{rep}");
-        doctor.interact(&UiEvent::TypeText {
-            target: ViewSignature::by_id("composer"),
-            text: text.clone(),
-        });
-        doctor.measure_after(
+        replay::upload_post(
+            &mut doctor,
             "upload_post:status",
-            &UiEvent::Click {
-                target: ViewSignature::by_id("post_button"),
-            },
-            &WaitCondition::TextAppears {
-                container: "news_feed".into(),
-                needle: text,
-            },
+            &text,
             SimDuration::from_secs(60),
         );
         doctor.advance(SimDuration::from_secs(2));
@@ -149,16 +140,7 @@ fn pull_session(reps: usize, seed: u64) -> Collection {
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(5));
     for _ in 0..reps {
-        doctor.measure_span(
-            "pull_to_update",
-            &WaitCondition::Shown {
-                id: "feed_progress".into(),
-            },
-            &WaitCondition::Hidden {
-                id: "feed_progress".into(),
-            },
-            SimDuration::from_secs(60),
-        );
+        replay::pull_to_update(&mut doctor, SimDuration::from_secs(60));
     }
     doctor.collect()
 }
@@ -170,7 +152,7 @@ fn pull_accuracy_from(col: &Collection) -> MetricAccuracy {
     let samples: Vec<AccuracySample> = col
         .behavior
         .iter()
-        .filter(|(_, r)| r.action == "pull_to_update")
+        .filter(|(_, r)| r.action == PULL_TO_UPDATE)
         .filter_map(|(_, rec)| {
             accuracy_span(rec, &col.camera, "feed_progress:show", "feed_progress:hide")
         })
@@ -197,23 +179,10 @@ fn video_session(reps: usize, seed: u64) -> Collection {
     );
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(5));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("search_box"),
-        text: String::new(),
-    });
-    doctor.interact(&UiEvent::KeyEnter);
+    replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(10));
     for spec in &videos {
-        doctor.measure_after(
-            "video:initial_loading",
-            &UiEvent::Click {
-                target: ViewSignature::by_id(&format!("result_{}", spec.name)),
-            },
-            &WaitCondition::Hidden {
-                id: "player_progress".into(),
-            },
-            SimDuration::from_secs(200),
-        );
+        replay::load_video(&mut doctor, &spec.name, SimDuration::from_secs(200));
         doctor.monitor_playback("video", SimDuration::from_secs(200));
         doctor.advance(SimDuration::from_secs(3));
     }
@@ -225,7 +194,7 @@ fn video_accuracy_from(col: &Collection) -> (MetricAccuracy, MetricAccuracy) {
     let loading: Vec<AccuracySample> = col
         .behavior
         .iter()
-        .filter(|(_, r)| r.action == "video:initial_loading" && !r.timed_out)
+        .filter(|(_, r)| r.action == VIDEO_INITIAL_LOADING && !r.timed_out)
         .filter_map(|(_, rec)| accuracy_trigger(rec, &col.camera, "player_progress:hide"))
         .collect();
     let rebuffer: Vec<AccuracySample> = col
@@ -255,19 +224,9 @@ fn page_session(reps: usize, seed: u64) -> Collection {
     let world = browser_world(BrowserConfig::chrome(), NetKind::Wifi, seed);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("url_bar"),
-        text: "http://www.example.com/".into(),
-    });
+    doctor.interact(&replay::type_url("http://www.example.com/"));
     for _ in 0..reps {
-        doctor.measure_after(
-            "page_load",
-            &UiEvent::KeyEnter,
-            &WaitCondition::Hidden {
-                id: "page_progress".into(),
-            },
-            SimDuration::from_secs(60),
-        );
+        replay::load_page(&mut doctor, SimDuration::from_secs(60));
         doctor.advance(SimDuration::from_secs(5));
     }
     doctor.collect()
@@ -278,7 +237,7 @@ fn page_accuracy_from(col: &Collection) -> MetricAccuracy {
     let samples: Vec<AccuracySample> = col
         .behavior
         .iter()
-        .filter(|(_, r)| r.action == "page_load" && !r.timed_out)
+        .filter(|(_, r)| r.action == PAGE_LOAD && !r.timed_out)
         .filter_map(|(_, rec)| accuracy_trigger(rec, &col.camera, "page_progress:hide"))
         .collect();
     summarize("Web page loading", &samples)

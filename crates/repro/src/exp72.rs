@@ -8,13 +8,12 @@
 
 use crate::scenario::{facebook_world, NetKind, PUSH_BYTES};
 use device::apps::FbVersion;
-use device::{UiEvent, ViewSignature};
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use qoe_doctor::analyze::crosslayer::{
     long_jump_map, net_latency_breakdown, window_breakdown, NetLatencyBreakdown,
 };
-use qoe_doctor::{Collection, Controller, WaitCondition};
+use qoe_doctor::{replay, Collection, Controller};
 use simcore::{SimDuration, SimTime, Summary};
 use std::fmt;
 
@@ -65,19 +64,10 @@ pub fn run_posts(kind: PostKind, net: NetKind, reps: usize, seed: u64) -> Collec
     doctor.advance(SimDuration::from_secs(30));
     for rep in 0..reps {
         let text = kind.composer_text(rep);
-        doctor.interact(&UiEvent::TypeText {
-            target: ViewSignature::by_id("composer"),
-            text: text.clone(),
-        });
-        doctor.measure_after(
+        replay::upload_post(
+            &mut doctor,
             kind.label(),
-            &UiEvent::Click {
-                target: ViewSignature::by_id("post_button"),
-            },
-            &WaitCondition::TextAppears {
-                container: "news_feed".into(),
-                needle: text,
-            },
+            &text,
             SimDuration::from_secs(120),
         );
         // The paper posts every 2 s, which keeps the radio in a high-power

@@ -12,7 +12,8 @@ use device::apps::FbVersion;
 use device::{UiEvent, ViewSignature};
 use netstack::pcap::Direction;
 use qoe_doctor::analyze::crosslayer::window_breakdown;
-use qoe_doctor::{Collection, Controller, WaitCondition};
+use qoe_doctor::replay::{self, PULL_TO_UPDATE};
+use qoe_doctor::{Collection, Controller};
 use simcore::{Cdf, SimDuration, Summary};
 use std::fmt;
 
@@ -93,32 +94,14 @@ fn session(version: FbVersion, net: NetKind, updates: usize, seed: u64) -> Colle
         if auto {
             // v5.0 self-updates when the push lands: watch for the progress
             // bar to appear on its own.
-            doctor.measure_span(
-                "pull_to_update",
-                &WaitCondition::Shown {
-                    id: "feed_progress".into(),
-                },
-                &WaitCondition::Hidden {
-                    id: "feed_progress".into(),
-                },
-                SimDuration::from_secs(180),
-            );
+            replay::pull_to_update(&mut doctor, SimDuration::from_secs(180));
         } else {
             // v1.8.3 needs the scroll gesture; issue it on the post cadence.
             doctor.advance(SimDuration::from_secs(120));
             doctor.interact(&UiEvent::Scroll {
                 target: ViewSignature::by_id("news_feed"),
             });
-            doctor.measure_span(
-                "pull_to_update",
-                &WaitCondition::Shown {
-                    id: "feed_progress".into(),
-                },
-                &WaitCondition::Hidden {
-                    id: "feed_progress".into(),
-                },
-                SimDuration::from_secs(60),
-            );
+            replay::pull_to_update(&mut doctor, SimDuration::from_secs(60));
         }
     }
     doctor.collect()
@@ -132,7 +115,7 @@ fn summarize(col: &Collection, label: String) -> UpdateRun {
     let mut dl = 0u64;
     let mut n = 0u64;
     for (_, rec) in col.behavior.iter() {
-        if rec.action != "pull_to_update" || rec.timed_out {
+        if rec.action != PULL_TO_UPDATE || rec.timed_out {
             continue;
         }
         let b = window_breakdown(rec, &col.trace);

@@ -9,10 +9,10 @@
 
 use crate::scenario::{video_dataset, youtube_world, NetKind};
 use device::apps::VideoSpec;
-use device::{UiEvent, ViewSignature};
 use qoe_doctor::analyze::app::playback_reports;
 use qoe_doctor::analyze::transport::{downlink_throughput, TransportReport};
-use qoe_doctor::{Collection, Controller, WaitCondition};
+use qoe_doctor::replay::{self, VIDEO_INITIAL_LOADING};
+use qoe_doctor::{Collection, Controller};
 use simcore::{Cdf, DetRng, SimDuration};
 use std::fmt;
 
@@ -109,25 +109,12 @@ fn watch_session(net: NetKind, count: usize, seed: u64) -> Collection {
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(5));
     // One search populates the results list for the whole session.
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("search_box"),
-        text: String::new(),
-    });
-    doctor.interact(&UiEvent::KeyEnter);
+    replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(10));
 
     for spec in &picks {
-        let m = doctor.measure_after(
-            "video:initial_loading",
-            &UiEvent::Click {
-                target: ViewSignature::by_id(&format!("result_{}", spec.name)),
-            },
-            &WaitCondition::Hidden {
-                id: "player_progress".into(),
-            },
-            SimDuration::from_secs(240),
-        );
-        if m.record.timed_out {
+        let rec = replay::load_video(&mut doctor, &spec.name, SimDuration::from_secs(240));
+        if rec.timed_out {
             continue;
         }
         // Watch to the end, recording stalls. Generous budget: a throttled
@@ -149,7 +136,7 @@ fn watch_run_from(col: &Collection, label: String, count: usize) -> WatchRun {
     let loading: Vec<_> = col
         .behavior
         .iter()
-        .filter(|(_, r)| r.action == "video:initial_loading")
+        .filter(|(_, r)| r.action == VIDEO_INITIAL_LOADING)
         .map(|(_, r)| r)
         .collect();
     let reports = playback_reports(&col.behavior, "video");
@@ -238,15 +225,9 @@ fn trace_session(net: NetKind, seed: u64) -> Collection {
     let world = youtube_world(vec![spec], None, net, seed, true);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(5));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("search_box"),
-        text: String::new(),
-    });
-    doctor.interact(&UiEvent::KeyEnter);
+    replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(5));
-    doctor.interact(&UiEvent::Click {
-        target: ViewSignature::by_id("result_trace"),
-    });
+    doctor.interact(&replay::video_result("trace"));
     doctor.advance(SimDuration::from_secs(300));
     doctor.collect()
 }

@@ -8,6 +8,7 @@
 use crate::scenario::{youtube_world, NetKind};
 use device::apps::VideoSpec;
 use device::{UiEvent, ViewSignature};
+use qoe_doctor::replay::{self, VIDEO_INITIAL_LOADING};
 use qoe_doctor::{Collection, Controller, WaitCondition};
 use simcore::{SimDuration, Summary};
 use std::fmt;
@@ -74,26 +75,17 @@ fn session(net: NetKind, with_ad: bool, skip: bool, reps: usize, seed: u64) -> C
     let world = youtube_world(videos.clone(), ad, net, seed, true);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(5));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("search_box"),
-        text: String::new(),
-    });
-    doctor.interact(&UiEvent::KeyEnter);
+    replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(10));
 
     for spec in &videos {
-        let click = UiEvent::Click {
-            target: ViewSignature::by_id(&format!("result_{}", spec.name)),
-        };
         if with_ad {
             // First window: ad loading (click → progress hidden while the
             // ad buffers).
             doctor.measure_after(
                 "ad:initial_loading",
-                &click,
-                &WaitCondition::Hidden {
-                    id: "player_progress".into(),
-                },
+                &replay::video_result(&spec.name),
+                &replay::player_ready(),
                 SimDuration::from_secs(120),
             );
             if skip {
@@ -109,31 +101,21 @@ fn session(net: NetKind, with_ad: bool, skip: bool, reps: usize, seed: u64) -> C
             // missed (sub-parse-interval) window leaves no record and
             // counts as zero at analysis time.
             doctor.measure_span(
-                "video:initial_loading",
+                VIDEO_INITIAL_LOADING,
                 &WaitCondition::Shown {
                     id: "player_progress".into(),
                 },
-                &WaitCondition::Hidden {
-                    id: "player_progress".into(),
-                },
+                &replay::player_ready(),
                 pre_roll().duration + SimDuration::from_secs(90),
             );
         } else {
-            doctor.measure_after(
-                "video:initial_loading",
-                &click,
-                &WaitCondition::Hidden {
-                    id: "player_progress".into(),
-                },
-                SimDuration::from_secs(120),
-            );
+            replay::load_video(&mut doctor, &spec.name, SimDuration::from_secs(120));
         }
         // Let the video finish before the next rep.
-        let drain = doctor.monitor_playback(
+        doctor.monitor_playback(
             "video",
             SimDuration::from_secs(45 * 3 + 60) + pre_roll().duration * 2,
         );
-        let _ = drain;
         doctor.advance(SimDuration::from_secs(3));
     }
     doctor.collect()
@@ -161,7 +143,7 @@ fn ad_run_from(col: &Collection, net: NetKind, with_ad: bool, skip: bool) -> AdR
                     }
                     current_ad = Some(rec.calibrated().as_secs_f64());
                 }
-                "video:initial_loading" => {
+                VIDEO_INITIAL_LOADING => {
                     if let Some(ad_load) = current_ad.take() {
                         let main_load = rec.calibrated().as_secs_f64();
                         ad_loads.push(ad_load);
@@ -179,7 +161,7 @@ fn ad_run_from(col: &Collection, net: NetKind, with_ad: bool, skip: bool) -> AdR
         }
     } else {
         for (_, rec) in col.behavior.iter() {
-            if rec.action == "video:initial_loading" {
+            if rec.action == VIDEO_INITIAL_LOADING {
                 let load = rec.calibrated().as_secs_f64();
                 ad_loads.push(0.0);
                 main_loads.push(load);

@@ -9,9 +9,9 @@
 
 use crate::scenario::{browser_world, NetKind};
 use device::apps::BrowserConfig;
-use device::{UiEvent, ViewSignature};
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
-use qoe_doctor::{Collection, Controller, WaitCondition};
+use qoe_doctor::replay::{self, PAGE_LOAD};
+use qoe_doctor::{Collection, Controller};
 use simcore::{SimDuration, Summary};
 use std::fmt;
 
@@ -54,19 +54,9 @@ fn session(browser: BrowserConfig, net: NetKind, reps: usize, seed: u64) -> Coll
     let world = browser_world(browser, net, seed);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("url_bar"),
-        text: "http://www.example.com/".into(),
-    });
+    doctor.interact(&replay::type_url("http://www.example.com/"));
     for _ in 0..reps {
-        doctor.measure_after(
-            "page_load",
-            &UiEvent::KeyEnter,
-            &WaitCondition::Hidden {
-                id: "page_progress".into(),
-            },
-            SimDuration::from_secs(90),
-        );
+        replay::load_page(&mut doctor, SimDuration::from_secs(90));
         // Idle long enough for full demotion back to PCH/IDLE
         // (DCH 5 s + FACH 12 s on the default machine).
         doctor.advance(SimDuration::from_secs(25));
@@ -80,7 +70,7 @@ fn page_load_run(col: &Collection, name: &'static str, net: NetKind) -> PageLoad
     let mut transitions = 0usize;
     let mut n = 0usize;
     for (_, rec) in col.behavior.iter() {
-        if rec.action != "page_load" || rec.timed_out {
+        if rec.action != PAGE_LOAD || rec.timed_out {
             continue;
         }
         loads.push(rec.calibrated().as_secs_f64());

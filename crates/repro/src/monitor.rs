@@ -28,14 +28,14 @@ use crate::scenario::{
     browser_world, facebook_world_cfg, youtube_world, NetKind, SLOW_PCH_TO_FACH,
 };
 use device::apps::{BrowserConfig, FacebookConfig, FbVersion, VideoSpec};
-use device::{UiEvent, ViewSignature};
 use monitor::{
     detect_cell, explain, histories, CellSpec, DetectorConfig, EpochMetrics, EpochRow, LayerShares,
     MonitorError, MonitorSpec,
 };
 use qoe_doctor::analyze::app::playback_reports;
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
-use qoe_doctor::{diagnose, Collection, Controller, WaitCondition};
+use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING};
+use qoe_doctor::{diagnose, Collection, Controller};
 use radio::rrc::{Rrc3gConfig, RrcState};
 use simcore::SimDuration;
 
@@ -137,16 +137,7 @@ fn fb_session(updated: bool, updates: usize, seed: u64) -> Collection {
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(20));
     for _ in 0..updates {
-        doctor.measure_span(
-            "pull_to_update",
-            &WaitCondition::Shown {
-                id: "feed_progress".into(),
-            },
-            &WaitCondition::Hidden {
-                id: "feed_progress".into(),
-            },
-            SimDuration::from_secs(180),
-        );
+        replay::pull_to_update(&mut doctor, SimDuration::from_secs(180));
     }
     doctor.collect()
 }
@@ -175,24 +166,11 @@ fn video_session(throttled: bool, videos: usize, seed: u64) -> Collection {
     let world = youtube_world(clips.clone(), None, net, seed, true);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(5));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("search_box"),
-        text: String::new(),
-    });
-    doctor.interact(&UiEvent::KeyEnter);
+    replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(10));
     for spec in &clips {
-        let m = doctor.measure_after(
-            "video:initial_loading",
-            &UiEvent::Click {
-                target: ViewSignature::by_id(&format!("result_{}", spec.name)),
-            },
-            &WaitCondition::Hidden {
-                id: "player_progress".into(),
-            },
-            SimDuration::from_secs(120),
-        );
-        if m.record.timed_out {
+        let rec = replay::load_video(&mut doctor, &spec.name, SimDuration::from_secs(120));
+        if rec.timed_out {
             continue;
         }
         // Enough budget to drain the whole clip through the throttle.
@@ -216,19 +194,9 @@ fn page_session(drifted: bool, loads: usize, seed: u64) -> Collection {
     let world = browser_world(BrowserConfig::chrome(), net, seed);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("url_bar"),
-        text: "http://www.example.com/".into(),
-    });
+    doctor.interact(&replay::type_url("http://www.example.com/"));
     for _ in 0..loads {
-        doctor.measure_after(
-            "page_load",
-            &UiEvent::KeyEnter,
-            &WaitCondition::Hidden {
-                id: "page_progress".into(),
-            },
-            SimDuration::from_secs(90),
-        );
+        replay::load_page(&mut doctor, SimDuration::from_secs(90));
         // Idle through full demotion so every load starts from PCH/IDLE.
         doctor.advance(SimDuration::from_secs(25));
     }
@@ -276,8 +244,8 @@ fn shares_of(col: &Collection, action: &str) -> LayerShares {
 fn fb_metrics(epoch: usize, col: &Collection) -> EpochMetrics {
     EpochMetrics {
         epoch,
-        metrics: vec![("ui_update_s".to_string(), latencies(col, "pull_to_update"))],
-        layers: shares_of(col, "pull_to_update"),
+        metrics: vec![("ui_update_s".to_string(), latencies(col, PULL_TO_UPDATE))],
+        layers: shares_of(col, PULL_TO_UPDATE),
     }
 }
 
@@ -289,13 +257,10 @@ fn video_metrics(epoch: usize, col: &Collection) -> EpochMetrics {
     EpochMetrics {
         epoch,
         metrics: vec![
-            (
-                "load_s".to_string(),
-                latencies(col, "video:initial_loading"),
-            ),
+            ("load_s".to_string(), latencies(col, VIDEO_INITIAL_LOADING)),
             ("rebuffer".to_string(), rebuffer),
         ],
-        layers: shares_of(col, "video:initial_loading"),
+        layers: shares_of(col, VIDEO_INITIAL_LOADING),
     }
 }
 
@@ -316,7 +281,7 @@ fn promo_time(col: &Collection, drifted: bool) -> f64 {
     let mut total = 0.0;
     let mut n = 0.0;
     for (_, rec) in col.behavior.iter() {
-        if rec.action != "page_load" || rec.timed_out {
+        if rec.action != PAGE_LOAD || rec.timed_out {
             continue;
         }
         for (_, tr) in rrc_transitions_in(qxdm, rec.start, rec.end) {
@@ -338,11 +303,11 @@ fn promo_time(col: &Collection, drifted: bool) -> f64 {
 }
 
 fn page_metrics(epoch: usize, drifted: bool, col: &Collection) -> EpochMetrics {
-    let mut layers = shares_of(col, "page_load");
+    let mut layers = shares_of(col, PAGE_LOAD);
     layers.promo_s = promo_time(col, drifted);
     EpochMetrics {
         epoch,
-        metrics: vec![("page_load_s".to_string(), latencies(col, "page_load"))],
+        metrics: vec![("page_load_s".to_string(), latencies(col, PAGE_LOAD))],
         layers,
     }
 }

@@ -1,5 +1,5 @@
-//! Tables 1 and 2 — the descriptive tables of the paper, regenerated from
-//! the replay specifications and experiment registry this crate implements.
+//! Tables 1 and 2 — the descriptive tables of the paper, as static text.
+//! The Table 1 behaviours are replayed by `qoe_doctor::replay`.
 
 /// One row of Table 1: a replayed behaviour and its measurement anchors.
 #[derive(Debug, Clone, Copy)]

@@ -292,6 +292,29 @@ mod tests {
     }
 
     #[test]
+    fn manifest_cannot_name_a_file_outside_the_bundle() {
+        let root = tmp("escape");
+        let dir = root.join("bundle");
+        let mut w = BundleWriter::create(&dir, &meta()).unwrap();
+        w.artifact("behavior", "behavior.bin", b"abc").unwrap();
+        w.finish().unwrap();
+        // A file beside the bundle whose length and checksum would pass.
+        fs::write(root.join("outside.bin"), b"abc").unwrap();
+        let manifest = dir.join(MANIFEST_FILE);
+        let text = fs::read_to_string(&manifest).unwrap();
+        fs::write(
+            &manifest,
+            text.replace(" behavior.bin ", " ../outside.bin "),
+        )
+        .unwrap();
+        assert!(matches!(
+            BundleReader::open(&dir),
+            Err(TraceError::Manifest { line: 6, .. })
+        ));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn sub_bundles_nest() {
         let dir = tmp("subs");
         let mut w = BundleWriter::create(&dir, &meta()).unwrap();

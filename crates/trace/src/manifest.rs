@@ -20,6 +20,10 @@
 //! several sessions). The manifest is written *last* so a crashed recorder
 //! leaves a directory without a manifest — unreadable — rather than a
 //! plausible-looking but incomplete bundle.
+//!
+//! Entry files and sub-bundle directories must be single plain path
+//! components (not empty, `.` or `..`, no `/` or `\`): a manifest can only
+//! point inside its own bundle directory.
 
 use simcore::SimTime;
 
@@ -34,6 +38,19 @@ use crate::error::TraceError;
 pub const FORMAT_VERSION: u16 = 1;
 
 const MAGIC_PREFIX: &str = "qoe-trace-bundle v";
+
+/// Accept `name` as a file or directory name inside the bundle only if it
+/// is one plain path component, so joining it onto the bundle directory
+/// cannot leave that directory.
+fn plain_component(name: &str, lineno: usize) -> Result<String, TraceError> {
+    if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
+        return Err(TraceError::Manifest {
+            line: lineno,
+            msg: format!("{name:?} is not a plain file name inside the bundle"),
+        });
+    }
+    Ok(name.to_string())
+}
 
 /// One file listed in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,7 +186,8 @@ impl Manifest {
             if let Some(rest) = line.strip_prefix("sub ") {
                 match rest.split_once(' ') {
                     Some((dir, name)) => {
-                        m.subs.push((name.to_string(), dir.to_string()));
+                        m.subs
+                            .push((name.to_string(), plain_component(dir, lineno)?));
                         continue;
                     }
                     None => {
@@ -193,7 +211,7 @@ impl Manifest {
                     })?;
                     let entry = ManifestEntry {
                         name: name.to_string(),
-                        file: file.to_string(),
+                        file: plain_component(file, lineno)?,
                         bytes,
                         fnv,
                     };
@@ -272,6 +290,30 @@ mod tests {
         let cut = &full[..full.find("scenario").unwrap()];
         let err = Manifest::parse(cut).unwrap_err();
         assert!(matches!(err, TraceError::Manifest { .. }), "{err}");
+    }
+
+    #[test]
+    fn entries_must_stay_inside_the_bundle() {
+        for (from, to, line) in [
+            (" behavior.bin ", " ../x.bin ", 6),
+            (" behavior.bin ", " /tmp/x.bin ", 6),
+            (" behavior.bin ", " sub\\x.bin ", 6),
+            (" truth_camera.bin ", " .. ", 7),
+            ("sub shaping ", "sub .. ", 8),
+            ("sub shaping ", "sub . ", 8),
+            ("sub shaping ", "sub a/b ", 8),
+            ("sub shaping ", "sub  ", 8),
+        ] {
+            let text = sample().render();
+            assert!(text.contains(from), "{from:?} not in the sample");
+            match Manifest::parse(&text.replace(from, to)) {
+                Err(TraceError::Manifest { line: l, msg }) => {
+                    assert_eq!(l, line, "{to:?}: {msg}");
+                    assert!(msg.contains("plain file name"), "{to:?}: {msg}");
+                }
+                other => panic!("{to:?} accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! Run with: `cargo run --release --example browser_rrc`
 
 use device::apps::BrowserConfig;
-use device::{UiEvent, ViewSignature};
 use qoe_doctor::analyze::radio::{first_hop_ota_rtts, residencies};
-use qoe_doctor::{Controller, WaitCondition};
+use qoe_doctor::{replay, Controller};
 use repro::scenario::{browser_world, NetKind};
 use simcore::SimDuration;
 
@@ -18,19 +17,8 @@ fn load_page(net: NetKind) {
     let world = browser_world(BrowserConfig::chrome(), net, 99);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("url_bar"),
-        text: "http://www.example.com/".into(),
-    });
-    let m = doctor.measure_after(
-        "page_load",
-        &UiEvent::KeyEnter,
-        &WaitCondition::Hidden {
-            id: "page_progress".into(),
-        },
-        SimDuration::from_secs(60),
-    );
-    let rec = m.record.clone();
+    doctor.interact(&replay::type_url("http://www.example.com/"));
+    let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
     let col = doctor.collect();
 
     println!("--- {} ---", net.label());

@@ -7,10 +7,10 @@
 //! Run with: `cargo run --example quickstart`
 
 use device::apps::{BrowserApp, BrowserConfig};
-use device::{Internet, NetAttachment, Phone, RpcServer, UiEvent, ViewSignature, World};
+use device::{Internet, NetAttachment, Phone, RpcServer, World};
 use netstack::dns::DNS_PORT;
 use netstack::{IpAddr, SocketAddr};
-use qoe_doctor::{Controller, WaitCondition};
+use qoe_doctor::{replay, Controller};
 use simcore::{DetRng, SimDuration};
 
 fn main() {
@@ -37,25 +37,14 @@ fn main() {
     let mut doctor = Controller::new(World::new(phone, internet));
     doctor.advance(SimDuration::from_secs(1)); // app launch settles
 
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("url_bar"),
-        text: "http://www.example.com/".into(),
-    });
-    let measured = doctor.measure_after(
-        "page_load",
-        &UiEvent::KeyEnter,
-        &WaitCondition::Hidden {
-            id: "page_progress".into(),
-        },
-        SimDuration::from_secs(60),
-    );
+    doctor.interact(&replay::type_url("http://www.example.com/"));
+    let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
 
-    println!("raw measurement  : {}", measured.record.raw());
-    println!("mean parse cost  : {}", measured.record.mean_parse);
-    println!("calibrated latency: {}", measured.record.calibrated());
+    println!("raw measurement  : {}", rec.raw());
+    println!("mean parse cost  : {}", rec.mean_parse);
+    println!("calibrated latency: {}", rec.calibrated());
 
     // 4. Offline analysis: what did the network do during the QoE window?
-    let rec = measured.record.clone();
     let col = doctor.collect();
     let breakdown = qoe_doctor::analyze::crosslayer::window_breakdown(&rec, &col.trace);
     println!(

@@ -7,8 +7,7 @@
 //! Run with: `cargo run --release --example youtube_throttling`
 
 use device::apps::VideoSpec;
-use device::{UiEvent, ViewSignature};
-use qoe_doctor::{Controller, WaitCondition};
+use qoe_doctor::{replay, Controller};
 use repro::scenario::{youtube_world, NetKind};
 use simcore::SimDuration;
 
@@ -23,32 +22,19 @@ fn watch(net: NetKind) {
     doctor.advance(SimDuration::from_secs(5));
 
     // Search populates the results list.
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("search_box"),
-        text: String::new(),
-    });
-    doctor.interact(&UiEvent::KeyEnter);
+    replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(5));
 
     // Click the result; the progress bar's disappearance ends the initial
     // loading window.
-    let loading = doctor.measure_after(
-        "video:initial_loading",
-        &UiEvent::Click {
-            target: ViewSignature::by_id("result_demo"),
-        },
-        &WaitCondition::Hidden {
-            id: "player_progress".into(),
-        },
-        SimDuration::from_secs(300),
-    );
+    let loading = replay::load_video(&mut doctor, "demo", SimDuration::from_secs(300));
     // Watch to the end, recording every stall.
     let report = doctor.monitor_playback("video", SimDuration::from_secs(600));
 
     println!(
         "{:<22} initial loading {:>7}   rebuffering ratio {:>5.2}   stalls {} (finished: {})",
         net.label(),
-        format!("{}", loading.record.calibrated()),
+        format!("{}", loading.calibrated()),
         report.rebuffering_ratio(),
         report.stalls,
         report.finished,

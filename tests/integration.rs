@@ -11,7 +11,8 @@ use qoe_doctor::analyze::crosslayer::{
 };
 use qoe_doctor::analyze::radio::{energy_breakdown, first_hop_ota_rtts, residencies};
 use qoe_doctor::analyze::transport::TransportReport;
-use qoe_doctor::{Controller, WaitCondition};
+use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING};
+use qoe_doctor::Controller;
 use radio::power::PowerModel;
 use radio::rrc::RrcState;
 use repro::scenario::{browser_world, facebook_world, youtube_world, NetKind, PUSH_BYTES};
@@ -35,29 +36,19 @@ fn status_post_local_echo_on_lte() {
     );
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(10));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("composer"),
-        text: "status: integration".into(),
-    });
-    let m = doctor.measure_after(
+    let rec = replay::upload_post(
+        &mut doctor,
         "upload_post:status",
-        &UiEvent::Click {
-            target: ViewSignature::by_id("post_button"),
-        },
-        &WaitCondition::TextAppears {
-            container: "news_feed".into(),
-            needle: "status: integration".into(),
-        },
+        "status: integration",
         SimDuration::from_secs(30),
     );
-    assert!(!m.record.timed_out);
+    assert!(!rec.timed_out);
     // Local echo: the post appears after device processing (~1 s), well
     // before the upload completes.
-    let lat = m.record.calibrated();
+    let lat = rec.calibrated();
     assert!(lat > SimDuration::from_millis(400), "latency {lat}");
     assert!(lat < SimDuration::from_millis(2_000), "latency {lat}");
     // Let the async upload drain, then check the cross-layer verdict.
-    let rec = m.record.clone();
     doctor.advance(SimDuration::from_secs(20));
     let col = doctor.collect();
     let b = window_breakdown(&rec, &col.trace);
@@ -91,23 +82,13 @@ fn photo_post_network_on_critical_path_3g() {
     );
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(30));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("composer"),
-        text: "photos: trip".into(),
-    });
-    let m = doctor.measure_after(
+    let rec = replay::upload_post(
+        &mut doctor,
         "upload_post:photos",
-        &UiEvent::Click {
-            target: ViewSignature::by_id("post_button"),
-        },
-        &WaitCondition::TextAppears {
-            container: "news_feed".into(),
-            needle: "photos: trip".into(),
-        },
+        "photos: trip",
         SimDuration::from_secs(120),
     );
-    assert!(!m.record.timed_out);
-    let rec = m.record.clone();
+    assert!(!rec.timed_out);
     let col = doctor.collect();
     let b = window_breakdown(&rec, &col.trace);
     assert!(
@@ -147,19 +128,8 @@ fn webview_update_slower_and_heavier_than_listview() {
                 target: ViewSignature::by_id("news_feed"),
             });
         }
-        let m = doctor
-            .measure_span(
-                "pull_to_update",
-                &WaitCondition::Shown {
-                    id: "feed_progress".into(),
-                },
-                &WaitCondition::Hidden {
-                    id: "feed_progress".into(),
-                },
-                SimDuration::from_secs(120),
-            )
+        let rec = replay::pull_to_update(&mut doctor, SimDuration::from_secs(120))
             .expect("update observed");
-        let rec = m.record.clone();
         let col = doctor.collect();
         let mut dl = 0u64;
         for e in col.trace.window(rec.start, rec.end) {
@@ -231,25 +201,12 @@ fn play_one(net: NetKind, seed: u64) -> (SimDuration, f64, bool) {
     let world = youtube_world(vec![video], None, net, seed, true);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(5));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("search_box"),
-        text: String::new(),
-    });
-    doctor.interact(&UiEvent::KeyEnter);
+    replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(5));
-    let m = doctor.measure_after(
-        "video:initial_loading",
-        &UiEvent::Click {
-            target: ViewSignature::by_id("result_itest"),
-        },
-        &WaitCondition::Hidden {
-            id: "player_progress".into(),
-        },
-        SimDuration::from_secs(240),
-    );
+    let rec = replay::load_video(&mut doctor, "itest", SimDuration::from_secs(240));
     let report = doctor.monitor_playback("video", SimDuration::from_secs(400));
     (
-        m.record.calibrated(),
+        rec.calibrated(),
         report.rebuffering_ratio(),
         report.finished,
     )
@@ -279,19 +236,9 @@ fn page_load_and_long_jump_mapping_on_3g() {
     let world = browser_world(BrowserConfig::chrome(), NetKind::Umts3g, 8);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("url_bar"),
-        text: "http://www.example.com/".into(),
-    });
-    let m = doctor.measure_after(
-        "page_load",
-        &UiEvent::KeyEnter,
-        &WaitCondition::Hidden {
-            id: "page_progress".into(),
-        },
-        SimDuration::from_secs(60),
-    );
-    assert!(!m.record.timed_out);
+    doctor.interact(&replay::type_url("http://www.example.com/"));
+    let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
+    assert!(!rec.timed_out);
     let col = doctor.collect();
     let qxdm = col.qxdm.as_ref().unwrap();
     let truth = col.pdu_truth.as_ref().unwrap();
@@ -323,20 +270,10 @@ fn simplified_rrc_machine_loads_pages_faster() {
         let world = browser_world(BrowserConfig::chrome(), net, 9);
         let mut doctor = Controller::new(world);
         doctor.advance(SimDuration::from_secs(2));
-        doctor.interact(&UiEvent::TypeText {
-            target: ViewSignature::by_id("url_bar"),
-            text: "http://www.example.com/".into(),
-        });
-        let m = doctor.measure_after(
-            "page_load",
-            &UiEvent::KeyEnter,
-            &WaitCondition::Hidden {
-                id: "page_progress".into(),
-            },
-            SimDuration::from_secs(60),
-        );
-        assert!(!m.record.timed_out);
-        m.record.calibrated()
+        doctor.interact(&replay::type_url("http://www.example.com/"));
+        let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
+        assert!(!rec.timed_out);
+        rec.calibrated()
     };
     let default = load(NetKind::Umts3g);
     let simplified = load(NetKind::Umts3gSimplified);
@@ -366,24 +303,15 @@ fn diagnose_explains_a_3g_photo_post() {
     );
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(30));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("composer"),
-        text: "photos: diag".into(),
-    });
-    let m = doctor.measure_after(
+    let rec = replay::upload_post(
+        &mut doctor,
         "upload_post:photos",
-        &UiEvent::Click {
-            target: ViewSignature::by_id("post_button"),
-        },
-        &WaitCondition::TextAppears {
-            container: "news_feed".into(),
-            needle: "photos: diag".into(),
-        },
+        "photos: diag",
         SimDuration::from_secs(120),
     );
-    assert!(!m.record.timed_out);
+    assert!(!rec.timed_out);
     let col = doctor.collect();
-    let d = qoe_doctor::diagnose(&m.record, &col);
+    let d = qoe_doctor::diagnose(&rec, &col);
     // The report identifies the network as the bottleneck, driven by RLC
     // transmission (Finding 2), names the write origin, and saw the
     // promotion out of PCH.
@@ -419,22 +347,12 @@ fn diagnose_explains_a_local_echo_status_post() {
     );
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(10));
-    doctor.interact(&UiEvent::TypeText {
-        target: ViewSignature::by_id("composer"),
-        text: "status: diag".into(),
-    });
-    let m = doctor.measure_after(
+    let rec = replay::upload_post(
+        &mut doctor,
         "upload_post:status",
-        &UiEvent::Click {
-            target: ViewSignature::by_id("post_button"),
-        },
-        &WaitCondition::TextAppears {
-            container: "news_feed".into(),
-            needle: "status: diag".into(),
-        },
+        "status: diag",
         SimDuration::from_secs(60),
     );
-    let rec = m.record.clone();
     doctor.advance(SimDuration::from_secs(15));
     let col = doctor.collect();
     let d = qoe_doctor::diagnose(&rec, &col);
@@ -442,24 +360,29 @@ fn diagnose_explains_a_local_echo_status_post() {
 }
 
 // ---------------------------------------------------------------------
-// Replay specifications
+// Table 1 behaviours
 // ---------------------------------------------------------------------
+
+/// The last record in the behaviour log.
+fn last_logged(doctor: &Controller) -> qoe_doctor::BehaviorRecord {
+    let (_, rec) = doctor.log.iter().last().expect("a logged record");
+    rec.clone()
+}
 
 #[test]
 fn table1_replay_specs_execute_end_to_end() {
-    use qoe_doctor::replay::specs;
-
-    // Browser spec on WiFi.
+    // Load a page on WiFi.
     let world = browser_world(BrowserConfig::chrome(), NetKind::Wifi, 21);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(1));
-    let n = specs::browser_load_page("http://www.example.com/").execute(&mut doctor);
-    assert_eq!(n, 1);
-    let (_, rec) = doctor.log.iter().next().unwrap();
-    assert_eq!(rec.action, "page_load");
+    doctor.interact(&replay::type_url("http://www.example.com/"));
+    let rec = replay::load_page(&mut doctor, SimDuration::from_secs(90));
+    assert_eq!(doctor.log.len(), 1);
+    assert_eq!(last_logged(&doctor), rec);
+    assert_eq!(rec.action, PAGE_LOAD);
     assert!(!rec.timed_out);
 
-    // Facebook post spec on LTE.
+    // Upload a post on LTE.
     let world = facebook_world(
         FbVersion::ListView50,
         None,
@@ -472,8 +395,15 @@ fn table1_replay_specs_execute_end_to_end() {
     );
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(5));
-    let n = specs::facebook_upload_post("status: spec-driven").execute(&mut doctor);
-    assert_eq!(n, 1);
+    let rec = replay::upload_post(
+        &mut doctor,
+        "upload_post:status",
+        "status: spec-driven",
+        SimDuration::from_secs(120),
+    );
+    assert_eq!(doctor.log.len(), 1);
+    assert_eq!(last_logged(&doctor), rec);
+    assert!(!rec.timed_out);
     assert!(doctor
         .world
         .phone
@@ -481,7 +411,29 @@ fn table1_replay_specs_execute_end_to_end() {
         .root()
         .any_text_contains("spec-driven"));
 
-    // YouTube spec: search + watch, logging the initial loading.
+    // Pull-to-update: the v5.0 app refreshes its feed when a friend's
+    // post is pushed.
+    let world = facebook_world(
+        FbVersion::ListView50,
+        None,
+        true,
+        Some(SimDuration::from_secs(40)),
+        2_400,
+        NetKind::Lte,
+        24,
+        true,
+    );
+    let mut doctor = Controller::new(world);
+    doctor.advance(SimDuration::from_secs(5));
+    let rec =
+        replay::pull_to_update(&mut doctor, SimDuration::from_secs(120)).expect("update observed");
+    assert_eq!(doctor.log.len(), 1);
+    assert_eq!(last_logged(&doctor), rec);
+    assert_eq!(rec.action, PULL_TO_UPDATE);
+    assert!(!rec.timed_out);
+
+    // Search the video list, load a video and watch it, logging the
+    // initial loading.
     let video = VideoSpec {
         name: "spec".into(),
         duration: SimDuration::from_secs(15),
@@ -490,12 +442,19 @@ fn table1_replay_specs_execute_end_to_end() {
     let world = youtube_world(vec![video], None, NetKind::Wifi, 23, true);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    let n = specs::youtube_watch("", "spec", 120.0).execute(&mut doctor);
-    assert!(n >= 1, "at least the initial loading measured");
+    replay::search_videos(&mut doctor);
+    doctor.advance(SimDuration::from_secs(5));
+    let rec = replay::load_video(&mut doctor, "spec", SimDuration::from_secs(240));
+    assert_eq!(last_logged(&doctor), rec);
+    doctor.monitor_playback("video", SimDuration::from_secs(120));
+    assert!(
+        !doctor.log.is_empty(),
+        "at least the initial loading measured"
+    );
     assert!(doctor
         .log
         .iter()
-        .any(|(_, r)| r.action == "video:initial_loading" && !r.timed_out));
+        .any(|(_, r)| r.action == VIDEO_INITIAL_LOADING && !r.timed_out));
 }
 
 // ---------------------------------------------------------------------
@@ -508,20 +467,10 @@ fn identical_seeds_reproduce_identical_measurements() {
         let world = browser_world(BrowserConfig::firefox(), NetKind::Lte, 1234);
         let mut doctor = Controller::new(world);
         doctor.advance(SimDuration::from_secs(2));
-        doctor.interact(&UiEvent::TypeText {
-            target: ViewSignature::by_id("url_bar"),
-            text: "http://www.example.com/".into(),
-        });
-        let m = doctor.measure_after(
-            "page_load",
-            &UiEvent::KeyEnter,
-            &WaitCondition::Hidden {
-                id: "page_progress".into(),
-            },
-            SimDuration::from_secs(60),
-        );
+        doctor.interact(&replay::type_url("http://www.example.com/"));
+        let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
         let col = doctor.collect();
-        (m.record.calibrated(), col.trace.len(), col.camera.len())
+        (rec.calibrated(), col.trace.len(), col.camera.len())
     };
     let a = run();
     let b = run();
