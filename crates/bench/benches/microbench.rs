@@ -231,11 +231,34 @@ fn bench_long_jump_mapping(c: &mut Criterion) {
     g.finish();
 }
 
+/// A results screen shaped like the Fig. 17 one: 260 result rows under a
+/// five-view player layout, 267 views in all.
+fn results_screen() -> device::ui::View {
+    use device::ui::View;
+    let mut results = View::new("android.widget.ListView", "results");
+    for i in 0..260 {
+        results
+            .children_mut()
+            .push(View::new("TextView", &format!("result_v{i}")).with_text("video"));
+    }
+    View::new("FrameLayout", "root").with_child(
+        View::new("LinearLayout", "yt_root")
+            .with_child(View::new("android.widget.EditText", "search_box"))
+            .with_child(results)
+            .with_child(View::new("TextView", "player_status").with_text("idle"))
+            .with_child(View::new("android.widget.Button", "skip_ad").with_visible(false))
+            .with_child(View::new("android.widget.ProgressBar", "player_progress")),
+    )
+}
+
+/// UI observation shares unchanged storage and pays on write instead: the
+/// first two measure what a parse pass costs the host, the third what a
+/// mutation costs while the controller still holds a snapshot.
 fn bench_ui_parse(c: &mut Criterion) {
     use device::ui::{UiTree, View};
     let mut feed = View::new("android.widget.ListView", "news_feed");
     for i in 0..100 {
-        feed.children
+        feed.children_mut()
             .push(View::new("TextView", &format!("item{i}")).with_text("hello"));
     }
     let root = View::new("LinearLayout", "root").with_child(feed);
@@ -243,6 +266,37 @@ fn bench_ui_parse(c: &mut Criterion) {
     let mut g = c.benchmark_group("device");
     g.bench_function("ui_snapshot_100_items", |b| {
         b.iter(|| ui.snapshot().count())
+    });
+
+    let screen = results_screen();
+    assert_eq!(screen.count(), 267);
+    let mut ui = UiTree::new(screen, DetRng::seed_from_u64(5));
+    let now = SimTime::from_secs(1);
+    g.throughput(Throughput::Elements(10_000));
+    g.bench_function("ui_observe_267_unchanged", |b| {
+        b.iter(|| {
+            let mut views = 0;
+            for _ in 0..10_000 {
+                let (snapshot, _) = ui.observe(now);
+                views += ui.observed_views(now) + snapshot.children.len();
+            }
+            views
+        })
+    });
+    g.throughput(Throughput::Elements(1_000));
+    g.bench_function("ui_mutate_with_snapshot_held", |b| {
+        b.iter(|| {
+            for i in 0..1_000 {
+                let (held, _) = ui.observe(now);
+                ui.set_text(
+                    now,
+                    "player_status",
+                    if i % 2 == 0 { "playing" } else { "idle" },
+                );
+                drop(held);
+            }
+            ui.observed_views(now)
+        })
     });
     g.finish();
 }

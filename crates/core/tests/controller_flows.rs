@@ -1,6 +1,8 @@
 //! Controller behaviour tests: the see–interact–wait loop, calibration
 //! bookkeeping, timeouts, and span measurements against a scripted app.
 
+use std::sync::Arc;
+
 use device::ui::View;
 use device::{App, AppCx, Internet, NetAttachment, Phone, UiEvent, World};
 use netstack::dns::DNS_PORT;
@@ -35,8 +37,9 @@ impl App for ScriptedApp {
             .with_child(View::new("android.widget.Button", "go"))
             .with_child(View::new("android.widget.ProgressBar", "spinner").with_visible(false))
             .with_child(View::new("android.widget.ListView", "list"));
-        cx.ui
-            .mutate(cx.now, "launch", |root| root.children = vec![layout]);
+        cx.ui.mutate(cx.now, "launch", |root| {
+            root.children = Arc::new(vec![layout])
+        });
     }
     fn on_ui_event(&mut self, ev: &UiEvent, cx: &mut AppCx) {
         if let UiEvent::Click { .. } = ev {

@@ -6,6 +6,8 @@
 //! parallel connections, renders, and the progress bar disappears — the
 //! controller's page-load-time window.
 
+use std::sync::Arc;
+
 use crate::phone::{App, AppCx, UiEvent};
 use crate::rpc::Rpc;
 use crate::ui::View;
@@ -137,7 +139,7 @@ impl App for BrowserApp {
             )
             .with_child(View::new("android.webkit.WebView", "page_content"));
         cx.ui.mutate(cx.now, "app:launch", |root| {
-            root.children = vec![layout];
+            root.children = Arc::new(vec![layout]);
         });
     }
 

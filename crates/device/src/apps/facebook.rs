@@ -19,6 +19,8 @@
 //!   refresh (the "refresh interval" setting) fetches non-time-sensitive
 //!   recommendation content.
 
+use std::sync::Arc;
+
 use crate::phone::{App, AppCx, UiEvent};
 use crate::proto::{self, Kind};
 use crate::rpc::Rpc;
@@ -270,7 +272,7 @@ impl App for FacebookApp {
                 View::new("android.widget.ProgressBar", "feed_progress").with_visible(false),
             );
         cx.ui.mutate(cx.now, "app:launch", |root| {
-            root.children = vec![layout];
+            root.children = Arc::new(vec![layout]);
         });
         // Open the persistent push channel.
         self.drive_push_channel(cx);

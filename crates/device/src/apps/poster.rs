@@ -6,6 +6,8 @@
 //! the Facebook write origin every `interval`, with no UI interaction
 //! required.
 
+use std::sync::Arc;
+
 use crate::phone::{App, AppCx, UiEvent};
 use crate::rpc::Rpc;
 use crate::ui::View;
@@ -82,8 +84,8 @@ impl App for FacebookPoster {
 
     fn start(&mut self, cx: &mut AppCx) {
         cx.ui.mutate(cx.now, "app:launch", |root| {
-            root.children = vec![View::new("LinearLayout", "poster_root")
-                .with_child(View::new("TextView", "poster_status").with_text("idle"))];
+            root.children = Arc::new(vec![View::new("LinearLayout", "poster_root")
+                .with_child(View::new("TextView", "poster_status").with_text("idle"))]);
         });
         self.started = true;
         if let (Some(first), Some(_)) = (self.cfg.first_post, self.cfg.interval) {

@@ -19,6 +19,8 @@
 //! timers fire, so the main video loads cold and the total loading time on
 //! cellular roughly doubles.
 
+use std::sync::Arc;
+
 use crate::phone::{App, AppCx, UiEvent};
 use crate::rpc::Rpc;
 use crate::ui::View;
@@ -398,7 +400,7 @@ impl App for YouTubeApp {
                 View::new("android.widget.ProgressBar", "player_progress").with_visible(false),
             );
         cx.ui.mutate(cx.now, "app:launch", |root| {
-            root.children = vec![layout];
+            root.children = Arc::new(vec![layout]);
         });
     }
 
@@ -470,10 +472,12 @@ impl App for YouTubeApp {
                     .collect();
                 cx.ui.mutate(cx.now, "results:populate", |root| {
                     if let Some(list) = root.find_mut("results") {
-                        list.children = names
-                            .iter()
-                            .map(|n| View::new("TextView", &format!("result_{n}")).with_text(n))
-                            .collect();
+                        list.children = Arc::new(
+                            names
+                                .iter()
+                                .map(|n| View::new("TextView", &format!("result_{n}")).with_text(n))
+                                .collect(),
+                        );
                     }
                 });
             }

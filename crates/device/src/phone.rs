@@ -243,7 +243,7 @@ impl Phone {
         self.host
             .set_ephemeral_base(40_000u16.wrapping_add((self.crashes as u16).wrapping_mul(1_000)));
         self.ui
-            .mutate(now, "app:crash", |root| root.children.clear());
+            .mutate(now, "app:crash", |root| root.children = Default::default());
         self.relaunch_at = Some(now + relaunch_cost);
     }
 
@@ -281,13 +281,15 @@ impl Phone {
     }
 
     /// Parse the UI layout tree (controller's `see`/`wait` component).
-    /// Returns a snapshot plus the CPU time the parse consumed — the
-    /// `t_parsing` of Fig. 4. During an injected UI freeze the snapshot is
-    /// the stale pre-freeze tree, exactly what InstrumentationTestCase
-    /// would read from a wedged UI thread.
+    /// Returns a snapshot plus the simulated time the parse took — the
+    /// `t_parsing` of Fig. 4, priced per view in the tree. The snapshot
+    /// shares storage with the live tree (see [`UiTree::observe`]), so the
+    /// host cost of a pass does not grow with the tree. During an injected
+    /// UI freeze the snapshot is the stale pre-freeze tree, exactly what
+    /// InstrumentationTestCase would read from a wedged UI thread.
     pub fn parse_ui(&mut self, now: SimTime) -> (View, SimDuration) {
         let (view, _) = self.ui.observe(now);
-        let views = view.count() as u64;
+        let views = self.ui.observed_views(now) as u64;
         let mean = self.parse_base + self.parse_per_view * views;
         let cost = self.rng.jittered(mean, 0.25);
         self.cpu.controller_busy += cost.mul_f64(self.parse_cpu_fraction);
@@ -298,7 +300,7 @@ impl Phone {
     /// controller's UI watchdog compares successive values to detect a
     /// frozen layout tree.
     pub fn ui_revision(&mut self, now: SimTime) -> u64 {
-        self.ui.observe(now).1
+        self.ui.observed_revision(now)
     }
 
     /// Advance the device at `now`.

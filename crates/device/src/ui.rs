@@ -13,6 +13,14 @@
 //! Every mutation here logs both: the layout change is immediately visible
 //! to [`UiTree::snapshot`], and a [`ScreenEvent`] with the draw-completed
 //! time lands in the camera log.
+//!
+//! The controller parses the tree every `t_parsing`, far more often than
+//! the app changes it, so views share their child lists copy-on-write
+//! (`Arc<Vec<View>>`): a snapshot costs one root-node clone, and a mutation
+//! copies only the path from the root to the view it changes. Snapshots
+//! held across a mutation keep the tree as it was at their instant.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use simcore::{DetRng, RecordLog, SimDuration, SimTime};
@@ -31,8 +39,9 @@ pub struct View {
     pub text: String,
     /// Visibility flag.
     pub visible: bool,
-    /// Child views.
-    pub children: Vec<View>,
+    /// Child views, shared copy-on-write between snapshots: replace the
+    /// list or go through [`View::children_mut`] to change it.
+    pub children: Arc<Vec<View>>,
 }
 
 impl View {
@@ -44,7 +53,7 @@ impl View {
             desc: String::new(),
             text: String::new(),
             visible: true,
-            children: Vec::new(),
+            children: Arc::default(),
         }
     }
 
@@ -68,8 +77,13 @@ impl View {
 
     /// Builder: add a child.
     pub fn with_child(mut self, child: View) -> View {
-        self.children.push(child);
+        self.children_mut().push(child);
         self
+    }
+
+    /// The child list, unshared first if a snapshot still holds it.
+    pub fn children_mut(&mut self) -> &mut Vec<View> {
+        Arc::make_mut(&mut self.children)
     }
 
     /// Depth-first search for a view by resource id.
@@ -80,12 +94,35 @@ impl View {
         self.children.iter().find_map(|c| c.find(id))
     }
 
-    /// Depth-first mutable search by resource id.
+    /// Depth-first mutable search by resource id. Only the child lists on
+    /// the path from `self` to the match are unshared; siblings stay shared
+    /// with any snapshot that holds them.
     pub fn find_mut(&mut self, id: &str) -> Option<&mut View> {
-        if self.id == id {
-            return Some(self);
+        let mut path = Vec::new();
+        if !self.path_to(id, &mut path) {
+            return None;
         }
-        self.children.iter_mut().find_map(|c| c.find_mut(id))
+        let mut view = self;
+        for i in path {
+            view = &mut view.children_mut()[i];
+        }
+        Some(view)
+    }
+
+    /// Child indices from `self` down to the first view (depth-first) with
+    /// resource id `id`, appended to `path`; false when there is none.
+    fn path_to(&self, id: &str, path: &mut Vec<usize>) -> bool {
+        if self.id == id {
+            return true;
+        }
+        for (i, c) in self.children.iter().enumerate() {
+            path.push(i);
+            if c.path_to(id, path) {
+                return true;
+            }
+            path.pop();
+        }
+        false
     }
 
     /// First view matching a signature, depth-first.
@@ -175,6 +212,9 @@ pub struct ScreenEvent {
 /// The live layout tree plus the draw-delay model and camera log.
 pub struct UiTree {
     root: View,
+    /// `root.count()`, recomputed on every mutation so a parse pass need
+    /// not walk the tree to price itself.
+    views: usize,
     rng: DetRng,
     /// Mean UI drawing delay between a layout change and pixels on screen.
     pub draw_delay: SimDuration,
@@ -194,16 +234,27 @@ pub struct UiTree {
     /// Injected slow-draw windows `[from, until), factor`: the draw delay
     /// is multiplied by `factor` inside the window.
     slow_draws: Vec<(SimTime, SimTime, f64)>,
-    /// While a freeze is active: `(until, tree-at-freeze-start,
-    /// revision-at-freeze-start)` — what an observer sees instead of the
-    /// live tree.
-    frozen: Option<(SimTime, View, u64)>,
+    /// While a freeze is active: what an observer sees instead of the live
+    /// tree.
+    frozen: Option<Frozen>,
+}
+
+/// The observable state pinned at the start of a freeze.
+struct Frozen {
+    /// End of the union of overlapping or touching freeze windows.
+    until: SimTime,
+    /// The tree at freeze start (shares storage with the live tree until
+    /// the first mutation inside the window).
+    view: View,
+    revision: u64,
+    views: usize,
 }
 
 impl UiTree {
     /// New tree rooted at `root`.
     pub fn new(root: View, rng: DetRng) -> UiTree {
         UiTree {
+            views: root.count(),
             root,
             rng,
             draw_delay: SimDuration::from_millis(14),
@@ -219,9 +270,13 @@ impl UiTree {
 
     /// Inject an ANR-style UI freeze: in `[from, until)` the tree an
     /// observer parses stops updating (the app's internal state still
-    /// advances), and draws land no earlier than `until`.
+    /// advances), and draws land no earlier than `until`. Overlapping or
+    /// touching windows act as one freeze over their union.
     pub fn add_freeze(&mut self, from: SimTime, until: SimTime) {
         self.freezes.push((from, until));
+        if let Some(frozen) = &mut self.frozen {
+            frozen.until = union_end(&self.freezes, frozen.until);
+        }
     }
 
     /// Inject a slow-draw window: draw delays in `[from, until)` are
@@ -234,38 +289,65 @@ impl UiTree {
         self.slow_draws.push((from, until, factor));
     }
 
+    /// End of the freeze covering `now`: the end of the union of every
+    /// window that contains `now` or overlaps or touches one that does.
     fn freeze_until(&self, now: SimTime) -> Option<SimTime> {
         self.freezes
             .iter()
             .filter(|(f, u)| *f <= now && now < *u)
             .map(|(_, u)| *u)
             .max()
+            .map(|end| union_end(&self.freezes, end))
     }
 
     /// Bring the frozen-view bookkeeping up to `now`: thaw an expired
     /// freeze, capture the visible tree when a window is entered.
     fn sync_freeze(&mut self, now: SimTime) {
-        if let Some((until, _, _)) = &self.frozen {
-            if now >= *until {
-                self.frozen = None;
-            }
+        if self.frozen.as_ref().is_some_and(|f| now >= f.until) {
+            self.frozen = None;
         }
         if self.frozen.is_none() {
             if let Some(until) = self.freeze_until(now) {
-                self.frozen = Some((until, self.root.clone(), self.revision));
+                self.frozen = Some(Frozen {
+                    until,
+                    view: self.root.clone(),
+                    revision: self.revision,
+                    views: self.views,
+                });
             }
         }
     }
 
-    /// What an instrumentation reader sees at `now`: a deep copy of the
-    /// layout tree plus its revision. During a freeze window both are
-    /// pinned to their values at freeze start.
-    pub fn observe(&mut self, now: SimTime) -> (View, u64) {
+    /// The tree an observer sees at `now`, with its revision and view
+    /// count. During a freeze window all three are pinned to their values
+    /// at freeze start.
+    fn observed(&mut self, now: SimTime) -> (&View, u64, usize) {
         self.sync_freeze(now);
         match &self.frozen {
-            Some((_, view, rev)) => (view.clone(), *rev),
-            None => (self.root.clone(), self.revision),
+            Some(f) => (&f.view, f.revision, f.views),
+            None => (&self.root, self.revision, self.views),
         }
+    }
+
+    /// What an instrumentation reader sees at `now`: a snapshot of the
+    /// layout tree plus its revision. The snapshot shares storage with the
+    /// tree, so it costs one root-node clone whatever the tree's size;
+    /// later mutations copy on write and never show through it. During a
+    /// freeze window both are pinned to their values at freeze start.
+    pub fn observe(&mut self, now: SimTime) -> (View, u64) {
+        let (view, revision, _) = self.observed(now);
+        (view.clone(), revision)
+    }
+
+    /// [`UiTree::observe`]'s revision alone, without taking a snapshot.
+    pub fn observed_revision(&mut self, now: SimTime) -> u64 {
+        self.observed(now).1
+    }
+
+    /// `View::count()` of the tree [`UiTree::observe`] returns at `now`,
+    /// without walking it.
+    pub fn observed_views(&mut self, now: SimTime) -> usize {
+        self.observed(now).2
     }
 
     /// Read-only access to the live tree (in-process, as the controller's
@@ -274,7 +356,9 @@ impl UiTree {
         &self.root
     }
 
-    /// Deep copy of the current tree (what a parse pass returns).
+    /// Snapshot of the current live tree (what a parse pass returns
+    /// outside a freeze): shared storage, copy-on-write, as for
+    /// [`UiTree::observe`].
     pub fn snapshot(&self) -> View {
         self.root.clone()
     }
@@ -286,6 +370,7 @@ impl UiTree {
         // observers keep seeing that snapshot until the window closes.
         self.sync_freeze(now);
         f(&mut self.root);
+        self.views = self.root.count();
         self.revision += 1;
         let mut delay = self.rng.jittered(self.draw_delay, self.draw_jitter);
         if let Some(factor) = self
@@ -298,8 +383,8 @@ impl UiTree {
             delay = delay.mul_f64(factor);
         }
         let mut drawn = (now + delay).max(self.last_draw);
-        if let Some((until, _, _)) = &self.frozen {
-            drawn = drawn.max(*until);
+        if let Some(frozen) = &self.frozen {
+            drawn = drawn.max(frozen.until);
         }
         self.last_draw = drawn;
         self.camera.push(
@@ -338,9 +423,25 @@ impl UiTree {
         let item = View::new(class, &format!("{container}_item_{}", text.len())).with_text(text);
         self.mutate(now, &label, |root| {
             if let Some(v) = root.find_mut(container) {
-                v.children.insert(0, item);
+                v.children_mut().insert(0, item);
             }
         });
+    }
+}
+
+/// Extend a freeze ending at `end` through every window in `freezes` that
+/// starts at or before its (growing) end.
+fn union_end(freezes: &[(SimTime, SimTime)], mut end: SimTime) -> SimTime {
+    loop {
+        let next = freezes
+            .iter()
+            .filter(|(f, _)| *f <= end)
+            .map(|(_, u)| *u)
+            .fold(end, SimTime::max);
+        if next == end {
+            return end;
+        }
+        end = next;
     }
 }
 
@@ -494,5 +595,64 @@ mod tests {
         ui.set_visible(SimTime::ZERO, "feed_progress", true);
         let (_, r1) = ui.observe(SimTime::ZERO);
         assert_eq!(r1, r0 + 2);
+    }
+
+    #[test]
+    fn observing_an_unchanged_tree_shares_storage() {
+        let mut ui = UiTree::new(tree(), DetRng::seed_from_u64(8));
+        let (a, _) = ui.observe(SimTime::ZERO);
+        let (b, _) = ui.observe(SimTime::from_secs(1));
+        assert!(Arc::ptr_eq(&a.children, &b.children));
+        assert!(Arc::ptr_eq(&a.children, &ui.root().children));
+        assert_eq!(ui.observed_views(SimTime::from_secs(1)), a.count());
+    }
+
+    #[test]
+    fn mutation_copies_only_the_path_to_the_changed_view() {
+        let mut ui = UiTree::new(tree(), DetRng::seed_from_u64(9));
+        let (held, _) = ui.observe(SimTime::ZERO);
+        ui.set_text(SimTime::ZERO, "item0", "edited");
+        let live = ui.root();
+        // The path root -> news_feed was copied for the write...
+        assert!(!Arc::ptr_eq(&held.children, &live.children));
+        let feed = |v: &View| v.find("news_feed").unwrap().children.clone();
+        assert!(!Arc::ptr_eq(&feed(&held), &feed(live)));
+        // ...while the held snapshot keeps the old text.
+        assert_eq!(held.find("item0").unwrap().text, "hello world");
+        assert_eq!(live.find("item0").unwrap().text, "edited");
+        // A sibling off the path still shares its (empty) child list.
+        let composer = |v: &View| v.find("composer").unwrap().children.clone();
+        assert!(Arc::ptr_eq(&composer(&held), &composer(live)));
+    }
+
+    #[test]
+    fn overlapping_freezes_pin_the_tree_until_their_union_ends() {
+        let mut ui = UiTree::new(tree(), DetRng::seed_from_u64(10));
+        ui.add_freeze(SimTime::from_secs(1), SimTime::from_secs(3));
+        ui.add_freeze(SimTime::from_secs(2), SimTime::from_secs(5));
+        let (_, rev0) = ui.observe(SimTime::from_millis(1500));
+        ui.set_text(SimTime::from_millis(2500), "composer", "during");
+        // [1 s, 3 s) has ended, but [2 s, 5 s) still holds the freeze.
+        let (view, rev) = ui.observe(SimTime::from_millis(3500));
+        assert_eq!(view.find("composer").unwrap().text, "");
+        assert_eq!(rev, rev0);
+        assert_eq!(ui.observed_revision(SimTime::from_millis(3500)), rev0);
+        let (view, rev) = ui.observe(SimTime::from_secs(5));
+        assert_eq!(view.find("composer").unwrap().text, "during");
+        assert_eq!(rev, rev0 + 1);
+        let (drawn, _) = ui.camera.iter().last().unwrap();
+        assert!(drawn >= SimTime::from_secs(5), "draw at {drawn}");
+    }
+
+    #[test]
+    fn touching_freezes_chain_into_one() {
+        let mut ui = UiTree::new(tree(), DetRng::seed_from_u64(11));
+        ui.add_freeze(SimTime::from_secs(1), SimTime::from_secs(2));
+        ui.add_freeze(SimTime::from_secs(2), SimTime::from_secs(4));
+        let (_, rev0) = ui.observe(SimTime::from_millis(1500));
+        ui.set_text(SimTime::from_millis(1700), "composer", "during");
+        assert_eq!(ui.observed_revision(SimTime::from_secs(2)), rev0);
+        assert_eq!(ui.observed_revision(SimTime::from_millis(3999)), rev0);
+        assert_eq!(ui.observed_revision(SimTime::from_secs(4)), rev0 + 1);
     }
 }
