@@ -124,9 +124,11 @@ fn bench_rlc_segmentation(c: &mut Criterion) {
             let mut n = 0usize;
             loop {
                 ch.poll(now, true, 1.6e6);
-                n += ch.take_pdu_events(now).len();
-                ch.take_status_events(now);
-                ch.take_exits(now);
+                let mut pdus = Vec::new();
+                ch.take_pdu_events(now, &mut pdus);
+                n += pdus.len();
+                ch.take_status_events(now, &mut Vec::new());
+                ch.take_exits(now, &mut Vec::new());
                 match ch.next_wake(true) {
                     Some(w) if w > now => now = w,
                     Some(_) => continue,
@@ -163,13 +165,17 @@ fn mapping_fixture(n: u64, record_loss: f64) -> (Vec<(SimTime, IpPacket)>, Qxdm,
     let mut now = SimTime::ZERO;
     loop {
         ch.poll(now, true, 1.6e6);
-        for (at, ev) in ch.take_pdu_events(now) {
+        let mut events = Vec::new();
+        ch.take_pdu_events(now, &mut events);
+        for (at, ev) in events {
             qx.observe_pdu(at, &ev);
         }
-        for (at, ev) in ch.take_status_events(now) {
+        let mut events = Vec::new();
+        ch.take_status_events(now, &mut events);
+        for (at, ev) in events {
             qx.observe_status(at, &ev);
         }
-        ch.take_exits(now);
+        ch.take_exits(now, &mut Vec::new());
         match ch.next_wake(true) {
             Some(w) if w > now => now = w,
             Some(_) => continue,

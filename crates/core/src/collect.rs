@@ -7,7 +7,7 @@
 //! §7.1 and the true PDU coverage used to score the mapping of §5.4.2).
 
 use crate::behavior::AppBehaviorLog;
-use crate::controller::Controller;
+use crate::controller::{Controller, Kernel};
 use device::phone::NetAttachment;
 use device::ui::ScreenEvent;
 use device::CpuMeter;
@@ -36,7 +36,7 @@ pub struct Collection {
     pub end: SimTime,
 }
 
-impl Controller {
+impl<K: Kernel> Controller<K> {
     /// Stop the session and hand every artifact to the offline analyzers.
     pub fn collect(mut self) -> Collection {
         let end = self.now;

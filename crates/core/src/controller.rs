@@ -15,8 +15,9 @@ use crate::behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
 use device::ui::View;
 use device::world::World;
 use device::UiEvent;
-use simcore::{SimDuration, SimTime, Tick};
+use simcore::{SimDuration, SimTime};
 use std::fmt;
+use std::marker::PhantomData;
 
 /// A structured failure from a measured wait: instead of silently returning
 /// a timed-out measurement, the controller diagnoses *why* the wait did not
@@ -183,8 +184,25 @@ impl PlaybackReport {
     }
 }
 
+/// How a [`Controller`] runs its world between interactions.
+pub trait Kernel {
+    /// Run `world` from `now` until nothing is due at or before `target`.
+    fn advance(world: &mut World, now: SimTime, target: SimTime);
+}
+
+/// The event-driven kernel: the world's wake calendar, stepped by
+/// [`simcore::advance`]. The only kernel outside tests.
+#[derive(Debug)]
+pub enum Calendar {}
+
+impl Kernel for Calendar {
+    fn advance(world: &mut World, now: SimTime, target: SimTime) {
+        simcore::advance(world, now, target);
+    }
+}
+
 /// The controller: drives the world, injects interactions, measures waits.
-pub struct Controller {
+pub struct Controller<K: Kernel = Calendar> {
     /// The scenario under control.
     pub world: World,
     /// Current simulated time.
@@ -196,50 +214,40 @@ pub struct Controller {
     /// changed for this long. `None` (the default) disables the watchdog
     /// and preserves the plain timeout behaviour.
     pub watchdog: Option<SimDuration>,
+    kernel: PhantomData<K>,
 }
 
 impl Controller {
     /// Take control of a world at t = 0.
     pub fn new(world: World) -> Controller {
+        Controller::with_kernel(world)
+    }
+}
+
+impl<K: Kernel> Controller<K> {
+    /// Take control of a world at t = 0, running it with kernel `K`.
+    pub fn with_kernel(world: World) -> Controller<K> {
         Controller {
             world,
             now: SimTime::ZERO,
             log: AppBehaviorLog::new(),
             watchdog: None,
+            kernel: PhantomData,
         }
     }
 
     /// Builder-style watchdog configuration.
-    pub fn with_watchdog(mut self, threshold: SimDuration) -> Controller {
+    pub fn with_watchdog(mut self, threshold: SimDuration) -> Controller<K> {
         self.watchdog = Some(threshold);
         self
     }
 
-    /// Advance the world to `target`, processing every due event.
+    /// Advance the world to `target`, processing every due event. Nothing
+    /// is due by `target` afterwards, and no wake can change without a
+    /// tick, so jumping the clock there leaves no work unsettled.
     pub fn advance_to(&mut self, target: SimTime) {
         assert!(target >= self.now, "time goes forward");
-        loop {
-            // Settle work at the current instant.
-            let mut settles = 0;
-            while self.world.next_wake().is_some_and(|w| w <= self.now) {
-                simcore::watchdog::observe(self.now);
-                self.world.tick(self.now);
-                settles += 1;
-                assert!(
-                    settles < 100_000,
-                    "livelock at {}: {}",
-                    self.now,
-                    self.world.wake_report()
-                );
-            }
-            match self.world.next_wake() {
-                Some(w) if w <= target => self.now = w,
-                // Nothing is due by `target`, and `next_wake` cannot change
-                // before the next tick: jumping the clock there leaves no
-                // work unsettled.
-                _ => break,
-            }
-        }
+        K::advance(&mut self.world, self.now, target);
         self.now = target;
     }
 
@@ -250,10 +258,9 @@ impl Controller {
 
     /// Inject a UI interaction right now.
     pub fn interact(&mut self, ev: &UiEvent) {
+        // Injection marks the app due now, so settling the instant runs its
+        // immediate reaction (starting an RPC, resolving a name).
         self.world.phone.inject_ui(ev, self.now);
-        // Force one tick so the app's immediate reaction (starting an RPC,
-        // resolving a name) registers with the network stack, then settle.
-        self.world.tick(self.now);
         self.advance_to(self.now);
     }
 

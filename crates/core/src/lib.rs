@@ -49,5 +49,7 @@ pub mod replay;
 pub use behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
 pub use bundle::CollectionSet;
 pub use collect::Collection;
-pub use controller::{ControlError, Controller, PlaybackReport, RetryPolicy, WaitCondition};
+pub use controller::{
+    Calendar, ControlError, Controller, Kernel, PlaybackReport, RetryPolicy, WaitCondition,
+};
 pub use diagnose::{diagnose, diagnose_worst, Diagnosis};

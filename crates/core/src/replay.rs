@@ -12,7 +12,7 @@
 //! the constants below; post uploads take their label from the caller.
 
 use crate::behavior::BehaviorRecord;
-use crate::controller::{Controller, WaitCondition};
+use crate::controller::{Controller, Kernel, WaitCondition};
 use device::ui::ViewSignature;
 use device::UiEvent;
 use simcore::SimDuration;
@@ -35,7 +35,7 @@ const NEWS_FEED: &str = "news_feed";
 
 /// YouTube: search the video list — type an empty query into the search
 /// box and press ENTER, which lists every video as a `result_<name>` row.
-pub fn search_videos(doctor: &mut Controller) {
+pub fn search_videos<K: Kernel>(doctor: &mut Controller<K>) {
     doctor.interact(&UiEvent::TypeText {
         target: ViewSignature::by_id(SEARCH_BOX),
         text: String::new(),
@@ -59,7 +59,11 @@ pub fn player_ready() -> WaitCondition {
 
 /// YouTube: load a video — tap its search result and wait until the
 /// player's progress bar is hidden.
-pub fn load_video(doctor: &mut Controller, video: &str, timeout: SimDuration) -> BehaviorRecord {
+pub fn load_video<K: Kernel>(
+    doctor: &mut Controller<K>,
+    video: &str,
+    timeout: SimDuration,
+) -> BehaviorRecord {
     doctor.measure_after(
         VIDEO_INITIAL_LOADING,
         &video_result(video),
@@ -85,14 +89,17 @@ pub fn page_loaded() -> WaitCondition {
 
 /// Web browsing: load the page whose URL was typed with [`type_url`] —
 /// press ENTER and wait until the page's progress bar is hidden.
-pub fn load_page(doctor: &mut Controller, timeout: SimDuration) -> BehaviorRecord {
+pub fn load_page<K: Kernel>(doctor: &mut Controller<K>, timeout: SimDuration) -> BehaviorRecord {
     doctor.measure_after(PAGE_LOAD, &UiEvent::KeyEnter, &page_loaded(), timeout)
 }
 
 /// Facebook: pull-to-update — the span from the feed's progress bar
 /// appearing to it disappearing. `None` if it never appeared within
 /// `timeout`.
-pub fn pull_to_update(doctor: &mut Controller, timeout: SimDuration) -> Option<BehaviorRecord> {
+pub fn pull_to_update<K: Kernel>(
+    doctor: &mut Controller<K>,
+    timeout: SimDuration,
+) -> Option<BehaviorRecord> {
     doctor.measure_span(
         PULL_TO_UPDATE,
         &WaitCondition::Shown {
@@ -108,8 +115,8 @@ pub fn pull_to_update(doctor: &mut Controller, timeout: SimDuration) -> Option<B
 /// Facebook: upload a post — type `text` into the composer, tap the post
 /// button, and wait until `text` appears in the news feed. Logged as
 /// `action`, which names the post kind.
-pub fn upload_post(
-    doctor: &mut Controller,
+pub fn upload_post<K: Kernel>(
+    doctor: &mut Controller<K>,
     action: &str,
     text: &str,
     timeout: SimDuration,

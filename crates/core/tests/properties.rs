@@ -60,11 +60,13 @@ fn capture_log(
     let mut now = SimTime::ZERO;
     for _ in 0..5_000_000 {
         ch.poll(now, true, 2e6);
-        for (at, ev) in ch.take_pdu_events(now) {
+        let mut pdus = Vec::new();
+        ch.take_pdu_events(now, &mut pdus);
+        for (at, ev) in pdus {
             qx.observe_pdu(at, &ev);
         }
-        ch.take_status_events(now);
-        ch.take_exits(now);
+        ch.take_status_events(now, &mut Vec::new());
+        ch.take_exits(now, &mut Vec::new());
         match ch.next_wake(true) {
             Some(w) if w > now => now = w,
             Some(_) => continue,

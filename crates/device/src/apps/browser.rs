@@ -242,6 +242,16 @@ impl App for BrowserApp {
         self.tasks.next_at()
     }
 
+    /// Sub-resource requests spawned by one tick are first polled by the
+    /// next, whenever that comes.
+    fn follows_every_step(&self) -> bool {
+        match &self.state {
+            LoadState::Html(rpc) => rpc.is_fresh(),
+            LoadState::Subs { active, .. } => active.iter().any(Rpc::is_fresh),
+            LoadState::Idle | LoadState::Rendering => false,
+        }
+    }
+
     fn reset(&mut self) {
         self.url_text.clear();
         self.state = LoadState::Idle;

@@ -416,4 +416,10 @@ impl App for FacebookApp {
         // a self-scheduled wake.
         self.tasks.next_at()
     }
+
+    /// The next feed stage's request, created after the RPC loop of one
+    /// tick, is first polled by the next.
+    fn follows_every_step(&self) -> bool {
+        self.rpcs.iter().any(|(_, rpc)| rpc.is_fresh())
+    }
 }

@@ -489,6 +489,13 @@ impl App for YouTubeApp {
         self.wake_at
     }
 
+    /// Always: every tick advances the request-tag counter, and playback
+    /// integrates consumption over the instants the app is ticked at, so the
+    /// app must see every step of the world to reproduce a run.
+    fn follows_every_step(&self) -> bool {
+        true
+    }
+
     fn reset(&mut self) {
         self.search_text.clear();
         self.search_rpc = None;

@@ -85,8 +85,17 @@ pub trait App {
     fn on_ui_event(&mut self, ev: &UiEvent, cx: &mut AppCx);
     /// Drive app logic (poll sockets, fire internal timers).
     fn tick(&mut self, cx: &mut AppCx);
-    /// Earliest self-scheduled work, if any.
+    /// Earliest self-scheduled work, if any. The phone also ticks the app
+    /// whenever packets reach the host or a UI event is injected.
     fn next_wake(&self) -> Option<SimTime>;
+    /// True while a tick before [`App::next_wake`] (with no packet or UI
+    /// event since the last tick) is not a no-op: the app then runs at every
+    /// step of the world, as the wake calendar's follower. An app that
+    /// starts work in one tick and only picks it up in the next (a request
+    /// created after its RPCs were polled) says so here.
+    fn follows_every_step(&self) -> bool {
+        false
+    }
     /// Drop all in-memory state, as a process kill would. Called on an
     /// (injected or recovery-driven) app crash; `start` follows after the
     /// relaunch cost. The default is a no-op for stateless apps.
@@ -169,6 +178,11 @@ pub struct Phone {
     relaunch_at: Option<SimTime>,
     /// Scheduled forced tech switches (cellular attachments only).
     tech_switches: Vec<(SimTime, radio::bearer::BearerConfig)>,
+    /// The app must run at this instant: a UI event was injected or packets
+    /// reached the host.
+    app_poke: Option<SimTime>,
+    /// Scratch packet buffer reused by every link tick.
+    pkts: Vec<IpPacket>,
 }
 
 impl Phone {
@@ -203,6 +217,8 @@ impl Phone {
             crash_plan: Vec::new(),
             relaunch_at: None,
             tech_switches: Vec::new(),
+            app_poke: None,
+            pkts: Vec::new(),
         }
     }
 
@@ -267,6 +283,8 @@ impl Phone {
     /// while the app is dead (crashed, not yet relaunched) are lost, as
     /// they would be on a real device.
     pub fn inject_ui(&mut self, ev: &UiEvent, now: SimTime) {
+        // The app reacts at this instant (it runs, or is found dead).
+        self.app_poke = Some(now);
         if self.app_down() {
             return;
         }
@@ -303,8 +321,32 @@ impl Phone {
         self.ui.observed_revision(now)
     }
 
-    /// Advance the device at `now`.
-    pub fn tick(&mut self, now: SimTime) {
+    // ---- Components ----
+    //
+    // A world step runs the phone as four components, in this order: the
+    // fault plan (launch, crashes, relaunches, tech switches), the link
+    // (bearer or WiFi pipes, delivering downlink packets to the host), the
+    // app, and the host (protocol timers and uplink egress). Each reports
+    // its own wake; a tick before it is a no-op, except for the link and
+    // app while they report `*_follows`.
+
+    /// Wake of the fault plan: the first launch, then scheduled crashes,
+    /// relaunches and tech switches.
+    pub fn faults_wake(&self) -> Option<SimTime> {
+        let mut wake = self.crash_plan.first().map(|(at, _)| *at);
+        wake = earlier(wake, self.relaunch_at);
+        wake = earlier(wake, self.tech_switches.first().map(|(at, _)| *at));
+        if !self.started {
+            wake = earlier(wake, Some(SimTime::ZERO));
+        }
+        wake
+    }
+
+    /// Launch the app on the first tick, then apply the scheduled faults due
+    /// at or before `now`. May replace the host and reset the app, which
+    /// therefore runs at `now` too.
+    pub fn tick_faults(&mut self, now: SimTime) {
+        self.app_poke = Some(now);
         if !self.started {
             self.started = true;
             let mut cx = Self::cx(
@@ -316,7 +358,6 @@ impl Phone {
             );
             self.app.start(&mut cx);
         }
-        // Scheduled faults due at or before `now`.
         while self
             .crash_plan
             .first()
@@ -343,23 +384,69 @@ impl Phone {
                 b.switch_tech(cfg, &mut rng, now);
             }
         }
-        // 1. Downlink into the stack (through the capture tap).
+    }
+
+    /// Wake of the access network, both directions.
+    pub fn link_wake(&self) -> Option<SimTime> {
+        match &self.net {
+            NetAttachment::Cell(b) => b.next_wake(),
+            NetAttachment::Wifi { up, down } => earlier(up.next_wake(), down.next_wake()),
+        }
+    }
+
+    /// True while the link must run at every step (see
+    /// [`CellBearer::follows_every_step`]). WiFi pipes never do.
+    pub fn link_follows(&self) -> bool {
+        match &self.net {
+            NetAttachment::Cell(b) => b.follows_every_step(),
+            NetAttachment::Wifi { .. } => false,
+        }
+    }
+
+    /// Advance the access network and deliver downlink arrivals to the
+    /// stack through the capture tap. Returns true when a packet reached the
+    /// host (the app is then due at `now`).
+    pub fn tick_link(&mut self, now: SimTime) -> bool {
         match &mut self.net {
             NetAttachment::Cell(b) => {
                 b.tick(now);
-                for p in b.recv_for_phone(now) {
-                    self.capture.record(Direction::Downlink, &p, now);
-                    self.host.on_packet(&p, now);
-                }
+                b.recv_for_phone(now, &mut self.pkts);
             }
             NetAttachment::Wifi { down, .. } => {
-                for p in down.deliver(now) {
-                    self.capture.record(Direction::Downlink, &p, now);
-                    self.host.on_packet(&p, now);
-                }
+                down.deliver(now, &mut self.pkts);
             }
         }
-        // 2. App logic (a dead process runs nothing).
+        let delivered = !self.pkts.is_empty();
+        for p in self.pkts.drain(..) {
+            self.capture.record(Direction::Downlink, &p, now);
+            self.host.on_packet(&p, now);
+        }
+        if delivered {
+            self.app_poke = Some(now);
+        }
+        delivered
+    }
+
+    /// Wake of the app: its own timers while it is alive, and a pending
+    /// poke.
+    pub fn app_wake(&self) -> Option<SimTime> {
+        let own = if self.app_down() {
+            None
+        } else {
+            self.app.next_wake()
+        };
+        earlier(own, self.app_poke)
+    }
+
+    /// True while the app must run at every step (see
+    /// [`App::follows_every_step`]). A dead app runs nothing.
+    pub fn app_follows(&self) -> bool {
+        !self.app_down() && self.app.follows_every_step()
+    }
+
+    /// Run the app logic (a dead process runs nothing).
+    pub fn tick_app(&mut self, now: SimTime) {
+        self.app_poke = None;
         if !self.app_down() {
             let mut cx = Self::cx(
                 &mut self.host,
@@ -370,24 +457,39 @@ impl Phone {
             );
             self.app.tick(&mut cx);
         }
-        // 3. Protocol machinery, then uplink through the capture tap. Each
-        // packet moves straight from the egress ring to the access network —
-        // no intermediate Vec on this per-tick path.
+    }
+
+    /// Wake of the network stack.
+    pub fn host_wake(&mut self) -> Option<SimTime> {
+        self.host.next_wake()
+    }
+
+    /// Run protocol machinery, then move the uplink through the capture tap
+    /// into the access network, each packet straight from the egress ring
+    /// with no intermediate `Vec`. Returns true when a packet entered the
+    /// link (its wake then changed).
+    pub fn tick_host(&mut self, now: SimTime) -> bool {
         self.host.poll(now);
+        let mut sent = false;
         while let Some(p) = self.host.pop_egress() {
+            sent = true;
             self.capture.record(Direction::Uplink, &p, now);
             match &mut self.net {
                 NetAttachment::Cell(b) => b.send_uplink(p, now),
                 NetAttachment::Wifi { up, .. } => up.send(p, now),
             }
         }
+        sent
     }
 
-    /// Packets leaving the device's access network toward the internet.
-    pub fn take_uplink(&mut self, now: SimTime) -> Vec<IpPacket> {
+    /// Append to `out` the packets leaving the device's access network
+    /// toward the internet.
+    pub fn take_uplink(&mut self, now: SimTime, out: &mut Vec<IpPacket>) {
         match &mut self.net {
-            NetAttachment::Cell(b) => b.recv_for_internet(now),
-            NetAttachment::Wifi { up, .. } => up.deliver(now),
+            NetAttachment::Cell(b) => b.recv_for_internet(now, out),
+            NetAttachment::Wifi { up, .. } => {
+                up.deliver(now, out);
+            }
         }
     }
 
@@ -397,27 +499,5 @@ impl Phone {
             NetAttachment::Cell(b) => b.send_downlink(pkt, now),
             NetAttachment::Wifi { down, .. } => down.send(pkt, now),
         }
-    }
-
-    /// Earliest instant the device has work.
-    pub fn next_wake(&self) -> Option<SimTime> {
-        let mut wake = self.host.next_wake();
-        if !self.app_down() {
-            wake = earlier(wake, self.app.next_wake());
-        }
-        wake = earlier(wake, self.crash_plan.first().map(|(at, _)| *at));
-        wake = earlier(wake, self.relaunch_at);
-        wake = earlier(wake, self.tech_switches.first().map(|(at, _)| *at));
-        match &self.net {
-            NetAttachment::Cell(b) => wake = earlier(wake, b.next_wake()),
-            NetAttachment::Wifi { up, down } => {
-                wake = earlier(wake, up.next_wake());
-                wake = earlier(wake, down.next_wake());
-            }
-        }
-        if !self.started {
-            wake = earlier(wake, Some(SimTime::ZERO));
-        }
-        wake
     }
 }

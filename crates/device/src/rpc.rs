@@ -34,6 +34,8 @@ pub struct Rpc {
     state: RpcState,
     sock: Option<SockId>,
     close_when_done: bool,
+    /// Set by the first [`Rpc::poll`].
+    polled: bool,
     /// When the response completed.
     pub finished_at: Option<SimTime>,
 }
@@ -50,6 +52,7 @@ impl Rpc {
             state: RpcState::Resolving,
             sock: None,
             close_when_done: true,
+            polled: false,
             finished_at: None,
         }
     }
@@ -70,6 +73,13 @@ impl Rpc {
         self.state == RpcState::Done
     }
 
+    /// True until the first [`Rpc::poll`]: the request has not reached the
+    /// stack yet, so the owning app must be ticked again even if no packet
+    /// arrives.
+    pub fn is_fresh(&self) -> bool {
+        !self.polled
+    }
+
     /// The connection, once opened.
     pub fn sock(&self) -> Option<SockId> {
         self.sock
@@ -85,6 +95,7 @@ impl Rpc {
 
     /// Drive the RPC; returns true when it has just completed or is done.
     pub fn poll(&mut self, host: &mut Host, now: SimTime) -> bool {
+        self.polled = true;
         match self.state {
             RpcState::Resolving => {
                 if let Some(ip) = host.resolve(&self.server, now) {
@@ -147,8 +158,7 @@ mod tests {
             for p in ups {
                 internet.route(p, now);
             }
-            internet.tick(now);
-            for p in internet.take_egress(now) {
+            for p in crate::servers::tests::tick_all(&mut internet, now) {
                 phone_host.on_packet(&p, now);
             }
             if rpc.poll(&mut phone_host, now) {

@@ -12,14 +12,22 @@ use netstack::dns::DnsServer;
 use netstack::{Host, IpAddr, IpPacket, SockId, SocketAddr, TcpConfig};
 use simcore::{earlier, DetRng, SimDuration, SimTime};
 
+/// The first tick of a server app opens its listening ports, so a server
+/// that has not listened yet is due at t = 0.
+fn listen_wake(listening: bool) -> Option<SimTime> {
+    (!listening).then_some(SimTime::ZERO)
+}
+
 /// Server-side application logic attached to a host.
+///
+/// The internet ticks a server whenever a packet reaches its host and at its
+/// own wake; a tick at any other instant must be a no-op.
 pub trait ServerApp {
     /// Drive the server at `now`.
     fn tick(&mut self, host: &mut Host, now: SimTime, rng: &mut DetRng);
-    /// Earliest self-scheduled work (push timers), if any.
-    fn next_wake(&self) -> Option<SimTime> {
-        None
-    }
+    /// Earliest self-scheduled work (first listen, processing delays, push
+    /// timers), if any.
+    fn next_wake(&self) -> Option<SimTime>;
 }
 
 /// Generic request/response server: listens on the given ports, accepts
@@ -30,6 +38,8 @@ pub struct RpcServer {
     ports: Vec<u16>,
     conns: Vec<SockId>,
     listening: bool,
+    /// The host's reaped-socket count when `conns` was last pruned.
+    reaped_seen: u64,
     delay: SimDuration,
     delay_jitter: f64,
     pending: simcore::EventQueue<(SockId, u16, u64)>,
@@ -42,6 +52,7 @@ impl RpcServer {
             ports: ports.to_vec(),
             conns: Vec::new(),
             listening: false,
+            reaped_seen: 0,
             delay: SimDuration::ZERO,
             delay_jitter: 0.3,
             pending: simcore::EventQueue::new(),
@@ -60,18 +71,27 @@ impl RpcServer {
         self
     }
 
-    fn accept_all(&mut self, host: &mut Host) {
+    /// Listen (first tick), accept new connections, and drop the ids of
+    /// reaped sockets. Returns true when the host reaped sockets since the
+    /// last call, so owners of other id lists prune them too.
+    fn accept_all(&mut self, host: &mut Host) -> bool {
         if !self.listening {
             for p in &self.ports {
                 host.listen(*p);
             }
             self.listening = true;
         }
-        for p in self.ports.clone() {
+        for &p in &self.ports {
             while let Some(s) = host.accept(p) {
                 self.conns.push(s);
             }
         }
+        let reaped = host.sockets_reaped() != self.reaped_seen;
+        if reaped {
+            self.reaped_seen = host.sockets_reaped();
+            self.conns.retain(|&s| host.is_live(s));
+        }
+        reaped
     }
 
     fn drive(&mut self, host: &mut Host, now: SimTime, rng: &mut DetRng) {
@@ -103,7 +123,7 @@ impl ServerApp for RpcServer {
     }
 
     fn next_wake(&self) -> Option<SimTime> {
-        self.pending.next_at()
+        earlier(listen_wake(self.listening), self.pending.next_at())
     }
 }
 
@@ -147,7 +167,9 @@ impl PushServer {
 
 impl ServerApp for PushServer {
     fn tick(&mut self, host: &mut Host, now: SimTime, _rng: &mut DetRng) {
-        self.rpc.accept_all(host);
+        if self.rpc.accept_all(host) {
+            self.subscribers.retain(|&s| host.is_live(s));
+        }
         // Scan for subscriptions; answer plain requests.
         for &s in &self.rpc.conns {
             let markers = host.sock_mut(s).take_markers();
@@ -189,11 +211,12 @@ impl ServerApp for PushServer {
     }
 
     fn next_wake(&self) -> Option<SimTime> {
-        if self.subscribers.is_empty() {
+        let push = if self.subscribers.is_empty() {
             None
         } else {
             self.next_push
-        }
+        };
+        earlier(listen_wake(self.rpc.listening), push)
     }
 }
 
@@ -234,7 +257,9 @@ impl FacebookOrigin {
 
 impl ServerApp for FacebookOrigin {
     fn tick(&mut self, host: &mut Host, now: SimTime, rng: &mut DetRng) {
-        self.rpc.accept_all(host);
+        if self.rpc.accept_all(host) {
+            self.subscribers.retain(|&s| host.is_live(s));
+        }
         for &s in &self.rpc.conns {
             let markers = host.sock_mut(s).take_markers();
             for m in markers {
@@ -268,7 +293,7 @@ impl ServerApp for FacebookOrigin {
     }
 
     fn next_wake(&self) -> Option<SimTime> {
-        self.pending.next_at()
+        earlier(listen_wake(self.rpc.listening), self.pending.next_at())
     }
 }
 
@@ -350,12 +375,14 @@ impl Internet {
         });
     }
 
-    /// Deliver a packet arriving from an access network.
-    pub fn route(&mut self, pkt: IpPacket, now: SimTime) {
+    /// Deliver a packet arriving from an access network. Returns where it
+    /// went: the resolver queued an answer, or a server's host took it (that
+    /// server is then due at `now`).
+    pub fn route(&mut self, pkt: IpPacket, now: SimTime) -> Routed {
         if pkt.dst == self.dns.addr {
             if self.dns_outages.iter().any(|(f, u)| *f <= now && now < *u) {
                 self.dns_dropped += 1;
-                return;
+                return Routed::Dropped;
             }
             let seq = &mut self.next_dns_id;
             let mut next_id = || {
@@ -364,63 +391,87 @@ impl Internet {
             };
             if let Some(resp) = self.dns.handle(&pkt, &mut next_id) {
                 self.dns_egress.push(resp);
+                return Routed::Dns;
             }
-            return;
+            return Routed::Dropped;
         }
-        if let Some(node) = self.nodes.iter_mut().find(|n| n.host.ip == pkt.dst.ip) {
+        if let Some(i) = self.nodes.iter().position(|n| n.host.ip == pkt.dst.ip) {
+            let node = &mut self.nodes[i];
             let stalled = self
                 .server_stalls
                 .iter()
                 .any(|(name, f, u)| name == &node.name && *f <= now && now < *u);
             if stalled {
                 self.stall_dropped += 1;
-                return;
+                return Routed::Dropped;
             }
             node.host.on_packet(&pkt, now);
+            return Routed::Node(i);
         }
+        Routed::Dropped
     }
 
-    /// Drive every server.
-    pub fn tick(&mut self, now: SimTime) {
-        for node in &mut self.nodes {
-            node.app.tick(&mut node.host, now, &mut self.rng);
-            node.host.poll(now);
-        }
+    /// Drive server `i`: its application, then its host.
+    pub fn tick_node(&mut self, i: usize, now: SimTime) {
+        let node = &mut self.nodes[i];
+        node.app.tick(&mut node.host, now, &mut self.rng);
+        node.host.poll(now);
     }
 
-    /// Drain packets heading back toward the access network.
-    pub fn take_egress(&mut self, _now: SimTime) -> Vec<IpPacket> {
-        let mut out = core::mem::take(&mut self.dns_egress);
-        for node in &mut self.nodes {
-            while let Some(p) = node.host.pop_egress() {
-                out.push(p);
-            }
-        }
-        out
+    /// Earliest instant server `i` has work of its own.
+    pub fn node_wake(&mut self, i: usize) -> Option<SimTime> {
+        let node = &mut self.nodes[i];
+        earlier(node.app.next_wake(), node.host.next_wake())
     }
 
-    /// Earliest instant any server has work.
-    pub fn next_wake(&self) -> Option<SimTime> {
-        let mut wake = if self.dns_egress.is_empty() {
-            None
-        } else {
-            Some(SimTime::ZERO)
-        };
-        for node in &self.nodes {
-            wake = earlier(wake, node.host.next_wake());
-            wake = earlier(wake, node.app.next_wake());
+    /// Earliest instant the resolver has answers waiting to leave.
+    pub fn dns_wake(&self) -> Option<SimTime> {
+        (!self.dns_egress.is_empty()).then_some(SimTime::ZERO)
+    }
+
+    /// Append the resolver's queued answers to `out`.
+    pub fn take_dns_egress(&mut self, out: &mut Vec<IpPacket>) {
+        out.append(&mut self.dns_egress);
+    }
+
+    /// Append server `i`'s outgoing packets to `out`.
+    pub fn take_node_egress(&mut self, i: usize, out: &mut Vec<IpPacket>) {
+        while let Some(p) = self.nodes[i].host.pop_egress() {
+            out.push(p);
         }
-        wake
     }
 }
 
+/// Where [`Internet::route`] delivered a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Routed {
+    /// The resolver answered; the answer waits in its egress.
+    Dns,
+    /// Server `i`'s host took the packet.
+    Node(usize),
+    /// Dropped: unknown destination, DNS outage, server stall, or a query
+    /// the resolver could not answer.
+    Dropped,
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use netstack::dns::DNS_PORT;
 
     fn resolver() -> SocketAddr {
         SocketAddr::new(IpAddr::new(8, 8, 8, 8), DNS_PORT)
+    }
+
+    /// Tick every server and drain everything the internet sends back.
+    pub(crate) fn tick_all(net: &mut Internet, now: SimTime) -> Vec<IpPacket> {
+        let mut out = Vec::new();
+        net.take_dns_egress(&mut out);
+        for i in 0..net.nodes.len() {
+            net.tick_node(i, now);
+            net.take_node_egress(i, &mut out);
+        }
+        out
     }
 
     /// Pump packets between a client host and the internet with no links.
@@ -432,8 +483,7 @@ mod tests {
             for p in ups {
                 net.route(p, now);
             }
-            net.tick(now);
-            let downs = net.take_egress(now);
+            let downs = tick_all(net, now);
             let got = !downs.is_empty();
             for p in downs {
                 client.on_packet(&p, now);
@@ -519,8 +569,7 @@ mod tests {
             udp_payload: None,
             markers: Vec::new(),
         };
-        net.route(stray, SimTime::ZERO);
-        net.tick(SimTime::ZERO);
-        assert!(net.take_egress(SimTime::ZERO).is_empty());
+        assert_eq!(net.route(stray, SimTime::ZERO), Routed::Dropped);
+        assert!(tick_all(&mut net, SimTime::ZERO).is_empty());
     }
 }

@@ -1,12 +1,35 @@
 //! The composed scenario: one phone, the internet, and the glue.
 //!
-//! A [`World`] implements [`Tick`] so `simcore::run_until` can drive an
+//! A [`World`] implements [`Tick`] so `simcore::advance` can drive an
 //! entire experiment: the phone's stack and radio, the packet exchange with
 //! the internet hub, and every origin server.
+//!
+//! The world keeps one [`WakeCalendar`] with an entry per component:
+//!
+//! | ids            | component                                            |
+//! |----------------|------------------------------------------------------|
+//! | `4k .. 4k + 3` | phone `k` (0 = device under test, then peers): fault plan, link, app, host |
+//! | `4P + i`       | origin server `i` (its app and host)                 |
+//! | `4P + N`       | the resolver's answer queue                          |
+//!
+//! A step at instant `now` runs the due components in the order the
+//! poll-everything loop used to: each phone (faults, link, app, host, then
+//! its uplink into the internet), every due server, then the downlink back
+//! to the phones. A component is re-registered after its own tick and after
+//! every handoff into it, so a step never visits a component with nothing
+//! to do.
 
 use crate::phone::Phone;
-use crate::servers::Internet;
-use simcore::{earlier, SimTime, Tick};
+use crate::servers::{Internet, Routed};
+use netstack::IpPacket;
+use simcore::{ComponentId, SimTime, Tick, WakeCalendar};
+
+/// Calendar slots per phone.
+const PHONE_PARTS: usize = 4;
+const FAULTS: usize = 0;
+const LINK: usize = 1;
+const APP: usize = 2;
+const HOST: usize = 3;
 
 /// A phone attached to the internet, optionally alongside peer devices
 /// (the paper's two-device experiments: device B is `phone`, device A a
@@ -18,6 +41,10 @@ pub struct World {
     pub peers: Vec<Phone>,
     /// Everything on the far side of the access networks.
     pub internet: Internet,
+    cal: WakeCalendar,
+    /// Packets crossing between a phone and the internet in one step.
+    uplink: Vec<IpPacket>,
+    downlink: Vec<IpPacket>,
 }
 
 impl World {
@@ -27,6 +54,9 @@ impl World {
             phone,
             peers: Vec::new(),
             internet,
+            cal: WakeCalendar::default(),
+            uplink: Vec::new(),
+            downlink: Vec::new(),
         }
     }
 
@@ -35,57 +65,213 @@ impl World {
         self.peers.push(peer);
     }
 
-    /// Human-readable report of each component's next wake time, for
-    /// diagnosing livelocks (a component that keeps requesting immediate
-    /// work without making progress).
-    pub fn wake_report(&self) -> String {
-        let host = self.phone.host.next_wake();
-        let app = self.phone.app.next_wake();
-        let net = match &self.phone.net {
-            crate::phone::NetAttachment::Cell(b) => {
-                return format!(
-                    "host={host:?} app={app:?} internet={:?} bearer[{}]",
-                    self.internet.next_wake(),
-                    b.wake_report()
-                );
+    fn phones(&self) -> usize {
+        1 + self.peers.len()
+    }
+
+    fn node_id(&self, i: usize) -> ComponentId {
+        PHONE_PARTS * self.phones() + i
+    }
+
+    fn dns_id(&self) -> ComponentId {
+        self.node_id(self.internet.nodes.len())
+    }
+
+    /// Human-readable name of a calendar component.
+    fn component_name(&self, id: ComponentId) -> String {
+        let phones = self.phones();
+        if id < PHONE_PARTS * phones {
+            let device = match id / PHONE_PARTS {
+                0 => "phone".to_string(),
+                k => format!("peer[{}]", k - 1),
+            };
+            let part = ["faults", "link", "app", "host"][id % PHONE_PARTS];
+            return format!("{device}.{part}");
+        }
+        match self.internet.nodes.get(id - PHONE_PARTS * phones) {
+            Some(node) => format!("server {}", node.name),
+            None => "dns answers".to_string(),
+        }
+    }
+}
+
+/// Re-register every part of a phone.
+fn register_phone(cal: &mut WakeCalendar, base: ComponentId, phone: &mut Phone) {
+    cal.set(base + FAULTS, phone.faults_wake(), false);
+    register_link(cal, base, phone);
+    register_app(cal, base, phone);
+    register_host(cal, base, phone);
+}
+
+fn register_link(cal: &mut WakeCalendar, base: ComponentId, phone: &Phone) {
+    cal.set(base + LINK, phone.link_wake(), phone.link_follows());
+}
+
+fn register_app(cal: &mut WakeCalendar, base: ComponentId, phone: &Phone) {
+    cal.set(base + APP, phone.app_wake(), phone.app_follows());
+}
+
+fn register_host(cal: &mut WakeCalendar, base: ComponentId, phone: &mut Phone) {
+    cal.set(base + HOST, phone.host_wake(), false);
+}
+
+/// Run phone `k`'s due parts at `now` and route its uplink into the
+/// internet, whose servers have ids from `nodes` on.
+fn step_phone(
+    cal: &mut WakeCalendar,
+    nodes: ComponentId,
+    k: usize,
+    phone: &mut Phone,
+    internet: &mut Internet,
+    uplink: &mut Vec<IpPacket>,
+    now: SimTime,
+) {
+    let base = PHONE_PARTS * k;
+    if cal.is_due(base + FAULTS, now) {
+        phone.tick_faults(now);
+        register_phone(cal, base, phone);
+    }
+    let link_due = cal.is_due(base + LINK, now);
+    if link_due && phone.tick_link(now) {
+        register_app(cal, base, phone);
+        register_host(cal, base, phone);
+    }
+    if cal.is_due(base + APP, now) {
+        phone.tick_app(now);
+        register_app(cal, base, phone);
+        register_host(cal, base, phone);
+    }
+    let mut sent = false;
+    if cal.is_due(base + HOST, now) {
+        sent = phone.tick_host(now);
+        register_host(cal, base, phone);
+    }
+    if link_due {
+        // Uplink leaves the access network only when the link is due: its
+        // core pipe's arrivals are part of the link's wake.
+        phone.take_uplink(now, uplink);
+        for p in uplink.drain(..) {
+            match internet.route(p, now) {
+                Routed::Node(i) => cal.poke(nodes + i, now),
+                Routed::Dns => cal.poke(nodes + internet.nodes.len(), now),
+                Routed::Dropped => {}
             }
-            crate::phone::NetAttachment::Wifi { up, down } => {
-                simcore::earlier(up.next_wake(), down.next_wake())
-            }
-        };
-        let internet = self.internet.next_wake();
-        format!("host={host:?} app={app:?} net={net:?} internet={internet:?}")
+        }
+    }
+    if link_due || sent {
+        register_link(cal, base, phone);
     }
 }
 
 impl Tick for World {
     fn tick(&mut self, now: SimTime) {
-        self.phone.tick(now);
-        for p in self.phone.take_uplink(now) {
-            self.internet.route(p, now);
+        let World {
+            phone,
+            peers,
+            internet,
+            cal,
+            uplink,
+            downlink,
+        } = self;
+        let nodes = PHONE_PARTS * (1 + peers.len());
+        step_phone(cal, nodes, 0, phone, internet, uplink, now);
+        for (k, peer) in peers.iter_mut().enumerate() {
+            step_phone(cal, nodes, k + 1, peer, internet, uplink, now);
         }
-        for peer in &mut self.peers {
-            peer.tick(now);
-            for p in peer.take_uplink(now) {
-                self.internet.route(p, now);
+        // Servers, then their answers back toward the access networks: the
+        // resolver's first, then each server's in order.
+        let dns = nodes + internet.nodes.len();
+        if cal.is_due(dns, now) {
+            internet.take_dns_egress(downlink);
+            cal.set(dns, None, false);
+        }
+        for i in 0..internet.nodes.len() {
+            if cal.is_due(nodes + i, now) {
+                internet.tick_node(i, now);
+                internet.take_node_egress(i, downlink);
+                cal.set(nodes + i, internet.node_wake(i), false);
             }
         }
-        self.internet.tick(now);
-        for p in self.internet.take_egress(now) {
-            // Route downlink traffic to whichever device owns the address.
-            if p.dst.ip == self.phone.host.ip {
-                self.phone.deliver_downlink(p, now);
-            } else if let Some(peer) = self.peers.iter_mut().find(|peer| peer.host.ip == p.dst.ip) {
-                peer.deliver_downlink(p, now);
+        // Route downlink traffic to whichever device owns the address.
+        for p in downlink.drain(..) {
+            if p.dst.ip == phone.host.ip {
+                phone.deliver_downlink(p, now);
+                register_link(cal, 0, phone);
+            } else if let Some(k) = peers.iter().position(|peer| peer.host.ip == p.dst.ip) {
+                peers[k].deliver_downlink(p, now);
+                register_link(cal, PHONE_PARTS * (k + 1), &peers[k]);
             }
         }
     }
 
     fn next_wake(&self) -> Option<SimTime> {
-        let mut wake = earlier(self.phone.next_wake(), self.internet.next_wake());
-        for peer in &self.peers {
-            wake = earlier(wake, peer.next_wake());
+        self.cal.next()
+    }
+
+    /// Rebuild the calendar from every component's wake: components are
+    /// public and may have been changed since the last run (faults armed,
+    /// a UI event injected, peers or servers added).
+    fn resync(&mut self) {
+        let slots = self.dns_id() + 1;
+        if self.cal.len() != slots {
+            self.cal = WakeCalendar::new(slots);
         }
-        wake
+        register_phone(&mut self.cal, 0, &mut self.phone);
+        for (k, peer) in self.peers.iter_mut().enumerate() {
+            register_phone(&mut self.cal, PHONE_PARTS * (k + 1), peer);
+        }
+        for i in 0..self.internet.nodes.len() {
+            let id = self.node_id(i);
+            let wake = self.internet.node_wake(i);
+            self.cal.set(id, wake, false);
+        }
+        let dns = self.dns_id();
+        self.cal.set(dns, self.internet.dns_wake(), false);
+    }
+
+    fn due_report(&self, now: SimTime) -> String {
+        self.cal.report(now, |id| self.component_name(id))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::phone::{App, AppCx, NetAttachment, UiEvent};
+    use netstack::{IpAddr, SocketAddr};
+    use simcore::DetRng;
+
+    /// An app that asks for work at t = 0 forever and never does any.
+    struct Spinning;
+
+    impl App for Spinning {
+        fn name(&self) -> &'static str {
+            "spinning"
+        }
+        fn start(&mut self, _cx: &mut AppCx) {}
+        fn on_ui_event(&mut self, _ev: &UiEvent, _cx: &mut AppCx) {}
+        fn tick(&mut self, _cx: &mut AppCx) {}
+        fn next_wake(&self) -> Option<SimTime> {
+            Some(SimTime::ZERO)
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "livelock at 0.000000s: components keep requesting work: phone.app (wake 0.000000s)"
+    )]
+    fn livelock_panic_names_the_due_components() {
+        let mut rng = DetRng::seed_from_u64(1);
+        let resolver = SocketAddr::new(IpAddr::new(8, 8, 8, 8), 53);
+        let internet = Internet::new(resolver, rng.fork(1));
+        let phone = Phone::new(
+            IpAddr::new(10, 0, 0, 1),
+            resolver,
+            NetAttachment::wifi(&mut rng),
+            Box::new(Spinning),
+            rng.fork(2),
+        );
+        let mut world = World::new(phone, internet);
+        simcore::advance(&mut world, SimTime::ZERO, SimTime::from_secs(1));
     }
 }

@@ -11,7 +11,7 @@ use device::{
 };
 use netstack::dns::DNS_PORT;
 use netstack::{IpAddr, SocketAddr};
-use simcore::{run_until, DetRng, SimDuration, SimTime, Tick};
+use simcore::{advance, DetRng, SimDuration, SimTime};
 
 fn resolver() -> SocketAddr {
     SocketAddr::new(IpAddr::new(8, 8, 8, 8), DNS_PORT)
@@ -58,34 +58,13 @@ fn drive(world: &mut World, events: Vec<(SimTime, UiEvent)>, end: SimTime) {
     events.sort_by_key(|(t, _)| *t);
     let mut now = SimTime::ZERO;
     for (at, ev) in events {
-        // Advance to the injection time.
-        while now < at {
-            let next = world.next_wake().filter(|w| *w > now && *w <= at);
-            now = next.unwrap_or(at);
-            while world.next_wake().is_some_and(|w| w <= now) {
-                world.tick(now);
-            }
-        }
+        advance(world, now, at);
+        now = at;
+        // Injection marks the app due at `now`; settling runs its reaction.
         world.phone.inject_ui(&ev, now);
-        world.tick(now);
+        advance(world, now, now);
     }
-    // Finish the run.
-    let mut w = core::mem::replace(world, world_with(Box::new(NullApp), 0));
-    run_until(&mut w, end);
-    *world = w;
-}
-
-struct NullApp;
-impl App for NullApp {
-    fn name(&self) -> &'static str {
-        "null"
-    }
-    fn start(&mut self, _cx: &mut device::AppCx) {}
-    fn on_ui_event(&mut self, _ev: &UiEvent, _cx: &mut device::AppCx) {}
-    fn tick(&mut self, _cx: &mut device::AppCx) {}
-    fn next_wake(&self) -> Option<SimTime> {
-        None
-    }
+    advance(world, now, end);
 }
 
 #[test]

@@ -279,14 +279,15 @@ impl Pipe {
         self.inflight.push(arrival, pkt);
     }
 
-    /// Take every packet that has arrived by `now`.
-    pub fn deliver(&mut self, now: SimTime) -> Vec<IpPacket> {
+    /// Append every packet that has arrived by `now` to `out` (a buffer the
+    /// caller reuses across ticks). Returns how many were delivered.
+    pub fn deliver(&mut self, now: SimTime, out: &mut Vec<IpPacket>) -> usize {
         // Arrivals cluster at the serializer's grid instants; batch-drain
         // whole due buckets instead of paying a queue operation per packet.
-        self.arrivals.clear();
         let n = self.inflight.pop_due_batch(now, &mut self.arrivals);
         self.stats.delivered += n as u64;
-        self.arrivals.drain(..).map(|(_, pkt)| pkt).collect()
+        out.extend(self.arrivals.drain(..).map(|(_, pkt)| pkt));
+        n
     }
 
     /// Earliest pending arrival.
@@ -323,6 +324,12 @@ mod tests {
         }
     }
 
+    fn drain(p: &mut Pipe, now: SimTime) -> Vec<IpPacket> {
+        let mut out = Vec::new();
+        p.deliver(now, &mut out);
+        out
+    }
+
     fn rng() -> DetRng {
         DetRng::seed_from_u64(1)
     }
@@ -336,10 +343,12 @@ mod tests {
         let expected =
             SimDuration::from_secs_f64(1040.0 * 8.0 / 1e6) + SimDuration::from_millis(10);
         assert_eq!(p.next_wake(), Some(SimTime::ZERO + expected));
-        assert!(p
-            .deliver(SimTime::ZERO + expected - SimDuration::from_micros(1))
-            .is_empty());
-        assert_eq!(p.deliver(SimTime::ZERO + expected).len(), 1);
+        assert!(drain(
+            &mut p,
+            SimTime::ZERO + expected - SimDuration::from_micros(1)
+        )
+        .is_empty());
+        assert_eq!(drain(&mut p, SimTime::ZERO + expected).len(), 1);
     }
 
     #[test]
@@ -348,10 +357,10 @@ mod tests {
         let mut p = Pipe::new(cfg, rng());
         p.send(pkt(1, 960), SimTime::ZERO); // 1000 wire bytes -> 1000 us
         p.send(pkt(2, 960), SimTime::ZERO);
-        let first = p.deliver(SimTime::from_micros(1000));
+        let first = drain(&mut p, SimTime::from_micros(1000));
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].id, 1);
-        let second = p.deliver(SimTime::from_micros(2000));
+        let second = drain(&mut p, SimTime::from_micros(2000));
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].id, 2);
     }
@@ -395,7 +404,7 @@ mod tests {
         for i in 0..200 {
             p.send(pkt(i, 100), SimTime::from_micros(i * 10));
         }
-        let delivered = p.deliver(SimTime::from_secs(10));
+        let delivered = drain(&mut p, SimTime::from_secs(10));
         assert_eq!(delivered.len(), 200);
         let ids: Vec<u64> = delivered.iter().map(|p| p.id).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "reordered: {ids:?}");
@@ -453,8 +462,7 @@ mod tests {
         p.send(pkt(2, 100), SimTime::from_millis(1500)); // inside: dropped
         p.send(pkt(3, 100), SimTime::from_secs(2)); // at close: passes
         assert_eq!(p.stats.outage_dropped, 1);
-        let ids: Vec<u64> = p
-            .deliver(SimTime::from_secs(10))
+        let ids: Vec<u64> = drain(&mut p, SimTime::from_secs(10))
             .iter()
             .map(|q| q.id)
             .collect();
@@ -500,8 +508,7 @@ mod tests {
         // Mean run length of delivered ids tells us losses cluster: with
         // i.i.d. loss at the same rate, gaps of >=3 consecutive drops
         // would be rare; GE with mean burst 5 produces many.
-        let delivered: Vec<u64> = p
-            .deliver(SimTime::from_secs(10))
+        let delivered: Vec<u64> = drain(&mut p, SimTime::from_secs(10))
             .iter()
             .map(|q| q.id)
             .collect();

@@ -142,10 +142,10 @@ impl RateLimiter {
         }
     }
 
-    /// Release every queued packet whose tokens have accumulated by `now`.
-    pub fn take_ready(&mut self, now: SimTime) -> Vec<IpPacket> {
+    /// Append to `out` every queued packet whose tokens have accumulated by
+    /// `now`.
+    pub fn take_ready(&mut self, now: SimTime, out: &mut Vec<IpPacket>) {
         self.refill(now);
-        let mut out = Vec::new();
         while let Some(front) = self.queue.front() {
             let len = front.wire_len() as f64;
             if self.tokens < len {
@@ -157,7 +157,15 @@ impl RateLimiter {
             self.stats.passed += 1;
             out.push(pkt);
         }
-        out
+    }
+
+    /// True when the bucket is full and nothing is queued: a refill at any
+    /// later instant then changes nothing the limiter will ever do (it only
+    /// moves the refill stamp of a bucket that stays full). Otherwise each
+    /// refill rounds the token count at the instant it runs, so the owner
+    /// must keep calling at the same instants to reproduce a run.
+    pub fn is_settled(&self) -> bool {
+        self.queue.is_empty() && self.tokens >= self.cfg.bucket_bytes
     }
 
     /// When the head-of-line packet becomes eligible, if anything is queued.
@@ -195,6 +203,12 @@ impl RateLimiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ready(rl: &mut RateLimiter, now: SimTime) -> Vec<IpPacket> {
+        let mut out = Vec::new();
+        rl.take_ready(now, &mut out);
+        out
+    }
     use crate::addr::{IpAddr, SocketAddr};
     use crate::packet::Proto;
 
@@ -255,10 +269,10 @@ mod tests {
         // Head of line needs 1000 bytes = 0.1 s of tokens.
         let wake = rl.next_wake().expect("queued");
         assert_eq!(wake, SimTime::from_millis(100));
-        assert!(rl.take_ready(SimTime::from_millis(99)).is_empty());
-        assert_eq!(rl.take_ready(SimTime::from_millis(100)).len(), 1);
+        assert!(ready(&mut rl, SimTime::from_millis(99)).is_empty());
+        assert_eq!(ready(&mut rl, SimTime::from_millis(100)).len(), 1);
         // Remaining three release over the next 0.3 s.
-        assert_eq!(rl.take_ready(SimTime::from_millis(400)).len(), 3);
+        assert_eq!(ready(&mut rl, SimTime::from_millis(400)).len(), 3);
         assert_eq!(rl.queued_bytes(), 0);
     }
 
@@ -284,7 +298,7 @@ mod tests {
         for i in 0..64 {
             rl.offer(pkt(i, 960), SimTime::ZERO);
         }
-        let out = rl.take_ready(SimTime::from_secs(10));
+        let out = ready(&mut rl, SimTime::from_secs(10));
         let ids: Vec<u64> = out.iter().map(|p| p.id).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
@@ -305,7 +319,7 @@ mod tests {
                 }
                 next_id += 1;
             }
-            for p in rl.take_ready(t) {
+            for p in ready(&mut rl, t) {
                 passed_bytes += p.wire_len() as u64;
             }
             t = t + step;

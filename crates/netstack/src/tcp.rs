@@ -656,7 +656,13 @@ impl TcpSocket {
                 }
                 self.maybe_finish();
             }
-            TcpState::Closed => {}
+            // TIME_WAIT: a retransmitted FIN means our final ACK was lost;
+            // answer it again so the peer can close too.
+            TcpState::Closed => {
+                if hdr.flags.fin {
+                    self.need_ack = true;
+                }
+            }
         }
     }
 

@@ -154,14 +154,18 @@ proptest! {
             if let Some(p) = rl.offer(pkt, now) {
                 passed_bytes += p.wire_len() as u64;
             }
-            for p in rl.take_ready(now) {
+            let mut ready = Vec::new();
+            rl.take_ready(now, &mut ready);
+            for p in ready {
                 passed_bytes += p.wire_len() as u64;
             }
             let _ = rng.f64();
         }
         // Drain the shaping queue completely.
         let drain_until = now + SimDuration::from_secs(3600);
-        for p in rl.take_ready(drain_until) {
+        let mut ready = Vec::new();
+        rl.take_ready(drain_until, &mut ready);
+        for p in ready {
             passed_bytes += p.wire_len() as u64;
         }
         let elapsed = drain_until.as_secs_f64();

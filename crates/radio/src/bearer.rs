@@ -15,8 +15,8 @@
 //! browsing experiences in §7.7. Carrier throttling (§7.5) is a token-bucket
 //! [`RateLimiter`] applied at the base station.
 
-use crate::qxdm::{Qxdm, QxdmConfig};
-use crate::rlc::{RlcChannel, RlcConfig};
+use crate::qxdm::{Qxdm, QxdmConfig, StatusRecord};
+use crate::rlc::{PduEvent, RlcChannel, RlcConfig};
 use crate::rrc::{RadioTech, Rrc3gConfig, RrcConfig, RrcLteConfig, RrcMachine, RrcState};
 use netstack::link::{LinkConfig, Pipe};
 use netstack::pcap::Direction;
@@ -117,6 +117,11 @@ pub struct CellBearer {
     /// Diagnostic logger (QxDM substitute). Public so the collector can
     /// take the logs at the end of an experiment.
     pub qxdm: Qxdm,
+    /// Scratch buffers reused by every tick.
+    pkts: Vec<IpPacket>,
+    exits: Vec<(SimTime, IpPacket)>,
+    pdus: Vec<(SimTime, PduEvent)>,
+    statuses: Vec<(SimTime, StatusRecord)>,
 }
 
 impl CellBearer {
@@ -139,6 +144,10 @@ impl CellBearer {
             limiter_ul: cfg.limiter_ul.clone().map(RateLimiter::new),
             qxdm: Qxdm::new(cfg.qxdm.clone(), rng.fork(5)),
             cfg,
+            pkts: Vec::new(),
+            exits: Vec::new(),
+            pdus: Vec::new(),
+            statuses: Vec::new(),
         }
     }
 
@@ -217,18 +226,17 @@ impl CellBearer {
         self.from_internet.send(pkt, now);
     }
 
-    /// Packets that have fully traversed the downlink, ready for the phone.
-    pub fn recv_for_phone(&mut self, now: SimTime) -> Vec<IpPacket> {
-        self.dl
-            .take_exits(now)
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect()
+    /// Append to `out` the packets that have fully traversed the downlink,
+    /// ready for the phone.
+    pub fn recv_for_phone(&mut self, now: SimTime, out: &mut Vec<IpPacket>) {
+        self.dl.take_exits(now, &mut self.exits);
+        out.extend(self.exits.drain(..).map(|(_, p)| p));
     }
 
-    /// Packets that have fully traversed the uplink, ready for the internet.
-    pub fn recv_for_internet(&mut self, now: SimTime) -> Vec<IpPacket> {
-        self.to_internet.deliver(now)
+    /// Append to `out` the packets that have fully traversed the uplink,
+    /// ready for the internet.
+    pub fn recv_for_internet(&mut self, now: SimTime, out: &mut Vec<IpPacket>) {
+        self.to_internet.deliver(now, out);
     }
 
     fn rate_for(&self, dir: Direction) -> f64 {
@@ -247,8 +255,9 @@ impl CellBearer {
         self.rrc.tick(now);
 
         // Downlink arrivals from the core enter the limiter, then RLC.
-        let arrivals = self.from_internet.deliver(now);
-        for pkt in arrivals {
+        let mut arrivals = core::mem::take(&mut self.pkts);
+        self.from_internet.deliver(now, &mut arrivals);
+        for pkt in arrivals.drain(..) {
             let passed = match &mut self.limiter_dl {
                 Some(rl) => rl.offer(pkt, now),
                 None => Some(pkt),
@@ -260,7 +269,8 @@ impl CellBearer {
             }
         }
         if let Some(rl) = &mut self.limiter_dl {
-            for p in rl.take_ready(now) {
+            rl.take_ready(now, &mut arrivals);
+            for p in arrivals.drain(..) {
                 self.dl.enqueue(p, now);
                 let buffered = self.dl.queued_bytes().min(u32::MAX as u64) as u32;
                 self.rrc.on_data(buffered, now);
@@ -280,7 +290,8 @@ impl CellBearer {
         self.dl.poll(now, can_tx, dl_rate);
 
         // Uplink exits go through the (optional) limiter into the core.
-        for (at, pkt) in self.ul.take_exits(now) {
+        self.ul.take_exits(now, &mut self.exits);
+        for (at, pkt) in self.exits.drain(..) {
             let passed = match &mut self.limiter_ul {
                 Some(rl) => rl.offer(pkt, at),
                 None => Some(pkt),
@@ -290,23 +301,25 @@ impl CellBearer {
             }
         }
         if let Some(rl) = &mut self.limiter_ul {
-            for p in rl.take_ready(now) {
+            rl.take_ready(now, &mut arrivals);
+            for p in arrivals.drain(..) {
                 self.to_internet.send(p, now);
             }
         }
+        self.pkts = arrivals;
 
         // Feed the diagnostic logger, merging both directions in time order.
-        let mut pdus = self.ul.take_pdu_events(now);
-        pdus.extend(self.dl.take_pdu_events(now));
-        pdus.sort_by_key(|(at, _)| *at);
-        for (at, ev) in &pdus {
-            self.qxdm.observe_pdu(*at, ev);
+        self.ul.take_pdu_events(now, &mut self.pdus);
+        self.dl.take_pdu_events(now, &mut self.pdus);
+        self.pdus.sort_by_key(|(at, _)| *at);
+        for (at, ev) in self.pdus.drain(..) {
+            self.qxdm.observe_pdu(at, &ev);
         }
-        let mut statuses = self.ul.take_status_events(now);
-        statuses.extend(self.dl.take_status_events(now));
-        statuses.sort_by_key(|(at, _)| *at);
-        for (at, ev) in &statuses {
-            self.qxdm.observe_status(*at, ev);
+        self.ul.take_status_events(now, &mut self.statuses);
+        self.dl.take_status_events(now, &mut self.statuses);
+        self.statuses.sort_by_key(|(at, _)| *at);
+        for (at, ev) in self.statuses.drain(..) {
+            self.qxdm.observe_status(at, &ev);
         }
         for (at, tr) in self.rrc.take_transitions() {
             self.qxdm.observe_rrc(at, tr);
@@ -336,21 +349,18 @@ impl CellBearer {
         wake
     }
 
-    /// Per-component wake report for livelock diagnosis.
-    pub fn wake_report(&self) -> String {
-        let can_tx = self.rrc.can_transmit();
-        format!(
-            "rrc={:?}/{:?} ul={:?} dl={:?} to_inet={:?} from_inet={:?} lim_dl={:?} ul_backlog={} dl_backlog={}",
-            self.rrc.state(),
-            self.rrc.next_wake(),
-            self.ul.next_wake(can_tx),
-            self.dl.next_wake(can_tx),
-            self.to_internet.next_wake(),
-            self.from_internet.next_wake(),
-            self.limiter_dl.as_ref().map(|l| format!("{:?} {}", l.next_wake(), l.debug_state())),
-            self.ul.has_backlog(),
-            self.dl.has_backlog(),
-        )
+    /// True while a tick before [`CellBearer::next_wake`] is not a no-op,
+    /// so the owner must tick the bearer at every step of the run, as the
+    /// calendar's follower. Two couplings: queued data refreshes the RRC
+    /// inactivity timer at every tick (`on_data(0, now)`), and an unsettled
+    /// rate limiter refills its bucket at every tick, rounding the token
+    /// count at that instant.
+    pub fn follows_every_step(&self) -> bool {
+        let unsettled = |rl: &Option<RateLimiter>| rl.as_ref().is_some_and(|rl| !rl.is_settled());
+        self.ul.has_backlog()
+            || self.dl.has_backlog()
+            || unsettled(&self.limiter_dl)
+            || unsettled(&self.limiter_ul)
     }
 
     /// Counters for tests and reports: `(ul_pdus, dl_pdus)` transmitted.
@@ -391,9 +401,9 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..1_000_000 {
             bearer.tick(now);
-            for p in bearer.recv_for_internet(now) {
-                out.push((now, p));
-            }
+            let mut crossed = Vec::new();
+            bearer.recv_for_internet(now, &mut crossed);
+            out.extend(crossed.into_iter().map(|p| (now, p)));
             match bearer.next_wake() {
                 Some(w) if w <= now => continue,
                 Some(w) if w <= until => now = w,
@@ -444,7 +454,7 @@ mod tests {
         let mut got = Vec::new();
         for _ in 0..100_000 {
             b.tick(now);
-            got.extend(b.recv_for_phone(now));
+            b.recv_for_phone(now, &mut got);
             match b.next_wake() {
                 Some(w) if w <= now => continue,
                 Some(w) if w <= SimTime::from_secs(10) => now = w,
@@ -475,7 +485,8 @@ mod tests {
             let mut last = SimTime::ZERO;
             for _ in 0..1_000_000 {
                 b.tick(now);
-                let got = b.recv_for_phone(now);
+                let mut got = Vec::new();
+                b.recv_for_phone(now, &mut got);
                 if !got.is_empty() {
                     n += got.len();
                     last = now;
@@ -537,7 +548,7 @@ mod tests {
         let mut crossed = Vec::new();
         for _ in 0..100_000 {
             b.tick(now);
-            crossed.extend(b.recv_for_internet(now));
+            b.recv_for_internet(now, &mut crossed);
             match b.next_wake() {
                 Some(w) if w <= now => continue,
                 Some(w) if w <= SimTime::from_secs(30) => now = w,

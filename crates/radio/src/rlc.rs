@@ -25,7 +25,7 @@ use crate::qxdm::StatusRecord;
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use simcore::{earlier, DetRng, EventQueue, SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// RLC channel parameters (one direction).
 #[derive(Debug, Clone)]
@@ -142,8 +142,6 @@ struct QueuedPacket {
     cursor: usize,
     /// PDUs carrying this packet that have not yet been delivered.
     pdus_outstanding: u32,
-    /// All bytes have been segmented into PDUs.
-    fully_segmented: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -162,6 +160,18 @@ pub struct RlcChannel {
     dir: Direction,
     rng: DetRng,
     queue: VecDeque<QueuedPacket>,
+    /// Queue sequence number of the front packet: queued packet `k` has
+    /// sequence `front_seq + k`.
+    front_seq: u64,
+    /// Segmentation cursor: the first `segmented` queued packets are fully
+    /// segmented (segmentation runs strictly in queue order), the rest still
+    /// have bytes to send.
+    segmented: usize,
+    /// Bytes of queued packets not yet segmented into PDUs.
+    unsent_bytes: u64,
+    /// Packet id → how many queued packets carry it, and the queue
+    /// sequence number of the newest.
+    by_id: HashMap<u64, (u32, u64)>,
     busy_until: SimTime,
     next_sn: u32,
     pdus_since_poll: u32,
@@ -185,6 +195,10 @@ impl RlcChannel {
             dir,
             rng,
             queue: VecDeque::new(),
+            front_seq: 0,
+            segmented: 0,
+            unsent_bytes: 0,
+            by_id: HashMap::new(),
             busy_until: SimTime::ZERO,
             next_sn: 0,
             pdus_since_poll: 0,
@@ -224,26 +238,31 @@ impl RlcChannel {
     /// Accept an IP packet for transmission.
     pub fn enqueue(&mut self, pkt: IpPacket, _now: SimTime) {
         let wire = pkt.wire_view();
+        let seq = self.front_seq + self.queue.len() as u64;
+        let ids = self.by_id.entry(pkt.id).or_insert((0, seq));
+        *ids = (ids.0 + 1, seq);
+        self.unsent_bytes += wire.len() as u64;
         self.queue.push_back(QueuedPacket {
             pkt,
             wire,
             cursor: 0,
             pdus_outstanding: 0,
-            fully_segmented: false,
         });
     }
 
     /// Bytes waiting to be segmented (drives RRC promotion decisions).
     pub fn queued_bytes(&self) -> u64 {
-        self.queue
-            .iter()
-            .map(|q| (q.wire.len() - q.cursor) as u64)
-            .sum()
+        self.unsent_bytes
+    }
+
+    /// True when some queued packet still has bytes to segment.
+    fn has_unsegmented(&self) -> bool {
+        self.segmented < self.queue.len()
     }
 
     /// True when data or retransmissions are waiting for air time.
     pub fn has_backlog(&self) -> bool {
-        self.queue.iter().any(|q| !q.fully_segmented) || !self.retx.is_empty()
+        self.has_unsegmented() || !self.retx.is_empty()
     }
 
     /// Advance the channel: transmit PDUs while the transmitter is free and
@@ -261,7 +280,7 @@ impl RlcChannel {
                 self.transmit(now, rate_bps, r, true);
                 continue;
             }
-            if self.queue.iter().any(|q| !q.fully_segmented) {
+            if self.has_unsegmented() {
                 let pdu = self.build_pdu();
                 self.transmit(now, rate_bps, pdu, false);
                 continue;
@@ -279,20 +298,12 @@ impl RlcChannel {
         let mut li: Option<u16> = None;
         let mut filled = 0usize;
 
-        // Find the first packet with bytes left.
-        let mut idx = self
-            .queue
-            .iter()
-            .position(|q| !q.fully_segmented)
-            .expect("build_pdu called with backlog");
+        // The first packet with bytes left sits at the segmentation cursor.
+        debug_assert!(self.has_unsegmented(), "build_pdu called with backlog");
         while filled < target && covers_len < 2 {
-            let Some(q) = self.queue.get_mut(idx) else {
+            let Some(q) = self.queue.get_mut(self.segmented) else {
                 break;
             };
-            if q.fully_segmented {
-                idx += 1;
-                continue;
-            }
             let remaining = q.wire.len() - q.cursor;
             let take = remaining.min(target - filled);
             // Record the first two payload bytes of the PDU.
@@ -306,15 +317,15 @@ impl RlcChannel {
             q.cursor += take;
             q.pdus_outstanding += 1;
             filled += take;
+            self.unsent_bytes -= take as u64;
             if q.cursor == q.wire.len() {
-                q.fully_segmented = true;
+                self.segmented += 1;
                 li = Some(filled as u16);
                 // Concatenation: only continue into the next packet when
                 // using fixed-size PDUs (3G uplink) and space remains.
                 if self.cfg.fixed_payload.is_none() {
                     break;
                 }
-                idx += 1;
             } else {
                 break; // packet continues into the next PDU
             }
@@ -344,7 +355,7 @@ impl RlcChannel {
         self.pdus_transmitted += 1;
 
         self.pdus_since_poll += 1;
-        let end_of_burst = !self.queue.iter().any(|q| !q.fully_segmented) && self.retx.is_empty();
+        let end_of_burst = !self.has_unsegmented() && self.retx.is_empty();
         let poll = self.pdus_since_poll >= self.cfg.poll_interval || end_of_burst;
         if poll {
             self.pdus_since_poll = 0;
@@ -389,15 +400,32 @@ impl RlcChannel {
 
     /// Mark a delivered PDU's packets; emit packets whose PDUs are all in.
     fn complete_coverage(&mut self, pdu: &RetxPdu, delivered_at: SimTime) {
-        for (pkt_id, _) in pdu.covers.iter().take(pdu.covers_len as usize) {
-            if let Some(q) = self.queue.iter_mut().find(|q| q.pkt.id == *pkt_id) {
+        for &(pkt_id, _) in pdu.covers.iter().take(pdu.covers_len as usize) {
+            // The first queued packet carrying this id. Ids are unique in
+            // practice, so the index names it directly; a repeated id (a
+            // restarted host reusing its counter) falls back to the scan.
+            let pos = match self.by_id.get(&pkt_id) {
+                None => None,
+                Some(&(1, seq)) => Some((seq - self.front_seq) as usize),
+                Some(_) => self.queue.iter().position(|q| q.pkt.id == pkt_id),
+            };
+            if let Some(q) = pos.and_then(|i| self.queue.get_mut(i)) {
                 q.pdus_outstanding -= 1;
             }
         }
         // In-sequence delivery: pop completed packets from the head only.
         while let Some(head) = self.queue.front() {
-            if head.fully_segmented && head.pdus_outstanding == 0 {
+            if self.segmented > 0 && head.pdus_outstanding == 0 {
                 let q = self.queue.pop_front().expect("head exists");
+                self.segmented -= 1;
+                self.front_seq += 1;
+                match self.by_id.get_mut(&q.pkt.id) {
+                    Some((1, _)) => {
+                        self.by_id.remove(&q.pkt.id);
+                    }
+                    Some((n, _)) => *n -= 1,
+                    None => unreachable!("queued packets are indexed"),
+                }
                 let at = delivered_at.max(self.last_exit_at);
                 self.last_exit_at = at;
                 self.exits.push(at, q.pkt);
@@ -408,30 +436,24 @@ impl RlcChannel {
     }
 
     /// Packets fully delivered by `now`, with their delivery times.
-    pub fn take_exits(&mut self, now: SimTime) -> Vec<(SimTime, IpPacket)> {
-        let mut out = Vec::new();
-        while let Some((at, pkt)) = self.exits.pop_due(now) {
-            out.push((at, pkt));
+    pub fn take_exits(&mut self, now: SimTime, out: &mut Vec<(SimTime, IpPacket)>) {
+        while let Some(exit) = self.exits.pop_due(now) {
+            out.push(exit);
         }
-        out
     }
 
     /// PDU transmissions completed by `now` (diagnostics feed).
-    pub fn take_pdu_events(&mut self, now: SimTime) -> Vec<(SimTime, PduEvent)> {
-        let mut out = Vec::new();
-        while let Some((at, ev)) = self.pdu_events.pop_due(now) {
-            out.push((at, ev));
+    pub fn take_pdu_events(&mut self, now: SimTime, out: &mut Vec<(SimTime, PduEvent)>) {
+        while let Some(ev) = self.pdu_events.pop_due(now) {
+            out.push(ev);
         }
-        out
     }
 
     /// STATUS PDUs arrived by `now` (diagnostics feed).
-    pub fn take_status_events(&mut self, now: SimTime) -> Vec<(SimTime, StatusRecord)> {
-        let mut out = Vec::new();
-        while let Some((at, ev)) = self.status_events.pop_due(now) {
-            out.push((at, ev));
+    pub fn take_status_events(&mut self, now: SimTime, out: &mut Vec<(SimTime, StatusRecord)>) {
+        while let Some(ev) = self.status_events.pop_due(now) {
+            out.push(ev);
         }
-        out
     }
 
     /// Earliest instant this channel has work, given whether it may transmit.
@@ -439,7 +461,7 @@ impl RlcChannel {
         let mut wake = earlier(self.exits.next_at(), self.pdu_events.next_at());
         wake = earlier(wake, self.status_events.next_at());
         if can_tx {
-            if self.queue.iter().any(|q| !q.fully_segmented) {
+            if self.has_unsegmented() {
                 wake = earlier(wake, Some(self.busy_until));
             }
             wake = earlier(wake, self.retx.next_at().map(|t| t.max(self.busy_until)));
@@ -476,9 +498,11 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..1_000_000 {
             ch.poll(now, true, rate);
-            exits.extend(ch.take_exits(now));
-            pdus.extend(ch.take_pdu_events(now).into_iter().map(|(_, e)| e));
-            ch.take_status_events(now);
+            ch.take_exits(now, &mut exits);
+            let mut evs = Vec::new();
+            ch.take_pdu_events(now, &mut evs);
+            pdus.extend(evs.into_iter().map(|(_, e)| e));
+            ch.take_status_events(now, &mut Vec::new());
             match ch.next_wake(true) {
                 Some(w) if w > now => now = w,
                 Some(_) => continue,
@@ -623,13 +647,13 @@ mod tests {
         let mut statuses = 0;
         for _ in 0..10_000 {
             ch.poll(now, true, 1e6);
-            polls += ch
-                .take_pdu_events(now)
-                .iter()
-                .filter(|(_, e)| e.poll)
-                .count();
-            statuses += ch.take_status_events(now).len();
-            ch.take_exits(now);
+            let mut evs = Vec::new();
+            ch.take_pdu_events(now, &mut evs);
+            polls += evs.iter().filter(|(_, e)| e.poll).count();
+            let mut sts = Vec::new();
+            ch.take_status_events(now, &mut sts);
+            statuses += sts.len();
+            ch.take_exits(now, &mut Vec::new());
             match ch.next_wake(true) {
                 Some(w) if w > now => now = w,
                 Some(_) => continue,
@@ -646,7 +670,9 @@ mod tests {
         let mut ch = RlcChannel::new(cfg, Direction::Uplink, DetRng::seed_from_u64(1));
         ch.enqueue(pkt(1, 100), SimTime::ZERO);
         ch.poll(SimTime::ZERO, false, 1e6);
-        assert!(ch.take_pdu_events(SimTime::from_secs(10)).is_empty());
+        let mut evs = Vec::new();
+        ch.take_pdu_events(SimTime::from_secs(10), &mut evs);
+        assert!(evs.is_empty());
         assert!(ch.has_backlog());
         assert_eq!(ch.next_wake(false), None);
         assert!(ch.next_wake(true).is_some());

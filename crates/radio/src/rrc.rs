@@ -161,6 +161,7 @@ impl RrcConfig {
 }
 
 /// The live RRC state machine.
+#[derive(Debug)]
 pub struct RrcMachine {
     cfg: RrcConfig,
     state: RrcState,

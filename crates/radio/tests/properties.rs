@@ -33,9 +33,13 @@ fn drain(ch: &mut RlcChannel, rate: f64) -> (Vec<IpPacket>, Vec<radio::rlc::PduE
     let mut now = SimTime::ZERO;
     for _ in 0..5_000_000 {
         ch.poll(now, true, rate);
-        exits.extend(ch.take_exits(now).into_iter().map(|(_, p)| p));
-        pdus.extend(ch.take_pdu_events(now).into_iter().map(|(_, e)| e));
-        ch.take_status_events(now);
+        let mut out = Vec::new();
+        ch.take_exits(now, &mut out);
+        exits.extend(out.into_iter().map(|(_, p)| p));
+        let mut evs = Vec::new();
+        ch.take_pdu_events(now, &mut evs);
+        pdus.extend(evs.into_iter().map(|(_, e)| e));
+        ch.take_status_events(now, &mut Vec::new());
         match ch.next_wake(true) {
             Some(w) if w > now => now = w,
             Some(_) => continue,

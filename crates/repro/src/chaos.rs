@@ -20,7 +20,10 @@ use faults::{FaultKind, FaultLayer, FaultPlan, Window};
 use harness::{Campaign, Json, Record};
 use netstack::GilbertElliott;
 use qoe_doctor::replay::{self, PAGE_LOAD, VIDEO_INITIAL_LOADING};
-use qoe_doctor::{diagnose_worst, ControlError, Controller, RetryPolicy, WaitCondition};
+use qoe_doctor::{
+    diagnose_worst, Calendar, Collection, ControlError, Controller, Kernel, RetryPolicy,
+    WaitCondition,
+};
 use radio::{RadioTech, RrcState};
 use simcore::{SimDuration, SimTime};
 
@@ -138,16 +141,26 @@ fn attribute(crashes: u32, ui_frozen: bool, worst: Option<&qoe_doctor::Diagnosis
 
 const VIDEO_NAME: &str = "chaosvid";
 
-/// Run one video chaos cell: search, play one video under `plan`, recover
-/// as needed, and attribute the worst wait. Returns `Err` when the cell
-/// could not produce a measurement within its retry budget (crash loops).
-pub fn video_cell(
-    fault: String,
-    expected: Option<FaultLayer>,
-    plan: &FaultPlan,
-    net: NetKind,
-    seed: u64,
-) -> Result<ChaosRow, String> {
+/// What a chaos cell's controller session produced, before attribution.
+pub struct CellSession {
+    /// Everything the session recorded.
+    pub col: Collection,
+    /// Controller-level attempts the first measurement needed.
+    pub attempts: u32,
+    /// Whether the UI watchdog fired.
+    pub ui_frozen: bool,
+    /// App crashes suffered.
+    pub crashes: u32,
+    /// The first measured wait (calibrated seconds), or why none was taken.
+    pub measured: Result<f64, ControlError>,
+    /// Rebuffering ratio of the playback that followed (1.0 when the video
+    /// never loaded; 0.0 for page cells).
+    pub rebuffering: f64,
+}
+
+/// Record one video chaos session under `plan`, run by kernel `K`: search,
+/// play one video, and recover as needed.
+pub fn video_session<K: Kernel>(plan: &FaultPlan, net: NetKind, seed: u64) -> CellSession {
     let spec = VideoSpec {
         name: VIDEO_NAME.into(),
         duration: SimDuration::from_secs(60),
@@ -156,7 +169,7 @@ pub fn video_cell(
     // Full QxDM logging: radio attribution needs per-PDU records.
     let mut world = youtube_world(vec![spec], None, net, seed, false);
     plan.arm(&mut world);
-    let mut doctor = Controller::new(world)
+    let mut doctor = Controller::<K>::with_kernel(world)
         // The player UI only redraws on phase transitions, so an unstalled
         // 60 s playback is legitimately static for its full duration; the
         // threshold must clear that, or every healthy cell reads as frozen.
@@ -202,25 +215,47 @@ pub fn video_cell(
         );
     }
 
-    let (loading_s, rebuffering) = match &measured {
-        Ok(m) => {
-            let budget = SimDuration::from_secs(60) * 2 + SimDuration::from_secs(120);
-            let report = doctor.monitor_playback("video", budget);
-            ui_frozen |= report.ui_frozen;
-            (m.calibrated().as_secs_f64(), report.rebuffering_ratio())
-        }
-        Err(e) => {
-            if fault == "crash_loop" {
-                return Err(format!("no measurement after {attempts} attempts: {e}"));
-            }
-            (f64::NAN, 1.0)
-        }
-    };
-
+    let mut rebuffering = 1.0;
+    if measured.is_ok() {
+        let budget = SimDuration::from_secs(60) * 2 + SimDuration::from_secs(120);
+        let report = doctor.monitor_playback("video", budget);
+        ui_frozen |= report.ui_frozen;
+        rebuffering = report.rebuffering_ratio();
+    }
     let crashes = doctor.world.phone.crashes;
-    let col = doctor.collect();
-    let worst = diagnose_worst(&col);
-    let attributed = attribute(crashes, ui_frozen, worst.as_ref());
+    CellSession {
+        col: doctor.collect(),
+        attempts,
+        ui_frozen,
+        crashes,
+        measured: measured.map(|m| m.calibrated().as_secs_f64()),
+        rebuffering,
+    }
+}
+
+/// Run one video chaos cell: search, play one video under `plan`, recover
+/// as needed, and attribute the worst wait. Returns `Err` when the cell
+/// could not produce a measurement within its retry budget (crash loops).
+pub fn video_cell(
+    fault: String,
+    expected: Option<FaultLayer>,
+    plan: &FaultPlan,
+    net: NetKind,
+    seed: u64,
+) -> Result<ChaosRow, String> {
+    let session = video_session::<Calendar>(plan, net, seed);
+    let loading_s = match &session.measured {
+        Ok(loading_s) => *loading_s,
+        Err(e) if fault == "crash_loop" => {
+            return Err(format!(
+                "no measurement after {} attempts: {e}",
+                session.attempts
+            ));
+        }
+        Err(_) => f64::NAN,
+    };
+    let worst = diagnose_worst(&session.col);
+    let attributed = attribute(session.crashes, session.ui_frozen, worst.as_ref());
     // Report the worst user wait in the cell — a fault that spares the
     // initial loading still shows up through its rebuffer records.
     let latency_s = worst
@@ -232,25 +267,21 @@ pub fn video_cell(
         fault,
         expected: expected.map(FaultLayer::label),
         latency_s,
-        rebuffering,
-        attempts,
-        crashes,
-        ui_frozen,
+        rebuffering: session.rebuffering,
+        attempts: session.attempts,
+        crashes: session.crashes,
+        ui_frozen: session.ui_frozen,
         attributed,
         attribution_ok: expected.map(|l| l.label() == attributed),
     })
 }
 
-/// Run one page-load chaos cell on the default 3G machine.
-pub fn page_cell(
-    fault: String,
-    expected: Option<FaultLayer>,
-    plan: &FaultPlan,
-    seed: u64,
-) -> ChaosRow {
+/// Record one page-load chaos session under `plan` on the default 3G
+/// machine, run by kernel `K`: a retried load, then a fault-free one.
+pub fn page_session<K: Kernel>(plan: &FaultPlan, seed: u64) -> CellSession {
     let mut world = browser_world(BrowserConfig::chrome(), NetKind::Umts3g, seed);
     plan.arm(&mut world);
-    let mut doctor = Controller::new(world).with_watchdog(SimDuration::from_secs(20));
+    let mut doctor = Controller::<K>::with_kernel(world).with_watchdog(SimDuration::from_secs(20));
     doctor.advance(SimDuration::from_secs(2));
     let type_url = replay::type_url("http://www.example.com/");
     let policy = RetryPolicy {
@@ -279,9 +310,26 @@ pub fn page_cell(
     replay::load_page(&mut doctor, SimDuration::from_secs(60));
 
     let crashes = doctor.world.phone.crashes;
-    let col = doctor.collect();
-    let worst = diagnose_worst(&col);
-    let attributed = attribute(crashes, ui_frozen, worst.as_ref());
+    CellSession {
+        col: doctor.collect(),
+        attempts,
+        ui_frozen,
+        crashes,
+        measured: result.map(|(m, _)| m.calibrated().as_secs_f64()),
+        rebuffering: 0.0,
+    }
+}
+
+/// Run one page-load chaos cell on the default 3G machine.
+pub fn page_cell(
+    fault: String,
+    expected: Option<FaultLayer>,
+    plan: &FaultPlan,
+    seed: u64,
+) -> ChaosRow {
+    let session = page_session::<Calendar>(plan, seed);
+    let worst = diagnose_worst(&session.col);
+    let attributed = attribute(session.crashes, session.ui_frozen, worst.as_ref());
     ChaosRow {
         scenario: "page",
         fault,
@@ -291,9 +339,9 @@ pub fn page_cell(
             .map(|d| d.user_latency.as_secs_f64())
             .unwrap_or(0.0),
         rebuffering: 0.0,
-        attempts,
-        crashes,
-        ui_frozen,
+        attempts: session.attempts,
+        crashes: session.crashes,
+        ui_frozen: session.ui_frozen,
         attributed,
         attribution_ok: expected.map(|l| l.label() == attributed),
     }
@@ -301,7 +349,7 @@ pub fn page_cell(
 
 /// The video fault grid. Windows are placed to overlap the initial-loading
 /// and early-playback phases (click lands at ~15 s of sim time).
-fn video_grid() -> Vec<(&'static str, FaultPlan)> {
+pub fn video_grid() -> Vec<(&'static str, FaultPlan)> {
     let burst = GilbertElliott {
         good_to_bad: 0.05,
         bad_to_good: 0.3,
@@ -370,7 +418,7 @@ fn video_grid() -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// The page-load fault grid (first load starts at ~2 s of sim time).
-fn page_grid() -> Vec<(&'static str, FaultPlan)> {
+pub fn page_grid() -> Vec<(&'static str, FaultPlan)> {
     vec![
         ("baseline", FaultPlan::new()),
         (

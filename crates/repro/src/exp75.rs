@@ -12,7 +12,7 @@ use device::apps::VideoSpec;
 use qoe_doctor::analyze::app::playback_reports;
 use qoe_doctor::analyze::transport::{downlink_throughput, TransportReport};
 use qoe_doctor::replay::{self, VIDEO_INITIAL_LOADING};
-use qoe_doctor::{Collection, Controller};
+use qoe_doctor::{Calendar, Collection, Controller, Kernel};
 use simcore::{Cdf, DetRng, SimDuration};
 use std::fmt;
 
@@ -84,7 +84,11 @@ impl fmt::Display for WatchRun {
 
 /// Watch `count` randomly-chosen dataset videos on `net`.
 pub fn run_watch(net: NetKind, count: usize, seed: u64) -> WatchRun {
-    watch_run_from(&watch_session(net, count, seed), net.label(), count)
+    watch_run_from(
+        &watch_session::<Calendar>(net, count, seed),
+        net.label(),
+        count,
+    )
 }
 
 /// The pinned random video subset each watch session plays, independent of
@@ -102,11 +106,12 @@ fn picks(count: usize) -> Vec<VideoSpec> {
         .collect()
 }
 
-/// Record a watch session: play each picked video to the end (or timeout).
-fn watch_session(net: NetKind, count: usize, seed: u64) -> Collection {
+/// Record a watch session: play each picked video to the end (or timeout),
+/// run by kernel `K`.
+pub fn watch_session<K: Kernel>(net: NetKind, count: usize, seed: u64) -> Collection {
     let picks = picks(count);
     let world = youtube_world(video_dataset(11), None, net, seed ^ 0xBEE, true);
-    let mut doctor = Controller::new(world);
+    let mut doctor = Controller::<K>::with_kernel(world);
     doctor.advance(SimDuration::from_secs(5));
     // One search populates the results list for the whole session.
     replay::search_videos(&mut doctor);
@@ -180,7 +185,7 @@ pub fn staged_fig17(count: usize, seed: u64) -> harness::StagedCampaign<Collecti
             label,
             seed,
             cfg,
-            move || watch_session(net, count, seed),
+            move || watch_session::<Calendar>(net, count, seed),
             move |col: &Collection| watch_run_from(col, net.label(), count),
         );
     }
@@ -315,7 +320,7 @@ pub fn staged_sweep(
                 job_label,
                 job_seed,
                 cfg,
-                move || watch_session(net, videos_per_point, job_seed),
+                move || watch_session::<Calendar>(net, videos_per_point, job_seed),
                 move |col: &Collection| {
                     let run = watch_run_from(col, net.label(), videos_per_point);
                     let n = run.videos.len().max(1) as f64;

@@ -11,7 +11,7 @@ use crate::scenario::{browser_world, NetKind};
 use device::apps::BrowserConfig;
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
 use qoe_doctor::replay::{self, PAGE_LOAD};
-use qoe_doctor::{Collection, Controller};
+use qoe_doctor::{Calendar, Collection, Controller, Kernel};
 use simcore::{SimDuration, Summary};
 use std::fmt;
 
@@ -46,13 +46,18 @@ impl fmt::Display for PageLoadRun {
 /// Load the test page `reps` times from an idle radio.
 pub fn run_config(browser: BrowserConfig, net: NetKind, reps: usize, seed: u64) -> PageLoadRun {
     let name = browser.name;
-    page_load_run(&session(browser, net, reps, seed), name, net)
+    page_load_run(&session::<Calendar>(browser, net, reps, seed), name, net)
 }
 
-/// Record one (browser × machine) session.
-fn session(browser: BrowserConfig, net: NetKind, reps: usize, seed: u64) -> Collection {
+/// Record one (browser × machine) session, run by kernel `K`.
+pub fn session<K: Kernel>(
+    browser: BrowserConfig,
+    net: NetKind,
+    reps: usize,
+    seed: u64,
+) -> Collection {
     let world = browser_world(browser, net, seed);
-    let mut doctor = Controller::new(world);
+    let mut doctor = Controller::<K>::with_kernel(world);
     doctor.advance(SimDuration::from_secs(2));
     doctor.interact(&replay::type_url("http://www.example.com/"));
     for _ in 0..reps {
@@ -107,7 +112,7 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Pag
                 label,
                 seed,
                 cfg,
-                move || session(make(), net, reps, seed),
+                move || session::<Calendar>(make(), net, reps, seed),
                 move |col: &Collection| page_load_run(col, make().name, net),
             );
         }

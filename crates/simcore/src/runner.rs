@@ -1,25 +1,38 @@
-//! Poll-driven simulation loop.
+//! Event-driven simulation loop.
 //!
-//! Components are event-driven state machines in the smoltcp style: each one
-//! exposes *when* it next has work ([`Tick::next_wake`]) and a method to
-//! perform all work due at the current instant ([`Tick::tick`]). A scenario
-//! composes components into one root object and [`run_until`] advances the
-//! shared clock from wake to wake. Because ticking one sub-component can
-//! create same-instant work for another (a packet handed across a zero-cost
-//! boundary), the runner re-ticks at a fixed instant until the root reports
-//! no more work due, before letting time advance.
+//! Components are passive state machines in the smoltcp style: each one
+//! knows *when* it next has work and performs all work due at the current
+//! instant when ticked. A scenario composes its components into one root
+//! ([`Tick`]) that keeps their wakes in a [`WakeCalendar`], and [`advance`]
+//! moves the shared clock from calendar head to calendar head. At each
+//! instant the root is ticked once per settle step; a step runs only the
+//! components that are due, and a component that hands work to another
+//! (a packet crossing a zero-cost boundary) re-registers the receiver, so
+//! the calendar's head is exact after every step and is read once per step.
 
 use crate::time::SimTime;
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
-/// A pollable simulation component.
+/// A simulation root driven by [`advance`].
 pub trait Tick {
-    /// Perform all work due at or before `now`.
+    /// Run every component due at or before `now`.
     fn tick(&mut self, now: SimTime);
 
-    /// Earliest instant at which this component next has work, or `None`
+    /// Earliest instant at which some component next has work, or `None`
     /// when idle. May return instants `<= now` while same-instant work
-    /// remains.
+    /// remains. Only a tick (or [`Tick::resync`]) changes it.
     fn next_wake(&self) -> Option<SimTime>;
+
+    /// Re-read every component's wake. [`advance`] calls this once on entry,
+    /// because callers may mutate components directly between runs (inject a
+    /// fault, queue a UI event) without going through the root.
+    fn resync(&mut self) {}
+
+    /// The components due at `now`, for the livelock panic.
+    fn due_report(&self, now: SimTime) -> String {
+        format!("next wake {:?} at {now}", self.next_wake())
+    }
 }
 
 /// Combine two optional wake times into the earlier one.
@@ -31,31 +44,147 @@ pub fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     }
 }
 
-/// Maximum number of same-instant settle iterations before the runner
-/// declares a livelock. Generous; real cascades settle in a handful.
+/// Maximum number of same-instant settle steps before the runner declares a
+/// livelock. Generous; real cascades settle in a handful.
 const SETTLE_LIMIT: u32 = 100_000;
 
-/// Run `root` until the clock would pass `end` or the system goes idle.
-/// Returns the time of the last processed instant.
-pub fn run_until<T: Tick>(root: &mut T, end: SimTime) -> SimTime {
-    let mut now = SimTime::ZERO;
-    loop {
-        // Settle all work at the current instant.
-        let mut settles = 0;
-        while root.next_wake().is_some_and(|w| w <= now) {
-            crate::watchdog::observe(now);
-            root.tick(now);
-            settles += 1;
-            assert!(
-                settles < SETTLE_LIMIT,
-                "livelock at {now}: component keeps requesting work"
+/// Run `root` from `now` until nothing is due at or before `target`.
+/// Returns the last instant at which a step ran (`now` if none did).
+///
+/// Panics when one instant needs more than a generous number of steps (a
+/// component that keeps asking for same-instant work); the message lists
+/// the components due at the stuck instant.
+pub fn advance<T: Tick + ?Sized>(root: &mut T, mut now: SimTime, target: SimTime) -> SimTime {
+    root.resync();
+    let mut settles = 0u32;
+    while let Some(wake) = root.next_wake() {
+        if wake > target {
+            break;
+        }
+        if wake > now {
+            now = wake;
+            settles = 0;
+        }
+        crate::watchdog::observe(now);
+        root.tick(now);
+        settles += 1;
+        if settles >= SETTLE_LIMIT {
+            panic!(
+                "livelock at {now}: components keep requesting work: {}",
+                root.due_report(now)
             );
         }
-        // Advance to the next instant with work.
-        match root.next_wake() {
-            Some(w) if w <= end => now = w,
-            _ => return now,
+    }
+    now
+}
+
+/// Run `root` from t = 0 until the clock would pass `end` or the system goes
+/// idle. Returns the time of the last processed instant.
+pub fn run_until<T: Tick + ?Sized>(root: &mut T, end: SimTime) -> SimTime {
+    advance(root, SimTime::ZERO, end)
+}
+
+/// Dense id of a component registered in a [`WakeCalendar`]. Ids double as
+/// the run order at one instant: a root ticks due components by ascending
+/// id.
+pub type ComponentId = usize;
+
+/// One calendar keyed by `(wake time, component id)`.
+///
+/// Each component registers the instant it next has work. The head of the
+/// calendar is the next instant the root must tick. A component may also
+/// *follow* the root: it is then due at every step the root takes, whether
+/// or not its own wake has come, without making the root step by itself.
+/// That is the explicit registration for a component whose tick is not a
+/// no-op before its wake (it integrates over the instants it is ticked at).
+#[derive(Debug, Default, Clone)]
+pub struct WakeCalendar {
+    entries: BTreeSet<(SimTime, ComponentId)>,
+    wakes: Vec<Option<SimTime>>,
+    follows: Vec<bool>,
+}
+
+impl WakeCalendar {
+    /// A calendar for `n` components, all idle.
+    pub fn new(n: usize) -> WakeCalendar {
+        WakeCalendar {
+            entries: BTreeSet::new(),
+            wakes: vec![None; n],
+            follows: vec![false; n],
         }
+    }
+
+    /// Number of component slots.
+    pub fn len(&self) -> usize {
+        self.wakes.len()
+    }
+
+    /// True when the calendar has no component slots.
+    pub fn is_empty(&self) -> bool {
+        self.wakes.is_empty()
+    }
+
+    /// Register `id`'s next wake (replacing its previous one) and whether it
+    /// follows the root.
+    pub fn set(&mut self, id: ComponentId, wake: Option<SimTime>, follows: bool) {
+        let old = self.wakes[id];
+        if old != wake {
+            if let Some(t) = old {
+                self.entries.remove(&(t, id));
+            }
+            if let Some(t) = wake {
+                self.entries.insert((t, id));
+            }
+            self.wakes[id] = wake;
+        }
+        self.follows[id] = follows;
+    }
+
+    /// Make `id` due at `now` unless it already is (a handoff to it).
+    pub fn poke(&mut self, id: ComponentId, now: SimTime) {
+        if self.wakes[id].is_none_or(|w| w > now) {
+            let follows = self.follows[id];
+            self.set(id, Some(now), follows);
+        }
+    }
+
+    /// True when `id` runs in a step at `now`: its wake has come or it
+    /// follows the root.
+    pub fn is_due(&self, id: ComponentId, now: SimTime) -> bool {
+        self.follows[id] || self.wakes[id].is_some_and(|w| w <= now)
+    }
+
+    /// The head: the earliest registered wake.
+    pub fn next(&self) -> Option<SimTime> {
+        self.entries.first().map(|(t, _)| *t)
+    }
+
+    /// Every component due at `now`, by id, with its wake (`None` for a
+    /// follower whose own wake has not come).
+    pub fn due_at(&self, now: SimTime) -> Vec<(ComponentId, Option<SimTime>)> {
+        (0..self.wakes.len())
+            .filter(|&id| self.is_due(id, now))
+            .map(|id| (id, self.wakes[id].filter(|w| *w <= now)))
+            .collect()
+    }
+
+    /// Render [`WakeCalendar::due_at`] with a name per component.
+    pub fn report(&self, now: SimTime, name: impl Fn(ComponentId) -> String) -> String {
+        let mut out = String::new();
+        for (id, wake) in self.due_at(now) {
+            if !out.is_empty() {
+                out.push_str(", ");
+            }
+            match wake {
+                Some(w) => write!(out, "{} (wake {w})", name(id)),
+                None => write!(out, "{} (follows)", name(id)),
+            }
+            .expect("write to String");
+        }
+        if out.is_empty() {
+            out.push_str("nothing due");
+        }
+        out
     }
 }
 
@@ -120,6 +249,42 @@ mod tests {
     }
 
     #[test]
+    fn advance_resumes_from_a_later_instant() {
+        let mut p = Periodic {
+            q: EventQueue::new(),
+            fired: Vec::new(),
+        };
+        p.q.push(SimTime::from_secs(1), "main");
+        let now = SimTime::from_millis(1500);
+        let last = advance(&mut p, now, SimTime::from_secs(2));
+        // The overdue event runs at the current instant; its successor, due
+        // a second later, lies past the target.
+        assert_eq!(last, now);
+        assert_eq!(
+            p.fired,
+            vec![(SimTime::from_secs(1), "main"), (now, "follow")]
+        );
+        assert_eq!(p.next_wake(), Some(now + SimDuration::from_secs(1)));
+    }
+
+    struct Spinner;
+    impl Tick for Spinner {
+        fn tick(&mut self, _now: SimTime) {}
+        fn next_wake(&self) -> Option<SimTime> {
+            Some(SimTime::ZERO)
+        }
+        fn due_report(&self, _now: SimTime) -> String {
+            "spinner (wake 0)".into()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "livelock at 0.000000s: components keep requesting work: spinner")]
+    fn livelock_panic_lists_due_components() {
+        run_until(&mut Spinner, SimTime::from_secs(1));
+    }
+
+    #[test]
     fn earlier_combines() {
         let a = Some(SimTime::from_secs(1));
         let b = Some(SimTime::from_secs(2));
@@ -127,5 +292,36 @@ mod tests {
         assert_eq!(earlier(None, b), b);
         assert_eq!(earlier(a, None), a);
         assert_eq!(earlier(None, None), None);
+    }
+
+    #[test]
+    fn calendar_head_tracks_reregistration() {
+        let mut cal = WakeCalendar::new(3);
+        assert_eq!(cal.next(), None);
+        cal.set(0, Some(SimTime::from_secs(5)), false);
+        cal.set(2, Some(SimTime::from_secs(3)), false);
+        assert_eq!(cal.next(), Some(SimTime::from_secs(3)));
+        cal.set(2, Some(SimTime::from_secs(7)), false);
+        assert_eq!(cal.next(), Some(SimTime::from_secs(5)));
+        cal.set(0, None, false);
+        assert_eq!(cal.next(), Some(SimTime::from_secs(7)));
+        cal.poke(1, SimTime::from_secs(4));
+        assert_eq!(cal.next(), Some(SimTime::from_secs(4)));
+        // A poke never delays an earlier wake.
+        cal.poke(1, SimTime::from_secs(6));
+        assert!(cal.is_due(1, SimTime::from_secs(4)));
+    }
+
+    #[test]
+    fn followers_are_due_at_every_step_but_never_set_the_head() {
+        let mut cal = WakeCalendar::new(2);
+        cal.set(0, Some(SimTime::from_secs(2)), false);
+        cal.set(1, Some(SimTime::from_secs(9)), true);
+        assert_eq!(cal.next(), Some(SimTime::from_secs(2)));
+        let now = SimTime::from_secs(2);
+        assert!(cal.is_due(0, now) && cal.is_due(1, now));
+        assert_eq!(cal.due_at(now), vec![(0, Some(now)), (1, None)]);
+        let report = cal.report(now, |id| format!("c{id}"));
+        assert_eq!(report, "c0 (wake 2.000000s), c1 (follows)");
     }
 }
