@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use netstack::pcap::Direction;
-use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpConfig, TcpFlags, TcpHeader, TcpSocket};
+use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpFlags, TcpHeader, TcpSocket};
 use qoe_doctor::analyze::crosslayer::{
     long_jump_map, long_jump_map_with, net_latency_breakdown, reference, MapperOptions,
 };
@@ -24,7 +24,7 @@ fn bench_event_queue(c: &mut Criterion) {
                 q.push(SimTime::from_micros((i * 7919) % 100_000), i);
             }
             let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
+            while let Some((_, v)) = q.pop_due(SimTime::MAX) {
                 sum = sum.wrapping_add(v);
             }
             sum
@@ -58,9 +58,8 @@ fn bench_tcp_transfer(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(1_000_000));
     g.bench_function("tcp_transfer_1mb_lossless", |b| {
         b.iter(|| {
-            let mut client = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-            let mut server =
-                TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+            let mut client = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+            let mut server = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
             client.send(1_000_000);
             let mut id = 0u64;
             let now = SimTime::ZERO;

@@ -2,7 +2,7 @@
 //!
 //! Every cross-layer pass in §5.4 asks the same two questions of some
 //! timestamped event stream, over and over: *did anything happen strictly
-//! between `a` and `b`?* and *how much happened in `[a, b]`?* The naive
+//! between `a` and `b`?* and *what was the last event before `t`?* The naive
 //! answer — rescan the event vector per query — turns an O(n + m) analysis
 //! into O(n · m): the RTT/poll attribution in
 //! [`crate::analyze::crosslayer::net_latency_breakdown`] used to walk every
@@ -11,8 +11,7 @@
 //! The streams are already time-sorted (they come out of
 //! [`simcore::RecordLog`] windows), so each query is two binary searches.
 //! [`TimeIndex`] wraps a sorted timestamp vector with `partition_point`
-//! rank lookups; [`WeightedTimeIndex`] adds a prefix-summed byte counter so
-//! windowed volume queries are O(log n) instead of a rescan.
+//! rank lookups.
 
 use simcore::SimTime;
 
@@ -74,19 +73,6 @@ impl TimeIndex {
         self.count_in_open(a, b) > 0
     }
 
-    /// Number of events inside the closed interval `[a, b]`.
-    pub fn count_in_closed(&self, a: SimTime, b: SimTime) -> usize {
-        if b < a {
-            return 0;
-        }
-        self.rank_through(b).saturating_sub(self.rank_before(a))
-    }
-
-    /// Earliest event at or after `at`.
-    pub fn first_at_or_after(&self, at: SimTime) -> Option<SimTime> {
-        self.times.get(self.rank_before(at)).copied()
-    }
-
     /// Latest event at or before `at`.
     pub fn last_at_or_before(&self, at: SimTime) -> Option<SimTime> {
         let r = self.rank_through(at);
@@ -95,75 +81,6 @@ impl TimeIndex {
         } else {
             self.times.get(r - 1).copied()
         }
-    }
-}
-
-/// A [`TimeIndex`] with a weight per event (wire bytes, payload bytes, …),
-/// prefix-summed so any windowed total is two binary searches plus a
-/// subtraction.
-#[derive(Debug, Clone, Default)]
-pub struct WeightedTimeIndex {
-    index: TimeIndex,
-    /// `prefix[i]` = sum of weights of events `0..i`; `prefix.len()` is
-    /// `times.len() + 1`.
-    prefix: Vec<u64>,
-}
-
-impl WeightedTimeIndex {
-    /// Build from time-sorted `(time, weight)` pairs.
-    pub fn new(events: impl IntoIterator<Item = (SimTime, u64)>) -> WeightedTimeIndex {
-        let mut times = Vec::new();
-        let mut prefix = vec![0u64];
-        for (at, w) in events {
-            times.push(at);
-            let last = *prefix.last().expect("prefix starts non-empty");
-            prefix.push(last + w);
-        }
-        WeightedTimeIndex {
-            index: TimeIndex::new(times),
-            prefix,
-        }
-    }
-
-    /// Number of indexed events.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// The unweighted time index.
-    pub fn times(&self) -> &TimeIndex {
-        &self.index
-    }
-
-    /// Total weight over all events.
-    pub fn total_weight(&self) -> u64 {
-        *self.prefix.last().expect("prefix starts non-empty")
-    }
-
-    /// Sum of weights of events inside the closed interval `[a, b]` — the
-    /// "bytes on the wire during this QoE window" query.
-    pub fn weight_in_closed(&self, a: SimTime, b: SimTime) -> u64 {
-        if b < a {
-            return 0;
-        }
-        let lo = self.index.rank_before(a);
-        let hi = self.index.rank_through(b);
-        self.prefix[hi] - self.prefix[lo]
-    }
-
-    /// Sum of weights of events strictly inside the open interval `(a, b)`.
-    pub fn weight_in_open(&self, a: SimTime, b: SimTime) -> u64 {
-        if b <= a {
-            return 0;
-        }
-        let lo = self.index.rank_through(a);
-        let hi = self.index.rank_before(b);
-        self.prefix[hi] - self.prefix[lo]
     }
 }
 
@@ -205,20 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn closed_interval_counts_are_inclusive() {
-        let ix = idx(&[10, 20, 30]);
-        assert_eq!(ix.count_in_closed(t(10), t(30)), 3);
-        assert_eq!(ix.count_in_closed(t(11), t(29)), 1);
-        assert_eq!(ix.count_in_closed(t(30), t(10)), 0);
-        assert_eq!(ix.count_in_closed(t(20), t(20)), 1);
-    }
-
-    #[test]
     fn neighbour_lookups() {
         let ix = idx(&[10, 20, 30]);
-        assert_eq!(ix.first_at_or_after(t(15)), Some(t(20)));
-        assert_eq!(ix.first_at_or_after(t(20)), Some(t(20)));
-        assert_eq!(ix.first_at_or_after(t(31)), None);
         assert_eq!(ix.last_at_or_before(t(15)), Some(t(10)));
         assert_eq!(ix.last_at_or_before(t(10)), Some(t(10)));
         assert_eq!(ix.last_at_or_before(t(9)), None);
@@ -229,30 +134,6 @@ mod tests {
         let ix = TimeIndex::default();
         assert!(ix.is_empty());
         assert_eq!(ix.count_in_open(t(0), t(100)), 0);
-        assert_eq!(ix.first_at_or_after(t(0)), None);
         assert_eq!(ix.last_at_or_before(t(100)), None);
-    }
-
-    #[test]
-    fn weighted_windows_match_linear_sums() {
-        let events: Vec<(u64, u64)> = vec![(10, 100), (20, 50), (20, 25), (30, 7), (45, 1000)];
-        let wx = WeightedTimeIndex::new(events.iter().map(|(m, w)| (t(*m), *w)));
-        assert_eq!(wx.total_weight(), 1182);
-        for a in [0u64, 10, 15, 20, 30, 45, 50] {
-            for b in [0u64, 10, 20, 29, 30, 45, 100] {
-                let closed: u64 = events
-                    .iter()
-                    .filter(|(m, _)| *m >= a && *m <= b)
-                    .map(|(_, w)| *w)
-                    .sum();
-                let open: u64 = events
-                    .iter()
-                    .filter(|(m, _)| *m > a && *m < b)
-                    .map(|(_, w)| *w)
-                    .sum();
-                assert_eq!(wx.weight_in_closed(t(a), t(b)), closed, "closed [{a}, {b}]");
-                assert_eq!(wx.weight_in_open(t(a), t(b)), open, "open ({a}, {b})");
-            }
-        }
     }
 }

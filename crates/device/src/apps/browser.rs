@@ -13,24 +13,25 @@ use crate::rpc::Rpc;
 use crate::ui::View;
 use simcore::{EventQueue, SimDuration, SimTime};
 
-/// Browser parameters (page weight is a property of the page, connection
-/// handling a property of the browser).
+/// Main HTML document size of the test page.
+pub const HTML_BYTES: u64 = 58_000;
+/// Number of sub-resources (images, scripts, CSS) on the test page.
+pub const SUB_COUNT: u32 = 8;
+/// Bytes per sub-resource.
+pub const SUB_BYTES: u64 = 16_000;
+/// Request header size per fetch.
+pub const REQ_BYTES: u64 = 900;
+
+/// Browser parameters. Page weight is a property of the page, so it is
+/// fixed above; connection handling is a property of the browser.
 #[derive(Debug, Clone)]
 pub struct BrowserConfig {
     /// Browser product name.
     pub name: &'static str,
-    /// Main HTML document size.
-    pub html_bytes: u64,
-    /// Number of sub-resources (images, scripts, CSS).
-    pub sub_count: u32,
-    /// Bytes per sub-resource.
-    pub sub_bytes: u64,
     /// Maximum parallel connections.
     pub parallel: u32,
     /// Render time after the last resource arrives.
     pub render_delay: SimDuration,
-    /// Request header size per fetch.
-    pub req_bytes: u64,
 }
 
 impl BrowserConfig {
@@ -38,12 +39,8 @@ impl BrowserConfig {
     pub fn chrome() -> BrowserConfig {
         BrowserConfig {
             name: "chrome",
-            html_bytes: 58_000,
-            sub_count: 8,
-            sub_bytes: 16_000,
             parallel: 6,
             render_delay: SimDuration::from_millis(220),
-            req_bytes: 900,
         }
     }
 
@@ -53,7 +50,6 @@ impl BrowserConfig {
             name: "firefox",
             parallel: 5,
             render_delay: SimDuration::from_millis(260),
-            ..Self::chrome()
         }
     }
 
@@ -63,7 +59,6 @@ impl BrowserConfig {
             name: "internet",
             parallel: 4,
             render_delay: SimDuration::from_millis(320),
-            ..Self::chrome()
         }
     }
 }
@@ -122,7 +117,7 @@ impl BrowserApp {
 
     fn spawn_sub(&mut self, host_name: &str) -> Rpc {
         let tag = self.tag();
-        Rpc::new(host_name, 80, tag, self.cfg.req_bytes, self.cfg.sub_bytes)
+        Rpc::new(host_name, 80, tag, REQ_BYTES, SUB_BYTES)
     }
 }
 
@@ -158,7 +153,7 @@ impl App for BrowserApp {
                 let host_name = Self::host_of(&self.url_text);
                 cx.ui.set_visible(cx.now, "page_progress", true);
                 let tag = self.tag();
-                let rpc = Rpc::new(&host_name, 80, tag, self.cfg.req_bytes, self.cfg.html_bytes);
+                let rpc = Rpc::new(&host_name, 80, tag, REQ_BYTES, HTML_BYTES);
                 self.state = LoadState::Html(rpc);
             }
             _ => {}
@@ -180,22 +175,14 @@ impl App for BrowserApp {
             LoadState::Html(mut rpc) => {
                 if rpc.poll(cx.host, cx.now) {
                     let host_name = Self::host_of(&self.url_text);
-                    let first_wave = self.cfg.parallel.min(self.cfg.sub_count);
+                    let first_wave = self.cfg.parallel.min(SUB_COUNT);
                     let active: Vec<Rpc> = (0..first_wave)
                         .map(|_| self.spawn_sub(&host_name))
                         .collect();
-                    let remaining = self.cfg.sub_count - first_wave;
-                    if self.cfg.sub_count == 0 {
-                        let d = cx.rng.jittered(self.cfg.render_delay, 0.2);
-                        cx.cpu.app_busy += d;
-                        self.tasks.push(cx.now + d, BrowserTask::RenderDone);
-                        LoadState::Rendering
-                    } else {
-                        LoadState::Subs {
-                            active,
-                            remaining,
-                            host_name,
-                        }
+                    LoadState::Subs {
+                        active,
+                        remaining: SUB_COUNT - first_wave,
+                        host_name,
                     }
                 } else {
                     LoadState::Html(rpc)

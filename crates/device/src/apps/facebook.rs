@@ -37,6 +37,35 @@ pub enum FbVersion {
     ListView50,
 }
 
+/// Status post: uplink bytes.
+pub const STATUS_REQ: u64 = 2_400;
+/// Check-in post: uplink bytes.
+pub const CHECKIN_REQ: u64 = 3_400;
+/// Photo post: uplink bytes per photo.
+pub const PHOTO_REQ: u64 = 230_000;
+/// Server acknowledgement size for posts.
+pub const POST_RESP: u64 = 900;
+/// Pull-to-update request size.
+pub const FEED_REQ: u64 = 1_800;
+/// Pull-to-update response size (version-dependent; WebView needs
+/// HTML/CSS/layout, ListView only a compact delta — Finding 5).
+pub const FEED_RESP_WEBVIEW: u64 = 26_000;
+/// ListView pull-to-update response size.
+pub const FEED_RESP_LISTVIEW: u64 = 5_200;
+/// Background refresh: uplink bytes.
+pub const BG_REQ: u64 = 1_600;
+/// Background refresh: downlink bytes (non-time-sensitive content).
+pub const BG_RESP: u64 = 14_500;
+/// Device processing time to place a status post on the feed.
+pub const PROC_STATUS: SimDuration = SimDuration::from_millis(850);
+/// Device processing time for a check-in.
+pub const PROC_CHECKIN: SimDuration = SimDuration::from_millis(1_000);
+/// Device processing time after photo upload completes.
+pub const PROC_PHOTOS: SimDuration = SimDuration::from_millis(1_900);
+/// Feed-update parse/render time: WebView (iterated content fetching +
+/// HTML parsing on the main thread).
+pub const PROC_FEED_WEBVIEW: SimDuration = SimDuration::from_millis(900);
+
 /// Facebook app parameters.
 #[derive(Debug, Clone)]
 pub struct FacebookConfig {
@@ -53,34 +82,6 @@ pub struct FacebookConfig {
     pub post_server: String,
     /// Push channel hostname.
     pub push_server: String,
-    /// Status post: uplink bytes.
-    pub status_req: u64,
-    /// Check-in post: uplink bytes.
-    pub checkin_req: u64,
-    /// Photo post: uplink bytes per photo.
-    pub photo_req: u64,
-    /// Server acknowledgement size for posts.
-    pub post_resp: u64,
-    /// Pull-to-update request size.
-    pub feed_req: u64,
-    /// Pull-to-update response size (version-dependent; WebView needs
-    /// HTML/CSS/layout, ListView only a compact delta — Finding 5).
-    pub feed_resp_webview: u64,
-    /// ListView response size.
-    pub feed_resp_listview: u64,
-    /// Background refresh: uplink bytes.
-    pub bg_req: u64,
-    /// Background refresh: downlink bytes (non-time-sensitive content).
-    pub bg_resp: u64,
-    /// Device processing time to place a status post on the feed.
-    pub proc_status: SimDuration,
-    /// Device processing time for a check-in.
-    pub proc_checkin: SimDuration,
-    /// Device processing time after photo upload completes.
-    pub proc_photos: SimDuration,
-    /// Feed-update parse/render time: WebView (iterated content fetching +
-    /// HTML parsing on the main thread).
-    pub proc_feed_webview: SimDuration,
     /// Feed-update render time: ListView.
     pub proc_feed_listview: SimDuration,
 }
@@ -95,19 +96,6 @@ impl FacebookConfig {
             server: "api.facebook.com".to_string(),
             post_server: "graph.facebook.com".to_string(),
             push_server: "push.facebook.com".to_string(),
-            status_req: 2_400,
-            checkin_req: 3_400,
-            photo_req: 230_000,
-            post_resp: 900,
-            feed_req: 1_800,
-            feed_resp_webview: 26_000,
-            feed_resp_listview: 5_200,
-            bg_req: 1_600,
-            bg_resp: 14_500,
-            proc_status: SimDuration::from_millis(850),
-            proc_checkin: SimDuration::from_millis(1_000),
-            proc_photos: SimDuration::from_millis(1_900),
-            proc_feed_webview: SimDuration::from_millis(900),
             proc_feed_listview: SimDuration::from_millis(240),
         }
     }
@@ -121,20 +109,20 @@ impl FacebookConfig {
     fn feed_stages(&self) -> Vec<(u64, u64)> {
         match self.version {
             FbVersion::WebView18 => {
-                let total = self.feed_resp_webview;
+                let total = FEED_RESP_WEBVIEW;
                 vec![
-                    (self.feed_req, total * 5 / 10),
+                    (FEED_REQ, total * 5 / 10),
                     (900, total * 3 / 10),
                     (700, total - total * 5 / 10 - total * 3 / 10),
                 ]
             }
-            FbVersion::ListView50 => vec![(self.feed_req, self.feed_resp_listview)],
+            FbVersion::ListView50 => vec![(FEED_REQ, FEED_RESP_LISTVIEW)],
         }
     }
 
     fn proc_feed(&self) -> SimDuration {
         match self.version {
-            FbVersion::WebView18 => self.proc_feed_webview,
+            FbVersion::WebView18 => PROC_FEED_WEBVIEW,
             FbVersion::ListView50 => self.proc_feed_listview,
         }
     }
@@ -305,27 +293,21 @@ impl App for FacebookApp {
                     // Photo post: upload 2 photos; the item appears only
                     // after the server acknowledges (network on the critical
                     // path).
-                    let rpc = Rpc::new(
-                        &self.cfg.post_server,
-                        443,
-                        tag,
-                        2 * self.cfg.photo_req,
-                        self.cfg.post_resp,
-                    );
+                    let rpc = Rpc::new(&self.cfg.post_server, 443, tag, 2 * PHOTO_REQ, POST_RESP);
                     self.rpcs.push((FbRpc::PhotoUpload(text.clone()), rpc));
                 } else {
                     // Status / check-in: local echo after device processing;
                     // upload proceeds asynchronously.
                     let (req, proc) = if text.starts_with("checkin:") {
-                        (self.cfg.checkin_req, self.cfg.proc_checkin)
+                        (CHECKIN_REQ, PROC_CHECKIN)
                     } else {
-                        (self.cfg.status_req, self.cfg.proc_status)
+                        (STATUS_REQ, PROC_STATUS)
                     };
                     let proc = cx.rng.jittered(proc, 0.10);
                     cx.cpu.app_busy += proc;
                     self.tasks
                         .push(cx.now + proc, FbTask::ShowPost(text.clone()));
-                    let rpc = Rpc::new(&self.cfg.post_server, 443, tag, req, self.cfg.post_resp);
+                    let rpc = Rpc::new(&self.cfg.post_server, 443, tag, req, POST_RESP);
                     self.rpcs.push((FbRpc::PostUpload, rpc));
                 }
             }
@@ -361,13 +343,7 @@ impl App for FacebookApp {
                 }
                 FbTask::BgRefresh => {
                     let tag = self.tag();
-                    let rpc = Rpc::new(
-                        &self.cfg.server,
-                        443,
-                        tag,
-                        self.cfg.bg_req,
-                        self.cfg.bg_resp,
-                    );
+                    let rpc = Rpc::new(&self.cfg.server, 443, tag, BG_REQ, BG_RESP);
                     self.rpcs.push((FbRpc::Background, rpc));
                     if let Some(iv) = self.cfg.refresh_interval {
                         self.tasks.push(cx.now + iv, FbTask::BgRefresh);
@@ -388,7 +364,7 @@ impl App for FacebookApp {
             match kind {
                 FbRpc::PostUpload | FbRpc::Background => {}
                 FbRpc::PhotoUpload(text) => {
-                    let proc = cx.rng.jittered(self.cfg.proc_photos, 0.10);
+                    let proc = cx.rng.jittered(PROC_PHOTOS, 0.10);
                     cx.cpu.app_busy += proc;
                     self.tasks.push(cx.now + proc, FbTask::ShowPost(text));
                 }

@@ -4,10 +4,11 @@
 //! exclusive friend lists: device A posts on a schedule, device B receives
 //! the notifications. This headless app is device A: it uploads a status to
 //! the Facebook write origin every `interval`, with no UI interaction
-//! required.
+//! required. A post is the same size as the Facebook app's status post.
 
 use std::sync::Arc;
 
+use super::facebook::{POST_RESP, STATUS_REQ};
 use crate::phone::{App, AppCx, UiEvent};
 use crate::rpc::Rpc;
 use crate::ui::View;
@@ -16,38 +17,18 @@ use simcore::{SimDuration, SimTime};
 /// Configuration for the posting peer.
 #[derive(Debug, Clone)]
 pub struct PosterConfig {
-    /// Post period. `None` posts nothing (the "none" bar of Fig. 10).
-    pub interval: Option<SimDuration>,
-    /// Delay before the first post (de-phases from the receiver's timers).
-    pub first_post: Option<SimDuration>,
+    /// Post period.
+    pub interval: SimDuration,
     /// Write origin hostname.
     pub server: String,
-    /// Upload bytes per post.
-    pub post_bytes: u64,
-    /// Acknowledgement bytes.
-    pub ack_bytes: u64,
 }
 
 impl PosterConfig {
     /// Post a status every `interval`.
     pub fn every(interval: SimDuration) -> PosterConfig {
         PosterConfig {
-            interval: Some(interval),
-            first_post: Some(interval / 2 + SimDuration::from_secs(7)),
+            interval,
             server: "graph.facebook.com".to_string(),
-            post_bytes: 2_400,
-            ack_bytes: 900,
-        }
-    }
-
-    /// Never post.
-    pub fn silent() -> PosterConfig {
-        PosterConfig {
-            interval: None,
-            first_post: None,
-            server: "graph.facebook.com".to_string(),
-            post_bytes: 2_400,
-            ack_bytes: 900,
         }
     }
 }
@@ -88,27 +69,20 @@ impl App for FacebookPoster {
                 .with_child(View::new("TextView", "poster_status").with_text("idle"))]);
         });
         self.started = true;
-        if let (Some(first), Some(_)) = (self.cfg.first_post, self.cfg.interval) {
-            self.next_post = Some(cx.now + first);
-        }
+        // The first post is de-phased from the receiver's timers.
+        self.next_post = Some(cx.now + (self.cfg.interval / 2 + SimDuration::from_secs(7)));
     }
 
     fn on_ui_event(&mut self, _ev: &UiEvent, _cx: &mut AppCx) {}
 
     fn tick(&mut self, cx: &mut AppCx) {
-        if let (Some(at), Some(interval)) = (self.next_post, self.cfg.interval) {
+        if let Some(at) = self.next_post {
             if cx.now >= at {
                 self.next_tag = self.next_tag.wrapping_add(1).max(1);
-                let rpc = Rpc::new(
-                    &self.cfg.server,
-                    443,
-                    self.next_tag,
-                    self.cfg.post_bytes,
-                    self.cfg.ack_bytes,
-                );
+                let rpc = Rpc::new(&self.cfg.server, 443, self.next_tag, STATUS_REQ, POST_RESP);
                 self.rpcs.push(rpc);
                 self.posts += 1;
-                self.next_post = Some(at + interval);
+                self.next_post = Some(at + self.cfg.interval);
             }
         }
         let mut done = Vec::new();

@@ -44,6 +44,20 @@ impl VideoSpec {
     }
 }
 
+/// After this much ad playback a "Skip Ad" button appears. §4.2.2: the
+/// controller is configured to skip ads whenever users are given that option.
+pub const AD_SKIPPABLE_AFTER: SimDuration = SimDuration::from_secs(5);
+/// Media buffered before playback starts. YouTube-era players prebuffered
+/// aggressively: ~10 s of media before starting, ~5 s before resuming from a
+/// stall.
+pub const STARTUP_BUFFER: SimDuration = SimDuration::from_millis(10_000);
+/// Media buffered before a stall resumes.
+pub const RESUME_BUFFER: SimDuration = SimDuration::from_millis(5_000);
+/// Search request bytes.
+pub const SEARCH_REQ: u64 = 1_200;
+/// Search response bytes.
+pub const SEARCH_RESP: u64 = 9_000;
+
 /// YouTube app parameters.
 #[derive(Debug, Clone)]
 pub struct YouTubeConfig {
@@ -57,18 +71,6 @@ pub struct YouTubeConfig {
     pub api_server: String,
     /// Ad CDN hostname.
     pub ad_server: String,
-    /// After this much ad playback a "Skip Ad" button appears (`None` =
-    /// unskippable). §4.2.2: the controller is configured to skip ads
-    /// whenever users are given that option.
-    pub ad_skippable_after: Option<SimDuration>,
-    /// Seconds of media buffered before playback starts.
-    pub startup_buffer: SimDuration,
-    /// Seconds of media buffered before a stall resumes.
-    pub resume_buffer: SimDuration,
-    /// Search request bytes.
-    pub search_req: u64,
-    /// Search response bytes.
-    pub search_resp: u64,
 }
 
 impl Default for YouTubeConfig {
@@ -79,13 +81,6 @@ impl Default for YouTubeConfig {
             video_server: "video.youtube.com".to_string(),
             api_server: "api.youtube.com".to_string(),
             ad_server: "ads.youtube.com".to_string(),
-            ad_skippable_after: Some(SimDuration::from_secs(5)),
-            // YouTube-era players prebuffered aggressively: ~10 s of media
-            // before starting, ~5 s before resuming from a stall.
-            startup_buffer: SimDuration::from_millis(10_000),
-            resume_buffer: SimDuration::from_millis(5_000),
-            search_req: 1_200,
-            search_resp: 9_000,
         }
     }
 }
@@ -149,13 +144,6 @@ impl YouTubeApp {
         self.next_tag
     }
 
-    /// Playback phase for white-box assertions in tests.
-    pub fn is_finished(&self) -> bool {
-        self.player
-            .as_ref()
-            .is_some_and(|p| p.phase == Phase::Finished)
-    }
-
     fn start_playback(&mut self, name: &str, cx: &mut AppCx) {
         let Some(spec) = self.cfg.videos.iter().find(|v| v.name == name).cloned() else {
             return;
@@ -198,9 +186,6 @@ impl YouTubeApp {
 
     fn drive_player(&mut self, cx: &mut AppCx) {
         let video_server = self.cfg.video_server.clone();
-        let skippable_after = self.cfg.ad_skippable_after;
-        let startup_buffer = self.cfg.startup_buffer;
-        let resume_buffer = self.cfg.resume_buffer;
         let next_tag = {
             self.next_tag = self.next_tag.wrapping_add(1).max(1);
             self.next_tag
@@ -229,12 +214,10 @@ impl YouTubeApp {
                 let ad_received = ad_rpc.bytes_received(cx.host).min(ad_spec.total_bytes());
                 let ad_rate = ad_spec.bitrate_bps / 8.0;
                 p.ad_consumed = (p.ad_consumed + dt * ad_rate).min(ad_received as f64);
-                if let Some(after) = skippable_after {
-                    let eligible = p.ad_consumed >= ad_rate * after.as_secs_f64();
-                    let shown = cx.ui.root().find("skip_ad").is_some_and(|v| v.visible);
-                    if eligible && !shown {
-                        cx.ui.set_visible(cx.now, "skip_ad", true);
-                    }
+                let eligible = p.ad_consumed >= ad_rate * AD_SKIPPABLE_AFTER.as_secs_f64();
+                let shown = cx.ui.root().find("skip_ad").is_some_and(|v| v.visible);
+                if eligible && !shown {
+                    cx.ui.set_visible(cx.now, "skip_ad", true);
                 }
             }
             Phase::Playing => {
@@ -280,7 +263,7 @@ impl YouTubeApp {
                         cx.ui.set_text(cx.now, "player_status", "loading");
                         Some(Phase::Loading)
                     } else {
-                        let startup = ad_rate * startup_buffer.as_secs_f64();
+                        let startup = ad_rate * STARTUP_BUFFER.as_secs_f64();
                         let buffered = ad_received as f64 - p.ad_consumed;
                         match p.phase {
                             Phase::AdLoading if buffered >= startup || ad_received == ad_total => {
@@ -297,7 +280,7 @@ impl YouTubeApp {
                     }
                 }
                 Phase::Loading => {
-                    let startup = rate * startup_buffer.as_secs_f64();
+                    let startup = rate * STARTUP_BUFFER.as_secs_f64();
                     if p.main.is_some()
                         && (p.buffer_bytes(received) >= startup || received == total)
                     {
@@ -321,7 +304,7 @@ impl YouTubeApp {
                     }
                 }
                 Phase::Rebuffering => {
-                    let resume = rate * resume_buffer.as_secs_f64();
+                    let resume = rate * RESUME_BUFFER.as_secs_f64();
                     if p.buffer_bytes(received) >= resume || received == total {
                         cx.ui.set_visible(cx.now, "player_progress", false);
                         cx.ui.set_text(cx.now, "player_status", "playing");
@@ -368,11 +351,9 @@ impl YouTubeApp {
                     to_end
                 };
                 // Wake when the skip button becomes eligible, too.
-                if let Some(after) = skippable_after {
-                    let to_skip = ad_rate * after.as_secs_f64() - p.ad_consumed;
-                    if to_skip > 0.0 {
-                        horizon = horizon.min(to_skip);
-                    }
+                let to_skip = ad_rate * AD_SKIPPABLE_AFTER.as_secs_f64() - p.ad_consumed;
+                if to_skip > 0.0 {
+                    horizon = horizon.min(to_skip);
                 }
                 Some(cx.now + SimDuration::from_secs_f64((horizon / ad_rate).max(0.005)))
             }
@@ -418,8 +399,8 @@ impl App for YouTubeApp {
                     &self.cfg.api_server,
                     443,
                     tag,
-                    self.cfg.search_req,
-                    self.cfg.search_resp,
+                    SEARCH_REQ,
+                    SEARCH_RESP,
                 ));
             }
             UiEvent::Click { target } => {

@@ -13,7 +13,7 @@
 use crate::ui::{UiTree, View, ViewSignature};
 use netstack::link::{LinkConfig, Pipe};
 use netstack::pcap::{Capture, Direction};
-use netstack::{Host, IpAddr, IpPacket, SocketAddr, TcpConfig};
+use netstack::{Host, IpAddr, IpPacket, SocketAddr};
 use radio::bearer::CellBearer;
 use simcore::{earlier, DetRng, SimDuration, SimTime};
 
@@ -48,17 +48,6 @@ pub struct CpuMeter {
     pub app_busy: SimDuration,
     /// CPU time spent by the QoE Doctor controller (UI tree parsing).
     pub controller_busy: SimDuration,
-}
-
-impl CpuMeter {
-    /// Controller overhead ratio: controller CPU over app CPU.
-    pub fn overhead_ratio(&self) -> f64 {
-        let app = self.app_busy.as_secs_f64();
-        if app == 0.0 {
-            return 0.0;
-        }
-        self.controller_busy.as_secs_f64() / app
-    }
 }
 
 /// Context handed to apps: everything on the device they may touch.
@@ -197,7 +186,7 @@ impl Phone {
     ) -> Phone {
         let ui = UiTree::new(View::new("FrameLayout", "root"), rng.fork(21));
         Phone {
-            host: Host::new(ip, resolver, TcpConfig::default()),
+            host: Host::new(ip, resolver),
             net,
             ui,
             app,
@@ -253,7 +242,7 @@ impl Phone {
         self.app.reset();
         // The process's sockets die with it; in-flight packets for them
         // are dropped by the fresh stack like on a real NIC.
-        self.host = Host::new(self.ip, self.resolver, TcpConfig::default());
+        self.host = Host::new(self.ip, self.resolver);
         // Fresh ephemeral range per incarnation: the server still holds
         // flow state for the dead process's 4-tuples.
         self.host

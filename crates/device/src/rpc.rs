@@ -134,7 +134,7 @@ mod tests {
     use super::*;
     use crate::servers::{Internet, RpcServer};
     use netstack::dns::DNS_PORT;
-    use netstack::{IpAddr, SocketAddr, TcpConfig};
+    use netstack::{IpAddr, SocketAddr};
     use simcore::{DetRng, SimTime};
 
     #[test]
@@ -146,7 +146,7 @@ mod tests {
             IpAddr::new(93, 184, 0, 1),
             Box::new(RpcServer::new(&[443])),
         );
-        let mut phone_host = Host::new(IpAddr::new(10, 0, 0, 1), resolver, TcpConfig::default());
+        let mut phone_host = Host::new(IpAddr::new(10, 0, 0, 1), resolver);
 
         let mut rpc = Rpc::new("api.example.com", 443, 1, 2_000, 50_000);
         let now = SimTime::ZERO;

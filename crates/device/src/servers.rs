@@ -9,7 +9,7 @@
 
 use crate::proto::{self, Kind};
 use netstack::dns::DnsServer;
-use netstack::{Host, IpAddr, IpPacket, SockId, SocketAddr, TcpConfig};
+use netstack::{Host, IpAddr, IpPacket, SockId, SocketAddr};
 use simcore::{earlier, DetRng, SimDuration, SimTime};
 
 /// The first tick of a server app opens its listening ports, so a server
@@ -30,6 +30,9 @@ pub trait ServerApp {
     fn next_wake(&self) -> Option<SimTime>;
 }
 
+/// Jitter fraction of an [`RpcServer`]'s processing delay.
+const DELAY_JITTER: f64 = 0.3;
+
 /// Generic request/response server: listens on the given ports, accepts
 /// connections, and answers request markers after a configurable
 /// processing delay (origin/application time — this is the "server
@@ -41,7 +44,6 @@ pub struct RpcServer {
     /// The host's reaped-socket count when `conns` was last pruned.
     reaped_seen: u64,
     delay: SimDuration,
-    delay_jitter: f64,
     pending: simcore::EventQueue<(SockId, u16, u64)>,
 }
 
@@ -54,7 +56,6 @@ impl RpcServer {
             listening: false,
             reaped_seen: 0,
             delay: SimDuration::ZERO,
-            delay_jitter: 0.3,
             pending: simcore::EventQueue::new(),
         }
     }
@@ -62,12 +63,6 @@ impl RpcServer {
     /// Builder: add a mean per-request processing delay.
     pub fn with_delay(mut self, delay: SimDuration) -> RpcServer {
         self.delay = delay;
-        self
-    }
-
-    /// Builder: set the jitter fraction of the processing delay.
-    pub fn with_jitter(mut self, jitter: f64) -> RpcServer {
-        self.delay_jitter = jitter;
         self
     }
 
@@ -103,7 +98,7 @@ impl RpcServer {
                         host.sock_mut(s)
                             .send_marked(resp_bytes.max(1), proto::resp(tag));
                     } else {
-                        let d = rng.jittered(self.delay, self.delay_jitter);
+                        let d = rng.jittered(self.delay, DELAY_JITTER);
                         self.pending.push(now + d, (s, tag, resp_bytes));
                     }
                 }
@@ -370,7 +365,7 @@ impl Internet {
         self.dns.register(name, ip);
         self.nodes.push(ServerNode {
             name: name.to_string(),
-            host: Host::new(ip, self.dns.addr, TcpConfig::default()),
+            host: Host::new(ip, self.dns.addr),
             app,
         });
     }
@@ -502,7 +497,7 @@ pub(crate) mod tests {
             IpAddr::new(93, 184, 0, 1),
             Box::new(RpcServer::new(&[80])),
         );
-        let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver(), TcpConfig::default());
+        let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver());
         // DNS round.
         assert!(client.resolve("web.example.com", SimTime::ZERO).is_none());
         pump(&mut client, &mut net, SimTime::ZERO);
@@ -531,7 +526,7 @@ pub(crate) mod tests {
                 },
             )),
         );
-        let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver(), TcpConfig::default());
+        let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver());
         pump(&mut client, &mut net, SimTime::ZERO);
         client.resolve("push.fb.com", SimTime::ZERO);
         pump(&mut client, &mut net, SimTime::ZERO);

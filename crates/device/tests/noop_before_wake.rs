@@ -16,7 +16,7 @@ use device::{
     RpcServer, ServerApp, UiEvent, ViewSignature, World,
 };
 use netstack::dns::DNS_PORT;
-use netstack::{Host, IpAddr, IpPacket, SocketAddr, TcpConfig};
+use netstack::{Host, IpAddr, IpPacket, SocketAddr};
 use radio::bearer::{BearerConfig, CellBearer};
 use simcore::{advance, DetRng, SimDuration, SimTime};
 
@@ -32,7 +32,7 @@ fn server_run(app: Box<dyn ServerApp>, extra: Option<u64>) -> Vec<(SimTime, IpPa
     let mut net = Internet::new(resolver(), DetRng::seed_from_u64(3));
     net.add_server("origin.example", origin, app);
     let mut clients: Vec<Host> = (1..=2)
-        .map(|k| Host::new(IpAddr::new(10, 0, 0, k), resolver(), TcpConfig::default()))
+        .map(|k| Host::new(IpAddr::new(10, 0, 0, k), resolver()))
         .collect();
     let mut rng = extra.map(DetRng::seed_from_u64);
     let mut wire: Vec<(SimTime, IpPacket)> = Vec::new();
@@ -126,13 +126,7 @@ fn server_run(app: Box<dyn ServerApp>, extra: Option<u64>) -> Vec<(SimTime, IpPa
 fn server_tick_before_wake_is_a_noop() {
     let apps: [fn() -> Box<dyn ServerApp>; 4] = [
         || Box::new(RpcServer::new(&[443, 8883])),
-        || {
-            Box::new(
-                RpcServer::new(&[443, 8883])
-                    .with_delay(SimDuration::from_millis(120))
-                    .with_jitter(0.5),
-            )
-        },
+        || Box::new(RpcServer::new(&[443, 8883]).with_delay(SimDuration::from_millis(120))),
         || {
             Box::new(PushServer::new(
                 &[443, 8883],

@@ -84,7 +84,6 @@ pub struct Campaign<T> {
     pub name: String,
     jobs: Vec<Job<T>>,
     sim_cap: Option<SimTime>,
-    event_budget: Option<u64>,
     /// Shared record/analyze counters when this campaign was lowered from a
     /// [`crate::StagedCampaign`]; snapshotted into the run.
     pub(crate) stage_counters: Option<std::sync::Arc<crate::staged::StageCounters>>,
@@ -97,7 +96,6 @@ impl<T: Send> Campaign<T> {
             name: name.into(),
             jobs: Vec::new(),
             sim_cap: None,
-            event_budget: None,
             stage_counters: None,
         }
     }
@@ -108,14 +106,6 @@ impl<T: Send> Campaign<T> {
     /// campaign. The cap is simulated time, so it trips deterministically.
     pub fn sim_cap(&mut self, cap: SimDuration) -> &mut Self {
         self.sim_cap = Some(SimTime::ZERO + cap);
-        self
-    }
-
-    /// Arm a per-job event budget: a job that ticks more than `budget`
-    /// times is aborted the same way as a sim-time cap. Catches livelocks
-    /// that spin without advancing the clock.
-    pub fn event_budget(&mut self, budget: u64) -> &mut Self {
-        self.event_budget = Some(budget);
         self
     }
 
@@ -186,7 +176,6 @@ impl<T: Send> Campaign<T> {
             name,
             jobs,
             sim_cap,
-            event_budget,
             stage_counters,
         } = self;
         let n = jobs.len();
@@ -212,7 +201,7 @@ impl<T: Send> Campaign<T> {
                         .take()
                         .expect("job claimed twice");
                     let t0 = Instant::now();
-                    let (outcome, sim_secs) = execute(run, sim_cap, event_budget);
+                    let (outcome, sim_secs) = execute(run, sim_cap);
                     *done[idx].lock().unwrap() = Some(JobResult {
                         label,
                         seed,
@@ -239,13 +228,9 @@ impl<T: Send> Campaign<T> {
 
 /// Run a job once with the watchdog armed and panics caught; returns how
 /// it ended and the simulated seconds it measured.
-fn execute<T>(
-    run: Work<T>,
-    sim_cap: Option<SimTime>,
-    event_budget: Option<u64>,
-) -> (Outcome<T>, Option<f64>) {
+fn execute<T>(run: Work<T>, sim_cap: Option<SimTime>) -> (Outcome<T>, Option<f64>) {
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        let _guard = watchdog::arm(sim_cap, event_budget);
+        let _guard = sim_cap.map(watchdog::arm);
         run()
     }));
     match ran {
@@ -253,7 +238,7 @@ fn execute<T>(
         Ok(Err(reason)) => (Outcome::Faulted(reason), None),
         Err(payload) => match panic_message(payload.as_ref()) {
             // A watchdog trip is a *diagnosed* fault (the job overran its
-            // sim budget), not a bug in the job.
+            // sim-time cap), not a bug in the job.
             msg if watchdog::is_trip(&msg) => (Outcome::Faulted(msg), None),
             msg => (Outcome::Panicked(msg), None),
         },
@@ -473,20 +458,5 @@ pub(crate) mod tests {
             Outcome::Faulted(reason) if watchdog::is_trip(reason)
         ));
         assert_eq!(run.jobs[1].outcome.ok(), Some(&11));
-    }
-
-    #[test]
-    fn event_budget_catches_livelock_without_advancing_clock() {
-        let mut c: Campaign<u64> = Campaign::new("budget");
-        c.event_budget(10_000);
-        c.fallible_job("spinner", 1, || {
-            run_forever();
-            Ok(0)
-        });
-        let run = c.run(1);
-        assert!(matches!(
-            &run.jobs[0].outcome,
-            Outcome::Faulted(reason) if watchdog::is_trip(reason)
-        ));
     }
 }

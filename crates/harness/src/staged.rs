@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 use trace::{BundleArtifact, BundleMeta, Digest, FORMAT_VERSION};
 
 use crate::campaign::Campaign;
@@ -189,12 +189,11 @@ struct StagedJob<A, T> {
 /// A campaign whose jobs are split into record and analyze stages. Build
 /// with [`StagedCampaign::job`], then lower with
 /// [`StagedCampaign::into_campaign`] (inline / analyze / cached) or
-/// [`StagedCampaign::into_record_campaign`] (record only).
+/// [`StagedCampaign::into_record_campaign`] (record only). A caller that
+/// wants a sim-time cap sets [`Campaign::sim_cap`] on the lowered campaign.
 pub struct StagedCampaign<A, T> {
     name: String,
     jobs: Vec<StagedJob<A, T>>,
-    sim_cap: Option<SimDuration>,
-    event_budget: Option<u64>,
 }
 
 /// Content-addressed bundle directory of one job:
@@ -234,23 +233,7 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
         StagedCampaign {
             name: name.into(),
             jobs: Vec::new(),
-            sim_cap: None,
-            event_budget: None,
         }
-    }
-
-    /// Arm a per-job simulated-time watchdog for the modes that simulate
-    /// (inline, record, cache misses). See [`Campaign::sim_cap`].
-    pub fn sim_cap(&mut self, cap: SimDuration) -> &mut Self {
-        self.sim_cap = Some(cap);
-        self
-    }
-
-    /// Arm a per-job event budget for the modes that simulate. See
-    /// [`Campaign::event_budget`].
-    pub fn event_budget(&mut self, budget: u64) -> &mut Self {
-        self.event_budget = Some(budget);
-        self
     }
 
     /// Append a staged job. `config_digest` must cover every parameter
@@ -319,8 +302,7 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
     /// [`Campaign`] job that obtains its artifact the `obtain` way — under
     /// its content-addressed directory below `root`, if there is one —
     /// turns it into a row with `row`, and reports the artifact's end as
-    /// the simulated time it measured. The sim-time cap and event budget
-    /// are armed whenever the mode may simulate.
+    /// the simulated time it measured.
     fn lower<R: Send + 'static>(
         self,
         mode: &'static str,
@@ -330,14 +312,6 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
     ) -> Campaign<R> {
         let counters = StageCounters::new(mode);
         let mut c: Campaign<R> = Campaign::new(self.name.clone());
-        if obtain != Obtain::Load {
-            if let Some(cap) = self.sim_cap {
-                c.sim_cap(cap);
-            }
-            if let Some(budget) = self.event_budget {
-                c.event_budget(budget);
-            }
-        }
         c.stage_counters = Some(Arc::clone(&counters));
         for j in self.jobs {
             let cell = Cell {
@@ -455,7 +429,7 @@ mod tests {
     use super::*;
     use crate::campaign::tests::run_forever;
     use crate::campaign::{CampaignRun, Outcome};
-    use simcore::watchdog;
+    use simcore::{watchdog, SimDuration};
     use std::fs;
     use std::time::Duration;
     use trace::{BundleReader, BundleWriter, TraceError};
@@ -679,7 +653,6 @@ mod tests {
 
     fn runaway_staged() -> StagedCampaign<Blob, String> {
         let mut s: StagedCampaign<Blob, String> = StagedCampaign::new("staged/runaway");
-        s.sim_cap(SimDuration::from_secs(5));
         s.job(
             "runaway",
             1,
@@ -698,6 +671,12 @@ mod tests {
             |b: &Blob| format!("value={}", b.0),
         );
         s
+    }
+
+    /// A lowered campaign with a 5 s sim-time cap.
+    fn capped<R: Send>(mut c: Campaign<R>) -> Campaign<R> {
+        c.sim_cap(SimDuration::from_secs(5));
+        c
     }
 
     fn assert_runaway_faulted<R>(run: &CampaignRun<R>, mode: &str) {
@@ -722,16 +701,14 @@ mod tests {
         let bundles = tmp("runaway-record");
         let cache = tmp("runaway-cache");
         assert_runaway_faulted(
-            &runaway_staged().into_campaign(&StageMode::Inline).run(2),
+            &capped(runaway_staged().into_campaign(&StageMode::Inline)).run(2),
             "inline",
         );
         assert_runaway_faulted(
-            &runaway_staged().into_record_campaign(&bundles).run(2),
+            &capped(runaway_staged().into_record_campaign(&bundles)).run(2),
             "record",
         );
-        let miss = runaway_staged()
-            .into_campaign(&StageMode::Cached(cache.clone()))
-            .run(2);
+        let miss = capped(runaway_staged().into_campaign(&StageMode::Cached(cache.clone()))).run(2);
         assert_runaway_faulted(&miss, "cache miss");
         assert_eq!(miss.stages.unwrap().cache_misses, 2);
         let _ = fs::remove_dir_all(&bundles);

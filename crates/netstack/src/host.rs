@@ -18,10 +18,9 @@
 use crate::addr::{IpAddr, SocketAddr};
 use crate::dns;
 use crate::packet::{IpPacket, Proto};
-use crate::tcp::{TcpConfig, TcpSocket};
+use crate::tcp::TcpSocket;
 use simcore::{earlier, SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 /// Handle to a socket owned by a [`Host`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,9 +68,6 @@ struct Slot {
 pub struct Host {
     /// This host's address.
     pub ip: IpAddr,
-    /// Shared socket configuration: every socket holds an `Arc` to one
-    /// config, so connect/accept cost a refcount bump, not a struct clone.
-    cfg: Arc<TcpConfig>,
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
     /// Inbound demultiplexing: `(local, remote)` → socket.
@@ -100,10 +96,9 @@ pub struct Host {
 
 impl Host {
     /// New host at `ip` using `resolver` for DNS.
-    pub fn new(ip: IpAddr, resolver: SocketAddr, cfg: impl Into<Arc<TcpConfig>>) -> Host {
+    pub fn new(ip: IpAddr, resolver: SocketAddr) -> Host {
         Host {
             ip,
-            cfg: cfg.into(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             demux: HashMap::new(),
@@ -247,7 +242,7 @@ impl Host {
             self.next_ephemeral = self.next_ephemeral.wrapping_add(1).max(EPHEMERAL_BASE);
             let local = SocketAddr::new(self.ip, port);
             if !self.demux.contains_key(&(local, remote)) {
-                let sock = TcpSocket::connect(local, remote, Arc::clone(&self.cfg));
+                let sock = TcpSocket::connect(local, remote);
                 return self.insert(sock);
             }
         }
@@ -365,7 +360,7 @@ impl Host {
                 // New connection to a listening port?
                 let is_syn = pkt.tcp.is_some_and(|h| h.flags.syn && !h.flags.ack);
                 if is_syn && self.listen_ports.contains(&pkt.dst.port) {
-                    let sock = TcpSocket::accept_from_syn(pkt.dst, pkt.src, Arc::clone(&self.cfg));
+                    let sock = TcpSocket::accept_from_syn(pkt.dst, pkt.src);
                     let id = self.insert(sock);
                     self.accept_queues
                         .entry(pkt.dst.port)
@@ -536,16 +531,8 @@ mod tests {
 
     #[test]
     fn connect_and_transfer_through_hosts() {
-        let mut client = Host::new(
-            IpAddr::new(10, 0, 0, 1),
-            resolver_addr(),
-            TcpConfig::default(),
-        );
-        let mut server = Host::new(
-            IpAddr::new(31, 13, 0, 2),
-            resolver_addr(),
-            TcpConfig::default(),
-        );
+        let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver_addr());
+        let mut server = Host::new(IpAddr::new(31, 13, 0, 2), resolver_addr());
         server.listen(443);
         let dns = DnsServer::new(resolver_addr());
         let c = client.connect(SocketAddr::new(server.ip, 443));
@@ -559,16 +546,8 @@ mod tests {
 
     #[test]
     fn dns_resolution_round_trip() {
-        let mut client = Host::new(
-            IpAddr::new(10, 0, 0, 1),
-            resolver_addr(),
-            TcpConfig::default(),
-        );
-        let mut other = Host::new(
-            IpAddr::new(10, 0, 0, 9),
-            resolver_addr(),
-            TcpConfig::default(),
-        );
+        let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver_addr());
+        let mut other = Host::new(IpAddr::new(10, 0, 0, 9), resolver_addr());
         let mut dns = DnsServer::new(resolver_addr());
         dns.register("video.youtube.com", IpAddr::new(74, 125, 0, 3));
         assert!(client.resolve("video.youtube.com", SimTime::ZERO).is_none());
@@ -581,11 +560,7 @@ mod tests {
 
     #[test]
     fn dns_retries_until_answered() {
-        let mut client = Host::new(
-            IpAddr::new(10, 0, 0, 1),
-            resolver_addr(),
-            TcpConfig::default(),
-        );
+        let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver_addr());
         assert!(client.resolve("x.example", SimTime::ZERO).is_none());
         client.poll(SimTime::ZERO);
         assert_eq!(client.take_egress().len(), 1);
@@ -600,16 +575,8 @@ mod tests {
 
     #[test]
     fn syn_to_closed_port_is_ignored() {
-        let mut server = Host::new(
-            IpAddr::new(31, 13, 0, 2),
-            resolver_addr(),
-            TcpConfig::default(),
-        );
-        let mut client = Host::new(
-            IpAddr::new(10, 0, 0, 1),
-            resolver_addr(),
-            TcpConfig::default(),
-        );
+        let mut server = Host::new(IpAddr::new(31, 13, 0, 2), resolver_addr());
+        let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver_addr());
         let _c = client.connect(SocketAddr::new(server.ip, 9999));
         client.poll(SimTime::ZERO);
         for p in client.take_egress() {
@@ -625,11 +592,7 @@ mod tests {
 
     #[test]
     fn packets_for_other_hosts_are_dropped() {
-        let mut host = Host::new(
-            IpAddr::new(10, 0, 0, 1),
-            resolver_addr(),
-            TcpConfig::default(),
-        );
+        let mut host = Host::new(IpAddr::new(10, 0, 0, 1), resolver_addr());
         host.listen(80);
         let stray = IpPacket {
             id: 1,
@@ -654,11 +617,7 @@ mod tests {
 
     #[test]
     fn packet_ids_are_unique_per_host() {
-        let mut client = Host::new(
-            IpAddr::new(10, 0, 0, 1),
-            resolver_addr(),
-            TcpConfig::default(),
-        );
+        let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver_addr());
         let c1 = client.connect(SocketAddr::new(IpAddr::new(1, 1, 1, 1), 80));
         let c2 = client.connect(SocketAddr::new(IpAddr::new(1, 1, 1, 2), 80));
         client.sock_mut(c1).send(0);
@@ -673,11 +632,7 @@ mod tests {
     }
 
     fn host(last: u8) -> Host {
-        Host::new(
-            IpAddr::new(10, 0, 0, last),
-            resolver_addr(),
-            TcpConfig::default(),
-        )
+        Host::new(IpAddr::new(10, 0, 0, last), resolver_addr())
     }
 
     /// Deliver everything each host sends to the other, recording the

@@ -34,4 +34,4 @@ pub use link::{GilbertElliott, LinkConfig, Pipe};
 pub use packet::{IpPacket, Proto, TcpFlags, TcpHeader, WireView, HEADER_BYTES, MSS};
 pub use pcap::{Capture, Direction, PacketRecord};
 pub use shaper::{Discipline, RateLimiter, ShaperConfig};
-pub use tcp::{TcpConfig, TcpSocket, TcpState};
+pub use tcp::{TcpSocket, TcpState};

@@ -142,10 +142,6 @@ impl PipeFaults {
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
-
-    fn is_empty(&self) -> bool {
-        self.outages.is_empty() && self.spikes.is_empty() && self.burst.is_none()
-    }
 }
 
 /// One direction of a link.
@@ -210,11 +206,6 @@ impl Pipe {
         }
         self.faults.burst = Some((from, until, model));
         self.faults.burst_bad = false;
-    }
-
-    /// True when any fault is scheduled on this pipe.
-    pub fn has_faults(&self) -> bool {
-        !self.faults.is_empty()
     }
 
     /// Per-packet loss decision: the Gilbert–Elliott channel when inside

@@ -16,31 +16,13 @@ use crate::addr::SocketAddr;
 use crate::packet::{IpPacket, Proto, TcpFlags, TcpHeader, MSS};
 use simcore::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// Tunable TCP parameters.
-#[derive(Debug, Clone)]
-pub struct TcpConfig {
-    /// Maximum segment size (payload bytes per packet).
-    pub mss: u32,
-    /// Initial congestion window in segments.
-    pub init_cwnd_segs: u32,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Upper bound on the retransmission timeout.
-    pub max_rto: SimDuration,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: MSS,
-            init_cwnd_segs: 10,
-            min_rto: SimDuration::from_millis(400),
-            max_rto: SimDuration::from_secs(60),
-        }
-    }
-}
+/// Initial congestion window in segments (RFC 6928).
+pub const INIT_CWND_SEGS: u32 = 10;
+/// Lower bound on the retransmission timeout.
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(400);
+/// Upper bound on the retransmission timeout.
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 
 /// Connection lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +66,6 @@ pub struct TcpSocket {
     pub local: SocketAddr,
     /// Remote endpoint.
     pub remote: SocketAddr,
-    cfg: Arc<TcpConfig>,
     state: TcpState,
     /// True if this endpoint initiated the connection.
     initiator: bool,
@@ -144,39 +125,24 @@ pub struct TcpSocket {
 
 impl TcpSocket {
     /// New client socket (will send a SYN on first poll).
-    pub fn connect(
-        local: SocketAddr,
-        remote: SocketAddr,
-        cfg: impl Into<Arc<TcpConfig>>,
-    ) -> TcpSocket {
-        Self::new(local, remote, cfg.into(), true, TcpState::SynSent)
+    pub fn connect(local: SocketAddr, remote: SocketAddr) -> TcpSocket {
+        Self::new(local, remote, true, TcpState::SynSent)
     }
 
     /// New server socket answering an incoming SYN.
-    pub fn accept_from_syn(
-        local: SocketAddr,
-        remote: SocketAddr,
-        cfg: impl Into<Arc<TcpConfig>>,
-    ) -> TcpSocket {
-        let mut s = Self::new(local, remote, cfg.into(), false, TcpState::SynReceived);
+    pub fn accept_from_syn(local: SocketAddr, remote: SocketAddr) -> TcpSocket {
+        let mut s = Self::new(local, remote, false, TcpState::SynReceived);
         s.need_ack = true; // triggers the SYN-ACK
         s.rcv_nxt = 1; // the peer's SYN consumed its sequence 0
         s
     }
 
-    fn new(
-        local: SocketAddr,
-        remote: SocketAddr,
-        cfg: Arc<TcpConfig>,
-        initiator: bool,
-        state: TcpState,
-    ) -> TcpSocket {
-        let cwnd = (cfg.init_cwnd_segs * cfg.mss) as f64;
+    fn new(local: SocketAddr, remote: SocketAddr, initiator: bool, state: TcpState) -> TcpSocket {
+        let cwnd = (INIT_CWND_SEGS * MSS) as f64;
         let rto = 1.0; // RFC 6298 initial RTO of 1 s
         TcpSocket {
             local,
             remote,
-            cfg,
             state,
             initiator,
             syn_sent_at: None,
@@ -401,9 +367,7 @@ impl TcpSocket {
                 while self.can_send_data() {
                     let offset = self.snd_nxt - 1;
                     let room = self.window_room();
-                    let len = (self.cfg.mss as u64)
-                        .min(self.snd_queued - offset)
-                        .min(room) as u32;
+                    let len = (MSS as u64).min(self.snd_queued - offset).min(room) as u32;
                     if len == 0 {
                         break;
                     }
@@ -532,10 +496,8 @@ impl TcpSocket {
     }
 
     fn arm_rto(&mut self, now: SimTime) {
-        let rto = (self.rto * 2f64.powi(self.backoff as i32)).clamp(
-            self.cfg.min_rto.as_secs_f64(),
-            self.cfg.max_rto.as_secs_f64(),
-        );
+        let rto = (self.rto * 2f64.powi(self.backoff as i32))
+            .clamp(MIN_RTO.as_secs_f64(), MAX_RTO.as_secs_f64());
         self.rto_deadline = Some(now + SimDuration::from_secs_f64(rto));
     }
 
@@ -554,8 +516,8 @@ impl TcpSocket {
         // Timeout: collapse to one segment, back off, retransmit the oldest.
         self.stats.timeouts += 1;
         let flight = (self.snd_nxt - self.snd_una) as f64;
-        self.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
-        self.cwnd = self.cfg.mss as f64;
+        self.ssthresh = (flight / 2.0).max((2 * MSS) as f64);
+        self.cwnd = MSS as f64;
         self.backoff = (self.backoff + 1).min(10);
         self.dup_acks = 0;
         self.in_recovery = false;
@@ -682,7 +644,7 @@ impl TcpSocket {
             } else if self.cwnd < self.ssthresh {
                 self.cwnd += newly as f64; // slow start
             } else {
-                self.cwnd += (self.cfg.mss as f64) * (self.cfg.mss as f64) / self.cwnd;
+                self.cwnd += (MSS as f64) * (MSS as f64) / self.cwnd;
             }
             self.dup_acks = 0;
             self.backoff = 0;
@@ -699,11 +661,11 @@ impl TcpSocket {
         {
             self.dup_acks += 1;
             if self.in_recovery {
-                self.cwnd += self.cfg.mss as f64; // inflate during recovery
+                self.cwnd += MSS as f64; // inflate during recovery
             } else if self.dup_acks == 3 {
                 let flight = (self.snd_nxt - self.snd_una) as f64;
-                self.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
-                self.cwnd = self.ssthresh + 3.0 * self.cfg.mss as f64;
+                self.ssthresh = (flight / 2.0).max((2 * MSS) as f64);
+                self.cwnd = self.ssthresh + 3.0 * MSS as f64;
                 self.in_recovery = true;
                 self.recover = self.snd_nxt;
                 self.mark_first_for_retransmit(now);
@@ -849,8 +811,8 @@ mod tests {
 
     #[test]
     fn handshake_establishes_both_ends() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         pump(&mut c, &mut s, SimTime::ZERO);
         assert!(c.is_established());
         assert!(s.is_established());
@@ -858,8 +820,8 @@ mod tests {
 
     #[test]
     fn data_transfer_delivers_all_bytes() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         c.send(100_000);
         pump(&mut c, &mut s, SimTime::ZERO);
         assert_eq!(s.total_received(), 100_000);
@@ -870,8 +832,8 @@ mod tests {
 
     #[test]
     fn bidirectional_transfer() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         c.send(5_000);
         s.send(50_000);
         pump(&mut c, &mut s, SimTime::ZERO);
@@ -881,8 +843,8 @@ mod tests {
 
     #[test]
     fn take_consumes_receive_buffer() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         c.send(1_000);
         pump(&mut c, &mut s, SimTime::ZERO);
         assert_eq!(s.take(400), 400);
@@ -893,8 +855,8 @@ mod tests {
 
     #[test]
     fn close_exchanges_fins_and_closes() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         c.send(100);
         c.close();
         s.close();
@@ -906,8 +868,8 @@ mod tests {
 
     #[test]
     fn lost_segment_recovered_by_timeout() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         // Handshake.
         pump(&mut c, &mut s, SimTime::ZERO);
         // Send one segment and drop it.
@@ -937,9 +899,64 @@ mod tests {
     }
 
     #[test]
+    fn repeated_timeouts_back_off_between_min_and_max_rto() {
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
+        let mut id = 0u64;
+        let mut next_id = || {
+            id += 1;
+            id
+        };
+        // Handshake with a 62.5 ms RTT: the first estimate, srtt + 4·rttvar
+        // = 187.5 ms, lies below MIN_RTO (and is exact in binary, so the
+        // doubled intervals are exact microsecond counts).
+        let rtt = SimDuration::from_micros(62_500);
+        let mut out = Vec::new();
+        c.poll(SimTime::ZERO, &mut next_id, &mut out); // SYN
+        for p in out.drain(..) {
+            s.on_packet(&p, SimTime::ZERO);
+        }
+        s.poll(SimTime::ZERO, &mut next_id, &mut out); // SYN-ACK
+        let t = SimTime::ZERO + rtt;
+        for p in out.drain(..) {
+            c.on_packet(&p, t);
+        }
+        assert_eq!(c.srtt(), Some(rtt));
+        // One data segment; it and every retransmission of it are lost.
+        c.send(500);
+        c.poll(t, &mut next_id, &mut out);
+        let mut armed_at = t;
+        let mut intervals = Vec::new();
+        for _ in 0..14 {
+            let deadline = c.next_wake().expect("RTO armed while data is unacked");
+            intervals.push(deadline - armed_at);
+            assert!(c.on_timer(deadline));
+            assert!(c.take_retransmit(deadline, &mut next_id).is_some());
+            armed_at = deadline;
+        }
+        assert_eq!(c.stats.timeouts, 14);
+        assert!(intervals.iter().all(|iv| *iv >= MIN_RTO), "{intervals:?}");
+        assert_eq!(intervals[0], MIN_RTO, "187.5 ms is raised to the floor");
+        // Once above the floor, each timeout doubles the interval up to MAX_RTO.
+        let mut doubled = 0;
+        for w in intervals.windows(2) {
+            if w[0] > MIN_RTO {
+                assert_eq!(w[1], (w[0] * 2).min(MAX_RTO), "{intervals:?}");
+                doubled += 1;
+            }
+        }
+        assert!(doubled >= 10, "{intervals:?}");
+        assert_eq!(*intervals.iter().max().unwrap(), MAX_RTO);
+        assert!(
+            intervals[9..].iter().all(|iv| *iv == MAX_RTO),
+            "{intervals:?}"
+        );
+    }
+
+    #[test]
     fn triple_dup_ack_triggers_fast_retransmit() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         pump(&mut c, &mut s, SimTime::ZERO);
         c.send(5 * 1400);
         let mut id = 100u64;
@@ -970,8 +987,8 @@ mod tests {
 
     #[test]
     fn out_of_order_segments_reassemble() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         pump(&mut c, &mut s, SimTime::ZERO);
         c.send(3 * 1400);
         let mut id = 100u64;
@@ -993,8 +1010,8 @@ mod tests {
 
     #[test]
     fn rtt_estimate_tracks_delay() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         pump(&mut c, &mut s, SimTime::ZERO);
         c.send(1400);
         let mut id = 100u64;
@@ -1017,8 +1034,8 @@ mod tests {
 
     #[test]
     fn markers_deliver_at_stream_positions() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         c.send_marked(5_000, 71);
         c.send_marked(3_000, 72);
         pump(&mut c, &mut s, SimTime::ZERO);
@@ -1028,8 +1045,8 @@ mod tests {
 
     #[test]
     fn markers_survive_segment_loss() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         pump(&mut c, &mut s, SimTime::ZERO);
         c.send_marked(500, 99);
         let mut id = 500u64;
@@ -1058,8 +1075,8 @@ mod tests {
 
     #[test]
     fn cwnd_grows_in_slow_start() {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         pump(&mut c, &mut s, SimTime::ZERO);
         let before = c.cwnd;
         c.send(200 * 1400);

@@ -11,8 +11,7 @@
 
 use netstack::dns::{DnsServer, DNS_PORT};
 use netstack::{
-    Host, IpAddr, IpPacket, LinkConfig, Pipe, RateLimiter, ShaperConfig, SocketAddr, TcpConfig,
-    TcpSocket,
+    Host, IpAddr, IpPacket, LinkConfig, Pipe, RateLimiter, ShaperConfig, SocketAddr, TcpSocket,
 };
 use proptest::prelude::*;
 use simcore::{DetRng, SimDuration, SimTime};
@@ -50,8 +49,8 @@ fn service(s: &mut TcpSocket, now: SimTime, ids: &mut u64, out: &mut Vec<IpPacke
 /// packet. With `extra`, each socket is also serviced at an instant before
 /// its wake on every round. Returns the full packet transcript.
 fn tcp_transfer(bytes: u64, drop_one_in: u64, extra: Option<u64>) -> Vec<(SimTime, IpPacket)> {
-    let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-    let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+    let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+    let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
     c.send(bytes);
     let mut rng = extra.map(DetRng::seed_from_u64);
     let mut ids = 0u64;
@@ -146,8 +145,8 @@ fn host_exchange(drop_one_in: u64, extra: Option<u64>) -> Vec<(SimTime, IpPacket
     let mut dns = DnsServer::new(resolver);
     let server_ip = IpAddr::new(31, 13, 0, 2);
     dns.register("origin.example", server_ip);
-    let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver, TcpConfig::default());
-    let mut server = Host::new(server_ip, resolver, TcpConfig::default());
+    let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver);
+    let mut server = Host::new(server_ip, resolver);
     server.listen(443);
     let mut rng = extra.map(DetRng::seed_from_u64);
     let mut conns = Vec::new();

@@ -1,7 +1,7 @@
 //! Property-based tests for the network stack: TCP delivery under loss,
 //! marker semantics, and token-bucket conservation.
 
-use netstack::{IpAddr, IpPacket, RateLimiter, ShaperConfig, SocketAddr, TcpConfig, TcpSocket};
+use netstack::{IpAddr, IpPacket, RateLimiter, ShaperConfig, SocketAddr, TcpSocket};
 use proptest::prelude::*;
 use simcore::{DetRng, SimDuration, SimTime};
 
@@ -77,8 +77,8 @@ proptest! {
     /// lossless wire.
     #[test]
     fn tcp_delivers_exact_byte_counts(bytes in 1u64..300_000) {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         c.send(bytes);
         prop_assert!(pump_lossy(&mut c, &mut s, 0));
         prop_assert_eq!(s.total_received(), bytes);
@@ -92,8 +92,8 @@ proptest! {
         bytes in 1u64..120_000,
         drop_one_in in 4u64..40,
     ) {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         c.send(bytes);
         prop_assert!(pump_lossy(&mut c, &mut s, drop_one_in));
         prop_assert_eq!(s.total_received(), bytes);
@@ -106,8 +106,8 @@ proptest! {
         chunks in prop::collection::vec(1u64..20_000, 1..10),
         drop_one_in in 0u64..20,
     ) {
-        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80), TcpConfig::default());
-        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000), TcpConfig::default());
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
         for (i, len) in chunks.iter().enumerate() {
             c.send_marked(*len, 1000 + i as u64);
         }

@@ -7,7 +7,10 @@
 //!
 //! experiments:
 //!   table1 table2 table3 fig6 fig7 fig8 fig10 fig11 fig12 fig13
-//!   fig14 fig15 fig16 fig17 fig18 fig19 fig20 exp76 exp77 ablation chaos all
+//!   fig14 fig15 fig16 fig17 fig18 fig19 fig20 exp76 exp77 ablation
+//!   chaos monitor all
+//! other:
+//!   list
 //! ```
 //!
 //! Every experiment runs as a `harness` campaign: a grid of independent
@@ -242,10 +245,7 @@ fn main() -> ExitCode {
     let mut failed = 0usize;
     match what.as_str() {
         "all" => {
-            for name in [
-                "table1", "table2", "table3", "fig7", "fig10", "fig12", "fig14", "fig17", "fig18",
-                "fig19", "exp76", "exp77", "ablation",
-            ] {
+            for name in repro::cli::ALL {
                 failed += run(name, &opts);
             }
         }

@@ -51,3 +51,14 @@ fn list_prints_every_experiment_id() {
         assert!(ids.contains(id), "`list` is missing {id}:\n{stdout}");
     }
 }
+
+#[test]
+fn every_id_all_runs_is_a_listed_experiment() {
+    let ids: Vec<&str> = repro::cli::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    for id in repro::cli::ALL {
+        assert!(
+            ids.contains(id),
+            "`all` runs {id}, which `list` does not describe"
+        );
+    }
+}

@@ -15,15 +15,10 @@
 //! re-touching the map per event. Drained buckets are pooled and reused so
 //! steady-state operation performs no allocation.
 //!
-//! ## Determinism invariants
+//! ## Determinism invariant
 //!
 //! * Events pop in `(time, insertion order)` — FIFO tie-break at equal
 //!   instants, exactly like the previous `(SimTime, seq)` binary heap.
-//! * The push counter ([`EventQueue::seq_watermark`]) increments on every
-//!   push and is **not** reset by [`EventQueue::clear`]: a component that
-//!   clears and re-fills its queue (an app relaunch, a bearer tech switch)
-//!   continues the same deterministic push history rather than starting a
-//!   second, colliding one. Tests pin this invariant.
 
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -38,7 +33,6 @@ pub struct EventQueue<T> {
     /// Empty, capacity-retaining buckets ready for reuse.
     pool: Vec<VecDeque<T>>,
     len: usize,
-    next_seq: u64,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -54,13 +48,11 @@ impl<T> EventQueue<T> {
             buckets: BTreeMap::new(),
             pool: Vec::new(),
             len: 0,
-            next_seq: 0,
         }
     }
 
     /// Schedule `item` to fire at `at`.
     pub fn push(&mut self, at: SimTime, item: T) {
-        self.next_seq += 1;
         self.len += 1;
         self.buckets
             .entry(at)
@@ -123,17 +115,6 @@ impl<T> EventQueue<T> {
         n
     }
 
-    /// Pop the earliest event unconditionally.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let (&at, bucket) = self.buckets.iter_mut().next()?;
-        let item = bucket.pop_front().expect("buckets are never left empty");
-        self.len -= 1;
-        if bucket.is_empty() {
-            self.retire_front(at);
-        }
-        Some((at, item))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -142,28 +123,6 @@ impl<T> EventQueue<T> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events ever pushed. Survives [`EventQueue::clear`]
-    /// (see the module docs' determinism invariants); monotone over the
-    /// queue's lifetime.
-    pub fn seq_watermark(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Drop all pending events. The push-history watermark
-    /// ([`EventQueue::seq_watermark`]) is deliberately **kept**: clearing
-    /// abandons pending work but does not rewind the queue's deterministic
-    /// push history.
-    pub fn clear(&mut self) {
-        while let Some((&at, _)) = self.buckets.iter().next() {
-            let mut bucket = self.buckets.remove(&at).expect("front bucket exists");
-            bucket.clear();
-            if self.pool.len() < POOL_LIMIT {
-                self.pool.push(bucket);
-            }
-        }
-        self.len = 0;
     }
 }
 
@@ -182,10 +141,10 @@ mod tests {
         q.push(t(3), "c");
         q.push(t(1), "a");
         q.push(t(2), "b");
-        assert_eq!(q.pop().unwrap(), (t(1), "a"));
-        assert_eq!(q.pop().unwrap(), (t(2), "b"));
-        assert_eq!(q.pop().unwrap(), (t(3), "c"));
-        assert!(q.pop().is_none());
+        assert_eq!(q.pop_due(t(3)).unwrap(), (t(1), "a"));
+        assert_eq!(q.pop_due(t(3)).unwrap(), (t(2), "b"));
+        assert_eq!(q.pop_due(t(3)).unwrap(), (t(3), "c"));
+        assert!(q.pop_due(t(3)).is_none());
     }
 
     #[test]
@@ -195,7 +154,7 @@ mod tests {
             q.push(t(7), i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
+            assert_eq!(q.pop_due(t(7)).unwrap().1, i);
         }
     }
 
@@ -225,7 +184,7 @@ mod tests {
         q.push(t(2), 2);
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
-        q.clear();
+        q.pop_due_batch(t(2), &mut Vec::new());
         assert!(q.is_empty());
     }
 
@@ -253,7 +212,7 @@ mod tests {
             ]
         );
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap(), (t(3), "late"));
+        assert_eq!(q.pop_due(t(3)).unwrap(), (t(3), "late"));
     }
 
     #[test]
@@ -286,28 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_seq_watermark() {
-        // The determinism invariant: clearing abandons pending events but
-        // does not rewind the push history. A component that clears and
-        // re-fills (app relaunch, tech switch) continues the same
-        // deterministic lifetime rather than replaying push counts from 0.
-        let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.push(t(i), i);
-        }
-        assert_eq!(q.seq_watermark(), 5);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.seq_watermark(), 5, "clear() must keep the watermark");
-        q.push(t(9), 9);
-        assert_eq!(q.seq_watermark(), 6);
-        // And the queue still behaves FIFO after the clear.
-        q.push(t(9), 10);
-        assert_eq!(q.pop().unwrap().1, 9);
-        assert_eq!(q.pop().unwrap().1, 10);
-    }
-
-    #[test]
     fn bucket_pool_reuse_keeps_order_correct() {
         // Exercise retire/reuse heavily: repeated same-instant bursts.
         let mut q = EventQueue::new();
@@ -322,6 +259,5 @@ mod tests {
             assert_eq!(vals, expect);
         }
         assert!(q.is_empty());
-        assert_eq!(q.seq_watermark(), 400);
     }
 }

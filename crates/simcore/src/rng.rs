@@ -73,11 +73,6 @@ impl DetRng {
         self.normal(mean, sd).max(floor)
     }
 
-    /// Log-normal parameterized by the mean/sd of the underlying normal.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Exponential with the given mean (`mean = 1/lambda`).
     pub fn exponential(&mut self, mean: f64) -> f64 {
         -mean * self.f64().max(f64::MIN_POSITIVE).ln()
@@ -88,11 +83,6 @@ impl DetRng {
     pub fn jittered(&mut self, mean: SimDuration, jitter_frac: f64) -> SimDuration {
         let m = mean.as_secs_f64();
         SimDuration::from_secs_f64(self.normal_min(m, m * jitter_frac, m * 0.1))
-    }
-
-    /// Pick a uniformly random element of a slice. Panics on an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
     }
 
     /// Fisher–Yates shuffle.

@@ -6,26 +6,23 @@
 //! wall-clock timeouts are useless because they are nondeterministic, and
 //! the settle-limit assert only catches same-instant livelocks.
 //!
-//! The watchdog is a thread-local budget — a sim-time cap and an event
-//! (tick) budget — armed by the harness around each job attempt. The
-//! simulation loop reports progress through [`observe`]; when a budget is
-//! exceeded the watchdog panics with the [`PANIC_PREFIX`] marker, which the
-//! harness recognises and classifies as a *faulted* job rather than a
-//! programming error. Because the trip decision depends only on sim time
-//! and tick counts, a tripped job trips at exactly the same point on every
-//! rerun and under any worker count.
+//! The watchdog is a thread-local sim-time cap, armed by the harness while
+//! a job of a campaign with a cap runs. The simulation loop reports
+//! progress through [`observe`]; when the clock passes the cap the watchdog
+//! panics with the [`PANIC_PREFIX`] marker, which the harness recognises
+//! and classifies as a *faulted* job rather than a programming error.
+//! Because the trip decision depends only on sim time, a tripped job trips
+//! at exactly the same point on every rerun and under any worker count.
 
 use crate::time::SimTime;
 use std::cell::Cell;
 
 /// Panic-message prefix for watchdog trips. The harness uses this to tell
-/// "job exceeded its fault budget" apart from genuine panics.
+/// "job exceeded its sim-time cap" apart from genuine panics.
 pub const PANIC_PREFIX: &str = "sim-watchdog:";
 
 thread_local! {
     static CAP: Cell<Option<SimTime>> = const { Cell::new(None) };
-    static BUDGET: Cell<Option<u64>> = const { Cell::new(None) };
-    static TICKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// RAII guard for an armed watchdog; disarms on drop (including unwind).
@@ -36,37 +33,22 @@ pub struct SimGuard {
 impl Drop for SimGuard {
     fn drop(&mut self) {
         CAP.with(|c| c.set(None));
-        BUDGET.with(|b| b.set(None));
-        TICKS.with(|t| t.set(0));
     }
 }
 
-/// Arm the watchdog on the current thread. `sim_cap` bounds how far the
-/// simulated clock may advance; `event_budget` bounds how many observed
-/// ticks may elapse. `None` leaves that dimension unbounded.
-pub fn arm(sim_cap: Option<SimTime>, event_budget: Option<u64>) -> SimGuard {
-    CAP.with(|c| c.set(sim_cap));
-    BUDGET.with(|b| b.set(event_budget));
-    TICKS.with(|t| t.set(0));
+/// Arm the watchdog on the current thread: the simulated clock may not
+/// advance past `cap` until the returned guard drops.
+pub fn arm(cap: SimTime) -> SimGuard {
+    CAP.with(|c| c.set(Some(cap)));
     SimGuard { _private: () }
 }
 
-/// Report simulation progress. Panics with [`PANIC_PREFIX`] when an armed
-/// budget is exceeded; a no-op when the watchdog is disarmed.
+/// Report simulation progress. Panics with [`PANIC_PREFIX`] when the clock
+/// has passed the armed cap; a no-op when the watchdog is disarmed.
 pub fn observe(now: SimTime) {
     if let Some(cap) = CAP.with(|c| c.get()) {
         if now > cap {
             panic!("{PANIC_PREFIX} sim time {now} exceeded cap {cap}");
-        }
-    }
-    if let Some(budget) = BUDGET.with(|b| b.get()) {
-        let ticks = TICKS.with(|t| {
-            let n = t.get() + 1;
-            t.set(n);
-            n
-        });
-        if ticks > budget {
-            panic!("{PANIC_PREFIX} event budget {budget} exhausted at {now}");
         }
     }
 }
@@ -90,7 +72,7 @@ mod tests {
 
     #[test]
     fn sim_cap_trips_past_the_cap_and_disarms_on_drop() {
-        let guard = arm(Some(SimTime::from_secs(5)), None);
+        let guard = arm(SimTime::from_secs(5));
         observe(SimTime::from_secs(5)); // at the cap: fine
         let err = catch_unwind(AssertUnwindSafe(|| observe(SimTime::from_secs(6))))
             .expect_err("should trip");
@@ -98,17 +80,5 @@ mod tests {
         assert!(is_trip(msg), "unexpected message: {msg}");
         drop(guard);
         observe(SimTime::from_secs(100)); // disarmed again
-    }
-
-    #[test]
-    fn event_budget_trips_after_n_observations() {
-        let _guard = arm(None, Some(3));
-        for _ in 0..3 {
-            observe(SimTime::ZERO);
-        }
-        let err =
-            catch_unwind(AssertUnwindSafe(|| observe(SimTime::ZERO))).expect_err("should trip");
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(is_trip(msg));
     }
 }

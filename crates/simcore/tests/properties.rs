@@ -17,7 +17,7 @@ proptest! {
             times.iter().enumerate().map(|(i, t)| (*t, i)).collect();
         expected.sort_by_key(|(t, i)| (*t, *i)); // stable by construction order
         let mut got = Vec::new();
-        while let Some((at, i)) = q.pop() {
+        while let Some((at, i)) = q.pop_due(SimTime::MAX) {
             got.push((at.as_micros(), i));
         }
         prop_assert_eq!(got, expected);
