@@ -61,26 +61,6 @@ impl VisualProgress {
             .sum();
         Some(SimDuration::from_secs_f64(total / n))
     }
-
-    /// Visual completeness (0..=1) at `t`.
-    pub fn completeness_at(&self, t: SimTime) -> f64 {
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        let done = self.events.iter().filter(|(at, _)| *at <= t).count();
-        done as f64 / self.events.len() as f64
-    }
-
-    /// Time until completeness first reaches `q` (0..=1), if it does.
-    pub fn time_to_completeness(&self, q: f64) -> Option<SimDuration> {
-        if self.events.is_empty() {
-            return None;
-        }
-        let need = (q * self.events.len() as f64).ceil().max(1.0) as usize;
-        self.events
-            .get(need - 1)
-            .map(|(at, _)| at.saturating_since(self.start))
-    }
 }
 
 #[cfg(test)]
@@ -128,29 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn completeness_and_quantiles() {
-        let cam = camera(&[(100, "a"), (200, "b"), (300, "c"), (400, "d")]);
-        let vp = VisualProgress::of(&cam, t(0), t(1_000));
-        assert_eq!(vp.completeness_at(t(250)), 0.5);
-        assert_eq!(vp.completeness_at(t(50)), 0.0);
-        assert_eq!(vp.completeness_at(t(500)), 1.0);
-        assert_eq!(
-            vp.time_to_completeness(0.5),
-            Some(SimDuration::from_millis(200))
-        );
-        assert_eq!(
-            vp.time_to_completeness(1.0),
-            Some(SimDuration::from_millis(400))
-        );
-    }
-
-    #[test]
     fn empty_window_yields_none() {
         let cam = camera(&[(5_000, "late")]);
         let vp = VisualProgress::of(&cam, t(0), t(1_000));
         assert_eq!(vp.speed_index(), None);
-        assert_eq!(vp.time_to_completeness(0.5), None);
-        assert_eq!(vp.completeness_at(t(900)), 0.0);
     }
 
     #[test]

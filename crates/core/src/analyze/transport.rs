@@ -64,16 +64,6 @@ impl FlowStats {
             self.rtt_samples.iter().sum::<f64>() / self.rtt_samples.len() as f64,
         ))
     }
-
-    /// Mean downlink goodput over the flow's lifetime, bits per second.
-    pub fn dl_throughput_bps(&self) -> f64 {
-        let secs = self.duration().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.dl_payload as f64 * 8.0 / secs
-        }
-    }
 }
 
 /// The transport-layer report for a trace.
@@ -441,7 +431,7 @@ mod tests {
         let report = TransportReport::analyze(&trace);
         let f = &report.flows[0];
         assert_eq!(f.duration(), SimDuration::from_secs(1));
-        assert!((f.dl_throughput_bps() - 16_000.0).abs() < 1e-6);
+        assert_eq!(f.dl_payload, 2_000);
     }
 
     #[test]

@@ -388,7 +388,7 @@ impl App for YouTubeApp {
     fn on_ui_event(&mut self, ev: &UiEvent, cx: &mut AppCx) {
         match ev {
             UiEvent::TypeText { target, text } => {
-                if target.id.as_deref() == Some("search_box") {
+                if target.id == "search_box" {
                     self.search_text = text.clone();
                     cx.ui.set_text(cx.now, "search_box", text);
                 }

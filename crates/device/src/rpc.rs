@@ -68,11 +68,6 @@ impl Rpc {
         self.state
     }
 
-    /// True once the full response has arrived.
-    pub fn is_done(&self) -> bool {
-        self.state == RpcState::Done
-    }
-
     /// True until the first [`Rpc::poll`]: the request has not reached the
     /// stack yet, so the owning app must be ticked again even if no packet
     /// arrives.
@@ -165,7 +160,7 @@ mod tests {
                 break;
             }
         }
-        assert!(rpc.is_done());
+        assert_eq!(rpc.state(), RpcState::Done);
         assert_eq!(rpc.bytes_received(&phone_host), 50_000);
     }
 }

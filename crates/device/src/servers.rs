@@ -2,9 +2,9 @@
 //!
 //! Servers are marker-driven: a generic [`RpcServer`] answers any
 //! `Request(tag, resp_bytes)` marker with `resp_bytes` of payload tagged
-//! `Response(tag)`. The [`PushServer`] additionally keeps persistent
-//! "notification" connections (the Facebook MQTT-style channel) and pushes
-//! scheduled payloads down them — this simulates device A's posts reaching
+//! `Response(tag)`. The [`FacebookOrigin`] additionally keeps persistent
+//! "notification" connections (the Facebook MQTT-style channel) and relays
+//! each acknowledged post down them — this is how device A's posts reach
 //! device B in §7.3.
 
 use crate::proto::{self, Kind};
@@ -122,98 +122,8 @@ impl ServerApp for RpcServer {
     }
 }
 
-/// A scheduled push stream: every `interval`, send `bytes` down every
-/// subscribed connection.
-#[derive(Debug, Clone)]
-pub struct PushSchedule {
-    /// Push period. `None` disables pushes.
-    pub interval: Option<SimDuration>,
-    /// Payload bytes per push.
-    pub bytes: u64,
-    /// Delay from subscription to the first push. Defaults to `interval`;
-    /// set differently to de-phase pushes from other periodic activity.
-    pub offset: Option<SimDuration>,
-}
-
-/// RpcServer plus persistent push channels (Facebook origin).
-pub struct PushServer {
-    rpc: RpcServer,
-    schedule: PushSchedule,
-    subscribers: Vec<SockId>,
-    next_push: Option<SimTime>,
-    push_seq: u16,
-    /// Pushes delivered so far.
-    pub pushes_sent: u64,
-}
-
-impl PushServer {
-    /// Server on `ports` with the given push schedule.
-    pub fn new(ports: &[u16], schedule: PushSchedule) -> PushServer {
-        PushServer {
-            rpc: RpcServer::new(ports),
-            schedule,
-            subscribers: Vec::new(),
-            next_push: None,
-            push_seq: 0,
-            pushes_sent: 0,
-        }
-    }
-}
-
-impl ServerApp for PushServer {
-    fn tick(&mut self, host: &mut Host, now: SimTime, _rng: &mut DetRng) {
-        if self.rpc.accept_all(host) {
-            self.subscribers.retain(|&s| host.is_live(s));
-        }
-        // Scan for subscriptions; answer plain requests.
-        for &s in &self.rpc.conns {
-            let markers = host.sock_mut(s).take_markers();
-            for m in markers {
-                match proto::unpack(m) {
-                    Some((Kind::Request, tag, resp_bytes)) => {
-                        host.sock_mut(s)
-                            .send_marked(resp_bytes.max(1), proto::resp(tag));
-                    }
-                    Some((Kind::Subscribe, _, _)) => {
-                        self.subscribers.push(s);
-                        if self.next_push.is_none() {
-                            if let Some(iv) = self.schedule.interval {
-                                let first = self.schedule.offset.unwrap_or(iv);
-                                self.next_push = Some(now + first);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // Fire due pushes.
-        if let (Some(at), Some(iv)) = (self.next_push, self.schedule.interval) {
-            if now >= at && !self.subscribers.is_empty() {
-                for &s in &self.subscribers {
-                    if host.sock(s).is_established() && !host.sock(s).is_closed() {
-                        self.push_seq = self.push_seq.wrapping_add(1);
-                        host.sock_mut(s).send_marked(
-                            self.schedule.bytes,
-                            proto::push(self.push_seq, self.schedule.bytes),
-                        );
-                        self.pushes_sent += 1;
-                    }
-                }
-                self.next_push = Some(at + iv);
-            }
-        }
-    }
-
-    fn next_wake(&self) -> Option<SimTime> {
-        let push = if self.subscribers.is_empty() {
-            None
-        } else {
-            self.next_push
-        };
-        earlier(listen_wake(self.rpc.listening), push)
-    }
-}
+/// Jitter fraction of a [`FacebookOrigin`]'s write-path delay.
+const WRITE_JITTER: f64 = 0.15;
 
 /// The Facebook origin of the two-device experiments (§7.3/§7.4): the
 /// write path (port 443, posts from device A) and the push channel (port
@@ -227,7 +137,6 @@ pub struct FacebookOrigin {
     pub notification_bytes: u64,
     /// Server-side processing before the post is acknowledged and relayed.
     pub write_delay: SimDuration,
-    write_jitter: f64,
     pending: simcore::EventQueue<(SockId, u16, u64)>,
     push_seq: u16,
     /// Notifications relayed so far.
@@ -242,7 +151,6 @@ impl FacebookOrigin {
             subscribers: Vec::new(),
             notification_bytes,
             write_delay,
-            write_jitter: 0.15,
             pending: simcore::EventQueue::new(),
             push_seq: 0,
             notifications_sent: 0,
@@ -262,7 +170,7 @@ impl ServerApp for FacebookOrigin {
                     Some((Kind::Request, tag, resp_bytes)) => {
                         // A post upload: acknowledge after the write-path
                         // delay, then relay.
-                        let d = rng.jittered(self.write_delay, self.write_jitter);
+                        let d = rng.jittered(self.write_delay, WRITE_JITTER);
                         self.pending.push(now + d, (s, tag, resp_bytes));
                     }
                     Some((Kind::Subscribe, _, _)) => self.subscribers.push(s),
@@ -511,44 +419,89 @@ pub(crate) mod tests {
         assert_eq!(client.sock_mut(s).take_markers(), vec![proto::resp(9)]);
     }
 
+    /// Pump packets between a client host and a bare origin host until
+    /// both go quiet.
+    fn pump_origin(
+        client: &mut Host,
+        server: &mut Host,
+        origin: &mut FacebookOrigin,
+        rng: &mut DetRng,
+        now: SimTime,
+    ) {
+        for _ in 0..10_000 {
+            client.poll(now);
+            let ups = client.take_egress();
+            let had = !ups.is_empty();
+            for p in ups {
+                server.on_packet(&p, now);
+            }
+            origin.tick(server, now, rng);
+            server.poll(now);
+            let downs = server.take_egress();
+            let got = !downs.is_empty();
+            for p in downs {
+                client.on_packet(&p, now);
+            }
+            if !had && !got {
+                break;
+            }
+        }
+    }
+
     #[test]
-    fn push_server_pushes_on_schedule() {
-        let mut net = Internet::new(resolver(), DetRng::seed_from_u64(2));
-        net.add_server(
-            "push.fb.com",
-            IpAddr::new(31, 13, 0, 9),
-            Box::new(PushServer::new(
-                &[8883],
-                PushSchedule {
-                    interval: Some(SimDuration::from_secs(60)),
-                    bytes: 9_000,
-                    offset: None,
-                },
-            )),
-        );
+    fn facebook_origin_relays_each_post_to_live_subscribers() {
+        let origin_ip = IpAddr::new(31, 13, 64, 2);
+        let mut server = Host::new(origin_ip, resolver());
+        let mut origin = FacebookOrigin::new(9_000, SimDuration::from_secs(1));
+        let mut rng = DetRng::seed_from_u64(2);
         let mut client = Host::new(IpAddr::new(10, 0, 0, 1), resolver());
-        pump(&mut client, &mut net, SimTime::ZERO);
-        client.resolve("push.fb.com", SimTime::ZERO);
-        pump(&mut client, &mut net, SimTime::ZERO);
-        let ip = client.resolve("push.fb.com", SimTime::ZERO).unwrap();
-        let s = client.connect(SocketAddr::new(ip, 8883));
-        client.sock_mut(s).send_marked(100, proto::subscribe(1));
-        pump(&mut client, &mut net, SimTime::ZERO);
-        // Nothing yet at t=0.
-        assert_eq!(client.sock(s).total_received(), 0);
-        // After one minute the first push lands.
-        let t1 = SimTime::from_secs(60);
-        pump(&mut client, &mut net, t1);
-        assert_eq!(client.sock(s).total_received(), 9_000);
-        let markers = client.sock_mut(s).take_markers();
-        assert_eq!(markers.len(), 1);
-        assert!(matches!(
-            proto::unpack(markers[0]),
-            Some((Kind::Push, _, 9_000))
-        ));
-        // And again a minute later.
-        pump(&mut client, &mut net, SimTime::from_secs(120));
-        assert_eq!(client.sock(s).total_received(), 18_000);
+        let t0 = SimTime::ZERO;
+        // The first tick opens the listening ports.
+        origin.tick(&mut server, t0, &mut rng);
+        let subs: Vec<SockId> = (1..=3)
+            .map(|tag| {
+                let s = client.connect(SocketAddr::new(origin_ip, 8883));
+                client.sock_mut(s).send_marked(100, proto::subscribe(tag));
+                s
+            })
+            .collect();
+        pump_origin(&mut client, &mut server, &mut origin, &mut rng, t0);
+        assert_eq!(origin.subscribers.len(), 3);
+        // Tear down the middle subscription from both ends.
+        client.sock_mut(subs[1]).close();
+        pump_origin(&mut client, &mut server, &mut origin, &mut rng, t0);
+        server.sock_mut(origin.subscribers[1]).close();
+        pump_origin(&mut client, &mut server, &mut origin, &mut rng, t0);
+        for (i, &s) in origin.subscribers.iter().enumerate() {
+            assert!(server.is_live(s));
+            assert_eq!(server.sock(s).is_closed(), i == 1);
+        }
+        // A post is held for the write-path delay, then acknowledged.
+        let post = client.connect(SocketAddr::new(origin_ip, 443));
+        client.sock_mut(post).send_marked(500, proto::req(7, 300));
+        pump_origin(&mut client, &mut server, &mut origin, &mut rng, t0);
+        assert_eq!(client.sock(post).total_received(), 0);
+        assert_eq!(origin.notifications_sent, 0);
+        let t1 = SimTime::from_secs(2);
+        pump_origin(&mut client, &mut server, &mut origin, &mut rng, t1);
+        assert_eq!(client.sock_mut(post).take_markers(), vec![proto::resp(7)]);
+        // Exactly one notification per live, established subscriber; none
+        // to the closed one.
+        assert_eq!(origin.notifications_sent, 2);
+        for (i, &s) in subs.iter().enumerate() {
+            let markers = client.sock_mut(s).take_markers();
+            if i == 1 {
+                assert_eq!(client.sock(s).total_received(), 0);
+                assert!(markers.is_empty());
+            } else {
+                assert_eq!(client.sock(s).total_received(), 9_000);
+                assert_eq!(markers.len(), 1);
+                assert!(matches!(
+                    proto::unpack(markers[0]),
+                    Some((Kind::Push, _, 9_000))
+                ));
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! QoE Doctor measures user-perceived latency "directly from UI changes"
 //! (§4.1): the controller shares the app's process and periodically parses
-//! the UI layout tree, addressing views by a *View signature* (class name,
-//! view id, developer description — never coordinates, §4.1). This module is
-//! that tree.
+//! the UI layout tree, addressing views by a *View signature* — never by
+//! coordinates (§4.1). This module is that tree.
 //!
 //! Two timestamps matter for the accuracy evaluation (Fig. 4): the moment
 //! the layout tree changes (`t_ui`, what the controller can observe) and the
@@ -22,19 +21,15 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use simcore::{DetRng, RecordLog, SimDuration, SimTime};
 
 /// One node of the layout tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// Android class name, e.g. `android.widget.ProgressBar`.
     pub class: String,
     /// Resource id, e.g. `news_feed`.
     pub id: String,
-    /// Content description added by the developer (the third component of
-    /// the paper's View signature).
-    pub desc: String,
     /// Text content (list item text, button label, URL bar content).
     pub text: String,
     /// Visibility flag.
@@ -50,17 +45,10 @@ impl View {
         View {
             class: class.to_string(),
             id: id.to_string(),
-            desc: String::new(),
             text: String::new(),
             visible: true,
             children: Arc::default(),
         }
-    }
-
-    /// Builder: set the content description.
-    pub fn with_desc(mut self, desc: &str) -> View {
-        self.desc = desc.to_string();
-        self
     }
 
     /// Builder: set initial text.
@@ -145,63 +133,30 @@ impl View {
 }
 
 /// Addresses a view by characteristics rather than coordinates (§4.1), so
-/// replay specifications transfer across devices and screen sizes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// replay specifications transfer across devices and screen sizes. The
+/// paper's signature is {class name, View ID, developer description}; every
+/// view the modelled apps act on has a unique resource id, so the id alone
+/// is the signature here.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewSignature {
-    /// Required class name, if any.
-    pub class: Option<String>,
-    /// Required resource id, if any.
-    pub id: Option<String>,
-    /// Required content description, if any. The paper's signature is
-    /// {class name, View ID, developer description}; View coordinates are
-    /// deliberately excluded so specifications transfer across devices.
-    pub desc: Option<String>,
+    /// Required resource id.
+    pub id: String,
 }
 
 impl ViewSignature {
     /// Signature matching a resource id.
     pub fn by_id(id: &str) -> ViewSignature {
-        ViewSignature {
-            class: None,
-            id: Some(id.to_string()),
-            desc: None,
-        }
+        ViewSignature { id: id.to_string() }
     }
 
-    /// Signature matching a class name.
-    pub fn by_class(class: &str) -> ViewSignature {
-        ViewSignature {
-            class: Some(class.to_string()),
-            id: None,
-            desc: None,
-        }
-    }
-
-    /// Signature matching a developer description.
-    pub fn by_desc(desc: &str) -> ViewSignature {
-        ViewSignature {
-            class: None,
-            id: None,
-            desc: Some(desc.to_string()),
-        }
-    }
-
-    /// Builder: additionally require a class name.
-    pub fn and_class(mut self, class: &str) -> ViewSignature {
-        self.class = Some(class.to_string());
-        self
-    }
-
-    /// True when `view` satisfies every constraint in the signature.
+    /// True when `view` satisfies the signature.
     pub fn matches(&self, view: &View) -> bool {
-        self.class.as_ref().is_none_or(|c| &view.class == c)
-            && self.id.as_ref().is_none_or(|i| &view.id == i)
-            && self.desc.as_ref().is_none_or(|d| &view.desc == d)
+        view.id == self.id
     }
 }
 
 /// Ground-truth record: a labelled UI change and when it hit the screen.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScreenEvent {
     /// What changed (e.g. `progress:feed_progress:hide`, `feed:item:<text>`).
     pub label: String,
@@ -467,25 +422,9 @@ mod tests {
         let t = tree();
         assert!(t.find("news_feed").is_some());
         assert!(t.find("nope").is_none());
-        let sig = ViewSignature::by_class("android.widget.ProgressBar");
-        assert_eq!(t.find_signature(&sig).unwrap().id, "feed_progress");
-        let sig2 = ViewSignature::by_id("post_button");
-        assert_eq!(t.find_signature(&sig2).unwrap().text, "Post");
-    }
-
-    #[test]
-    fn desc_signature_matches() {
-        let t = View::new("LinearLayout", "root").with_child(
-            View::new("android.widget.Button", "b1").with_desc("Post to your timeline"),
-        );
-        let sig = ViewSignature::by_desc("Post to your timeline");
-        assert_eq!(t.find_signature(&sig).unwrap().id, "b1");
-        let combined =
-            ViewSignature::by_desc("Post to your timeline").and_class("android.widget.Button");
-        assert!(t.find_signature(&combined).is_some());
-        let wrong =
-            ViewSignature::by_desc("Post to your timeline").and_class("android.widget.TextView");
-        assert!(t.find_signature(&wrong).is_none());
+        let sig = ViewSignature::by_id("post_button");
+        assert_eq!(t.find_signature(&sig).unwrap().text, "Post");
+        assert!(t.find_signature(&ViewSignature::by_id("nope")).is_none());
     }
 
     #[test]

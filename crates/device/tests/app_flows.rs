@@ -2,15 +2,13 @@
 //! assert the UI and traffic behaviour the experiments rely on.
 
 use device::apps::{
-    BrowserApp, BrowserConfig, FacebookApp, FacebookConfig, FbVersion, VideoSpec, YouTubeApp,
-    YouTubeConfig,
+    BrowserApp, BrowserConfig, FacebookApp, FacebookConfig, FacebookPoster, FbVersion,
+    PosterConfig, VideoSpec, YouTubeApp, YouTubeConfig,
 };
 use device::ui::ViewSignature;
-use device::{
-    App, Internet, NetAttachment, Phone, PushSchedule, PushServer, RpcServer, UiEvent, World,
-};
+use device::{App, FacebookOrigin, Internet, NetAttachment, Phone, RpcServer, UiEvent, World};
 use netstack::dns::DNS_PORT;
-use netstack::{IpAddr, SocketAddr};
+use netstack::{Direction, IpAddr, SocketAddr};
 use simcore::{advance, DetRng, SimDuration, SimTime};
 
 fn resolver() -> SocketAddr {
@@ -22,7 +20,6 @@ fn world_with(app: Box<dyn App>, seed: u64) -> World {
     let mut internet = Internet::new(resolver(), rng.fork(1));
     for (name, ip) in [
         ("api.facebook.com", IpAddr::new(31, 13, 64, 1)),
-        ("graph.facebook.com", IpAddr::new(31, 13, 64, 2)),
         ("api.youtube.com", IpAddr::new(74, 125, 0, 1)),
         ("video.youtube.com", IpAddr::new(74, 125, 0, 2)),
         ("ads.youtube.com", IpAddr::new(74, 125, 0, 3)),
@@ -30,18 +27,15 @@ fn world_with(app: Box<dyn App>, seed: u64) -> World {
     ] {
         internet.add_server(name, ip, Box::new(RpcServer::new(&[80, 443])));
     }
+    // The write origin relays each post from device A down the push
+    // channel, as in the two-device experiments.
+    let origin_ip = IpAddr::new(31, 13, 64, 2);
     internet.add_server(
-        "push.facebook.com",
-        IpAddr::new(31, 13, 64, 9),
-        Box::new(PushServer::new(
-            &[8883],
-            PushSchedule {
-                interval: Some(SimDuration::from_secs(30)),
-                bytes: 5_000,
-                offset: None,
-            },
-        )),
+        "graph.facebook.com",
+        origin_ip,
+        Box::new(FacebookOrigin::new(5_000, SimDuration::from_millis(1_100))),
     );
+    internet.add_alias("push.facebook.com", origin_ip);
     let phone = Phone::new(
         IpAddr::new(10, 0, 0, 2),
         resolver(),
@@ -49,7 +43,30 @@ fn world_with(app: Box<dyn App>, seed: u64) -> World {
         app,
         rng.fork(2),
     );
-    World::new(phone, internet)
+    let mut world = World::new(phone, internet);
+    // Device A posts every 30 s; the first post goes out at 22 s.
+    let poster = FacebookPoster::new(PosterConfig::every(SimDuration::from_secs(30)));
+    let peer = Phone::new(
+        IpAddr::new(10, 50, 0, 3),
+        resolver(),
+        NetAttachment::wifi(&mut rng),
+        Box::new(poster),
+        rng.fork(3),
+    );
+    world.add_peer(peer);
+    world
+}
+
+/// Notification bytes the phone received on the push channel.
+fn pushed_bytes(world: &World) -> u64 {
+    world
+        .phone
+        .capture
+        .trace()
+        .iter()
+        .filter(|(_, r)| r.dir == Direction::Downlink && r.pkt.src.port == 8883)
+        .map(|(_, r)| r.pkt.payload_len as u64)
+        .sum()
 }
 
 /// Run the world to `end`, injecting `events` at their times.
@@ -140,6 +157,8 @@ fn facebook_scroll_triggers_feed_update_cycle() {
     // WebView fetched multiple stages' worth of data.
     let (_, dl) = world.phone.capture.volume();
     assert!(dl > 20_000, "downlink {dl}");
+    // Device A's first post reached the push channel.
+    assert_eq!(pushed_bytes(&world), 5_000);
 }
 
 #[test]

@@ -12,11 +12,11 @@ use device::apps::{
     PosterConfig, VideoSpec, YouTubeApp, YouTubeConfig,
 };
 use device::{
-    proto, App, FacebookOrigin, Internet, NetAttachment, Phone, PushSchedule, PushServer,
-    RpcServer, ServerApp, UiEvent, ViewSignature, World,
+    proto, App, FacebookOrigin, Internet, NetAttachment, Phone, RpcServer, ServerApp, UiEvent,
+    ViewSignature, World,
 };
 use netstack::dns::DNS_PORT;
-use netstack::{Host, IpAddr, IpPacket, SocketAddr};
+use netstack::{Direction, Host, IpAddr, IpPacket, SocketAddr};
 use radio::bearer::{BearerConfig, CellBearer};
 use simcore::{advance, DetRng, SimDuration, SimTime};
 
@@ -124,19 +124,9 @@ fn server_run(app: Box<dyn ServerApp>, extra: Option<u64>) -> Vec<(SimTime, IpPa
 
 #[test]
 fn server_tick_before_wake_is_a_noop() {
-    let apps: [fn() -> Box<dyn ServerApp>; 4] = [
+    let apps: [fn() -> Box<dyn ServerApp>; 3] = [
         || Box::new(RpcServer::new(&[443, 8883])),
         || Box::new(RpcServer::new(&[443, 8883]).with_delay(SimDuration::from_millis(120))),
-        || {
-            Box::new(PushServer::new(
-                &[443, 8883],
-                PushSchedule {
-                    interval: Some(SimDuration::from_secs(4)),
-                    bytes: 3_000,
-                    offset: Some(SimDuration::from_millis(1_700)),
-                },
-            ))
-        },
         || Box::new(FacebookOrigin::new(2_500, SimDuration::from_millis(300))),
     ];
     for make in apps {
@@ -160,7 +150,6 @@ fn world_with(app: Box<dyn App>, cell: bool, seed: u64) -> World {
     let mut internet = Internet::new(resolver(), rng.fork(1));
     for (name, ip) in [
         ("api.facebook.com", IpAddr::new(31, 13, 64, 1)),
-        ("graph.facebook.com", IpAddr::new(31, 13, 64, 2)),
         ("api.youtube.com", IpAddr::new(74, 125, 0, 1)),
         ("video.youtube.com", IpAddr::new(74, 125, 0, 2)),
         ("www.example.com", IpAddr::new(93, 184, 216, 34)),
@@ -168,37 +157,43 @@ fn world_with(app: Box<dyn App>, cell: bool, seed: u64) -> World {
         let server = RpcServer::new(&[80, 443]).with_delay(SimDuration::from_millis(40));
         internet.add_server(name, ip, Box::new(server));
     }
-    internet.add_server(
-        "push.facebook.com",
-        IpAddr::new(31, 13, 64, 9),
-        Box::new(PushServer::new(
-            &[8883],
-            PushSchedule {
-                interval: Some(SimDuration::from_secs(9)),
-                bytes: 5_000,
-                offset: None,
-            },
-        )),
-    );
+    // The write origin relays every acknowledged post, device A's included,
+    // down the push channel.
+    let origin_ip = IpAddr::new(31, 13, 64, 2);
+    let origin = FacebookOrigin::new(5_000, SimDuration::from_millis(300));
+    internet.add_server("graph.facebook.com", origin_ip, Box::new(origin));
+    internet.add_alias("push.facebook.com", origin_ip);
     let net = if cell {
         NetAttachment::Cell(Box::new(CellBearer::new(BearerConfig::umts_3g(), &mut rng)))
     } else {
         NetAttachment::wifi(&mut rng)
     };
     let phone = Phone::new(IpAddr::new(10, 0, 0, 2), resolver(), net, app, rng.fork(2));
-    World::new(phone, internet)
+    let mut world = World::new(phone, internet);
+    // Device A posts at 12 s, 22 s, 32 s and 42 s.
+    let poster = FacebookPoster::new(PosterConfig::every(SimDuration::from_secs(10)));
+    let peer = Phone::new(
+        IpAddr::new(10, 50, 0, 3),
+        resolver(),
+        NetAttachment::wifi(&mut rng),
+        Box::new(poster),
+        rng.fork(3),
+    );
+    world.add_peer(peer);
+    world
 }
 
 /// Run an app through `events`, stopping at random checkpoints. With
 /// `extra`, the app is also ticked at each checkpoint where it is neither
-/// due nor a follower. Returns the phone's packet capture and screen log.
+/// due nor a follower. Returns the phone's packet capture and screen log,
+/// the number of early ticks, and the bytes pushed to the phone.
 fn app_run(
     app: Box<dyn App>,
     cell: bool,
     events: &[(SimTime, UiEvent)],
     end: SimTime,
     extra: Option<u64>,
-) -> (String, u32) {
+) -> (String, u32, u64) {
     let mut world = world_with(app, cell, 7);
     let mut checkpoints = DetRng::seed_from_u64(8);
     let mut rng = extra.map(DetRng::seed_from_u64);
@@ -236,22 +231,35 @@ fn app_run(
     let phone = &mut world.phone;
     let trace = phone.capture.take_trace();
     let packets: Vec<_> = trace.iter().collect();
+    let pushed = packets
+        .iter()
+        .filter(|(_, r)| r.dir == Direction::Downlink && r.pkt.src.port == 8883)
+        .map(|(_, r)| r.pkt.payload_len as u64)
+        .sum();
     let screens: Vec<_> = phone.ui.camera.iter().collect();
     (
         format!("{packets:?} {screens:?} {:?}", phone.cpu),
         extra_ticks,
+        pushed,
     )
 }
 
-fn check_app(make: impl Fn() -> Box<dyn App>, events: &[(SimTime, UiEvent)], end: SimTime) {
-    for cell in [false, true] {
-        let (plain, _) = app_run(make(), cell, events, end, None);
+/// Check the twins on WiFi and on 3G; returns the bytes pushed to the
+/// phone in each plain run.
+fn check_app(
+    make: impl Fn() -> Box<dyn App>,
+    events: &[(SimTime, UiEvent)],
+    end: SimTime,
+) -> [u64; 2] {
+    [false, true].map(|cell| {
+        let (plain, _, pushed) = app_run(make(), cell, events, end, None);
         for seed in 0..2 {
-            let (poked, ticks) = app_run(make(), cell, events, end, Some(seed));
+            let (poked, ticks, _) = app_run(make(), cell, events, end, Some(seed));
             assert!(ticks > 20, "only {ticks} early app ticks");
             assert!(poked == plain, "early app ticks changed the session");
         }
-    }
+        pushed
+    })
 }
 
 fn at(ms: u64, ev: UiEvent) -> (SimTime, UiEvent) {
@@ -296,11 +304,14 @@ fn facebook_tick_before_wake_is_a_noop() {
         at(20_000, scroll),
     ];
     for version in [FbVersion::WebView18, FbVersion::ListView50] {
-        check_app(
+        let pushed = check_app(
             || Box::new(FacebookApp::new(FacebookConfig::new(version))),
             &events,
             SimTime::from_secs(45),
         );
+        // The phone's own two posts and device A's posts came back as
+        // notifications.
+        assert!(pushed.iter().all(|&b| b >= 5 * 5_000), "pushed {pushed:?}");
     }
 }
 

@@ -15,7 +15,6 @@ use simcore::{DetRng, SimDuration, SimTime};
 struct Model {
     class: String,
     id: String,
-    desc: String,
     text: String,
     visible: bool,
     children: Vec<Model>,
@@ -26,7 +25,6 @@ impl Model {
         Model {
             class: v.class.clone(),
             id: v.id.clone(),
-            desc: v.desc.clone(),
             text: v.text.clone(),
             visible: v.visible,
             children: v.children.iter().map(Model::of).collect(),

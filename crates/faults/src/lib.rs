@@ -11,7 +11,7 @@
 //!   where the observable layout tree stops updating, slow-draw windows.
 //!
 //! Determinism guarantees: a plan is *armed* into a freshly built
-//! [`World`](device::World) before the simulation starts. Arming only
+//! [`World`] before the simulation starts. Arming only
 //! installs schedules into the existing components — every fault fires off
 //! the simulated clock, every random decision (burst-loss transitions)
 //! draws from the component's own seeded [`DetRng`](simcore::DetRng)

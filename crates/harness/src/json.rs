@@ -1,9 +1,8 @@
 //! Minimal JSON document model and writer.
 //!
-//! The offline `serde` shim can't serialize, so campaign reports are built
-//! from this small value tree instead. Object fields keep insertion order,
-//! which — together with deterministic inputs — makes report bodies
-//! reproducible byte-for-byte. Non-finite floats serialize as `null`
+//! Campaign reports are built from this small value tree. Object fields
+//! keep insertion order, which — together with deterministic inputs — makes
+//! report bodies reproducible byte-for-byte. Non-finite floats serialize as `null`
 //! (JSON has no NaN/Infinity).
 
 use std::fmt::Write as _;

@@ -2,21 +2,21 @@
 //!
 //! For each metric of a cell, the detector:
 //!
-//! 1. runs [`cusum_change_point`](crate::stats::cusum_change_point) over the
-//!    per-epoch means to propose the single most likely split point,
+//! 1. runs [`cusum_change_point`] over the per-epoch means to propose the
+//!    single most likely split point,
 //! 2. pools the raw samples before and after the split and tests them with
-//!    [`mann_whitney_u`](crate::stats::mann_whitney_u) (significance) and
-//!    [`ks_distance`](crate::stats::ks_distance) (shape of the effect), and
+//!    [`mann_whitney_u`] (significance) and [`ks_distance`] (shape of the
+//!    effect), and
 //! 3. reports a [`Detection`] only when *all three* gates pass **and** the
 //!    metric moved in the bad direction (every monitored metric is
 //!    larger-is-worse).
 //!
 //! The CUSUM-selected split is re-tested on the same data, which inflates
 //! the nominal type-I rate of the rank test — that is exactly why the
-//! detector is a conjunction of a strict `alpha`, a minimum KS distance,
-//! and a minimum relative effect rather than a lone p-value threshold. The
-//! defaults in [`DetectorConfig`] hold zero false positives on the repo's
-//! no-change control cells while catching both injected regressions.
+//! detector is a conjunction of a strict [`ALPHA`], a minimum KS distance
+//! ([`MIN_KS`]) and a minimum relative effect ([`MIN_EFFECT`]) rather than a
+//! lone p-value threshold. These thresholds hold zero false positives on the
+//! repo's no-change control cells while catching every injected regression.
 
 use crate::stats::{cusum_change_point, ks_distance, mann_whitney_u};
 
@@ -93,33 +93,19 @@ impl CellHistory {
     }
 }
 
-/// Detection thresholds. All three statistical gates must pass at once —
-/// see the module docs for why the conjunction is what keeps control cells
-/// quiet.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Two-sided Mann–Whitney significance level.
-    pub alpha: f64,
-    /// Minimum two-sample KS distance between pre and post pools.
-    pub min_ks: f64,
-    /// Minimum relative increase of the post-split mean over the pre-split
-    /// mean.
-    pub min_effect: f64,
-    /// Minimum history length (epochs) before the detector will speak at
-    /// all.
-    pub min_epochs: usize,
-}
+// Detection thresholds. All three statistical gates must pass at once —
+// see the module docs for why the conjunction is what keeps control cells
+// quiet.
 
-impl Default for DetectorConfig {
-    fn default() -> DetectorConfig {
-        DetectorConfig {
-            alpha: 0.005,
-            min_ks: 0.5,
-            min_effect: 0.15,
-            min_epochs: 4,
-        }
-    }
-}
+/// Two-sided Mann–Whitney significance level.
+pub const ALPHA: f64 = 0.005;
+/// Minimum two-sample KS distance between pre and post pools.
+pub const MIN_KS: f64 = 0.5;
+/// Minimum relative increase of the post-split mean over the pre-split
+/// mean.
+pub const MIN_EFFECT: f64 = 0.15;
+/// Minimum history length (epochs) before the detector will speak at all.
+pub const MIN_EPOCHS: usize = 4;
 
 /// A flagged regression on one metric of one cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,8 +131,8 @@ pub struct Detection {
 /// Returns at most one detection per metric (the CUSUM split is the single
 /// best change-point candidate), in the cell's metric order — fully
 /// deterministic for a given history.
-pub fn detect_cell(history: &CellHistory, cfg: &DetectorConfig) -> Vec<Detection> {
-    if history.epochs.len() < cfg.min_epochs {
+pub fn detect_cell(history: &CellHistory) -> Vec<Detection> {
+    if history.epochs.len() < MIN_EPOCHS {
         return Vec::new();
     }
     let n = history.epochs.len();
@@ -175,7 +161,7 @@ pub fn detect_cell(history: &CellHistory, cfg: &DetectorConfig) -> Vec<Detection
         let mwu = mann_whitney_u(&pre, &post);
         let ks = ks_distance(&pre, &post);
         let rel = (post_mean - pre_mean) / pre_mean.max(1e-9);
-        if mwu.p <= cfg.alpha && ks >= cfg.min_ks && rel >= cfg.min_effect {
+        if mwu.p <= ALPHA && ks >= MIN_KS && rel >= MIN_EFFECT {
             out.push(Detection {
                 metric: metric.clone(),
                 first_bad_epoch: k,
@@ -217,7 +203,7 @@ mod tests {
     #[test]
     fn detects_injected_shift_at_the_right_epoch() {
         let h = history(8, 4, 1.0, 2.5);
-        let det = detect_cell(&h, &DetectorConfig::default());
+        let det = detect_cell(&h);
         assert_eq!(det.len(), 1, "{det:?}");
         assert_eq!(det[0].metric, "ui_update_s");
         assert_eq!(det[0].first_bad_epoch, 4);
@@ -228,18 +214,18 @@ mod tests {
     #[test]
     fn steady_history_is_quiet() {
         let h = history(8, 8, 1.0, 1.0);
-        assert!(detect_cell(&h, &DetectorConfig::default()).is_empty());
+        assert!(detect_cell(&h).is_empty());
     }
 
     #[test]
     fn improvement_is_not_a_regression() {
         let h = history(8, 4, 2.5, 1.0);
-        assert!(detect_cell(&h, &DetectorConfig::default()).is_empty());
+        assert!(detect_cell(&h).is_empty());
     }
 
     #[test]
     fn short_history_is_quiet() {
         let h = history(3, 1, 1.0, 5.0);
-        assert!(detect_cell(&h, &DetectorConfig::default()).is_empty());
+        assert!(detect_cell(&h).is_empty());
     }
 }

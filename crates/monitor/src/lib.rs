@@ -18,7 +18,7 @@
 //!   and a CUSUM change-point scan.
 //! * [`detect`] — the three-gate regression detector over per-epoch metric
 //!   distributions.
-//! * [`explain`] — cross-layer attribution of a detection: which layer
+//! * [`explain`](mod@explain) — cross-layer attribution of a detection: which layer
 //!   moved, by how much, from which epoch.
 
 #![warn(missing_docs)]
@@ -30,7 +30,7 @@ pub mod schedule;
 pub mod stats;
 pub mod store;
 
-pub use detect::{detect_cell, CellHistory, Detection, DetectorConfig, EpochMetrics, LayerShares};
+pub use detect::{detect_cell, CellHistory, Detection, EpochMetrics, LayerShares};
 pub use error::MonitorError;
 pub use explain::{explain, LayerDeltas, RegressionDiagnosis};
 pub use schedule::{epoch_seed, histories, CellSpec, EpochRow, MonitorSpec};

@@ -12,7 +12,7 @@
 //! and each socket's next wake sits in a per-host timer set: [`Host::poll`]
 //! services only the sockets that are due, in creation order, so the cost of
 //! a poll does not grow with the number of sockets a session has opened.
-//! A fully closed socket lingers for [`TIME_WAIT`] (re-acknowledging a
+//! A fully closed socket lingers for a 60 s TIME_WAIT (re-acknowledging a
 //! retransmitted FIN) and is then reaped by the next poll.
 
 use crate::addr::{IpAddr, SocketAddr};

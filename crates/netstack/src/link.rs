@@ -285,11 +285,6 @@ impl Pipe {
     pub fn next_wake(&self) -> Option<SimTime> {
         self.inflight.next_at()
     }
-
-    /// Number of packets in flight (queued or propagating).
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
 }
 
 #[cfg(test)]
@@ -365,7 +360,7 @@ mod tests {
         p.send(pkt(1, 1000), SimTime::ZERO);
         p.send(pkt(2, 1000), SimTime::ZERO);
         assert_eq!(p.stats.overflowed, 1);
-        assert_eq!(p.in_flight(), 1);
+        assert_eq!(p.inflight.len(), 1);
     }
 
     #[test]
@@ -382,7 +377,7 @@ mod tests {
             p.stats.lost
         );
         assert_eq!(
-            p.stats.delivered + p.in_flight() as u64 + p.stats.lost,
+            p.stats.delivered + p.inflight.len() as u64 + p.stats.lost,
             1000
         );
     }

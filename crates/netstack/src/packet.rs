@@ -9,7 +9,6 @@
 
 use crate::addr::{FlowKey, SocketAddr};
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Combined IP + transport header size in bytes (20 IP + 20 TCP/UDP-padded).
 pub const HEADER_BYTES: u32 = 40;
@@ -18,7 +17,7 @@ pub const HEADER_BYTES: u32 = 40;
 pub const MSS: u32 = 1400;
 
 /// Transport protocol of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Proto {
     /// TCP segment.
     Tcp,
@@ -27,7 +26,7 @@ pub enum Proto {
 }
 
 /// TCP header flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags {
     /// Connection request.
     pub syn: bool,
@@ -40,7 +39,7 @@ pub struct TcpFlags {
 }
 
 /// TCP header fields the simulation models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHeader {
     /// First payload byte's sequence number (byte offset in the stream).
     pub seq: u64,
@@ -51,7 +50,7 @@ pub struct TcpHeader {
 }
 
 /// A simulated IP packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IpPacket {
     /// Globally unique packet id (assigned by the sender's host stack).
     pub id: u64,

@@ -41,8 +41,6 @@ pub struct BearerConfig {
     pub fach_rate_bps: f64,
     /// One-way core network latency (base station ↔ internet).
     pub core_latency: SimDuration,
-    /// Jitter fraction on the core latency.
-    pub core_jitter: f64,
     /// Carrier throttle applied to downlink traffic at the base station.
     pub limiter_dl: Option<ShaperConfig>,
     /// Carrier throttle applied to uplink traffic at the base station.
@@ -62,7 +60,6 @@ impl BearerConfig {
             dl_rate_bps: 4.0e6,
             fach_rate_bps: 280e3,
             core_latency: SimDuration::from_millis(35),
-            core_jitter: 0.15,
             limiter_dl: None,
             limiter_ul: None,
             qxdm: QxdmConfig::default(),
@@ -79,7 +76,6 @@ impl BearerConfig {
             dl_rate_bps: 20.0e6,
             fach_rate_bps: 8.0e6, // no FACH on LTE; unused
             core_latency: SimDuration::from_millis(15),
-            core_jitter: 0.15,
             limiter_dl: None,
             limiter_ul: None,
             qxdm: QxdmConfig::default(),
@@ -103,6 +99,9 @@ impl BearerConfig {
         self.rrc.tech()
     }
 }
+
+/// Jitter fraction on the one-way core latency.
+const CORE_JITTER: f64 = 0.15;
 
 /// A live cellular attachment.
 pub struct CellBearer {
@@ -130,7 +129,7 @@ impl CellBearer {
         let core_cfg = LinkConfig {
             bandwidth_bps: 1e9, // core is never the bottleneck
             latency: cfg.core_latency,
-            jitter_frac: cfg.core_jitter,
+            jitter_frac: CORE_JITTER,
             loss: 0.0,
             queue_bytes: 0,
         };
@@ -362,16 +361,6 @@ impl CellBearer {
             || unsettled(&self.limiter_dl)
             || unsettled(&self.limiter_ul)
     }
-
-    /// Counters for tests and reports: `(ul_pdus, dl_pdus)` transmitted.
-    pub fn pdu_counts(&self) -> (u64, u64) {
-        (self.ul.pdus_transmitted, self.dl.pdus_transmitted)
-    }
-
-    /// Downlink limiter statistics, if a throttle is configured.
-    pub fn limiter_dl_stats(&self) -> Option<netstack::shaper::ShaperStats> {
-        self.limiter_dl.as_ref().map(|rl| rl.stats)
-    }
 }
 
 #[cfg(test)]
@@ -506,7 +495,7 @@ mod tests {
         // TCP above the bearer to retransmit them); only the bucket's burst
         // allowance plus refill gets through.
         assert!(n_thr < n_free, "throttled delivered {n_thr}");
-        assert!(throttled.limiter_dl_stats().unwrap().dropped > 0);
+        assert!(throttled.limiter_dl.as_ref().unwrap().stats.dropped > 0);
     }
 
     #[test]
@@ -521,7 +510,7 @@ mod tests {
                 b.send_uplink(pkt(i, 1000), SimTime::ZERO);
             }
             run(&mut b, SimTime::from_secs(60));
-            b.pdu_counts().0
+            b.ul.pdus_transmitted
         };
         let clean = send_all(false);
         let stormy = send_all(true);

@@ -13,7 +13,6 @@
 use crate::rlc::PduEvent;
 use crate::rrc::RrcTransition;
 use netstack::pcap::Direction;
-use serde::{Deserialize, Serialize};
 use simcore::{DetRng, RecordLog, SimTime};
 
 /// Logger parameters.
@@ -63,7 +62,7 @@ impl QxdmConfig {
 
 /// What QxDM records about one PDU — note: no packet identity, only the
 /// first two payload bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PduRecord {
     /// Direction the PDU travelled.
     pub dir: Direction,
@@ -83,7 +82,7 @@ pub struct PduRecord {
 
 /// A STATUS PDU, as the RLC receiver sends it in response to a poll and
 /// as QxDM records it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatusRecord {
     /// Direction of the data the STATUS acknowledges; the STATUS itself
     /// travels the opposite way.

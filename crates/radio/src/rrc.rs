@@ -18,11 +18,10 @@
 //! Default timer values follow the measurements reported in the paper's
 //! citations (\[22\] Qian et al. for 3G, \[34\] Huang et al. for LTE).
 
-use serde::{Deserialize, Serialize};
 use simcore::{earlier, SimDuration, SimTime};
 
 /// A radio technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RadioTech {
     /// UMTS/HSPA ("3G").
     Umts3g,
@@ -31,7 +30,7 @@ pub enum RadioTech {
 }
 
 /// Unified RRC state label across both technologies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RrcState {
     /// 3G dedicated channel: high power, full bandwidth.
     Dch,
@@ -64,7 +63,7 @@ impl RrcState {
 }
 
 /// 3G state machine parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rrc3gConfig {
     /// When false, the machine has no FACH state: every promotion goes
     /// straight to DCH and DCH demotes directly to PCH (§7.7's simplified
@@ -109,7 +108,7 @@ impl Rrc3gConfig {
 }
 
 /// LTE state machine parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RrcLteConfig {
     /// IDLE→CONNECTED promotion delay.
     pub idle_to_connected: SimDuration,
@@ -133,7 +132,7 @@ impl Default for RrcLteConfig {
 }
 
 /// One logged state transition (consumed by the QxDM-style logger).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RrcTransition {
     /// State before.
     pub from: RrcState,

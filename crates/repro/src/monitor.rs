@@ -29,8 +29,8 @@ use crate::scenario::{
 };
 use device::apps::{BrowserConfig, FacebookConfig, FbVersion, VideoSpec};
 use monitor::{
-    detect_cell, explain, histories, CellSpec, DetectorConfig, EpochMetrics, EpochRow, LayerShares,
-    MonitorError, MonitorSpec,
+    detect_cell, explain, histories, CellSpec, EpochMetrics, EpochRow, LayerShares, MonitorError,
+    MonitorSpec,
 };
 use qoe_doctor::analyze::app::playback_reports;
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
@@ -388,12 +388,11 @@ pub fn spec(epochs: usize, seed: u64) -> MonitorSpec<Collection> {
 /// and the summary line CI greps for. `rows` must be the complete grid in
 /// job order (the caller checks completeness first).
 pub fn report(rows: Vec<EpochRow>) -> String {
-    let cfg = DetectorConfig::default();
     let mut out = String::new();
     let (mut hits, mut wanted, mut false_pos, mut controls) = (0usize, 0usize, 0usize, 0usize);
     for hist in histories(rows) {
         let info = cell_info(&hist.cell);
-        let detections = detect_cell(&hist, &cfg);
+        let detections = detect_cell(&hist);
         if info.control {
             controls += 1;
             false_pos += detections.len();

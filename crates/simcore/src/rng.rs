@@ -73,11 +73,6 @@ impl DetRng {
         self.normal(mean, sd).max(floor)
     }
 
-    /// Exponential with the given mean (`mean = 1/lambda`).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        -mean * self.f64().max(f64::MIN_POSITIVE).ln()
-    }
-
     /// A duration drawn from a normal distribution around `mean`, with
     /// standard deviation `jitter_frac * mean`, truncated at 10% of the mean.
     pub fn jittered(&mut self, mean: SimDuration, jitter_frac: f64) -> SimDuration {
@@ -136,14 +131,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
-    fn exponential_mean_is_plausible() {
-        let mut r = DetRng::seed_from_u64(4);
-        let n = 20_000;
-        let mean = (0..n).map(|_| r.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! (Figs. 14 and 17), and throughput time series (Fig. 18). These small
 //! containers compute exactly those summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics over a set of f64 samples.
 ///
 /// # Empty input
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// std_dev, min, max, median — equal to `0.0`. Callers must branch on
 /// `n == 0` before interpreting the other fields; a zero min/max of an
 /// empty set is a placeholder, not an observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub n: usize,
@@ -108,11 +106,6 @@ impl SortedSamples {
         self.sorted.is_empty()
     }
 
-    /// The ascending-sorted samples.
-    pub fn as_sorted(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Percentile via [`percentile_sorted`] — no re-sort.
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_sorted(&self.sorted, p)
@@ -202,7 +195,7 @@ pub fn midranks(samples: &[f64]) -> Vec<f64> {
 }
 
 /// An empirical CDF: sorted samples plus cumulative fractions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     /// Sorted sample values.
     pub values: Vec<f64>,
@@ -252,7 +245,7 @@ impl Cdf {
 }
 
 /// Fixed-interval time series accumulator (e.g. per-second throughput).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinSeries {
     /// Width of each bin in seconds.
     pub bin_secs: f64,
@@ -360,7 +353,7 @@ mod tests {
         assert_eq!(s.len(), 5);
         assert_eq!(s.summary(), Summary::of(&raw));
         assert!((s.percentile(50.0) - percentile(&raw, 50.0)).abs() < 1e-12);
-        assert_eq!(s.as_sorted(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(s.sorted, [1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(s.clone().into_cdf(), Cdf::of(&raw));
         let empty = SortedSamples::of(&[]);
         assert!(empty.is_empty());
@@ -370,7 +363,7 @@ mod tests {
     #[test]
     fn sorted_samples_from_vec_avoids_copy() {
         let s = SortedSamples::from_vec(vec![2.0, 1.0]);
-        assert_eq!(s.as_sorted(), &[1.0, 2.0]);
+        assert_eq!(s.sorted, [1.0, 2.0]);
         assert_eq!(s.into_cdf().values, vec![1.0, 2.0]);
     }
 

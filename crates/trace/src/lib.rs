@@ -21,10 +21,10 @@
 //! accessor refuses to serve them, so an analyzer cannot silently read what
 //! a real deployment would not have.
 //!
-//! Everything here is hand-rolled little-endian binary (the vendored serde
-//! shim cannot serialize — see `vendor/README.md`) and byte-deterministic:
-//! encoding the same value always produces the same bytes, which is what
-//! makes content-addressed caching and byte-identical re-analysis possible.
+//! Everything here is hand-rolled little-endian binary, versioned by this
+//! crate alone, and byte-deterministic: encoding the same value always
+//! produces the same bytes, which is what makes content-addressed caching
+//! and byte-identical re-analysis possible.
 
 #![warn(missing_docs)]
 
