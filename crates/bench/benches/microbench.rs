@@ -1,14 +1,15 @@
 //! Microbenchmarks of the simulation substrate's hot paths.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use netstack::pcap::Direction;
+use netstack::pcap::{read_trace, write_trace, Direction, PacketRecord};
 use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpFlags, TcpHeader, TcpSocket};
 use qoe_doctor::analyze::crosslayer::{
     long_jump_map, long_jump_map_with, net_latency_breakdown, reference, MapperOptions,
 };
-use radio::qxdm::{Qxdm, QxdmConfig};
-use radio::rlc::{RlcChannel, RlcConfig};
-use simcore::{DetRng, EventQueue, SimDuration, SimTime};
+use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
+use radio::qxdm::{PduRecord, Qxdm, QxdmConfig, QxdmLog, StatusRecord};
+use radio::rlc::{PduEvent, RlcChannel, RlcConfig};
+use simcore::{DetRng, EventQueue, RecordLog, SimDuration, SimTime};
 
 fn addr(last: u8, port: u16) -> SocketAddr {
     SocketAddr::new(IpAddr::new(10, 0, 0, last), port)
@@ -306,12 +307,119 @@ fn bench_ui_parse(c: &mut Criterion) {
     g.finish();
 }
 
+/// A synthetic capture of `n` packets: four interleaved TCP flows, bulk
+/// downlink segments with an uplink ACK every other packet.
+fn synthetic_trace(n: u64) -> RecordLog<PacketRecord> {
+    let mut trace = RecordLog::with_capacity(n as usize);
+    for i in 0..n {
+        let flow = (i % 4) as u16;
+        let down = i % 2 == 0;
+        let mut pkt = bulk_packet(i, if down { 1400 } else { 0 });
+        pkt.src = addr(1, 40000 + flow);
+        if down {
+            core::mem::swap(&mut pkt.src, &mut pkt.dst);
+        }
+        let dir = if down {
+            Direction::Downlink
+        } else {
+            Direction::Uplink
+        };
+        trace.push(SimTime::from_micros(i * 350), PacketRecord { dir, pkt });
+    }
+    trace
+}
+
+/// A synthetic 3G PDU stream of `n` records: 40-byte PDUs, one packet
+/// boundary every 36 PDUs, a retransmission every 100, uplink and downlink
+/// interleaved.
+fn synthetic_pdus(n: u32) -> (QxdmLog, RecordLog<PduEvent>) {
+    let mut log = QxdmLog::default();
+    let mut truth = RecordLog::new();
+    for i in 0..n {
+        let dir = if i % 8 == 0 {
+            Direction::Uplink
+        } else {
+            Direction::Downlink
+        };
+        let at = SimTime::from_micros(u64::from(i) * 80);
+        let boundary = i % 36 == 35;
+        let ev = PduEvent {
+            dir,
+            sn: i / 2,
+            payload_len: 40,
+            first2: [(i * 7) as u8, (i * 13) as u8],
+            li: boundary.then_some(20),
+            poll: i % 64 == 0,
+            retransmission: i % 100 == 99,
+            covers: [(u64::from(i / 36), 0), (u64::from(i / 36) + 1, 0)],
+            covers_len: 1 + boundary as u8,
+        };
+        log.pdus.push(
+            at,
+            PduRecord {
+                dir: ev.dir,
+                sn: ev.sn,
+                payload_len: ev.payload_len,
+                first2: ev.first2,
+                li: ev.li,
+                poll: ev.poll,
+                retransmission: ev.retransmission,
+            },
+        );
+        if ev.poll {
+            log.statuses.push(
+                at,
+                StatusRecord {
+                    data_dir: dir,
+                    acks_sn: ev.sn,
+                },
+            );
+        }
+        truth.push(at, ev);
+    }
+    (log, truth)
+}
+
+fn bench_bundle_codec(c: &mut Criterion) {
+    let mut g = c.benchmark_group("bundle_codec");
+    let trace = synthetic_trace(10_000);
+    let bytes = write_trace(&trace);
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("trace_encode_10k_packets", |b| {
+        b.iter(|| write_trace(&trace).len())
+    });
+    g.bench_function("trace_decode_10k_packets", |b| {
+        b.iter(|| read_trace(&bytes).unwrap().len())
+    });
+
+    let (qxdm, truth) = synthetic_pdus(100_000);
+    let bytes = write_qxdm(&qxdm);
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("qxdm_encode_100k_pdus", |b| {
+        b.iter(|| write_qxdm(&qxdm).len())
+    });
+    g.bench_function("qxdm_decode_100k_pdus", |b| {
+        b.iter(|| read_qxdm(&bytes).unwrap().pdus.len())
+    });
+
+    let bytes = write_pdu_truth(&truth);
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("truth_encode_100k_pdus", |b| {
+        b.iter(|| write_pdu_truth(&truth).len())
+    });
+    g.bench_function("truth_decode_100k_pdus", |b| {
+        b.iter(|| read_pdu_truth(&bytes).unwrap().len())
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
     bench_tcp_transfer,
     bench_rlc_segmentation,
     bench_long_jump_mapping,
-    bench_ui_parse
+    bench_ui_parse,
+    bench_bundle_codec
 );
 criterion_main!(benches);

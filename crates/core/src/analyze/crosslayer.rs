@@ -22,7 +22,7 @@ use radio::qxdm::{PduRecord, QxdmLog};
 use radio::rlc::PduEvent;
 use radio::rrc::RrcTransition;
 use simcore::{RecordLog, SimDuration, SimTime, SortedSamples};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 // ---------------------------------------------------------------------
 // 1. QoE window ↔ transport/network
@@ -508,21 +508,16 @@ pub fn score_mapping(
     truth: &RecordLog<PduEvent>,
     dir: Direction,
 ) -> MappingScore {
-    // Ground truth: packet id → set of first-transmission sns covering it.
-    let mut by_packet: HashMap<u64, BTreeSet<u32>> = HashMap::new();
-    let mut max_sn: Option<u32> = None;
-    for (_, ev) in truth.iter() {
-        if ev.dir != dir {
-            continue;
-        }
-        let first_tx = max_sn.is_none_or(|m| ev.sn > m);
-        if first_tx {
-            max_sn = Some(ev.sn);
-        }
-        for (pkt_id, _) in ev.coverage() {
-            by_packet.entry(pkt_id).or_default().insert(ev.sn);
-        }
-    }
+    // Ground truth: every (packet id, sn) coverage pair of the direction,
+    // sorted and deduplicated, so each packet's sns are one sorted slice
+    // (retransmissions reuse their sn and collapse into one entry).
+    let mut covers: Vec<(u64, u32)> = truth
+        .iter()
+        .filter(|(_, ev)| ev.dir == dir)
+        .flat_map(|(_, ev)| ev.coverage().map(move |(pkt_id, _)| (pkt_id, ev.sn)))
+        .collect();
+    covers.sort_unstable();
+    covers.dedup();
     let total = mapped.len();
     if total == 0 {
         return MappingScore {
@@ -533,13 +528,24 @@ pub fn score_mapping(
     }
     let mut mapped_n = 0usize;
     let mut correct_n = 0usize;
+    let mut got = Vec::new();
     for m in mapped {
         if !m.mapped() {
             continue;
         }
         mapped_n += 1;
-        let got: BTreeSet<u32> = m.sns.iter().copied().collect();
-        if by_packet.get(&m.packet_id).is_some_and(|t| *t == got) {
+        let lo = covers.partition_point(|&(id, _)| id < m.packet_id);
+        let hi = lo + covers[lo..].partition_point(|&(id, _)| id == m.packet_id);
+        got.clear();
+        got.extend_from_slice(&m.sns);
+        got.sort_unstable();
+        got.dedup();
+        if hi > lo
+            && covers[lo..hi]
+                .iter()
+                .map(|&(_, sn)| sn)
+                .eq(got.iter().copied())
+        {
             correct_n += 1;
         }
     }

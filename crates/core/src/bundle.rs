@@ -5,16 +5,18 @@
 //! [`Collection::load`] restores it losslessly, so the analyzers can run
 //! offline against a directory instead of a live simulation.
 //!
-//! Artifact layout (all paths relative to the bundle directory):
+//! Artifact layout (all paths relative to the bundle directory; every
+//! record log is a `trace::column` log — a count, a delta-varint stamp
+//! column, then length-framed field columns):
 //!
-//! | manifest entry | file               | contents                        |
-//! |----------------|--------------------|---------------------------------|
-//! | `behavior`     | `behavior.bin`     | AppBehaviorLog (§4.3.1)         |
-//! | `trace`        | `trace.pcapq`      | packet trace, pcap-like framing |
-//! | `qxdm`         | `qxdm.bin`         | QxDM log (cellular runs only)   |
-//! | `cpu`          | `cpu.bin`          | app/controller CPU split        |
-//! | truth `pdus`   | `truth_pdus.bin`   | full PDU coverage (cellular)    |
-//! | truth `camera` | `truth_camera.bin` | 60 fps screen ground truth      |
+//! | manifest entry | file               | contents                                  |
+//! |----------------|--------------------|-------------------------------------------|
+//! | `behavior`     | `behavior.bin`     | AppBehaviorLog (§4.3.1), one row column   |
+//! | `trace`        | `trace.pcapq`      | packet trace: flow dictionary, per-flow delta and run-length columns (`netstack::codec`) |
+//! | `qxdm`         | `qxdm.bin`         | QxDM log (cellular runs only): RRC rows, PDU and STATUS columns (`radio::codec`) |
+//! | `cpu`          | `cpu.bin`          | app/controller CPU split                  |
+//! | truth `pdus`   | `truth_pdus.bin`   | full PDU coverage (cellular): PDU plus coverage columns |
+//! | truth `camera` | `truth_camera.bin` | 60 fps screen ground truth, one row column |
 //!
 //! The `qxdm`/`pdus` entries are simply absent for WiFi runs — absence in
 //! the manifest is the canonical encoding of `None`, so the WiFi case

@@ -107,12 +107,34 @@ fn st_behavior() -> impl Strategy<Value = BehaviorRecord> {
         )
 }
 
+/// Full-range `u64`s biased toward the wrapping edges of the delta
+/// columns: 0, 1, `u64::MAX - 1` and `u64::MAX` each come up about one
+/// draw in six.
+fn st_u64() -> impl Strategy<Value = u64> {
+    (0u8..6, any::<u64>()).prop_map(|(k, v)| match k {
+        0 => 0,
+        1 => u64::MAX,
+        2 => 1,
+        3 => u64::MAX - 1,
+        _ => v,
+    })
+}
+
+/// Full-range `u32`s biased toward 0 and `u32::MAX`.
+fn st_u32() -> impl Strategy<Value = u32> {
+    (0u8..4, any::<u32>()).prop_map(|(k, v)| match k {
+        0 => 0,
+        1 => u32::MAX,
+        _ => v,
+    })
+}
+
 fn st_sock() -> impl Strategy<Value = SocketAddr> {
     (any::<u32>(), any::<u16>()).prop_map(|(ip, port)| SocketAddr::new(IpAddr(ip), port))
 }
 
 fn st_tcp() -> impl Strategy<Value = Option<TcpHeader>> {
-    (any::<bool>(), any::<u64>(), any::<u64>(), 0u8..16).prop_map(|(present, seq, ack, bits)| {
+    (any::<bool>(), st_u64(), st_u64(), 0u8..16).prop_map(|(present, seq, ack, bits)| {
         present.then(|| TcpHeader {
             seq,
             ack,
@@ -133,12 +155,12 @@ fn st_udp_payload() -> impl Strategy<Value = Option<Bytes>> {
 
 fn st_packet() -> impl Strategy<Value = PacketRecord> {
     (
-        (any::<u64>(), st_sock(), st_sock(), any::<bool>()),
+        (st_u64(), st_sock(), st_sock(), any::<bool>()),
         (
             st_tcp(),
             0u32..200_000,
             st_udp_payload(),
-            prop::collection::vec((any::<u64>(), any::<u64>()), 0..4),
+            prop::collection::vec((st_u64(), any::<u64>()), 0..4),
             st_dir(),
         ),
     )
@@ -185,13 +207,7 @@ fn st_li() -> impl Strategy<Value = Option<u16>> {
 
 fn st_pdu_record() -> impl Strategy<Value = PduRecord> {
     (
-        (
-            st_dir(),
-            any::<u32>(),
-            any::<u16>(),
-            any::<u8>(),
-            any::<u8>(),
-        ),
+        (st_dir(), st_u32(), any::<u16>(), any::<u8>(), any::<u8>()),
         (st_li(), any::<bool>(), any::<bool>()),
     )
         .prop_map(
@@ -208,7 +224,7 @@ fn st_pdu_record() -> impl Strategy<Value = PduRecord> {
 }
 
 fn st_status() -> impl Strategy<Value = StatusRecord> {
-    (st_dir(), any::<u32>()).prop_map(|(data_dir, acks_sn)| StatusRecord { data_dir, acks_sn })
+    (st_dir(), st_u32()).prop_map(|(data_dir, acks_sn)| StatusRecord { data_dir, acks_sn })
 }
 
 fn st_qxdm() -> impl Strategy<Value = QxdmLog> {
@@ -224,16 +240,17 @@ fn st_qxdm() -> impl Strategy<Value = QxdmLog> {
         })
 }
 
+/// A coverage slot: often all-zero (how the recorder leaves an unused
+/// slot), otherwise arbitrary, so unused slots are drawn both zero and
+/// non-zero.
+fn st_cover() -> impl Strategy<Value = (u64, u32)> {
+    (any::<bool>(), st_u64(), st_u32())
+        .prop_map(|(zero, id, off)| if zero { (0, 0) } else { (id, off) })
+}
+
 fn st_pdu_event() -> impl Strategy<Value = PduEvent> {
-    (
-        st_pdu_record(),
-        (
-            (any::<u64>(), any::<u32>()),
-            (any::<u64>(), any::<u32>()),
-            0u8..3,
-        ),
-    )
-        .prop_map(|(rec, (c0, c1, covers_len))| PduEvent {
+    (st_pdu_record(), (st_cover(), st_cover(), 0u8..3)).prop_map(|(rec, (c0, c1, covers_len))| {
+        PduEvent {
             dir: rec.dir,
             sn: rec.sn,
             payload_len: rec.payload_len,
@@ -243,7 +260,8 @@ fn st_pdu_event() -> impl Strategy<Value = PduEvent> {
             retransmission: rec.retransmission,
             covers: [c0, c1],
             covers_len,
-        })
+        }
+    })
 }
 
 fn st_screen() -> impl Strategy<Value = ScreenEvent> {
@@ -323,6 +341,216 @@ proptest! {
         let back: CpuMeter = decode_artifact(&bytes, CPU_MAGIC, FORMAT_VERSION).unwrap();
         prop_assert_eq!(back, cpu);
     }
+}
+
+// ---- column codec edge cases -------------------------------------------
+
+/// One packet of flow `i`: a distinct source port per flow.
+fn flow_packet(i: u64, id: u64) -> PacketRecord {
+    let udp = i.is_multiple_of(5);
+    PacketRecord {
+        dir: if i.is_multiple_of(3) {
+            Direction::Downlink
+        } else {
+            Direction::Uplink
+        },
+        pkt: IpPacket {
+            id,
+            src: SocketAddr::new(IpAddr::new(10, 0, 0, 1), 1024 + i as u16),
+            dst: SocketAddr::new(IpAddr::new(31, 13, 0, 2), 443),
+            proto: if udp { Proto::Udp } else { Proto::Tcp },
+            tcp: (!udp).then_some(TcpHeader {
+                seq: id.wrapping_mul(1400),
+                ack: u64::MAX - id,
+                flags: TcpFlags::default(),
+            }),
+            payload_len: 1400,
+            udp_payload: udp.then(|| Bytes::from(vec![i as u8; 12])),
+            markers: vec![(id, i)],
+        },
+    }
+}
+
+/// Each damaged copy of `bytes` — every proper prefix, and every single
+/// byte xor-ed with `mask` — is rejected, or (for a flip) decodes to a
+/// value whose encoding is exactly the damaged bytes. Never a panic.
+fn check_damage<T>(
+    bytes: &[u8],
+    mask: u8,
+    read: impl Fn(&[u8]) -> Result<T, TraceError>,
+    write: impl Fn(&T) -> Vec<u8>,
+) {
+    for cut in 0..bytes.len() {
+        assert!(
+            read(&bytes[..cut]).is_err(),
+            "prefix of {cut} bytes accepted"
+        );
+    }
+    for i in 0..bytes.len() {
+        let mut damaged = bytes.to_vec();
+        damaged[i] ^= mask;
+        if let Ok(v) = read(&damaged) {
+            assert_eq!(
+                write(&v),
+                damaged,
+                "byte {i} flipped: non-canonical bytes accepted"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// More than 127 flows: the flow index needs a multi-byte varint, and
+    /// every flow keeps its own delta state.
+    #[test]
+    fn trace_with_many_flows_round_trips(flows in 128u64..300, rounds in 1u64..4) {
+        let mut trace = RecordLog::new();
+        for r in 0..rounds {
+            for i in 0..flows {
+                trace.push(SimTime::from_micros(r * 1_000 + i), flow_packet(i, r * flows + i));
+            }
+        }
+        let bytes = netstack::pcap::write_trace(&trace);
+        prop_assert_eq!(netstack::pcap::read_trace(&bytes).unwrap(), trace);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn damaged_trace_is_rejected_or_canonical(trace in st_log(st_packet(), 6), mask in 1u8..=255) {
+        check_damage(
+            &netstack::pcap::write_trace(&trace),
+            mask,
+            netstack::pcap::read_trace,
+            netstack::pcap::write_trace,
+        );
+    }
+
+    #[test]
+    fn damaged_qxdm_is_rejected_or_canonical(log in st_qxdm(), mask in 1u8..=255) {
+        check_damage(&write_qxdm(&log), mask, read_qxdm, write_qxdm);
+    }
+
+    #[test]
+    fn damaged_pdu_truth_is_rejected_or_canonical(
+        truth in st_log(st_pdu_event(), 10),
+        mask in 1u8..=255,
+    ) {
+        check_damage(&write_pdu_truth(&truth), mask, read_pdu_truth, write_pdu_truth);
+    }
+}
+
+/// Empty and one-record logs of every column codec, STATUS records in both
+/// directions, and a UDP payload.
+#[test]
+fn empty_and_single_record_logs_round_trip() {
+    let at = SimTime::from_micros(u64::MAX);
+    let empty_trace = RecordLog::new();
+    let mut one_packet = RecordLog::new();
+    one_packet.push(at, flow_packet(0, u64::MAX));
+    for trace in [empty_trace, one_packet] {
+        let bytes = netstack::pcap::write_trace(&trace);
+        assert_eq!(netstack::pcap::read_trace(&bytes).unwrap(), trace);
+    }
+
+    let mut one = QxdmLog::default();
+    one.pdus.push(
+        at,
+        PduRecord {
+            dir: Direction::Downlink,
+            sn: u32::MAX,
+            payload_len: u16::MAX,
+            first2: [0xFF, 0],
+            li: Some(u16::MAX),
+            poll: true,
+            retransmission: true,
+        },
+    );
+    for (i, data_dir) in [Direction::Uplink, Direction::Downlink]
+        .into_iter()
+        .enumerate()
+    {
+        one.statuses.push(
+            at,
+            StatusRecord {
+                data_dir,
+                acks_sn: u32::MAX - i as u32,
+            },
+        );
+    }
+    for log in [QxdmLog::default(), one] {
+        assert_eq!(read_qxdm(&write_qxdm(&log)).unwrap(), log);
+    }
+
+    let mut one_event = RecordLog::new();
+    one_event.push(
+        at,
+        PduEvent {
+            dir: Direction::Uplink,
+            sn: 0,
+            payload_len: 0,
+            first2: [0, 0],
+            li: None,
+            poll: false,
+            retransmission: false,
+            covers: [(u64::MAX, u32::MAX), (0, 1)],
+            covers_len: 1,
+        },
+    );
+    for truth in [RecordLog::new(), one_event] {
+        assert_eq!(read_pdu_truth(&write_pdu_truth(&truth)).unwrap(), truth);
+    }
+}
+
+/// Inside a bundle, every single-byte flip of a column artifact is caught
+/// (by the manifest checksum if not by the decoder).
+#[test]
+fn flipped_artifact_bytes_fail_the_load() {
+    let mut trace = RecordLog::new();
+    trace.push(SimTime::from_micros(5), flow_packet(5, 9));
+    let mut truth = RecordLog::new();
+    truth.push(
+        SimTime::from_micros(6),
+        PduEvent {
+            dir: Direction::Downlink,
+            sn: 3,
+            payload_len: 40,
+            first2: [0x45, 6],
+            li: Some(40),
+            poll: true,
+            retransmission: false,
+            covers: [(9, 0), (0, 0)],
+            covers_len: 1,
+        },
+    );
+    let col = Collection {
+        behavior: RecordLog::new(),
+        trace,
+        qxdm: Some(QxdmLog::default()),
+        pdu_truth: Some(truth),
+        camera: RecordLog::new(),
+        cpu: CpuMeter::default(),
+        end: SimTime::from_secs(1),
+    };
+    let dir = fresh_dir("flip");
+    col.save(&dir, &meta(5, 6)).unwrap();
+    for file in ["trace.pcapq", "qxdm.bin", "truth_pdus.bin"] {
+        let path = dir.join(file);
+        let good = fs::read(&path).unwrap();
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0x01;
+            fs::write(&path, &bad).unwrap();
+            assert!(Collection::load(&dir).is_err(), "{file} byte {i}");
+        }
+        fs::write(&path, &good).unwrap();
+    }
+    assert_eq!(Collection::load(&dir).unwrap().0, col);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---- whole-bundle round trips ------------------------------------------
@@ -471,9 +699,10 @@ fn garbage_manifest_is_a_structured_error() {
 fn future_format_version_is_rejected() {
     let dir = saved_bundle("version");
     let manifest = dir.join("manifest.txt");
-    let bumped = fs::read_to_string(&manifest)
-        .unwrap()
-        .replace("qoe-trace-bundle v1", "qoe-trace-bundle v99");
+    let bumped = fs::read_to_string(&manifest).unwrap().replace(
+        &format!("qoe-trace-bundle v{FORMAT_VERSION}"),
+        "qoe-trace-bundle v99",
+    );
     fs::write(&manifest, bumped).unwrap();
     match Collection::load(&dir) {
         Err(TraceError::BadVersion { found: 99, .. }) => {}

@@ -8,12 +8,15 @@
 use netstack::pcap::Direction;
 use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpFlags, TcpHeader};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
+
 use qoe_doctor::analyze::crosslayer::{
-    long_jump_map_with, net_latency_breakdown, reference, MapperOptions,
+    long_jump_map_with, net_latency_breakdown, reference, score_mapping, MappedPacket,
+    MapperOptions, MappingScore,
 };
 use radio::qxdm::{Qxdm, QxdmConfig};
-use radio::rlc::{RlcChannel, RlcConfig};
-use simcore::{DetRng, SimDuration, SimTime};
+use radio::rlc::{PduEvent, RlcChannel, RlcConfig};
+use simcore::{DetRng, RecordLog, SimDuration, SimTime};
 
 fn pkt(id: u64, payload: u32) -> IpPacket {
     IpPacket {
@@ -137,6 +140,106 @@ proptest! {
                 start, stop, net, &mapped, &qx.log, Direction::Uplink);
             prop_assert_eq!(fast, naive);
         }
+    }
+}
+
+/// The set-based scorer `score_mapping` replaced: packet id → the set of
+/// sns covering it, compared as sets with each mapped chain.
+fn score_oracle(
+    mapped: &[MappedPacket],
+    truth: &RecordLog<PduEvent>,
+    dir: Direction,
+) -> MappingScore {
+    let mut by_packet: HashMap<u64, BTreeSet<u32>> = HashMap::new();
+    for (_, ev) in truth.iter().filter(|(_, ev)| ev.dir == dir) {
+        for (pkt_id, _) in ev.coverage() {
+            by_packet.entry(pkt_id).or_default().insert(ev.sn);
+        }
+    }
+    let total = mapped.len();
+    let hits: Vec<bool> = mapped
+        .iter()
+        .filter(|m| m.mapped())
+        .map(|m| by_packet.get(&m.packet_id) == Some(&m.sns.iter().copied().collect()))
+        .collect();
+    let correct = hits.iter().filter(|h| **h).count();
+    MappingScore {
+        total,
+        mapped_ratio: if total == 0 {
+            0.0
+        } else {
+            hits.len() as f64 / total as f64
+        },
+        correct_ratio: if hits.is_empty() {
+            0.0
+        } else {
+            correct as f64 / hits.len() as f64
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `score_mapping` equals the set-based oracle on truth logs with
+    /// retransmitted sns (the same sn logged again), PDUs that cover two
+    /// packets, both directions interleaved, and mapped chains that are
+    /// exact, reordered, duplicated, perturbed or empty.
+    #[test]
+    fn score_mapping_equals_set_oracle(
+        events in prop::collection::vec(
+            (any::<bool>(), 0u32..12, 0u8..3, (0u64..10, 0u64..10), any::<bool>()),
+            0..40,
+        ),
+        chains in prop::collection::vec((0u64..12, 0u8..4, 0u32..12), 0..16),
+        uplink in any::<bool>(),
+    ) {
+        let mut truth = RecordLog::new();
+        for (i, (up, sn, covers_len, (a, b), retx)) in events.into_iter().enumerate() {
+            truth.push(SimTime::from_micros(i as u64), PduEvent {
+                dir: if up { Direction::Uplink } else { Direction::Downlink },
+                sn,
+                payload_len: 40,
+                first2: [0x45, 0],
+                li: None,
+                poll: false,
+                retransmission: retx,
+                covers: [(a, 7), (b, 9)],
+                covers_len,
+            });
+        }
+        let dir = if uplink { Direction::Uplink } else { Direction::Downlink };
+        let mapped: Vec<MappedPacket> = chains
+            .into_iter()
+            .map(|(packet_id, kind, extra)| {
+                // The true chain of `packet_id`, in time order (duplicates
+                // from retransmissions kept), then shaped by `kind`.
+                let mut sns: Vec<u32> = truth
+                    .iter()
+                    .filter(|(_, ev)| ev.dir == dir && ev.coverage().any(|(p, _)| p == packet_id))
+                    .map(|(_, ev)| ev.sn)
+                    .collect();
+                match kind {
+                    0 => {}
+                    1 => sns.reverse(),
+                    2 => sns.push(extra),
+                    _ => sns.clear(),
+                }
+                MappedPacket {
+                    packet_id,
+                    captured_at: SimTime::ZERO,
+                    sns,
+                    first_pdu_at: None,
+                    last_pdu_at: None,
+                }
+            })
+            .collect();
+        let got = score_mapping(&mapped, &truth, dir);
+        let want = score_oracle(&mapped, &truth, dir);
+        prop_assert_eq!(
+            (got.total, got.mapped_ratio.to_bits(), got.correct_ratio.to_bits()),
+            (want.total, want.mapped_ratio.to_bits(), want.correct_ratio.to_bits())
+        );
     }
 }
 

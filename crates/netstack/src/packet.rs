@@ -38,6 +38,28 @@ pub struct TcpFlags {
     pub rst: bool,
 }
 
+impl TcpFlags {
+    /// The flags packed as `syn | ack << 1 | fin << 2 | rst << 3`, their
+    /// wire-header and trace-bundle form.
+    pub fn bits(&self) -> u8 {
+        (self.syn as u8)
+            | ((self.ack as u8) << 1)
+            | ((self.fin as u8) << 2)
+            | ((self.rst as u8) << 3)
+    }
+
+    /// Unpack [`TcpFlags::bits`]; `None` when a bit above the four flags is
+    /// set.
+    pub fn from_bits(b: u8) -> Option<TcpFlags> {
+        (b & !0x0F == 0).then_some(TcpFlags {
+            syn: b & 1 != 0,
+            ack: b & 2 != 0,
+            fin: b & 4 != 0,
+            rst: b & 8 != 0,
+        })
+    }
+}
+
 /// TCP header fields the simulation models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHeader {
@@ -106,13 +128,7 @@ impl IpPacket {
         buf.put_u16(self.src.port);
         buf.put_u16(self.dst.port);
         let (seq, ack, flags) = match self.tcp {
-            Some(h) => {
-                let f = (h.flags.syn as u8)
-                    | ((h.flags.ack as u8) << 1)
-                    | ((h.flags.fin as u8) << 2)
-                    | ((h.flags.rst as u8) << 3);
-                (h.seq, h.ack, f)
-            }
+            Some(h) => (h.seq, h.ack, h.flags.bits()),
             None => (0, 0, 0),
         };
         buf.put_u64(seq);

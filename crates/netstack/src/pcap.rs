@@ -6,8 +6,10 @@
 //! capture timestamp and direction.
 
 use crate::addr::FlowKey;
+use crate::codec::{PacketColumns, PacketColumnsReader};
 use crate::packet::IpPacket;
 use simcore::{RecordLog, SimTime};
+use trace::column::{decode_log, encode_log};
 
 /// Direction of a captured packet relative to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,15 +108,22 @@ impl Capture {
 pub const TRACE_MAGIC: &[u8; 4] = b"QPCP";
 
 /// Serialize a packet trace to its on-disk form: magic + format version +
-/// timestamped [`PacketRecord`] frames (the pcap-like framing).
+/// the packet count, a stamp column and the packet columns (see
+/// [`crate::codec`]).
 pub fn write_trace(trace: &RecordLog<PacketRecord>) -> Vec<u8> {
-    trace::encode_artifact(TRACE_MAGIC, trace::FORMAT_VERSION, trace)
+    let mut w = trace::Writer::with_magic(TRACE_MAGIC, trace::FORMAT_VERSION);
+    encode_log::<_, PacketColumns>(trace, &mut w);
+    w.finish()
 }
 
 /// Parse a packet trace produced by [`write_trace`], rejecting wrong
-/// magic/version, truncation, and out-of-order timestamps.
+/// magic/version, truncation, time-delta overflow, non-canonical columns
+/// and trailing bytes.
 pub fn read_trace(bytes: &[u8]) -> Result<RecordLog<PacketRecord>, trace::TraceError> {
-    trace::decode_artifact(bytes, TRACE_MAGIC, trace::FORMAT_VERSION)
+    let mut r = trace::Reader::open(bytes, TRACE_MAGIC, trace::FORMAT_VERSION)?;
+    let trace = decode_log::<_, PacketColumnsReader>(&mut r)?;
+    r.expect_end()?;
+    Ok(trace)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Binary codecs for radio-layer records (the `trace::Codec` impls).
+//! On-disk forms of radio-layer records.
 //!
 //! Covers both the analyzer-visible QxDM log streams ([`PduRecord`],
 //! [`StatusRecord`], [`RrcTransition`]) and the evaluation-only ground
@@ -6,13 +6,27 @@
 //! *different* artifact entry points ([`write_qxdm`] vs
 //! [`write_pdu_truth`]) so a bundle can list them under different manifest
 //! classes.
+//!
+//! RRC transitions are rare and stored as `trace::Codec` rows. The PDU,
+//! STATUS and truth streams are `trace::column` logs (a count, one
+//! delta-varint stamp column, then length-framed columns):
+//!
+//! | stream | columns, in order                                             |
+//! |--------|---------------------------------------------------------------|
+//! | PDU    | `dir` (run-length), `sn` (zigzag delta per direction), `payload_len` (run-length), `first2` (raw), LI (run-length: 0 absent, else 1 + LI), poll/retx bits (run-length: poll + 2 × retx) |
+//! | truth  | the PDU columns, `covers_len` (run-length), cover packet id (zigzag delta per direction), cover offset (varint), unused-slots flag (run-length), unused slots (varints, only when one is non-zero) |
+//! | STATUS | `data_dir` (run-length), `acks_sn` (zigzag delta per direction) |
+//!
+//! The long-jump mapper (§5.4.2) reads only the PDU stream's stamp, `dir`,
+//! `sn`, `first2` and LI; the layout keeps each of those a separate column.
 
+use trace::column::{decode_log, encode_log, ColumnDecoder, ColumnEncoder, RleReader, RleWriter};
 use trace::{Codec, Reader, TraceError, Writer};
 
 use crate::qxdm::{PduRecord, QxdmLog, StatusRecord};
-use crate::rlc::PduEvent;
+use crate::rlc::{PduCoverage, PduEvent};
 use crate::rrc::{RrcState, RrcTransition};
-use netstack::pcap::Direction;
+use netstack::codec::{direction_from_tag, direction_tag};
 use simcore::RecordLog;
 
 /// File magic of a persisted QxDM diagnostic log.
@@ -59,88 +73,281 @@ impl Codec for RrcTransition {
     }
 }
 
-impl Codec for PduRecord {
-    fn encode(&self, w: &mut Writer) {
-        self.dir.encode(w);
-        w.u32(self.sn);
-        w.u16(self.payload_len);
-        self.first2.encode(w);
-        self.li.encode(w);
-        w.bool(self.poll);
-        w.bool(self.retransmission);
+/// Per-direction previous value of a zigzag-delta `u32` column.
+type PerDir = [u32; 2];
+
+/// Column encoder of the QxDM [`PduRecord`] stream; the ground-truth
+/// stream starts with the same columns.
+#[derive(Default)]
+struct PduColumns {
+    sn_prev: PerDir,
+    dir: RleWriter,
+    sn: Writer,
+    len: RleWriter,
+    first2: Writer,
+    li: RleWriter,
+    bits: RleWriter,
+}
+
+impl ColumnEncoder<PduRecord> for PduColumns {
+    fn push(&mut self, p: &PduRecord) {
+        let d = direction_tag(p.dir);
+        self.dir.push(d);
+        self.sn.delta32(&mut self.sn_prev[d as usize], p.sn);
+        self.len.push(u64::from(p.payload_len));
+        self.first2.bytes(&p.first2);
+        self.li.push(p.li.map_or(0, |li| 1 + u64::from(li)));
+        self.bits
+            .push(p.poll as u64 | (p.retransmission as u64) << 1);
     }
-    fn decode(r: &mut Reader) -> Result<Self, TraceError> {
+
+    fn finish(self, w: &mut Writer) {
+        self.dir.finish(w);
+        w.column(&self.sn.finish());
+        self.len.finish(w);
+        w.column(&self.first2.finish());
+        self.li.finish(w);
+        self.bits.finish(w);
+    }
+}
+
+/// Column decoder of the QxDM [`PduRecord`] stream.
+struct PduColumnsReader<'a> {
+    sn_prev: PerDir,
+    dir: RleReader<'a>,
+    sn: Reader<'a>,
+    len: RleReader<'a>,
+    first2: Reader<'a>,
+    li: RleReader<'a>,
+    bits: RleReader<'a>,
+}
+
+impl<'a> ColumnDecoder<'a, PduRecord> for PduColumnsReader<'a> {
+    fn open(r: &mut Reader<'a>) -> Result<Self, TraceError> {
+        Ok(PduColumnsReader {
+            sn_prev: PerDir::default(),
+            dir: RleReader::open(r, 1)?,
+            sn: r.column()?,
+            len: RleReader::open(r, u64::from(u16::MAX))?,
+            first2: r.column()?,
+            li: RleReader::open(r, 1 + u64::from(u16::MAX))?,
+            bits: RleReader::open(r, 3)?,
+        })
+    }
+
+    fn next(&mut self) -> Result<PduRecord, TraceError> {
+        let d = self.dir.read()?;
+        let sn = self.sn.delta32(&mut self.sn_prev[d as usize])?;
+        let payload_len = self.len.read()? as u16;
+        let first2 = self.first2.take(2)?;
+        let li = self.li.read()?;
+        let bits = self.bits.read()?;
         Ok(PduRecord {
-            dir: Direction::decode(r)?,
-            sn: r.u32()?,
-            payload_len: r.u16()?,
-            first2: <[u8; 2]>::decode(r)?,
-            li: Option::<u16>::decode(r)?,
-            poll: r.bool()?,
-            retransmission: r.bool()?,
+            dir: direction_from_tag(d),
+            sn,
+            payload_len,
+            first2: [first2[0], first2[1]],
+            li: li.checked_sub(1).map(|li| li as u16),
+            poll: bits & 1 != 0,
+            retransmission: bits & 2 != 0,
         })
+    }
+
+    fn finish(self) -> Result<(), TraceError> {
+        self.dir.finish()?;
+        self.sn.expect_end()?;
+        self.len.finish()?;
+        self.first2.expect_end()?;
+        self.li.finish()?;
+        self.bits.finish()
     }
 }
 
-impl Codec for StatusRecord {
-    fn encode(&self, w: &mut Writer) {
-        self.data_dir.encode(w);
-        w.u32(self.acks_sn);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, TraceError> {
-        Ok(StatusRecord {
-            data_dir: Direction::decode(r)?,
-            acks_sn: r.u32()?,
-        })
-    }
+/// Column encoder of the ground-truth [`PduEvent`] stream: the PDU
+/// columns, then the coverage columns.
+#[derive(Default)]
+struct TruthColumns {
+    pdu: PduColumns,
+    id_prev: [u64; 2],
+    covers_len: RleWriter,
+    cover_id: Writer,
+    cover_off: Writer,
+    dirty: RleWriter,
+    unused: Writer,
 }
 
-impl Codec for PduEvent {
-    fn encode(&self, w: &mut Writer) {
-        self.dir.encode(w);
-        w.u32(self.sn);
-        w.u16(self.payload_len);
-        self.first2.encode(w);
-        self.li.encode(w);
-        w.bool(self.poll);
-        w.bool(self.retransmission);
-        self.covers.encode(w);
-        w.u8(self.covers_len);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, TraceError> {
-        let ev = PduEvent {
-            dir: Direction::decode(r)?,
-            sn: r.u32()?,
-            payload_len: r.u16()?,
-            first2: <[u8; 2]>::decode(r)?,
-            li: Option::<u16>::decode(r)?,
-            poll: r.bool()?,
-            retransmission: r.bool()?,
-            covers: <[(u64, u32); 2]>::decode(r)?,
-            covers_len: r.u8()?,
-        };
-        if ev.covers_len as usize > ev.covers.len() {
-            return Err(TraceError::Corrupt(format!(
-                "covers_len {} exceeds capacity {}",
-                ev.covers_len,
-                ev.covers.len()
-            )));
+impl ColumnEncoder<PduEvent> for TruthColumns {
+    fn push(&mut self, ev: &PduEvent) {
+        self.pdu.push(&PduRecord {
+            dir: ev.dir,
+            sn: ev.sn,
+            payload_len: ev.payload_len,
+            first2: ev.first2,
+            li: ev.li,
+            poll: ev.poll,
+            retransmission: ev.retransmission,
+        });
+        let d = direction_tag(ev.dir) as usize;
+        let used = (ev.covers_len as usize).min(ev.covers.len());
+        self.covers_len.push(u64::from(ev.covers_len));
+        for &(id, off) in &ev.covers[..used] {
+            self.cover_id.delta(&mut self.id_prev[d], id);
+            self.cover_off.varint(u64::from(off));
         }
-        Ok(ev)
+        let rest = &ev.covers[used..];
+        let dirty = rest.iter().any(|&c| c != (0, 0));
+        self.dirty.push(dirty as u64);
+        if dirty {
+            for &(id, off) in rest {
+                self.unused.varint(id);
+                self.unused.varint(u64::from(off));
+            }
+        }
+    }
+
+    fn finish(self, w: &mut Writer) {
+        self.pdu.finish(w);
+        self.covers_len.finish(w);
+        w.column(&self.cover_id.finish());
+        w.column(&self.cover_off.finish());
+        self.dirty.finish(w);
+        w.column(&self.unused.finish());
+    }
+}
+
+/// Column decoder of the ground-truth [`PduEvent`] stream.
+struct TruthColumnsReader<'a> {
+    pdu: PduColumnsReader<'a>,
+    id_prev: [u64; 2],
+    covers_len: RleReader<'a>,
+    cover_id: Reader<'a>,
+    cover_off: Reader<'a>,
+    dirty: RleReader<'a>,
+    unused: Reader<'a>,
+}
+
+impl<'a> ColumnDecoder<'a, PduEvent> for TruthColumnsReader<'a> {
+    fn open(r: &mut Reader<'a>) -> Result<Self, TraceError> {
+        Ok(TruthColumnsReader {
+            pdu: PduColumnsReader::open(r)?,
+            id_prev: [0; 2],
+            covers_len: RleReader::open(r, 2)?,
+            cover_id: r.column()?,
+            cover_off: r.column()?,
+            dirty: RleReader::open(r, 1)?,
+            unused: r.column()?,
+        })
+    }
+
+    fn next(&mut self) -> Result<PduEvent, TraceError> {
+        let p = self.pdu.next()?;
+        let d = direction_tag(p.dir) as usize;
+        let covers_len = self.covers_len.read()? as u8;
+        let mut covers: PduCoverage = [(0, 0); 2];
+        let used = covers_len as usize;
+        for c in &mut covers[..used] {
+            *c = (
+                self.cover_id.delta(&mut self.id_prev[d])?,
+                self.cover_off.varint_max(u64::from(u32::MAX))? as u32,
+            );
+        }
+        if self.dirty.read()? == 1 {
+            for c in &mut covers[used..] {
+                *c = (
+                    self.unused.varint()?,
+                    self.unused.varint_max(u64::from(u32::MAX))? as u32,
+                );
+            }
+            // An encoder stores the unused slots only when one is non-zero.
+            if covers[used..].iter().all(|&c| c == (0, 0)) {
+                return Err(TraceError::Corrupt(
+                    "stored unused coverage slots are all zero".into(),
+                ));
+            }
+        }
+        Ok(PduEvent {
+            dir: p.dir,
+            sn: p.sn,
+            payload_len: p.payload_len,
+            first2: p.first2,
+            li: p.li,
+            poll: p.poll,
+            retransmission: p.retransmission,
+            covers,
+            covers_len,
+        })
+    }
+
+    fn finish(self) -> Result<(), TraceError> {
+        self.pdu.finish()?;
+        self.covers_len.finish()?;
+        self.cover_id.expect_end()?;
+        self.cover_off.expect_end()?;
+        self.dirty.finish()?;
+        self.unused.expect_end()
+    }
+}
+
+/// Column encoder of the QxDM [`StatusRecord`] stream.
+#[derive(Default)]
+struct StatusColumns {
+    acks_prev: PerDir,
+    data_dir: RleWriter,
+    acks_sn: Writer,
+}
+
+impl ColumnEncoder<StatusRecord> for StatusColumns {
+    fn push(&mut self, s: &StatusRecord) {
+        let d = direction_tag(s.data_dir);
+        self.data_dir.push(d);
+        self.acks_sn
+            .delta32(&mut self.acks_prev[d as usize], s.acks_sn);
+    }
+    fn finish(self, w: &mut Writer) {
+        self.data_dir.finish(w);
+        w.column(&self.acks_sn.finish());
+    }
+}
+
+/// Column decoder of the QxDM [`StatusRecord`] stream.
+struct StatusColumnsReader<'a> {
+    acks_prev: PerDir,
+    data_dir: RleReader<'a>,
+    acks_sn: Reader<'a>,
+}
+
+impl<'a> ColumnDecoder<'a, StatusRecord> for StatusColumnsReader<'a> {
+    fn open(r: &mut Reader<'a>) -> Result<Self, TraceError> {
+        Ok(StatusColumnsReader {
+            acks_prev: PerDir::default(),
+            data_dir: RleReader::open(r, 1)?,
+            acks_sn: r.column()?,
+        })
+    }
+    fn next(&mut self) -> Result<StatusRecord, TraceError> {
+        let d = self.data_dir.read()?;
+        Ok(StatusRecord {
+            data_dir: direction_from_tag(d),
+            acks_sn: self.acks_sn.delta32(&mut self.acks_prev[d as usize])?,
+        })
+    }
+    fn finish(self) -> Result<(), TraceError> {
+        self.data_dir.finish()?;
+        self.acks_sn.expect_end()
     }
 }
 
 impl Codec for QxdmLog {
     fn encode(&self, w: &mut Writer) {
         self.rrc.encode(w);
-        self.pdus.encode(w);
-        self.statuses.encode(w);
+        encode_log::<_, PduColumns>(&self.pdus, w);
+        encode_log::<_, StatusColumns>(&self.statuses, w);
     }
     fn decode(r: &mut Reader) -> Result<Self, TraceError> {
         Ok(QxdmLog {
             rrc: RecordLog::decode(r)?,
-            pdus: RecordLog::decode(r)?,
-            statuses: RecordLog::decode(r)?,
+            pdus: decode_log::<_, PduColumnsReader>(r)?,
+            statuses: decode_log::<_, StatusColumnsReader>(r)?,
         })
     }
 }
@@ -158,17 +365,23 @@ pub fn read_qxdm(bytes: &[u8]) -> Result<QxdmLog, TraceError> {
 
 /// Serialize the ground-truth PDU stream (evaluation only).
 pub fn write_pdu_truth(truth: &RecordLog<PduEvent>) -> Vec<u8> {
-    trace::encode_artifact(TRUTH_MAGIC, trace::FORMAT_VERSION, truth)
+    let mut w = Writer::with_magic(TRUTH_MAGIC, trace::FORMAT_VERSION);
+    encode_log::<_, TruthColumns>(truth, &mut w);
+    w.finish()
 }
 
 /// Parse the ground-truth PDU stream produced by [`write_pdu_truth`].
 pub fn read_pdu_truth(bytes: &[u8]) -> Result<RecordLog<PduEvent>, TraceError> {
-    trace::decode_artifact(bytes, TRUTH_MAGIC, trace::FORMAT_VERSION)
+    let mut r = Reader::open(bytes, TRUTH_MAGIC, trace::FORMAT_VERSION)?;
+    let truth = decode_log::<_, TruthColumnsReader>(&mut r)?;
+    r.expect_end()?;
+    Ok(truth)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netstack::pcap::Direction;
     use simcore::SimTime;
 
     #[test]
@@ -228,5 +441,32 @@ mod tests {
         );
         let bytes = write_pdu_truth(&truth);
         assert_eq!(read_pdu_truth(&bytes).unwrap(), truth);
+    }
+
+    #[test]
+    fn stored_unused_slots_must_be_non_zero() {
+        let mut truth: RecordLog<PduEvent> = RecordLog::new();
+        truth.push(
+            SimTime::from_micros(1),
+            PduEvent {
+                dir: Direction::Downlink,
+                sn: 1,
+                payload_len: 40,
+                first2: [0, 0],
+                li: None,
+                poll: false,
+                retransmission: false,
+                covers: [(3, 0), (0, 1)],
+                covers_len: 1,
+            },
+        );
+        let mut bytes = write_pdu_truth(&truth);
+        assert_eq!(read_pdu_truth(&bytes).unwrap(), truth);
+        // The last column holds the unused slot (0, 1) as two varints;
+        // zeroing its offset leaves a stored all-zero slot, which an
+        // encoder never writes.
+        assert_eq!(bytes[bytes.len() - 3..], [2, 0, 1]);
+        *bytes.last_mut().unwrap() = 0;
+        assert!(read_pdu_truth(&bytes).is_err());
     }
 }

@@ -1,16 +1,19 @@
 //! The [`Codec`] trait: byte-deterministic binary encode/decode.
 //!
-//! Each layer crate implements `Codec` for its own record types (the orphan
-//! rule allows it because this crate owns the trait); generic containers —
-//! options, vectors, strings, timestamped [`RecordLog`]s — are covered here
-//! so layer impls only describe their own fields.
+//! Each layer crate implements `Codec` for its own small record types (the
+//! orphan rule allows it because this crate owns the trait); generic
+//! containers — options, vectors, strings, timestamped [`RecordLog`]s — are
+//! covered here so layer impls only describe their own fields. The large
+//! logs (packets, RLC PDUs) have column layouts of their own instead; see
+//! [`crate::column`].
 
-use simcore::{RecordLog, SimDuration, SimTime, Stamped};
+use simcore::{RecordLog, SimDuration, SimTime};
 
+use crate::column::{decode_log, encode_log, RowReader, Rows};
 use crate::error::TraceError;
 use crate::wire::{Reader, Writer};
 
-/// A type with a canonical little-endian binary form.
+/// A type with a canonical binary form.
 ///
 /// `decode(encode(x)) == x` must hold exactly (lossless round-trip), and
 /// `encode` must be a pure function of the value so identical values always
@@ -129,32 +132,6 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
-impl<A: Codec, B: Codec> Codec for (A, B) {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-        self.1.encode(w);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, TraceError> {
-        Ok((A::decode(r)?, B::decode(r)?))
-    }
-}
-
-impl<T: Codec, const N: usize> Codec for [T; N] {
-    fn encode(&self, w: &mut Writer) {
-        for v in self {
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, TraceError> {
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::decode(r)?);
-        }
-        out.try_into()
-            .map_err(|_| TraceError::Corrupt("array length mismatch".into()))
-    }
-}
-
 impl Codec for SimTime {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.as_micros());
@@ -173,49 +150,14 @@ impl Codec for SimDuration {
     }
 }
 
-impl<T: Codec> Codec for Stamped<T> {
-    fn encode(&self, w: &mut Writer) {
-        self.at.encode(w);
-        self.record.encode(w);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, TraceError> {
-        Ok(Stamped {
-            at: SimTime::decode(r)?,
-            record: T::decode(r)?,
-        })
-    }
-}
-
+/// A log stores its stamps as one delta-varint column and its records as
+/// one column of rows (see [`crate::column`]).
 impl<T: Codec> Codec for RecordLog<T> {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.len() as u64);
-        for e in self.entries() {
-            e.encode(w);
-        }
+        encode_log::<T, Rows>(self, w);
     }
     fn decode(r: &mut Reader) -> Result<Self, TraceError> {
-        let len = r.u64()?;
-        if len > r.remaining() as u64 {
-            return Err(TraceError::Corrupt(format!(
-                "record count {len} exceeds remaining {} bytes",
-                r.remaining()
-            )));
-        }
-        let mut entries: Vec<Stamped<T>> = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let e = Stamped::<T>::decode(r)?;
-            if let Some(prev) = entries.last() {
-                if e.at < prev.at {
-                    return Err(TraceError::Corrupt(format!(
-                        "record {i} at {}us precedes predecessor at {}us",
-                        e.at.as_micros(),
-                        prev.at.as_micros()
-                    )));
-                }
-            }
-            entries.push(e);
-        }
-        Ok(RecordLog::from_entries(entries))
+        decode_log::<T, RowReader>(r)
     }
 }
 
@@ -262,19 +204,19 @@ mod tests {
         let back: RecordLog<u32> = decode_artifact(&buf, b"QTST", 1).unwrap();
         assert_eq!(back, log);
 
-        // Flip the two timestamps: 9 before 5 must be structurally rejected.
-        let mut bad: RecordLog<u32> = RecordLog::new();
-        bad.push(SimTime::from_micros(9), 3);
-        let mut entries = bad.into_entries();
-        entries.push(Stamped {
-            at: SimTime::from_micros(5),
-            record: 1,
-        });
+        // Stamps are unsigned deltas, so a log can only run backwards by
+        // overflowing the clock: a delta that wraps 9us past u64::MAX must
+        // be structurally rejected.
+        let mut stamps = Writer::new();
+        stamps.varint(9);
+        stamps.varint(u64::MAX - 4);
         let mut w = Writer::with_magic(b"QTST", 1);
-        w.u64(entries.len() as u64);
-        for e in &entries {
-            e.encode(&mut w);
-        }
+        w.varint(2);
+        w.column(&stamps.finish());
+        let mut rows = Writer::new();
+        3u32.encode(&mut rows);
+        1u32.encode(&mut rows);
+        w.column(&rows.finish());
         let err = decode_artifact::<RecordLog<u32>>(&w.finish(), b"QTST", 1).unwrap_err();
         assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
     }

@@ -21,15 +21,24 @@
 //! accessor refuses to serve them, so an analyzer cannot silently read what
 //! a real deployment would not have.
 //!
-//! Everything here is hand-rolled little-endian binary, versioned by this
-//! crate alone, and byte-deterministic: encoding the same value always
-//! produces the same bytes, which is what makes content-addressed caching
-//! and byte-identical re-analysis possible.
+//! Artifacts are stored column by column ([`column`](mod@column)): a record log is its
+//! record count, its timestamps as one column of varint deltas, then one
+//! length-framed column per field. Fields use LEB128 varints, zigzag deltas
+//! (per flow or per direction, chosen by the layer crate), run-length
+//! encoding for slowly changing fields such as direction and flags, and
+//! raw bytes where values do not compress (the two payload bytes QxDM
+//! keeps per PDU). Small records without a layer-specific layout are
+//! [`Codec`] rows inside one column. The format is versioned by this crate
+//! alone ([`FORMAT_VERSION`]) and byte-deterministic: encoding the same
+//! value always produces the same bytes, and decoders accept only those
+//! canonical bytes, which is what makes content-addressed caching and
+//! byte-identical re-analysis possible.
 
 #![warn(missing_docs)]
 
 mod bundle;
 mod codec;
+pub mod column;
 mod digest;
 mod error;
 mod manifest;

@@ -1,7 +1,7 @@
 //! The bundle manifest: a deterministic, line-oriented text file.
 //!
 //! ```text
-//! qoe-trace-bundle v1
+//! qoe-trace-bundle v2
 //! seed 20140705
 //! config 00c0ffee00c0ffee
 //! end_us 315000000
@@ -35,7 +35,7 @@ use crate::error::TraceError;
 /// record's field layout bumps this constant; readers reject other versions
 /// outright ([`TraceError::BadVersion`]) instead of guessing. There is no
 /// cross-version migration — bundles are cheap to re-record.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 const MAGIC_PREFIX: &str = "qoe-trace-bundle v";
 
@@ -274,7 +274,9 @@ mod tests {
 
     #[test]
     fn wrong_version_is_structured() {
-        let text = sample().render().replace("bundle v1", "bundle v9");
+        let text = sample()
+            .render()
+            .replace(&format!("bundle v{FORMAT_VERSION}"), "bundle v9");
         assert!(matches!(
             Manifest::parse(&text),
             Err(TraceError::BadVersion {

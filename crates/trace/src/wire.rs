@@ -1,4 +1,5 @@
-//! Little-endian wire primitives.
+//! Wire primitives: little-endian scalars, LEB128 varints and
+//! length-framed columns.
 //!
 //! [`Writer`] appends to an owned buffer; [`Reader`] walks a borrowed one
 //! with a cursor and fails with [`TraceError::UnexpectedEof`] instead of
@@ -6,6 +7,10 @@
 //! magic + `u16` format version header (see [`Writer::with_magic`] /
 //! [`Reader::open`]) so a stale or foreign file is rejected before any
 //! payload decode runs.
+//!
+//! Varints are canonical: [`Reader::varint`] rejects over-long encodings
+//! (a trailing zero group) and values past `u64::MAX`, so every accepted
+//! varint re-encodes to the bytes it was read from.
 
 use crate::error::TraceError;
 
@@ -63,6 +68,41 @@ impl Writer {
     /// Append a bool as one byte (0 or 1).
     pub fn bool(&mut self, v: bool) {
         self.u8(v as u8);
+    }
+
+    /// Append an unsigned LEB128 varint: 7 value bits per byte, low group
+    /// first, high bit set on every byte but the last.
+    #[inline]
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Append `v` as a zigzag varint of its wrapping difference from
+    /// `*prev`, then make `v` the new `*prev`. Every `u64` pair round-trips,
+    /// `0 → u64::MAX` included (a delta of -1).
+    #[inline]
+    pub fn delta(&mut self, prev: &mut u64, v: u64) {
+        self.varint(zigzag(v.wrapping_sub(*prev) as i64));
+        *prev = v;
+    }
+
+    /// [`Writer::delta`] over `u32` values: the wrapping difference as an
+    /// `i32`, so the varint never exceeds `u32::MAX`.
+    #[inline]
+    pub fn delta32(&mut self, prev: &mut u32, v: u32) {
+        self.varint(zigzag(v.wrapping_sub(*prev) as i32 as i64));
+        *prev = v;
+    }
+
+    /// Append a length-framed column: its byte length as a varint, then its
+    /// bytes.
+    pub fn column(&mut self, col: &[u8]) {
+        self.varint(col.len() as u64);
+        self.bytes(col);
     }
 
     /// Append a length-prefixed byte string.
@@ -177,6 +217,62 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Consume a canonical LEB128 varint (see [`Writer::varint`]).
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, TraceError> {
+        let rest = &self.buf[self.pos..];
+        let mut v = 0u64;
+        for (i, &b) in rest.iter().enumerate().take(10) {
+            if i == 9 && b > 1 {
+                return Err(TraceError::Corrupt("varint overflows u64".into()));
+            }
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(TraceError::Corrupt("over-long varint".into()));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(TraceError::UnexpectedEof)
+    }
+
+    /// Consume a varint that must not exceed `max`.
+    #[inline]
+    pub fn varint_max(&mut self, max: u64) -> Result<u64, TraceError> {
+        let v = self.varint()?;
+        if v > max {
+            return Err(TraceError::Corrupt(format!("value {v} exceeds {max}")));
+        }
+        Ok(v)
+    }
+
+    /// Consume a value written by [`Writer::delta`] against `*prev`.
+    #[inline]
+    pub fn delta(&mut self, prev: &mut u64) -> Result<u64, TraceError> {
+        *prev = prev.wrapping_add(unzigzag(self.varint()?) as u64);
+        Ok(*prev)
+    }
+
+    /// Consume a value written by [`Writer::delta32`] against `*prev`.
+    #[inline]
+    pub fn delta32(&mut self, prev: &mut u32) -> Result<u32, TraceError> {
+        let d = unzigzag(self.varint_max(u64::from(u32::MAX))?) as u32;
+        *prev = prev.wrapping_add(d);
+        Ok(*prev)
+    }
+
+    /// Consume a length-framed column written by [`Writer::column`],
+    /// returning a reader over just its bytes.
+    pub fn column(&mut self) -> Result<Reader<'a>, TraceError> {
+        let len = self.varint()?;
+        if len > self.remaining() as u64 {
+            return Err(TraceError::UnexpectedEof);
+        }
+        Ok(Reader::new(self.take(len as usize)?))
+    }
+
     /// Consume a length-prefixed byte string.
     pub fn blob(&mut self) -> Result<&'a [u8], TraceError> {
         let len = self.u64()?;
@@ -192,6 +288,17 @@ impl<'a> Reader<'a> {
         String::from_utf8(b.to_vec())
             .map_err(|_| TraceError::Corrupt("invalid UTF-8 in string".into()))
     }
+}
+
+/// Map a signed value to an unsigned one so small magnitudes of either
+/// sign get short varints: 0, -1, 1, -2, ... → 0, 1, 2, 3, ...
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 #[cfg(test)]
