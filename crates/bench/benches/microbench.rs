@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use netstack::pcap::{read_trace, write_trace, Direction, PacketRecord};
 use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpFlags, TcpHeader, TcpSocket};
 use qoe_doctor::analyze::crosslayer::{
-    long_jump_map, long_jump_map_with, net_latency_breakdown, reference, MapperOptions,
+    long_jump_map, net_latency_breakdown, reference, MapperOptions, PduIndex,
 };
 use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
 use radio::qxdm::{PduRecord, Qxdm, QxdmConfig, QxdmLog, StatusRecord};
@@ -144,16 +144,29 @@ fn bench_rlc_segmentation(c: &mut Criterion) {
 /// Run `n` packets through a 3G uplink RLC channel into a QxDM log with
 /// `record_loss`, returning the capture and the end of simulated time.
 fn mapping_fixture(n: u64, record_loss: f64) -> (Vec<(SimTime, IpPacket)>, Qxdm, SimTime) {
+    let packets: Vec<(SimTime, IpPacket)> = (0..n)
+        .map(|i| {
+            let pkt = bulk_packet(i, 200 + ((i * 37) % 1200) as u32);
+            (SimTime::from_micros(i), pkt)
+        })
+        .collect();
+    let queued = packets.iter().map(|(_, p)| (SimTime::ZERO, p.clone()));
+    let (qx, end) = run_uplink(queued, record_loss);
+    (packets, qx, end)
+}
+
+/// Feed each packet to a 3G uplink RLC channel at its enqueue time and log
+/// the transmissions with `record_loss`; returns the log and the time the
+/// channel drained.
+fn run_uplink(
+    queued: impl IntoIterator<Item = (SimTime, IpPacket)>,
+    record_loss: f64,
+) -> (Qxdm, SimTime) {
     let mut cfg = RlcConfig::umts_uplink();
     cfg.pdu_loss = 0.0;
     cfg.ota_jitter = 0.0;
     let mut ch = RlcChannel::new(cfg, Direction::Uplink, DetRng::seed_from_u64(2));
-    let mut packets = Vec::new();
-    for i in 0..n {
-        let pkt = bulk_packet(i, 200 + ((i * 37) % 1200) as u32);
-        packets.push((SimTime::from_micros(i), pkt.clone()));
-        ch.enqueue(pkt, SimTime::ZERO);
-    }
+    let mut queued = queued.into_iter().peekable();
     let mut qx = Qxdm::new(
         QxdmConfig {
             ul_record_loss: record_loss,
@@ -164,6 +177,9 @@ fn mapping_fixture(n: u64, record_loss: f64) -> (Vec<(SimTime, IpPacket)>, Qxdm,
     );
     let mut now = SimTime::ZERO;
     loop {
+        while let Some((_, p)) = queued.next_if(|(at, _)| *at <= now) {
+            ch.enqueue(p, now);
+        }
         ch.poll(now, true, 1.6e6);
         let mut events = Vec::new();
         ch.take_pdu_events(now, &mut events);
@@ -176,13 +192,16 @@ fn mapping_fixture(n: u64, record_loss: f64) -> (Vec<(SimTime, IpPacket)>, Qxdm,
             qx.observe_status(at, &ev);
         }
         ch.take_exits(now, &mut Vec::new());
-        match ch.next_wake(true) {
-            Some(w) if w > now => now = w,
-            Some(_) => continue,
-            None => break,
+        let arrival = queued.peek().map(|(at, _)| *at);
+        match (ch.next_wake(true), arrival) {
+            (Some(w), _) if w <= now => continue,
+            (Some(w), Some(a)) => now = w.min(a),
+            (Some(w), None) => now = w,
+            (None, Some(a)) => now = a,
+            (None, None) => break,
         }
     }
-    (packets, qx, now)
+    (qx, now)
 }
 
 fn bench_long_jump_mapping(c: &mut Criterion) {
@@ -192,8 +211,9 @@ fn bench_long_jump_mapping(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("analyzer");
     g.throughput(Throughput::Elements(refs.len() as u64));
+    let opts = MapperOptions::default();
     g.bench_function("long_jump_map_200_packets", |b| {
-        b.iter(|| long_jump_map(&refs, &qx.log, Direction::Uplink).len())
+        b.iter(|| long_jump_map(&refs, &PduIndex::new(&qx.log, Direction::Uplink), opts).len())
     });
     g.finish();
 
@@ -202,24 +222,22 @@ fn bench_long_jump_mapping(c: &mut Criterion) {
     // reference's linear walk of the scan window.
     let (packets, qx, end) = mapping_fixture(10_000, 0.02);
     let refs: Vec<(SimTime, &IpPacket)> = packets.iter().map(|(at, p)| (*at, p)).collect();
-    let opts = MapperOptions::default();
+    let index = PduIndex::new(&qx.log, Direction::Uplink);
 
     let mut g = c.benchmark_group("analyzer_10k");
     g.sample_size(10);
     g.throughput(Throughput::Elements(refs.len() as u64));
     g.bench_function("long_jump_map_10k_indexed", |b| {
-        b.iter(|| long_jump_map_with(&refs, &qx.log, Direction::Uplink, opts).len())
+        b.iter(|| long_jump_map(&refs, &index, opts).len())
     });
     g.bench_function("long_jump_map_10k_reference", |b| {
         b.iter(|| reference::long_jump_map_with(&refs, &qx.log, Direction::Uplink, opts).len())
     });
 
-    let mapped = long_jump_map_with(&refs, &qx.log, Direction::Uplink, opts);
+    let mapped = long_jump_map(&refs, &index, opts);
     let net = SimDuration::from_millis(500);
     g.bench_function("net_latency_breakdown_10k_indexed", |b| {
-        b.iter(|| {
-            net_latency_breakdown(SimTime::ZERO, end, net, &mapped, &qx.log, Direction::Uplink).ota
-        })
+        b.iter(|| net_latency_breakdown(SimTime::ZERO, end, net, &mapped, &index).ota)
     });
     g.bench_function("net_latency_breakdown_10k_reference", |b| {
         b.iter(|| {
@@ -232,6 +250,52 @@ fn bench_long_jump_mapping(c: &mut Criterion) {
                 Direction::Uplink,
             )
             .ota
+        })
+    });
+    g.finish();
+}
+
+/// Fig. 8's shape: one 3G photo session of 15 uplink bursts (one per QoE
+/// window) logging about 180k PDU records, every window mapped and broken
+/// down through one shared index — the index build included, as
+/// `exp72::photo_net_breakdown` pays it once per session.
+fn bench_fig8_windows(c: &mut Criterion) {
+    const WINDOWS: u64 = 15;
+    const PER_WINDOW: u64 = 600;
+    const EVERY: SimDuration = SimDuration::from_secs(10);
+    let mut windows: Vec<Vec<(SimTime, IpPacket)>> = Vec::new();
+    for k in 0..WINDOWS {
+        let start = SimTime::ZERO + EVERY * k;
+        windows.push(
+            (0..PER_WINDOW)
+                .map(|i| {
+                    let id = k * PER_WINDOW + i;
+                    let at = start + SimDuration::from_micros(i);
+                    (at, bulk_packet(id, 200 + ((id * 37) % 1200) as u32))
+                })
+                .collect(),
+        );
+    }
+    let (qx, _) = run_uplink(windows.iter().flatten().cloned(), 0.001);
+    let refs: Vec<Vec<(SimTime, &IpPacket)>> = windows
+        .iter()
+        .map(|w| w.iter().map(|(at, p)| (*at, p)).collect())
+        .collect();
+    let net = SimDuration::from_secs(3);
+
+    let mut g = c.benchmark_group("analyzer_fig8");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(qx.log.pdus.len() as u64));
+    g.bench_function("fig8_windows", |b| {
+        b.iter(|| {
+            let index = PduIndex::new(&qx.log, Direction::Uplink);
+            let mut total = SimDuration::ZERO;
+            for (k, refs) in refs.iter().enumerate() {
+                let start = SimTime::ZERO + EVERY * k as u64;
+                let mapped = long_jump_map(refs, &index, MapperOptions::default());
+                total += net_latency_breakdown(start, start + EVERY, net, &mapped, &index).rlc_tx;
+            }
+            total
         })
     });
     g.finish();
@@ -419,6 +483,7 @@ criterion_group!(
     bench_tcp_transfer,
     bench_rlc_segmentation,
     bench_long_jump_mapping,
+    bench_fig8_windows,
     bench_ui_parse,
     bench_bundle_codec
 );

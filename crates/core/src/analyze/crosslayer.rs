@@ -13,6 +13,17 @@
 //!    logs — the first two payload bytes per PDU, the Length Indicator, and
 //!    the PDU length — plus the fine-grained network latency breakdown of
 //!    Fig. 9 (IP-to-RLC, RLC transmission, first-hop OTA, other).
+//!
+//! The third analysis is per-window work over session-wide state. A
+//! [`PduIndex`] holds that state for one (QxDM log, direction): the
+//! deduplicated first transmissions with their sequence-gap counts, the
+//! bridge-candidate positions, the chain-start positions keyed by the first
+//! two payload bytes (a counting sort on the 16-bit key), and the median
+//! first-hop OTA RTT. It is built once per session and direction and shared
+//! by `&` across every window ([`long_jump_map`], [`net_latency_breakdown`])
+//! and mapper configuration; [`TruthCovers`] does the same for scoring
+//! against ground truth ([`score_mapping`]). The [`mod@reference`] module keeps
+//! the per-call implementations as the differential oracle.
 
 use crate::analyze::timeindex::TimeIndex;
 use crate::behavior::BehaviorRecord;
@@ -202,17 +213,6 @@ impl WireAccess for netstack::WireView {
     }
 }
 
-/// Map captured IP packets of one direction onto PDU chains from the QxDM
-/// log. Packets and PDUs must be in time order (they are: RLC is FIFO with
-/// in-sequence delivery).
-pub fn long_jump_map(
-    packets: &[(SimTime, &IpPacket)],
-    qxdm: &QxdmLog,
-    dir: Direction,
-) -> Vec<MappedPacket> {
-    long_jump_map_with(packets, qxdm, dir, MapperOptions::default())
-}
-
 /// Keep first transmissions only (retransmissions reuse the sn; records
 /// arrive in sn order for first transmissions).
 fn dedup_first_transmissions(qxdm: &QxdmLog, dir: Direction) -> Vec<DedupedPdu> {
@@ -237,45 +237,118 @@ fn dedup_first_transmissions(qxdm: &QxdmLog, dir: Direction) -> Vec<DedupedPdu> 
     pdus
 }
 
-/// [`long_jump_map`] with explicit mapper options (ablation entry point).
+/// The session-wide state the long-jump mapper and the Fig. 9 breakdown
+/// read, built once per (QxDM log, direction) and shared by `&` across
+/// every window and mapper configuration analyzed against that log.
 ///
-/// The chain-start scan is indexed: PDU positions are grouped by their
-/// first two payload bytes and bridge candidates (LI-bearing PDUs) are kept
-/// as a sorted position list, so each packet inspects only the PDUs that
-/// *could* start its chain instead of walking the whole scan window. Output
-/// is byte-identical to [`reference::long_jump_map_with`] — candidates are
-/// visited in exactly the reference scan order (ascending position,
-/// boundary-start before bridge at equal positions); the differential
-/// property tests in `tests/differential.rs` hold the two implementations
-/// equal.
-pub fn long_jump_map_with(
-    packets: &[(SimTime, &IpPacket)],
-    qxdm: &QxdmLog,
+/// It holds the deduplicated first transmissions with their sequence-gap
+/// counts, the bridge-candidate positions, the chain-start positions keyed
+/// by the first two payload bytes, and the median first-hop OTA RTT.
+/// Building it is O(session); each window mapped or broken down through it
+/// then costs only what that window's packets touch.
+pub struct PduIndex<'a> {
+    qxdm: &'a QxdmLog,
     dir: Direction,
-    opts: MapperOptions,
-) -> Vec<MappedPacket> {
-    let pdus = dedup_first_transmissions(qxdm, dir);
+    pdus: Vec<DedupedPdu>,
+    /// Positions of LI-split PDUs, ascending.
+    bridge_at: Vec<u32>,
+    /// `key_start[k]..key_start[k + 1]` is the run of `starts` holding, in
+    /// ascending order, the positions whose `first2` reads `k` big-endian.
+    key_start: Vec<u32>,
+    starts: Vec<u32>,
+    /// Median first-hop OTA RTT in seconds (0.06 without poll/STATUS
+    /// pairs): the burst threshold of [`net_latency_breakdown`].
+    est_ota: f64,
+}
 
-    // Position index: chain starts are recognized by the first two payload
-    // bytes; bridge rescue considers only LI-split PDUs, kept as a second
-    // sorted list. The start lists are built lazily per queried key — all
-    // of a flow's packets share a handful of head-byte pairs (the capture's
-    // packets all open with the same IP version/proto marker), so eagerly
-    // hashing every PDU's first2 would cost more than the scans it saves.
-    let mut start_lists: HashMap<[u8; 2], Vec<usize>> = HashMap::new();
-    let bridge_at: Vec<usize> = if opts.bridge_rescue {
-        pdus.iter()
+impl<'a> PduIndex<'a> {
+    /// Index the `dir` PDU records of `qxdm`.
+    pub fn new(qxdm: &'a QxdmLog, dir: Direction) -> Self {
+        let pdus = dedup_first_transmissions(qxdm, dir);
+        assert!(
+            pdus.len() < u32::MAX as usize,
+            "PDU positions are stored as u32"
+        );
+        let key = |p: &DedupedPdu| u16::from_be_bytes(p.rec.first2) as usize;
+        // Counting sort on the 16-bit key: count key k at slot k + 2, so
+        // after the prefix sum slot k + 1 holds the start of k's run; the
+        // fill advances it to the start of k + 1, leaving slot k = start(k).
+        let mut key_start = vec![0u32; (1 << 16) + 2];
+        for p in &pdus {
+            key_start[key(p) + 2] += 1;
+        }
+        for k in 1..key_start.len() {
+            key_start[k] += key_start[k - 1];
+        }
+        let mut starts = vec![0u32; pdus.len()];
+        for (i, p) in pdus.iter().enumerate() {
+            let slot = &mut key_start[key(p) + 1];
+            starts[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        key_start.pop();
+        let bridge_at = pdus
+            .iter()
             .enumerate()
             .filter(|(_, p)| p.rec.li.is_some_and(|li| li < p.rec.payload_len))
-            .map(|(i, _)| i)
-            .collect()
-    } else {
-        Vec::new()
-    };
+            .map(|(i, _)| i as u32)
+            .collect();
+        // One sort, in place — the reference routes this through
+        // `percentile`, which copies and re-sorts.
+        let rtts: Vec<f64> = super::radio::first_hop_ota_rtts(qxdm, dir)
+            .iter()
+            .map(|(_, d)| d.as_secs_f64())
+            .collect();
+        let est_ota = if rtts.is_empty() {
+            0.06
+        } else {
+            SortedSamples::from_vec(rtts).percentile(50.0)
+        };
+        PduIndex {
+            qxdm,
+            dir,
+            pdus,
+            bridge_at,
+            key_start,
+            starts,
+            est_ota,
+        }
+    }
 
+    /// Positions of the PDUs whose first two payload bytes are `key`,
+    /// ascending.
+    fn starts_of(&self, key: [u8; 2]) -> &[u32] {
+        let k = u16::from_be_bytes(key) as usize;
+        &self.starts[self.key_start[k] as usize..self.key_start[k + 1] as usize]
+    }
+}
+
+/// Map captured IP packets of one direction onto PDU chains through the
+/// direction's [`PduIndex`]. Packets and PDUs must be in time order (they
+/// are: RLC is FIFO with in-sequence delivery).
+///
+/// The chain-start scan is indexed: each packet inspects only the PDUs
+/// that *could* start its chain — those whose first two payload bytes
+/// match its head, and the bridge candidates — instead of walking the
+/// whole scan window. Output is byte-identical to
+/// [`reference::long_jump_map_with`] — candidates are visited in exactly
+/// the reference scan order (ascending position, boundary-start before
+/// bridge at equal positions); the differential property tests in
+/// `tests/differential.rs` hold the two implementations equal.
+pub fn long_jump_map(
+    packets: &[(SimTime, &IpPacket)],
+    index: &PduIndex,
+    opts: MapperOptions,
+) -> Vec<MappedPacket> {
+    let pdus = &index.pdus;
+    let bridge_at: &[u32] = if opts.bridge_rescue {
+        &index.bridge_at
+    } else {
+        &[]
+    };
     drive_map(
         packets,
-        &pdus,
+        pdus,
         opts,
         |pkt| pkt.wire_view(),
         |wire, cursor, hi| {
@@ -283,21 +356,14 @@ pub fn long_jump_map_with(
                 // Degenerate sub-2-byte packets (no real IP packet: minimum
                 // wire size is 40 bytes) match on one byte or none — not
                 // indexable by the 2-byte key, so scan them linearly.
-                return reference::scan_linear(wire, &pdus, cursor, hi, &opts);
+                return reference::scan_linear(wire, pdus, cursor, hi, &opts);
             }
-            let key = [wire.at(0), wire.at(1)];
-            let starts: &[usize] = start_lists.entry(key).or_insert_with(|| {
-                pdus.iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.rec.first2 == key)
-                    .map(|(i, _)| i)
-                    .collect()
-            });
-            let mut si = starts.partition_point(|&j| j < cursor);
-            let mut bi = bridge_at.partition_point(|&j| j < cursor);
+            let starts = index.starts_of([wire.at(0), wire.at(1)]);
+            let mut si = starts.partition_point(|&j| (j as usize) < cursor);
+            let mut bi = bridge_at.partition_point(|&j| (j as usize) < cursor);
             loop {
-                let sj = starts.get(si).copied().filter(|&j| j < hi);
-                let bj = bridge_at.get(bi).copied().filter(|&j| j < hi);
+                let sj = starts.get(si).map(|&j| j as usize).filter(|&j| j < hi);
+                let bj = bridge_at.get(bi).map(|&j| j as usize).filter(|&j| j < hi);
                 let j = match (sj, bj) {
                     (Some(a), Some(b)) => a.min(b),
                     (Some(a), None) => a,
@@ -308,7 +374,7 @@ pub fn long_jump_map_with(
                 // match is tried before a bridge.
                 if sj == Some(j) {
                     si += 1;
-                    if let Some((last, sns)) = try_chain(wire, &pdus, 0, j, j) {
+                    if let Some((last, sns)) = try_chain(wire, pdus, 0, j, j) {
                         return Some((j, last, sns));
                     }
                 }
@@ -317,7 +383,7 @@ pub fn long_jump_map_with(
                     let rec = &pdus[j].rec;
                     let li = rec.li.expect("bridge candidates carry an LI");
                     let bridged = (rec.payload_len - li) as usize;
-                    if let Some((last, sns)) = try_chain(wire, &pdus, bridged, j + 1, j) {
+                    if let Some((last, sns)) = try_chain(wire, pdus, bridged, j + 1, j) {
                         return Some((j, last, sns));
                     }
                 }
@@ -502,22 +568,51 @@ pub struct MappingScore {
     pub correct_ratio: f64,
 }
 
-/// Score a mapping against the ground-truth PDU coverage log.
-pub fn score_mapping(
-    mapped: &[MappedPacket],
-    truth: &RecordLog<PduEvent>,
-    dir: Direction,
-) -> MappingScore {
-    // Ground truth: every (packet id, sn) coverage pair of the direction,
-    // sorted and deduplicated, so each packet's sns are one sorted slice
-    // (retransmissions reuse their sn and collapse into one entry).
-    let mut covers: Vec<(u64, u32)> = truth
-        .iter()
-        .filter(|(_, ev)| ev.dir == dir)
-        .flat_map(|(_, ev)| ev.coverage().map(move |(pkt_id, _)| (pkt_id, ev.sn)))
-        .collect();
-    covers.sort_unstable();
-    covers.dedup();
+/// One direction's ground-truth PDU coverage, built once and shared by
+/// every mapping scored against it: every (packet id, sn) coverage pair,
+/// sorted and deduplicated, so each packet's sns are one sorted slice
+/// (retransmissions reuse their sn and collapse into one entry).
+pub struct TruthCovers {
+    covers: Vec<(u64, u32)>,
+}
+
+impl TruthCovers {
+    /// Collect the `dir` coverage pairs of the ground-truth log.
+    pub fn new(truth: &RecordLog<PduEvent>, dir: Direction) -> Self {
+        // The log is nearly sorted already: the RLC FIFO carries packets in
+        // id order, and mostly retransmissions step back. So only the pairs
+        // that step back are sorted, then merged into the in-order run.
+        let mut run: Vec<(u64, u32)> = Vec::new();
+        let mut behind = Vec::new();
+        let pairs = truth
+            .iter()
+            .filter(|(_, ev)| ev.dir == dir)
+            .flat_map(|(_, ev)| ev.coverage().map(move |(pkt_id, _)| (pkt_id, ev.sn)));
+        for pair in pairs {
+            if run.last().is_some_and(|last| pair < *last) {
+                behind.push(pair);
+            } else {
+                run.push(pair);
+            }
+        }
+        behind.sort_unstable();
+        let mut covers = Vec::with_capacity(run.len() + behind.len());
+        let mut behind = behind.into_iter().peekable();
+        for pair in run {
+            while let Some(b) = behind.next_if(|b| *b < pair) {
+                covers.push(b);
+            }
+            covers.push(pair);
+        }
+        covers.extend(behind);
+        covers.dedup();
+        TruthCovers { covers }
+    }
+}
+
+/// Score a mapping against the ground-truth PDU coverage of its direction.
+pub fn score_mapping(mapped: &[MappedPacket], truth: &TruthCovers) -> MappingScore {
+    let covers = &truth.covers;
     let total = mapped.len();
     if total == 0 {
         return MappingScore {
@@ -580,21 +675,23 @@ pub struct NetLatencyBreakdown {
 }
 
 /// Break down the network latency of a QoE window (§7.2's Fig. 8
-/// methodology), for the direction carrying the bulk data.
+/// methodology), for the direction carrying the bulk data: the direction
+/// of `index`, whose median first-hop OTA RTT separates bursts from waits.
 ///
 /// The "was the channel busy in between" checks run against a [`TimeIndex`]
 /// over the window's PDU transmission times — O(log n) per mapped packet
 /// and per STATUS instead of the reference implementation's rescan of the
 /// whole PDU vector ([`reference::net_latency_breakdown`] retains that
-/// shape; the differential tests hold the two equal).
+/// shape; the differential tests hold the two equal). With the OTA
+/// estimate taken from the index, the cost is O(window).
 pub fn net_latency_breakdown(
     window_start: SimTime,
     window_end: SimTime,
     network_latency: SimDuration,
     mapped: &[MappedPacket],
-    qxdm: &QxdmLog,
-    dir: Direction,
+    index: &PduIndex,
 ) -> NetLatencyBreakdown {
+    let (qxdm, dir, est_ota) = (index.qxdm, index.dir, index.est_ota);
     let mut out = NetLatencyBreakdown {
         total: network_latency,
         ..Default::default()
@@ -613,19 +710,6 @@ pub fn net_latency_breakdown(
         out.other = network_latency;
         return out;
     }
-    // Estimated first-hop OTA RTT (median of poll→STATUS pairs). One sort,
-    // in place — the reference routes this through `percentile`, which
-    // copies and re-sorts.
-    let rtts: Vec<f64> = super::radio::first_hop_ota_rtts(qxdm, dir)
-        .iter()
-        .map(|(_, d)| d.as_secs_f64())
-        .collect();
-    let est_ota = if rtts.is_empty() {
-        0.06
-    } else {
-        SortedSamples::from_vec(rtts).percentile(50.0)
-    };
-
     // RLC transmission delay: sum of inter-PDU gaps within bursts
     // (gap < estimated OTA RTT).
     for w in pdu_times.as_slice().windows(2) {
@@ -729,8 +813,8 @@ pub mod reference {
         None
     }
 
-    /// [`super::long_jump_map_with`] with the original linear scan over
-    /// eagerly materialized wire bytes.
+    /// [`super::long_jump_map`] with the original linear scan over
+    /// eagerly materialized wire bytes, rebuilding its PDU list per call.
     pub fn long_jump_map_with(
         packets: &[(SimTime, &IpPacket)],
         qxdm: &QxdmLog,
@@ -952,14 +1036,15 @@ mod tests {
             }
         }
         let pkt_refs: Vec<(SimTime, &IpPacket)> = packets.iter().map(|(at, p)| (*at, p)).collect();
-        let mapped = long_jump_map(&pkt_refs, &qx.log, Direction::Uplink);
+        let index = PduIndex::new(&qx.log, Direction::Uplink);
+        let mapped = long_jump_map(&pkt_refs, &index, MapperOptions::default());
         (mapped, qx.truth)
     }
 
     #[test]
     fn perfect_log_maps_every_packet_correctly() {
         let (mapped, truth) = run_mapping_scenario(0.0, 40);
-        let score = score_mapping(&mapped, &truth, Direction::Uplink);
+        let score = score_mapping(&mapped, &TruthCovers::new(&truth, Direction::Uplink));
         assert_eq!(score.total, 40);
         assert!((score.mapped_ratio - 1.0).abs() < 1e-9, "{score:?}");
         assert!((score.correct_ratio - 1.0).abs() < 1e-9, "{score:?}");
@@ -968,7 +1053,7 @@ mod tests {
     #[test]
     fn lossy_log_maps_most_packets() {
         let (mapped, truth) = run_mapping_scenario(0.01, 150);
-        let score = score_mapping(&mapped, &truth, Direction::Uplink);
+        let score = score_mapping(&mapped, &TruthCovers::new(&truth, Direction::Uplink));
         assert!(score.mapped_ratio > 0.6, "{score:?}");
         assert!(score.mapped_ratio < 1.0, "{score:?}");
         // Whatever maps, maps correctly.

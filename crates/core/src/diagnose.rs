@@ -6,10 +6,14 @@
 //! retransmission health, the RRC promotions that stalled the radio, the
 //! RLC-level breakdown when PDU logs are available, and the visual-progress
 //! summary. [`Diagnosis`] renders as a human-readable report.
+//!
+//! A [`Diagnoser`] serves one collection: it builds each direction's
+//! long-jump mapper index at most once and shares it across every record
+//! it diagnoses, so a window costs O(window), not O(session).
 
 use crate::analyze::crosslayer::{
-    long_jump_map, net_latency_breakdown, rrc_transitions_in, window_breakdown,
-    NetLatencyBreakdown, WindowBreakdown,
+    long_jump_map, net_latency_breakdown, rrc_transitions_in, window_breakdown, MapperOptions,
+    NetLatencyBreakdown, PduIndex, WindowBreakdown,
 };
 use crate::analyze::speedindex::VisualProgress;
 use crate::analyze::transport::TransportReport;
@@ -17,8 +21,10 @@ use crate::behavior::BehaviorRecord;
 use crate::collect::Collection;
 use netstack::pcap::Direction;
 use netstack::IpPacket;
+use radio::qxdm::QxdmLog;
 use radio::rrc::RrcTransition;
 use simcore::{SimDuration, SimTime};
+use std::cell::OnceCell;
 use std::fmt;
 
 /// A per-flow line of the diagnosis.
@@ -62,123 +68,154 @@ pub struct Diagnosis {
     pub speed_index: Option<SimDuration>,
 }
 
-/// Diagnose one measured record against the collected artifacts.
-pub fn diagnose(record: &BehaviorRecord, col: &Collection) -> Diagnosis {
-    let split = window_breakdown(record, &col.trace);
+/// Diagnoses records against one collection, building each direction's
+/// [`PduIndex`] the first time a record needs it and reusing it for every
+/// later record.
+pub struct Diagnoser<'a> {
+    col: &'a Collection,
+    uplink: OnceCell<PduIndex<'a>>,
+    downlink: OnceCell<PduIndex<'a>>,
+}
 
-    // Transport: flows inside the window.
-    let report = TransportReport::analyze_records(col.trace.window(record.start, record.end));
-    let flows = report
-        .flows
-        .iter()
-        .map(|f| FlowLine {
-            server: f.server.clone().unwrap_or_else(|| format!("{}", f.key.dst)),
-            ul_bytes: f.ul_wire,
-            dl_bytes: f.dl_wire,
-            mean_rtt: f.mean_rtt(),
-            retransmissions: f.ul_retx + f.dl_retx + f.inferred_retx,
-        })
-        .collect();
-
-    // Radio: transitions and, when PDU records exist, the RLC breakdown.
-    let mut rrc_transitions = Vec::new();
-    let mut radio_breakdown = None;
-    let mut rlc_retx_ratio = 0.0;
-    if let Some(qxdm) = &col.qxdm {
-        let pdus = qxdm.pdus.window(record.start, record.end);
-        if !pdus.is_empty() {
-            let retx = pdus.iter().filter(|e| e.record.retransmission).count();
-            rlc_retx_ratio = retx as f64 / pdus.len() as f64;
-        }
-        rrc_transitions = rrc_transitions_in(qxdm, record.start, record.end)
-            .into_iter()
-            .map(|(at, tr)| (at.saturating_since(record.start), tr))
-            .collect();
-        let window = col.trace.window(record.start, record.end);
-        if !qxdm.pdus.is_empty() && !window.is_empty() {
-            // Pick the direction carrying the most payload in the window.
-            let (ul, dl) = window
-                .iter()
-                .fold((0u64, 0u64), |(u, d), e| match e.record.dir {
-                    Direction::Uplink => (u + e.record.pkt.payload_len as u64, d),
-                    Direction::Downlink => (u, d + e.record.pkt.payload_len as u64),
-                });
-            let dir = if ul >= dl {
-                Direction::Uplink
-            } else {
-                Direction::Downlink
-            };
-            let pkts: Vec<(SimTime, &IpPacket)> = window
-                .iter()
-                .filter(|e| e.record.dir == dir)
-                .map(|e| (e.at, &e.record.pkt))
-                .collect();
-            if !pkts.is_empty() {
-                let mapped = long_jump_map(&pkts, qxdm, dir);
-                let mut rb = net_latency_breakdown(
-                    record.start,
-                    record.end,
-                    split.network_latency,
-                    &mapped,
-                    qxdm,
-                    dir,
-                );
-                // IP-to-RLC waits are an uplink phenomenon: an RRC
-                // promotion holds the first *request* at the head of the
-                // uplink queue. A download-dominated window would book
-                // that wait under "core network + server", so fold the
-                // uplink's IP-to-RLC share back in (§7.7: page loads are
-                // promotion-dominated despite downlink bulk). Only the
-                // head-of-line packets — those captured before any
-                // downlink payload — qualify: once the response is
-                // flowing, per-ACK scheduling waits are not user-visible
-                // promotion time and would swamp the sum.
-                if dir == Direction::Downlink {
-                    let first_dl_payload = window
-                        .iter()
-                        .find(|e| {
-                            e.record.dir == Direction::Downlink && e.record.pkt.payload_len > 0
-                        })
-                        .map(|e| e.at);
-                    let ul_pkts: Vec<(SimTime, &IpPacket)> = window
-                        .iter()
-                        .filter(|e| e.record.dir == Direction::Uplink)
-                        .map(|e| (e.at, &e.record.pkt))
-                        .collect();
-                    if !ul_pkts.is_empty() {
-                        // Map the complete uplink sequence — the mapper's
-                        // walk needs every packet — then keep only the
-                        // head-of-line results for the fold.
-                        let mut ul_mapped = long_jump_map(&ul_pkts, qxdm, Direction::Uplink);
-                        ul_mapped.retain(|m| first_dl_payload.map_or(true, |t| m.captured_at < t));
-                        let ul = net_latency_breakdown(
-                            record.start,
-                            record.end,
-                            split.network_latency,
-                            &ul_mapped,
-                            qxdm,
-                            Direction::Uplink,
-                        );
-                        rb.ip_to_rlc += ul.ip_to_rlc;
-                        rb.other = rb.other.saturating_sub(ul.ip_to_rlc);
-                    }
-                }
-                radio_breakdown = Some(rb);
-            }
+impl<'a> Diagnoser<'a> {
+    /// A diagnoser over `col`; no index is built until a record needs it.
+    pub fn new(col: &'a Collection) -> Self {
+        Diagnoser {
+            col,
+            uplink: OnceCell::new(),
+            downlink: OnceCell::new(),
         }
     }
 
-    let speed_index = VisualProgress::of(&col.camera, record.start, record.end).speed_index();
+    fn index(&self, qxdm: &'a QxdmLog, dir: Direction) -> &PduIndex<'a> {
+        let cell = match dir {
+            Direction::Uplink => &self.uplink,
+            Direction::Downlink => &self.downlink,
+        };
+        cell.get_or_init(|| PduIndex::new(qxdm, dir))
+    }
 
-    Diagnosis {
-        action: record.action.clone(),
-        user_latency: record.calibrated(),
-        split,
-        flows,
-        rrc_transitions,
-        radio_breakdown,
-        rlc_retx_ratio,
-        speed_index,
+    /// Diagnose one measured record against the collected artifacts.
+    pub fn diagnose(&self, record: &BehaviorRecord) -> Diagnosis {
+        let col = self.col;
+        let split = window_breakdown(record, &col.trace);
+
+        // Transport: flows inside the window.
+        let report = TransportReport::analyze_records(col.trace.window(record.start, record.end));
+        let flows = report
+            .flows
+            .iter()
+            .map(|f| FlowLine {
+                server: f.server.clone().unwrap_or_else(|| format!("{}", f.key.dst)),
+                ul_bytes: f.ul_wire,
+                dl_bytes: f.dl_wire,
+                mean_rtt: f.mean_rtt(),
+                retransmissions: f.ul_retx + f.dl_retx + f.inferred_retx,
+            })
+            .collect();
+
+        // Radio: transitions and, when PDU records exist, the RLC breakdown.
+        let mut rrc_transitions = Vec::new();
+        let mut radio_breakdown = None;
+        let mut rlc_retx_ratio = 0.0;
+        if let Some(qxdm) = &col.qxdm {
+            let pdus = qxdm.pdus.window(record.start, record.end);
+            if !pdus.is_empty() {
+                let retx = pdus.iter().filter(|e| e.record.retransmission).count();
+                rlc_retx_ratio = retx as f64 / pdus.len() as f64;
+            }
+            rrc_transitions = rrc_transitions_in(qxdm, record.start, record.end)
+                .into_iter()
+                .map(|(at, tr)| (at.saturating_since(record.start), tr))
+                .collect();
+            let window = col.trace.window(record.start, record.end);
+            if !qxdm.pdus.is_empty() && !window.is_empty() {
+                // Pick the direction carrying the most payload in the window.
+                let (ul, dl) = window
+                    .iter()
+                    .fold((0u64, 0u64), |(u, d), e| match e.record.dir {
+                        Direction::Uplink => (u + e.record.pkt.payload_len as u64, d),
+                        Direction::Downlink => (u, d + e.record.pkt.payload_len as u64),
+                    });
+                let dir = if ul >= dl {
+                    Direction::Uplink
+                } else {
+                    Direction::Downlink
+                };
+                let pkts: Vec<(SimTime, &IpPacket)> = window
+                    .iter()
+                    .filter(|e| e.record.dir == dir)
+                    .map(|e| (e.at, &e.record.pkt))
+                    .collect();
+                if !pkts.is_empty() {
+                    let index = self.index(qxdm, dir);
+                    let mapped = long_jump_map(&pkts, index, MapperOptions::default());
+                    let mut rb = net_latency_breakdown(
+                        record.start,
+                        record.end,
+                        split.network_latency,
+                        &mapped,
+                        index,
+                    );
+                    // IP-to-RLC waits are an uplink phenomenon: an RRC
+                    // promotion holds the first *request* at the head of the
+                    // uplink queue. A download-dominated window would book
+                    // that wait under "core network + server", so fold the
+                    // uplink's IP-to-RLC share back in (§7.7: page loads are
+                    // promotion-dominated despite downlink bulk). Only the
+                    // head-of-line packets — those captured before any
+                    // downlink payload — qualify: once the response is
+                    // flowing, per-ACK scheduling waits are not user-visible
+                    // promotion time and would swamp the sum.
+                    if dir == Direction::Downlink {
+                        let first_dl_payload = window
+                            .iter()
+                            .find(|e| {
+                                e.record.dir == Direction::Downlink && e.record.pkt.payload_len > 0
+                            })
+                            .map(|e| e.at);
+                        let ul_pkts: Vec<(SimTime, &IpPacket)> = window
+                            .iter()
+                            .filter(|e| e.record.dir == Direction::Uplink)
+                            .map(|e| (e.at, &e.record.pkt))
+                            .collect();
+                        if !ul_pkts.is_empty() {
+                            // Map the complete uplink sequence — the mapper's
+                            // walk needs every packet — then keep only the
+                            // head-of-line results for the fold.
+                            let ul_index = self.index(qxdm, Direction::Uplink);
+                            let mut ul_mapped =
+                                long_jump_map(&ul_pkts, ul_index, MapperOptions::default());
+                            ul_mapped
+                                .retain(|m| first_dl_payload.is_none_or(|t| m.captured_at < t));
+                            let ul = net_latency_breakdown(
+                                record.start,
+                                record.end,
+                                split.network_latency,
+                                &ul_mapped,
+                                ul_index,
+                            );
+                            rb.ip_to_rlc += ul.ip_to_rlc;
+                            rb.other = rb.other.saturating_sub(ul.ip_to_rlc);
+                        }
+                    }
+                    radio_breakdown = Some(rb);
+                }
+            }
+        }
+
+        let speed_index = VisualProgress::of(&col.camera, record.start, record.end).speed_index();
+
+        Diagnosis {
+            action: record.action.clone(),
+            user_latency: record.calibrated(),
+            split,
+            flows,
+            rrc_transitions,
+            radio_breakdown,
+            rlc_retx_ratio,
+            speed_index,
+        }
     }
 }
 
@@ -194,7 +231,7 @@ pub fn diagnose_worst(col: &Collection) -> Option<Diagnosis> {
         .iter()
         .filter(|(_, rec)| !rec.action.ends_with(":playback"))
         .max_by_key(|(_, rec)| rec.raw())
-        .map(|(_, rec)| diagnose(rec, col))
+        .map(|(_, rec)| Diagnoser::new(col).diagnose(rec))
 }
 
 impl Diagnosis {

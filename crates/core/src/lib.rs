@@ -52,4 +52,4 @@ pub use collect::Collection;
 pub use controller::{
     Calendar, ControlError, Controller, Kernel, PlaybackReport, RetryPolicy, WaitCondition,
 };
-pub use diagnose::{diagnose, diagnose_worst, Diagnosis};
+pub use diagnose::{diagnose_worst, Diagnoser, Diagnosis};

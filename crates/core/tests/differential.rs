@@ -3,7 +3,9 @@
 //! `analyze::crosslayer::reference`. The optimization changed the scan
 //! strategy (position indexes + `partition_point` instead of linear
 //! rescans); these properties pin the observable behaviour to the original
-//! across arbitrary traffic mixes, record loss, and mapper options.
+//! across arbitrary traffic mixes, record loss, and mapper options — and
+//! across every window and configuration that shares one session-wide
+//! [`PduIndex`] or [`TruthCovers`], the way the experiments use them.
 
 use netstack::pcap::Direction;
 use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpFlags, TcpHeader};
@@ -11,8 +13,8 @@ use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
 use qoe_doctor::analyze::crosslayer::{
-    long_jump_map_with, net_latency_breakdown, reference, score_mapping, MappedPacket,
-    MapperOptions, MappingScore,
+    long_jump_map, net_latency_breakdown, reference, score_mapping, MappedPacket, MapperOptions,
+    MappingScore, PduIndex, TruthCovers,
 };
 use radio::qxdm::{Qxdm, QxdmConfig};
 use radio::rlc::{PduEvent, RlcChannel, RlcConfig};
@@ -43,6 +45,25 @@ fn capture_log(
     record_loss: f64,
     seed: u64,
 ) -> (Vec<(SimTime, IpPacket)>, Qxdm, SimTime) {
+    let mut packets = Vec::new();
+    let mut queued = Vec::new();
+    for (i, s) in sizes.iter().enumerate() {
+        let p = pkt(i as u64 + 1, *s);
+        packets.push((SimTime::from_micros(i as u64), p.clone()));
+        queued.push((SimTime::ZERO, p));
+    }
+    let (qx, end) = run_channel(queued, fixed, record_loss, seed);
+    (packets, qx, end)
+}
+
+/// Feed each packet to an RLC channel at its enqueue time and log what the
+/// channel transmits; returns the log and the time the channel drained.
+fn run_channel(
+    queued: Vec<(SimTime, IpPacket)>,
+    fixed: bool,
+    record_loss: f64,
+    seed: u64,
+) -> (Qxdm, SimTime) {
     let mut cfg = if fixed {
         RlcConfig::umts_uplink()
     } else {
@@ -51,12 +72,7 @@ fn capture_log(
     cfg.pdu_loss = 0.0;
     cfg.ota_jitter = 0.0;
     let mut ch = RlcChannel::new(cfg, Direction::Uplink, DetRng::seed_from_u64(seed));
-    let mut packets = Vec::new();
-    for (i, s) in sizes.iter().enumerate() {
-        let p = pkt(i as u64 + 1, *s);
-        packets.push((SimTime::from_micros(i as u64), p.clone()));
-        ch.enqueue(p, SimTime::ZERO);
-    }
+    let mut queued = queued.into_iter().peekable();
     let mut qx = Qxdm::new(
         QxdmConfig {
             ul_record_loss: record_loss,
@@ -67,6 +83,9 @@ fn capture_log(
     );
     let mut now = SimTime::ZERO;
     for _ in 0..5_000_000 {
+        while let Some((_, p)) = queued.next_if(|(at, _)| *at <= now) {
+            ch.enqueue(p, now);
+        }
         ch.poll(now, true, 2e6);
         let mut events = Vec::new();
         ch.take_pdu_events(now, &mut events);
@@ -79,13 +98,48 @@ fn capture_log(
             qx.observe_status(at, &ev);
         }
         ch.take_exits(now, &mut Vec::new());
-        match ch.next_wake(true) {
-            Some(w) if w > now => now = w,
-            Some(_) => continue,
-            None => break,
+        let arrival = queued.peek().map(|(at, _)| *at);
+        match (ch.next_wake(true), arrival) {
+            (Some(w), _) if w <= now => continue,
+            (Some(w), Some(a)) => now = w.min(a),
+            (Some(w), None) => now = w,
+            (None, Some(a)) => now = a,
+            (None, None) => break,
         }
     }
-    (packets, qx, now)
+    (qx, now)
+}
+
+/// Gap between the starts of consecutive bursts in [`capture_bursts`]: far
+/// longer than any burst takes to drain.
+const BURST_EVERY: SimDuration = SimDuration::from_secs(10);
+
+/// One session of several uplink bursts (one per QoE window), burst `k`
+/// captured and enqueued from `k * BURST_EVERY` on. Returns the packets of
+/// each burst and the session's log.
+fn capture_bursts(
+    bursts: &[Vec<u32>],
+    fixed: bool,
+    record_loss: f64,
+    seed: u64,
+) -> (Vec<Vec<(SimTime, IpPacket)>>, Qxdm) {
+    let mut windows = Vec::new();
+    let mut id = 0;
+    for (k, sizes) in bursts.iter().enumerate() {
+        let start = SimTime::ZERO + BURST_EVERY * k as u64;
+        let window: Vec<(SimTime, IpPacket)> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                id += 1;
+                (start + SimDuration::from_micros(i as u64), pkt(id, *s))
+            })
+            .collect();
+        windows.push(window);
+    }
+    let queued = windows.iter().flatten().cloned().collect();
+    let (qx, _) = run_channel(queued, fixed, record_loss, seed);
+    (windows, qx)
 }
 
 proptest! {
@@ -109,7 +163,8 @@ proptest! {
         let refs: Vec<(SimTime, &IpPacket)> =
             packets.iter().map(|(at, p)| (*at, p)).collect();
         let opts = MapperOptions { gap_credit, bridge_rescue, scan_window };
-        let fast = long_jump_map_with(&refs, &qx.log, Direction::Uplink, opts);
+        let index = PduIndex::new(&qx.log, Direction::Uplink);
+        let fast = long_jump_map(&refs, &index, opts);
         let naive = reference::long_jump_map_with(&refs, &qx.log, Direction::Uplink, opts);
         prop_assert_eq!(fast, naive);
     }
@@ -126,19 +181,55 @@ proptest! {
         let (packets, qx, end) = capture_log(&sizes, fixed, loss, 22);
         let refs: Vec<(SimTime, &IpPacket)> =
             packets.iter().map(|(at, p)| (*at, p)).collect();
-        let mapped =
-            long_jump_map_with(&refs, &qx.log, Direction::Uplink, MapperOptions::default());
+        let index = PduIndex::new(&qx.log, Direction::Uplink);
+        let mapped = long_jump_map(&refs, &index, MapperOptions::default());
         let net = SimDuration::from_millis(500);
         for (start, stop) in [
             (SimTime::ZERO, end),
             (SimTime::ZERO, SimTime::ZERO),
             (SimTime::from_millis(5), end),
         ] {
-            let fast = net_latency_breakdown(
-                start, stop, net, &mapped, &qx.log, Direction::Uplink);
+            let fast = net_latency_breakdown(start, stop, net, &mapped, &index);
             let naive = reference::net_latency_breakdown(
                 start, stop, net, &mapped, &qx.log, Direction::Uplink);
             prop_assert_eq!(fast, naive);
+        }
+    }
+
+    /// One index serves a whole session: every window mapped through it,
+    /// under every combination of the two resync mechanisms, equals the
+    /// reference run on the raw log, and every window's breakdown with the
+    /// index's OTA estimate equals the reference breakdown.
+    #[test]
+    fn shared_index_serves_every_window_and_config(
+        bursts in prop::collection::vec(prop::collection::vec(0u32..1400, 1..40), 1..5),
+        loss_pct in 0u32..6,
+        fixed in any::<bool>(),
+        scan_sel in 0usize..3,
+    ) {
+        let scan_window = [4usize, 256, 1 << 20][scan_sel];
+        let loss = loss_pct as f64 / 100.0;
+        let (windows, qx) = capture_bursts(&bursts, fixed, loss, 23);
+        let dir = Direction::Uplink;
+        let index = PduIndex::new(&qx.log, dir);
+        let net = SimDuration::from_millis(700);
+        for (k, window) in windows.iter().enumerate() {
+            let refs: Vec<(SimTime, &IpPacket)> =
+                window.iter().map(|(at, p)| (*at, p)).collect();
+            let start = SimTime::ZERO + BURST_EVERY * k as u64;
+            let stop = start + BURST_EVERY - SimDuration::from_micros(1);
+            for (gap_credit, bridge_rescue) in
+                [(true, true), (false, true), (true, false), (false, false)]
+            {
+                let opts = MapperOptions { gap_credit, bridge_rescue, scan_window };
+                let fast = long_jump_map(&refs, &index, opts);
+                let naive = reference::long_jump_map_with(&refs, &qx.log, dir, opts);
+                prop_assert_eq!(&fast, &naive);
+                prop_assert_eq!(
+                    net_latency_breakdown(start, stop, net, &fast, &index),
+                    reference::net_latency_breakdown(start, stop, net, &naive, &qx.log, dir)
+                );
+            }
         }
     }
 }
@@ -234,12 +325,18 @@ proptest! {
                 }
             })
             .collect();
-        let got = score_mapping(&mapped, &truth, dir);
-        let want = score_oracle(&mapped, &truth, dir);
-        prop_assert_eq!(
-            (got.total, got.mapped_ratio.to_bits(), got.correct_ratio.to_bits()),
-            (want.total, want.mapped_ratio.to_bits(), want.correct_ratio.to_bits())
-        );
+        // One set of covers scores every mapping of the direction: the
+        // whole list and both halves.
+        let covers = TruthCovers::new(&truth, dir);
+        let half = mapped.len() / 2;
+        for part in [&mapped[..], &mapped[..half], &mapped[half..]] {
+            let got = score_mapping(part, &covers);
+            let want = score_oracle(part, &truth, dir);
+            prop_assert_eq!(
+                (got.total, got.mapped_ratio.to_bits(), got.correct_ratio.to_bits()),
+                (want.total, want.mapped_ratio.to_bits(), want.correct_ratio.to_bits())
+            );
+        }
     }
 }
 
@@ -255,7 +352,8 @@ fn profile_mapper() {
     let opts = MapperOptions::default();
     for _ in 0..3 {
         let t0 = std::time::Instant::now();
-        let a = long_jump_map_with(&refs, &qx.log, Direction::Uplink, opts);
+        let index = PduIndex::new(&qx.log, Direction::Uplink);
+        let a = long_jump_map(&refs, &index, opts);
         let t1 = std::time::Instant::now();
         let b = reference::long_jump_map_with(&refs, &qx.log, Direction::Uplink, opts);
         let t2 = std::time::Instant::now();

@@ -5,7 +5,9 @@
 use netstack::pcap::Direction;
 use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpFlags, TcpHeader};
 use proptest::prelude::*;
-use qoe_doctor::analyze::crosslayer::{long_jump_map, score_mapping};
+use qoe_doctor::analyze::crosslayer::{
+    long_jump_map, score_mapping, MapperOptions, PduIndex, TruthCovers,
+};
 use qoe_doctor::behavior::{BehaviorRecord, StartKind};
 use radio::qxdm::{Qxdm, QxdmConfig};
 use radio::rlc::{RlcChannel, RlcConfig};
@@ -90,8 +92,9 @@ proptest! {
         let (packets, qx) = capture_log(&sizes, fixed, 0.0, 11);
         let refs: Vec<(SimTime, &IpPacket)> =
             packets.iter().map(|(at, p)| (*at, p)).collect();
-        let mapped = long_jump_map(&refs, &qx.log, Direction::Uplink);
-        let score = score_mapping(&mapped, &qx.truth, Direction::Uplink);
+        let index = PduIndex::new(&qx.log, Direction::Uplink);
+        let mapped = long_jump_map(&refs, &index, MapperOptions::default());
+        let score = score_mapping(&mapped, &TruthCovers::new(&qx.truth, Direction::Uplink));
         prop_assert_eq!(score.total, sizes.len());
         prop_assert!((score.mapped_ratio - 1.0).abs() < 1e-12, "{:?}", score);
         prop_assert!((score.correct_ratio - 1.0).abs() < 1e-12, "{:?}", score);
@@ -110,8 +113,9 @@ proptest! {
         let (packets, qx) = capture_log(&sizes, fixed, loss, 13);
         let refs: Vec<(SimTime, &IpPacket)> =
             packets.iter().map(|(at, p)| (*at, p)).collect();
-        let mapped = long_jump_map(&refs, &qx.log, Direction::Uplink);
-        let score = score_mapping(&mapped, &qx.truth, Direction::Uplink);
+        let index = PduIndex::new(&qx.log, Direction::Uplink);
+        let mapped = long_jump_map(&refs, &index, MapperOptions::default());
+        let score = score_mapping(&mapped, &TruthCovers::new(&qx.truth, Direction::Uplink));
         // Graceful degradation: losing p% of records may unmap several
         // packets per lost record (gap absorption is conservative), but
         // must never collapse to zero coverage.

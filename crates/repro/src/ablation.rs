@@ -17,7 +17,7 @@ use device::apps::VideoSpec;
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use qoe_doctor::analyze::crosslayer::{
-    long_jump_map_with, score_mapping, MapperOptions, MappingScore,
+    long_jump_map, score_mapping, MapperOptions, MappingScore, PduIndex, TruthCovers,
 };
 use qoe_doctor::{replay, Collection, CollectionSet, Controller};
 use simcore::{SimDuration, SimTime};
@@ -83,25 +83,28 @@ fn mapper_rows(col: &Collection) -> Vec<MapperAblationRow> {
             },
         ),
     ];
-    let mut rows = Vec::new();
-    for (label, opts) in configs {
-        let score = |dir: Direction| -> MappingScore {
-            let pkts: Vec<(SimTime, &IpPacket)> = col
-                .trace
-                .iter()
-                .filter(|(_, r)| r.dir == dir)
-                .map(|(at, r)| (at, &r.pkt))
-                .collect();
-            let mapped = long_jump_map_with(&pkts, qxdm, dir, opts);
-            score_mapping(&mapped, truth, dir)
-        };
-        rows.push(MapperAblationRow {
-            config: label,
-            ul: score(Direction::Uplink),
-            dl: score(Direction::Downlink),
-        });
-    }
-    rows
+    // One index and one set of truth covers per direction, shared by
+    // every configuration.
+    let scores = |dir: Direction| -> Vec<MappingScore> {
+        let pkts: Vec<(SimTime, &IpPacket)> = col
+            .trace
+            .iter()
+            .filter(|(_, r)| r.dir == dir)
+            .map(|(at, r)| (at, &r.pkt))
+            .collect();
+        let index = PduIndex::new(qxdm, dir);
+        let covers = TruthCovers::new(truth, dir);
+        configs
+            .iter()
+            .map(|(_, opts)| score_mapping(&long_jump_map(&pkts, &index, *opts), &covers))
+            .collect()
+    };
+    let (ul, dl) = (scores(Direction::Uplink), scores(Direction::Downlink));
+    configs
+        .iter()
+        .zip(ul.into_iter().zip(dl))
+        .map(|((config, _), (ul, dl))| MapperAblationRow { config, ul, dl })
+        .collect()
 }
 
 /// One calibration-ablation row: measurement error with and without the

@@ -12,7 +12,9 @@ use device::apps::{BrowserConfig, FbVersion, VideoSpec};
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use qoe_doctor::analyze::app::{accuracy_span, accuracy_trigger, AccuracySample};
-use qoe_doctor::analyze::crosslayer::{long_jump_map, score_mapping, MappingScore};
+use qoe_doctor::analyze::crosslayer::{
+    long_jump_map, score_mapping, MapperOptions, MappingScore, PduIndex, TruthCovers,
+};
 use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING};
 use qoe_doctor::{Collection, Controller};
 use simcore::{SimDuration, SimTime};
@@ -282,8 +284,8 @@ pub fn overhead_from(col: &Collection) -> ToolOverhead {
             .filter(|(_, r)| r.dir == dir)
             .map(|(at, r)| (at, &r.pkt))
             .collect();
-        let mapped = long_jump_map(&pkts, qxdm, dir);
-        score_mapping(&mapped, truth, dir)
+        let mapped = long_jump_map(&pkts, &PduIndex::new(qxdm, dir), MapperOptions::default());
+        score_mapping(&mapped, &TruthCovers::new(truth, dir))
     };
     let cpu = col.cpu;
     let total = cpu.app_busy.as_secs_f64() + cpu.controller_busy.as_secs_f64();

@@ -11,7 +11,8 @@ use device::apps::FbVersion;
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use qoe_doctor::analyze::crosslayer::{
-    long_jump_map, net_latency_breakdown, window_breakdown, NetLatencyBreakdown,
+    long_jump_map, net_latency_breakdown, window_breakdown, MapperOptions, NetLatencyBreakdown,
+    PduIndex,
 };
 use qoe_doctor::{replay, Collection, Controller};
 use simcore::{SimDuration, SimTime, Summary};
@@ -183,6 +184,8 @@ impl fmt::Display for PhotoNetBreakdown {
 /// Compute Fig. 8 for a photo-post collection.
 pub fn photo_net_breakdown(col: &Collection, net: &str) -> Option<PhotoNetBreakdown> {
     let qxdm = col.qxdm.as_ref()?;
+    // One uplink index serves every post's window.
+    let index = PduIndex::new(qxdm, Direction::Uplink);
     let mut acc = NetLatencyBreakdown::default();
     let mut pdus = 0usize;
     let mut pkts = 0usize;
@@ -200,15 +203,8 @@ pub fn photo_net_breakdown(col: &Collection, net: &str) -> Option<PhotoNetBreakd
             .filter(|e| e.record.dir == Direction::Uplink)
             .map(|e| (e.at, &e.record.pkt))
             .collect();
-        let mapped = long_jump_map(&window_pkts, qxdm, Direction::Uplink);
-        let nb = net_latency_breakdown(
-            rec.start,
-            rec.end,
-            b.network_latency,
-            &mapped,
-            qxdm,
-            Direction::Uplink,
-        );
+        let mapped = long_jump_map(&window_pkts, &index, MapperOptions::default());
+        let nb = net_latency_breakdown(rec.start, rec.end, b.network_latency, &mapped, &index);
         acc.ip_to_rlc += nb.ip_to_rlc;
         acc.rlc_tx += nb.rlc_tx;
         acc.ota += nb.ota;

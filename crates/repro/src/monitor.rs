@@ -35,7 +35,7 @@ use monitor::{
 use qoe_doctor::analyze::app::playback_reports;
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
 use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING};
-use qoe_doctor::{diagnose, Collection, Controller};
+use qoe_doctor::{Collection, Controller, Diagnoser};
 use radio::rrc::{Rrc3gConfig, RrcState};
 use simcore::SimDuration;
 
@@ -213,15 +213,16 @@ fn latencies(col: &Collection, action: &str) -> Vec<f64> {
 }
 
 /// Mean per-record cross-layer shares of the `action` records, from the
-/// full [`diagnose`] pipeline — the same attribution `repro chaos` uses.
+/// full [`Diagnoser`] pipeline — the same attribution `repro chaos` uses.
 fn shares_of(col: &Collection, action: &str) -> LayerShares {
+    let diagnoser = Diagnoser::new(col);
     let mut s = LayerShares::default();
     let mut n = 0.0;
     for (_, rec) in col.behavior.iter() {
         if rec.action != action || rec.timed_out {
             continue;
         }
-        let d = diagnose(rec, col);
+        let d = diagnoser.diagnose(rec);
         s.device_s += d.split.device_latency.as_secs_f64();
         s.network_s += d.split.network_latency.as_secs_f64();
         s.promo_s += d
@@ -266,7 +267,7 @@ fn video_metrics(epoch: usize, col: &Collection) -> EpochMetrics {
 
 /// Mean per-load RRC promotion time, from the QxDM transition log and the
 /// promotion timers the carrier ran in this epoch. The generic
-/// [`diagnose`] share only books head-of-line promotion waits (the
+/// [`Diagnoser`] share only books head-of-line promotion waits (the
 /// mid-transfer FACH→DCH promotion hides inside the transfer), so the
 /// page cell accounts promotions explicitly — a monitor that knows the
 /// carrier's advertised timers can.

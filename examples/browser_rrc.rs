@@ -23,7 +23,7 @@ fn load_page(net: NetKind) {
 
     println!("--- {} ---", net.label());
     // The one-call root-cause report.
-    print!("{}", qoe_doctor::diagnose(&rec, &col));
+    print!("{}", qoe_doctor::Diagnoser::new(&col).diagnose(&rec));
     if let Some(qxdm) = &col.qxdm {
         let res = residencies(qxdm, radio::RrcState::Pch, rec.start, rec.end);
         for r in &res {

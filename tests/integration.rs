@@ -7,7 +7,8 @@ use device::{UiEvent, ViewSignature};
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use qoe_doctor::analyze::crosslayer::{
-    long_jump_map, rrc_transitions_in, score_mapping, window_breakdown,
+    long_jump_map, rrc_transitions_in, score_mapping, window_breakdown, MapperOptions, PduIndex,
+    TruthCovers,
 };
 use qoe_doctor::analyze::radio::{energy_breakdown, first_hop_ota_rtts, residencies};
 use qoe_doctor::analyze::transport::TransportReport;
@@ -250,8 +251,8 @@ fn page_load_and_long_jump_mapping_on_3g() {
             .map(|(at, r)| (at, &r.pkt))
             .collect();
         assert!(!pkts.is_empty());
-        let mapped = long_jump_map(&pkts, qxdm, dir);
-        let score = score_mapping(&mapped, truth, dir);
+        let mapped = long_jump_map(&pkts, &PduIndex::new(qxdm, dir), MapperOptions::default());
+        let score = score_mapping(&mapped, &TruthCovers::new(truth, dir));
         assert!(score.mapped_ratio > 0.7, "{dir:?} {score:?}");
         assert!(score.correct_ratio > 0.95, "{dir:?} {score:?}");
     }
@@ -311,7 +312,7 @@ fn diagnose_explains_a_3g_photo_post() {
     );
     assert!(!rec.timed_out);
     let col = doctor.collect();
-    let d = qoe_doctor::diagnose(&rec, &col);
+    let d = qoe_doctor::Diagnoser::new(&col).diagnose(&rec);
     // The report identifies the network as the bottleneck, driven by RLC
     // transmission (Finding 2), names the write origin, and saw the
     // promotion out of PCH.
@@ -355,7 +356,7 @@ fn diagnose_explains_a_local_echo_status_post() {
     );
     doctor.advance(SimDuration::from_secs(15));
     let col = doctor.collect();
-    let d = qoe_doctor::diagnose(&rec, &col);
+    let d = qoe_doctor::Diagnoser::new(&col).diagnose(&rec);
     assert!(d.verdict().contains("device-bound"), "{}", d.verdict());
 }
 
