@@ -6,9 +6,13 @@ use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpFlags, TcpHeader, TcpSock
 use qoe_doctor::analyze::crosslayer::{
     long_jump_map, net_latency_breakdown, reference, MapperOptions, PduIndex,
 };
+use qoe_doctor::{Calendar, Collection};
 use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
 use radio::qxdm::{PduRecord, Qxdm, QxdmConfig, QxdmLog, StatusRecord};
 use radio::rlc::{PduEvent, RlcChannel, RlcConfig};
+use repro::exp72::{PostKind, PHOTO_READS};
+use repro::exp75::WATCH_READS;
+use repro::NetKind;
 use simcore::{DetRng, EventQueue, RecordLog, SimDuration, SimTime};
 
 fn addr(last: u8, port: u16) -> SocketAddr {
@@ -474,7 +478,49 @@ fn bench_bundle_codec(c: &mut Criterion) {
     g.bench_function("truth_decode_100k_pdus", |b| {
         b.iter(|| read_pdu_truth(&bytes).unwrap().len())
     });
+
+    // Whole bundles: the lossless full load against the declared-reads load
+    // of the analyzer that reads each one (Fig. 7/8 for the 3G photo posts,
+    // Fig. 17 for the LTE video session).
+    let root = std::env::temp_dir().join(format!("qd-microbench-bundles-{}", std::process::id()));
+    let mut sessions = harness::StagedCampaign::new("microbench");
+    sessions.job(
+        "photo_posts",
+        1,
+        0,
+        || repro::exp72::run_posts(PostKind::Photos, NetKind::Umts3g, 2, 1),
+        PHOTO_READS,
+        |_: &Collection| (),
+    );
+    sessions.job(
+        "video",
+        1,
+        1,
+        || repro::exp75::watch_session::<Calendar>(NetKind::Lte, 1, 1),
+        WATCH_READS,
+        |_: &Collection| (),
+    );
+    let recorded = sessions.into_record_campaign(&root).run(1);
+    for (job, reads) in recorded.jobs.iter().zip([PHOTO_READS, WATCH_READS]) {
+        let dir = &job.outcome.ok().expect("session recorded").dir;
+        g.throughput(Throughput::Bytes(dir_bytes(dir)));
+        g.bench_function(&format!("{}_full_load", job.label), |b| {
+            b.iter(|| Collection::load(dir).unwrap().0.end)
+        });
+        g.bench_function(&format!("{}_declared_reads_load", job.label), |b| {
+            b.iter(|| Collection::load_reading(dir, &reads).unwrap().0.end)
+        });
+    }
+    let _ = std::fs::remove_dir_all(&root);
     g.finish();
+}
+
+/// Total size of the files directly under `dir`.
+fn dir_bytes(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum()
 }
 
 criterion_group!(

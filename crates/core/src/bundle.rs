@@ -4,25 +4,30 @@
 //! the controller collected into a `trace` bundle directory, and
 //! [`Collection::load`] restores it losslessly, so the analyzers can run
 //! offline against a directory instead of a live simulation.
+//! [`Collection::load_reading`] is the declared-reads load the staged
+//! harness uses: it verifies every entry but decodes only those an analyzer
+//! declared (a [`Reads`] built from the entry names below).
 //!
 //! Artifact layout (all paths relative to the bundle directory; every
 //! record log is a `trace::column` log — a count, a delta-varint stamp
 //! column, then length-framed field columns):
 //!
-//! | manifest entry | file               | contents                                  |
-//! |----------------|--------------------|-------------------------------------------|
-//! | `behavior`     | `behavior.bin`     | AppBehaviorLog (§4.3.1), one row column   |
-//! | `trace`        | `trace.pcapq`      | packet trace: flow dictionary, per-flow delta and run-length columns (`netstack::codec`) |
-//! | `qxdm`         | `qxdm.bin`         | QxDM log (cellular runs only): RRC rows, PDU and STATUS columns (`radio::codec`) |
-//! | `cpu`          | `cpu.bin`          | app/controller CPU split                  |
-//! | truth `pdus`   | `truth_pdus.bin`   | full PDU coverage (cellular): PDU plus coverage columns |
-//! | truth `camera` | `truth_camera.bin` | 60 fps screen ground truth, one row column |
+//! | manifest entry | name constant | file               | contents                                  |
+//! |----------------|---------------|--------------------|-------------------------------------------|
+//! | `behavior`     | [`BEHAVIOR`]  | `behavior.bin`     | AppBehaviorLog (§4.3.1), one row column   |
+//! | `trace`        | [`TRACE`]     | `trace.pcapq`      | packet trace: flow dictionary, per-flow delta and run-length columns (`netstack::codec`) |
+//! | `qxdm`         | [`QXDM`]      | `qxdm.bin`         | QxDM log (cellular runs only): RRC rows, PDU and STATUS columns (`radio::codec`) |
+//! | `cpu`          | [`CPU`]       | `cpu.bin`          | app/controller CPU split                  |
+//! | truth `pdus`   | [`PDUS`]      | `truth_pdus.bin`   | full PDU coverage (cellular): PDU plus coverage columns |
+//! | truth `camera` | [`CAMERA`]    | `truth_camera.bin` | 60 fps screen ground truth, one row column |
 //!
 //! The `qxdm`/`pdus` entries are simply absent for WiFi runs — absence in
 //! the manifest is the canonical encoding of `None`, so the WiFi case
 //! round-trips exactly. The two `truth` entries are segregated in the
 //! manifest: `BundleReader::artifact` refuses to serve them, which is what
-//! keeps analyzers honest about what a real deployment could observe.
+//! keeps analyzers honest about what a real deployment could observe. A
+//! declared-reads load leaves an undeclared entry empty: an empty log, the
+//! default CPU meter, or `None` for the QxDM log and PDU truth.
 
 use std::path::Path;
 
@@ -34,8 +39,21 @@ use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
 use simcore::{RecordLog, SimDuration, SimTime};
 use trace::{
     decode_artifact, encode_artifact, BundleArtifact, BundleMeta, BundleReader, BundleWriter,
-    Codec, Reader, TraceError, Writer, FORMAT_VERSION,
+    Codec, Reader, Reads, TraceError, Writer, FORMAT_VERSION,
 };
+
+/// Manifest name of the behaviour-log artifact.
+pub const BEHAVIOR: &str = "behavior";
+/// Manifest name of the packet-trace artifact.
+pub const TRACE: &str = "trace";
+/// Manifest name of the QxDM-log artifact (cellular runs only).
+pub const QXDM: &str = "qxdm";
+/// Manifest name of the CPU-meter artifact.
+pub const CPU: &str = "cpu";
+/// Manifest name of the PDU-coverage truth (cellular runs only).
+pub const PDUS: &str = "pdus";
+/// Manifest name of the camera truth (the 60 fps screen ground truth).
+pub const CAMERA: &str = "camera";
 
 /// File magic of a persisted behaviour log.
 pub const BEHAVIOR_MAGIC: &[u8; 4] = b"QBEH";
@@ -82,6 +100,11 @@ impl Codec for BehaviorRecord {
 }
 
 impl Collection {
+    /// Every entry a collection bundle can hold: what [`Collection::load`]
+    /// decodes.
+    pub const READS_ALL: Reads =
+        Reads::artifacts(&[BEHAVIOR, TRACE, QXDM, CPU]).and_truths(&[PDUS, CAMERA]);
+
     /// Write this collection into `dir` as a complete bundle. The
     /// manifest's `end_us` is taken from the collection itself; the other
     /// identity fields (seed, config digest, scenario) come from `meta`.
@@ -92,28 +115,28 @@ impl Collection {
         };
         let mut w = BundleWriter::create(dir, &meta)?;
         w.artifact(
-            "behavior",
+            BEHAVIOR,
             "behavior.bin",
             &encode_artifact(BEHAVIOR_MAGIC, FORMAT_VERSION, &self.behavior),
         )?;
         w.artifact(
-            "trace",
+            TRACE,
             "trace.pcapq",
             &netstack::pcap::write_trace(&self.trace),
         )?;
         if let Some(qxdm) = &self.qxdm {
-            w.artifact("qxdm", "qxdm.bin", &write_qxdm(qxdm))?;
+            w.artifact(QXDM, "qxdm.bin", &write_qxdm(qxdm))?;
         }
         w.artifact(
-            "cpu",
+            CPU,
             "cpu.bin",
             &encode_artifact(CPU_MAGIC, FORMAT_VERSION, &self.cpu),
         )?;
         if let Some(truth) = &self.pdu_truth {
-            w.truth("pdus", "truth_pdus.bin", &write_pdu_truth(truth))?;
+            w.truth(PDUS, "truth_pdus.bin", &write_pdu_truth(truth))?;
         }
         w.truth(
-            "camera",
+            CAMERA,
             "truth_camera.bin",
             &encode_artifact(CAMERA_MAGIC, FORMAT_VERSION, &self.camera),
         )?;
@@ -123,24 +146,53 @@ impl Collection {
     /// Restore a collection saved by [`Collection::save`], returning it
     /// together with the recording's identity.
     pub fn load(dir: &Path) -> Result<(Collection, BundleMeta), TraceError> {
+        Collection::load_reading(dir, &Collection::READS_ALL)
+    }
+
+    /// Restore the part of a saved collection that `reads` declares. Every
+    /// entry is read and its length and checksum verified, so a damaged
+    /// bundle fails exactly as in [`Collection::load`]; a declared entry is
+    /// decoded with all of its canonical-bytes checks, and an undeclared
+    /// one stays empty.
+    pub fn load_reading(dir: &Path, reads: &Reads) -> Result<(Collection, BundleMeta), TraceError> {
         let r = BundleReader::open(dir)?;
         let meta = r.meta();
-        let behavior: AppBehaviorLog =
-            decode_artifact(&r.artifact("behavior")?, BEHAVIOR_MAGIC, FORMAT_VERSION)?;
-        let trace = netstack::pcap::read_trace(&r.artifact("trace")?)?;
-        let qxdm = if r.has_artifact("qxdm") {
-            Some(read_qxdm(&r.artifact("qxdm")?)?)
+        // Fetching an entry verifies it; only a declared one is handed on
+        // to its decoder.
+        let artifact = |name: &str| -> Result<Option<Vec<u8>>, TraceError> {
+            let bytes = r.artifact(name)?;
+            Ok(reads.artifact(name).then_some(bytes))
+        };
+        let truth = |name: &str| -> Result<Option<Vec<u8>>, TraceError> {
+            let bytes = r.truth(name)?;
+            Ok(reads.truth(name).then_some(bytes))
+        };
+        let behavior: AppBehaviorLog = artifact(BEHAVIOR)?
+            .map(|b| decode_artifact(&b, BEHAVIOR_MAGIC, FORMAT_VERSION))
+            .transpose()?
+            .unwrap_or_default();
+        let trace = artifact(TRACE)?
+            .map(|b| netstack::pcap::read_trace(&b))
+            .transpose()?
+            .unwrap_or_default();
+        let qxdm = if r.has_artifact(QXDM) {
+            artifact(QXDM)?.map(|b| read_qxdm(&b)).transpose()?
         } else {
             None
         };
-        let cpu: CpuMeter = decode_artifact(&r.artifact("cpu")?, CPU_MAGIC, FORMAT_VERSION)?;
-        let pdu_truth = if r.has_truth("pdus") {
-            Some(read_pdu_truth(&r.truth("pdus")?)?)
+        let cpu: CpuMeter = artifact(CPU)?
+            .map(|b| decode_artifact(&b, CPU_MAGIC, FORMAT_VERSION))
+            .transpose()?
+            .unwrap_or_default();
+        let pdu_truth = if r.has_truth(PDUS) {
+            truth(PDUS)?.map(|b| read_pdu_truth(&b)).transpose()?
         } else {
             None
         };
-        let camera: RecordLog<ScreenEvent> =
-            decode_artifact(&r.truth("camera")?, CAMERA_MAGIC, FORMAT_VERSION)?;
+        let camera: RecordLog<ScreenEvent> = truth(CAMERA)?
+            .map(|b| decode_artifact(&b, CAMERA_MAGIC, FORMAT_VERSION))
+            .transpose()?
+            .unwrap_or_default();
         Ok((
             Collection {
                 behavior,
@@ -162,6 +214,9 @@ impl BundleArtifact for Collection {
     }
     fn load_bundle(dir: &Path) -> Result<(Collection, BundleMeta), TraceError> {
         Collection::load(dir)
+    }
+    fn load_reading(dir: &Path, reads: &Reads) -> Result<(Collection, BundleMeta), TraceError> {
+        Collection::load_reading(dir, reads)
     }
     fn end(&self) -> SimTime {
         self.end
@@ -209,11 +264,17 @@ impl BundleArtifact for CollectionSet {
     }
 
     fn load_bundle(dir: &Path) -> Result<(CollectionSet, BundleMeta), TraceError> {
+        CollectionSet::load_reading(dir, &Collection::READS_ALL)
+    }
+
+    /// Load every session with [`Collection::load_reading`] under the same
+    /// `reads`.
+    fn load_reading(dir: &Path, reads: &Reads) -> Result<(CollectionSet, BundleMeta), TraceError> {
         let r = BundleReader::open(dir)?;
         let meta = r.meta();
         let mut items = Vec::new();
         for name in r.sub_names() {
-            let (col, _) = Collection::load_bundle(&r.sub_path(name)?)?;
+            let (col, _) = Collection::load_reading(&r.sub_path(name)?, reads)?;
             items.push((name.to_string(), col));
         }
         Ok((CollectionSet { items }, meta))

@@ -18,6 +18,7 @@ use crate::analyze::crosslayer::{
 use crate::analyze::speedindex::VisualProgress;
 use crate::analyze::transport::TransportReport;
 use crate::behavior::BehaviorRecord;
+use crate::bundle::{BEHAVIOR, CAMERA, QXDM, TRACE};
 use crate::collect::Collection;
 use netstack::pcap::Direction;
 use netstack::IpPacket;
@@ -26,6 +27,7 @@ use radio::rrc::RrcTransition;
 use simcore::{SimDuration, SimTime};
 use std::cell::OnceCell;
 use std::fmt;
+use trace::Reads;
 
 /// A per-flow line of the diagnosis.
 #[derive(Debug, Clone)]
@@ -78,6 +80,11 @@ pub struct Diagnoser<'a> {
 }
 
 impl<'a> Diagnoser<'a> {
+    /// The bundle entries read when diagnosing a collection's behaviour
+    /// records: the behaviour log they come from, the packet trace and
+    /// QxDM log, and the camera truth behind the Speed Index.
+    pub const READS: Reads = Reads::artifacts(&[BEHAVIOR, TRACE, QXDM]).and_truths(&[CAMERA]);
+
     /// A diagnoser over `col`; no index is built until a record needs it.
     pub fn new(col: &'a Collection) -> Self {
         Diagnoser {

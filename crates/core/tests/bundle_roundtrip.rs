@@ -15,14 +15,19 @@ use netstack::packet::{IpPacket, Proto, TcpFlags, TcpHeader};
 use netstack::pcap::{Direction, PacketRecord};
 use netstack::{IpAddr, SocketAddr};
 use proptest::prelude::*;
-use qoe_doctor::bundle::{BEHAVIOR_MAGIC, CAMERA_MAGIC, CPU_MAGIC};
+use qoe_doctor::bundle::{
+    BEHAVIOR, BEHAVIOR_MAGIC, CAMERA, CAMERA_MAGIC, CPU, CPU_MAGIC, PDUS, QXDM, TRACE,
+};
 use qoe_doctor::{BehaviorRecord, Collection, CollectionSet, StartKind};
 use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
 use radio::qxdm::{PduRecord, QxdmLog, StatusRecord};
 use radio::rlc::PduEvent;
 use radio::rrc::{RrcState, RrcTransition};
 use simcore::{RecordLog, SimDuration, SimTime};
-use trace::{decode_artifact, encode_artifact, BundleMeta, TraceError, FORMAT_VERSION};
+use trace::{
+    decode_artifact, encode_artifact, fnv1a, BundleArtifact, BundleMeta, Manifest, Reads,
+    TraceError, FORMAT_VERSION,
+};
 
 /// A fresh, unique scratch directory (cases within one property run
 /// sequentially, but distinct properties may run in parallel test threads).
@@ -580,7 +585,6 @@ proptest! {
         cols in prop::collection::vec(st_collection(), 1..4),
         seed in any::<u64>(),
     ) {
-        use trace::BundleArtifact;
         let set = CollectionSet {
             items: cols
                 .into_iter()
@@ -593,6 +597,244 @@ proptest! {
         let (back, got) = CollectionSet::load_bundle(&dir).unwrap();
         prop_assert_eq!(&back, &set);
         prop_assert_eq!(got.seed, seed);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+// ---- declared reads ----------------------------------------------------
+
+/// Each entry declared alone, then none, then every entry.
+const READS_EACH: [Reads; 8] = [
+    Reads::artifacts(&[BEHAVIOR]),
+    Reads::artifacts(&[TRACE]),
+    Reads::artifacts(&[QXDM]),
+    Reads::artifacts(&[CPU]),
+    Reads::artifacts(&[]).and_truths(&[PDUS]),
+    Reads::artifacts(&[]).and_truths(&[CAMERA]),
+    Reads::artifacts(&[]),
+    Collection::READS_ALL,
+];
+
+/// `declared` when the entry is declared, `empty` when it is not.
+fn kept<'a, T>(declared: bool, full: &'a T, empty: &'a T) -> &'a T {
+    if declared {
+        full
+    } else {
+        empty
+    }
+}
+
+/// `back` holds exactly the entries of `col` that `reads` declares; every
+/// other entry is empty.
+fn assert_narrowed(back: &Collection, col: &Collection, reads: &Reads) {
+    let (no_behavior, no_trace, no_camera) = (RecordLog::new(), RecordLog::new(), RecordLog::new());
+    let what = format!("{reads:?}");
+    assert_eq!(
+        &back.behavior,
+        kept(reads.artifact(BEHAVIOR), &col.behavior, &no_behavior),
+        "{what}"
+    );
+    assert_eq!(
+        &back.trace,
+        kept(reads.artifact(TRACE), &col.trace, &no_trace),
+        "{what}"
+    );
+    assert_eq!(
+        back.qxdm.as_ref(),
+        col.qxdm.as_ref().filter(|_| reads.artifact(QXDM)),
+        "{what}"
+    );
+    assert_eq!(
+        &back.cpu,
+        kept(reads.artifact(CPU), &col.cpu, &CpuMeter::default()),
+        "{what}"
+    );
+    assert_eq!(
+        back.pdu_truth.as_ref(),
+        col.pdu_truth.as_ref().filter(|_| reads.truth(PDUS)),
+        "{what}"
+    );
+    assert_eq!(
+        &back.camera,
+        kept(reads.truth(CAMERA), &col.camera, &no_camera),
+        "{what}"
+    );
+    assert_eq!(back.end, col.end, "{what}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn declared_reads_decode_exactly_the_declared_entries(
+        first in st_collection(),
+        second in st_collection(),
+    ) {
+        let dir = fresh_dir("reads");
+        first.save(&dir, &meta(1, 2)).unwrap();
+        for reads in &READS_EACH {
+            let (back, _) = Collection::load_reading(&dir, reads).unwrap();
+            assert_narrowed(&back, &first, reads);
+        }
+        // A set applies the same reads to each of its sessions, and its
+        // full load stays lossless.
+        let set = CollectionSet {
+            items: vec![("a".into(), first), ("b".into(), second)],
+        };
+        let set_dir = fresh_dir("reads-set");
+        set.save_bundle(&set_dir, &meta(1, 2)).unwrap();
+        let reads = Reads::artifacts(&[BEHAVIOR]).and_truths(&[CAMERA]);
+        let (back, _) = CollectionSet::load_reading(&set_dir, &reads).unwrap();
+        prop_assert_eq!(back.items.len(), set.items.len());
+        for ((name, got), (want_name, want)) in back.items.iter().zip(&set.items) {
+            prop_assert_eq!(name, want_name);
+            assert_narrowed(got, want, &reads);
+        }
+        prop_assert_eq!(CollectionSet::load_bundle(&set_dir).unwrap().0, set);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&set_dir);
+    }
+}
+
+/// A cellular collection with every entry non-empty.
+fn full_cellular_collection() -> Collection {
+    let mut behavior = RecordLog::new();
+    behavior.push(
+        SimTime::from_secs(1),
+        BehaviorRecord {
+            action: "upload_post:photos".into(),
+            start: SimTime::from_secs(1),
+            end: SimTime::from_secs(2),
+            start_kind: StartKind::Trigger,
+            mean_parse: SimDuration::from_millis(40),
+            timed_out: false,
+        },
+    );
+    let mut trace = RecordLog::new();
+    trace.push(SimTime::from_micros(1_500_000), flow_packet(4, 11));
+    let mut qxdm = QxdmLog::default();
+    qxdm.rrc.push(
+        SimTime::from_micros(1_100_000),
+        RrcTransition {
+            from: RrcState::Pch,
+            to: RrcState::Fach,
+        },
+    );
+    let mut truth = RecordLog::new();
+    truth.push(
+        SimTime::from_micros(1_600_000),
+        PduEvent {
+            dir: Direction::Uplink,
+            sn: 8,
+            payload_len: 40,
+            first2: [0x45, 0],
+            li: None,
+            poll: false,
+            retransmission: false,
+            covers: [(11, 0), (0, 0)],
+            covers_len: 1,
+        },
+    );
+    let mut camera = RecordLog::new();
+    camera.push(
+        SimTime::from_secs(2),
+        ScreenEvent {
+            label: "news_feed:item:photos".into(),
+            changed_at: SimTime::from_secs(2),
+        },
+    );
+    Collection {
+        behavior,
+        trace,
+        qxdm: Some(qxdm),
+        pdu_truth: Some(truth),
+        camera,
+        cpu: CpuMeter {
+            app_busy: SimDuration::from_millis(300),
+            controller_busy: SimDuration::from_millis(9),
+        },
+        end: SimTime::from_secs(3),
+    }
+}
+
+/// A declared-reads load still checksums the entries it does not decode:
+/// one flipped byte in any undeclared entry fails the load, naming that
+/// entry.
+#[test]
+fn undeclared_entries_are_still_checksummed() {
+    let dir = fresh_dir("reads-flip");
+    full_cellular_collection().save(&dir, &meta(5, 6)).unwrap();
+    let entries = [
+        (BEHAVIOR, "behavior.bin"),
+        (TRACE, "trace.pcapq"),
+        (QXDM, "qxdm.bin"),
+        (CPU, "cpu.bin"),
+        (PDUS, "truth_pdus.bin"),
+        (CAMERA, "truth_camera.bin"),
+    ];
+    for (name, file) in entries {
+        let path = dir.join(file);
+        let good = fs::read(&path).unwrap();
+        let mut bad = good.clone();
+        bad[good.len() / 2] ^= 0x01;
+        fs::write(&path, &bad).unwrap();
+        for reads in &READS_EACH {
+            if reads.artifact(name) || reads.truth(name) {
+                continue;
+            }
+            match Collection::load_reading(&dir, reads) {
+                Err(TraceError::ChecksumMismatch { name: got }) => assert_eq!(got, name),
+                other => {
+                    panic!("{file} flipped, {reads:?}: expected a checksum error, got {other:?}")
+                }
+            }
+        }
+        fs::write(&path, &good).unwrap();
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Append a byte to `file` and rewrite its manifest entry to match, so the
+/// checksum passes and only the decoder can object.
+fn append_with_consistent_checksum(dir: &std::path::Path, file: &str) {
+    let path = dir.join(file);
+    let mut bytes = fs::read(&path).unwrap();
+    bytes.push(0);
+    fs::write(&path, &bytes).unwrap();
+    let manifest_path = dir.join("manifest.txt");
+    let mut manifest = Manifest::parse(&fs::read_to_string(&manifest_path).unwrap()).unwrap();
+    for entry in manifest
+        .artifacts
+        .iter_mut()
+        .chain(manifest.truths.iter_mut())
+    {
+        if entry.file == file {
+            entry.bytes = bytes.len() as u64;
+            entry.fnv = fnv1a(&bytes);
+        }
+    }
+    fs::write(&manifest_path, manifest.render()).unwrap();
+}
+
+/// A declared entry keeps every canonical-bytes check: trailing bytes
+/// behind a consistent checksum are rejected when the entry is declared,
+/// and only verified (so accepted) when it is not.
+#[test]
+fn non_canonical_declared_entry_is_rejected_despite_its_checksum() {
+    for (file, declared) in [
+        ("trace.pcapq", Reads::artifacts(&[TRACE])),
+        ("truth_pdus.bin", Reads::artifacts(&[]).and_truths(&[PDUS])),
+    ] {
+        let dir = fresh_dir("reads-canon");
+        full_cellular_collection().save(&dir, &meta(5, 6)).unwrap();
+        append_with_consistent_checksum(&dir, file);
+        match Collection::load_reading(&dir, &declared) {
+            Err(TraceError::Corrupt(_)) => {}
+            other => panic!("{file}: expected a structural error, got {other:?}"),
+        }
+        assert!(Collection::load(&dir).is_err(), "{file}: full load");
+        let (col, _) = Collection::load_reading(&dir, &Reads::artifacts(&[BEHAVIOR])).unwrap();
+        assert_eq!(col.behavior, full_cellular_collection().behavior);
         let _ = fs::remove_dir_all(&dir);
     }
 }

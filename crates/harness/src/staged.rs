@@ -18,6 +18,13 @@
 //!   hit, record-save-analyze on a miss. A warm cache re-runs *only*
 //!   analysis (`simulated = 0` in the stats).
 //!
+//! Every job declares the bundle entries its analyze closure reads
+//! ([`Reads`]). A job that gets its artifact from disk loads it with
+//! [`BundleArtifact::load_reading`], which verifies every entry but decodes
+//! only the declared ones; a job that records analyzes the full in-memory
+//! artifact. A job's reads must therefore be complete: its row is the same
+//! either way only if the analyzer touches nothing it did not declare.
+//!
 //! Bundles are keyed by `(format version, seed, config digest)`: the
 //! directory name embeds the key digest, and on load the manifest's
 //! seed/config fields are compared against the job's — a stale bundle
@@ -30,7 +37,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use simcore::SimTime;
-use trace::{BundleArtifact, BundleMeta, Digest, FORMAT_VERSION};
+use trace::{BundleArtifact, BundleMeta, Digest, Reads, FORMAT_VERSION};
 
 use crate::campaign::Campaign;
 use crate::json::Json;
@@ -59,6 +66,7 @@ pub struct StageCounters {
     cache_misses: AtomicUsize,
     analyzed: AtomicUsize,
     record_ns: AtomicU64,
+    load_ns: AtomicU64,
     analyze_ns: AtomicU64,
 }
 
@@ -71,6 +79,7 @@ impl StageCounters {
             cache_misses: AtomicUsize::new(0),
             analyzed: AtomicUsize::new(0),
             record_ns: AtomicU64::new(0),
+            load_ns: AtomicU64::new(0),
             analyze_ns: AtomicU64::new(0),
         })
     }
@@ -84,6 +93,16 @@ impl StageCounters {
         self.record_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         artifact
+    }
+
+    /// Time one attempt to load an artifact from disk likewise, whether
+    /// it succeeds or not.
+    fn timed_load<R>(&self, load: impl FnOnce() -> R) -> R {
+        let t0 = Instant::now();
+        let loaded = load();
+        self.load_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        loaded
     }
 
     /// Time one analyze-stage invocation likewise.
@@ -104,6 +123,7 @@ impl StageCounters {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             analyzed: self.analyzed.load(Ordering::Relaxed),
             record_wall_ns: self.record_ns.load(Ordering::Relaxed),
+            load_wall_ns: self.load_ns.load(Ordering::Relaxed),
             analyze_wall_ns: self.analyze_ns.load(Ordering::Relaxed),
         }
     }
@@ -129,6 +149,10 @@ pub struct StageStats {
     /// to the JSON journal only, like the per-job `wall_ms`, and is
     /// excluded from determinism byte-compares).
     pub record_wall_ns: u64,
+    /// Total wall-clock spent obtaining artifacts from disk — reading,
+    /// verifying and decoding bundles, failed attempts included — summed
+    /// across jobs (nanoseconds; nondeterministic, JSON journal only).
+    pub load_wall_ns: u64,
     /// Total wall-clock spent inside analyze closures, summed across jobs
     /// (nanoseconds; nondeterministic, JSON journal only).
     pub analyze_wall_ns: u64,
@@ -149,6 +173,7 @@ impl StageStats {
                 "record_wall_ms",
                 Json::Num(self.record_wall_ns as f64 / 1e6),
             ),
+            ("load_wall_ms", Json::Num(self.load_wall_ns as f64 / 1e6)),
             (
                 "analyze_wall_ms",
                 Json::Num(self.analyze_wall_ns as f64 / 1e6),
@@ -183,6 +208,7 @@ struct StagedJob<A, T> {
     seed: u64,
     config_digest: u64,
     record: Box<dyn FnOnce() -> A + Send>,
+    reads: Reads,
     analyze: Analyze<A, T>,
 }
 
@@ -239,15 +265,17 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
     /// Append a staged job. `config_digest` must cover every parameter
     /// (besides the seed) that shapes what `record` simulates — it is the
     /// job's cache identity. `analyze` must be pure: same artifact, same
-    /// row. The job's simulated time is measured, not declared: every
-    /// lowering reports the [`BundleArtifact::end`] of the artifact it
-    /// recorded or loaded.
+    /// row. `reads` declares every bundle entry `analyze` reads; a job
+    /// that loads its artifact decodes only those. The job's simulated time
+    /// is measured, not declared: every lowering reports the
+    /// [`BundleArtifact::end`] of the artifact it recorded or loaded.
     pub fn job(
         &mut self,
         label: impl Into<String>,
         seed: u64,
         config_digest: u64,
         record: impl FnOnce() -> A + Send + 'static,
+        reads: Reads,
         analyze: impl FnOnce(&A) -> T + Send + 'static,
     ) -> &mut Self {
         self.jobs.push(StagedJob {
@@ -255,6 +283,7 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
             seed,
             config_digest,
             record: Box::new(record),
+            reads,
             analyze: Box::new(analyze),
         });
         self
@@ -275,7 +304,8 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
     /// Whatever the mode, each job's row comes from the *same* analyze
     /// closure over the *same* (in-memory or round-tripped) artifact, so
     /// rows — and anything printed from them — are byte-identical across
-    /// modes, provided the bundle round-trip is lossless.
+    /// modes, provided the bundle round-trip is lossless and each job's
+    /// declared reads are complete.
     pub fn into_campaign(self, mode: &StageMode) -> Campaign<T> {
         let (name, root, obtain) = match mode {
             StageMode::Inline => ("inline", None, Obtain::Record),
@@ -323,6 +353,7 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
                     end: SimTime::ZERO,
                 },
                 label: j.label,
+                reads: j.reads,
             };
             let counters = Arc::clone(&counters);
             c.push(cell.label.clone(), j.seed, move || {
@@ -345,6 +376,8 @@ struct Cell {
     /// artifact in memory.
     dir: Option<PathBuf>,
     meta: BundleMeta,
+    /// The entries the job's analyze closure reads.
+    reads: Reads,
 }
 
 /// How a lowering obtains each job's artifact.
@@ -371,7 +404,7 @@ impl Obtain {
                 .dir
                 .as_deref()
                 .expect("loading lowering has a bundle root");
-            match load_checked(dir, &cell.meta) {
+            match counters.timed_load(|| load_checked(dir, &cell.meta, &cell.reads)) {
                 Ok(artifact) => {
                     counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(artifact);
@@ -398,9 +431,14 @@ impl Obtain {
     }
 }
 
-/// Load the bundle under `dir` and check it was recorded for `want`.
-fn load_checked<A: BundleArtifact>(dir: &Path, want: &BundleMeta) -> Result<A, String> {
-    let (artifact, meta) = A::load_bundle(dir).map_err(|e| {
+/// Load the entries of the bundle under `dir` that `reads` declares, and
+/// check the bundle was recorded for `want`.
+fn load_checked<A: BundleArtifact>(
+    dir: &Path,
+    want: &BundleMeta,
+    reads: &Reads,
+) -> Result<A, String> {
+    let (artifact, meta) = A::load_reading(dir, reads).map_err(|e| {
         format!(
             "no usable bundle at {}: {e} (run `record` first)",
             dir.display()
@@ -463,6 +501,8 @@ mod tests {
         }
     }
 
+    const BLOB_READS: Reads = Reads::artifacts(&["blob"]);
+
     fn staged(n: u64) -> StagedCampaign<Blob, String> {
         let mut s: StagedCampaign<Blob, String> = StagedCampaign::new("staged/test");
         for i in 0..n {
@@ -471,6 +511,7 @@ mod tests {
                 100 + i,
                 0xABC + i,
                 move || Blob(i * 10),
+                BLOB_READS,
                 |b: &Blob| format!("value={}", b.0),
             );
         }
@@ -501,8 +542,10 @@ mod tests {
         // Three record and three analyze invocations ran; each took > 0 ns.
         assert!(stats.record_wall_ns > 0, "{stats:?}");
         assert!(stats.analyze_wall_ns > 0, "{stats:?}");
+        assert_eq!(stats.load_wall_ns, 0, "inline mode never loads");
         let json = stats.to_json().pretty();
         assert!(json.contains("\"record_wall_ms\""), "{json}");
+        assert!(json.contains("\"load_wall_ms\""), "{json}");
         assert!(json.contains("\"analyze_wall_ms\""), "{json}");
 
         // Analyze-only mode spends no record wall-clock at all.
@@ -513,6 +556,7 @@ mod tests {
             .run(1);
         let stats = an.stages.unwrap();
         assert_eq!(stats.record_wall_ns, 0, "analyze mode never records");
+        assert!(stats.load_wall_ns > 0, "{stats:?}");
         assert!(stats.analyze_wall_ns > 0);
         let _ = fs::remove_dir_all(&root);
     }
@@ -589,6 +633,7 @@ mod tests {
             100,
             0xD1FF,
             || Blob(0),
+            BLOB_READS,
             |b: &Blob| format!("value={}", b.0),
         );
         let run = s.into_campaign(&StageMode::Cached(root.clone())).run(1);
@@ -609,6 +654,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis((4 - i) * 3));
                     Blob(10 * (i + 1))
                 },
+                BLOB_READS,
                 |b: &Blob| format!("value={}", b.0),
             );
         }
@@ -661,6 +707,7 @@ mod tests {
                 run_forever();
                 Blob(0)
             },
+            BLOB_READS,
             |b: &Blob| format!("value={}", b.0),
         );
         s.job(
@@ -668,6 +715,7 @@ mod tests {
             2,
             0x2,
             || Blob(7),
+            BLOB_READS,
             |b: &Blob| format!("value={}", b.0),
         );
         s
@@ -740,6 +788,130 @@ mod tests {
             .run(1);
         assert_eq!(warm.stages.unwrap().cache_hits, 1);
         assert_eq!(warm.into_outputs(), cold);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// An artifact of two entries, `kept` and `skipped`, that honours
+    /// declared reads: it verifies both but decodes only the declared ones.
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        kept: u64,
+        skipped: u64,
+    }
+
+    impl BundleArtifact for Pair {
+        fn save_bundle(&self, dir: &Path, meta: &BundleMeta) -> Result<(), TraceError> {
+            let mut w = BundleWriter::create(dir, meta)?;
+            w.artifact("kept", "kept.bin", &self.kept.to_le_bytes())?;
+            w.artifact("skipped", "skipped.bin", &self.skipped.to_le_bytes())?;
+            w.finish()
+        }
+        fn load_bundle(dir: &Path) -> Result<(Pair, BundleMeta), TraceError> {
+            Pair::load_reading(dir, &Reads::artifacts(&["kept", "skipped"]))
+        }
+        fn load_reading(dir: &Path, reads: &Reads) -> Result<(Pair, BundleMeta), TraceError> {
+            let r = BundleReader::open(dir)?;
+            let decode = |name: &str| -> Result<u64, TraceError> {
+                let bytes = r.artifact(name)?;
+                if !reads.artifact(name) {
+                    return Ok(0);
+                }
+                let arr: [u8; 8] = bytes
+                    .as_slice()
+                    .try_into()
+                    .map_err(|_| TraceError::UnexpectedEof)?;
+                Ok(u64::from_le_bytes(arr))
+            };
+            let pair = Pair {
+                kept: decode("kept")?,
+                skipped: decode("skipped")?,
+            };
+            Ok((pair, r.meta()))
+        }
+        fn end(&self) -> SimTime {
+            SimTime::from_secs(1)
+        }
+    }
+
+    /// Two jobs that declare only their `kept` entry.
+    fn pair_staged() -> StagedCampaign<Pair, String> {
+        let mut s: StagedCampaign<Pair, String> = StagedCampaign::new("staged/pair");
+        for i in 0..2u64 {
+            s.job(
+                format!("cell {i}"),
+                300 + i,
+                i,
+                move || Pair {
+                    kept: i + 1,
+                    skipped: 7,
+                },
+                Reads::artifacts(&["kept"]),
+                |p: &Pair| format!("kept={} skipped={}", p.kept, p.skipped),
+            );
+        }
+        s
+    }
+
+    #[test]
+    fn declared_reads_decode_only_what_the_job_reads() {
+        let root = tmp("pair-reads");
+        pair_staged().into_record_campaign(&root).run(1);
+        let inline = pair_staged()
+            .into_campaign(&StageMode::Inline)
+            .run(1)
+            .into_outputs();
+        assert_eq!(inline, ["kept=1 skipped=7", "kept=2 skipped=7"]);
+        // From disk the undeclared entry stays empty.
+        let an = pair_staged()
+            .into_campaign(&StageMode::Analyze(root.clone()))
+            .run(1);
+        assert_eq!(an.into_outputs(), ["kept=1 skipped=0", "kept=2 skipped=0"]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn damaged_undeclared_entry_faults_analyze_and_misses_the_cache() {
+        let root = tmp("pair-damage");
+        let cold = pair_staged()
+            .into_campaign(&StageMode::Cached(root.clone()))
+            .run(1)
+            .into_outputs();
+        let skipped = bundle_dir(&root, "staged/pair", "cell 0", 300, 0).join("skipped.bin");
+        let mut bytes = fs::read(&skipped).unwrap();
+        bytes[0] ^= 0x01;
+        fs::write(&skipped, bytes).unwrap();
+
+        let an = pair_staged()
+            .into_campaign(&StageMode::Analyze(root.clone()))
+            .run(1);
+        match &an.jobs[0].outcome {
+            Outcome::Faulted(reason) => assert!(
+                reason.contains("'skipped' does not match its manifest checksum"),
+                "{reason}"
+            ),
+            _ => panic!("a damaged undeclared entry must fault the job"),
+        }
+        assert!(an.jobs[1].outcome.is_ok());
+        let stats = an.stages.unwrap();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1), "{stats:?}");
+
+        let rerun = pair_staged()
+            .into_campaign(&StageMode::Cached(root.clone()))
+            .run(1);
+        let stats = rerun.stages.unwrap();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1), "{stats:?}");
+        assert_eq!(stats.simulated, 1, "the damaged bundle is re-recorded");
+        // The re-recorded job analyzes its in-memory artifact; the hit
+        // analyzes from disk.
+        assert_eq!(
+            rerun.into_outputs(),
+            ["kept=1 skipped=7", "kept=2 skipped=0"]
+        );
+        assert_eq!(cold, ["kept=1 skipped=7", "kept=2 skipped=7"]);
+        let warm = pair_staged()
+            .into_campaign(&StageMode::Cached(root.clone()))
+            .run(1);
+        assert_eq!(warm.stages.unwrap().cache_hits, 2);
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -18,7 +18,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use harness::{bundle_dir, Json, Record, StagedCampaign};
-use trace::{BundleArtifact, Digest};
+use trace::{BundleArtifact, Digest, Reads};
 
 use crate::detect::{CellHistory, EpochMetrics};
 use crate::store::EpochEntry;
@@ -38,6 +38,9 @@ pub struct CellSpec<A> {
     /// Build and run epoch `e`'s world with the given seed; returns the
     /// recorded artifact.
     pub record: Arc<dyn Fn(usize, u64) -> A + Send + Sync>,
+    /// The bundle entries `analyze` reads (see
+    /// [`StagedCampaign::job`]).
+    pub reads: Reads,
     /// Pure analysis of epoch `e`'s artifact into its metric samples and
     /// cross-layer attribution.
     pub analyze: Arc<dyn Fn(usize, &A) -> EpochMetrics + Send + Sync>,
@@ -160,7 +163,7 @@ impl<A: BundleArtifact + Send + 'static> MonitorSpec<A> {
                     config_digest,
                     metrics: analyze(epoch, a),
                 };
-                staged.job(label, seed, config_digest, rec, ana);
+                staged.job(label, seed, config_digest, rec, spec.reads, ana);
             }
         }
         staged
@@ -258,6 +261,7 @@ mod tests {
                     seed % 7
                 })
             }),
+            reads: Reads::artifacts(&["blob"]),
             analyze: Arc::new(|epoch, a: &Blob| EpochMetrics {
                 epoch,
                 metrics: vec![("value".to_string(), vec![a.0 as f64])],

@@ -19,9 +19,11 @@ use netstack::IpPacket;
 use qoe_doctor::analyze::crosslayer::{
     long_jump_map, score_mapping, MapperOptions, MappingScore, PduIndex, TruthCovers,
 };
+use qoe_doctor::bundle::{BEHAVIOR, CAMERA, PDUS, QXDM, TRACE};
 use qoe_doctor::{replay, Collection, CollectionSet, Controller};
 use simcore::{SimDuration, SimTime};
 use std::fmt;
+use trace::Reads;
 
 /// One mapper-ablation row.
 #[derive(Debug, Clone)]
@@ -52,6 +54,10 @@ impl fmt::Display for MapperAblationRow {
 pub fn mapper_ablation(reps: usize, seed: u64) -> Vec<MapperAblationRow> {
     mapper_rows(&run_posts(PostKind::Photos, NetKind::Umts3g, reps, seed))
 }
+
+/// What [`mapper_rows`] reads: the packet trace and the QxDM log, scored
+/// against the PDU truth.
+const MAPPER_READS: Reads = Reads::artifacts(&[TRACE, QXDM]).and_truths(&[PDUS]);
 
 /// Score the mapper configurations against a recorded photo-upload trace.
 /// Evaluation-only: scoring reads the segregated `pdu_truth` ground truth.
@@ -133,6 +139,10 @@ impl fmt::Display for CalibrationRow {
 pub fn calibration_ablation(reps: usize, seed: u64) -> CalibrationRow {
     calibration_row(&run_posts(PostKind::Status, NetKind::Lte, reps, seed))
 }
+
+/// What [`calibration_row`] reads: the behaviour log, scored against the
+/// camera truth.
+const CALIBRATION_READS: Reads = Reads::artifacts(&[BEHAVIOR]).and_truths(&[CAMERA]);
 
 /// Compute raw-vs-calibrated error from a recorded status-post session.
 fn calibration_row(col: &Collection) -> CalibrationRow {
@@ -221,6 +231,7 @@ pub fn staged(
                 seed,
             ))
         },
+        MAPPER_READS,
         |set: &CollectionSet| {
             AblationPart::Mapper(mapper_rows(set.get("session").expect("mapper session")))
         },
@@ -230,6 +241,7 @@ pub fn staged(
         seed,
         crate::stage::config_digest("ablation", "calibration", &[cal_reps as u64]),
         move || CollectionSet::single(run_posts(PostKind::Status, NetKind::Lte, cal_reps, seed)),
+        CALIBRATION_READS,
         |set: &CollectionSet| {
             AblationPart::Calibration(calibration_row(
                 set.get("session").expect("calibration session"),
@@ -241,6 +253,7 @@ pub fn staged(
         seed,
         crate::stage::config_digest_rate("ablation", "discipline", &[], rate_bps),
         move || discipline_sessions(rate_bps, seed),
+        DISCIPLINE_READS,
         |set: &CollectionSet| AblationPart::Discipline(discipline_rows(set)),
     );
     c
@@ -290,6 +303,10 @@ fn discipline_sessions(rate_bps: f64, seed: u64) -> CollectionSet {
         ],
     }
 }
+
+/// What [`discipline_row`] reads of each session: the packet trace and the
+/// behaviour log.
+const DISCIPLINE_READS: Reads = Reads::artifacts(&[BEHAVIOR, TRACE]);
 
 /// Compute one discipline row from a recorded session; the rebuffering
 /// ratio comes from the playback summary record in the behaviour log.

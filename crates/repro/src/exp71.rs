@@ -15,10 +15,12 @@ use qoe_doctor::analyze::app::{accuracy_span, accuracy_trigger, AccuracySample};
 use qoe_doctor::analyze::crosslayer::{
     long_jump_map, score_mapping, MapperOptions, MappingScore, PduIndex, TruthCovers,
 };
+use qoe_doctor::bundle::{BEHAVIOR, CAMERA, CPU, PDUS, QXDM, TRACE};
 use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING};
 use qoe_doctor::{Collection, Controller};
 use simcore::{SimDuration, SimTime};
 use std::fmt;
+use trace::Reads;
 
 /// Accuracy for one latency metric (one Fig. 6 bar).
 #[derive(Debug, Clone)]
@@ -45,6 +47,10 @@ impl fmt::Display for MetricAccuracy {
         )
     }
 }
+
+/// What every accuracy analyzer reads: the behaviour log, scored against
+/// the camera truth.
+const ACCURACY_READS: Reads = Reads::artifacts(&[BEHAVIOR]).and_truths(&[CAMERA]);
 
 fn summarize(metric: &'static str, samples: &[AccuracySample]) -> MetricAccuracy {
     let n = samples.len();
@@ -270,6 +276,10 @@ impl fmt::Display for ToolOverhead {
     }
 }
 
+/// What [`overhead_from`] reads: the packet trace, the QxDM log and the CPU
+/// meter, scored against the PDU truth.
+const OVERHEAD_READS: Reads = Reads::artifacts(&[TRACE, QXDM, CPU]).and_truths(&[PDUS]);
+
 /// Table 3's mapping + overhead rows from a recorded photo-post session.
 /// This is an evaluation-only analysis: it scores the mapper against the
 /// `pdu_truth` ground truth, which the bundle format keeps segregated from
@@ -320,6 +330,7 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Tab
         seed,
         crate::stage::config_digest(name, "accuracy/posts", &[reps as u64]),
         move || posts_session(reps, seed),
+        ACCURACY_READS,
         |col: &Collection| Table3Part::Bars(vec![posts_accuracy_from(col)]),
     );
     c.job(
@@ -327,6 +338,7 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Tab
         seed ^ 1,
         crate::stage::config_digest(name, "accuracy/pull", &[reps as u64]),
         move || pull_session(reps, seed ^ 1),
+        ACCURACY_READS,
         |col: &Collection| Table3Part::Bars(vec![pull_accuracy_from(col)]),
     );
     c.job(
@@ -334,6 +346,7 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Tab
         seed ^ 2,
         crate::stage::config_digest(name, "accuracy/video", &[reps.min(10) as u64]),
         move || video_session(reps.min(10), seed ^ 2),
+        ACCURACY_READS,
         |col: &Collection| {
             let (loading, rebuffer) = video_accuracy_from(col);
             Table3Part::Bars(vec![loading, rebuffer])
@@ -344,6 +357,7 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Tab
         seed ^ 3,
         crate::stage::config_digest(name, "accuracy/page", &[reps as u64]),
         move || page_session(reps, seed ^ 3),
+        ACCURACY_READS,
         |col: &Collection| Table3Part::Bars(vec![page_accuracy_from(col)]),
     );
     c.job(
@@ -351,6 +365,7 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Tab
         seed ^ 4,
         crate::stage::config_digest(name, "overhead", &[reps.min(10) as u64]),
         move || run_posts(PostKind::Photos, NetKind::Umts3g, reps.min(10), seed ^ 4),
+        OVERHEAD_READS,
         |col: &Collection| Table3Part::Overhead(overhead_from(col)),
     );
     c

@@ -14,9 +14,11 @@ use qoe_doctor::analyze::crosslayer::{
     long_jump_map, net_latency_breakdown, window_breakdown, MapperOptions, NetLatencyBreakdown,
     PduIndex,
 };
+use qoe_doctor::bundle::{BEHAVIOR, QXDM, TRACE};
 use qoe_doctor::{replay, Collection, Controller};
 use simcore::{SimDuration, SimTime, Summary};
 use std::fmt;
+use trace::Reads;
 
 /// The three post kinds of Fig. 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,6 +237,14 @@ pub fn photo_net_breakdown(col: &Collection, net: &str) -> Option<PhotoNetBreakd
     })
 }
 
+/// What a check-in or status job reads: [`breakdown_rows`] splits the
+/// behaviour log's windows over the packet trace.
+const FIG7_READS: Reads = Reads::artifacts(&[BEHAVIOR, TRACE]);
+
+/// What a photo job reads: Fig. 7's entries plus the QxDM log that
+/// [`photo_net_breakdown`] maps the packets onto.
+pub const PHOTO_READS: Reads = Reads::artifacts(&[BEHAVIOR, TRACE, QXDM]);
+
 /// One §7.2 campaign job's output: a Fig. 7 row plus, for photo posts,
 /// the Fig. 8 fine-grained network breakdown.
 #[derive(Debug, Clone)]
@@ -255,11 +265,17 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Pos
             let job_seed = seed ^ kind.label().len() as u64;
             let label = format!("{}/{}", net.label(), kind.label());
             let cfg = crate::stage::config_digest("fig7_fig8", &label, &[reps as u64]);
+            let reads = if kind == PostKind::Photos {
+                PHOTO_READS
+            } else {
+                FIG7_READS
+            };
             c.job(
                 label,
                 job_seed,
                 cfg,
                 move || run_posts(kind, net, reps, job_seed),
+                reads,
                 move |col: &Collection| {
                     let fig8 = if kind == PostKind::Photos {
                         photo_net_breakdown(col, &net.label())

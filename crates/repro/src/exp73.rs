@@ -11,11 +11,13 @@ use crate::scenario::{facebook_world, NetKind, PUSH_BYTES};
 use device::apps::FbVersion;
 use qoe_doctor::analyze::radio::{energy_breakdown, residencies};
 use qoe_doctor::analyze::transport::TransportReport;
+use qoe_doctor::bundle::{QXDM, TRACE};
 use qoe_doctor::{Collection, Controller};
 use radio::power::PowerModel;
 use radio::rrc::RrcState;
 use simcore::{SimDuration, SimTime};
 use std::fmt;
+use trace::Reads;
 
 /// Duration of each background run at full scale (the paper's 16 h).
 /// `--quick` runs pass a shorter duration through [`run_config`].
@@ -103,6 +105,9 @@ fn session(
     doctor.collect()
 }
 
+/// What [`background_row`] reads: the packet trace and the QxDM log.
+const BACKGROUND_READS: Reads = Reads::artifacts(&[TRACE, QXDM]);
+
 /// Compute one Figs. 10–13 row from a recorded background session.
 fn background_row(col: &Collection, label: &str) -> BackgroundRow {
     // Mobile data: all traffic to Facebook domains.
@@ -144,6 +149,7 @@ pub fn staged_fig10_11(
             seed,
             crate::stage::config_digest("fig10_11", &format!("push={label}"), &[hours]),
             move || session(push, Some(hour), hours, seed),
+            BACKGROUND_READS,
             move |col: &Collection| background_row(col, label),
         );
     }
@@ -169,6 +175,7 @@ pub fn staged_fig12_13(
             seed,
             crate::stage::config_digest("fig12_13", &format!("refresh={label}"), &[hours]),
             move || session(push, Some(refresh), hours, seed),
+            BACKGROUND_READS,
             move |col: &Collection| background_row(col, label),
         );
     }

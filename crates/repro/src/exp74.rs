@@ -12,10 +12,12 @@ use device::apps::FbVersion;
 use device::{UiEvent, ViewSignature};
 use netstack::pcap::Direction;
 use qoe_doctor::analyze::crosslayer::window_breakdown;
+use qoe_doctor::bundle::{BEHAVIOR, TRACE};
 use qoe_doctor::replay::{self, PULL_TO_UPDATE};
 use qoe_doctor::{Collection, Controller};
 use simcore::{Cdf, SimDuration, Summary};
 use std::fmt;
+use trace::Reads;
 
 /// Notification payload for the §7.4 scenario (status-only posts).
 const STATUS_PUSH_BYTES: u64 = 2_400;
@@ -107,6 +109,10 @@ fn session(version: FbVersion, net: NetKind, updates: usize, seed: u64) -> Colle
     doctor.collect()
 }
 
+/// What [`summarize`] reads: the behaviour log's windows over the packet
+/// trace.
+const UPDATE_READS: Reads = Reads::artifacts(&[BEHAVIOR, TRACE]);
+
 fn summarize(col: &Collection, label: String) -> UpdateRun {
     let mut latencies = Vec::new();
     let mut device = Vec::new();
@@ -157,6 +163,7 @@ pub fn staged(updates: usize, seed: u64) -> harness::StagedCampaign<Collection, 
                 seed,
                 cfg,
                 move || session(version, net, updates, seed),
+                UPDATE_READS,
                 move |col: &Collection| summarize(col, analyze_label),
             );
         }

@@ -11,10 +11,12 @@ use crate::scenario::{video_dataset, youtube_world, NetKind};
 use device::apps::VideoSpec;
 use qoe_doctor::analyze::app::playback_reports;
 use qoe_doctor::analyze::transport::{downlink_throughput, TransportReport};
+use qoe_doctor::bundle::{BEHAVIOR, TRACE};
 use qoe_doctor::replay::{self, VIDEO_INITIAL_LOADING};
 use qoe_doctor::{Calendar, Collection, Controller, Kernel};
 use simcore::{Cdf, DetRng, SimDuration};
 use std::fmt;
+use trace::Reads;
 
 /// The post-cap throttle rate C1 applies (Fig. 17).
 pub const CAP_RATE: f64 = 128e3;
@@ -133,6 +135,10 @@ pub fn watch_session<K: Kernel>(net: NetKind, count: usize, seed: u64) -> Collec
     doctor.collect()
 }
 
+/// What the Fig. 17 and Figs. 19/20 analyzers read: the behaviour log
+/// alone.
+pub const WATCH_READS: Reads = Reads::artifacts(&[BEHAVIOR]);
+
 /// Rebuild a [`WatchRun`] from a recorded session: the i-th
 /// `video:initial_loading` record belongs to the i-th pick, and each
 /// non-timed-out video contributed exactly one playback summary record.
@@ -186,6 +192,7 @@ pub fn staged_fig17(count: usize, seed: u64) -> harness::StagedCampaign<Collecti
             seed,
             cfg,
             move || watch_session::<Calendar>(net, count, seed),
+            WATCH_READS,
             move |col: &Collection| watch_run_from(col, net.label(), count),
         );
     }
@@ -237,6 +244,9 @@ fn trace_session(net: NetKind, seed: u64) -> Collection {
     doctor.collect()
 }
 
+/// What [`throughput_trace`] reads: the packet trace alone.
+const THROUGHPUT_READS: Reads = Reads::artifacts(&[TRACE]);
+
 /// Compute the downlink throughput profile of a recorded Fig. 18 session.
 fn throughput_trace(col: &Collection, label: String) -> ThroughputTrace {
     let series = downlink_throughput(&col.trace, 1.0);
@@ -264,6 +274,7 @@ pub fn staged_fig18(seed: u64) -> harness::StagedCampaign<Collection, Throughput
             seed,
             cfg,
             move || trace_session(net, seed),
+            THROUGHPUT_READS,
             move |col: &Collection| throughput_trace(col, net.label()),
         );
     }
@@ -321,6 +332,7 @@ pub fn staged_sweep(
                 job_seed,
                 cfg,
                 move || watch_session::<Calendar>(net, videos_per_point, job_seed),
+                WATCH_READS,
                 move |col: &Collection| {
                     let run = watch_run_from(col, net.label(), videos_per_point);
                     let n = run.videos.len().max(1) as f64;

@@ -8,10 +8,12 @@
 use crate::scenario::{youtube_world, NetKind};
 use device::apps::VideoSpec;
 use device::{UiEvent, ViewSignature};
+use qoe_doctor::bundle::BEHAVIOR;
 use qoe_doctor::replay::{self, VIDEO_INITIAL_LOADING};
 use qoe_doctor::{Collection, Controller, WaitCondition};
 use simcore::{SimDuration, Summary};
 use std::fmt;
+use trace::Reads;
 
 /// Results for one (network × ad) configuration.
 #[derive(Debug, Clone)]
@@ -127,6 +129,9 @@ fn session(net: NetKind, with_ad: bool, skip: bool, reps: usize, seed: u64) -> C
 /// supplies the main-video loading; the span measurement logs no record
 /// when the progress bar never reappears, which counts as zero. Without an
 /// ad each `video:initial_loading` record is one rep.
+/// What [`ad_run_from`] reads: the behaviour log alone.
+const AD_READS: Reads = Reads::artifacts(&[BEHAVIOR]);
+
 fn ad_run_from(col: &Collection, net: NetKind, with_ad: bool, skip: bool) -> AdRun {
     let mut ad_loads = Vec::new();
     let mut main_loads = Vec::new();
@@ -196,6 +201,7 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, AdR
                 seed,
                 cfg,
                 move || session(net, with_ad, skip, reps, seed),
+                AD_READS,
                 move |col: &Collection| ad_run_from(col, net, with_ad, skip),
             );
         }

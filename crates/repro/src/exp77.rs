@@ -10,10 +10,12 @@
 use crate::scenario::{browser_world, NetKind};
 use device::apps::BrowserConfig;
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
+use qoe_doctor::bundle::{BEHAVIOR, QXDM};
 use qoe_doctor::replay::{self, PAGE_LOAD};
 use qoe_doctor::{Calendar, Collection, Controller, Kernel};
 use simcore::{SimDuration, Summary};
 use std::fmt;
+use trace::Reads;
 
 /// Results for one (browser × machine) configuration.
 #[derive(Debug, Clone)]
@@ -69,6 +71,10 @@ pub fn session<K: Kernel>(
     doctor.collect()
 }
 
+/// What [`page_load_run`] reads: the behaviour log and the QxDM log's RRC
+/// transitions.
+const PAGE_LOAD_READS: Reads = Reads::artifacts(&[BEHAVIOR, QXDM]);
+
 /// Compute a [`PageLoadRun`] from a recorded session.
 fn page_load_run(col: &Collection, name: &'static str, net: NetKind) -> PageLoadRun {
     let mut loads = Vec::new();
@@ -113,6 +119,7 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Pag
                 seed,
                 cfg,
                 move || session::<Calendar>(make(), net, reps, seed),
+                PAGE_LOAD_READS,
                 move |col: &Collection| page_load_run(col, make().name, net),
             );
         }

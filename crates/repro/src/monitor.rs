@@ -328,6 +328,9 @@ fn cell(
         cell: info.cell.to_string(),
         control: info.control,
         record: Arc::new(move |epoch, seed| record(drifted(epoch), seed)),
+        // Every cell's metrics are behaviour-log latencies plus
+        // `shares_of`'s diagnosis (and the page cells' QxDM transitions).
+        reads: Diagnoser::READS,
         analyze: Arc::new(analyze),
         config_digest: Arc::new(move |epoch| {
             crate::stage::config_digest("monitor", info.cell, &[u64::from(drifted(epoch))])

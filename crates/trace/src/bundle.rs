@@ -25,6 +25,47 @@ pub struct BundleMeta {
     pub end: SimTime,
 }
 
+/// The bundle entries an analyzer reads, by manifest name.
+///
+/// Analyzer-visible artifacts and evaluation-only truths are declared
+/// separately, so an analyzer that scores against a ground truth says so
+/// where it is defined. A declaration narrows *decoding* only: a load
+/// through [`BundleArtifact::load_reading`] still reads and checksums every
+/// entry, and leaves the undeclared ones empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reads {
+    artifacts: &'static [&'static str],
+    truths: &'static [&'static str],
+}
+
+impl Reads {
+    /// Read the named analyzer-visible artifacts and no truth.
+    pub const fn artifacts(names: &'static [&'static str]) -> Reads {
+        Reads {
+            artifacts: names,
+            truths: &[],
+        }
+    }
+
+    /// Also read the named evaluation-only truths.
+    pub const fn and_truths(self, names: &'static [&'static str]) -> Reads {
+        Reads {
+            truths: names,
+            ..self
+        }
+    }
+
+    /// Whether the analyzer-visible artifact `name` is declared.
+    pub fn artifact(&self, name: &str) -> bool {
+        self.artifacts.contains(&name)
+    }
+
+    /// Whether the truth `name` is declared.
+    pub fn truth(&self, name: &str) -> bool {
+        self.truths.contains(&name)
+    }
+}
+
 /// A value that can be persisted as (and restored from) a bundle directory.
 ///
 /// `load_bundle(save_bundle(x)) == x` must hold exactly — the lossless
@@ -35,6 +76,15 @@ pub trait BundleArtifact: Sized {
     fn save_bundle(&self, dir: &Path, meta: &BundleMeta) -> Result<(), TraceError>;
     /// Restore a value (and the recording's identity) from `dir`.
     fn load_bundle(dir: &Path) -> Result<(Self, BundleMeta), TraceError>;
+    /// Restore a value for an analyzer that reads only `reads`: every entry
+    /// is still length- and checksum-verified, but only the declared ones
+    /// need be decoded. An analyzer whose reads are complete gets the same
+    /// result from this value as from [`BundleArtifact::load_bundle`]'s.
+    /// The default is the full load.
+    fn load_reading(dir: &Path, reads: &Reads) -> Result<(Self, BundleMeta), TraceError> {
+        let _ = reads;
+        Self::load_bundle(dir)
+    }
     /// Simulated clock at the end of the recording — what a saved bundle's
     /// manifest records as its `end`.
     fn end(&self) -> SimTime;

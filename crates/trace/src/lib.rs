@@ -21,6 +21,11 @@
 //! accessor refuses to serve them, so an analyzer cannot silently read what
 //! a real deployment would not have.
 //!
+//! An analyzer declares the entries it reads ([`Reads`]).
+//! [`BundleArtifact::load_reading`] still verifies every entry's length and
+//! checksum, but decodes only the declared ones; `load_bundle` stays the
+//! lossless full load.
+//!
 //! Artifacts are stored column by column ([`column`](mod@column)): a record log is its
 //! record count, its timestamps as one column of varint deltas, then one
 //! length-framed column per field. Fields use LEB128 varints, zigzag deltas
@@ -44,7 +49,7 @@ mod error;
 mod manifest;
 mod wire;
 
-pub use bundle::{BundleArtifact, BundleMeta, BundleReader, BundleWriter};
+pub use bundle::{BundleArtifact, BundleMeta, BundleReader, BundleWriter, Reads};
 pub use codec::{decode_artifact, encode_artifact, Codec};
 pub use digest::{fnv1a, Digest};
 pub use error::TraceError;
