@@ -256,7 +256,6 @@ pub fn downlink_throughput(trace: &RecordLog<PacketRecord>, bin_secs: f64) -> Bi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use netstack::{IpPacket, SocketAddr, TcpFlags, TcpHeader};
 
     fn tcp_pkt(dir: Direction, seq: u64, len: u32, flags: TcpFlags) -> PacketRecord {
@@ -292,7 +291,7 @@ mod tests {
                 proto: Proto::Udp,
                 tcp: None,
                 payload_len: body.len() as u32,
-                udp_payload: Some(Bytes::from(body)),
+                udp_payload: Some(body),
                 markers: Vec::new(),
             },
         }

@@ -7,8 +7,8 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use bytes::Bytes;
 use device::phone::CpuMeter;
 use device::ui::ScreenEvent;
 use netstack::packet::{IpPacket, Proto, TcpFlags, TcpHeader};
@@ -153,9 +153,9 @@ fn st_tcp() -> impl Strategy<Value = Option<TcpHeader>> {
     })
 }
 
-fn st_udp_payload() -> impl Strategy<Value = Option<Bytes>> {
+fn st_udp_payload() -> impl Strategy<Value = Option<Arc<[u8]>>> {
     (any::<bool>(), prop::collection::vec(any::<u8>(), 0..24))
-        .prop_map(|(present, bytes)| present.then(|| Bytes::from(bytes)))
+        .prop_map(|(present, bytes)| present.then(|| Arc::from(bytes)))
 }
 
 fn st_packet() -> impl Strategy<Value = PacketRecord> {
@@ -370,7 +370,7 @@ fn flow_packet(i: u64, id: u64) -> PacketRecord {
                 flags: TcpFlags::default(),
             }),
             payload_len: 1400,
-            udp_payload: udp.then(|| Bytes::from(vec![i as u8; 12])),
+            udp_payload: udp.then(|| Arc::from(vec![i as u8; 12])),
             markers: vec![(id, i)],
         },
     }

@@ -26,8 +26,8 @@
 //! are invisible on the simulated wire but part of the in-memory record.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use bytes::Bytes;
 use trace::column::{ColumnDecoder, ColumnEncoder, RleReader, RleWriter};
 use trace::{Reader, TraceError, Writer};
 
@@ -237,7 +237,7 @@ impl<'a> ColumnDecoder<'a, PacketRecord> for PacketColumnsReader<'a> {
                 if n > self.udp_bytes.remaining() as u64 {
                     return Err(TraceError::UnexpectedEof);
                 }
-                Some(Bytes::copy_from_slice(self.udp_bytes.take(n as usize)?))
+                Some(Arc::from(self.udp_bytes.take(n as usize)?))
             }
         };
         let count = self.markers.read()?;
@@ -312,7 +312,7 @@ mod tests {
                     },
                 }),
                 payload_len: 512,
-                udp_payload: Some(Bytes::copy_from_slice(b"dns-ish")),
+                udp_payload: Some(Arc::from(&b"dns-ish"[..])),
                 markers: vec![(100, 7), (612, 8)],
             },
         }

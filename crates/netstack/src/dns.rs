@@ -11,20 +11,20 @@
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::packet::{IpPacket, Proto};
-use bytes::Bytes;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Well-known resolver port.
 pub const DNS_PORT: u16 = 53;
 
 /// Encode a DNS query payload.
-pub fn encode_query(name: &str) -> Bytes {
-    Bytes::from(format!("Q:{name}"))
+pub fn encode_query(name: &str) -> Arc<[u8]> {
+    Arc::from(format!("Q:{name}").as_bytes())
 }
 
 /// Encode a DNS response payload.
-pub fn encode_response(name: &str, ip: IpAddr) -> Bytes {
-    Bytes::from(format!("R:{name}={ip}"))
+pub fn encode_response(name: &str, ip: IpAddr) -> Arc<[u8]> {
+    Arc::from(format!("R:{name}={ip}").as_bytes())
 }
 
 /// Parse a DNS query payload, returning the queried name.

@@ -8,7 +8,7 @@
 //! on synthetic IDs.
 
 use crate::addr::{FlowKey, SocketAddr};
-use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 /// Combined IP + transport header size in bytes (20 IP + 20 TCP/UDP-padded).
 pub const HEADER_BYTES: u32 = 40;
@@ -88,8 +88,9 @@ pub struct IpPacket {
     /// deterministically from the flow and sequence number; UDP payloads are
     /// carried explicitly in `udp_payload`.
     pub payload_len: u32,
-    /// Explicit payload for UDP datagrams (DNS queries/responses).
-    pub udp_payload: Option<Bytes>,
+    /// Explicit payload for UDP datagrams (DNS queries/responses); shared,
+    /// so cloning a packet does not copy it.
+    pub udp_payload: Option<Arc<[u8]>>,
     /// Application stream markers carried by this segment: `(stream_end_pos,
     /// marker)` pairs. A marker stands in for application-layer framing the
     /// synthetic payload bytes would otherwise encode (request ids, response
@@ -113,30 +114,28 @@ impl IpPacket {
     /// The deterministic 40-byte header encoding shared by [`wire_bytes`]
     /// and [`wire_view`] (`Self::wire_bytes`, `Self::wire_view`).
     fn header_bytes(&self) -> [u8; HEADER_BYTES as usize] {
-        let mut buf = BytesMut::with_capacity(HEADER_BYTES as usize);
-        // "IP" header: version/proto marker, length, addresses.
-        buf.put_u8(0x45);
-        buf.put_u8(match self.proto {
-            Proto::Tcp => 6,
-            Proto::Udp => 17,
-        });
-        buf.put_u16(self.wire_len() as u16);
-        buf.put_uint(self.id & 0xFFFF_FFFF_FFFF, 6);
-        buf.put_u32(self.src.ip.0);
-        buf.put_u32(self.dst.ip.0);
-        // "Transport" header.
-        buf.put_u16(self.src.port);
-        buf.put_u16(self.dst.port);
         let (seq, ack, flags) = match self.tcp {
             Some(h) => (h.seq, h.ack, h.flags.bits()),
             None => (0, 0, 0),
         };
-        buf.put_u64(seq);
-        buf.put_u64(ack);
-        buf.put_u8(flags);
-        buf.put_u8(0);
         let mut hdr = [0u8; HEADER_BYTES as usize];
-        hdr.copy_from_slice(&buf);
+        // "IP" header: version/proto marker, length, the id's low six bytes,
+        // addresses.
+        hdr[0] = 0x45;
+        hdr[1] = match self.proto {
+            Proto::Tcp => 6,
+            Proto::Udp => 17,
+        };
+        hdr[2..4].copy_from_slice(&(self.wire_len() as u16).to_be_bytes());
+        hdr[4..10].copy_from_slice(&self.id.to_be_bytes()[2..]);
+        hdr[10..14].copy_from_slice(&self.src.ip.0.to_be_bytes());
+        hdr[14..18].copy_from_slice(&self.dst.ip.0.to_be_bytes());
+        // "Transport" header; byte 39 stays zero.
+        hdr[18..20].copy_from_slice(&self.src.port.to_be_bytes());
+        hdr[20..22].copy_from_slice(&self.dst.port.to_be_bytes());
+        hdr[22..30].copy_from_slice(&seq.to_be_bytes());
+        hdr[30..38].copy_from_slice(&ack.to_be_bytes());
+        hdr[38] = flags;
         hdr
     }
 
@@ -166,32 +165,26 @@ impl IpPacket {
     /// long-jump mapper read two bytes per PDU) should prefer
     /// [`IpPacket::wire_view`], which serves bytes on demand without
     /// materializing the payload.
-    pub fn wire_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len() as usize);
-        buf.put_slice(&self.header_bytes());
-        let declared = self.payload_len as usize;
+    pub fn wire_bytes(&self) -> Vec<u8> {
+        let mut buf = vec![0u8; self.wire_len() as usize];
+        let (header, body) = buf.split_at_mut(HEADER_BYTES as usize);
+        header.copy_from_slice(&self.header_bytes());
         match self.body_gen() {
             WireBody::Explicit(p) => {
-                buf.put_slice(&p);
-                // Pad or truncate to the declared payload length.
-                match buf.len().cmp(&(HEADER_BYTES as usize + declared)) {
-                    core::cmp::Ordering::Less => buf.resize(HEADER_BYTES as usize + declared, 0),
-                    core::cmp::Ordering::Greater => buf.truncate(HEADER_BYTES as usize + declared),
-                    core::cmp::Ordering::Equal => {}
-                }
+                // Truncate or zero-pad to the declared payload length.
+                let n = body.len().min(p.len());
+                body[..n].copy_from_slice(&p[..n]);
             }
             WireBody::Stream { key, base } => {
-                // Fill a flat buffer rather than appending byte by byte: the
-                // slice loop has no per-byte capacity check, so the splitmix
-                // rounds vectorize.
-                let mut tail = vec![0u8; declared];
-                for (i, b) in tail.iter_mut().enumerate() {
+                // Fill the slice in place rather than appending byte by
+                // byte: the loop has no per-byte capacity check, so the
+                // splitmix rounds vectorize.
+                for (i, b) in body.iter_mut().enumerate() {
                     *b = stream_byte(key, base.wrapping_add(i as u64));
                 }
-                buf.put_slice(&tail);
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// A zero-materialization view of the wire bytes: serves any position of
@@ -215,7 +208,7 @@ impl IpPacket {
 #[derive(Debug, Clone)]
 enum WireBody {
     /// Explicitly carried bytes (UDP), zero-padded to the declared length.
-    Explicit(Bytes),
+    Explicit(Arc<[u8]>),
     /// Deterministic stream pattern: byte `j` is `stream_byte(key, base + j)`.
     Stream { key: u64, base: u64 },
 }
@@ -319,12 +312,12 @@ mod tests {
         let mut udp_short = pkt(0, 64);
         udp_short.proto = Proto::Udp;
         udp_short.tcp = None;
-        udp_short.udp_payload = Some(Bytes::from_static(b"query"));
+        udp_short.udp_payload = Some(Arc::from(&b"query"[..]));
         cases.push(udp_short);
         let mut udp_long = pkt(0, 4);
         udp_long.proto = Proto::Udp;
         udp_long.tcp = None;
-        udp_long.udp_payload = Some(Bytes::from_static(b"overlong payload"));
+        udp_long.udp_payload = Some(Arc::from(&b"overlong payload"[..]));
         cases.push(udp_long);
         let mut raw = pkt(0, 33);
         raw.tcp = None;
@@ -369,9 +362,68 @@ mod tests {
         assert_eq!(&whole[h + 64..], &second[h..]);
     }
 
+    /// The 40 header bytes the QxDM `first2` records sample, for one TCP and
+    /// one UDP packet. Both ids exceed 2^48, so only their low six bytes
+    /// reach the wire.
+    #[test]
+    fn header_bytes_are_pinned() {
+        let tcp = IpPacket {
+            id: (1 << 48) | 0x0102_0304_0506,
+            src: SocketAddr::new(IpAddr::new(10, 0, 0, 1), 40000),
+            dst: SocketAddr::new(IpAddr::new(31, 13, 64, 2), 443),
+            proto: Proto::Tcp,
+            tcp: Some(TcpHeader {
+                seq: 0x1122_3344_5566_7788,
+                ack: 0x0102_0304,
+                flags: TcpFlags {
+                    syn: true,
+                    ack: true,
+                    ..Default::default()
+                },
+            }),
+            payload_len: 1400,
+            udp_payload: None,
+            markers: Vec::new(),
+        };
+        #[rustfmt::skip]
+        assert_eq!(
+            tcp.wire_bytes()[..HEADER_BYTES as usize],
+            [
+                0x45, 6, 0x05, 0xA0, 1, 2, 3, 4, 5, 6,
+                10, 0, 0, 1, 31, 13, 64, 2,
+                0x9C, 0x40, 0x01, 0xBB,
+                0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88,
+                0, 0, 0, 0, 1, 2, 3, 4,
+                3, 0,
+            ]
+        );
+        let udp = IpPacket {
+            id: (0xABCD << 48) | 0xFFEE_DDCC_BBAA,
+            src: SocketAddr::new(IpAddr::new(10, 0, 0, 1), 5353),
+            dst: SocketAddr::new(IpAddr::new(8, 8, 8, 8), 53),
+            proto: Proto::Udp,
+            tcp: None,
+            payload_len: 18,
+            udp_payload: Some(crate::dns::encode_query("api.facebook.com")),
+            markers: Vec::new(),
+        };
+        #[rustfmt::skip]
+        assert_eq!(
+            udp.wire_bytes()[..HEADER_BYTES as usize],
+            [
+                0x45, 17, 0x00, 0x3A, 0xFF, 0xEE, 0xDD, 0xCC, 0xBB, 0xAA,
+                10, 0, 0, 1, 8, 8, 8, 8,
+                0x14, 0xE9, 0x00, 0x35,
+                0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0,
+            ]
+        );
+    }
+
     #[test]
     fn udp_payload_is_carried_verbatim() {
-        let data = Bytes::from_static(b"Q:api.facebook.com");
+        let data: Arc<[u8]> = Arc::from(&b"Q:api.facebook.com"[..]);
         let p = IpPacket {
             id: 1,
             src: SocketAddr::new(IpAddr::new(10, 0, 0, 1), 5353),

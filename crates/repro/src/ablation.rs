@@ -50,11 +50,6 @@ impl fmt::Display for MapperAblationRow {
     }
 }
 
-/// Run the mapper ablation on a 3G photo-upload trace.
-pub fn mapper_ablation(reps: usize, seed: u64) -> Vec<MapperAblationRow> {
-    mapper_rows(&run_posts(PostKind::Photos, NetKind::Umts3g, reps, seed))
-}
-
 /// What [`mapper_rows`] reads: the packet trace and the QxDM log, scored
 /// against the PDU truth.
 const MAPPER_READS: Reads = Reads::artifacts(&[TRACE, QXDM]).and_truths(&[PDUS]);
@@ -133,11 +128,6 @@ impl fmt::Display for CalibrationRow {
             self.n, self.raw_err_ms, self.calibrated_err_ms
         )
     }
-}
-
-/// Measure the calibration's contribution on status posts.
-pub fn calibration_ablation(reps: usize, seed: u64) -> CalibrationRow {
-    calibration_row(&run_posts(PostKind::Status, NetKind::Lte, reps, seed))
 }
 
 /// What [`calibration_row`] reads: the behaviour log, scored against the

@@ -4,6 +4,7 @@
 //! DESIGN.md against regressions.
 
 use harness::StageMode;
+use repro::ablation::AblationPart;
 use repro::exp72::PostKind;
 use repro::NetKind;
 
@@ -159,9 +160,20 @@ fn exp77_simplified_machine_reduces_page_loads_15_to_30_percent() {
     }
 }
 
+/// Run the ablation campaign inline and return its outputs in report
+/// order: mapper, calibration, discipline.
+fn ablation_parts(mapper_reps: usize, cal_reps: usize, seed: u64) -> Vec<AblationPart> {
+    repro::ablation::staged(mapper_reps, cal_reps, 128e3, seed)
+        .into_campaign(&StageMode::Inline)
+        .run(1)
+        .into_outputs()
+}
+
 #[test]
 fn ablation_gap_credit_prevents_cascade() {
-    let rows = repro::ablation::mapper_ablation(2, 12);
+    let AblationPart::Mapper(rows) = &ablation_parts(2, 1, 12)[0] else {
+        panic!("first ablation job is the mapper study");
+    };
     let full = rows.iter().find(|r| r.config.starts_with("full")).unwrap();
     let no_gap = rows.iter().find(|r| r.config == "no gap credit").unwrap();
     assert!(full.dl.correct_ratio > 0.95, "{full}");
@@ -170,7 +182,9 @@ fn ablation_gap_credit_prevents_cascade() {
 
 #[test]
 fn ablation_calibration_reduces_error() {
-    let row = repro::ablation::calibration_ablation(6, 13);
+    let AblationPart::Calibration(row) = &ablation_parts(1, 6, 13)[1] else {
+        panic!("second ablation job is the calibration study");
+    };
     assert!(row.n >= 4);
     assert!(
         row.calibrated_err_ms < row.raw_err_ms,

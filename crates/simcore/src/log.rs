@@ -99,11 +99,6 @@ impl<T> RecordLog<T> {
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, &T)> {
         self.entries.iter().map(|e| (e.at, &e.record))
     }
-
-    /// Consume the log, returning its records.
-    pub fn into_entries(self) -> Vec<Stamped<T>> {
-        self.entries
-    }
 }
 
 #[cfg(test)]
