@@ -6,14 +6,16 @@ use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpFlags, TcpHeader, TcpSock
 use qoe_doctor::analyze::crosslayer::{
     long_jump_map, net_latency_breakdown, reference, MapperOptions, PduIndex,
 };
-use qoe_doctor::{Calendar, Collection};
+use qoe_doctor::replay;
+use qoe_doctor::{Calendar, Collection, Controller, WaitCondition};
 use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
 use radio::qxdm::{PduRecord, Qxdm, QxdmConfig, QxdmLog, StatusRecord};
 use radio::rlc::{PduEvent, RlcChannel, RlcConfig};
 use repro::exp72::{PostKind, PHOTO_READS};
 use repro::exp75::WATCH_READS;
+use repro::scenario::{video_dataset, youtube_world};
 use repro::NetKind;
-use simcore::{DetRng, EventQueue, RecordLog, SimDuration, SimTime};
+use simcore::{DetRng, EventQueue, RecordLog, SimDuration, SimTime, WakeCalendar};
 
 fn addr(last: u8, port: u16) -> SocketAddr {
     SocketAddr::new(IpAddr::new(10, 0, 0, last), port)
@@ -55,6 +57,33 @@ fn bench_event_queue(c: &mut Criterion) {
             sum
         })
     });
+    g.finish();
+}
+
+/// One world step's calendar work, 1,000 times: re-register one
+/// component's wake, then read the head.
+fn bench_wake_calendar(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simcore");
+    g.throughput(Throughput::Elements(1_000));
+    for slots in [8usize, 16] {
+        let mut cal = WakeCalendar::new(slots);
+        for id in 0..slots {
+            cal.set(id, Some(SimTime::from_millis(id as u64)), false);
+        }
+        let mut now = 0u64;
+        g.bench_function(&format!("wake_calendar_step_{slots}"), |b| {
+            b.iter(|| {
+                let mut heads = 0u64;
+                for i in 0..1_000u64 {
+                    now += 1;
+                    let wake = SimTime::from_micros(now + (i * 7919) % 5_000);
+                    cal.set(i as usize % slots, Some(wake), i % 5 == 0);
+                    heads = heads.wrapping_add(cal.next().map_or(0, |t| t.as_micros()));
+                }
+                heads
+            })
+        });
+    }
     g.finish();
 }
 
@@ -375,6 +404,38 @@ fn bench_ui_parse(c: &mut Criterion) {
     g.finish();
 }
 
+/// The controller's wait loop over the Fig. 17 results screen while
+/// nothing changes: each iteration is a timed-out wait of about 1,000
+/// parse passes (its timeout is 1,000 mean parse costs), so it measures
+/// the per-pass cost of a long wait on a static tree.
+fn bench_wait_unchanged(c: &mut Criterion) {
+    let world = youtube_world(video_dataset(11), None, NetKind::Lte, 20140705, true);
+    let mut doctor = Controller::new(world);
+    doctor.advance(SimDuration::from_secs(5));
+    replay::search_videos(&mut doctor);
+    doctor.advance(SimDuration::from_secs(10));
+    assert_eq!(doctor.world.phone.ui.root().count(), 267);
+    let scroll = device::UiEvent::Scroll {
+        target: device::ViewSignature::by_id("results"),
+    };
+    let never = WaitCondition::TextIs {
+        id: "player_status".into(),
+        value: "never".into(),
+    };
+    let probe = doctor.measure_after("probe", &scroll, &never, SimDuration::from_secs(1));
+    let timeout = probe.mean_parse * 1_000;
+    let mut g = c.benchmark_group("device");
+    g.throughput(Throughput::Elements(1_000));
+    g.bench_function("wait_unchanged_267", |b| {
+        b.iter(|| {
+            let record = doctor.measure_after("wait", &scroll, &never, timeout);
+            assert!(record.timed_out);
+            record.end
+        })
+    });
+    g.finish();
+}
+
 /// A synthetic capture of `n` packets: four interleaved TCP flows, bulk
 /// downlink segments with an uplink ACK every other packet.
 fn synthetic_trace(n: u64) -> RecordLog<PacketRecord> {
@@ -526,11 +587,13 @@ fn dir_bytes(dir: &std::path::Path) -> u64 {
 criterion_group!(
     benches,
     bench_event_queue,
+    bench_wake_calendar,
     bench_tcp_transfer,
     bench_rlc_segmentation,
     bench_long_jump_mapping,
     bench_fig8_windows,
     bench_ui_parse,
+    bench_wait_unchanged,
     bench_bundle_codec
 );
 criterion_main!(benches);

@@ -276,12 +276,21 @@ impl<K: Kernel> Controller<K> {
     /// watchdog (if armed) tracks the layout-tree revision: a tree that
     /// stops changing for the threshold ends the wait as [`WaitEnd::Frozen`]
     /// instead of burning the rest of the timeout on a wedged app.
+    ///
+    /// The verdict is memoized on the observed revision: equal observed
+    /// revisions mean equal snapshots, so a pass whose snapshot has the
+    /// revision of the last evaluated one reuses that verdict instead of
+    /// scanning the tree again. The revision read at the end of a pass is
+    /// the next pass's key, since that pass starts at the same instant.
     fn wait_for(&mut self, cond: &WaitCondition, timeout: SimTime) -> WaitOutcome {
         let mut parse_total = SimDuration::ZERO;
         let mut parses = 0u64;
         let mut last_rev = self.world.phone.ui_revision(self.now);
         let mut last_change = self.now;
+        let mut memo: Option<(u64, bool)> = None;
         loop {
+            // `last_rev` always holds the latest read, taken at this instant.
+            let pass_rev = last_rev;
             let pass_start = self.now;
             let (snapshot, cost) = self.world.phone.parse_ui(self.now);
             parse_total += cost;
@@ -289,7 +298,15 @@ impl<K: Kernel> Controller<K> {
             self.advance_to(self.now + cost);
             let pass_end = self.now;
             let mean_parse = parse_total / parses;
-            if cond.holds(&snapshot) {
+            let met = match memo {
+                Some((rev, verdict)) if rev == pass_rev => verdict,
+                _ => {
+                    let verdict = cond.holds(&snapshot);
+                    memo = Some((pass_rev, verdict));
+                    verdict
+                }
+            };
+            if met {
                 return WaitOutcome {
                     pass_start,
                     pass_end,
@@ -463,6 +480,9 @@ impl<K: Kernel> Controller<K> {
     /// Monitor a video that has finished initial loading: record every
     /// rebuffering span until the player reports `finished` (or timeout).
     /// Rebuffer spans are logged as `"{action}:rebuffer"` records.
+    ///
+    /// The `finished` and `stalled` verdicts are memoized together on the
+    /// observed revision, as in the stall waits.
     pub fn monitor_playback(&mut self, action: &str, timeout: SimDuration) -> PlaybackReport {
         let playback_start = self.now;
         let deadline = self.now + timeout;
@@ -477,12 +497,16 @@ impl<K: Kernel> Controller<K> {
         };
         let mut last_rev = self.world.phone.ui_revision(self.now);
         let mut last_change = self.now;
+        let mut memo: Option<(u64, (bool, bool))> = None;
         loop {
             // Wait for either a stall or the end; the watchdog cuts the
             // monitor short if the layout tree stops updating (a frozen
             // player would otherwise read as one endless "playing" state).
             let mut timed_out = true;
             while self.now < deadline {
+                // `last_rev` always holds the latest read, taken at this
+                // instant.
+                let pass_rev = last_rev;
                 let snapshot = self.parse_once();
                 let rev = self.world.phone.ui_revision(self.now);
                 if rev != last_rev {
@@ -494,12 +518,21 @@ impl<K: Kernel> Controller<K> {
                         break;
                     }
                 }
-                if finished.holds(&snapshot) {
+                let (is_finished, is_stalled) = match memo {
+                    Some((rev, verdicts)) if rev == pass_rev => verdicts,
+                    _ => {
+                        let is_finished = finished.holds(&snapshot);
+                        let verdicts = (is_finished, !is_finished && stalled.holds(&snapshot));
+                        memo = Some((pass_rev, verdicts));
+                        verdicts
+                    }
+                };
+                if is_finished {
                     report.finished = true;
                     timed_out = false;
                     break;
                 }
-                if stalled.holds(&snapshot) {
+                if is_stalled {
                     timed_out = false;
                     break;
                 }

@@ -185,7 +185,6 @@ impl YouTubeApp {
     }
 
     fn drive_player(&mut self, cx: &mut AppCx) {
-        let video_server = self.cfg.video_server.clone();
         let next_tag = {
             self.next_tag = self.next_tag.wrapping_add(1).max(1);
             self.next_tag
@@ -253,7 +252,8 @@ impl YouTubeApp {
                         }
                         if p.main.is_none() {
                             p.main = Some(
-                                Rpc::new(&video_server, 443, next_tag, 1_500, total).keep_open(),
+                                Rpc::new(&self.cfg.video_server, 443, next_tag, 1_500, total)
+                                    .keep_open(),
                             );
                             if let Some(main) = &mut p.main {
                                 main.poll(cx.host, cx.now);

@@ -594,4 +594,53 @@ mod tests {
         assert_eq!(ui.observed_revision(SimTime::from_millis(3999)), rev0);
         assert_eq!(ui.observed_revision(SimTime::from_secs(4)), rev0 + 1);
     }
+
+    /// The controller's wait memo reuses a verdict while the observed
+    /// revision is unchanged: that is sound only if equal observed
+    /// revisions always come with equal trees. Observe on a 100 ms grid
+    /// across overlapping freeze windows, a freeze added while the tree is
+    /// observed, and `app:crash` mutations inside and outside a freeze.
+    #[test]
+    fn equal_observed_revisions_return_equal_trees() {
+        let mut ui = UiTree::new(tree(), DetRng::seed_from_u64(12));
+        ui.add_freeze(SimTime::from_secs(2), SimTime::from_secs(4));
+        ui.add_freeze(SimTime::from_secs(3), SimTime::from_secs(6));
+        let crash = |root: &mut View| root.children = Arc::default();
+        let mut seen: Vec<(u64, View)> = Vec::new();
+        for step in 0..150u64 {
+            let now = SimTime::from_millis(step * 100);
+            match step {
+                10 => ui.set_text(now, "composer", "typed"),
+                25 => ui.prepend_item(now, "news_feed", "TextView", "during the freeze"),
+                35 => ui.mutate(now, "app:crash", crash),
+                40 => ui.set_text(now, "composer", "ignored while crashed"),
+                70 => ui.add_freeze(now, SimTime::from_secs(9)),
+                75 => {
+                    ui.mutate(now, "app:relaunch", |root| *root = tree());
+                    ui.set_visible(now, "feed_progress", true);
+                }
+                95 => ui.set_visible(now, "feed_progress", false),
+                110 => ui.mutate(now, "app:crash", crash),
+                120 => ui.mutate(now, "app:relaunch", |root| *root = tree()),
+                _ => {}
+            }
+            let (view, rev) = ui.observe(now);
+            assert_eq!(ui.observed_revision(now), rev);
+            seen.push((rev, view));
+        }
+        for (i, (rev_a, a)) in seen.iter().enumerate() {
+            for (rev_b, b) in &seen[i + 1..] {
+                if rev_a == rev_b {
+                    assert_eq!(a, b, "revision {rev_a} observed with two trees");
+                }
+            }
+        }
+        // The grid saw every live revision before the freezes and after
+        // them, and the freezes pinned the observed one across mutations.
+        let at = |secs: f64| &seen[(secs * 10.0) as usize];
+        assert_eq!(at(5.5).0, at(1.9).0);
+        assert_eq!(at(8.9).0, at(6.9).0);
+        assert_eq!(at(14.9).1.count(), tree().count());
+        assert!(at(11.5).1.children.is_empty());
+    }
 }

@@ -4,7 +4,7 @@
 //! entire experiment: the phone's stack and radio, the packet exchange with
 //! the internet hub, and every origin server.
 //!
-//! The world keeps one [`WakeCalendar`] with an entry per component:
+//! The world keeps one [`WakeCalendar`] with a wake slot per component:
 //!
 //! | ids            | component                                            |
 //! |----------------|------------------------------------------------------|

@@ -11,7 +11,6 @@
 //! the calendar's head is exact after every step and is read once per step.
 
 use crate::time::SimTime;
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// A simulation root driven by [`advance`].
@@ -89,7 +88,7 @@ pub fn run_until<T: Tick + ?Sized>(root: &mut T, end: SimTime) -> SimTime {
 /// id.
 pub type ComponentId = usize;
 
-/// One calendar keyed by `(wake time, component id)`.
+/// One wake slot per component.
 ///
 /// Each component registers the instant it next has work. The head of the
 /// calendar is the next instant the root must tick. A component may also
@@ -97,9 +96,13 @@ pub type ComponentId = usize;
 /// or not its own wake has come, without making the root step by itself.
 /// That is the explicit registration for a component whose tick is not a
 /// no-op before its wake (it integrates over the instants it is ticked at).
+///
+/// Registration is two stores and the head is a scan over the slots. That
+/// is sized for today's worlds, 4 × phones + servers + 1 slots (under a
+/// dozen), where the scan beats keeping an ordered set in step; many-phone
+/// worlds (ROADMAP item 4's multi-UE cells) should revisit it.
 #[derive(Debug, Default, Clone)]
 pub struct WakeCalendar {
-    entries: BTreeSet<(SimTime, ComponentId)>,
     wakes: Vec<Option<SimTime>>,
     follows: Vec<bool>,
 }
@@ -108,7 +111,6 @@ impl WakeCalendar {
     /// A calendar for `n` components, all idle.
     pub fn new(n: usize) -> WakeCalendar {
         WakeCalendar {
-            entries: BTreeSet::new(),
             wakes: vec![None; n],
             follows: vec![false; n],
         }
@@ -127,16 +129,7 @@ impl WakeCalendar {
     /// Register `id`'s next wake (replacing its previous one) and whether it
     /// follows the root.
     pub fn set(&mut self, id: ComponentId, wake: Option<SimTime>, follows: bool) {
-        let old = self.wakes[id];
-        if old != wake {
-            if let Some(t) = old {
-                self.entries.remove(&(t, id));
-            }
-            if let Some(t) = wake {
-                self.entries.insert((t, id));
-            }
-            self.wakes[id] = wake;
-        }
+        self.wakes[id] = wake;
         self.follows[id] = follows;
     }
 
@@ -156,7 +149,7 @@ impl WakeCalendar {
 
     /// The head: the earliest registered wake.
     pub fn next(&self) -> Option<SimTime> {
-        self.entries.first().map(|(t, _)| *t)
+        self.wakes.iter().flatten().min().copied()
     }
 
     /// Every component due at `now`, by id, with its wake (`None` for a

@@ -1,7 +1,58 @@
 //! Property-based tests for the simulation core.
 
 use proptest::prelude::*;
-use simcore::{percentile, Cdf, EventQueue, RecordLog, SimTime, Summary};
+use simcore::{percentile, Cdf, EventQueue, RecordLog, SimTime, Summary, WakeCalendar};
+use std::collections::BTreeSet;
+
+/// The calendar as an ordered set of `(wake, id)` entries plus per-slot
+/// wakes and follow flags: the oracle for [`WakeCalendar`].
+struct CalendarOracle {
+    entries: BTreeSet<(SimTime, usize)>,
+    wakes: Vec<Option<SimTime>>,
+    follows: Vec<bool>,
+}
+
+impl CalendarOracle {
+    fn new(n: usize) -> CalendarOracle {
+        CalendarOracle {
+            entries: BTreeSet::new(),
+            wakes: vec![None; n],
+            follows: vec![false; n],
+        }
+    }
+
+    fn set(&mut self, id: usize, wake: Option<SimTime>, follows: bool) {
+        if let Some(t) = self.wakes[id] {
+            self.entries.remove(&(t, id));
+        }
+        if let Some(t) = wake {
+            self.entries.insert((t, id));
+        }
+        self.wakes[id] = wake;
+        self.follows[id] = follows;
+    }
+
+    fn poke(&mut self, id: usize, now: SimTime) {
+        if self.wakes[id].is_none_or(|w| w > now) {
+            self.set(id, Some(now), self.follows[id]);
+        }
+    }
+
+    fn next(&self) -> Option<SimTime> {
+        self.entries.first().map(|(t, _)| *t)
+    }
+
+    fn is_due(&self, id: usize, now: SimTime) -> bool {
+        self.follows[id] || self.entries.iter().any(|&(t, i)| i == id && t <= now)
+    }
+
+    fn due_at(&self, now: SimTime) -> Vec<(usize, Option<SimTime>)> {
+        (0..self.wakes.len())
+            .filter(|&id| self.is_due(id, now))
+            .map(|id| (id, self.wakes[id].filter(|w| *w <= now)))
+            .collect()
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -104,5 +155,42 @@ proptest! {
             times.iter().copied().filter(|t| *t >= lo && *t <= hi).collect();
         let got: Vec<u64> = w.iter().map(|e| e.record).collect();
         prop_assert_eq!(got, expected);
+    }
+
+    /// The slot-scan calendar agrees with an ordered-set oracle after every
+    /// `set` and `poke`: same head, same due components, same report rows.
+    #[test]
+    fn wake_calendar_matches_an_ordered_set(
+        slots in 1usize..17,
+        ops in prop::collection::vec((0u8..3, 0usize..16, 0u64..64, any::<bool>(), 0u64..64), 1..120),
+    ) {
+        let mut cal = WakeCalendar::new(slots);
+        let mut oracle = CalendarOracle::new(slots);
+        for (kind, id, wake, follows, now) in ops {
+            let id = id % slots;
+            let now = SimTime::from_micros(now);
+            let wake = SimTime::from_micros(wake);
+            match kind {
+                0 => {
+                    cal.set(id, Some(wake), follows);
+                    oracle.set(id, Some(wake), follows);
+                }
+                1 => {
+                    cal.set(id, None, follows);
+                    oracle.set(id, None, follows);
+                }
+                _ => {
+                    cal.poke(id, now);
+                    oracle.poke(id, now);
+                }
+            }
+            prop_assert_eq!(cal.next(), oracle.next());
+            for probe in [now, wake] {
+                for id in 0..slots {
+                    prop_assert_eq!(cal.is_due(id, probe), oracle.is_due(id, probe));
+                }
+                prop_assert_eq!(cal.due_at(probe), oracle.due_at(probe));
+            }
+        }
     }
 }
