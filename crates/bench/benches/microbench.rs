@@ -8,6 +8,7 @@ use qoe_doctor::analyze::crosslayer::{
 };
 use qoe_doctor::replay;
 use qoe_doctor::{Calendar, Collection, Controller, WaitCondition};
+use radio::bearer::{BearerConfig, CellBearer};
 use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
 use radio::qxdm::{PduRecord, Qxdm, QxdmConfig, QxdmLog, StatusRecord};
 use radio::rlc::{PduEvent, RlcChannel, RlcConfig};
@@ -37,6 +38,28 @@ fn bench_event_queue(c: &mut Criterion) {
             sum
         })
     });
+    // Monotone pushes, the shape of pipe arrivals and RLC PDU completions:
+    // every event stays in the in-order run.
+    g.throughput(Throughput::Elements(100_000));
+    g.bench_function("event_queue_in_order", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            let mut sum = 0u64;
+            for i in 0..100_000u64 {
+                q.push(SimTime::from_micros(i / 3), i);
+                if i % 4 == 3 {
+                    while let Some((_, v)) = q.pop_due(SimTime::from_micros(i / 3)) {
+                        sum = sum.wrapping_add(v);
+                    }
+                }
+            }
+            while let Some((_, v)) = q.pop_due(SimTime::MAX) {
+                sum = sum.wrapping_add(v);
+            }
+            sum
+        })
+    });
+    g.throughput(Throughput::Elements(10_000));
     // Same-instant churn: many events land on few deadlines — the shape a
     // busy link pipe produces. Drains via the batch pop.
     g.bench_function("event_queue_same_time_churn_10k", |b| {
@@ -169,6 +192,37 @@ fn bench_rlc_segmentation(c: &mut Criterion) {
                 }
             }
             n
+        })
+    });
+    g.finish();
+}
+
+/// A 100-packet uplink burst through a 3G bearer from an idle radio,
+/// drained the way a world drives it when nothing else is due: the
+/// bearer's private runs, stopping where a packet crosses into the core.
+fn bench_bearer_uplink_burst(c: &mut Criterion) {
+    let mut g = c.benchmark_group("radio");
+    g.throughput(Throughput::Elements(100));
+    g.bench_function("bearer_3g_uplink_burst", |b| {
+        let until = SimTime::from_secs(30);
+        b.iter(|| {
+            let mut rng = DetRng::seed_from_u64(1);
+            let mut bearer = CellBearer::new(BearerConfig::umts_3g(), &mut rng);
+            for i in 0..100 {
+                bearer.send_uplink(bulk_packet(i, 1400), SimTime::ZERO);
+            }
+            let mut now = SimTime::ZERO;
+            let mut crossed = Vec::new();
+            loop {
+                now = bearer.run(now, until);
+                bearer.recv_for_internet(now, &mut crossed);
+                match bearer.next_wake() {
+                    Some(w) if w <= until => now = now.max(w),
+                    _ => break,
+                }
+            }
+            assert_eq!(crossed.len(), 100);
+            now
         })
     });
     g.finish();
@@ -590,6 +644,7 @@ criterion_group!(
     bench_wake_calendar,
     bench_tcp_transfer,
     bench_rlc_segmentation,
+    bench_bearer_uplink_burst,
     bench_long_jump_mapping,
     bench_fig8_windows,
     bench_ui_parse,

@@ -393,18 +393,23 @@ impl Phone {
     }
 
     /// Advance the access network and deliver downlink arrivals to the
-    /// stack through the capture tap. Returns true when a packet reached the
-    /// host (the app is then due at `now`).
-    pub fn tick_link(&mut self, now: SimTime) -> bool {
-        match &mut self.net {
+    /// stack through the capture tap. A cellular bearer may run its own
+    /// later wakes up to `limit` first (see [`CellBearer::run`]; pass `now`
+    /// for a plain tick); the delivery then happens at the instant the run
+    /// stopped. Returns that instant, and true when a packet reached the
+    /// host (the app is then due there).
+    pub fn tick_link(&mut self, now: SimTime, limit: SimTime) -> (SimTime, bool) {
+        let now = match &mut self.net {
             NetAttachment::Cell(b) => {
-                b.tick(now);
+                let now = b.run(now, limit);
                 b.recv_for_phone(now, &mut self.pkts);
+                now
             }
             NetAttachment::Wifi { down, .. } => {
                 down.deliver(now, &mut self.pkts);
+                now
             }
-        }
+        };
         let delivered = !self.pkts.is_empty();
         for p in self.pkts.drain(..) {
             self.capture.record(Direction::Downlink, &p, now);
@@ -413,7 +418,7 @@ impl Phone {
         if delivered {
             self.app_poke = Some(now);
         }
-        delivered
+        (now, delivered)
     }
 
     /// Wake of the app: its own timers while it is alive, and a pending

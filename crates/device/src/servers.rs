@@ -91,6 +91,11 @@ impl RpcServer {
 
     fn drive(&mut self, host: &mut Host, now: SimTime, rng: &mut DetRng) {
         for &s in &self.conns {
+            // `sock_mut` queues the socket's wake for re-registration, so
+            // reach for it only when there is news.
+            if !host.sock(s).has_markers() {
+                continue;
+            }
             let markers = host.sock_mut(s).take_markers();
             for m in markers {
                 if let Some((Kind::Request, tag, resp_bytes)) = proto::unpack(m) {
@@ -164,6 +169,9 @@ impl ServerApp for FacebookOrigin {
             self.subscribers.retain(|&s| host.is_live(s));
         }
         for &s in &self.rpc.conns {
+            if !host.sock(s).has_markers() {
+                continue;
+            }
             let markers = host.sock_mut(s).take_markers();
             for m in markers {
                 match proto::unpack(m) {

@@ -18,11 +18,17 @@
 //! to the phones. A component is re-registered after its own tick and after
 //! every handoff into it, so a step never visits a component with nothing
 //! to do.
+//!
+//! When a phone's cellular link is the only slot due and no other slot
+//! follows, the step first runs the bearer's own later wakes up to just
+//! before the earliest other wake ([`radio::bearer::CellBearer::run`]),
+//! and the rest of the step runs at the instant the bearer stopped (DESIGN
+//! §7 "Kernel: wake calendar").
 
-use crate::phone::Phone;
+use crate::phone::{NetAttachment, Phone};
 use crate::servers::{Internet, Routed};
 use netstack::IpPacket;
-use simcore::{ComponentId, SimTime, Tick, WakeCalendar};
+use simcore::{ComponentId, SimDuration, SimTime, Tick, WakeCalendar};
 
 /// Calendar slots per phone.
 const PHONE_PARTS: usize = 4;
@@ -77,6 +83,32 @@ impl World {
         self.node_id(self.internet.nodes.len())
     }
 
+    /// The phone whose cellular link may run private instants in a step at
+    /// `now`, and the instant they may run up to: when that link is the only
+    /// slot due and no other slot follows, nothing else in the world runs
+    /// before the earliest other wake, so the bearer's own wakes until just
+    /// before it (or `target`) are instants where only the bearer works.
+    fn private_run(&self, now: SimTime, target: SimTime) -> Option<(usize, SimTime)> {
+        let k = (0..self.phones()).find(|&k| self.cal.is_due(PHONE_PARTS * k + LINK, now))?;
+        let device = if k == 0 {
+            &self.phone
+        } else {
+            &self.peers[k - 1]
+        };
+        if !matches!(device.net, NetAttachment::Cell(_)) {
+            return None;
+        }
+        let (others, follows) = self.cal.others(PHONE_PARTS * k + LINK);
+        if follows || others.is_some_and(|w| w <= now) {
+            return None;
+        }
+        let limit = match others {
+            Some(w) => target.min(w - SimDuration::from_micros(1)),
+            None => target,
+        };
+        Some((k, limit))
+    }
+
     /// Human-readable name of a calendar component.
     fn component_name(&self, id: ComponentId) -> String {
         let phones = self.phones();
@@ -116,7 +148,9 @@ fn register_host(cal: &mut WakeCalendar, base: ComponentId, phone: &mut Phone) {
 }
 
 /// Run phone `k`'s due parts at `now` and route its uplink into the
-/// internet, whose servers have ids from `nodes` on.
+/// internet, whose servers have ids from `nodes` on. The link may first run
+/// private instants up to `limit` (`now` for none); the rest of the step then
+/// runs at the instant the link stopped, which is returned.
 fn step_phone(
     cal: &mut WakeCalendar,
     nodes: ComponentId,
@@ -124,17 +158,22 @@ fn step_phone(
     phone: &mut Phone,
     internet: &mut Internet,
     uplink: &mut Vec<IpPacket>,
-    now: SimTime,
-) {
+    mut now: SimTime,
+    limit: SimTime,
+) -> SimTime {
     let base = PHONE_PARTS * k;
     if cal.is_due(base + FAULTS, now) {
         phone.tick_faults(now);
         register_phone(cal, base, phone);
     }
     let link_due = cal.is_due(base + LINK, now);
-    if link_due && phone.tick_link(now) {
-        register_app(cal, base, phone);
-        register_host(cal, base, phone);
+    if link_due {
+        let delivered;
+        (now, delivered) = phone.tick_link(now, limit);
+        if delivered {
+            register_app(cal, base, phone);
+            register_host(cal, base, phone);
+        }
     }
     if cal.is_due(base + APP, now) {
         phone.tick_app(now);
@@ -161,10 +200,12 @@ fn step_phone(
     if link_due || sent {
         register_link(cal, base, phone);
     }
+    now
 }
 
 impl Tick for World {
-    fn tick(&mut self, now: SimTime) {
+    fn tick(&mut self, now: SimTime, target: SimTime) -> SimTime {
+        let private = self.private_run(now, target);
         let World {
             phone,
             peers,
@@ -174,9 +215,18 @@ impl Tick for World {
             downlink,
         } = self;
         let nodes = PHONE_PARTS * (1 + peers.len());
-        step_phone(cal, nodes, 0, phone, internet, uplink, now);
-        for (k, peer) in peers.iter_mut().enumerate() {
-            step_phone(cal, nodes, k + 1, peer, internet, uplink, now);
+        let mut now = now;
+        for k in 0..1 + peers.len() {
+            let device = if k == 0 {
+                &mut *phone
+            } else {
+                &mut peers[k - 1]
+            };
+            let limit = match private {
+                Some((p, limit)) if p == k => limit,
+                _ => now,
+            };
+            now = step_phone(cal, nodes, k, device, internet, uplink, now, limit);
         }
         // Servers, then their answers back toward the access networks: the
         // resolver's first, then each server's in order.
@@ -202,6 +252,7 @@ impl Tick for World {
                 register_link(cal, PHONE_PARTS * (k + 1), &peers[k]);
             }
         }
+        now
     }
 
     fn next_wake(&self) -> Option<SimTime> {

@@ -419,8 +419,9 @@ pub(crate) mod tests {
     }
 
     impl Tick for Endless {
-        fn tick(&mut self, now: SimTime) {
+        fn tick(&mut self, now: SimTime, _target: SimTime) -> SimTime {
             self.now = now;
+            now
         }
         fn next_wake(&self) -> Option<SimTime> {
             Some(self.now + SimDuration::from_millis(1))

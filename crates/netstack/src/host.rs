@@ -41,6 +41,7 @@ const EPHEMERAL_BASE: u16 = 40_000;
 
 #[derive(Debug)]
 struct PendingQuery {
+    name: String,
     next_retry: SimTime,
     inflight: bool,
 }
@@ -91,7 +92,9 @@ pub struct Host {
     egress: VecDeque<IpPacket>,
     resolver: SocketAddr,
     dns_cache: HashMap<String, IpAddr>,
-    dns_pending: HashMap<String, PendingQuery>,
+    /// Unanswered names in first-request order, so queries (and the packet
+    /// ids they take) go out in an order that does not depend on hashing.
+    dns_pending: Vec<PendingQuery>,
 }
 
 impl Host {
@@ -116,7 +119,7 @@ impl Host {
             egress: VecDeque::new(),
             resolver,
             dns_cache: HashMap::new(),
-            dns_pending: HashMap::new(),
+            dns_pending: Vec::new(),
         }
     }
 
@@ -319,12 +322,13 @@ impl Host {
         if let Some(ip) = self.dns_cache.get(name) {
             return Some(*ip);
         }
-        self.dns_pending
-            .entry(name.to_string())
-            .or_insert(PendingQuery {
+        if !self.dns_pending.iter().any(|pq| pq.name == name) {
+            self.dns_pending.push(PendingQuery {
+                name: name.to_string(),
                 next_retry: now,
                 inflight: false,
             });
+        }
         None
     }
 
@@ -339,8 +343,8 @@ impl Host {
                     if let Some((name, ip)) =
                         pkt.udp_payload.as_deref().and_then(dns::parse_response)
                     {
-                        self.dns_cache.insert(name.clone(), ip);
-                        self.dns_pending.remove(&name);
+                        self.dns_pending.retain(|pq| pq.name != name);
+                        self.dns_cache.insert(name, ip);
                     }
                 }
             }
@@ -378,11 +382,11 @@ impl Host {
         // DNS queries and retries.
         let resolver = self.resolver;
         let mut queries = Vec::new();
-        for (name, pq) in self.dns_pending.iter_mut() {
+        for pq in self.dns_pending.iter_mut() {
             if !pq.inflight || now >= pq.next_retry {
                 pq.inflight = true;
                 pq.next_retry = now + DNS_RETRY;
-                queries.push(name.clone());
+                queries.push(pq.name.clone());
             }
         }
         for name in queries {
@@ -481,7 +485,7 @@ impl Host {
             Some(SimTime::ZERO)
         };
         wake = earlier(wake, self.timers.first().map(|&(t, _, _)| t));
-        for pq in self.dns_pending.values() {
+        for pq in &self.dns_pending {
             let at = if pq.inflight {
                 pq.next_retry
             } else {
@@ -542,6 +546,28 @@ mod tests {
         assert!(server.sock(s).is_established());
         assert_eq!(server.sock(s).total_received(), 10_000);
         assert!(client.sock(c).all_acked());
+    }
+
+    #[test]
+    fn pending_names_are_queried_in_request_order() {
+        // Many hosts, so a per-host hashed order would show up on some.
+        for last in 1..=64 {
+            let mut host = Host::new(IpAddr::new(10, 0, 0, last), resolver_addr());
+            let names = ["zeta.example.com", "alpha.example.com", "mid.example.com"];
+            for name in names {
+                assert!(host.resolve(name, SimTime::ZERO).is_none());
+            }
+            host.poll(SimTime::ZERO);
+            let queries: Vec<String> = host
+                .take_egress()
+                .iter()
+                .map(|p| {
+                    let body = p.udp_payload.as_deref().expect("a DNS query");
+                    dns::parse_query(body).expect("a DNS query").to_owned()
+                })
+                .collect();
+            assert_eq!(queries, names, "host {last}");
+        }
     }
 
     #[test]

@@ -214,6 +214,13 @@ impl TcpSocket {
         self.marker_out.push((self.snd_queued, marker));
     }
 
+    /// True when [`TcpSocket::take_markers`] would return something.
+    pub fn has_markers(&self) -> bool {
+        self.marker_in
+            .first_key_value()
+            .is_some_and(|(&pos, _)| pos < self.rcv_nxt)
+    }
+
     /// Markers whose stream position the in-order receive path has passed,
     /// in stream order.
     pub fn take_markers(&mut self) -> Vec<u64> {

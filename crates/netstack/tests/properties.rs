@@ -119,6 +119,48 @@ proptest! {
         prop_assert!(s.take_markers().is_empty());
     }
 
+    /// `has_markers` answers whether `take_markers` would return anything,
+    /// whatever order the data segments arrive in.
+    #[test]
+    fn has_markers_matches_take_markers(
+        chunks in prop::collection::vec(1u64..3_000, 1..8),
+        keys in prop::collection::vec(any::<u64>(), 16..17),
+        takes in prop::collection::vec(any::<bool>(), 16..17),
+        in_order in any::<bool>(),
+    ) {
+        let mut c = TcpSocket::connect(addr(1, 40000), addr(2, 80));
+        let mut s = TcpSocket::accept_from_syn(addr(2, 80), addr(1, 40000));
+        prop_assert!(pump_lossy(&mut c, &mut s, 0));
+        for (i, len) in chunks.iter().enumerate() {
+            c.send_marked(*len, 1000 + i as u64);
+        }
+        let mut id = 0u64;
+        let mut segments = Vec::new();
+        c.poll(SimTime::ZERO, &mut || { id += 1; id }, &mut segments);
+        if !in_order {
+            let mut keyed: Vec<(u64, IpPacket)> = keys.iter().copied().zip(segments).collect();
+            keyed.sort_by_key(|(k, _)| *k);
+            segments = keyed.into_iter().map(|(_, p)| p).collect();
+        }
+        let mut got = Vec::new();
+        for (i, p) in segments.iter().enumerate() {
+            s.on_packet(p, SimTime::from_millis(10));
+            if takes[i % takes.len()] {
+                let has = s.has_markers();
+                let taken = s.take_markers();
+                prop_assert_eq!(has, !taken.is_empty());
+                prop_assert!(!s.has_markers());
+                got.extend(taken);
+            }
+        }
+        let has = s.has_markers();
+        let taken = s.take_markers();
+        prop_assert_eq!(has, !taken.is_empty());
+        got.extend(taken);
+        // Every marker whose data was sent arrives once, in stream order.
+        prop_assert!(got.windows(2).all(|w| w[0] < w[1]));
+    }
+
     /// Token bucket conservation: bytes passed never exceed the bucket
     /// depth plus rate × elapsed time (for either discipline).
     #[test]

@@ -25,7 +25,7 @@ use crate::qxdm::StatusRecord;
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use simcore::{earlier, DetRng, EventQueue, SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// RLC channel parameters (one direction).
 #[derive(Debug, Clone)]
@@ -152,6 +152,8 @@ struct RetxPdu {
     li: Option<u16>,
     covers: PduCoverage,
     covers_len: u8,
+    /// Queue sequence numbers of the packets in `covers`, entry by entry.
+    seqs: [u64; 2],
 }
 
 /// One direction of an RLC bearer.
@@ -169,9 +171,6 @@ pub struct RlcChannel {
     segmented: usize,
     /// Bytes of queued packets not yet segmented into PDUs.
     unsent_bytes: u64,
-    /// Packet id → how many queued packets carry it, and the queue
-    /// sequence number of the newest.
-    by_id: HashMap<u64, (u32, u64)>,
     busy_until: SimTime,
     next_sn: u32,
     pdus_since_poll: u32,
@@ -198,7 +197,6 @@ impl RlcChannel {
             front_seq: 0,
             segmented: 0,
             unsent_bytes: 0,
-            by_id: HashMap::new(),
             busy_until: SimTime::ZERO,
             next_sn: 0,
             pdus_since_poll: 0,
@@ -238,9 +236,6 @@ impl RlcChannel {
     /// Accept an IP packet for transmission.
     pub fn enqueue(&mut self, pkt: IpPacket, _now: SimTime) {
         let wire = pkt.wire_view();
-        let seq = self.front_seq + self.queue.len() as u64;
-        let ids = self.by_id.entry(pkt.id).or_insert((0, seq));
-        *ids = (ids.0 + 1, seq);
         self.unsent_bytes += wire.len() as u64;
         self.queue.push_back(QueuedPacket {
             pkt,
@@ -294,6 +289,7 @@ impl RlcChannel {
         let target = self.cfg.fixed_payload.unwrap_or(self.cfg.max_payload) as usize;
         let mut covers: PduCoverage = [(0, 0); 2];
         let mut covers_len = 0u8;
+        let mut seqs = [0u64; 2];
         let mut first2 = [0u8; 2];
         let mut li: Option<u16> = None;
         let mut filled = 0usize;
@@ -313,6 +309,7 @@ impl RlcChannel {
                 }
             }
             covers[covers_len as usize] = (q.pkt.id, take as u32);
+            seqs[covers_len as usize] = self.front_seq + self.segmented as u64;
             covers_len += 1;
             q.cursor += take;
             q.pdus_outstanding += 1;
@@ -341,6 +338,7 @@ impl RlcChannel {
             li,
             covers,
             covers_len,
+            seqs,
         }
     }
 
@@ -400,18 +398,10 @@ impl RlcChannel {
 
     /// Mark a delivered PDU's packets; emit packets whose PDUs are all in.
     fn complete_coverage(&mut self, pdu: &RetxPdu, delivered_at: SimTime) {
-        for &(pkt_id, _) in pdu.covers.iter().take(pdu.covers_len as usize) {
-            // The first queued packet carrying this id. Ids are unique in
-            // practice, so the index names it directly; a repeated id (a
-            // restarted host reusing its counter) falls back to the scan.
-            let pos = match self.by_id.get(&pkt_id) {
-                None => None,
-                Some(&(1, seq)) => Some((seq - self.front_seq) as usize),
-                Some(_) => self.queue.iter().position(|q| q.pkt.id == pkt_id),
-            };
-            if let Some(q) = pos.and_then(|i| self.queue.get_mut(i)) {
-                q.pdus_outstanding -= 1;
-            }
+        // A covered packet is still queued: it leaves only once every PDU
+        // carrying it is delivered, and this one was not until now.
+        for &seq in pdu.seqs.iter().take(pdu.covers_len as usize) {
+            self.queue[(seq - self.front_seq) as usize].pdus_outstanding -= 1;
         }
         // In-sequence delivery: pop completed packets from the head only.
         while let Some(head) = self.queue.front() {
@@ -419,13 +409,6 @@ impl RlcChannel {
                 let q = self.queue.pop_front().expect("head exists");
                 self.segmented -= 1;
                 self.front_seq += 1;
-                match self.by_id.get_mut(&q.pkt.id) {
-                    Some((1, _)) => {
-                        self.by_id.remove(&q.pkt.id);
-                    }
-                    Some((n, _)) => *n -= 1,
-                    None => unreachable!("queued packets are indexed"),
-                }
                 let at = delivered_at.max(self.last_exit_at);
                 self.last_exit_at = at;
                 self.exits.push(at, q.pkt);
@@ -635,6 +618,50 @@ mod tests {
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
         let times: Vec<SimTime> = exits.iter().map(|(t, _)| *t).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn repeated_packet_ids_credit_each_copy_its_own_pdus() {
+        // Two queued packets share an id (a restarted host reusing its
+        // counter). Each is 80 wire bytes, two 40-byte PDUs. The first copy's
+        // first PDU is lost and retransmitted after both of the second
+        // copy's PDUs are delivered.
+        let mut ch = RlcChannel::new(
+            loss_free(RlcConfig::umts_uplink()),
+            Direction::Uplink,
+            DetRng::seed_from_u64(1),
+        );
+        ch.inject_storm(SimTime::ZERO, SimTime::from_micros(1), 1.0);
+        ch.enqueue(pkt(7, 40), SimTime::ZERO);
+        ch.enqueue(pkt(7, 40), SimTime::ZERO);
+        let mut exits = Vec::new();
+        let mut pdus = Vec::new();
+        let mut now = SimTime::ZERO;
+        for _ in 0..10_000 {
+            ch.poll(now, true, 1e6);
+            ch.take_exits(now, &mut exits);
+            ch.take_pdu_events(now, &mut pdus);
+            ch.take_status_events(now, &mut Vec::new());
+            match ch.next_wake(true) {
+                Some(w) if w > now => now = w,
+                Some(_) => continue,
+                None => break,
+            }
+        }
+        assert_eq!(pdus.len(), 5, "four PDUs and one retransmission");
+        let (retx_done, retx) = pdus.last().expect("pdus");
+        assert!(retx.retransmission);
+        assert_eq!(retx.sn, 0);
+        let one_way = RlcConfig::umts_uplink().ota_rtt / 2;
+        let second_copy_delivered = pdus[3].0 + one_way;
+        assert!(second_copy_delivered < *retx_done);
+        // Neither copy leaves before the first copy's lost PDU is in, and
+        // the second copy's own PDUs were all delivered before that.
+        assert_eq!(exits.len(), 2);
+        for (at, p) in &exits {
+            assert_eq!(p.id, 7);
+            assert_eq!(*at, *retx_done + one_way);
+        }
     }
 
     #[test]

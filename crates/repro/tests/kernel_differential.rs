@@ -3,15 +3,21 @@
 //! The reference kernel here ticks every component of the world at every
 //! instant where anything is due — the poll-everything loop the calendar
 //! replaced — and rebuilds the world's next wake by sweeping every component
-//! after each step. Both kernels run the same experiment sessions (§7.7 page
-//! loads, the Fig. 17 video grid, and the chaos fault cells) at both pinned
-//! seeds; the bundles they save must be byte-identical.
+//! after each step. It never runs a cellular bearer's private instants
+//! inside a step. Both kernels run the same experiment sessions (§7.7 page
+//! loads on every access network, including throttled ones, the Fig. 17
+//! video grid, the chaos fault cells, a forced tech switch during a page
+//! load, and posts in the two-device Facebook world) at both pinned seeds;
+//! the bundles they save must be byte-identical.
 
+use device::apps::FbVersion;
 use device::{Phone, World};
-use qoe_doctor::{Calendar, Collection, Kernel};
-use repro::scenario::NetKind;
+use faults::{FaultKind, FaultPlan};
+use qoe_doctor::{replay, Calendar, Collection, Controller, Kernel};
+use radio::RadioTech;
+use repro::scenario::{facebook_world, NetKind, PUSH_BYTES};
 use repro::{chaos, exp75, exp77};
-use simcore::{earlier, SimTime, Tick};
+use simcore::{earlier, SimDuration, SimTime, Tick};
 use std::path::{Path, PathBuf};
 use trace::{BundleArtifact, BundleMeta};
 
@@ -58,7 +64,7 @@ impl Reference<'_> {
 }
 
 impl Tick for Reference<'_> {
-    fn tick(&mut self, now: SimTime) {
+    fn tick(&mut self, now: SimTime, _target: SimTime) -> SimTime {
         let World {
             phone,
             peers,
@@ -68,7 +74,7 @@ impl Tick for Reference<'_> {
         let mut packets = Vec::new();
         for device in std::iter::once(&mut *phone).chain(peers.iter_mut()) {
             device.tick_faults(now);
-            device.tick_link(now);
+            device.tick_link(now, now);
             device.tick_app(now);
             device.tick_host(now);
             device.take_uplink(now, &mut packets);
@@ -89,6 +95,7 @@ impl Tick for Reference<'_> {
             }
         }
         self.wake = self.sweep();
+        now
     }
 
     fn next_wake(&self) -> Option<SimTime> {
@@ -224,5 +231,80 @@ fn chaos_page_cells_match_the_reference_kernel() {
             assert_eq!(cal.crashes, reference.crashes, "{label}");
             assert_same_bundles(&label, seed, &cal.col, &reference.col);
         }
+    }
+}
+
+#[test]
+fn wifi_and_throttled_page_loads_match_the_reference_kernel() {
+    for seed in SEEDS {
+        // Unsettled limiters make the bearer follow the root, which bounds
+        // its private runs differently from the unthrottled machines.
+        for net in [
+            NetKind::Wifi,
+            NetKind::Umts3gThrottled(900e3),
+            NetKind::LteThrottled(900e3),
+        ] {
+            let browser = device::apps::BrowserConfig::chrome;
+            let label = format!("exp77/{}/{}/{seed}", browser().name, net.label());
+            let cal = exp77::session::<Calendar>(browser(), net, 2, seed);
+            let reference = exp77::session::<PollAll>(browser(), net, 2, seed);
+            assert_same_bundles(&label, seed, &cal, &reference);
+        }
+    }
+}
+
+#[test]
+fn tech_switch_during_a_page_load_matches_the_reference_kernel() {
+    // The 3G page cell's first load starts at 2 s; the handover to LTE
+    // lands while its promotion and transfer are under way.
+    let plan = FaultPlan::new().with_kind(FaultKind::TechSwitch {
+        at: SimTime::from_millis(3_500),
+        to: RadioTech::Lte,
+    });
+    for seed in SEEDS {
+        let label = format!("chaos/page/tech_switch/{seed}");
+        let cal = chaos::page_session::<Calendar>(&plan, seed);
+        let reference = chaos::page_session::<PollAll>(&plan, seed);
+        assert_eq!(cal.attempts, reference.attempts, "{label}");
+        assert_same_bundles(&label, seed, &cal.col, &reference.col);
+    }
+}
+
+/// exp72's photo posts from device B on 3G, in the two-device world where
+/// device A, a WiFi peer, posts every 10 s and the origin relays each post
+/// to device B. The peer's wakes bound device B's private runs.
+fn two_device_posts<K: Kernel>(seed: u64) -> Collection {
+    let world = facebook_world(
+        FbVersion::ListView50,
+        None,
+        false,
+        Some(SimDuration::from_secs(10)),
+        PUSH_BYTES,
+        NetKind::Umts3g,
+        seed,
+        false,
+    );
+    let mut doctor = Controller::<K>::with_kernel(world);
+    doctor.advance(SimDuration::from_secs(30));
+    for rep in 0..2 {
+        replay::upload_post(
+            &mut doctor,
+            "upload_post:photos",
+            &format!("photos: vacation ts#{rep}"),
+            SimDuration::from_secs(120),
+        );
+        doctor.advance(SimDuration::from_secs(2));
+    }
+    doctor.advance(SimDuration::from_secs(30));
+    doctor.collect()
+}
+
+#[test]
+fn two_device_posts_match_the_reference_kernel() {
+    for seed in SEEDS {
+        let label = format!("exp72/two-device/3G/{seed}");
+        let cal = two_device_posts::<Calendar>(seed);
+        let reference = two_device_posts::<PollAll>(seed);
+        assert_same_bundles(&label, seed, &cal, &reference);
     }
 }

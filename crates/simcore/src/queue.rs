@@ -1,24 +1,30 @@
 //! Deterministic event queue.
 //!
-//! Events are bucketed by firing instant: a `BTreeMap` keyed by [`SimTime`]
-//! whose values are FIFO batches of same-instant events. Within a bucket,
-//! insertion order is preserved structurally (a `VecDeque`), which makes
-//! whole-run behaviour a pure function of the seed — an invariant the
-//! reproduction experiments depend on.
+//! Events live in two structures:
 //!
-//! The bucketed representation exists for throughput: periodic timers (UI
-//! polls, RRC tail countdowns, per-PDU link arrivals) frequently schedule
-//! many events for the *same* instant. A binary heap pays `O(log n)`
-//! sift-down churn for every one of them; buckets pay the ordered-map
-//! lookup once per distinct instant and `O(1)` per event after that, and
-//! [`EventQueue::pop_due_batch`] drains a whole due instant without
-//! re-touching the map per event. Drained buckets are pooled and reused so
-//! steady-state operation performs no allocation.
+//! * an **in-order run**, a `VecDeque` of `(instant, event)` for pushes at
+//!   or after the run's back instant. Most producers schedule monotonically
+//!   (pipe arrivals, RLC PDU completions, RLC in-sequence exits), so their
+//!   events never leave the run: a push is a `push_back` and a pop a
+//!   `pop_front`, with no ordered-map traffic at all;
+//! * a **bucketed map** for out-of-order pushes: a `BTreeMap` keyed by
+//!   [`SimTime`] whose values are FIFO batches of same-instant events.
+//!   Buckets pay the ordered-map lookup once per distinct instant and `O(1)`
+//!   per event after that, and [`EventQueue::pop_due_batch`] drains a whole
+//!   due instant without re-touching the map per event. Drained buckets are
+//!   pooled and reused so steady-state operation performs no allocation.
+//!
+//! A push joins the run when the run is empty or the push is at or after
+//! its back; otherwise it goes to the map. So every map entry is earlier
+//! than the run's back, and the back pops last: the map is empty whenever
+//! the run is. A run push therefore never lands on an instant a map entry
+//! holds, so at equal instants every run entry was pushed before every map
+//! entry, and popping the run first keeps push order.
 //!
 //! ## Determinism invariant
 //!
-//! * Events pop in `(time, insertion order)` — FIFO tie-break at equal
-//!   instants, exactly like the previous `(SimTime, seq)` binary heap.
+//! * Events pop in `(time, push order)` — FIFO tie-break at equal instants,
+//!   exactly like a `(SimTime, seq)` binary heap.
 
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -29,6 +35,9 @@ const POOL_LIMIT: usize = 32;
 
 /// A time-ordered queue of `T` with FIFO tie-breaking.
 pub struct EventQueue<T> {
+    /// In-order pushes, sorted by instant (see the module docs).
+    run: VecDeque<(SimTime, T)>,
+    /// Out-of-order pushes, bucketed by instant.
     buckets: BTreeMap<SimTime, VecDeque<T>>,
     /// Empty, capacity-retaining buckets ready for reuse.
     pool: Vec<VecDeque<T>>,
@@ -45,6 +54,7 @@ impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
+            run: VecDeque::new(),
             buckets: BTreeMap::new(),
             pool: Vec::new(),
             len: 0,
@@ -54,15 +64,25 @@ impl<T> EventQueue<T> {
     /// Schedule `item` to fire at `at`.
     pub fn push(&mut self, at: SimTime, item: T) {
         self.len += 1;
-        self.buckets
-            .entry(at)
-            .or_insert_with(|| self.pool.pop().unwrap_or_default())
-            .push_back(item);
+        if self.run.back().is_none_or(|(back, _)| at >= *back) {
+            debug_assert!(!self.run.is_empty() || self.buckets.is_empty());
+            self.run.push_back((at, item));
+        } else {
+            self.buckets
+                .entry(at)
+                .or_insert_with(|| self.pool.pop().unwrap_or_default())
+                .push_back(item);
+        }
     }
 
     /// Time of the earliest pending event, if any.
     pub fn next_at(&self) -> Option<SimTime> {
-        self.buckets.keys().next().copied()
+        let run = self.run.front().map(|(at, _)| *at);
+        let map = self.buckets.keys().next().copied();
+        match (run, map) {
+            (Some(r), Some(m)) => Some(r.min(m)),
+            (r, m) => r.or(m),
+        }
     }
 
     /// Retire an emptied front bucket, returning its allocation to the pool.
@@ -77,10 +97,26 @@ impl<T> EventQueue<T> {
 
     /// Pop the earliest event if it is due at or before `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, T)> {
-        let (&at, bucket) = self.buckets.iter_mut().next()?;
+        let run_at = self.run.front().map(|(at, _)| *at);
+        let map_at = self.buckets.keys().next().copied();
+        // At equal instants the run's entries were pushed first.
+        let from_run = match (run_at, map_at) {
+            (Some(r), Some(m)) => r <= m,
+            (r, _) => r.is_some(),
+        };
+        if from_run {
+            let &(at, _) = self.run.front()?;
+            if at > now {
+                return None;
+            }
+            self.len -= 1;
+            return self.run.pop_front();
+        }
+        let at = map_at?;
         if at > now {
             return None;
         }
+        let bucket = self.buckets.get_mut(&at).expect("front bucket exists");
         let item = bucket.pop_front().expect("buckets are never left empty");
         self.len -= 1;
         if bucket.is_empty() {
@@ -90,7 +126,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Drain **every** event due at or before `now` into `out`, in
-    /// `(time, insertion order)` — the exact sequence repeated
+    /// `(time, push order)` — the exact sequence repeated
     /// [`EventQueue::pop_due`] calls would produce. Returns the number of
     /// events appended. Whole buckets are moved at once, so a burst of
     /// same-instant timers costs one map operation instead of one per event.
@@ -99,19 +135,26 @@ impl<T> EventQueue<T> {
     /// at the same call — otherwise the late additions would be processed a
     /// settle-iteration later than with a `pop_due` loop.
     pub fn pop_due_batch(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) -> usize {
-        let mut n = 0;
-        while let Some((&at, _)) = self.buckets.iter().next() {
-            if at > now {
-                break;
+        let start = out.len();
+        loop {
+            let map_at = self.buckets.keys().next().copied().filter(|&at| at <= now);
+            // Run entries up to the map's front instant (inclusive: ties go
+            // to the run) come first.
+            let bound = map_at.unwrap_or(now);
+            while self.run.front().is_some_and(|(at, _)| *at <= bound) {
+                out.push(self.run.pop_front().expect("front exists"));
             }
+            let Some(at) = map_at else {
+                break;
+            };
             let mut bucket = self.buckets.remove(&at).expect("front bucket exists");
-            self.len -= bucket.len();
-            n += bucket.len();
             out.extend(bucket.drain(..).map(|item| (at, item)));
             if self.pool.len() < POOL_LIMIT {
                 self.pool.push(bucket);
             }
         }
+        let n = out.len() - start;
+        self.len -= n;
         n
     }
 

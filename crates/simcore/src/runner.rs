@@ -15,8 +15,12 @@ use std::fmt::Write as _;
 
 /// A simulation root driven by [`advance`].
 pub trait Tick {
-    /// Run every component due at or before `now`.
-    fn tick(&mut self, now: SimTime);
+    /// Run every component due at or before `now`, and return the instant
+    /// the step ended at: `now`, or a later instant no later than `target`
+    /// when the root ran a component's own later wakes inside the step
+    /// because nothing else was due or following before them (see DESIGN §7
+    /// "Kernel: wake calendar"). [`advance`] moves its clock there.
+    fn tick(&mut self, now: SimTime, target: SimTime) -> SimTime;
 
     /// Earliest instant at which some component next has work, or `None`
     /// when idle. May return instants `<= now` while same-instant work
@@ -48,7 +52,7 @@ pub fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
 const SETTLE_LIMIT: u32 = 100_000;
 
 /// Run `root` from `now` until nothing is due at or before `target`.
-/// Returns the last instant at which a step ran (`now` if none did).
+/// Returns the instant the last step ended at (`now` if none ran).
 ///
 /// Panics when one instant needs more than a generous number of steps (a
 /// component that keeps asking for same-instant work); the message lists
@@ -65,7 +69,11 @@ pub fn advance<T: Tick + ?Sized>(root: &mut T, mut now: SimTime, target: SimTime
             settles = 0;
         }
         crate::watchdog::observe(now);
-        root.tick(now);
+        let ended = root.tick(now, target);
+        if ended > now {
+            now = ended;
+            settles = 0;
+        }
         settles += 1;
         if settles >= SETTLE_LIMIT {
             panic!(
@@ -152,6 +160,20 @@ impl WakeCalendar {
         self.wakes.iter().flatten().min().copied()
     }
 
+    /// The earliest registered wake among every slot but `id`, and whether
+    /// any slot but `id` follows the root.
+    pub fn others(&self, id: ComponentId) -> (Option<SimTime>, bool) {
+        let mut wake = None;
+        let mut follows = false;
+        for (other, (w, f)) in self.wakes.iter().zip(&self.follows).enumerate() {
+            if other != id {
+                wake = earlier(wake, *w);
+                follows |= f;
+            }
+        }
+        (wake, follows)
+    }
+
     /// Every component due at `now`, by id, with its wake (`None` for a
     /// follower whose own wake has not come).
     pub fn due_at(&self, now: SimTime) -> Vec<(ComponentId, Option<SimTime>)> {
@@ -195,7 +217,7 @@ mod tests {
     }
 
     impl Tick for Periodic {
-        fn tick(&mut self, now: SimTime) {
+        fn tick(&mut self, now: SimTime, _target: SimTime) -> SimTime {
             while let Some((at, tag)) = self.q.pop_due(now) {
                 self.fired.push((at, tag));
                 if tag == "main" {
@@ -206,6 +228,7 @@ mod tests {
                     }
                 }
             }
+            now
         }
         fn next_wake(&self) -> Option<SimTime> {
             self.q.next_at()
@@ -260,9 +283,49 @@ mod tests {
         assert_eq!(p.next_wake(), Some(now + SimDuration::from_secs(1)));
     }
 
+    /// A component that runs its own later wakes inside one step, up to
+    /// the target, as a root with a private run does.
+    struct Batched {
+        wakes: Vec<SimTime>,
+        ran: Vec<SimTime>,
+    }
+
+    impl Tick for Batched {
+        fn tick(&mut self, now: SimTime, target: SimTime) -> SimTime {
+            let mut at = now;
+            while let Some(&w) = self.wakes.first() {
+                if w > target {
+                    break;
+                }
+                at = at.max(w);
+                self.ran.push(at);
+                self.wakes.remove(0);
+            }
+            at
+        }
+        fn next_wake(&self) -> Option<SimTime> {
+            self.wakes.first().copied()
+        }
+    }
+
+    #[test]
+    fn advance_moves_its_clock_to_the_instant_a_step_ended_at() {
+        let secs = |s: &[u64]| s.iter().map(|&s| SimTime::from_secs(s)).collect::<Vec<_>>();
+        let mut b = Batched {
+            wakes: secs(&[1, 2, 3, 9]),
+            ran: Vec::new(),
+        };
+        let last = advance(&mut b, SimTime::ZERO, SimTime::from_secs(5));
+        assert_eq!(last, SimTime::from_secs(3));
+        assert_eq!(b.ran, secs(&[1, 2, 3]));
+        assert_eq!(b.next_wake(), Some(SimTime::from_secs(9)));
+    }
+
     struct Spinner;
     impl Tick for Spinner {
-        fn tick(&mut self, _now: SimTime) {}
+        fn tick(&mut self, now: SimTime, _target: SimTime) -> SimTime {
+            now
+        }
         fn next_wake(&self) -> Option<SimTime> {
             Some(SimTime::ZERO)
         }
@@ -303,6 +366,20 @@ mod tests {
         // A poke never delays an earlier wake.
         cal.poke(1, SimTime::from_secs(6));
         assert!(cal.is_due(1, SimTime::from_secs(4)));
+    }
+
+    #[test]
+    fn others_skips_one_slot() {
+        let mut cal = WakeCalendar::new(3);
+        assert_eq!(cal.others(0), (None, false));
+        cal.set(0, Some(SimTime::from_secs(1)), true);
+        cal.set(1, Some(SimTime::from_secs(4)), false);
+        cal.set(2, Some(SimTime::from_secs(2)), false);
+        assert_eq!(cal.others(0), (Some(SimTime::from_secs(2)), false));
+        assert_eq!(cal.others(2), (Some(SimTime::from_secs(1)), true));
+        cal.set(2, None, true);
+        assert_eq!(cal.others(0), (Some(SimTime::from_secs(4)), true));
+        assert_eq!(cal.others(2), (Some(SimTime::from_secs(1)), true));
     }
 
     #[test]

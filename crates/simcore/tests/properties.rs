@@ -1,7 +1,9 @@
 //! Property-based tests for the simulation core.
 
 use proptest::prelude::*;
-use simcore::{percentile, Cdf, EventQueue, RecordLog, SimTime, Summary, WakeCalendar};
+use simcore::{
+    percentile, Cdf, EventQueue, RecordLog, SimDuration, SimTime, Summary, WakeCalendar,
+};
 use std::collections::BTreeSet;
 
 /// The calendar as an ordered set of `(wake, id)` entries plus per-slot
@@ -72,6 +74,62 @@ proptest! {
             got.push((at.as_micros(), i));
         }
         prop_assert_eq!(got, expected);
+    }
+
+    /// The event queue against an ordered `(time, push seq)` oracle, under
+    /// mixed in-order and out-of-order pushes (so both the in-order run and
+    /// the bucketed map hold events, often at the same instants) and
+    /// interleaved `pop_due` / `pop_due_batch` drains.
+    #[test]
+    fn event_queue_matches_ordered_oracle(
+        ops in prop::collection::vec((0u8..10, 0u64..16), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut oracle: BTreeSet<(SimTime, usize)> = BTreeSet::new();
+        let mut now = SimTime::ZERO;
+        let mut back = SimTime::ZERO;
+        for (seq, (kind, v)) in ops.into_iter().enumerate() {
+            match kind {
+                // In order: at or after the latest in-order push.
+                0..=3 => {
+                    back = back.max(now) + SimDuration::from_micros(v % 3);
+                    q.push(back, seq);
+                    oracle.insert((back, seq));
+                }
+                // Anywhere from now on, usually before the in-order back.
+                4..=5 => {
+                    let at = now + SimDuration::from_micros(v);
+                    q.push(at, seq);
+                    oracle.insert((at, seq));
+                }
+                6..=7 => {
+                    now = now + SimDuration::from_micros(v % 4);
+                    let got = q.pop_due(now);
+                    let want = oracle.first().copied().filter(|(at, _)| *at <= now);
+                    if let Some(e) = want {
+                        oracle.remove(&e);
+                    }
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    now = now + SimDuration::from_micros(v % 6);
+                    let mut got = vec![(SimTime::MAX, usize::MAX)];
+                    let n = q.pop_due_batch(now, &mut got);
+                    let mut want = vec![(SimTime::MAX, usize::MAX)];
+                    while let Some(e) = oracle.first().copied().filter(|(at, _)| *at <= now) {
+                        oracle.remove(&e);
+                        want.push(e);
+                    }
+                    prop_assert_eq!(n, want.len() - 1);
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(q.len(), oracle.len());
+            prop_assert_eq!(q.next_at(), oracle.first().map(|(at, _)| *at));
+        }
+        let mut rest = Vec::new();
+        q.pop_due_batch(SimTime::MAX, &mut rest);
+        prop_assert_eq!(rest, oracle.into_iter().collect::<Vec<_>>());
     }
 
     /// pop_due never returns events later than `now` and preserves the rest.
