@@ -6,7 +6,8 @@
 //! the screen ground truth (`t_screen`).
 
 use crate::behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
-use crate::controller::PlaybackReport;
+#[cfg(doc)]
+use crate::Controller;
 use device::ui::ScreenEvent;
 use simcore::{RecordLog, SimDuration, SimTime, Summary};
 
@@ -24,35 +25,76 @@ pub fn latency_summary(log: &AppBehaviorLog, prefix: &str) -> Summary {
     Summary::of(&latencies_secs(log, prefix))
 }
 
+/// A summary of a monitored video playback (initial loading handled
+/// separately via [`Controller::measure_after`]), read from the behaviour
+/// log by [`playback_reports`].
+#[derive(Debug, Clone, Default)]
+pub struct PlaybackReport {
+    /// Total stall time after initial loading.
+    pub stall: SimDuration,
+    /// Total playing + stalling time after initial loading.
+    pub span: SimDuration,
+    /// Number of rebuffering events.
+    pub stalls: u32,
+    /// Whether the video reached the finished state within the timeout.
+    pub finished: bool,
+    /// Whether the UI watchdog cut monitoring short because the layout
+    /// tree froze — a diagnosed device-layer fault, not a network stall.
+    /// Not persisted in the log: only [`Controller::monitor_playback`]
+    /// sets it.
+    pub ui_frozen: bool,
+}
+
+impl PlaybackReport {
+    /// The paper's rebuffering ratio: stall time over play + stall time.
+    pub fn rebuffering_ratio(&self) -> f64 {
+        let span = self.span.as_secs_f64();
+        if span <= 0.0 {
+            0.0
+        } else {
+            self.stall.as_secs_f64() / span
+        }
+    }
+}
+
 /// Reconstruct the playback reports of every monitored `action` session
-/// from the behaviour log alone — the offline twin of
-/// `Controller::monitor_playback`, used when analyzing a recorded bundle.
-///
-/// Each `"{action}:playback"` summary record yields one report in session
-/// order: the span and finish state come from the summary itself, the
-/// stall total and count from the `"{action}:rebuffer"` records inside the
-/// span. `ui_frozen` is not persisted in the log and is always `false`
-/// here; frozen sessions also carry `timed_out` and so report unfinished.
+/// from the behaviour log alone, in session order. Each
+/// `"{action}:playback"` summary record yields one report: the span and
+/// finish state come from the summary itself, the stall total and count
+/// from the `"{action}:rebuffer"` records logged inside the span.
+/// `ui_frozen` is not persisted in the log and is always `false` here;
+/// frozen sessions also carry `timed_out` and so report unfinished.
+/// [`Controller::monitor_playback`] returns the same report for the
+/// session it just logged, so a recorded bundle analyzed offline reads
+/// what the live session read.
 pub fn playback_reports(log: &AppBehaviorLog, action: &str) -> Vec<PlaybackReport> {
     let summary_action = format!("{action}:playback");
-    let rebuffer_action = format!("{action}:rebuffer");
     log.iter()
         .filter(|(_, r)| r.action == summary_action)
-        .map(|(_, summary)| {
-            let mut report = PlaybackReport {
-                span: summary.raw(),
-                finished: !summary.timed_out,
-                ..PlaybackReport::default()
-            };
-            for e in log.window(summary.start, summary.end) {
-                if e.record.action == rebuffer_action {
-                    report.stall += e.record.calibrated();
-                    report.stalls += 1;
-                }
-            }
-            report
-        })
+        .map(|(_, summary)| playback_report(log, action, summary))
         .collect()
+}
+
+/// [`playback_reports`]' report of the session whose summary record is
+/// `summary`.
+pub(crate) fn playback_report(
+    log: &AppBehaviorLog,
+    action: &str,
+    summary: &BehaviorRecord,
+) -> PlaybackReport {
+    let rebuffer_action = format!("{action}:rebuffer");
+    let mut report = PlaybackReport {
+        span: summary.raw(),
+        finished: !summary.timed_out,
+        ..PlaybackReport::default()
+    };
+    for e in log.window(summary.start, summary.end) {
+        if e.record.action == rebuffer_action {
+            report.stall += e.record.calibrated();
+            report.stalls += 1;
+        }
+    }
+    report
 }
 
 /// Accuracy evaluation of one measurement against the screen camera

@@ -11,6 +11,7 @@
 //! advances simulated time while interleaving its own parsing work, exactly
 //! as the real tool shares the device with the app under test.
 
+use crate::analyze::app::{playback_report, PlaybackReport};
 use crate::behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
 use device::ui::View;
 use device::world::World;
@@ -100,6 +101,10 @@ struct WaitOutcome {
     pass_start: SimTime,
     pass_end: SimTime,
     mean_parse: SimDuration,
+    /// The last pass's snapshot: on [`WaitEnd::Met`], one the condition
+    /// held on, so a caller can tell which part of an
+    /// [`WaitCondition::Any`] it was.
+    snapshot: View,
     end: WaitEnd,
 }
 
@@ -137,6 +142,10 @@ pub enum WaitCondition {
         /// Expected text.
         value: String,
     },
+    /// Some listed condition holds (checked in listed order).
+    Any(Vec<WaitCondition>),
+    /// Every listed condition holds (checked in listed order).
+    All(Vec<WaitCondition>),
 }
 
 impl WaitCondition {
@@ -151,35 +160,8 @@ impl WaitCondition {
             WaitCondition::TextIs { id, value } => {
                 snapshot.find(id).is_some_and(|v| &v.text == value)
             }
-        }
-    }
-}
-
-/// A summary of a monitored video playback (initial loading handled
-/// separately via [`Controller::measure_after`]).
-#[derive(Debug, Clone, Default)]
-pub struct PlaybackReport {
-    /// Total stall time after initial loading.
-    pub stall: SimDuration,
-    /// Total playing + stalling time after initial loading.
-    pub span: SimDuration,
-    /// Number of rebuffering events.
-    pub stalls: u32,
-    /// Whether the video reached the finished state within the timeout.
-    pub finished: bool,
-    /// Whether the UI watchdog cut monitoring short because the layout
-    /// tree froze — a diagnosed device-layer fault, not a network stall.
-    pub ui_frozen: bool,
-}
-
-impl PlaybackReport {
-    /// The paper's rebuffering ratio: stall time over play + stall time.
-    pub fn rebuffering_ratio(&self) -> f64 {
-        let span = self.span.as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.stall.as_secs_f64() / span
+            WaitCondition::Any(conds) => conds.iter().any(|c| c.holds(snapshot)),
+            WaitCondition::All(conds) => conds.iter().all(|c| c.holds(snapshot)),
         }
     }
 }
@@ -272,16 +254,26 @@ impl<K: Kernel> Controller<K> {
         snapshot
     }
 
-    /// Wait until `cond` holds, parsing continuously. While waiting, the
-    /// watchdog (if armed) tracks the layout-tree revision: a tree that
-    /// stops changing for the threshold ends the wait as [`WaitEnd::Frozen`]
-    /// instead of burning the rest of the timeout on a wedged app.
+    /// Wait until `cond` holds, parsing continuously: the controller's one
+    /// parse-pass loop (§4.1). Every pass runs at least once, so a caller
+    /// that must not start a pass at or past its deadline checks that
+    /// first. While waiting, the watchdog (if armed) tracks the layout-tree
+    /// revision: a tree that stops changing for the threshold ends the wait
+    /// as [`WaitEnd::Frozen`] instead of burning the rest of the timeout on
+    /// a wedged app.
     ///
     /// The verdict is memoized on the observed revision: equal observed
     /// revisions mean equal snapshots, so a pass whose snapshot has the
     /// revision of the last evaluated one reuses that verdict instead of
     /// scanning the tree again. The revision read at the end of a pass is
     /// the next pass's key, since that pass starts at the same instant.
+    ///
+    /// A pass checks its verdict before the watchdog. The order is not
+    /// observable: a true verdict ends the wait on the first pass of its
+    /// revision, and `last_change` is that pass's start (the wait's entry,
+    /// or the end of the pass that first read the revision), so the
+    /// watchdog has seen one pass without a change and trips there only
+    /// if its threshold is at most one parse cost.
     fn wait_for(&mut self, cond: &WaitCondition, timeout: SimTime) -> WaitOutcome {
         let mut parse_total = SimDuration::ZERO;
         let mut parses = 0u64;
@@ -306,13 +298,15 @@ impl<K: Kernel> Controller<K> {
                     verdict
                 }
             };
+            let outcome = |end| WaitOutcome {
+                pass_start,
+                pass_end,
+                mean_parse,
+                snapshot,
+                end,
+            };
             if met {
-                return WaitOutcome {
-                    pass_start,
-                    pass_end,
-                    mean_parse,
-                    end: WaitEnd::Met,
-                };
+                return outcome(WaitEnd::Met);
             }
             let rev = self.world.phone.ui_revision(self.now);
             if rev != last_rev {
@@ -321,23 +315,33 @@ impl<K: Kernel> Controller<K> {
             } else if let Some(threshold) = self.watchdog {
                 let frozen_for = self.now.saturating_since(last_change);
                 if frozen_for >= threshold {
-                    return WaitOutcome {
-                        pass_start,
-                        pass_end,
-                        mean_parse,
-                        end: WaitEnd::Frozen { frozen_for },
-                    };
+                    return outcome(WaitEnd::Frozen { frozen_for });
                 }
             }
             if pass_end >= timeout {
-                return WaitOutcome {
-                    pass_start,
-                    pass_end,
-                    mean_parse,
-                    end: WaitEnd::TimedOut,
-                };
+                return outcome(WaitEnd::TimedOut);
             }
         }
+    }
+
+    /// Log the record of the finished wait `w`, measured from `start`.
+    fn log_wait(
+        &mut self,
+        action: String,
+        start: SimTime,
+        start_kind: StartKind,
+        w: &WaitOutcome,
+    ) -> BehaviorRecord {
+        let record = BehaviorRecord {
+            action,
+            start,
+            end: w.pass_end,
+            start_kind,
+            mean_parse: w.mean_parse,
+            timed_out: !w.met(),
+        };
+        self.log.push(w.pass_end, record.clone());
+        record
     }
 
     fn measure_after_inner(
@@ -349,17 +353,8 @@ impl<K: Kernel> Controller<K> {
     ) -> (BehaviorRecord, Option<ControlError>) {
         let start = self.now;
         self.interact(trigger);
-        let deadline = start + timeout;
-        let w = self.wait_for(cond, deadline);
-        let record = BehaviorRecord {
-            action: action.to_string(),
-            start,
-            end: w.pass_end,
-            start_kind: StartKind::Trigger,
-            mean_parse: w.mean_parse,
-            timed_out: !w.met(),
-        };
-        self.log.push(w.pass_end, record.clone());
+        let w = self.wait_for(cond, start + timeout);
+        let record = self.log_wait(action.to_string(), start, StartKind::Trigger, &w);
         let err = match w.end {
             WaitEnd::Met => None,
             WaitEnd::TimedOut => Some(ControlError::Timeout {
@@ -465,128 +460,81 @@ impl<K: Kernel> Controller<K> {
             return None;
         }
         let w = self.wait_for(end_cond, deadline);
-        let record = BehaviorRecord {
-            action: action.to_string(),
-            start: begin_wait.pass_start,
-            end: w.pass_end,
-            start_kind: StartKind::Parse,
-            mean_parse: w.mean_parse,
-            timed_out: !w.met(),
-        };
-        self.log.push(w.pass_end, record.clone());
-        Some(record)
+        Some(self.log_wait(
+            action.to_string(),
+            begin_wait.pass_start,
+            StartKind::Parse,
+            &w,
+        ))
     }
 
     /// Monitor a video that has finished initial loading: record every
     /// rebuffering span until the player reports `finished` (or timeout).
-    /// Rebuffer spans are logged as `"{action}:rebuffer"` records.
     ///
-    /// The `finished` and `stalled` verdicts are memoized together on the
-    /// observed revision, as in the stall waits.
+    /// The session is a sequence of waits: for the player to finish or
+    /// stall, then, after a stall, for the progress bar to hide again
+    /// (logged as a `"{action}:rebuffer"` record). A stall is always
+    /// measured, so its wait may end at or past the deadline; no
+    /// finish-or-stall wait starts there. The watchdog cuts the monitor
+    /// short if the layout tree stops updating (a frozen player would
+    /// otherwise read as one endless "playing" state).
+    ///
+    /// The whole session is logged as a `"{action}:playback"` summary
+    /// record, and the report is read back from the log exactly as
+    /// [`playback_reports`](crate::analyze::app::playback_reports) reads
+    /// it offline; only `ui_frozen` comes from the waits.
     pub fn monitor_playback(&mut self, action: &str, timeout: SimDuration) -> PlaybackReport {
         let playback_start = self.now;
         let deadline = self.now + timeout;
-        let mut report = PlaybackReport::default();
-        let finished = WaitCondition::TextIs {
+        let status = |value: &str| WaitCondition::TextIs {
             id: "player_status".into(),
-            value: "finished".into(),
+            value: value.into(),
         };
-        let stalled = WaitCondition::TextIs {
-            id: "player_status".into(),
-            value: "rebuffering".into(),
+        let finished = status("finished");
+        let finished_or_stalled = WaitCondition::Any(vec![finished.clone(), status("rebuffering")]);
+        let playing = WaitCondition::Hidden {
+            id: "player_progress".into(),
         };
-        let mut last_rev = self.world.phone.ui_revision(self.now);
-        let mut last_change = self.now;
-        let mut memo: Option<(u64, (bool, bool))> = None;
-        loop {
-            // Wait for either a stall or the end; the watchdog cuts the
-            // monitor short if the layout tree stops updating (a frozen
-            // player would otherwise read as one endless "playing" state).
-            let mut timed_out = true;
-            while self.now < deadline {
-                // `last_rev` always holds the latest read, taken at this
-                // instant.
-                let pass_rev = last_rev;
-                let snapshot = self.parse_once();
-                let rev = self.world.phone.ui_revision(self.now);
-                if rev != last_rev {
-                    last_rev = rev;
-                    last_change = self.now;
-                } else if let Some(threshold) = self.watchdog {
-                    if self.now.saturating_since(last_change) >= threshold {
-                        report.ui_frozen = true;
-                        break;
-                    }
-                }
-                let (is_finished, is_stalled) = match memo {
-                    Some((rev, verdicts)) if rev == pass_rev => verdicts,
-                    _ => {
-                        let is_finished = finished.holds(&snapshot);
-                        let verdicts = (is_finished, !is_finished && stalled.holds(&snapshot));
-                        memo = Some((pass_rev, verdicts));
-                        verdicts
-                    }
-                };
-                if is_finished {
-                    report.finished = true;
-                    timed_out = false;
-                    break;
-                }
-                if is_stalled {
-                    timed_out = false;
-                    break;
-                }
-            }
-            if report.finished || report.ui_frozen || timed_out {
+        // How the wait that ended the session ended; `None` if the deadline
+        // passed between waits. Only a finished player ends it as met.
+        let mut ended = None;
+        // `wait_for` always runs a pass, so the deadline is checked first.
+        while self.now < deadline {
+            let w = self.wait_for(&finished_or_stalled, deadline);
+            if !w.met() || finished.holds(&w.snapshot) {
+                ended = Some(w.end);
                 break;
             }
             // In a stall: measure it.
             let stall_start = self.now;
-            let playing = WaitCondition::Hidden {
-                id: "player_progress".into(),
-            };
             let w = self.wait_for(&playing, deadline);
-            let record = BehaviorRecord {
-                action: format!("{action}:rebuffer"),
-                start: stall_start,
-                end: w.pass_end,
-                start_kind: StartKind::Parse,
-                mean_parse: w.mean_parse,
-                timed_out: !w.met(),
-            };
-            self.log.push(w.pass_end, record.clone());
-            report.stall += record.calibrated();
-            report.stalls += 1;
-            match w.end {
-                WaitEnd::Met => {
-                    last_rev = self.world.phone.ui_revision(self.now);
-                    last_change = self.now;
-                }
-                WaitEnd::TimedOut => break,
-                WaitEnd::Frozen { .. } => {
-                    report.ui_frozen = true;
-                    break;
-                }
+            self.log_wait(
+                format!("{action}:rebuffer"),
+                stall_start,
+                StartKind::Parse,
+                &w,
+            );
+            if !w.met() {
+                ended = Some(w.end);
+                break;
             }
         }
-        // Log the whole session as a `"{action}:playback"` summary record
-        // so an offline analyzer can reconstruct the report (span, finish
-        // state, and — via the `:rebuffer` records inside the span — the
-        // stall total) from the behaviour log alone. `mean_parse` is zero:
-        // the span is bounded by controller-side instants, not UI parses.
-        self.log.push(
-            self.now,
-            BehaviorRecord {
-                action: format!("{action}:playback"),
-                start: playback_start,
-                end: self.now,
-                start_kind: StartKind::Parse,
-                mean_parse: SimDuration::ZERO,
-                timed_out: !report.finished,
-            },
-        );
-        report.span = self.now.saturating_since(playback_start);
-        report
+        // `mean_parse` is zero: the span is bounded by controller-side
+        // instants, not UI parses.
+        let summary = BehaviorRecord {
+            action: format!("{action}:playback"),
+            start: playback_start,
+            end: self.now,
+            start_kind: StartKind::Parse,
+            mean_parse: SimDuration::ZERO,
+            timed_out: !matches!(ended, Some(WaitEnd::Met)),
+        };
+        let report = playback_report(&self.log, action, &summary);
+        self.log.push(self.now, summary);
+        PlaybackReport {
+            ui_frozen: matches!(ended, Some(WaitEnd::Frozen { .. })),
+            ..report
+        }
     }
 }
 
@@ -632,6 +580,26 @@ mod tests {
             id: "page_content".into(),
             value: URL.into(),
         }
+    }
+
+    #[test]
+    fn any_and_all_combine_their_conditions() {
+        let page = |content: &str| {
+            View::new("LinearLayout", "browser_root")
+                .with_child(View::new("ProgressBar", "page_progress").with_visible(false))
+                .with_child(View::new("WebView", "page_content").with_text(content))
+        };
+        let hidden = WaitCondition::Hidden {
+            id: "page_progress".into(),
+        };
+        let both = WaitCondition::All(vec![hidden.clone(), loaded()]);
+        let either = WaitCondition::Any(vec![loaded(), hidden]);
+        // A relaunched browser's blank page: the progress bar is hidden too.
+        let (blank, shown) = (page(""), page(URL));
+        assert!(!both.holds(&blank) && both.holds(&shown));
+        assert!(either.holds(&blank) && either.holds(&shown));
+        assert!(!WaitCondition::Any(vec![]).holds(&shown));
+        assert!(WaitCondition::All(vec![]).holds(&blank));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! it diagnoses, so a window costs O(window), not O(session).
 
 use crate::analyze::crosslayer::{
-    long_jump_map, net_latency_breakdown, rrc_transitions_in, window_breakdown, MapperOptions,
-    NetLatencyBreakdown, PduIndex, WindowBreakdown,
+    long_jump_map, net_latency_breakdown, rrc_transitions_in, window_breakdown, MappedPacket,
+    MapperOptions, NetLatencyBreakdown, PduIndex, WindowBreakdown,
 };
 use crate::analyze::speedindex::VisualProgress;
 use crate::analyze::transport::TransportReport;
@@ -102,6 +102,43 @@ impl<'a> Diagnoser<'a> {
         cell.get_or_init(|| PduIndex::new(qxdm, dir))
     }
 
+    /// The radio breakdown of `record`'s window in direction `dir`: the
+    /// window's `dir` packets are mapped onto RLC PDU chains by the
+    /// long-jump mapper (the whole sequence, since the walk needs every
+    /// packet), and the mapped packets `keep` accepts split
+    /// `network_latency` by [`net_latency_breakdown`]. Returns the
+    /// breakdown and the window's `dir` packet count, or `None` without a
+    /// QxDM log or `dir` packets in the window.
+    ///
+    /// Fig. 8's per-post uplink breakdown and [`Diagnoser::diagnose`]'s
+    /// radio breakdown both come from here.
+    pub fn radio_breakdown(
+        &self,
+        record: &BehaviorRecord,
+        dir: Direction,
+        network_latency: SimDuration,
+        keep: impl FnMut(&MappedPacket) -> bool,
+    ) -> Option<(NetLatencyBreakdown, usize)> {
+        let qxdm = self.col.qxdm.as_ref()?;
+        let pkts: Vec<(SimTime, &IpPacket)> = self
+            .col
+            .trace
+            .window(record.start, record.end)
+            .iter()
+            .filter(|e| e.record.dir == dir)
+            .map(|e| (e.at, &e.record.pkt))
+            .collect();
+        if pkts.is_empty() {
+            return None;
+        }
+        let index = self.index(qxdm, dir);
+        let mut mapped = long_jump_map(&pkts, index, MapperOptions::default());
+        mapped.retain(keep);
+        let breakdown =
+            net_latency_breakdown(record.start, record.end, network_latency, &mapped, index);
+        Some((breakdown, pkts.len()))
+    }
+
     /// Diagnose one measured record against the collected artifacts.
     pub fn diagnose(&self, record: &BehaviorRecord) -> Diagnosis {
         let col = self.col;
@@ -149,21 +186,8 @@ impl<'a> Diagnoser<'a> {
                 } else {
                     Direction::Downlink
                 };
-                let pkts: Vec<(SimTime, &IpPacket)> = window
-                    .iter()
-                    .filter(|e| e.record.dir == dir)
-                    .map(|e| (e.at, &e.record.pkt))
-                    .collect();
-                if !pkts.is_empty() {
-                    let index = self.index(qxdm, dir);
-                    let mapped = long_jump_map(&pkts, index, MapperOptions::default());
-                    let mut rb = net_latency_breakdown(
-                        record.start,
-                        record.end,
-                        split.network_latency,
-                        &mapped,
-                        index,
-                    );
+                let net = split.network_latency;
+                if let Some((mut rb, _)) = self.radio_breakdown(record, dir, net, |_| true) {
                     // IP-to-RLC waits are an uplink phenomenon: an RRC
                     // promotion holds the first *request* at the head of the
                     // uplink queue. A download-dominated window would book
@@ -181,27 +205,11 @@ impl<'a> Diagnoser<'a> {
                                 e.record.dir == Direction::Downlink && e.record.pkt.payload_len > 0
                             })
                             .map(|e| e.at);
-                        let ul_pkts: Vec<(SimTime, &IpPacket)> = window
-                            .iter()
-                            .filter(|e| e.record.dir == Direction::Uplink)
-                            .map(|e| (e.at, &e.record.pkt))
-                            .collect();
-                        if !ul_pkts.is_empty() {
-                            // Map the complete uplink sequence — the mapper's
-                            // walk needs every packet — then keep only the
-                            // head-of-line results for the fold.
-                            let ul_index = self.index(qxdm, Direction::Uplink);
-                            let mut ul_mapped =
-                                long_jump_map(&ul_pkts, ul_index, MapperOptions::default());
-                            ul_mapped
-                                .retain(|m| first_dl_payload.is_none_or(|t| m.captured_at < t));
-                            let ul = net_latency_breakdown(
-                                record.start,
-                                record.end,
-                                split.network_latency,
-                                &ul_mapped,
-                                ul_index,
-                            );
+                        let head_of_line =
+                            |m: &MappedPacket| first_dl_payload.is_none_or(|t| m.captured_at < t);
+                        if let Some((ul, _)) =
+                            self.radio_breakdown(record, Direction::Uplink, net, head_of_line)
+                        {
                             rb.ip_to_rlc += ul.ip_to_rlc;
                             rb.other = rb.other.saturating_sub(ul.ip_to_rlc);
                         }

@@ -27,11 +27,12 @@
 //!     Box::new(BrowserApp::new(BrowserConfig::chrome())),
 //!     rng.fork(2));
 //!
-//! // Replay: type a URL, press ENTER, measure until the progress bar hides.
+//! // Replay: type a URL, press ENTER, measure until the page shows.
 //! let mut doctor = Controller::new(World::new(phone, internet));
 //! doctor.advance(SimDuration::from_secs(1));
-//! doctor.interact(&replay::type_url("http://www.example.com/"));
-//! let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
+//! let url = "http://www.example.com/";
+//! doctor.interact(&replay::type_url(url));
+//! let rec = replay::load_page(&mut doctor, url, SimDuration::from_secs(60));
 //! assert!(!rec.timed_out);
 //! assert!(rec.calibrated() > SimDuration::ZERO);
 //! ```
@@ -46,10 +47,9 @@ pub mod controller;
 pub mod diagnose;
 pub mod replay;
 
+pub use analyze::app::PlaybackReport;
 pub use behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
 pub use bundle::CollectionSet;
 pub use collect::Collection;
-pub use controller::{
-    Calendar, ControlError, Controller, Kernel, PlaybackReport, RetryPolicy, WaitCondition,
-};
+pub use controller::{Calendar, ControlError, Controller, Kernel, RetryPolicy, WaitCondition};
 pub use diagnose::{diagnose_worst, Diagnoser, Diagnosis};

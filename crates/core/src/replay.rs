@@ -28,6 +28,7 @@ const SEARCH_BOX: &str = "search_box";
 const PLAYER_PROGRESS: &str = "player_progress";
 const URL_BAR: &str = "url_bar";
 const PAGE_PROGRESS: &str = "page_progress";
+const PAGE_CONTENT: &str = "page_content";
 const FEED_PROGRESS: &str = "feed_progress";
 const COMPOSER: &str = "composer";
 const POST_BUTTON: &str = "post_button";
@@ -80,17 +81,30 @@ pub fn type_url(url: &str) -> UiEvent {
     }
 }
 
-/// The page's progress bar is hidden: the page has loaded.
-pub fn page_loaded() -> WaitCondition {
-    WaitCondition::Hidden {
-        id: PAGE_PROGRESS.into(),
-    }
+/// The page's progress bar is hidden and its content shows `url`: the page
+/// typed with [`type_url`] has loaded. The content check keeps a crashed
+/// browser's relaunched blank layout, whose progress bar is hidden too,
+/// from reading as a loaded page. A finished load sets both in one tick.
+pub fn page_loaded(url: &str) -> WaitCondition {
+    WaitCondition::All(vec![
+        WaitCondition::Hidden {
+            id: PAGE_PROGRESS.into(),
+        },
+        WaitCondition::TextIs {
+            id: PAGE_CONTENT.into(),
+            value: url.into(),
+        },
+    ])
 }
 
-/// Web browsing: load the page whose URL was typed with [`type_url`] —
-/// press ENTER and wait until the page's progress bar is hidden.
-pub fn load_page<K: Kernel>(doctor: &mut Controller<K>, timeout: SimDuration) -> BehaviorRecord {
-    doctor.measure_after(PAGE_LOAD, &UiEvent::KeyEnter, &page_loaded(), timeout)
+/// Web browsing: load the page whose URL `url` was typed with
+/// [`type_url`] — press ENTER and wait until [`page_loaded`] holds.
+pub fn load_page<K: Kernel>(
+    doctor: &mut Controller<K>,
+    url: &str,
+    timeout: SimDuration,
+) -> BehaviorRecord {
+    doctor.measure_after(PAGE_LOAD, &UiEvent::KeyEnter, &page_loaded(url), timeout)
 }
 
 /// Facebook: pull-to-update — the span from the feed's progress bar
@@ -175,7 +189,7 @@ mod tests {
         let apps: [(Box<dyn App>, &[&str]); 3] = [
             (
                 Box::new(BrowserApp::new(BrowserConfig::chrome())),
-                &[URL_BAR, PAGE_PROGRESS],
+                &[URL_BAR, PAGE_PROGRESS, PAGE_CONTENT],
             ),
             (
                 Box::new(FacebookApp::new(FacebookConfig::new(FbVersion::ListView50))),

@@ -323,10 +323,11 @@ fn youtube_skip_ad_button_appears_and_skips() {
                 },
             ),
         ],
-        SimTime::from_secs(60),
+        SimTime::from_secs(30),
     );
     // The button showed, the ad was cut short, and the main video finished
-    // well before the 30 s ad would have ended on its own.
+    // by 30 s: about 12 s (skip) + 10 s of video, where the unskipped 30 s
+    // ad alone would have run past 30 s.
     let labels: Vec<String> = world
         .phone
         .ui
@@ -338,15 +339,6 @@ fn youtube_skip_ad_button_appears_and_skips() {
     assert!(labels.iter().any(|l| l == "skip_ad:hide"), "{labels:?}");
     let status = world.phone.ui.root().find("player_status").unwrap();
     assert_eq!(status.text, "finished");
-    // Finish time: ~12 s (skip) + ~10 s video << 30 s ad + 10 s video.
-    let finish_at = world
-        .phone
-        .ui
-        .camera
-        .iter()
-        .find(|(_, e)| e.label == "player_status:text" && false)
-        .map(|(at, _)| at);
-    let _ = finish_at; // status text label is generic; the asserts above suffice
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! through a randomized workload next to an identical twin that also gets
 //! extra ticks at instants before its wake, checks each extra tick directly
 //! (nothing out, same wake, same state where the state is printable), and
-//! requires both twins to produce the same transcript.
+//! requires both twins to produce the same transcript. One test shows the
+//! converse: early refills of an unsettled rate limiter are not no-ops.
 
 use netstack::dns::{DnsServer, DNS_PORT};
 use netstack::{
@@ -322,13 +323,42 @@ fn pipe_delivery_before_wake_is_a_noop() {
     }
 }
 
-/// Bursts through a limiter; with `extra`, `take_ready` also runs at an
-/// instant before the limiter's wake whenever the limiter is settled.
-fn limiter_run(cfg: ShaperConfig, extra: Option<u64>) -> (Vec<(SimTime, u64)>, String) {
+/// Which instants [`limiter_run`] runs an extra `take_ready` at.
+#[derive(Clone, Copy)]
+enum Early {
+    /// None.
+    Never,
+    /// One before the wake of every round whose limiter is settled, drawn
+    /// from this seed; each is checked to be a no-op.
+    Settled(u64),
+    /// One before the wake of every round whose limiter is unsettled,
+    /// drawn from this seed.
+    Unsettled(u64),
+}
+
+/// What a [`limiter_run`] produced.
+#[derive(PartialEq)]
+struct LimiterRun {
+    /// `(instant, packet id)` of every packet that passed.
+    passed: Vec<(SimTime, u64)>,
+    /// Offered, passed and dropped counts.
+    stats: String,
+    /// Every early `take_ready` that moved the wake: `(instant, wake
+    /// before, wake after)`.
+    moved: Vec<(SimTime, Option<SimTime>, Option<SimTime>)>,
+}
+
+/// Bursts through a limiter, with the `early` extra refills.
+fn limiter_run(cfg: ShaperConfig, early: Early) -> LimiterRun {
     let mut rl = RateLimiter::new(cfg);
     let mut workload = DetRng::seed_from_u64(9);
-    let mut rng = extra.map(DetRng::seed_from_u64);
+    let mut rng = match early {
+        Early::Never => None,
+        Early::Settled(seed) => Some((DetRng::seed_from_u64(seed), true)),
+        Early::Unsettled(seed) => Some((DetRng::seed_from_u64(seed), false)),
+    };
     let mut passed = Vec::new();
+    let mut moved = Vec::new();
     let mut ready = Vec::new();
     let mut now = SimTime::ZERO;
     for i in 0..3_000u64 {
@@ -341,16 +371,21 @@ fn limiter_run(cfg: ShaperConfig, extra: Option<u64>) -> (Vec<(SimTime, u64)>, S
             passed.extend(ready.drain(..).map(|p| (now, p.id)));
         }
         now = next;
-        if let Some(rng) = rng.as_mut() {
+        if let Some((rng, settled)) = rng.as_mut() {
             let wake = rl.next_wake();
-            if rl.is_settled() {
+            if rl.is_settled() == *settled {
                 if let Some(t) = before_wake(rng, now, wake) {
                     let tokens_before = rl.debug_state();
                     rl.take_ready(t, &mut ready);
-                    assert!(ready.is_empty());
-                    assert_eq!(rl.next_wake(), wake);
-                    let strip = |s: &str| s.split(" last_refill").next().unwrap().to_string();
-                    assert_eq!(strip(&rl.debug_state()), strip(&tokens_before));
+                    if *settled {
+                        assert!(ready.is_empty());
+                        assert_eq!(rl.next_wake(), wake);
+                        let strip = |s: &str| s.split(" last_refill").next().unwrap().to_string();
+                        assert_eq!(strip(&rl.debug_state()), strip(&tokens_before));
+                    } else if rl.next_wake() != wake {
+                        moved.push((t, wake, rl.next_wake()));
+                    }
+                    passed.extend(ready.drain(..).map(|p| (t, p.id)));
                 }
             }
         }
@@ -369,21 +404,45 @@ fn limiter_run(cfg: ShaperConfig, extra: Option<u64>) -> (Vec<(SimTime, u64)>, S
         }
     }
     let stats = rl.stats;
-    (
+    LimiterRun {
         passed,
-        format!("{} {} {}", stats.offered, stats.passed, stats.dropped),
-    )
+        stats: format!("{} {} {}", stats.offered, stats.passed, stats.dropped),
+        moved,
+    }
 }
 
 #[test]
 fn settled_limiter_refill_before_wake_is_a_noop() {
     for cfg in [ShaperConfig::shaping(256e3), ShaperConfig::policing(256e3)] {
-        let plain = limiter_run(cfg.clone(), None);
+        let plain = limiter_run(cfg.clone(), Early::Never);
         for seed in 0..4 {
             assert!(
-                limiter_run(cfg.clone(), Some(seed)) == plain,
+                limiter_run(cfg.clone(), Early::Settled(seed)) == plain,
                 "early refills of a settled limiter changed its output"
             );
         }
     }
+}
+
+/// Why a cellular bearer with an unsettled limiter follows every step
+/// (`CellBearer::follows_every_step`): a refill rounds the token count at
+/// the instant it runs, so one extra `take_ready` before the wake of a
+/// shaping limiter with a queue moves that wake, and with it the packets
+/// that pass. Golden outputs cannot show this: dropping the bearer's
+/// follower registration left every recorded output unchanged.
+#[test]
+fn unsettled_limiter_refill_before_wake_moves_its_wake() {
+    let cfg = ShaperConfig::shaping(256e3);
+    let plain = limiter_run(cfg.clone(), Early::Never);
+    let poked = limiter_run(cfg, Early::Unsettled(0));
+    let us = SimTime::from_micros;
+    assert_eq!(
+        poked.moved.first(),
+        Some(&(us(6_114_441), Some(us(6_143_406)), Some(us(6_143_405)))),
+        "the first early refill of an unsettled limiter moved its wake 1 µs"
+    );
+    assert!(
+        poked.passed != plain.passed,
+        "early refills of an unsettled limiter left the passed packets unchanged"
+    );
 }

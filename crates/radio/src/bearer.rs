@@ -382,6 +382,12 @@ impl CellBearer {
     /// inactivity timer at every tick (`on_data(0, now)`), and an unsettled
     /// rate limiter refills its bucket at every tick, rounding the token
     /// count at that instant.
+    ///
+    /// Golden outputs cannot show that the second coupling matters:
+    /// dropping this registration left every recorded output unchanged.
+    /// `netstack`'s `unsettled_limiter_refill_before_wake_moves_its_wake`
+    /// test does: one extra refill of a queued shaping limiter moves its
+    /// wake by 1 µs and changes the packets that pass.
     pub fn follows_every_step(&self) -> bool {
         let unsettled = |rl: &Option<RateLimiter>| rl.as_ref().is_some_and(|rl| !rl.is_settled());
         self.ul.has_backlog()

@@ -13,7 +13,7 @@
 //! interactions, a crash-looping app exhausts its retry budget and lands as
 //! a `faulted` campaign record instead of hanging or poisoning aggregates.
 
-use crate::scenario::{browser_world, youtube_world, NetKind};
+use crate::scenario::{browser_world, youtube_world, NetKind, PAGE_URL};
 use device::apps::{BrowserConfig, VideoSpec};
 use device::UiEvent;
 use faults::{FaultKind, FaultLayer, FaultPlan, Window};
@@ -283,7 +283,7 @@ pub fn page_session<K: Kernel>(plan: &FaultPlan, seed: u64) -> CellSession {
     plan.arm(&mut world);
     let mut doctor = Controller::<K>::with_kernel(world).with_watchdog(SimDuration::from_secs(20));
     doctor.advance(SimDuration::from_secs(2));
-    let type_url = replay::type_url("http://www.example.com/");
+    let type_url = replay::type_url(PAGE_URL);
     let policy = RetryPolicy {
         max_attempts: 3,
         backoff: SimDuration::from_secs(5),
@@ -293,7 +293,7 @@ pub fn page_session<K: Kernel>(plan: &FaultPlan, seed: u64) -> CellSession {
         PAGE_LOAD,
         std::slice::from_ref(&type_url),
         &UiEvent::KeyEnter,
-        &replay::page_loaded(),
+        &replay::page_loaded(PAGE_URL),
         SimDuration::from_secs(60),
         &policy,
     );
@@ -307,7 +307,7 @@ pub fn page_session<K: Kernel>(plan: &FaultPlan, seed: u64) -> CellSession {
     // A second, fault-free load for contrast in the log.
     doctor.advance(SimDuration::from_secs(25));
     doctor.interact(&type_url);
-    replay::load_page(&mut doctor, SimDuration::from_secs(60));
+    replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(60));
 
     let crashes = doctor.world.phone.crashes;
     CellSession {

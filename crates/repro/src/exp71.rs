@@ -7,7 +7,7 @@
 //! controller's CPU overhead.
 
 use crate::exp72::{run_posts, PostKind};
-use crate::scenario::{browser_world, facebook_world, youtube_world, NetKind};
+use crate::scenario::{browser_world, facebook_world, youtube_world, NetKind, PAGE_URL};
 use device::apps::{BrowserConfig, FbVersion, VideoSpec};
 use netstack::pcap::Direction;
 use netstack::IpPacket;
@@ -232,9 +232,9 @@ fn page_session(reps: usize, seed: u64) -> Collection {
     let world = browser_world(BrowserConfig::chrome(), NetKind::Wifi, seed);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&replay::type_url("http://www.example.com/"));
+    doctor.interact(&replay::type_url(PAGE_URL));
     for _ in 0..reps {
-        replay::load_page(&mut doctor, SimDuration::from_secs(60));
+        replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(60));
         doctor.advance(SimDuration::from_secs(5));
     }
     doctor.collect()

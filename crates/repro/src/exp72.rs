@@ -9,14 +9,10 @@
 use crate::scenario::{facebook_world, NetKind, PUSH_BYTES};
 use device::apps::FbVersion;
 use netstack::pcap::Direction;
-use netstack::IpPacket;
-use qoe_doctor::analyze::crosslayer::{
-    long_jump_map, net_latency_breakdown, window_breakdown, MapperOptions, NetLatencyBreakdown,
-    PduIndex,
-};
+use qoe_doctor::analyze::crosslayer::{window_breakdown, NetLatencyBreakdown};
 use qoe_doctor::bundle::{BEHAVIOR, QXDM, TRACE};
-use qoe_doctor::{replay, Collection, Controller};
-use simcore::{SimDuration, SimTime, Summary};
+use qoe_doctor::{replay, Collection, Controller, Diagnoser};
+use simcore::{SimDuration, Summary};
 use std::fmt;
 use trace::Reads;
 
@@ -183,11 +179,12 @@ impl fmt::Display for PhotoNetBreakdown {
     }
 }
 
-/// Compute Fig. 8 for a photo-post collection.
+/// Compute Fig. 8 for a photo-post collection: each post's uplink
+/// breakdown is [`Diagnoser::radio_breakdown`] of its window.
 pub fn photo_net_breakdown(col: &Collection, net: &str) -> Option<PhotoNetBreakdown> {
     let qxdm = col.qxdm.as_ref()?;
     // One uplink index serves every post's window.
-    let index = PduIndex::new(qxdm, Direction::Uplink);
+    let diagnoser = Diagnoser::new(col);
     let mut acc = NetLatencyBreakdown::default();
     let mut pdus = 0usize;
     let mut pkts = 0usize;
@@ -197,16 +194,11 @@ pub fn photo_net_breakdown(col: &Collection, net: &str) -> Option<PhotoNetBreakd
             continue;
         }
         let b = window_breakdown(rec, &col.trace);
-        // Map the window's uplink packets onto PDU chains.
-        let window_pkts: Vec<(SimTime, &IpPacket)> = col
-            .trace
-            .window(rec.start, rec.end)
-            .iter()
-            .filter(|e| e.record.dir == Direction::Uplink)
-            .map(|e| (e.at, &e.record.pkt))
-            .collect();
-        let mapped = long_jump_map(&window_pkts, &index, MapperOptions::default());
-        let nb = net_latency_breakdown(rec.start, rec.end, b.network_latency, &mapped, &index);
+        let Some((nb, window_pkts)) =
+            diagnoser.radio_breakdown(rec, Direction::Uplink, b.network_latency, |_| true)
+        else {
+            continue;
+        };
         acc.ip_to_rlc += nb.ip_to_rlc;
         acc.rlc_tx += nb.rlc_tx;
         acc.ota += nb.ota;
@@ -218,7 +210,7 @@ pub fn photo_net_breakdown(col: &Collection, net: &str) -> Option<PhotoNetBreakd
             .iter()
             .filter(|e| e.record.dir == Direction::Uplink)
             .count();
-        pkts += window_pkts.len();
+        pkts += window_pkts;
         n += 1;
     }
     if n == 0 {

@@ -7,7 +7,7 @@
 //! promotes PCH→DCH directly, trading idle-state power for one promotion.
 //! The paper measured a 22.8% page-load-time reduction.
 
-use crate::scenario::{browser_world, NetKind};
+use crate::scenario::{browser_world, NetKind, PAGE_URL};
 use device::apps::BrowserConfig;
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
 use qoe_doctor::bundle::{BEHAVIOR, QXDM};
@@ -61,9 +61,9 @@ pub fn session<K: Kernel>(
     let world = browser_world(browser, net, seed);
     let mut doctor = Controller::<K>::with_kernel(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&replay::type_url("http://www.example.com/"));
+    doctor.interact(&replay::type_url(PAGE_URL));
     for _ in 0..reps {
-        replay::load_page(&mut doctor, SimDuration::from_secs(90));
+        replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(90));
         // Idle long enough for full demotion back to PCH/IDLE
         // (DCH 5 s + FACH 12 s on the default machine).
         doctor.advance(SimDuration::from_secs(25));

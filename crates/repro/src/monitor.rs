@@ -25,7 +25,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::scenario::{
-    browser_world, facebook_world_cfg, youtube_world, NetKind, SLOW_PCH_TO_FACH,
+    browser_world, facebook_world_cfg, youtube_world, NetKind, PAGE_URL, SLOW_PCH_TO_FACH,
 };
 use device::apps::{BrowserConfig, FacebookConfig, FbVersion, VideoSpec};
 use monitor::{
@@ -194,9 +194,9 @@ fn page_session(drifted: bool, loads: usize, seed: u64) -> Collection {
     let world = browser_world(BrowserConfig::chrome(), net, seed);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&replay::type_url("http://www.example.com/"));
+    doctor.interact(&replay::type_url(PAGE_URL));
     for _ in 0..loads {
-        replay::load_page(&mut doctor, SimDuration::from_secs(90));
+        replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(90));
         // Idle through full demotion so every load starts from PCH/IDLE.
         doctor.advance(SimDuration::from_secs(25));
     }

@@ -216,6 +216,10 @@ pub fn youtube_world(
     build_world(Box::new(YouTubeApp::new(cfg)), net, seed, light_qxdm)
 }
 
+/// The page every browser session loads, served by the web origin of
+/// [`browser_world`].
+pub const PAGE_URL: &str = "http://www.example.com/";
+
 /// A browser scenario.
 pub fn browser_world(cfg: BrowserConfig, net: NetKind, seed: u64) -> World {
     build_world(Box::new(BrowserApp::new(cfg)), net, seed, false)

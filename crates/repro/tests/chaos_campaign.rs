@@ -3,13 +3,18 @@
 //! exhausts the controller's retries into a `faulted` record while every
 //! other cell of the same campaign completes normally.
 //!
+//! A page load cut by an app crash must not read as a fast success on the
+//! relaunched browser's blank layout.
+//!
 //! Uses a reduced grid (one healthy video cell, one recoverable crash, the
 //! crash loop, one page fault) so the test stays fast; the full grid runs
 //! under `repro chaos`.
 
 use faults::{FaultKind, FaultLayer, FaultPlan, Window};
 use harness::{report_json, Campaign, Outcome, Record};
-use repro::chaos::{page_cell, video_cell, ChaosRow};
+use qoe_doctor::replay::PAGE_LOAD;
+use qoe_doctor::Calendar;
+use repro::chaos::{page_cell, page_session, video_cell, ChaosRow};
 use repro::NetKind;
 use simcore::{SimDuration, SimTime};
 
@@ -123,4 +128,30 @@ fn chaos_campaign_is_identical_for_1_and_4_workers() {
     assert_eq!(crash_row.crashes, 1);
     assert!(crash_row.attempts > 1);
     assert_eq!(crash_row.attributed, "device");
+}
+
+/// A browser that crashes mid-load relaunches with a blank layout whose
+/// progress bar is hidden. The load must not read as met on that layout
+/// (it once returned attempt 1, `Ok(1.49 s)`, here): the first attempt
+/// fails after the relaunch, and the retry measures a whole page load.
+#[test]
+fn crashed_page_load_is_retried_not_a_fast_success() {
+    let plan = FaultPlan::new().with_kind(FaultKind::AppCrash {
+        at: SimTime::from_millis(2_500),
+        relaunch: SimDuration::from_secs(1),
+    });
+    let session = page_session::<Calendar>(&plan, SEED);
+    assert_eq!(session.crashes, 1);
+    assert_eq!(session.attempts, 2, "the crashed first attempt must fail");
+    let first = session
+        .col
+        .behavior
+        .iter()
+        .find(|(_, r)| r.action == PAGE_LOAD)
+        .map(|(_, r)| r)
+        .expect("a page load was logged");
+    assert!(first.timed_out, "the crashed load was logged as met");
+    assert!(first.end > SimTime::from_millis(3_500), "{first:?}");
+    let measured = session.measured.expect("the retry loads the page");
+    assert!(measured > 4.0, "the retry measured {measured} s");
 }

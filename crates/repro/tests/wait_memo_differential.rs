@@ -5,9 +5,10 @@
 //! verdict otherwise. The reference wait loops here re-implement the
 //! controller's call for call but evaluate `WaitCondition::holds` on every
 //! pass. Both drive the same session scripts: a one-video throttled Fig. 17
-//! cell, the chaos video UI-freeze cell (watchdog armed), and a chaos page
-//! session whose first load is cut by an app crash and then retried. The
-//! bundles they save must be byte-identical.
+//! cell (also with its monitor deadline at the end of a stall), the chaos
+//! video UI-freeze cell (watchdog armed), and a chaos page session whose
+//! first load is cut by an app crash and then retried. The bundles they
+//! save must be byte-identical.
 
 use device::apps::VideoSpec;
 use device::UiEvent;
@@ -17,7 +18,7 @@ use qoe_doctor::{
     BehaviorRecord, Calendar, Collection, ControlError, Controller, PlaybackReport, RetryPolicy,
     StartKind, WaitCondition,
 };
-use repro::scenario::{browser_world, video_dataset, youtube_world};
+use repro::scenario::{browser_world, video_dataset, youtube_world, PAGE_URL};
 use repro::{chaos, exp75, NetKind};
 use simcore::{DetRng, SimDuration, SimTime};
 use std::path::{Path, PathBuf};
@@ -227,8 +228,18 @@ fn monitor_playback(doctor: &mut Controller, action: &str, timeout: SimDuration)
     report
 }
 
-/// `exp75::watch_session` for one video, on the reference wait loops.
-fn watch_session(net: NetKind, seed: u64) -> Collection {
+/// Which wait loops a session script runs on.
+#[derive(Clone, Copy)]
+enum Loops {
+    /// The controller's own, memoized.
+    Controller,
+    /// The reference loops above, evaluating every pass.
+    Reference,
+}
+
+/// `exp75::watch_session` for one video, on `loops`; `budget` replaces the
+/// monitor's budget.
+fn watch_session(net: NetKind, seed: u64, loops: Loops, budget: Option<SimDuration>) -> Collection {
     let dataset = video_dataset(11);
     let mut order: Vec<usize> = (0..dataset.len()).collect();
     DetRng::seed_from_u64(777).shuffle(&mut order);
@@ -238,18 +249,26 @@ fn watch_session(net: NetKind, seed: u64) -> Collection {
     doctor.advance(SimDuration::from_secs(5));
     replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(10));
-    let loaded = try_measure_after(
-        &mut doctor,
-        VIDEO_INITIAL_LOADING,
-        &replay::video_result(&spec.name),
-        &replay::player_ready(),
-        SimDuration::from_secs(240),
-    );
+    let (click, ready) = (replay::video_result(&spec.name), replay::player_ready());
+    let timeout = SimDuration::from_secs(240);
+    let loaded = match loops {
+        Loops::Controller => {
+            doctor.try_measure_after(VIDEO_INITIAL_LOADING, &click, &ready, timeout)
+        }
+        Loops::Reference => {
+            try_measure_after(&mut doctor, VIDEO_INITIAL_LOADING, &click, &ready, timeout)
+        }
+    };
     if loaded.is_ok() {
-        let budget = spec.duration * 2
-            + SimDuration::from_secs_f64(spec.total_bytes() as f64 * 8.0 / 64e3)
-            + SimDuration::from_secs(60);
-        monitor_playback(&mut doctor, "video", budget);
+        let budget = budget.unwrap_or(
+            spec.duration * 2
+                + SimDuration::from_secs_f64(spec.total_bytes() as f64 * 8.0 / 64e3)
+                + SimDuration::from_secs(60),
+        );
+        match loops {
+            Loops::Controller => doctor.monitor_playback("video", budget),
+            Loops::Reference => monitor_playback(&mut doctor, "video", budget),
+        };
         doctor.advance(SimDuration::from_secs(3));
     }
     doctor.collect()
@@ -318,7 +337,7 @@ fn chaos_page_session(plan: &FaultPlan, seed: u64) -> Cell {
     plan.arm(&mut world);
     let mut doctor = Controller::new(world).with_watchdog(SimDuration::from_secs(20));
     doctor.advance(SimDuration::from_secs(2));
-    let type_url = replay::type_url("http://www.example.com/");
+    let type_url = replay::type_url(PAGE_URL);
     let policy = RetryPolicy {
         max_attempts: 3,
         backoff: SimDuration::from_secs(5),
@@ -327,7 +346,7 @@ fn chaos_page_session(plan: &FaultPlan, seed: u64) -> Cell {
     let result = measure_with_retry(
         &mut doctor,
         std::slice::from_ref(&type_url),
-        &replay::page_loaded(),
+        &replay::page_loaded(PAGE_URL),
         SimDuration::from_secs(60),
         &policy,
     );
@@ -344,7 +363,7 @@ fn chaos_page_session(plan: &FaultPlan, seed: u64) -> Cell {
         &mut doctor,
         PAGE_LOAD,
         &UiEvent::KeyEnter,
-        &replay::page_loaded(),
+        &replay::page_loaded(PAGE_URL),
         SimDuration::from_secs(60),
     )
     .ok();
@@ -426,7 +445,7 @@ fn throttled_fig17_cell_matches_the_reference_waits() {
         let net = NetKind::LteThrottled(exp75::CAP_RATE);
         let label = format!("fig17/{}/{seed}", net.label());
         let memo = exp75::watch_session::<Calendar>(net, 1, seed);
-        let reference = watch_session(net, seed);
+        let reference = watch_session(net, seed, Loops::Reference, None);
         let playbacks = memo
             .behavior
             .iter()
@@ -459,8 +478,9 @@ fn chaos_ui_freeze_cell_matches_the_reference_waits() {
 fn crash_then_retry_page_session_matches_the_reference_waits() {
     // The first load starts at 2 s and the app crashes mid-load. Its blank
     // UI stays unchanged until the relaunch at 32.5 s, so the 20 s watchdog
-    // ends the first attempt as frozen and the second one waits out the
-    // relaunch.
+    // ends the first attempt as frozen. The second attempt types into the
+    // dead app, so the relaunched layout never shows the page and the
+    // watchdog ends that attempt too; the third loads the page.
     let plan = FaultPlan::new().with_kind(FaultKind::AppCrash {
         at: SimTime::from_millis(2_500),
         relaunch: SimDuration::from_secs(30),
@@ -470,10 +490,49 @@ fn crash_then_retry_page_session_matches_the_reference_waits() {
         let memo = chaos::page_session::<Calendar>(&plan, seed);
         let reference = chaos_page_session(&plan, seed);
         assert_eq!(memo.crashes, 1, "{label}: the app never crashed");
-        assert_eq!(memo.attempts, 2, "{label}: the load was not retried once");
+        assert_eq!(memo.attempts, 3, "{label}: the load was not retried twice");
         assert_eq!(memo.attempts, reference.attempts, "{label}");
         assert_eq!(memo.ui_frozen, reference.ui_frozen, "{label}");
         assert_eq!(memo.crashes, reference.crashes, "{label}");
         assert_same_bundles(&label, seed, &memo.col, &reference.col);
+    }
+}
+
+#[test]
+fn stall_wait_ending_at_the_monitor_deadline_matches_the_reference_waits() {
+    // A stall wait always runs a pass, so it may end at or past the
+    // monitor's deadline; no pass may start after it then. Put the deadline
+    // at the end of the first met stall wait of a full session: the
+    // trajectory up to it is unchanged, and the session ends there.
+    let net = NetKind::LteThrottled(exp75::CAP_RATE);
+    for seed in SEEDS {
+        let label = format!("deadline/{}/{seed}", net.label());
+        let full = watch_session(net, seed, Loops::Controller, None);
+        let first = |col: &Collection, action: &str| {
+            col.behavior
+                .iter()
+                .find(|(_, r)| r.action == action && !r.timed_out)
+                .map(|(_, r)| r.clone())
+        };
+        let playback_start = first(&full, VIDEO_INITIAL_LOADING)
+            .expect("the video loaded")
+            .end;
+        let stall_end = first(&full, "video:rebuffer")
+            .expect("the video stalled")
+            .end;
+        let budget = stall_end.saturating_since(playback_start);
+        let memo = watch_session(net, seed, Loops::Controller, Some(budget));
+        let reference = watch_session(net, seed, Loops::Reference, Some(budget));
+        let (_, summary) = memo
+            .behavior
+            .iter()
+            .find(|(_, r)| r.action == "video:playback")
+            .expect("a playback summary");
+        assert_eq!(
+            summary.end, stall_end,
+            "{label}: a pass ran past the deadline"
+        );
+        assert!(summary.timed_out, "{label}");
+        assert_same_bundles(&label, seed, &memo, &reference);
     }
 }

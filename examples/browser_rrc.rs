@@ -10,15 +10,15 @@
 use device::apps::BrowserConfig;
 use qoe_doctor::analyze::radio::{first_hop_ota_rtts, residencies};
 use qoe_doctor::{replay, Controller};
-use repro::scenario::{browser_world, NetKind};
+use repro::scenario::{browser_world, NetKind, PAGE_URL};
 use simcore::SimDuration;
 
 fn load_page(net: NetKind) {
     let world = browser_world(BrowserConfig::chrome(), net, 99);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&replay::type_url("http://www.example.com/"));
-    let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
+    doctor.interact(&replay::type_url(PAGE_URL));
+    let rec = replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(60));
     let col = doctor.collect();
 
     println!("--- {} ---", net.label());

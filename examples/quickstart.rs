@@ -37,8 +37,9 @@ fn main() {
     let mut doctor = Controller::new(World::new(phone, internet));
     doctor.advance(SimDuration::from_secs(1)); // app launch settles
 
-    doctor.interact(&replay::type_url("http://www.example.com/"));
-    let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
+    let url = "http://www.example.com/";
+    doctor.interact(&replay::type_url(url));
+    let rec = replay::load_page(&mut doctor, url, SimDuration::from_secs(60));
 
     println!("raw measurement  : {}", rec.raw());
     println!("mean parse cost  : {}", rec.mean_parse);

@@ -16,7 +16,9 @@ use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING}
 use qoe_doctor::Controller;
 use radio::power::PowerModel;
 use radio::rrc::RrcState;
-use repro::scenario::{browser_world, facebook_world, youtube_world, NetKind, PUSH_BYTES};
+use repro::scenario::{
+    browser_world, facebook_world, youtube_world, NetKind, PAGE_URL, PUSH_BYTES,
+};
 use simcore::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------
@@ -237,8 +239,8 @@ fn page_load_and_long_jump_mapping_on_3g() {
     let world = browser_world(BrowserConfig::chrome(), NetKind::Umts3g, 8);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&replay::type_url("http://www.example.com/"));
-    let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
+    doctor.interact(&replay::type_url(PAGE_URL));
+    let rec = replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(60));
     assert!(!rec.timed_out);
     let col = doctor.collect();
     let qxdm = col.qxdm.as_ref().unwrap();
@@ -271,8 +273,8 @@ fn simplified_rrc_machine_loads_pages_faster() {
         let world = browser_world(BrowserConfig::chrome(), net, 9);
         let mut doctor = Controller::new(world);
         doctor.advance(SimDuration::from_secs(2));
-        doctor.interact(&replay::type_url("http://www.example.com/"));
-        let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
+        doctor.interact(&replay::type_url(PAGE_URL));
+        let rec = replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(60));
         assert!(!rec.timed_out);
         rec.calibrated()
     };
@@ -376,8 +378,8 @@ fn table1_replay_specs_execute_end_to_end() {
     let world = browser_world(BrowserConfig::chrome(), NetKind::Wifi, 21);
     let mut doctor = Controller::new(world);
     doctor.advance(SimDuration::from_secs(1));
-    doctor.interact(&replay::type_url("http://www.example.com/"));
-    let rec = replay::load_page(&mut doctor, SimDuration::from_secs(90));
+    doctor.interact(&replay::type_url(PAGE_URL));
+    let rec = replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(90));
     assert_eq!(doctor.log.len(), 1);
     assert_eq!(last_logged(&doctor), rec);
     assert_eq!(rec.action, PAGE_LOAD);
@@ -468,8 +470,8 @@ fn identical_seeds_reproduce_identical_measurements() {
         let world = browser_world(BrowserConfig::firefox(), NetKind::Lte, 1234);
         let mut doctor = Controller::new(world);
         doctor.advance(SimDuration::from_secs(2));
-        doctor.interact(&replay::type_url("http://www.example.com/"));
-        let rec = replay::load_page(&mut doctor, SimDuration::from_secs(60));
+        doctor.interact(&replay::type_url(PAGE_URL));
+        let rec = replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(60));
         let col = doctor.collect();
         (rec.calibrated(), col.trace.len(), col.camera.len())
     };
