@@ -91,7 +91,7 @@ fn bench_wake_calendar(c: &mut Criterion) {
     for slots in [8usize, 16] {
         let mut cal = WakeCalendar::new(slots);
         for id in 0..slots {
-            cal.set(id, Some(SimTime::from_millis(id as u64)), false);
+            cal.set(id, Some(SimTime::from_millis(id as u64)));
         }
         let mut now = 0u64;
         g.bench_function(&format!("wake_calendar_step_{slots}"), |b| {
@@ -100,7 +100,7 @@ fn bench_wake_calendar(c: &mut Criterion) {
                 for i in 0..1_000u64 {
                     now += 1;
                     let wake = SimTime::from_micros(now + (i * 7919) % 5_000);
-                    cal.set(i as usize % slots, Some(wake), i % 5 == 0);
+                    cal.set(i as usize % slots, Some(wake));
                     heads = heads.wrapping_add(cal.next().map_or(0, |t| t.as_micros()));
                 }
                 heads

@@ -78,8 +78,8 @@ pub trait App {
     /// whenever packets reach the host or a UI event is injected.
     fn next_wake(&self) -> Option<SimTime>;
     /// True while a tick before [`App::next_wake`] (with no packet or UI
-    /// event since the last tick) is not a no-op: the app then runs at every
-    /// step of the world, as the wake calendar's follower. An app that
+    /// event since the last tick) is not a no-op: the world then ticks the
+    /// app at every step it takes, whoever caused the step. An app that
     /// starts work in one tick and only picks it up in the next (a request
     /// created after its RPCs were polled) says so here.
     fn follows_every_step(&self) -> bool {
@@ -316,8 +316,8 @@ impl Phone {
     // fault plan (launch, crashes, relaunches, tech switches), the link
     // (bearer or WiFi pipes, delivering downlink packets to the host), the
     // app, and the host (protocol timers and uplink egress). Each reports
-    // its own wake; a tick before it is a no-op, except for the link and
-    // app while they report `*_follows`.
+    // its own wake; a tick before it is a no-op, except for an app while it
+    // reports `app_follows`.
 
     /// Wake of the fault plan: the first launch, then scheduled crashes,
     /// relaunches and tech switches.
@@ -380,15 +380,6 @@ impl Phone {
         match &self.net {
             NetAttachment::Cell(b) => b.next_wake(),
             NetAttachment::Wifi { up, down } => earlier(up.next_wake(), down.next_wake()),
-        }
-    }
-
-    /// True while the link must run at every step (see
-    /// [`CellBearer::follows_every_step`]). WiFi pipes never do.
-    pub fn link_follows(&self) -> bool {
-        match &self.net {
-            NetAttachment::Cell(b) => b.follows_every_step(),
-            NetAttachment::Wifi { .. } => false,
         }
     }
 

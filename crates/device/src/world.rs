@@ -17,13 +17,15 @@
 //! its uplink into the internet), every due server, then the downlink back
 //! to the phones. A component is re-registered after its own tick and after
 //! every handoff into it, so a step never visits a component with nothing
-//! to do.
+//! to do. The calendar holds wakes only: the one component a step runs
+//! before its wake is an app that follows every step
+//! ([`Phone::app_follows`], read from the phone at each step).
 //!
-//! When a phone's cellular link is the only slot due and no other slot
-//! follows, the step first runs the bearer's own later wakes up to just
-//! before the earliest other wake ([`radio::bearer::CellBearer::run`]),
-//! and the rest of the step runs at the instant the bearer stopped (DESIGN
-//! §7 "Kernel: wake calendar").
+//! When a phone's cellular link is the only slot due and no app follows,
+//! the step first runs the bearer's own later wakes up to just before the
+//! earliest other wake ([`radio::bearer::CellBearer::run`]), and the rest
+//! of the step runs at the instant the bearer stopped (DESIGN §7 "Kernel:
+//! wake calendar").
 
 use crate::phone::{NetAttachment, Phone};
 use crate::servers::{Internet, Routed};
@@ -85,27 +87,20 @@ impl World {
 
     /// The phone whose cellular link may run private instants in a step at
     /// `now`, and the instant they may run up to: when that link is the only
-    /// slot due and no other slot follows, nothing else in the world runs
-    /// before the earliest other wake, so the bearer's own wakes until just
-    /// before it (or `target`) are instants where only the bearer works.
+    /// slot due and no app follows, nothing else in the world runs before
+    /// the earliest other wake, so the bearer's own wakes until just before
+    /// it (or `target`) are instants where only the bearer works.
     fn private_run(&self, now: SimTime, target: SimTime) -> Option<(usize, SimTime)> {
         let k = (0..self.phones()).find(|&k| self.cal.is_due(PHONE_PARTS * k + LINK, now))?;
-        let device = if k == 0 {
-            &self.phone
-        } else {
-            &self.peers[k - 1]
-        };
-        if !matches!(device.net, NetAttachment::Cell(_)) {
+        let mut devices = std::iter::once(&self.phone).chain(&self.peers);
+        if !matches!(devices.clone().nth(k)?.net, NetAttachment::Cell(_)) {
             return None;
         }
-        let (others, follows) = self.cal.others(PHONE_PARTS * k + LINK);
-        if follows || others.is_some_and(|w| w <= now) {
+        let others = self.cal.others(PHONE_PARTS * k + LINK);
+        if others.is_some_and(|w| w <= now) || devices.any(Phone::app_follows) {
             return None;
         }
-        let limit = match others {
-            Some(w) => target.min(w - SimDuration::from_micros(1)),
-            None => target,
-        };
+        let limit = others.map_or(target, |w| target.min(w - SimDuration::from_micros(1)));
         Some((k, limit))
     }
 
@@ -129,22 +124,22 @@ impl World {
 
 /// Re-register every part of a phone.
 fn register_phone(cal: &mut WakeCalendar, base: ComponentId, phone: &mut Phone) {
-    cal.set(base + FAULTS, phone.faults_wake(), false);
+    cal.set(base + FAULTS, phone.faults_wake());
     register_link(cal, base, phone);
     register_app(cal, base, phone);
     register_host(cal, base, phone);
 }
 
 fn register_link(cal: &mut WakeCalendar, base: ComponentId, phone: &Phone) {
-    cal.set(base + LINK, phone.link_wake(), phone.link_follows());
+    cal.set(base + LINK, phone.link_wake());
 }
 
 fn register_app(cal: &mut WakeCalendar, base: ComponentId, phone: &Phone) {
-    cal.set(base + APP, phone.app_wake(), phone.app_follows());
+    cal.set(base + APP, phone.app_wake());
 }
 
 fn register_host(cal: &mut WakeCalendar, base: ComponentId, phone: &mut Phone) {
-    cal.set(base + HOST, phone.host_wake(), false);
+    cal.set(base + HOST, phone.host_wake());
 }
 
 /// Run phone `k`'s due parts at `now` and route its uplink into the
@@ -175,7 +170,7 @@ fn step_phone(
             register_host(cal, base, phone);
         }
     }
-    if cal.is_due(base + APP, now) {
+    if phone.app_follows() || cal.is_due(base + APP, now) {
         phone.tick_app(now);
         register_app(cal, base, phone);
         register_host(cal, base, phone);
@@ -233,13 +228,13 @@ impl Tick for World {
         let dns = nodes + internet.nodes.len();
         if cal.is_due(dns, now) {
             internet.take_dns_egress(downlink);
-            cal.set(dns, None, false);
+            cal.set(dns, None);
         }
         for i in 0..internet.nodes.len() {
             if cal.is_due(nodes + i, now) {
                 internet.tick_node(i, now);
                 internet.take_node_egress(i, downlink);
-                cal.set(nodes + i, internet.node_wake(i), false);
+                cal.set(nodes + i, internet.node_wake(i));
             }
         }
         // Route downlink traffic to whichever device owns the address.
@@ -274,10 +269,10 @@ impl Tick for World {
         for i in 0..self.internet.nodes.len() {
             let id = self.node_id(i);
             let wake = self.internet.node_wake(i);
-            self.cal.set(id, wake, false);
+            self.cal.set(id, wake);
         }
         let dns = self.dns_id();
-        self.cal.set(dns, self.internet.dns_wake(), false);
+        self.cal.set(dns, self.internet.dns_wake());
     }
 
     fn due_report(&self, now: SimTime) -> String {
@@ -289,8 +284,11 @@ impl Tick for World {
 mod tests {
     use super::*;
     use crate::phone::{App, AppCx, NetAttachment, UiEvent};
+    use crate::servers::ServerApp;
     use netstack::{IpAddr, SocketAddr};
     use simcore::DetRng;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// An app that asks for work at t = 0 forever and never does any.
     struct Spinning;
@@ -305,6 +303,81 @@ mod tests {
         fn next_wake(&self) -> Option<SimTime> {
             Some(SimTime::ZERO)
         }
+    }
+
+    /// An app with no wakes of its own that counts its ticks shared with the
+    /// test, and follows every step when told to.
+    struct Counting {
+        follows: bool,
+        ticks: Rc<Cell<u32>>,
+    }
+
+    impl App for Counting {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn start(&mut self, _cx: &mut AppCx) {}
+        fn on_ui_event(&mut self, _ev: &UiEvent, _cx: &mut AppCx) {}
+        fn tick(&mut self, _cx: &mut AppCx) {
+            self.ticks.set(self.ticks.get() + 1);
+        }
+        fn next_wake(&self) -> Option<SimTime> {
+            None
+        }
+        fn follows_every_step(&self) -> bool {
+            self.follows
+        }
+    }
+
+    /// A server that wakes every second and does nothing.
+    struct Metronome {
+        next: SimTime,
+    }
+
+    impl ServerApp for Metronome {
+        fn tick(&mut self, _host: &mut netstack::Host, now: SimTime, _rng: &mut DetRng) {
+            while self.next <= now {
+                self.next += SimDuration::from_secs(1);
+            }
+        }
+        fn next_wake(&self) -> Option<SimTime> {
+            Some(self.next)
+        }
+    }
+
+    /// App ticks in a WiFi world whose only other work after launch is a
+    /// server waking at 1, 2 and 3 s.
+    fn app_ticks(follows: bool) -> u32 {
+        let mut rng = DetRng::seed_from_u64(1);
+        let resolver = SocketAddr::new(IpAddr::new(8, 8, 8, 8), 53);
+        let mut internet = Internet::new(resolver, rng.fork(1));
+        let metronome = Metronome {
+            next: SimTime::from_secs(1),
+        };
+        internet.add_server("metronome", IpAddr::new(31, 13, 0, 9), Box::new(metronome));
+        let ticks = Rc::new(Cell::new(0));
+        let app = Counting {
+            follows,
+            ticks: ticks.clone(),
+        };
+        let phone = Phone::new(
+            IpAddr::new(10, 0, 0, 1),
+            resolver,
+            NetAttachment::wifi(&mut rng),
+            Box::new(app),
+            rng.fork(2),
+        );
+        let mut world = World::new(phone, internet);
+        simcore::advance(&mut world, SimTime::ZERO, SimTime::from_millis(3_500));
+        ticks.get()
+    }
+
+    #[test]
+    fn only_a_following_app_runs_at_steps_other_components_caused() {
+        // Both apps run at launch; only the follower also runs at the
+        // server's three wakes.
+        assert_eq!(app_ticks(false), 1);
+        assert_eq!(app_ticks(true), 4);
     }
 
     #[test]

@@ -331,8 +331,8 @@ fn poster_tick_before_wake_is_a_noop() {
 #[test]
 fn youtube_follows_every_step() {
     // Each tick advances the request-tag counter and integrates playback
-    // over the ticked instants: the app is registered as a follower rather
-    // than a wake-driven component.
+    // over the ticked instants: the world ticks it at every step rather
+    // than at its own wakes only.
     let cfg = YouTubeConfig {
         videos: vec![VideoSpec {
             name: "clip".into(),

@@ -39,4 +39,4 @@ mod staged;
 pub use campaign::{default_workers, Campaign, CampaignRun, Job, JobResult, Outcome};
 pub use json::Json;
 pub use report::{report_json, write_report, Record};
-pub use staged::{bundle_dir, BundleRow, StageMode, StageStats, StagedCampaign};
+pub use staged::{bundle_dir, slug, BundleRow, StageMode, StageStats, StagedCampaign};

@@ -241,7 +241,9 @@ pub fn bundle_dir(
         .join(format!("{}-{key:016x}", slug(label)))
 }
 
-fn slug(s: &str) -> String {
+/// Filesystem-safe slug of a campaign, job or cell label: alphanumerics,
+/// `-` and `.` pass through, anything else becomes `_`.
+pub fn slug(s: &str) -> String {
     s.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '-' || c == '.' {

@@ -23,6 +23,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use harness::slug;
 use trace::{fnv1a, BundleArtifact};
 
 use crate::error::MonitorError;
@@ -241,21 +242,6 @@ impl EpochStore {
         }
         Ok(artifact)
     }
-}
-
-/// Filesystem-safe slug of a cell label (mirrors the harness bundle-dir
-/// convention: alphanumerics, `-` and `.` pass through, anything else
-/// becomes `_`).
-pub fn slug(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -424,12 +424,13 @@ fn settled_limiter_refill_before_wake_is_a_noop() {
     }
 }
 
-/// Why a cellular bearer with an unsettled limiter follows every step
-/// (`CellBearer::follows_every_step`): a refill rounds the token count at
-/// the instant it runs, so one extra `take_ready` before the wake of a
+/// Why a cellular bearer refills its limiters only at its own wakes (its
+/// tick returns at once before its wake): a refill rounds the token count
+/// at the instant it runs, so one extra `take_ready` before the wake of a
 /// shaping limiter with a queue moves that wake, and with it the packets
-/// that pass. Golden outputs cannot show this: dropping the bearer's
-/// follower registration left every recorded output unchanged.
+/// that pass. A bearer whose limiters refilled whenever its owner happened
+/// to tick it would then depend on how the owner steps. Golden outputs
+/// cannot show this: they are the same either way.
 #[test]
 fn unsettled_limiter_refill_before_wake_moves_its_wake() {
     let cfg = ShaperConfig::shaping(256e3);

@@ -249,8 +249,24 @@ impl CellBearer {
         }
     }
 
-    /// Advance the bearer's machinery to `now`.
+    /// Advance the bearer's machinery to `now`. A tick before
+    /// [`CellBearer::next_wake`] returns at once, so the bearer runs only
+    /// at its own wakes, and no timing depends on how often its owner
+    /// ticks it:
+    /// - queued data refreshes the RRC inactivity timer at each of the
+    ///   bearer's own ticks, and a backlog drains only inside one of them;
+    /// - the rate limiters refill only at the bearer's own wakes, so each
+    ///   refill rounds its token count at the same instants however the
+    ///   owner steps.
     pub fn tick(&mut self, now: SimTime) {
+        if self.next_wake().is_some_and(|w| w <= now) {
+            self.step(now);
+        }
+    }
+
+    /// The body of [`CellBearer::tick`], for an instant at or after the
+    /// bearer's wake.
+    fn step(&mut self, now: SimTime) {
         self.rrc.tick(now);
 
         // Downlink arrivals from the core enter the limiter, then RLC.
@@ -327,30 +343,30 @@ impl CellBearer {
 
     /// Tick at `now`, then at each later wake of the bearer's own up to
     /// `limit`, and return the instant of the last tick. Each later instant
-    /// is reported to the sim-time watchdog. The run stops early when the
-    /// next wake is at or before the instant just ran; that includes every
-    /// instant where a packet is due to leave (a downlink exit toward the
-    /// phone or a core-pipe arrival toward the internet), since only the
-    /// owner's takes clear those.
+    /// is one of the bearer's wakes, so it runs without
+    /// [`CellBearer::tick`]'s check, and is reported to the sim-time
+    /// watchdog. The run stops early when the next wake is at or before the
+    /// instant just ran; that includes every instant where a packet is due
+    /// to leave (a downlink exit toward the phone or a core-pipe arrival
+    /// toward the internet), since only the owner's takes clear those.
     ///
     /// The owner runs the bearer this way only when nothing else in its
-    /// world is due or follows before `limit`: every instant in between then
-    /// costs the bearer's own tick and nothing else, exactly as stepping the
+    /// world has work before `limit`: every instant in between then costs
+    /// the bearer's own tick and nothing else, exactly as stepping the
     /// world at each of them would.
     pub fn run(&mut self, mut now: SimTime, limit: SimTime) -> SimTime {
-        loop {
-            self.tick(now);
-            if now >= limit {
-                return now;
-            }
+        self.tick(now);
+        while now < limit {
             match self.next_wake() {
                 Some(wake) if wake > now && wake <= limit => {
                     simcore::watchdog::observe(wake);
                     now = wake;
+                    self.step(now);
                 }
-                _ => return now,
+                _ => break,
             }
         }
+        now
     }
 
     /// Earliest instant the bearer has work.
@@ -374,26 +390,6 @@ impl CellBearer {
             wake = earlier(wake, Some(SimTime::ZERO));
         }
         wake
-    }
-
-    /// True while a tick before [`CellBearer::next_wake`] is not a no-op,
-    /// so the owner must tick the bearer at every step of the run, as the
-    /// calendar's follower. Two couplings: queued data refreshes the RRC
-    /// inactivity timer at every tick (`on_data(0, now)`), and an unsettled
-    /// rate limiter refills its bucket at every tick, rounding the token
-    /// count at that instant.
-    ///
-    /// Golden outputs cannot show that the second coupling matters:
-    /// dropping this registration left every recorded output unchanged.
-    /// `netstack`'s `unsettled_limiter_refill_before_wake_moves_its_wake`
-    /// test does: one extra refill of a queued shaping limiter moves its
-    /// wake by 1 µs and changes the packets that pass.
-    pub fn follows_every_step(&self) -> bool {
-        let unsettled = |rl: &Option<RateLimiter>| rl.as_ref().is_some_and(|rl| !rl.is_settled());
-        self.ul.has_backlog()
-            || self.dl.has_backlog()
-            || unsettled(&self.limiter_dl)
-            || unsettled(&self.limiter_ul)
     }
 }
 

@@ -1,11 +1,12 @@
 //! Ticking a radio component before its wake is a no-op.
 //!
 //! The wake calendar ticks the RRC machine and the bearer only when their
-//! wake has come, unless the bearer declares itself a follower (queued data
-//! refreshes the RRC inactivity timer at every tick; an unsettled rate
-//! limiter rounds its bucket at every tick). Each test runs a twin that
-//! also gets extra ticks at instants before its wake and requires: nothing
-//! out, the same wake, and the same logs at the end.
+//! wake has come. The bearer's tick returns at once before its wake, so
+//! neither queued data (which refreshes the RRC inactivity timer) nor a
+//! drawn-down rate limiter (which rounds its bucket at each refill) makes
+//! an early tick count. Each test runs a twin that also gets extra ticks at
+//! instants before its wake and requires: nothing out, the same wake, and
+//! the same logs at the end.
 
 use netstack::{IpAddr, IpPacket, Proto, SocketAddr, TcpFlags, TcpHeader};
 use radio::bearer::{BearerConfig, CellBearer};
@@ -95,8 +96,8 @@ fn rrc_tick_before_wake_is_a_noop() {
 }
 
 /// Bursty two-way traffic through a bearer; with `extra`, the bearer is
-/// also ticked before its wake whenever it does not follow every step.
-/// Returns every packet that crossed, with its instant, plus the QxDM log.
+/// also ticked before its wake after each of its own ticks. Returns every
+/// packet that crossed, with its instant, plus the QxDM log.
 fn bearer_run(cfg: BearerConfig, storm: bool, extra: Option<u64>) -> String {
     let mut rng0 = DetRng::seed_from_u64(11);
     let mut b = CellBearer::new(cfg, &mut rng0);
@@ -121,9 +122,6 @@ fn bearer_run(cfg: BearerConfig, storm: bool, extra: Option<u64>) -> String {
             crossed.extend(buf.drain(..).map(|p| (now, p.id)));
             if let Some(rng) = rng.as_mut() {
                 let wake = b.next_wake();
-                if b.follows_every_step() {
-                    continue;
-                }
                 if let Some(t) = before_wake(rng, now, wake) {
                     b.tick(t);
                     extra_ticks += 1;
@@ -153,7 +151,7 @@ fn bearer_run(cfg: BearerConfig, storm: bool, extra: Option<u64>) -> String {
 }
 
 #[test]
-fn bearer_tick_before_wake_is_a_noop_unless_it_follows() {
+fn bearer_tick_before_wake_is_a_noop() {
     for (cfg, storm) in [
         (BearerConfig::umts_3g(), false),
         (BearerConfig::umts_3g(), true),
@@ -172,33 +170,67 @@ fn bearer_tick_before_wake_is_a_noop_unless_it_follows() {
     }
 }
 
+/// Drive `b` through its own wakes up to `until`, recording every packet
+/// that crossed; with `early`, tick it once at `early` on the way.
+fn drain(b: &mut CellBearer, until: SimTime, early: Option<SimTime>) -> String {
+    let mut crossed = Vec::new();
+    let mut buf = Vec::new();
+    let (mut early, mut last) = (early, SimTime::ZERO);
+    while let Some(w) = b.next_wake().filter(|w| *w <= until) {
+        if let Some(t) = early.take_if(|t| last <= *t && *t < w) {
+            b.tick(t);
+            b.recv_for_internet(t, &mut buf);
+            b.recv_for_phone(t, &mut buf);
+            assert!(buf.is_empty(), "early tick at {t} moved packets");
+            assert_eq!(b.next_wake(), Some(w), "early tick at {t} moved the wake");
+        }
+        b.tick(w);
+        b.recv_for_internet(w, &mut buf);
+        b.recv_for_phone(w, &mut buf);
+        crossed.extend(buf.drain(..).map(|p| (w, p.id)));
+        last = w;
+    }
+    assert!(early.is_none(), "the early tick never ran");
+    let (log, truth) = b.qxdm.take_logs();
+    format!("{crossed:?} {log:?} {}", truth.len())
+}
+
+/// The two states in which the body of a bearer tick does work before the
+/// wake: a 3G bearer with queued uplink (it refreshes the RRC inactivity
+/// timer) and a policed LTE bearer whose bucket is drawn down (it refills
+/// the bucket). One tick before the wake in either state leaves the wake,
+/// the crossed packets and the QxDM log as an untouched twin's.
 #[test]
-fn queued_data_makes_the_bearer_follow() {
-    let mut rng = DetRng::seed_from_u64(1);
-    let mut b = CellBearer::new(BearerConfig::umts_3g(), &mut rng);
-    assert!(!b.follows_every_step());
-    b.send_uplink(pkt(1, 1_000, true), SimTime::ZERO);
-    assert!(
-        b.follows_every_step(),
-        "backlog refreshes the RRC timer per tick"
-    );
-    let mut throttled = CellBearer::new(BearerConfig::lte().with_throttle(128e3), &mut rng);
-    assert!(
-        !throttled.follows_every_step(),
-        "a full, idle bucket is settled"
-    );
-    throttled.send_downlink(pkt(2, 1_400, false), SimTime::ZERO);
-    let mut now = SimTime::ZERO;
-    while let Some(w) = throttled.next_wake() {
-        now = w;
-        throttled.tick(now);
-        if throttled.follows_every_step() {
-            break;
+fn early_tick_with_backlog_or_a_drawn_down_bucket_is_a_noop() {
+    // Queued uplink waits about 2 s for promotion out of PCH.
+    let queued = || {
+        let mut b = CellBearer::new(BearerConfig::umts_3g(), &mut DetRng::seed_from_u64(1));
+        b.send_uplink(pkt(1, 1_000, true), SimTime::ZERO);
+        b.send_uplink(pkt(2, 1_400, true), SimTime::ZERO);
+        b
+    };
+    // Two packets reach the 8 kB bucket at about 15 ms and leave it short
+    // by 2.9 kB, which a 128 kb/s refill restores by about 200 ms; a third
+    // reaches it at about 415 ms.
+    let policed = || {
+        let cfg = BearerConfig::lte().with_throttle(128e3);
+        let mut b = CellBearer::new(cfg, &mut DetRng::seed_from_u64(2));
+        for (id, ms) in [(1, 0), (2, 0), (3, 400)] {
+            b.send_downlink(pkt(id, 1_400, false), SimTime::from_millis(ms));
+        }
+        b
+    };
+    let until = SimTime::from_secs(30);
+    let cases: [(&dyn Fn() -> CellBearer, &[u64]); 2] =
+        [(&queued, &[1, 900]), (&policed, &[30, 100, 150, 430])];
+    for (make, instants) in cases {
+        let plain = drain(&mut make(), until, None);
+        for &ms in instants {
+            let early = Some(SimTime::from_millis(ms));
+            assert!(
+                drain(&mut make(), until, early) == plain,
+                "an early tick at {ms} ms changed the bearer's output"
+            );
         }
     }
-    assert!(
-        throttled.follows_every_step(),
-        "a drawn-down bucket refills per tick"
-    );
-    assert!(now < SimTime::from_secs(5));
 }

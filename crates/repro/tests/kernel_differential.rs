@@ -237,8 +237,8 @@ fn chaos_page_cells_match_the_reference_kernel() {
 #[test]
 fn wifi_and_throttled_page_loads_match_the_reference_kernel() {
     for seed in SEEDS {
-        // Unsettled limiters make the bearer follow the root, which bounds
-        // its private runs differently from the unthrottled machines.
+        // Throttled bearers refill their limiters at their own wakes only,
+        // while the reference ticks them at every instant anything is due.
         for net in [
             NetKind::Wifi,
             NetKind::Umts3gThrottled(900e3),

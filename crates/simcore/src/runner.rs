@@ -18,8 +18,8 @@ pub trait Tick {
     /// Run every component due at or before `now`, and return the instant
     /// the step ended at: `now`, or a later instant no later than `target`
     /// when the root ran a component's own later wakes inside the step
-    /// because nothing else was due or following before them (see DESIGN §7
-    /// "Kernel: wake calendar"). [`advance`] moves its clock there.
+    /// because nothing else had work before them (see DESIGN §7 "Kernel:
+    /// wake calendar"). [`advance`] moves its clock there.
     fn tick(&mut self, now: SimTime, target: SimTime) -> SimTime;
 
     /// Earliest instant at which some component next has work, or `None`
@@ -98,21 +98,19 @@ pub type ComponentId = usize;
 
 /// One wake slot per component.
 ///
-/// Each component registers the instant it next has work. The head of the
-/// calendar is the next instant the root must tick. A component may also
-/// *follow* the root: it is then due at every step the root takes, whether
-/// or not its own wake has come, without making the root step by itself.
-/// That is the explicit registration for a component whose tick is not a
-/// no-op before its wake (it integrates over the instants it is ticked at).
+/// Each component registers the instant it next has work, and the head of
+/// the calendar is the next instant the root must tick. The calendar holds
+/// wakes only: a component is due when its wake has come. A root that must
+/// also run a component before its wake (DESIGN §7 "Kernel: wake calendar":
+/// a device world's apps that follow every step) decides that itself.
 ///
-/// Registration is two stores and the head is a scan over the slots. That
+/// Registration is one store and the head is a scan over the slots. That
 /// is sized for today's worlds, 4 × phones + servers + 1 slots (under a
 /// dozen), where the scan beats keeping an ordered set in step; many-phone
 /// worlds (ROADMAP item 4's multi-UE cells) should revisit it.
 #[derive(Debug, Default, Clone)]
 pub struct WakeCalendar {
     wakes: Vec<Option<SimTime>>,
-    follows: Vec<bool>,
 }
 
 impl WakeCalendar {
@@ -120,7 +118,6 @@ impl WakeCalendar {
     pub fn new(n: usize) -> WakeCalendar {
         WakeCalendar {
             wakes: vec![None; n],
-            follows: vec![false; n],
         }
     }
 
@@ -134,25 +131,21 @@ impl WakeCalendar {
         self.wakes.is_empty()
     }
 
-    /// Register `id`'s next wake (replacing its previous one) and whether it
-    /// follows the root.
-    pub fn set(&mut self, id: ComponentId, wake: Option<SimTime>, follows: bool) {
+    /// Register `id`'s next wake, replacing its previous one.
+    pub fn set(&mut self, id: ComponentId, wake: Option<SimTime>) {
         self.wakes[id] = wake;
-        self.follows[id] = follows;
     }
 
     /// Make `id` due at `now` unless it already is (a handoff to it).
     pub fn poke(&mut self, id: ComponentId, now: SimTime) {
-        if self.wakes[id].is_none_or(|w| w > now) {
-            let follows = self.follows[id];
-            self.set(id, Some(now), follows);
+        if !self.is_due(id, now) {
+            self.wakes[id] = Some(now);
         }
     }
 
-    /// True when `id` runs in a step at `now`: its wake has come or it
-    /// follows the root.
+    /// True when `id`'s wake has come by `now`.
     pub fn is_due(&self, id: ComponentId, now: SimTime) -> bool {
-        self.follows[id] || self.wakes[id].is_some_and(|w| w <= now)
+        self.wakes[id].is_some_and(|w| w <= now)
     }
 
     /// The head: the earliest registered wake.
@@ -160,26 +153,19 @@ impl WakeCalendar {
         self.wakes.iter().flatten().min().copied()
     }
 
-    /// The earliest registered wake among every slot but `id`, and whether
-    /// any slot but `id` follows the root.
-    pub fn others(&self, id: ComponentId) -> (Option<SimTime>, bool) {
-        let mut wake = None;
-        let mut follows = false;
-        for (other, (w, f)) in self.wakes.iter().zip(&self.follows).enumerate() {
-            if other != id {
-                wake = earlier(wake, *w);
-                follows |= f;
-            }
-        }
-        (wake, follows)
+    /// The earliest registered wake among every slot but `id`.
+    pub fn others(&self, id: ComponentId) -> Option<SimTime> {
+        let before = self.wakes[..id].iter().flatten().min();
+        let after = self.wakes[id + 1..].iter().flatten().min();
+        earlier(before.copied(), after.copied())
     }
 
-    /// Every component due at `now`, by id, with its wake (`None` for a
-    /// follower whose own wake has not come).
-    pub fn due_at(&self, now: SimTime) -> Vec<(ComponentId, Option<SimTime>)> {
-        (0..self.wakes.len())
-            .filter(|&id| self.is_due(id, now))
-            .map(|id| (id, self.wakes[id].filter(|w| *w <= now)))
+    /// Every component due at `now`, by id, with its wake.
+    pub fn due_at(&self, now: SimTime) -> Vec<(ComponentId, SimTime)> {
+        self.wakes
+            .iter()
+            .enumerate()
+            .filter_map(|(id, w)| w.filter(|w| *w <= now).map(|w| (id, w)))
             .collect()
     }
 
@@ -190,11 +176,7 @@ impl WakeCalendar {
             if !out.is_empty() {
                 out.push_str(", ");
             }
-            match wake {
-                Some(w) => write!(out, "{} (wake {w})", name(id)),
-                None => write!(out, "{} (follows)", name(id)),
-            }
-            .expect("write to String");
+            write!(out, "{} (wake {wake})", name(id)).expect("write to String");
         }
         if out.is_empty() {
             out.push_str("nothing due");
@@ -354,44 +336,35 @@ mod tests {
     fn calendar_head_tracks_reregistration() {
         let mut cal = WakeCalendar::new(3);
         assert_eq!(cal.next(), None);
-        cal.set(0, Some(SimTime::from_secs(5)), false);
-        cal.set(2, Some(SimTime::from_secs(3)), false);
+        cal.set(0, Some(SimTime::from_secs(5)));
+        cal.set(2, Some(SimTime::from_secs(3)));
         assert_eq!(cal.next(), Some(SimTime::from_secs(3)));
-        cal.set(2, Some(SimTime::from_secs(7)), false);
+        cal.set(2, Some(SimTime::from_secs(7)));
         assert_eq!(cal.next(), Some(SimTime::from_secs(5)));
-        cal.set(0, None, false);
+        cal.set(0, None);
         assert_eq!(cal.next(), Some(SimTime::from_secs(7)));
         cal.poke(1, SimTime::from_secs(4));
         assert_eq!(cal.next(), Some(SimTime::from_secs(4)));
         // A poke never delays an earlier wake.
         cal.poke(1, SimTime::from_secs(6));
         assert!(cal.is_due(1, SimTime::from_secs(4)));
+        let now = SimTime::from_secs(5);
+        assert_eq!(cal.due_at(now), vec![(1, SimTime::from_secs(4))]);
+        let report = cal.report(now, |id| format!("c{id}"));
+        assert_eq!(report, "c1 (wake 4.000000s)");
     }
 
     #[test]
     fn others_skips_one_slot() {
         let mut cal = WakeCalendar::new(3);
-        assert_eq!(cal.others(0), (None, false));
-        cal.set(0, Some(SimTime::from_secs(1)), true);
-        cal.set(1, Some(SimTime::from_secs(4)), false);
-        cal.set(2, Some(SimTime::from_secs(2)), false);
-        assert_eq!(cal.others(0), (Some(SimTime::from_secs(2)), false));
-        assert_eq!(cal.others(2), (Some(SimTime::from_secs(1)), true));
-        cal.set(2, None, true);
-        assert_eq!(cal.others(0), (Some(SimTime::from_secs(4)), true));
-        assert_eq!(cal.others(2), (Some(SimTime::from_secs(1)), true));
-    }
-
-    #[test]
-    fn followers_are_due_at_every_step_but_never_set_the_head() {
-        let mut cal = WakeCalendar::new(2);
-        cal.set(0, Some(SimTime::from_secs(2)), false);
-        cal.set(1, Some(SimTime::from_secs(9)), true);
-        assert_eq!(cal.next(), Some(SimTime::from_secs(2)));
-        let now = SimTime::from_secs(2);
-        assert!(cal.is_due(0, now) && cal.is_due(1, now));
-        assert_eq!(cal.due_at(now), vec![(0, Some(now)), (1, None)]);
-        let report = cal.report(now, |id| format!("c{id}"));
-        assert_eq!(report, "c0 (wake 2.000000s), c1 (follows)");
+        assert_eq!(cal.others(0), None);
+        cal.set(0, Some(SimTime::from_secs(1)));
+        cal.set(1, Some(SimTime::from_secs(4)));
+        cal.set(2, Some(SimTime::from_secs(2)));
+        assert_eq!(cal.others(0), Some(SimTime::from_secs(2)));
+        assert_eq!(cal.others(2), Some(SimTime::from_secs(1)));
+        cal.set(2, None);
+        assert_eq!(cal.others(0), Some(SimTime::from_secs(4)));
+        assert_eq!(cal.others(2), Some(SimTime::from_secs(1)));
     }
 }

@@ -7,11 +7,10 @@ use simcore::{
 use std::collections::BTreeSet;
 
 /// The calendar as an ordered set of `(wake, id)` entries plus per-slot
-/// wakes and follow flags: the oracle for [`WakeCalendar`].
+/// wakes: the oracle for [`WakeCalendar`].
 struct CalendarOracle {
     entries: BTreeSet<(SimTime, usize)>,
     wakes: Vec<Option<SimTime>>,
-    follows: Vec<bool>,
 }
 
 impl CalendarOracle {
@@ -19,11 +18,10 @@ impl CalendarOracle {
         CalendarOracle {
             entries: BTreeSet::new(),
             wakes: vec![None; n],
-            follows: vec![false; n],
         }
     }
 
-    fn set(&mut self, id: usize, wake: Option<SimTime>, follows: bool) {
+    fn set(&mut self, id: usize, wake: Option<SimTime>) {
         if let Some(t) = self.wakes[id] {
             self.entries.remove(&(t, id));
         }
@@ -31,12 +29,11 @@ impl CalendarOracle {
             self.entries.insert((t, id));
         }
         self.wakes[id] = wake;
-        self.follows[id] = follows;
     }
 
     fn poke(&mut self, id: usize, now: SimTime) {
         if self.wakes[id].is_none_or(|w| w > now) {
-            self.set(id, Some(now), self.follows[id]);
+            self.set(id, Some(now));
         }
     }
 
@@ -45,14 +42,24 @@ impl CalendarOracle {
     }
 
     fn is_due(&self, id: usize, now: SimTime) -> bool {
-        self.follows[id] || self.entries.iter().any(|&(t, i)| i == id && t <= now)
+        self.entries.iter().any(|&(t, i)| i == id && t <= now)
     }
 
-    fn due_at(&self, now: SimTime) -> Vec<(usize, Option<SimTime>)> {
-        (0..self.wakes.len())
-            .filter(|&id| self.is_due(id, now))
-            .map(|id| (id, self.wakes[id].filter(|w| *w <= now)))
-            .collect()
+    fn others(&self, id: usize) -> Option<SimTime> {
+        self.entries
+            .iter()
+            .find(|&&(_, i)| i != id)
+            .map(|(t, _)| *t)
+    }
+
+    fn due_at(&self, now: SimTime) -> Vec<(usize, SimTime)> {
+        let mut due: Vec<_> = self
+            .entries
+            .range(..=(now, usize::MAX))
+            .map(|&(t, id)| (id, t))
+            .collect();
+        due.sort_unstable();
+        due
     }
 }
 
@@ -216,26 +223,27 @@ proptest! {
     }
 
     /// The slot-scan calendar agrees with an ordered-set oracle after every
-    /// `set` and `poke`: same head, same due components, same report rows.
+    /// `set` and `poke`: same head, same due components, same earliest
+    /// other wake per slot.
     #[test]
     fn wake_calendar_matches_an_ordered_set(
         slots in 1usize..17,
-        ops in prop::collection::vec((0u8..3, 0usize..16, 0u64..64, any::<bool>(), 0u64..64), 1..120),
+        ops in prop::collection::vec((0u8..3, 0usize..16, 0u64..64, 0u64..64), 1..120),
     ) {
         let mut cal = WakeCalendar::new(slots);
         let mut oracle = CalendarOracle::new(slots);
-        for (kind, id, wake, follows, now) in ops {
+        for (kind, id, wake, now) in ops {
             let id = id % slots;
             let now = SimTime::from_micros(now);
             let wake = SimTime::from_micros(wake);
             match kind {
                 0 => {
-                    cal.set(id, Some(wake), follows);
-                    oracle.set(id, Some(wake), follows);
+                    cal.set(id, Some(wake));
+                    oracle.set(id, Some(wake));
                 }
                 1 => {
-                    cal.set(id, None, follows);
-                    oracle.set(id, None, follows);
+                    cal.set(id, None);
+                    oracle.set(id, None);
                 }
                 _ => {
                     cal.poke(id, now);
@@ -243,6 +251,9 @@ proptest! {
                 }
             }
             prop_assert_eq!(cal.next(), oracle.next());
+            for id in 0..slots {
+                prop_assert_eq!(cal.others(id), oracle.others(id));
+            }
             for probe in [now, wake] {
                 for id in 0..slots {
                     prop_assert_eq!(cal.is_due(id, probe), oracle.is_due(id, probe));
