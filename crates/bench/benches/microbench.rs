@@ -565,6 +565,14 @@ fn synthetic_pdus(n: u32) -> (QxdmLog, RecordLog<PduEvent>) {
 
 fn bench_bundle_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("bundle_codec");
+    // Every bundle load verifies every entry file with this checksum.
+    let mut rng = DetRng::seed_from_u64(1);
+    let entry: Vec<u8> = (0..1 << 20).map(|_| rng.range_u64(0, 256) as u8).collect();
+    g.throughput(Throughput::Bytes(entry.len() as u64));
+    g.bench_function("entry_checksum_1mb", |b| {
+        b.iter(|| trace::entry_checksum(&entry))
+    });
+
     let trace = synthetic_trace(10_000);
     let bytes = write_trace(&trace);
     g.throughput(Throughput::Bytes(bytes.len() as u64));

@@ -25,7 +25,7 @@ use radio::rlc::PduEvent;
 use radio::rrc::{RrcState, RrcTransition};
 use simcore::{RecordLog, SimDuration, SimTime};
 use trace::{
-    decode_artifact, encode_artifact, fnv1a, BundleArtifact, BundleMeta, Manifest, Reads,
+    decode_artifact, encode_artifact, entry_checksum, BundleArtifact, BundleMeta, Manifest, Reads,
     TraceError, FORMAT_VERSION,
 };
 
@@ -810,7 +810,7 @@ fn append_with_consistent_checksum(dir: &std::path::Path, file: &str) {
     {
         if entry.file == file {
             entry.bytes = bytes.len() as u64;
-            entry.fnv = fnv1a(&bytes);
+            entry.checksum = entry_checksum(&bytes);
         }
     }
     fs::write(&manifest_path, manifest.render()).unwrap();

@@ -189,8 +189,9 @@ impl<T: Send> Campaign<T> {
         let cursor = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
-                scope.spawn(|| loop {
+                handles.push(scope.spawn(|| loop {
                     let idx = cursor.fetch_add(1, Ordering::Relaxed);
                     if idx >= n {
                         break;
@@ -209,7 +210,17 @@ impl<T: Send> Campaign<T> {
                         wall: t0.elapsed(),
                         outcome,
                     });
-                });
+                }));
+            }
+            // Join each worker explicitly: the scope's implicit join returns
+            // once the closures finish, before the threads have exited and
+            // handed their malloc arenas back, so the next campaign's
+            // workers could find none free and create more, each keeping
+            // its freed memory.
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
 

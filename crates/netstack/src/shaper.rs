@@ -159,15 +159,6 @@ impl RateLimiter {
         }
     }
 
-    /// True when the bucket is full and nothing is queued: a refill at any
-    /// later instant then changes nothing the limiter will ever do (it only
-    /// moves the refill stamp of a bucket that stays full). Otherwise each
-    /// refill rounds the token count at the instant it runs, so the owner
-    /// must keep calling at the same instants to reproduce a run.
-    pub fn is_settled(&self) -> bool {
-        self.queue.is_empty() && self.tokens >= self.cfg.bucket_bytes
-    }
-
     /// When the head-of-line packet becomes eligible, if anything is queued.
     pub fn next_wake(&self) -> Option<SimTime> {
         let front = self.queue.front()?;
@@ -188,10 +179,10 @@ impl RateLimiter {
         self.queued_bytes
     }
 
-    /// Internal state snapshot for diagnostics.
+    /// Internal state snapshot for diagnostics; the token count is exact.
     pub fn debug_state(&self) -> String {
         format!(
-            "tokens={:.1} queue={} front={:?} last_refill={:?}",
+            "tokens={} queue={} front={:?} last_refill={:?}",
             self.tokens,
             self.queue.len(),
             self.queue.front().map(|p| p.wire_len()),

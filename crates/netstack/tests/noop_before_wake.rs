@@ -348,9 +348,23 @@ struct LimiterRun {
     moved: Vec<(SimTime, Option<SimTime>, Option<SimTime>)>,
 }
 
+/// Whether `rl`'s bucket is full and nothing is queued: a refill at any
+/// later instant then changes nothing the limiter will ever do (it only
+/// moves the refill stamp of a bucket that stays full). Otherwise each
+/// refill rounds the token count at the instant it runs.
+fn settled(rl: &RateLimiter, cfg: &ShaperConfig) -> bool {
+    let tokens: f64 = rl
+        .debug_state()
+        .strip_prefix("tokens=")
+        .and_then(|s| s.split(' ').next())
+        .and_then(|t| t.parse().ok())
+        .expect("debug_state starts with the token count");
+    rl.queued_bytes() == 0 && tokens >= cfg.bucket_bytes
+}
+
 /// Bursts through a limiter, with the `early` extra refills.
 fn limiter_run(cfg: ShaperConfig, early: Early) -> LimiterRun {
-    let mut rl = RateLimiter::new(cfg);
+    let mut rl = RateLimiter::new(cfg.clone());
     let mut workload = DetRng::seed_from_u64(9);
     let mut rng = match early {
         Early::Never => None,
@@ -371,13 +385,13 @@ fn limiter_run(cfg: ShaperConfig, early: Early) -> LimiterRun {
             passed.extend(ready.drain(..).map(|p| (now, p.id)));
         }
         now = next;
-        if let Some((rng, settled)) = rng.as_mut() {
+        if let Some((rng, want_settled)) = rng.as_mut() {
             let wake = rl.next_wake();
-            if rl.is_settled() == *settled {
+            if settled(&rl, &cfg) == *want_settled {
                 if let Some(t) = before_wake(rng, now, wake) {
                     let tokens_before = rl.debug_state();
                     rl.take_ready(t, &mut ready);
-                    if *settled {
+                    if *want_settled {
                         assert!(ready.is_empty());
                         assert_eq!(rl.next_wake(), wake);
                         let strip = |s: &str| s.split(" last_refill").next().unwrap().to_string();

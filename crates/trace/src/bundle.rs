@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 
 use simcore::SimTime;
 
-use crate::digest::fnv1a;
+use crate::digest::entry_checksum;
 use crate::error::TraceError;
 use crate::manifest::{Manifest, ManifestEntry, FORMAT_VERSION};
 
@@ -122,7 +122,7 @@ impl BundleWriter {
             name: String::new(),
             file: file.to_string(),
             bytes: bytes.len() as u64,
-            fnv: fnv1a(bytes),
+            checksum: entry_checksum(bytes),
         })
     }
 
@@ -208,7 +208,7 @@ impl BundleReader {
     fn read_entry(&self, entry: &ManifestEntry) -> Result<Vec<u8>, TraceError> {
         let path = self.dir.join(&entry.file);
         let bytes = fs::read(&path).map_err(|e| TraceError::io(&path, e))?;
-        if bytes.len() as u64 != entry.bytes || fnv1a(&bytes) != entry.fnv {
+        if bytes.len() as u64 != entry.bytes || entry_checksum(&bytes) != entry.checksum {
             return Err(TraceError::ChecksumMismatch {
                 name: entry.name.clone(),
             });

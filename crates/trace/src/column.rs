@@ -157,7 +157,11 @@ impl RleWriter {
 pub struct RleReader<'a> {
     r: Reader<'a>,
     max: u64,
-    value: Option<u64>,
+    /// The current run's value; meaningful once `started`. (A plain
+    /// value keeps the in-run read a single load.)
+    value: u64,
+    started: bool,
+    /// Values of the current run not yet read.
     left: u64,
 }
 
@@ -167,28 +171,39 @@ impl<'a> RleReader<'a> {
         Ok(RleReader {
             r: r.column()?,
             max,
-            value: None,
+            value: 0,
+            started: false,
             left: 0,
         })
     }
 
-    /// The next value.
+    /// The next value: inline inside a run, through an out-of-line path
+    /// that checks the next run's canonical form at a run boundary.
     #[inline]
     pub fn read(&mut self) -> Result<u64, TraceError> {
-        if self.left == 0 {
-            let v = self.r.varint_max(self.max)?;
-            if self.value == Some(v) {
-                return Err(TraceError::Corrupt(format!("run repeats the value {v}")));
-            }
-            let n = self.r.varint()?;
-            if n == 0 {
-                return Err(TraceError::Corrupt("zero-length run".into()));
-            }
-            self.value = Some(v);
-            self.left = n;
+        if self.left != 0 {
+            self.left -= 1;
+            return Ok(self.value);
         }
-        self.left -= 1;
-        Ok(self.value.unwrap_or_default())
+        self.next_run()
+    }
+
+    /// Open the next run, with every canonical-form check, and read its
+    /// first value.
+    #[inline(never)]
+    fn next_run(&mut self) -> Result<u64, TraceError> {
+        let v = self.r.varint_max(self.max)?;
+        if self.started && self.value == v {
+            return Err(TraceError::Corrupt(format!("run repeats the value {v}")));
+        }
+        let n = self.r.varint()?;
+        if n == 0 {
+            return Err(TraceError::Corrupt("zero-length run".into()));
+        }
+        self.value = v;
+        self.started = true;
+        self.left = n - 1;
+        Ok(v)
     }
 
     /// Fail unless every run was consumed exactly.

@@ -11,7 +11,7 @@
 //!
 //! * `manifest.txt` — format version, seed, config digest, scenario id, sim
 //!   end time, plus one line per contained file with its byte length and
-//!   FNV-1a checksum, and
+//!   checksum ([`entry_checksum`]), and
 //! * one binary artifact file per layer, each framed with a 4-byte magic and
 //!   a format version so stale files fail loudly rather than mis-decode.
 //!
@@ -51,7 +51,7 @@ mod wire;
 
 pub use bundle::{BundleArtifact, BundleMeta, BundleReader, BundleWriter, Reads};
 pub use codec::{decode_artifact, encode_artifact, Codec};
-pub use digest::{fnv1a, Digest};
+pub use digest::{entry_checksum, fnv1a, Digest};
 pub use error::TraceError;
 pub use manifest::{Manifest, ManifestEntry, FORMAT_VERSION};
 pub use wire::{Reader, Writer};

@@ -1,7 +1,7 @@
 //! The bundle manifest: a deterministic, line-oriented text file.
 //!
 //! ```text
-//! qoe-trace-bundle v2
+//! qoe-trace-bundle v3
 //! seed 20140705
 //! config 00c0ffee00c0ffee
 //! end_us 315000000
@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Field lines are fixed-order (`seed`, `config`, `end_us`, `scenario`);
-//! entry lines follow in write order. `artifact` entries are what an
+//! entry lines follow in write order, each giving the file's byte length
+//! and its [`entry_checksum`](crate::entry_checksum) in hex. `artifact` entries are what an
 //! analyzer may read; `truth` entries are evaluation-only ground truths
 //! (per-PDU truth stream, camera screen log) that the artifact accessor
 //! refuses to serve — see the crate docs for why they are segregated.
@@ -31,11 +32,12 @@ use crate::error::TraceError;
 
 /// The bundle format version this build writes and reads.
 ///
-/// Policy: any change to the manifest grammar, an artifact's framing, or a
-/// record's field layout bumps this constant; readers reject other versions
-/// outright ([`TraceError::BadVersion`]) instead of guessing. There is no
-/// cross-version migration — bundles are cheap to re-record.
-pub const FORMAT_VERSION: u16 = 2;
+/// Policy: any change to the manifest grammar, the entry checksum, an
+/// artifact's framing, or a record's field layout bumps this constant;
+/// readers reject other versions outright ([`TraceError::BadVersion`])
+/// instead of guessing. There is no cross-version migration — bundles are
+/// cheap to re-record.
+pub const FORMAT_VERSION: u16 = 3;
 
 const MAGIC_PREFIX: &str = "qoe-trace-bundle v";
 
@@ -61,8 +63,8 @@ pub struct ManifestEntry {
     pub file: String,
     /// Exact file length in bytes.
     pub bytes: u64,
-    /// FNV-1a 64 checksum of the file contents.
-    pub fnv: u64,
+    /// [`entry_checksum`](crate::entry_checksum) of the file contents.
+    pub checksum: u64,
 }
 
 /// Parsed manifest contents.
@@ -99,7 +101,7 @@ impl Manifest {
             for e in entries {
                 out.push_str(&format!(
                     "{kind} {} {} {} {:016x}\n",
-                    e.name, e.file, e.bytes, e.fnv
+                    e.name, e.file, e.bytes, e.checksum
                 ));
             }
         }
@@ -200,20 +202,21 @@ impl Manifest {
             }
             let parts: Vec<&str> = line.split(' ').collect();
             match parts.as_slice() {
-                [kind @ ("artifact" | "truth"), name, file, bytes, fnv] => {
+                [kind @ ("artifact" | "truth"), name, file, bytes, checksum] => {
                     let bytes: u64 = bytes.parse().map_err(|_| TraceError::Manifest {
                         line: lineno,
                         msg: format!("unparseable byte count {bytes:?}"),
                     })?;
-                    let fnv = u64::from_str_radix(fnv, 16).map_err(|_| TraceError::Manifest {
-                        line: lineno,
-                        msg: format!("unparseable checksum {fnv:?}"),
-                    })?;
+                    let checksum =
+                        u64::from_str_radix(checksum, 16).map_err(|_| TraceError::Manifest {
+                            line: lineno,
+                            msg: format!("unparseable checksum {checksum:?}"),
+                        })?;
                     let entry = ManifestEntry {
                         name: name.to_string(),
                         file: plain_component(file, lineno)?,
                         bytes,
-                        fnv,
+                        checksum,
                     };
                     if *kind == "artifact" {
                         m.artifacts.push(entry);
@@ -248,13 +251,13 @@ mod tests {
                 name: "behavior".into(),
                 file: "behavior.bin".into(),
                 bytes: 77,
-                fnv: 0x0123_4567_89ab_cdef,
+                checksum: 0x0123_4567_89ab_cdef,
             }],
             truths: vec![ManifestEntry {
                 name: "camera".into(),
                 file: "truth_camera.bin".into(),
                 bytes: 3,
-                fnv: 1,
+                checksum: 1,
             }],
             subs: vec![("shaping".into(), "shaping".into())],
         }

@@ -218,8 +218,32 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume a canonical LEB128 varint (see [`Writer::varint`]).
+    ///
+    /// Most varints in a column are one or two bytes (a stamp delta under
+    /// 16 ms takes two), so those are taken inline, a trailing zero byte
+    /// excepted; longer, over-long, overflowing and truncated ones go
+    /// through an out-of-line path that makes every canonical-form check.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, TraceError> {
+        if let Some(&b0) = self.buf.get(self.pos) {
+            if b0 < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(b0));
+            }
+            if let Some(&b1) = self.buf.get(self.pos + 1) {
+                if b1 < 0x80 && b1 != 0 {
+                    self.pos += 2;
+                    return Ok(u64::from(b0 & 0x7F) | u64::from(b1) << 7);
+                }
+            }
+        }
+        self.varint_multi()
+    }
+
+    /// The general case of [`Reader::varint`], with every canonical-form
+    /// check; the cursor moves only when a varint is accepted.
+    #[inline(never)]
+    fn varint_multi(&mut self) -> Result<u64, TraceError> {
         let rest = &self.buf[self.pos..];
         let mut v = 0u64;
         for (i, &b) in rest.iter().enumerate().take(10) {
@@ -243,7 +267,7 @@ impl<'a> Reader<'a> {
     pub fn varint_max(&mut self, max: u64) -> Result<u64, TraceError> {
         let v = self.varint()?;
         if v > max {
-            return Err(TraceError::Corrupt(format!("value {v} exceeds {max}")));
+            return Err(exceeds(v, max));
         }
         Ok(v)
     }
@@ -288,6 +312,13 @@ impl<'a> Reader<'a> {
         String::from_utf8(b.to_vec())
             .map_err(|_| TraceError::Corrupt("invalid UTF-8 in string".into()))
     }
+}
+
+/// [`Reader::varint_max`]'s error, built off its inline path.
+#[cold]
+#[inline(never)]
+fn exceeds(v: u64, max: u64) -> TraceError {
+    TraceError::Corrupt(format!("value {v} exceeds {max}"))
 }
 
 /// Map a signed value to an unsigned one so small magnitudes of either

@@ -8,7 +8,10 @@
 //!   to a value that is canonically spelled by the flipped bytes.
 //! * Declared counts and lengths are checked against the bytes present
 //!   before anything is allocated.
-//! * Format v1 input is refused with `BadVersion`.
+//! * Format v1 and v2 input is refused with `BadVersion`.
+//! * The inline fast paths change nothing: `Reader::varint`,
+//!   `varint_max`, `delta32` and `RleReader` agree with a plain reference
+//!   decoder on every 1- and 2-byte input and on random longer ones.
 
 use proptest::prelude::*;
 use simcore::{RecordLog, SimTime};
@@ -235,24 +238,196 @@ fn huge_declared_counts_are_rejected_before_allocating() {
     assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
 }
 
-#[test]
-fn version_1_input_is_rejected() {
-    assert_eq!(FORMAT_VERSION, 2);
-    let mut w = Writer::with_magic(MAGIC, 1);
+/// An artifact and a manifest of format `found` are refused with
+/// `BadVersion`: there is no reader for any version but the current one.
+fn assert_version_rejected(found: u16) {
+    let mut w = Writer::with_magic(MAGIC, found);
     w.varint(0);
     match decode(&w.finish()) {
         Err(TraceError::BadVersion {
-            found: 1,
-            expected: 2,
-        }) => {}
+            found: f,
+            expected: 3,
+        }) if f == found => {}
         other => panic!("expected BadVersion, got {other:?}"),
     }
-    let manifest = "qoe-trace-bundle v1\nseed 1\nconfig 0000000000000000\nend_us 0\nscenario s\n";
-    match Manifest::parse(manifest) {
+    let manifest = format!(
+        "qoe-trace-bundle v{found}\nseed 1\nconfig 0000000000000000\nend_us 0\nscenario s\n"
+    );
+    match Manifest::parse(&manifest) {
         Err(TraceError::BadVersion {
-            found: 1,
-            expected: 2,
-        }) => {}
+            found: f,
+            expected: 3,
+        }) if f == found => {}
         other => panic!("expected BadVersion, got {other:?}"),
+    }
+}
+
+#[test]
+fn version_1_input_is_rejected() {
+    assert_eq!(FORMAT_VERSION, 3);
+    assert_version_rejected(1);
+}
+
+/// Format v2 differs from v3 only in the entry checksum (FNV-1a), yet is
+/// refused like any other version.
+#[test]
+fn version_2_input_is_rejected() {
+    assert_version_rejected(2);
+}
+
+// ---- the fast paths against a plain reference decoder -------------------
+
+/// The canonical varint at the start of `buf`, decoded the plain way:
+/// `(value, length)`, or `None` when `buf` does not start with one. A
+/// canonical varint is 1 to 10 bytes, high bit set on all but the last,
+/// no trailing zero group, and at most `u64::MAX`.
+fn ref_varint(buf: &[u8]) -> Option<(u64, usize)> {
+    let len = buf.iter().position(|b| b & 0x80 == 0)? + 1;
+    let last = buf[len - 1];
+    if len > 10 || (len > 1 && last == 0) || (len == 10 && last > 1) {
+        return None;
+    }
+    let v = buf[..len]
+        .iter()
+        .rev()
+        .fold(0, |v, b| v << 7 | u64::from(b & 0x7F));
+    Some((v, len))
+}
+
+/// The `u32` zigzag delta a varint `v <= u32::MAX` stands for, added to
+/// `prev`.
+fn ref_delta32(prev: u32, v: u64) -> u32 {
+    let d = if v.is_multiple_of(2) {
+        (v / 2) as i64
+    } else {
+        -((v / 2) as i64) - 1
+    };
+    prev.wrapping_add(d as i32 as u32)
+}
+
+/// `count` reads and then `finish` of a run-length column holding `col`,
+/// decoded the plain way: the values read before the first rejection, and
+/// whether every read and the finish were accepted.
+fn ref_rle(col: &[u8], max: u64, count: usize) -> (Vec<u64>, bool) {
+    let (mut pos, mut value, mut left) = (0, None, 0u64);
+    let mut out = Vec::new();
+    for _ in 0..count {
+        if left == 0 {
+            let Some((v, a)) = ref_varint(&col[pos..]) else {
+                return (out, false);
+            };
+            let Some((n, b)) = ref_varint(&col[pos + a..]) else {
+                return (out, false);
+            };
+            if v > max || value == Some(v) || n == 0 {
+                return (out, false);
+            }
+            pos += a + b;
+            value = Some(v);
+            left = n;
+        }
+        left -= 1;
+        out.extend(value);
+    }
+    (out, left == 0 && pos == col.len())
+}
+
+/// [`ref_rle`]'s reads through `RleReader`.
+fn rle(col: &[u8], max: u64, count: usize) -> (Vec<u64>, bool) {
+    let mut framed = Writer::new();
+    framed.column(col);
+    let bytes = framed.finish();
+    let mut r = Reader::new(&bytes);
+    let mut dec = RleReader::open(&mut r, max).unwrap();
+    let mut out = Vec::new();
+    for _ in 0..count {
+        match dec.read() {
+            Ok(v) => out.push(v),
+            Err(_) => return (out, false),
+        }
+    }
+    (out, dec.finish().is_ok())
+}
+
+const MAXES: [u64; 7] = [0, 1, 3, 127, 128, u32::MAX as u64, u64::MAX];
+
+/// `varint`, `varint_max` and `delta32` on `buf` return what the reference
+/// does and leave the cursor where it does, and `RleReader` reads what it
+/// does from a column holding `buf`.
+fn assert_matches_reference(buf: &[u8]) {
+    let want = ref_varint(buf);
+    // Bytes left once the varint is consumed; even an out-of-range one is.
+    let rest = buf.len() - want.map_or(0, |w| w.1);
+
+    let mut r = Reader::new(buf);
+    let got = r.varint().ok();
+    assert_eq!(
+        (got, r.remaining()),
+        (want.map(|w| w.0), rest),
+        "varint {buf:?}"
+    );
+
+    for max in MAXES {
+        let mut r = Reader::new(buf);
+        let got = r.varint_max(max).ok();
+        let v = want.map(|w| w.0).filter(|&v| v <= max);
+        assert_eq!((got, r.remaining()), (v, rest), "varint_max({max}) {buf:?}");
+    }
+
+    for start in [0, 1, u32::MAX] {
+        let mut prev = start;
+        let mut r = Reader::new(buf);
+        let got = r.delta32(&mut prev).ok();
+        let v = want.map(|w| w.0).filter(|&v| v <= u64::from(u32::MAX));
+        let want_prev = v.map_or(start, |v| ref_delta32(start, v));
+        assert_eq!(
+            (got, prev, r.remaining()),
+            (v.map(|_| want_prev), want_prev, rest),
+            "delta32 from {start} {buf:?}"
+        );
+    }
+
+    for max in MAXES {
+        for count in 0..=4 {
+            assert_eq!(
+                rle(buf, max, count),
+                ref_rle(buf, max, count),
+                "rle max {max} count {count} {buf:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn fast_paths_match_the_reference_on_every_short_input() {
+    assert_matches_reference(&[]);
+    for a in 0..=255u8 {
+        assert_matches_reference(&[a]);
+        for b in 0..=255u8 {
+            assert_matches_reference(&[a, b]);
+        }
+    }
+}
+
+/// Bytes biased toward continuation bytes, zero groups and tiny values,
+/// so random strings hold long, over-long and repeated spellings.
+fn st_varint_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(
+        (0u8..4, any::<u8>()).prop_map(|(k, b)| match k {
+            0 => b | 0x80,
+            1 => b & 0x03,
+            2 => 0,
+            _ => b,
+        }),
+        3..24,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn fast_paths_match_the_reference_on_longer_inputs(buf in st_varint_bytes()) {
+        assert_matches_reference(&buf);
     }
 }
