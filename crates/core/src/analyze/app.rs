@@ -4,8 +4,15 @@
 //! measurements calibrated by the parsing-cost model — and, for the
 //! accuracy evaluation of §7.1, compares calibrated measurements against
 //! the screen ground truth (`t_screen`).
+//!
+//! Video playback reports have one definition, [`playback_reports`]: a
+//! live session ([`monitor_playback`]) reads its report back from the log
+//! it just wrote, the same way an offline analysis of a recorded bundle
+//! does.
 
 use crate::behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
+#[cfg(doc)]
+use crate::replay::monitor_playback;
 #[cfg(doc)]
 use crate::Controller;
 use device::ui::ScreenEvent;
@@ -40,8 +47,7 @@ pub struct PlaybackReport {
     pub finished: bool,
     /// Whether the UI watchdog cut monitoring short because the layout
     /// tree froze — a diagnosed device-layer fault, not a network stall.
-    /// Not persisted in the log: only [`Controller::monitor_playback`]
-    /// sets it.
+    /// Not persisted in the log: only [`monitor_playback`] sets it.
     pub ui_frozen: bool,
 }
 
@@ -64,7 +70,7 @@ impl PlaybackReport {
 /// from the `"{action}:rebuffer"` records logged inside the span.
 /// `ui_frozen` is not persisted in the log and is always `false` here;
 /// frozen sessions also carry `timed_out` and so report unfinished.
-/// [`Controller::monitor_playback`] returns the same report for the
+/// [`monitor_playback`] returns the same report for the
 /// session it just logged, so a recorded bundle analyzed offline reads
 /// what the live session read.
 pub fn playback_reports(log: &AppBehaviorLog, action: &str) -> Vec<PlaybackReport> {

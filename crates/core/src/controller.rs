@@ -10,8 +10,13 @@
 //! The controller owns the [`World`] and is the experiment's clock: it
 //! advances simulated time while interleaving its own parsing work, exactly
 //! as the real tool shares the device with the app under test.
+//!
+//! It knows no app: views are named by the caller's [`WaitCondition`]s and
+//! [`UiEvent`]s. The apps' vocabulary — the Table 1 behaviours, the
+//! player's states, playback monitoring — lives in
+//! [`replay`](crate::replay), and recovery from a failed attempt is the
+//! caller's script, run by [`Controller::retry`].
 
-use crate::analyze::app::{playback_report, PlaybackReport};
 use crate::behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
 use device::ui::View;
 use device::world::World;
@@ -59,32 +64,11 @@ impl fmt::Display for ControlError {
 
 impl std::error::Error for ControlError {}
 
-/// Bounded-retry policy for [`Controller::measure_with_retry`]: how many
-/// attempts, how long to back off between them (doubling each time), and
-/// whether to force an app relaunch as the recovery action.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts (including the first). Must be at least 1.
-    pub max_attempts: u32,
-    /// Pause before the first retry; doubles after every failed attempt.
-    pub backoff: SimDuration,
-    /// If set, force-relaunch the app (with this relaunch cost) before each
-    /// retry — the paper's recovery path for a crashed or wedged app.
-    pub relaunch: Option<SimDuration>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: SimDuration::from_secs(2),
-            relaunch: None,
-        }
-    }
-}
+/// How many attempts [`Controller::retry`] makes at most.
+pub const MAX_ATTEMPTS: u32 = 3;
 
 /// How a wait loop ended.
-enum WaitEnd {
+pub(crate) enum WaitEnd {
     /// The condition held.
     Met,
     /// The deadline passed while the UI was still updating.
@@ -97,19 +81,19 @@ enum WaitEnd {
 }
 
 /// Everything a wait loop learned.
-struct WaitOutcome {
+pub(crate) struct WaitOutcome {
     pass_start: SimTime,
     pass_end: SimTime,
     mean_parse: SimDuration,
     /// The last pass's snapshot: on [`WaitEnd::Met`], one the condition
     /// held on, so a caller can tell which part of an
     /// [`WaitCondition::Any`] it was.
-    snapshot: View,
-    end: WaitEnd,
+    pub(crate) snapshot: View,
+    pub(crate) end: WaitEnd,
 }
 
 impl WaitOutcome {
-    fn met(&self) -> bool {
+    pub(crate) fn met(&self) -> bool {
         matches!(self.end, WaitEnd::Met)
     }
 }
@@ -274,7 +258,7 @@ impl<K: Kernel> Controller<K> {
     /// or the end of the pass that first read the revision), so the
     /// watchdog has seen one pass without a change and trips there only
     /// if its threshold is at most one parse cost.
-    fn wait_for(&mut self, cond: &WaitCondition, timeout: SimTime) -> WaitOutcome {
+    pub(crate) fn wait_for(&mut self, cond: &WaitCondition, timeout: SimTime) -> WaitOutcome {
         let mut parse_total = SimDuration::ZERO;
         let mut parses = 0u64;
         let mut last_rev = self.world.phone.ui_revision(self.now);
@@ -325,7 +309,7 @@ impl<K: Kernel> Controller<K> {
     }
 
     /// Log the record of the finished wait `w`, measured from `start`.
-    fn log_wait(
+    pub(crate) fn log_wait(
         &mut self,
         action: String,
         start: SimTime,
@@ -402,46 +386,24 @@ impl<K: Kernel> Controller<K> {
         }
     }
 
-    /// Measure with bounded retries and recovery (§4's resilient control
-    /// loop): each attempt re-issues the `setup` interactions (e.g.
-    /// re-typing a URL a crashed app forgot) and the `trigger`, and failed
-    /// attempts optionally force-relaunch the app before backing off
-    /// (doubling the pause each time). Returns the first successful
-    /// measurement and the attempt count, or the last error once the
-    /// policy is exhausted.
-    pub fn measure_with_retry(
+    /// Run the per-attempt script `attempt` until it succeeds, at most
+    /// [`MAX_ATTEMPTS`] times (§4's resilient control loop). The script
+    /// gets the controller and the attempt number, from 1; before a retry
+    /// it does its own recovery (backing off, re-issuing the interactions a
+    /// crashed app forgot). Returns the last attempt's result and the
+    /// number of attempts made.
+    pub fn retry<T>(
         &mut self,
-        action: &str,
-        setup: &[UiEvent],
-        trigger: &UiEvent,
-        cond: &WaitCondition,
-        timeout: SimDuration,
-        policy: &RetryPolicy,
-    ) -> Result<(BehaviorRecord, u32), ControlError> {
-        assert!(policy.max_attempts >= 1, "at least one attempt");
-        let mut backoff = policy.backoff;
-        let mut last_err = None;
-        for attempt in 1..=policy.max_attempts {
-            for ev in setup {
-                self.interact(ev);
+        mut attempt: impl FnMut(&mut Self, u32) -> Result<T, ControlError>,
+    ) -> (Result<T, ControlError>, u32) {
+        let mut n = 1;
+        loop {
+            let result = attempt(self, n);
+            if result.is_ok() || n == MAX_ATTEMPTS {
+                return (result, n);
             }
-            match self.try_measure_after(action, trigger, cond, timeout) {
-                Ok(m) => return Ok((m, attempt)),
-                Err(e) => {
-                    last_err = Some(e);
-                    if attempt == policy.max_attempts {
-                        break;
-                    }
-                    if let Some(cost) = policy.relaunch {
-                        self.world.phone.force_relaunch(self.now, cost);
-                        self.advance(cost);
-                    }
-                    self.advance(backoff);
-                    backoff = backoff.mul_f64(2.0);
-                }
-            }
+            n += 1;
         }
-        Err(last_err.expect("no attempt ran"))
     }
 
     /// Measure an app-triggered span: wait for `begin`, then for `end`
@@ -466,75 +428,6 @@ impl<K: Kernel> Controller<K> {
             StartKind::Parse,
             &w,
         ))
-    }
-
-    /// Monitor a video that has finished initial loading: record every
-    /// rebuffering span until the player reports `finished` (or timeout).
-    ///
-    /// The session is a sequence of waits: for the player to finish or
-    /// stall, then, after a stall, for the progress bar to hide again
-    /// (logged as a `"{action}:rebuffer"` record). A stall is always
-    /// measured, so its wait may end at or past the deadline; no
-    /// finish-or-stall wait starts there. The watchdog cuts the monitor
-    /// short if the layout tree stops updating (a frozen player would
-    /// otherwise read as one endless "playing" state).
-    ///
-    /// The whole session is logged as a `"{action}:playback"` summary
-    /// record, and the report is read back from the log exactly as
-    /// [`playback_reports`](crate::analyze::app::playback_reports) reads
-    /// it offline; only `ui_frozen` comes from the waits.
-    pub fn monitor_playback(&mut self, action: &str, timeout: SimDuration) -> PlaybackReport {
-        let playback_start = self.now;
-        let deadline = self.now + timeout;
-        let status = |value: &str| WaitCondition::TextIs {
-            id: "player_status".into(),
-            value: value.into(),
-        };
-        let finished = status("finished");
-        let finished_or_stalled = WaitCondition::Any(vec![finished.clone(), status("rebuffering")]);
-        let playing = WaitCondition::Hidden {
-            id: "player_progress".into(),
-        };
-        // How the wait that ended the session ended; `None` if the deadline
-        // passed between waits. Only a finished player ends it as met.
-        let mut ended = None;
-        // `wait_for` always runs a pass, so the deadline is checked first.
-        while self.now < deadline {
-            let w = self.wait_for(&finished_or_stalled, deadline);
-            if !w.met() || finished.holds(&w.snapshot) {
-                ended = Some(w.end);
-                break;
-            }
-            // In a stall: measure it.
-            let stall_start = self.now;
-            let w = self.wait_for(&playing, deadline);
-            self.log_wait(
-                format!("{action}:rebuffer"),
-                stall_start,
-                StartKind::Parse,
-                &w,
-            );
-            if !w.met() {
-                ended = Some(w.end);
-                break;
-            }
-        }
-        // `mean_parse` is zero: the span is bounded by controller-side
-        // instants, not UI parses.
-        let summary = BehaviorRecord {
-            action: format!("{action}:playback"),
-            start: playback_start,
-            end: self.now,
-            start_kind: StartKind::Parse,
-            mean_parse: SimDuration::ZERO,
-            timed_out: !matches!(ended, Some(WaitEnd::Met)),
-        };
-        let report = playback_report(&self.log, action, &summary);
-        self.log.push(self.now, summary);
-        PlaybackReport {
-            ui_frozen: matches!(ended, Some(WaitEnd::Frozen { .. })),
-            ..report
-        }
     }
 }
 
@@ -667,21 +560,20 @@ mod tests {
             doctor.now + SimDuration::from_millis(100),
             SimDuration::from_secs(1),
         );
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            backoff: SimDuration::from_secs(1),
-            relaunch: None,
-        };
-        let (m, attempts) = doctor
-            .measure_with_retry(
+        let (result, attempts) = doctor.retry(|doctor, attempt| {
+            if attempt > 1 {
+                // The relaunched browser forgot the URL: type it again.
+                doctor.advance(SimDuration::from_secs(1));
+            }
+            doctor.interact(&type_url());
+            doctor.try_measure_after(
                 "page_load",
-                &[type_url()],
                 &UiEvent::KeyEnter,
                 &loaded(),
                 SimDuration::from_secs(5),
-                &policy,
             )
-            .expect("second attempt should succeed after relaunch");
+        });
+        let m = result.expect("second attempt should succeed after relaunch");
         assert_eq!(attempts, 2);
         assert_eq!(doctor.world.phone.crashes, 1);
         assert!(!m.timed_out);
@@ -693,24 +585,19 @@ mod tests {
         let mut doctor = Controller::new(browser_world(14));
         doctor.advance(SimDuration::from_secs(1));
         // No URL is ever typed, so every attempt times out.
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            backoff: SimDuration::from_millis(500),
-            relaunch: Some(SimDuration::from_secs(1)),
-        };
-        let err = doctor
-            .measure_with_retry(
+        let mut seen = Vec::new();
+        let (result, attempts) = doctor.retry(|doctor, attempt| {
+            seen.push(attempt);
+            doctor.try_measure_after(
                 "page_load",
-                &[],
                 &UiEvent::KeyEnter,
                 &loaded(),
                 SimDuration::from_secs(2),
-                &policy,
             )
-            .unwrap_err();
-        assert!(matches!(err, ControlError::Timeout { .. }));
-        // The relaunch recovery action ran between the attempts.
-        assert_eq!(doctor.world.phone.crashes, 1);
-        assert_eq!(doctor.log.iter().count(), 2);
+        });
+        assert!(matches!(result, Err(ControlError::Timeout { .. })));
+        assert_eq!(attempts, MAX_ATTEMPTS);
+        assert_eq!(seen, [1, 2, 3]);
+        assert_eq!(doctor.log.iter().count(), 3);
     }
 }

@@ -51,5 +51,5 @@ pub use analyze::app::PlaybackReport;
 pub use behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
 pub use bundle::CollectionSet;
 pub use collect::Collection;
-pub use controller::{Calendar, ControlError, Controller, Kernel, RetryPolicy, WaitCondition};
+pub use controller::{Calendar, ControlError, Controller, Kernel, WaitCondition};
 pub use diagnose::{diagnose_worst, Diagnoser, Diagnosis};

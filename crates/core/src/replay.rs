@@ -4,15 +4,22 @@
 //! views by signature rather than coordinates. Each behaviour of Table 1
 //! is one function here: it drives a [`Controller`] through the behaviour's
 //! interactions and waits, and returns the [`BehaviorRecord`] it logged.
-//! Pauses between behaviours (the replayed inter-action timing) stay with
-//! the caller, as does video playback monitoring
-//! ([`Controller::monitor_playback`]).
+//! Pauses between behaviours (the replayed inter-action timing) and
+//! recovery from failed attempts ([`Controller::retry`]) stay with the
+//! caller.
+//!
+//! This module is the only place that names the apps' views. The
+//! controller is app-agnostic; the YouTube player's vocabulary — its
+//! status strings, its progress bar, the skip-ad button — and playback
+//! monitoring ([`monitor_playback`]), which reads the player's own UI
+//! state, live here too.
 //!
 //! The fixed action labels the analyzers filter the behaviour log on are
 //! the constants below; post uploads take their label from the caller.
 
-use crate::behavior::BehaviorRecord;
-use crate::controller::{Controller, Kernel, WaitCondition};
+use crate::analyze::app::{playback_report, PlaybackReport};
+use crate::behavior::{BehaviorRecord, StartKind};
+use crate::controller::{Controller, Kernel, WaitCondition, WaitEnd};
 use device::ui::ViewSignature;
 use device::UiEvent;
 use simcore::SimDuration;
@@ -26,6 +33,8 @@ pub const PULL_TO_UPDATE: &str = "pull_to_update";
 
 const SEARCH_BOX: &str = "search_box";
 const PLAYER_PROGRESS: &str = "player_progress";
+const PLAYER_STATUS: &str = "player_status";
+const SKIP_AD: &str = "skip_ad";
 const URL_BAR: &str = "url_bar";
 const PAGE_PROGRESS: &str = "page_progress";
 const PAGE_CONTENT: &str = "page_content";
@@ -58,6 +67,38 @@ pub fn player_ready() -> WaitCondition {
     }
 }
 
+/// The player's progress bar is shown: it is loading (an ad or the main
+/// video) or rebuffering.
+pub fn player_loading() -> WaitCondition {
+    WaitCondition::Shown {
+        id: PLAYER_PROGRESS.into(),
+    }
+}
+
+/// The player's status reads `value` (`loading`, `ad`, `playing`,
+/// `rebuffering` or `finished`).
+fn player_status(value: &str) -> WaitCondition {
+    WaitCondition::TextIs {
+        id: PLAYER_STATUS.into(),
+        value: value.into(),
+    }
+}
+
+/// The player's status reads `playing`. Unlike [`player_ready`], this does
+/// not hold on a crashed app's relaunched layout: that fresh layout has the
+/// progress bar hidden too, so a dead player would read as a fast load.
+pub fn player_playing() -> WaitCondition {
+    player_status("playing")
+}
+
+/// The tap on the player's "Skip Ad" button, which it offers 5 s into a
+/// pre-roll ad (§4.2.2).
+pub fn skip_ad() -> UiEvent {
+    UiEvent::Click {
+        target: ViewSignature::by_id(SKIP_AD),
+    }
+}
+
 /// YouTube: load a video — tap its search result and wait until the
 /// player's progress bar is hidden.
 pub fn load_video<K: Kernel>(
@@ -71,6 +112,74 @@ pub fn load_video<K: Kernel>(
         &player_ready(),
         timeout,
     )
+}
+
+/// YouTube: monitor a video that has finished initial loading — record
+/// every rebuffering span until the player reports `finished` (or
+/// `timeout` passes).
+///
+/// The session is a sequence of waits: for the player to finish or stall,
+/// then, after a stall, for the progress bar to hide again (logged as a
+/// `"{action}:rebuffer"` record). A stall is always measured, so its wait
+/// may end at or past the deadline; no finish-or-stall wait starts there.
+/// The watchdog cuts the monitor short if the layout tree stops updating
+/// (a frozen player would otherwise read as one endless "playing" state).
+///
+/// The whole session is logged as a `"{action}:playback"` summary record,
+/// and the report is read back from the log exactly as
+/// [`playback_reports`](crate::analyze::app::playback_reports) reads it
+/// offline; only `ui_frozen` comes from the waits.
+pub fn monitor_playback<K: Kernel>(
+    doctor: &mut Controller<K>,
+    action: &str,
+    timeout: SimDuration,
+) -> PlaybackReport {
+    let playback_start = doctor.now;
+    let deadline = doctor.now + timeout;
+    let finished = player_status("finished");
+    let finished_or_stalled =
+        WaitCondition::Any(vec![finished.clone(), player_status("rebuffering")]);
+    let playing = player_ready();
+    // How the wait that ended the session ended; `None` if the deadline
+    // passed between waits. Only a finished player ends it as met.
+    let mut ended = None;
+    // `wait_for` always runs a pass, so the deadline is checked first.
+    while doctor.now < deadline {
+        let w = doctor.wait_for(&finished_or_stalled, deadline);
+        if !w.met() || finished.holds(&w.snapshot) {
+            ended = Some(w.end);
+            break;
+        }
+        // In a stall: measure it.
+        let stall_start = doctor.now;
+        let w = doctor.wait_for(&playing, deadline);
+        doctor.log_wait(
+            format!("{action}:rebuffer"),
+            stall_start,
+            StartKind::Parse,
+            &w,
+        );
+        if !w.met() {
+            ended = Some(w.end);
+            break;
+        }
+    }
+    // `mean_parse` is zero: the span is bounded by controller-side
+    // instants, not UI parses.
+    let summary = BehaviorRecord {
+        action: format!("{action}:playback"),
+        start: playback_start,
+        end: doctor.now,
+        start_kind: StartKind::Parse,
+        mean_parse: SimDuration::ZERO,
+        timed_out: !matches!(ended, Some(WaitEnd::Met)),
+    };
+    let report = playback_report(&doctor.log, action, &summary);
+    doctor.log.push(doctor.now, summary);
+    PlaybackReport {
+        ui_frozen: matches!(ended, Some(WaitEnd::Frozen { .. })),
+        ..report
+    }
 }
 
 /// Typing `url` into the browser's URL bar.
@@ -197,7 +306,7 @@ mod tests {
             ),
             (
                 Box::new(YouTubeApp::new(YouTubeConfig::default())),
-                &[SEARCH_BOX, PLAYER_PROGRESS],
+                &[SEARCH_BOX, PLAYER_STATUS, SKIP_AD, PLAYER_PROGRESS],
             ),
         ];
         for (app, ids) in apps {

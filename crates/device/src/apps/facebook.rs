@@ -21,6 +21,7 @@
 
 use std::sync::Arc;
 
+use super::{FACEBOOK_API_HOST, FACEBOOK_POST_HOST, FACEBOOK_PUSH_HOST};
 use crate::phone::{App, AppCx, UiEvent};
 use crate::proto::{self, Kind};
 use crate::rpc::Rpc;
@@ -76,12 +77,6 @@ pub struct FacebookConfig {
     pub refresh_interval: Option<SimDuration>,
     /// v5.0 self-updates the visible feed when a push arrives.
     pub auto_update_on_push: bool,
-    /// API origin hostname (feed reads).
-    pub server: String,
-    /// Post-write origin hostname (the heavier write path).
-    pub post_server: String,
-    /// Push channel hostname.
-    pub push_server: String,
     /// Feed-update render time: ListView.
     pub proc_feed_listview: SimDuration,
 }
@@ -93,9 +88,6 @@ impl FacebookConfig {
             version,
             refresh_interval: Some(SimDuration::from_hours(1)),
             auto_update_on_push: version == FbVersion::ListView50,
-            server: "api.facebook.com".to_string(),
-            post_server: "graph.facebook.com".to_string(),
-            push_server: "push.facebook.com".to_string(),
             proc_feed_listview: SimDuration::from_millis(240),
         }
     }
@@ -205,14 +197,14 @@ impl FacebookApp {
         cx.ui.set_visible(cx.now, "feed_progress", true);
         let tag = self.tag();
         let (req, resp) = self.cfg.feed_stages()[0];
-        let rpc = Rpc::new(&self.cfg.server, 443, tag, req, resp);
+        let rpc = Rpc::new(FACEBOOK_API_HOST, 443, tag, req, resp);
         self.rpcs.push((FbRpc::FeedUpdate(0), rpc));
     }
 
     fn drive_push_channel(&mut self, cx: &mut AppCx) {
         match &self.push {
             None => {
-                if let Some(ip) = cx.host.resolve(&self.cfg.push_server, cx.now) {
+                if let Some(ip) = cx.host.resolve(FACEBOOK_PUSH_HOST, cx.now) {
                     let s = cx.host.connect(netstack::SocketAddr::new(ip, 8883));
                     cx.host.sock_mut(s).send_marked(180, proto::subscribe(1));
                     self.push = Some(PushChannel::Active(s));
@@ -221,7 +213,7 @@ impl FacebookApp {
                 }
             }
             Some(PushChannel::Connecting) => {
-                if let Some(ip) = cx.host.resolve(&self.cfg.push_server, cx.now) {
+                if let Some(ip) = cx.host.resolve(FACEBOOK_PUSH_HOST, cx.now) {
                     let s = cx.host.connect(netstack::SocketAddr::new(ip, 8883));
                     cx.host.sock_mut(s).send_marked(180, proto::subscribe(1));
                     self.push = Some(PushChannel::Active(s));
@@ -293,7 +285,7 @@ impl App for FacebookApp {
                     // Photo post: upload 2 photos; the item appears only
                     // after the server acknowledges (network on the critical
                     // path).
-                    let rpc = Rpc::new(&self.cfg.post_server, 443, tag, 2 * PHOTO_REQ, POST_RESP);
+                    let rpc = Rpc::new(FACEBOOK_POST_HOST, 443, tag, 2 * PHOTO_REQ, POST_RESP);
                     self.rpcs.push((FbRpc::PhotoUpload(text.clone()), rpc));
                 } else {
                     // Status / check-in: local echo after device processing;
@@ -307,7 +299,7 @@ impl App for FacebookApp {
                     cx.cpu.app_busy += proc;
                     self.tasks
                         .push(cx.now + proc, FbTask::ShowPost(text.clone()));
-                    let rpc = Rpc::new(&self.cfg.post_server, 443, tag, req, POST_RESP);
+                    let rpc = Rpc::new(FACEBOOK_POST_HOST, 443, tag, req, POST_RESP);
                     self.rpcs.push((FbRpc::PostUpload, rpc));
                 }
             }
@@ -343,7 +335,7 @@ impl App for FacebookApp {
                 }
                 FbTask::BgRefresh => {
                     let tag = self.tag();
-                    let rpc = Rpc::new(&self.cfg.server, 443, tag, BG_REQ, BG_RESP);
+                    let rpc = Rpc::new(FACEBOOK_API_HOST, 443, tag, BG_REQ, BG_RESP);
                     self.rpcs.push((FbRpc::Background, rpc));
                     if let Some(iv) = self.cfg.refresh_interval {
                         self.tasks.push(cx.now + iv, FbTask::BgRefresh);
@@ -374,7 +366,7 @@ impl App for FacebookApp {
                         // Iterated content fetching: next stage.
                         let (req, resp) = stages[stage + 1];
                         let tag = self.tag();
-                        let rpc = Rpc::new(&self.cfg.server, 443, tag, req, resp);
+                        let rpc = Rpc::new(FACEBOOK_API_HOST, 443, tag, req, resp);
                         self.rpcs.push((FbRpc::FeedUpdate(stage + 1), rpc));
                     } else {
                         let proc = cx.rng.jittered(self.cfg.proc_feed(), 0.20);

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use super::facebook::{POST_RESP, STATUS_REQ};
+use super::FACEBOOK_POST_HOST;
 use crate::phone::{App, AppCx, UiEvent};
 use crate::rpc::Rpc;
 use crate::ui::View;
@@ -19,17 +20,12 @@ use simcore::{SimDuration, SimTime};
 pub struct PosterConfig {
     /// Post period.
     pub interval: SimDuration,
-    /// Write origin hostname.
-    pub server: String,
 }
 
 impl PosterConfig {
     /// Post a status every `interval`.
     pub fn every(interval: SimDuration) -> PosterConfig {
-        PosterConfig {
-            interval,
-            server: "graph.facebook.com".to_string(),
-        }
+        PosterConfig { interval }
     }
 }
 
@@ -79,7 +75,13 @@ impl App for FacebookPoster {
         if let Some(at) = self.next_post {
             if cx.now >= at {
                 self.next_tag = self.next_tag.wrapping_add(1).max(1);
-                let rpc = Rpc::new(&self.cfg.server, 443, self.next_tag, STATUS_REQ, POST_RESP);
+                let rpc = Rpc::new(
+                    FACEBOOK_POST_HOST,
+                    443,
+                    self.next_tag,
+                    STATUS_REQ,
+                    POST_RESP,
+                );
                 self.rpcs.push(rpc);
                 self.posts += 1;
                 self.next_post = Some(at + self.cfg.interval);

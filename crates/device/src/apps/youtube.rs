@@ -21,6 +21,7 @@
 
 use std::sync::Arc;
 
+use super::{YOUTUBE_AD_HOST, YOUTUBE_API_HOST, YOUTUBE_VIDEO_HOST};
 use crate::phone::{App, AppCx, UiEvent};
 use crate::rpc::Rpc;
 use crate::ui::View;
@@ -59,30 +60,12 @@ pub const SEARCH_REQ: u64 = 1_200;
 pub const SEARCH_RESP: u64 = 9_000;
 
 /// YouTube app parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct YouTubeConfig {
     /// The searchable dataset.
     pub videos: Vec<VideoSpec>,
     /// Pre-roll ad, when enabled.
     pub ad: Option<VideoSpec>,
-    /// Video CDN hostname.
-    pub video_server: String,
-    /// Search API hostname.
-    pub api_server: String,
-    /// Ad CDN hostname.
-    pub ad_server: String,
-}
-
-impl Default for YouTubeConfig {
-    fn default() -> Self {
-        YouTubeConfig {
-            videos: Vec::new(),
-            ad: None,
-            video_server: "video.youtube.com".to_string(),
-            api_server: "api.youtube.com".to_string(),
-            ad_server: "ads.youtube.com".to_string(),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,19 +135,13 @@ impl YouTubeApp {
         cx.ui.set_text(cx.now, "player_status", "loading");
         let ad = self.cfg.ad.clone().map(|ad_spec| {
             let ad_tag = self.tag();
-            let rpc = Rpc::new(
-                &self.cfg.ad_server,
-                443,
-                ad_tag,
-                1_200,
-                ad_spec.total_bytes(),
-            )
-            .keep_open();
+            let rpc =
+                Rpc::new(YOUTUBE_AD_HOST, 443, ad_tag, 1_200, ad_spec.total_bytes()).keep_open();
             (ad_spec, rpc)
         });
         let main = if ad.is_none() {
             let tag = self.tag();
-            Some(Rpc::new(&self.cfg.video_server, 443, tag, 1_500, spec.total_bytes()).keep_open())
+            Some(Rpc::new(YOUTUBE_VIDEO_HOST, 443, tag, 1_500, spec.total_bytes()).keep_open())
         } else {
             None
         };
@@ -252,7 +229,7 @@ impl YouTubeApp {
                         }
                         if p.main.is_none() {
                             p.main = Some(
-                                Rpc::new(&self.cfg.video_server, 443, next_tag, 1_500, total)
+                                Rpc::new(YOUTUBE_VIDEO_HOST, 443, next_tag, 1_500, total)
                                     .keep_open(),
                             );
                             if let Some(main) = &mut p.main {
@@ -396,7 +373,7 @@ impl App for YouTubeApp {
             UiEvent::KeyEnter => {
                 let tag = self.tag();
                 self.search_rpc = Some(Rpc::new(
-                    &self.cfg.api_server,
+                    YOUTUBE_API_HOST,
                     443,
                     tag,
                     SEARCH_REQ,

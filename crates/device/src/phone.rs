@@ -148,14 +148,6 @@ pub struct Phone {
     pub cpu: CpuMeter,
     /// Device randomness.
     pub rng: DetRng,
-    /// Base cost of one UI-tree parse pass.
-    pub parse_base: SimDuration,
-    /// Additional parse cost per view in the tree.
-    pub parse_per_view: SimDuration,
-    /// Fraction of a parse pass's wall time that is actual CPU work (the
-    /// rest is spent blocked on UI-thread synchronization, which DDMS-style
-    /// CPU accounting does not attribute to the controller).
-    pub parse_cpu_fraction: f64,
     started: bool,
     /// Crashes the app has suffered (injected or recovery-driven).
     pub crashes: u32,
@@ -175,6 +167,15 @@ pub struct Phone {
 }
 
 impl Phone {
+    /// Base cost of one UI-tree parse pass.
+    pub const PARSE_BASE: SimDuration = SimDuration::from_millis(24);
+    /// Additional parse cost per view in the tree.
+    pub const PARSE_PER_VIEW: SimDuration = SimDuration::from_micros(150);
+    /// Fraction of a parse pass's wall time that is actual CPU work (the
+    /// rest is spent blocked on UI-thread synchronization, which DDMS-style
+    /// CPU accounting does not attribute to the controller).
+    pub const PARSE_CPU_FRACTION: f64 = 0.018;
+
     /// Assemble a phone at `ip` using `resolver`, attached via `net`,
     /// running `app`.
     pub fn new(
@@ -196,9 +197,6 @@ impl Phone {
             capture: Capture::with_capacity(4096),
             cpu: CpuMeter::default(),
             rng,
-            parse_base: SimDuration::from_millis(24),
-            parse_per_view: SimDuration::from_micros(150),
-            parse_cpu_fraction: 0.018,
             started: false,
             crashes: 0,
             ip,
@@ -230,11 +228,11 @@ impl Phone {
         self.relaunch_at.is_some()
     }
 
-    /// Kill and relaunch the app right now (a controller recovery action):
-    /// in-memory state and connections are lost, the UI goes blank, and
-    /// the app starts again after `relaunch_cost`.
-    pub fn force_relaunch(&mut self, now: SimTime, relaunch_cost: SimDuration) {
-        self.crash(now, relaunch_cost);
+    /// While the app is dead: the instant it relaunches. A controller that
+    /// retries after a crash waits for it, since events injected before
+    /// then are lost.
+    pub fn relaunch_at(&self) -> Option<SimTime> {
+        self.relaunch_at
     }
 
     fn crash(&mut self, now: SimTime, relaunch_cost: SimDuration) {
@@ -297,9 +295,9 @@ impl Phone {
     pub fn parse_ui(&mut self, now: SimTime) -> (View, SimDuration) {
         let (view, _) = self.ui.observe(now);
         let views = self.ui.observed_views(now) as u64;
-        let mean = self.parse_base + self.parse_per_view * views;
+        let mean = Self::PARSE_BASE + Self::PARSE_PER_VIEW * views;
         let cost = self.rng.jittered(mean, 0.25);
-        self.cpu.controller_busy += cost.mul_f64(self.parse_cpu_fraction);
+        self.cpu.controller_busy += cost.mul_f64(Self::PARSE_CPU_FRACTION);
         (view, cost)
     }
 

@@ -171,10 +171,6 @@ pub struct UiTree {
     /// not walk the tree to price itself.
     views: usize,
     rng: DetRng,
-    /// Mean UI drawing delay between a layout change and pixels on screen.
-    pub draw_delay: SimDuration,
-    /// Jitter fraction on the draw delay.
-    pub draw_jitter: f64,
     /// Camera log: each entry's *time* is `t_screen`, its `changed_at` is
     /// `t_ui`. Evaluation-only; the controller never reads this.
     pub camera: RecordLog<ScreenEvent>,
@@ -206,14 +202,17 @@ struct Frozen {
 }
 
 impl UiTree {
+    /// Mean UI drawing delay between a layout change and pixels on screen.
+    pub const DRAW_DELAY: SimDuration = SimDuration::from_millis(14);
+    /// Jitter fraction on the draw delay.
+    pub const DRAW_JITTER: f64 = 0.30;
+
     /// New tree rooted at `root`.
     pub fn new(root: View, rng: DetRng) -> UiTree {
         UiTree {
             views: root.count(),
             root,
             rng,
-            draw_delay: SimDuration::from_millis(14),
-            draw_jitter: 0.30,
             camera: RecordLog::new(),
             last_draw: SimTime::ZERO,
             revision: 0,
@@ -327,7 +326,7 @@ impl UiTree {
         f(&mut self.root);
         self.views = self.root.count();
         self.revision += 1;
-        let mut delay = self.rng.jittered(self.draw_delay, self.draw_jitter);
+        let mut delay = self.rng.jittered(Self::DRAW_DELAY, Self::DRAW_JITTER);
         if let Some(factor) = self
             .slow_draws
             .iter()

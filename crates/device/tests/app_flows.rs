@@ -3,7 +3,8 @@
 
 use device::apps::{
     BrowserApp, BrowserConfig, FacebookApp, FacebookConfig, FacebookPoster, FbVersion,
-    PosterConfig, VideoSpec, YouTubeApp, YouTubeConfig,
+    PosterConfig, VideoSpec, YouTubeApp, YouTubeConfig, FACEBOOK_API_HOST, FACEBOOK_POST_HOST,
+    FACEBOOK_PUSH_HOST, YOUTUBE_AD_HOST, YOUTUBE_API_HOST, YOUTUBE_VIDEO_HOST,
 };
 use device::ui::ViewSignature;
 use device::{App, FacebookOrigin, Internet, NetAttachment, Phone, RpcServer, UiEvent, World};
@@ -19,10 +20,10 @@ fn world_with(app: Box<dyn App>, seed: u64) -> World {
     let mut rng = DetRng::seed_from_u64(seed);
     let mut internet = Internet::new(resolver(), rng.fork(1));
     for (name, ip) in [
-        ("api.facebook.com", IpAddr::new(31, 13, 64, 1)),
-        ("api.youtube.com", IpAddr::new(74, 125, 0, 1)),
-        ("video.youtube.com", IpAddr::new(74, 125, 0, 2)),
-        ("ads.youtube.com", IpAddr::new(74, 125, 0, 3)),
+        (FACEBOOK_API_HOST, IpAddr::new(31, 13, 64, 1)),
+        (YOUTUBE_API_HOST, IpAddr::new(74, 125, 0, 1)),
+        (YOUTUBE_VIDEO_HOST, IpAddr::new(74, 125, 0, 2)),
+        (YOUTUBE_AD_HOST, IpAddr::new(74, 125, 0, 3)),
         ("www.example.com", IpAddr::new(93, 184, 216, 34)),
     ] {
         internet.add_server(name, ip, Box::new(RpcServer::new(&[80, 443])));
@@ -31,11 +32,11 @@ fn world_with(app: Box<dyn App>, seed: u64) -> World {
     // channel, as in the two-device experiments.
     let origin_ip = IpAddr::new(31, 13, 64, 2);
     internet.add_server(
-        "graph.facebook.com",
+        FACEBOOK_POST_HOST,
         origin_ip,
         Box::new(FacebookOrigin::new(5_000, SimDuration::from_millis(1_100))),
     );
-    internet.add_alias("push.facebook.com", origin_ip);
+    internet.add_alias(FACEBOOK_PUSH_HOST, origin_ip);
     let phone = Phone::new(
         IpAddr::new(10, 0, 0, 2),
         resolver(),
@@ -234,7 +235,6 @@ fn youtube_preroll_ad_plays_before_video() {
             duration: SimDuration::from_secs(5),
             bitrate_bps: 300e3,
         }),
-        ..Default::default()
     };
     let mut world = world_with(Box::new(YouTubeApp::new(cfg)), 5);
     drive(
@@ -295,7 +295,6 @@ fn youtube_skip_ad_button_appears_and_skips() {
             duration: SimDuration::from_secs(30),
             bitrate_bps: 300e3,
         }),
-        ..Default::default()
     };
     let mut world = world_with(Box::new(YouTubeApp::new(cfg)), 15);
     drive(

@@ -9,7 +9,8 @@
 
 use device::apps::{
     BrowserApp, BrowserConfig, FacebookApp, FacebookConfig, FacebookPoster, FbVersion,
-    PosterConfig, VideoSpec, YouTubeApp, YouTubeConfig,
+    PosterConfig, VideoSpec, YouTubeApp, YouTubeConfig, FACEBOOK_API_HOST, FACEBOOK_POST_HOST,
+    FACEBOOK_PUSH_HOST, YOUTUBE_API_HOST, YOUTUBE_VIDEO_HOST,
 };
 use device::{
     proto, App, FacebookOrigin, Internet, NetAttachment, Phone, RpcServer, ServerApp, UiEvent,
@@ -149,9 +150,9 @@ fn world_with(app: Box<dyn App>, cell: bool, seed: u64) -> World {
     let mut rng = DetRng::seed_from_u64(seed);
     let mut internet = Internet::new(resolver(), rng.fork(1));
     for (name, ip) in [
-        ("api.facebook.com", IpAddr::new(31, 13, 64, 1)),
-        ("api.youtube.com", IpAddr::new(74, 125, 0, 1)),
-        ("video.youtube.com", IpAddr::new(74, 125, 0, 2)),
+        (FACEBOOK_API_HOST, IpAddr::new(31, 13, 64, 1)),
+        (YOUTUBE_API_HOST, IpAddr::new(74, 125, 0, 1)),
+        (YOUTUBE_VIDEO_HOST, IpAddr::new(74, 125, 0, 2)),
         ("www.example.com", IpAddr::new(93, 184, 216, 34)),
     ] {
         let server = RpcServer::new(&[80, 443]).with_delay(SimDuration::from_millis(40));
@@ -161,8 +162,8 @@ fn world_with(app: Box<dyn App>, cell: bool, seed: u64) -> World {
     // down the push channel.
     let origin_ip = IpAddr::new(31, 13, 64, 2);
     let origin = FacebookOrigin::new(5_000, SimDuration::from_millis(300));
-    internet.add_server("graph.facebook.com", origin_ip, Box::new(origin));
-    internet.add_alias("push.facebook.com", origin_ip);
+    internet.add_server(FACEBOOK_POST_HOST, origin_ip, Box::new(origin));
+    internet.add_alias(FACEBOOK_PUSH_HOST, origin_ip);
     let net = if cell {
         NetAttachment::Cell(Box::new(CellBearer::new(BearerConfig::umts_3g(), &mut rng)))
     } else {
@@ -349,8 +350,11 @@ fn youtube_follows_every_step() {
     // A crashed app runs nothing, so it follows nothing.
     world
         .phone
-        .force_relaunch(SimTime::from_secs(1), SimDuration::from_secs(2));
+        .schedule_crash(SimTime::from_secs(2), SimDuration::from_secs(2));
+    advance(&mut world, SimTime::from_secs(1), SimTime::from_secs(2));
+    assert_eq!(world.phone.relaunch_at(), Some(SimTime::from_secs(4)));
     assert!(!world.phone.app_follows());
-    advance(&mut world, SimTime::from_secs(1), SimTime::from_secs(4));
+    advance(&mut world, SimTime::from_secs(2), SimTime::from_secs(5));
+    assert_eq!(world.phone.relaunch_at(), None);
     assert!(world.phone.app_follows());
 }

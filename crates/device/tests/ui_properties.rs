@@ -312,7 +312,7 @@ proptest! {
                 4 => {
                     let (view, cost) = phone.parse_ui(now);
                     let (expect_view, _) = twin.ui.observe(now);
-                    let mean = twin.parse_base + twin.parse_per_view * expect_view.count() as u64;
+                    let mean = Phone::PARSE_BASE + Phone::PARSE_PER_VIEW * expect_view.count() as u64;
                     prop_assert_eq!(cost, twin.rng.jittered(mean, 0.25));
                     prop_assert_eq!(&view, &expect_view);
                     held.push((view, model.observed(now).0.clone()));

@@ -434,18 +434,22 @@ impl Obtain {
 }
 
 /// Load the entries of the bundle under `dir` that `reads` declares, and
-/// check the bundle was recorded for `want`.
+/// check the bundle was recorded for `want`. Only a missing bundle is
+/// worded as one that was never recorded; a damaged, wrong-version or
+/// stale bundle's error names what is wrong with it.
 fn load_checked<A: BundleArtifact>(
     dir: &Path,
     want: &BundleMeta,
     reads: &Reads,
 ) -> Result<A, String> {
-    let (artifact, meta) = A::load_reading(dir, reads).map_err(|e| {
-        format!(
-            "no usable bundle at {}: {e} (run `record` first)",
+    if !dir.exists() {
+        return Err(format!(
+            "no bundle at {} (run `record` first)",
             dir.display()
-        )
-    })?;
+        ));
+    }
+    let (artifact, meta) = A::load_reading(dir, reads)
+        .map_err(|e| format!("unusable bundle at {}: {e}", dir.display()))?;
     check_identity(&meta, want).map_err(|e| format!("bundle {} is stale: {e}", dir.display()))?;
     Ok(artifact)
 }
@@ -593,9 +597,93 @@ mod tests {
             .into_campaign(&StageMode::Analyze(root.clone()))
             .run(1);
         assert_eq!(run.faulted(), 2);
+        // Only a missing bundle asks for a recording.
+        for job in &run.jobs {
+            match &job.outcome {
+                Outcome::Faulted(reason) => {
+                    assert!(reason.contains("no bundle at"), "{reason}");
+                    assert!(reason.contains(RECORD_HINT), "{reason}");
+                }
+                _ => panic!("{}: a missing bundle must fault the job", job.label),
+            }
+        }
         let stats = run.stages.unwrap();
         assert_eq!(stats.cache_misses, 2);
         assert_eq!(stats.analyzed, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The fault reason of `staged(1)`'s one job analyzed from `root`.
+    fn analyze_fault(root: &Path) -> String {
+        let run = staged(1)
+            .into_campaign(&StageMode::Analyze(root.to_path_buf()))
+            .run(1);
+        match &run.jobs[0].outcome {
+            Outcome::Faulted(reason) => reason.clone(),
+            _ => panic!("analyzing {} must fault the job", root.display()),
+        }
+    }
+
+    /// Record `staged(1)` under a fresh root and return the root and its
+    /// one bundle's directory.
+    fn recorded(name: &str) -> (PathBuf, PathBuf) {
+        let root = tmp(name);
+        staged(1).into_record_campaign(&root).run(1);
+        let dir = bundle_dir(&root, "staged/test", "cell 0", 100, 0xABC);
+        (root, dir)
+    }
+
+    const RECORD_HINT: &str = "run `record` first";
+
+    #[test]
+    fn damaged_bundle_names_the_damage() {
+        let (root, dir) = recorded("hint-damaged");
+        let blob = dir.join("blob.bin");
+        let mut bytes = fs::read(&blob).unwrap();
+        bytes[0] ^= 0x01;
+        fs::write(&blob, bytes).unwrap();
+        let reason = analyze_fault(&root);
+        assert!(
+            reason.contains("'blob' does not match its manifest checksum"),
+            "{reason}"
+        );
+        assert!(!reason.contains(RECORD_HINT), "{reason}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn wrong_version_bundle_names_the_version() {
+        let (root, dir) = recorded("hint-version");
+        let manifest = dir.join("manifest.txt");
+        let bumped = fs::read_to_string(&manifest).unwrap().replace(
+            &format!("qoe-trace-bundle v{}", trace::FORMAT_VERSION),
+            "qoe-trace-bundle v99",
+        );
+        fs::write(&manifest, bumped).unwrap();
+        let reason = analyze_fault(&root);
+        assert!(reason.contains("unsupported format version 99"), "{reason}");
+        assert!(!reason.contains(RECORD_HINT), "{reason}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn stale_bundle_names_what_differs() {
+        let (root, dir) = recorded("hint-stale");
+        // Overwrite the job's bundle with one recorded for another seed.
+        fs::remove_dir_all(&dir).unwrap();
+        let meta = BundleMeta {
+            seed: 7,
+            config_digest: 0xABC,
+            scenario: "staged/test/cell 0".into(),
+            end: SimTime::ZERO,
+        };
+        Blob(0).save_bundle(&dir, &meta).unwrap();
+        let reason = analyze_fault(&root);
+        assert!(
+            reason.contains("is stale: seed 7 (expected 100)"),
+            "{reason}"
+        );
+        assert!(!reason.contains(RECORD_HINT), "{reason}");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -273,7 +273,7 @@ fn discipline_session(cfg: netstack::ShaperConfig, seed: u64) -> Collection {
     replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(5));
     doctor.interact(&replay::video_result("abl"));
-    doctor.monitor_playback("video", SimDuration::from_secs(280));
+    replay::monitor_playback(&mut doctor, "video", SimDuration::from_secs(280));
     doctor.collect()
 }
 

@@ -14,16 +14,13 @@
 //! a `faulted` campaign record instead of hanging or poisoning aggregates.
 
 use crate::scenario::{browser_world, youtube_world, NetKind, PAGE_URL};
-use device::apps::{BrowserConfig, VideoSpec};
+use device::apps::{BrowserConfig, VideoSpec, YOUTUBE_VIDEO_HOST};
 use device::UiEvent;
 use faults::{FaultKind, FaultLayer, FaultPlan, Window};
 use harness::{Campaign, Json, Record};
 use netstack::GilbertElliott;
 use qoe_doctor::replay::{self, PAGE_LOAD, VIDEO_INITIAL_LOADING};
-use qoe_doctor::{
-    diagnose_worst, Calendar, Collection, ControlError, Controller, Kernel, RetryPolicy,
-    WaitCondition,
-};
+use qoe_doctor::{diagnose_worst, Calendar, Collection, ControlError, Controller, Kernel};
 use radio::{RadioTech, RrcState};
 use simcore::{SimDuration, SimTime};
 
@@ -179,46 +176,30 @@ pub fn video_session<K: Kernel>(plan: &FaultPlan, net: NetKind, seed: u64) -> Ce
     doctor.advance(SimDuration::from_secs(10));
 
     let click = replay::video_result(VIDEO_NAME);
-    // "status reads playing" rather than "progress bar gone": a crashed
-    // app's blank relaunch UI satisfies the latter vacuously, which would
-    // turn a dead player into a fast bogus success.
-    let loaded = WaitCondition::TextIs {
-        id: "player_status".into(),
-        value: "playing".into(),
-    };
-    // Bounded retries with recovery: a relaunched app forgot its search
-    // results, so each retry re-issues the search before clicking again.
-    let mut attempts = 1u32;
+    // The cell is frozen if any attempt froze.
     let mut ui_frozen = false;
-    let mut measured = doctor.try_measure_after(
-        VIDEO_INITIAL_LOADING,
-        &click,
-        &loaded,
-        SimDuration::from_secs(120),
-    );
-    while let Err(e) = &measured {
-        if matches!(e, ControlError::UiFrozen { .. }) {
-            ui_frozen = true;
+    let (measured, attempts) = doctor.retry(|doctor, attempt| {
+        if attempt > 1 {
+            // A relaunched app forgot its search results: search again
+            // before clicking.
+            doctor.advance(SimDuration::from_secs(5));
+            replay::search_videos(doctor);
+            doctor.advance(SimDuration::from_secs(5));
         }
-        if attempts >= 3 {
-            break;
-        }
-        attempts += 1;
-        doctor.advance(SimDuration::from_secs(5));
-        replay::search_videos(&mut doctor);
-        doctor.advance(SimDuration::from_secs(5));
-        measured = doctor.try_measure_after(
+        let measured = doctor.try_measure_after(
             VIDEO_INITIAL_LOADING,
             &click,
-            &loaded,
+            &replay::player_playing(),
             SimDuration::from_secs(120),
         );
-    }
+        ui_frozen |= matches!(measured, Err(ControlError::UiFrozen { .. }));
+        measured
+    });
 
     let mut rebuffering = 1.0;
     if measured.is_ok() {
         let budget = SimDuration::from_secs(60) * 2 + SimDuration::from_secs(120);
-        let report = doctor.monitor_playback("video", budget);
+        let report = replay::monitor_playback(&mut doctor, "video", budget);
         ui_frozen |= report.ui_frozen;
         rebuffering = report.rebuffering_ratio();
     }
@@ -284,26 +265,27 @@ pub fn page_session<K: Kernel>(plan: &FaultPlan, seed: u64) -> CellSession {
     let mut doctor = Controller::<K>::with_kernel(world).with_watchdog(SimDuration::from_secs(20));
     doctor.advance(SimDuration::from_secs(2));
     let type_url = replay::type_url(PAGE_URL);
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        backoff: SimDuration::from_secs(5),
-        relaunch: None,
-    };
-    let result = doctor.measure_with_retry(
-        PAGE_LOAD,
-        std::slice::from_ref(&type_url),
-        &UiEvent::KeyEnter,
-        &replay::page_loaded(PAGE_URL),
-        SimDuration::from_secs(60),
-        &policy,
-    );
-    let (attempts, ui_frozen) = match &result {
-        Ok((_, attempts)) => (*attempts, false),
-        Err(e) => (
-            policy.max_attempts,
-            matches!(e, ControlError::UiFrozen { .. }),
-        ),
-    };
+    let (result, attempts) = doctor.retry(|doctor, attempt| {
+        if attempt > 1 {
+            // Back off (5 s, doubling after each failed attempt), then let a
+            // crashed app come back: events sent to a dead app are lost.
+            doctor.advance(SimDuration::from_secs(5) * (1u64 << (attempt - 2)));
+            if let Some(at) = doctor.world.phone.relaunch_at() {
+                doctor.advance_to(at);
+            }
+        }
+        // A relaunched browser forgot the URL: type it on every attempt.
+        doctor.interact(&type_url);
+        doctor.try_measure_after(
+            PAGE_LOAD,
+            &UiEvent::KeyEnter,
+            &replay::page_loaded(PAGE_URL),
+            SimDuration::from_secs(60),
+        )
+    });
+    // Unlike a video cell, a page cell is frozen only if its last attempt
+    // froze.
+    let ui_frozen = matches!(result, Err(ControlError::UiFrozen { .. }));
     // A second, fault-free load for contrast in the log.
     doctor.advance(SimDuration::from_secs(25));
     doctor.interact(&type_url);
@@ -315,7 +297,7 @@ pub fn page_session<K: Kernel>(plan: &FaultPlan, seed: u64) -> CellSession {
         attempts,
         ui_frozen,
         crashes,
-        measured: result.map(|(m, _)| m.calibrated().as_secs_f64()),
+        measured: result.map(|m| m.calibrated().as_secs_f64()),
         rebuffering: 0.0,
     }
 }
@@ -381,7 +363,7 @@ pub fn video_grid() -> Vec<(&'static str, FaultPlan)> {
         (
             "server_stall",
             FaultPlan::new().with_kind(FaultKind::ServerStall {
-                server: "video.youtube.com".into(),
+                server: YOUTUBE_VIDEO_HOST.into(),
                 window: Window::span_secs(16, 31),
             }),
         ),

@@ -191,7 +191,7 @@ fn video_session(reps: usize, seed: u64) -> Collection {
     doctor.advance(SimDuration::from_secs(10));
     for spec in &videos {
         replay::load_video(&mut doctor, &spec.name, SimDuration::from_secs(200));
-        doctor.monitor_playback("video", SimDuration::from_secs(200));
+        replay::monitor_playback(&mut doctor, "video", SimDuration::from_secs(200));
         doctor.advance(SimDuration::from_secs(3));
     }
     doctor.collect()

@@ -129,7 +129,7 @@ pub fn watch_session<K: Kernel>(net: NetKind, count: usize, seed: u64) -> Collec
         let budget = spec.duration * 2
             + SimDuration::from_secs_f64(spec.total_bytes() as f64 * 8.0 / 64e3)
             + SimDuration::from_secs(60);
-        doctor.monitor_playback("video", budget);
+        replay::monitor_playback(&mut doctor, "video", budget);
         doctor.advance(SimDuration::from_secs(3));
     }
     doctor.collect()

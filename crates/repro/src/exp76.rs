@@ -7,10 +7,9 @@
 
 use crate::scenario::{youtube_world, NetKind};
 use device::apps::VideoSpec;
-use device::{UiEvent, ViewSignature};
 use qoe_doctor::bundle::BEHAVIOR;
 use qoe_doctor::replay::{self, VIDEO_INITIAL_LOADING};
-use qoe_doctor::{Collection, Controller, WaitCondition};
+use qoe_doctor::{Collection, Controller};
 use simcore::{SimDuration, Summary};
 use std::fmt;
 use trace::Reads;
@@ -94,9 +93,7 @@ fn session(net: NetKind, with_ad: bool, skip: bool, reps: usize, seed: u64) -> C
                 // The paper's controller skips ads whenever offered
                 // (§4.2.2); the skip button appears 5 s into ad playback.
                 doctor.advance(SimDuration::from_secs(6));
-                doctor.interact(&UiEvent::Click {
-                    target: ViewSignature::by_id("skip_ad"),
-                });
+                doctor.interact(&replay::skip_ad());
             }
             // Second window: main-video loading after the (skipped) ad. The
             // prefetched buffer may make this nearly instantaneous; a
@@ -104,9 +101,7 @@ fn session(net: NetKind, with_ad: bool, skip: bool, reps: usize, seed: u64) -> C
             // counts as zero at analysis time.
             doctor.measure_span(
                 VIDEO_INITIAL_LOADING,
-                &WaitCondition::Shown {
-                    id: "player_progress".into(),
-                },
+                &replay::player_loading(),
                 &replay::player_ready(),
                 pre_roll().duration + SimDuration::from_secs(90),
             );
@@ -114,7 +109,8 @@ fn session(net: NetKind, with_ad: bool, skip: bool, reps: usize, seed: u64) -> C
             replay::load_video(&mut doctor, &spec.name, SimDuration::from_secs(120));
         }
         // Let the video finish before the next rep.
-        doctor.monitor_playback(
+        replay::monitor_playback(
+            &mut doctor,
             "video",
             SimDuration::from_secs(45 * 3 + 60) + pre_roll().duration * 2,
         );

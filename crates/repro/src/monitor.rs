@@ -177,7 +177,7 @@ fn video_session(throttled: bool, videos: usize, seed: u64) -> Collection {
         let budget = spec.duration * 2
             + SimDuration::from_secs_f64(spec.total_bytes() as f64 * 8.0 / THROTTLE_BPS)
             + SimDuration::from_secs(30);
-        doctor.monitor_playback("video", budget);
+        replay::monitor_playback(&mut doctor, "video", budget);
         doctor.advance(SimDuration::from_secs(3));
     }
     doctor.collect()

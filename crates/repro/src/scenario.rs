@@ -3,7 +3,8 @@
 
 use device::apps::{
     BrowserApp, BrowserConfig, FacebookApp, FacebookConfig, FacebookPoster, FbVersion,
-    PosterConfig, VideoSpec, YouTubeApp, YouTubeConfig,
+    PosterConfig, VideoSpec, YouTubeApp, YouTubeConfig, FACEBOOK_API_HOST, FACEBOOK_POST_HOST,
+    FACEBOOK_PUSH_HOST, YOUTUBE_AD_HOST, YOUTUBE_API_HOST, YOUTUBE_VIDEO_HOST,
 };
 use device::{App, FacebookOrigin, Internet, NetAttachment, Phone, RpcServer, World};
 use netstack::dns::DNS_PORT;
@@ -103,24 +104,24 @@ fn build_world(app: Box<dyn App>, net: NetKind, seed: u64, light_qxdm: bool) -> 
     // write path's server time is what pushes post acknowledgements past
     // the local-echo QoE window, Finding 1).
     internet.add_server(
-        "api.facebook.com",
+        FACEBOOK_API_HOST,
         IpAddr::new(31, 13, 64, 1),
         Box::new(RpcServer::new(&[443]).with_delay(SimDuration::from_millis(320))),
     );
     // The Facebook write/push origin is added by `facebook_world_cfg`.
     // YouTube origins.
     internet.add_server(
-        "api.youtube.com",
+        YOUTUBE_API_HOST,
         IpAddr::new(74, 125, 0, 1),
         Box::new(RpcServer::new(&[443]).with_delay(SimDuration::from_millis(250))),
     );
     internet.add_server(
-        "video.youtube.com",
+        YOUTUBE_VIDEO_HOST,
         IpAddr::new(74, 125, 0, 2),
         Box::new(RpcServer::new(&[443]).with_delay(SimDuration::from_millis(60))),
     );
     internet.add_server(
-        "ads.youtube.com",
+        YOUTUBE_AD_HOST,
         IpAddr::new(74, 125, 0, 3),
         Box::new(RpcServer::new(&[443]).with_delay(SimDuration::from_millis(80))),
     );
@@ -156,14 +157,14 @@ pub fn facebook_world_cfg(
     let mut world = build_world(app, net, seed, light_qxdm);
     let origin_ip = IpAddr::new(31, 13, 64, 2);
     world.internet.add_server(
-        "graph.facebook.com",
+        FACEBOOK_POST_HOST,
         origin_ip,
         Box::new(FacebookOrigin::new(
             push_bytes,
             SimDuration::from_millis(1_100),
         )),
     );
-    world.internet.add_alias("push.facebook.com", origin_ip);
+    world.internet.add_alias(FACEBOOK_PUSH_HOST, origin_ip);
     if let Some(interval) = post_interval {
         // Device A: a WiFi peer running the posting app.
         let mut rng = DetRng::seed_from_u64(seed ^ 0xA11CE);
@@ -208,11 +209,7 @@ pub fn youtube_world(
     seed: u64,
     light_qxdm: bool,
 ) -> World {
-    let cfg = YouTubeConfig {
-        videos,
-        ad,
-        ..YouTubeConfig::default()
-    };
+    let cfg = YouTubeConfig { videos, ad };
     build_world(Box::new(YouTubeApp::new(cfg)), net, seed, light_qxdm)
 }
 

@@ -15,8 +15,8 @@ use device::UiEvent;
 use faults::{FaultKind, FaultPlan};
 use qoe_doctor::replay::{self, PAGE_LOAD, VIDEO_INITIAL_LOADING};
 use qoe_doctor::{
-    BehaviorRecord, Calendar, Collection, ControlError, Controller, PlaybackReport, RetryPolicy,
-    StartKind, WaitCondition,
+    BehaviorRecord, Calendar, Collection, ControlError, Controller, PlaybackReport, StartKind,
+    WaitCondition,
 };
 use repro::scenario::{browser_world, video_dataset, youtube_world, PAGE_URL};
 use repro::{chaos, exp75, NetKind};
@@ -115,40 +115,33 @@ fn try_measure_after(
     }
 }
 
-/// `Controller::measure_with_retry`.
-fn measure_with_retry(
+/// `chaos::page_session`'s retried load, as a plain loop: type the URL and
+/// load the page, at most three times; before each retry, back off (5 s,
+/// doubling) and wait for a crashed app to relaunch.
+fn retried_page_load(
     doctor: &mut Controller,
-    setup: &[UiEvent],
+    type_url: &UiEvent,
     cond: &WaitCondition,
     timeout: SimDuration,
-    policy: &RetryPolicy,
-) -> Result<(BehaviorRecord, u32), ControlError> {
-    let mut backoff = policy.backoff;
-    let mut last_err = None;
-    for attempt in 1..=policy.max_attempts {
-        for ev in setup {
-            doctor.interact(ev);
+) -> (Result<BehaviorRecord, ControlError>, u32) {
+    let mut backoff = SimDuration::from_secs(5);
+    let mut attempt = 1;
+    loop {
+        doctor.interact(type_url);
+        let result = try_measure_after(doctor, PAGE_LOAD, &UiEvent::KeyEnter, cond, timeout);
+        if result.is_ok() || attempt == 3 {
+            return (result, attempt);
         }
-        match try_measure_after(doctor, PAGE_LOAD, &UiEvent::KeyEnter, cond, timeout) {
-            Ok(m) => return Ok((m, attempt)),
-            Err(e) => {
-                last_err = Some(e);
-                if attempt == policy.max_attempts {
-                    break;
-                }
-                if let Some(cost) = policy.relaunch {
-                    doctor.world.phone.force_relaunch(doctor.now, cost);
-                    doctor.advance(cost);
-                }
-                doctor.advance(backoff);
-                backoff = backoff.mul_f64(2.0);
-            }
+        doctor.advance(backoff);
+        backoff = backoff * 2;
+        if let Some(at) = doctor.world.phone.relaunch_at() {
+            doctor.advance_to(at);
         }
+        attempt += 1;
     }
-    Err(last_err.expect("no attempt ran"))
 }
 
-/// `Controller::monitor_playback`, evaluating both status conditions on
+/// `replay::monitor_playback`, evaluating both status conditions on
 /// every pass.
 fn monitor_playback(doctor: &mut Controller, action: &str, timeout: SimDuration) -> PlaybackReport {
     let playback_start = doctor.now;
@@ -266,7 +259,7 @@ fn watch_session(net: NetKind, seed: u64, loops: Loops, budget: Option<SimDurati
                 + SimDuration::from_secs(60),
         );
         match loops {
-            Loops::Controller => doctor.monitor_playback("video", budget),
+            Loops::Controller => replay::monitor_playback(&mut doctor, "video", budget),
             Loops::Reference => monitor_playback(&mut doctor, "video", budget),
         };
         doctor.advance(SimDuration::from_secs(3));
@@ -296,10 +289,7 @@ fn chaos_video_session(plan: &FaultPlan, net: NetKind, seed: u64) -> Cell {
     replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(10));
     let click = replay::video_result("chaosvid");
-    let loaded = WaitCondition::TextIs {
-        id: "player_status".into(),
-        value: "playing".into(),
-    };
+    let loaded = replay::player_playing();
     let timeout = SimDuration::from_secs(120);
     let mut attempts = 1u32;
     let mut ui_frozen = false;
@@ -338,25 +328,13 @@ fn chaos_page_session(plan: &FaultPlan, seed: u64) -> Cell {
     let mut doctor = Controller::new(world).with_watchdog(SimDuration::from_secs(20));
     doctor.advance(SimDuration::from_secs(2));
     let type_url = replay::type_url(PAGE_URL);
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        backoff: SimDuration::from_secs(5),
-        relaunch: None,
-    };
-    let result = measure_with_retry(
+    let (result, attempts) = retried_page_load(
         &mut doctor,
-        std::slice::from_ref(&type_url),
+        &type_url,
         &replay::page_loaded(PAGE_URL),
         SimDuration::from_secs(60),
-        &policy,
     );
-    let (attempts, ui_frozen) = match &result {
-        Ok((_, attempts)) => (*attempts, false),
-        Err(e) => (
-            policy.max_attempts,
-            matches!(e, ControlError::UiFrozen { .. }),
-        ),
-    };
+    let ui_frozen = matches!(result, Err(ControlError::UiFrozen { .. }));
     doctor.advance(SimDuration::from_secs(25));
     doctor.interact(&type_url);
     try_measure_after(
@@ -478,9 +456,9 @@ fn chaos_ui_freeze_cell_matches_the_reference_waits() {
 fn crash_then_retry_page_session_matches_the_reference_waits() {
     // The first load starts at 2 s and the app crashes mid-load. Its blank
     // UI stays unchanged until the relaunch at 32.5 s, so the 20 s watchdog
-    // ends the first attempt as frozen. The second attempt types into the
-    // dead app, so the relaunched layout never shows the page and the
-    // watchdog ends that attempt too; the third loads the page.
+    // ends the first attempt as frozen. After the 5 s backoff the retry
+    // waits for the relaunch, so the second attempt types into the live
+    // app and loads the page.
     let plan = FaultPlan::new().with_kind(FaultKind::AppCrash {
         at: SimTime::from_millis(2_500),
         relaunch: SimDuration::from_secs(30),
@@ -490,7 +468,7 @@ fn crash_then_retry_page_session_matches_the_reference_waits() {
         let memo = chaos::page_session::<Calendar>(&plan, seed);
         let reference = chaos_page_session(&plan, seed);
         assert_eq!(memo.crashes, 1, "{label}: the app never crashed");
-        assert_eq!(memo.attempts, 3, "{label}: the load was not retried twice");
+        assert_eq!(memo.attempts, 2, "{label}: the load was not retried once");
         assert_eq!(memo.attempts, reference.attempts, "{label}");
         assert_eq!(memo.ui_frozen, reference.ui_frozen, "{label}");
         assert_eq!(memo.crashes, reference.crashes, "{label}");

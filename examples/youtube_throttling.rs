@@ -29,7 +29,7 @@ fn watch(net: NetKind) {
     // loading window.
     let loading = replay::load_video(&mut doctor, "demo", SimDuration::from_secs(300));
     // Watch to the end, recording every stall.
-    let report = doctor.monitor_playback("video", SimDuration::from_secs(600));
+    let report = replay::monitor_playback(&mut doctor, "video", SimDuration::from_secs(600));
 
     println!(
         "{:<22} initial loading {:>7}   rebuffering ratio {:>5.2}   stalls {} (finished: {})",

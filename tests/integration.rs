@@ -207,7 +207,7 @@ fn play_one(net: NetKind, seed: u64) -> (SimDuration, f64, bool) {
     replay::search_videos(&mut doctor);
     doctor.advance(SimDuration::from_secs(5));
     let rec = replay::load_video(&mut doctor, "itest", SimDuration::from_secs(240));
-    let report = doctor.monitor_playback("video", SimDuration::from_secs(400));
+    let report = replay::monitor_playback(&mut doctor, "video", SimDuration::from_secs(400));
     (
         rec.calibrated(),
         report.rebuffering_ratio(),
@@ -449,7 +449,7 @@ fn table1_replay_specs_execute_end_to_end() {
     doctor.advance(SimDuration::from_secs(5));
     let rec = replay::load_video(&mut doctor, "spec", SimDuration::from_secs(240));
     assert_eq!(last_logged(&doctor), rec);
-    doctor.monitor_playback("video", SimDuration::from_secs(120));
+    replay::monitor_playback(&mut doctor, "video", SimDuration::from_secs(120));
     assert!(
         !doctor.log.is_empty(),
         "at least the initial loading measured"
