@@ -18,18 +18,27 @@ use crate::Controller;
 use device::ui::ScreenEvent;
 use simcore::{RecordLog, SimDuration, SimTime, Summary};
 
-/// Calibrated latencies (seconds) for every record whose action starts with
-/// `prefix`, excluding timeouts.
-pub fn latencies_secs(log: &AppBehaviorLog, prefix: &str) -> Vec<f64> {
+/// The records of `action` that did not time out, in log order: the
+/// completed measurements every latency analysis starts from.
+pub fn completed<'a>(
+    log: &'a AppBehaviorLog,
+    action: &'a str,
+) -> impl Iterator<Item = &'a BehaviorRecord> + 'a {
     log.iter()
-        .filter(|(_, r)| r.action.starts_with(prefix) && !r.timed_out)
-        .map(|(_, r)| r.calibrated().as_secs_f64())
+        .map(|(_, r)| r)
+        .filter(move |r| r.action == action && !r.timed_out)
+}
+
+/// Calibrated latencies (seconds) of the [`completed`] `action` records.
+pub fn latencies_secs(log: &AppBehaviorLog, action: &str) -> Vec<f64> {
+    completed(log, action)
+        .map(|r| r.calibrated().as_secs_f64())
         .collect()
 }
 
-/// Summary statistics of calibrated latencies for `prefix`.
-pub fn latency_summary(log: &AppBehaviorLog, prefix: &str) -> Summary {
-    Summary::of(&latencies_secs(log, prefix))
+/// Summary statistics of calibrated latencies for `action`.
+pub fn latency_summary(log: &AppBehaviorLog, action: &str) -> Summary {
+    Summary::of(&latencies_secs(log, action))
 }
 
 /// A summary of a monitored video playback (initial loading handled
@@ -203,12 +212,15 @@ mod tests {
     }
 
     #[test]
-    fn latency_filtering_by_prefix() {
+    fn latency_filtering_by_action() {
         let mut log = AppBehaviorLog::new();
-        for (i, action) in ["upload_post:status", "upload_post:photos", "pull"]
-            .iter()
-            .enumerate()
-        {
+        let actions = [
+            ("upload_post:status", false),
+            ("upload_post:photos", false),
+            ("upload_post:photos", true),
+            ("pull", false),
+        ];
+        for (i, (action, timed_out)) in actions.iter().enumerate() {
             log.push(
                 SimTime::from_secs(i as u64 + 1),
                 BehaviorRecord {
@@ -217,13 +229,17 @@ mod tests {
                     end: SimTime::from_secs(i as u64 + 1),
                     start_kind: StartKind::Trigger,
                     mean_parse: SimDuration::ZERO,
-                    timed_out: false,
+                    timed_out: *timed_out,
                 },
             );
         }
-        assert_eq!(latencies_secs(&log, "upload_post").len(), 2);
+        assert_eq!(completed(&log, "upload_post:photos").count(), 1);
+        assert_eq!(latencies_secs(&log, "upload_post:status").len(), 1);
         assert_eq!(latencies_secs(&log, "pull").len(), 1);
-        assert_eq!(latency_summary(&log, "upload_post").n, 2);
+        assert_eq!(latency_summary(&log, "upload_post:photos").n, 1);
+        // The action matches exactly: a prefix selects nothing.
+        assert_eq!(completed(&log, "upload_post").count(), 0);
+        assert_eq!(latencies_secs(&log, "pul").len(), 0);
     }
 
     #[test]

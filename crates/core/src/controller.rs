@@ -230,14 +230,6 @@ impl<K: Kernel> Controller<K> {
         self.advance_to(self.now);
     }
 
-    /// One parse pass: returns the snapshot (taken at pass start) and
-    /// advances time by the parse cost.
-    pub fn parse_once(&mut self) -> View {
-        let (snapshot, cost) = self.world.phone.parse_ui(self.now);
-        self.advance_to(self.now + cost);
-        snapshot
-    }
-
     /// Wait until `cond` holds, parsing continuously: the controller's one
     /// parse-pass loop (§4.1). Every pass runs at least once, so a caller
     /// that must not start a pass at or past its deadline checks that

@@ -174,7 +174,8 @@ fn parsing_costs_time_and_cpu() {
     let before = doctor.now;
     let cpu_before = doctor.world.phone.cpu.controller_busy;
     for _ in 0..10 {
-        let snapshot = doctor.parse_once();
+        let (snapshot, cost) = doctor.world.phone.parse_ui(doctor.now);
+        doctor.advance_to(doctor.now + cost);
         assert!(snapshot.find("go").is_some());
     }
     assert!(doctor.now > before, "parsing advances the clock");

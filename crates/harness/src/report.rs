@@ -7,6 +7,7 @@
 //! [`Summary::merge`] for pooled moments and [`Cdf::merge`] for exact
 //! quantiles — over the sample sets each row exposes.
 
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -15,10 +16,13 @@ use simcore::{Cdf, SortedSamples, Summary};
 use crate::campaign::{CampaignRun, Outcome};
 use crate::json::Json;
 
-/// A campaign result row that knows how to report itself.
-pub trait Record {
-    /// The human-readable stdout row (deterministic).
-    fn row(&self) -> String;
+/// A campaign result row that knows how to report itself. Its
+/// human-readable text is its `Display` output.
+pub trait Record: fmt::Display {
+    /// The human-readable stdout row (deterministic): the `Display` text.
+    fn row(&self) -> String {
+        self.to_string()
+    }
 
     /// Structured payload for the JSON report.
     fn to_json(&self) -> Json;
@@ -146,10 +150,13 @@ mod tests {
         value: f64,
     }
 
-    impl Record for Row {
-        fn row(&self) -> String {
-            format!("value = {}", self.value)
+    impl fmt::Display for Row {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "value = {}", self.value)
         }
+    }
+
+    impl Record for Row {
         fn to_json(&self) -> Json {
             Json::obj([("value", Json::Num(self.value))])
         }

@@ -31,6 +31,7 @@
 //! (recorded at a different scale, or by an older format) can never be
 //! silently analyzed as something it is not.
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -191,10 +192,13 @@ pub struct BundleRow {
     pub dir: PathBuf,
 }
 
-impl Record for BundleRow {
-    fn row(&self) -> String {
-        format!("recorded {:<28} -> {}", self.label, self.dir.display())
+impl fmt::Display for BundleRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "recorded {:<28} -> {}", self.label, self.dir.display())
     }
+}
+
+impl Record for BundleRow {
     fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),

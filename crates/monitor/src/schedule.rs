@@ -14,6 +14,7 @@
 //! from some epoch onward — and because the config digest changes with it,
 //! the cache can never serve a pre-change bundle for a post-change epoch.
 
+use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -63,25 +64,27 @@ pub struct EpochRow {
     pub metrics: EpochMetrics,
 }
 
-impl Record for EpochRow {
-    fn row(&self) -> String {
-        let mut parts = vec![format!("{:<24} e{:02}", self.cell, self.epoch)];
+impl fmt::Display for EpochRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:<24} e{:02}", self.cell, self.epoch)?;
         for (name, samples) in &self.metrics.metrics {
             let mean = if samples.is_empty() {
                 0.0
             } else {
                 samples.iter().sum::<f64>() / samples.len() as f64
             };
-            parts.push(format!("{name} {mean:7.3}"));
+            write!(f, "  {name} {mean:7.3}")?;
         }
         let l = &self.metrics.layers;
-        parts.push(format!(
-            "| layers dev {:6.3}s net {:6.3}s promo {:6.3}s retx {:5.3}",
+        write!(
+            f,
+            "  | layers dev {:6.3}s net {:6.3}s promo {:6.3}s retx {:5.3}",
             l.device_s, l.network_s, l.promo_s, l.rlc_retx
-        ));
-        parts.join("  ")
+        )
     }
+}
 
+impl Record for EpochRow {
     fn to_json(&self) -> Json {
         let metrics = self
             .metrics

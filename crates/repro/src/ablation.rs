@@ -201,6 +201,16 @@ pub enum AblationPart {
     Discipline(Vec<DisciplineRow>),
 }
 
+impl fmt::Display for AblationPart {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AblationPart::Mapper(rows) => crate::render::write_lines(f, rows),
+            AblationPart::Calibration(row) => write!(f, "{row}"),
+            AblationPart::Discipline(rows) => crate::render::write_lines(f, rows),
+        }
+    }
+}
+
 /// The three ablation studies as one two-stage campaign, in report order.
 pub fn staged(
     mapper_reps: usize,

@@ -13,6 +13,8 @@
 //! interactions, a crash-looping app exhausts its retry budget and lands as
 //! a `faulted` campaign record instead of hanging or poisoning aggregates.
 
+use std::fmt;
+
 use crate::scenario::{browser_world, youtube_world, NetKind, PAGE_URL};
 use device::apps::{BrowserConfig, VideoSpec, YOUTUBE_VIDEO_HOST};
 use device::UiEvent;
@@ -50,14 +52,15 @@ pub struct ChaosRow {
     pub attribution_ok: Option<bool>,
 }
 
-impl Record for ChaosRow {
-    fn row(&self) -> String {
+impl fmt::Display for ChaosRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let verdict = match self.attribution_ok {
             None => "-".into(),
             Some(true) => "OK".into(),
             Some(false) => format!("MISS (expected {})", self.expected.unwrap_or("?")),
         };
-        format!(
+        write!(
+            f,
             "{:<5} {:<18} wait {:>6.1}s  rebuf {:>4.2}  attempts {}  crashes {}  frozen {:<5}  -> {:<7} {}",
             self.scenario,
             self.fault,
@@ -70,7 +73,9 @@ impl Record for ChaosRow {
             verdict
         )
     }
+}
 
+impl Record for ChaosRow {
     fn to_json(&self) -> Json {
         Json::obj([
             ("scenario", Json::from(self.scenario)),

@@ -11,7 +11,7 @@ use crate::scenario::{browser_world, facebook_world, youtube_world, NetKind, PAG
 use device::apps::{BrowserConfig, FbVersion, VideoSpec};
 use netstack::pcap::Direction;
 use netstack::IpPacket;
-use qoe_doctor::analyze::app::{accuracy_span, accuracy_trigger, AccuracySample};
+use qoe_doctor::analyze::app::{accuracy_span, accuracy_trigger, completed, AccuracySample};
 use qoe_doctor::analyze::crosslayer::{
     long_jump_map, score_mapping, MapperOptions, MappingScore, PduIndex, TruthCovers,
 };
@@ -199,17 +199,11 @@ fn video_session(reps: usize, seed: u64) -> Collection {
 
 /// YouTube initial loading + rebuffering accuracy from a recorded session.
 fn video_accuracy_from(col: &Collection) -> (MetricAccuracy, MetricAccuracy) {
-    let loading: Vec<AccuracySample> = col
-        .behavior
-        .iter()
-        .filter(|(_, r)| r.action == VIDEO_INITIAL_LOADING && !r.timed_out)
-        .filter_map(|(_, rec)| accuracy_trigger(rec, &col.camera, "player_progress:hide"))
+    let loading: Vec<AccuracySample> = completed(&col.behavior, VIDEO_INITIAL_LOADING)
+        .filter_map(|rec| accuracy_trigger(rec, &col.camera, "player_progress:hide"))
         .collect();
-    let rebuffer: Vec<AccuracySample> = col
-        .behavior
-        .iter()
-        .filter(|(_, r)| r.action == "video:rebuffer" && !r.timed_out)
-        .filter_map(|(_, r)| {
+    let rebuffer: Vec<AccuracySample> = completed(&col.behavior, "video:rebuffer")
+        .filter_map(|r| {
             accuracy_span(
                 r,
                 &col.camera,
@@ -242,11 +236,8 @@ fn page_session(reps: usize, seed: u64) -> Collection {
 
 /// Page-load accuracy from a recorded session.
 fn page_accuracy_from(col: &Collection) -> MetricAccuracy {
-    let samples: Vec<AccuracySample> = col
-        .behavior
-        .iter()
-        .filter(|(_, r)| r.action == PAGE_LOAD && !r.timed_out)
-        .filter_map(|(_, rec)| accuracy_trigger(rec, &col.camera, "page_progress:hide"))
+    let samples: Vec<AccuracySample> = completed(&col.behavior, PAGE_LOAD)
+        .filter_map(|rec| accuracy_trigger(rec, &col.camera, "page_progress:hide"))
         .collect();
     summarize("Web page loading", &samples)
 }
@@ -318,6 +309,15 @@ pub enum Table3Part {
     Bars(Vec<MetricAccuracy>),
     /// The mapping-ratio and CPU-overhead row.
     Overhead(ToolOverhead),
+}
+
+impl fmt::Display for Table3Part {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Table3Part::Bars(bars) => crate::render::write_lines(f, bars),
+            Table3Part::Overhead(o) => write!(f, "{o}"),
+        }
+    }
 }
 
 /// The §7.1 evaluation as a two-stage campaign: one job per metric

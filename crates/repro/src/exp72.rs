@@ -9,6 +9,7 @@
 use crate::scenario::{facebook_world, NetKind, PUSH_BYTES};
 use device::apps::FbVersion;
 use netstack::pcap::Direction;
+use qoe_doctor::analyze::app::completed;
 use qoe_doctor::analyze::crosslayer::{window_breakdown, NetLatencyBreakdown};
 use qoe_doctor::bundle::{BEHAVIOR, QXDM, TRACE};
 use qoe_doctor::{replay, Collection, Controller, Diagnoser};
@@ -103,10 +104,7 @@ pub fn breakdown_rows(col: &Collection, net: &str, action: &'static str) -> Post
     let mut device = Vec::new();
     let mut outside = 0usize;
     let mut n = 0usize;
-    for (_, rec) in col.behavior.iter() {
-        if rec.action != action || rec.timed_out {
-            continue;
-        }
+    for rec in completed(&col.behavior, action) {
         let b = window_breakdown(rec, &col.trace);
         user.push(b.user_latency.as_secs_f64());
         network.push(b.network_latency.as_secs_f64());
@@ -189,10 +187,7 @@ pub fn photo_net_breakdown(col: &Collection, net: &str) -> Option<PhotoNetBreakd
     let mut pdus = 0usize;
     let mut pkts = 0usize;
     let mut n = 0usize;
-    for (_, rec) in col.behavior.iter() {
-        if rec.action != "upload_post:photos" || rec.timed_out {
-            continue;
-        }
+    for rec in completed(&col.behavior, "upload_post:photos") {
         let b = window_breakdown(rec, &col.trace);
         let Some((nb, window_pkts)) =
             diagnoser.radio_breakdown(rec, Direction::Uplink, b.network_latency, |_| true)
@@ -245,6 +240,14 @@ pub struct PostRun {
     pub fig7: PostBreakdownRow,
     /// Fine-grained network latency (photo posts on cellular only).
     pub fig8: Option<PhotoNetBreakdown>,
+}
+
+/// A post run's row is its Fig. 7 bar; the Fig. 8 rows print in a section
+/// of their own.
+impl fmt::Display for PostRun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.fig7)
+    }
 }
 
 /// The §7.2 matrix as a two-stage campaign: one job per (network × post

@@ -11,6 +11,7 @@ use crate::scenario::{facebook_world, NetKind};
 use device::apps::FbVersion;
 use device::{UiEvent, ViewSignature};
 use netstack::pcap::Direction;
+use qoe_doctor::analyze::app::completed;
 use qoe_doctor::analyze::crosslayer::window_breakdown;
 use qoe_doctor::bundle::{BEHAVIOR, TRACE};
 use qoe_doctor::replay::{self, PULL_TO_UPDATE};
@@ -120,10 +121,7 @@ fn summarize(col: &Collection, label: String) -> UpdateRun {
     let mut ul = 0u64;
     let mut dl = 0u64;
     let mut n = 0u64;
-    for (_, rec) in col.behavior.iter() {
-        if rec.action != PULL_TO_UPDATE || rec.timed_out {
-            continue;
-        }
+    for rec in completed(&col.behavior, PULL_TO_UPDATE) {
         let b = window_breakdown(rec, &col.trace);
         latencies.push(b.user_latency.as_secs_f64());
         device.push(b.device_latency.as_secs_f64());

@@ -9,6 +9,7 @@
 
 use crate::scenario::{browser_world, NetKind, PAGE_URL};
 use device::apps::BrowserConfig;
+use qoe_doctor::analyze::app::completed;
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
 use qoe_doctor::bundle::{BEHAVIOR, QXDM};
 use qoe_doctor::replay::{self, PAGE_LOAD};
@@ -80,10 +81,7 @@ fn page_load_run(col: &Collection, name: &'static str, net: NetKind) -> PageLoad
     let mut loads = Vec::new();
     let mut transitions = 0usize;
     let mut n = 0usize;
-    for (_, rec) in col.behavior.iter() {
-        if rec.action != PAGE_LOAD || rec.timed_out {
-            continue;
-        }
+    for rec in completed(&col.behavior, PAGE_LOAD) {
         loads.push(rec.calibrated().as_secs_f64());
         if let Some(qxdm) = &col.qxdm {
             transitions += rrc_transitions_in(qxdm, rec.start, rec.end).len();

@@ -1,9 +1,10 @@
 //! # repro — the paper's evaluation, regenerated
 //!
 //! One module per experiment of §7 of the QoE Doctor paper; the `repro`
-//! binary dispatches on experiment ids (`table3`, `fig7`, …, `all`). See
-//! DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-//! outputs and the paper-vs-measured comparison.
+//! binary dispatches on the experiment ids declared in
+//! [`cli::EXPERIMENTS`] (`table3`, `fig7`, …, plus `all` and `list`). See
+//! DESIGN.md for the paper-to-experiment index and EXPERIMENTS.md for
+//! recorded outputs and the paper-vs-measured comparison.
 
 pub mod ablation;
 pub mod chaos;

@@ -32,7 +32,7 @@ use monitor::{
     detect_cell, explain, histories, CellSpec, EpochMetrics, EpochRow, LayerShares, MonitorError,
     MonitorSpec,
 };
-use qoe_doctor::analyze::app::playback_reports;
+use qoe_doctor::analyze::app::{completed, latencies_secs, playback_reports};
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
 use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING};
 use qoe_doctor::{Collection, Controller, Diagnoser};
@@ -203,25 +203,13 @@ fn page_session(drifted: bool, loads: usize, seed: u64) -> Collection {
     doctor.collect()
 }
 
-/// Calibrated latencies (seconds) of the non-timed-out `action` records.
-fn latencies(col: &Collection, action: &str) -> Vec<f64> {
-    col.behavior
-        .iter()
-        .filter(|(_, r)| r.action == action && !r.timed_out)
-        .map(|(_, r)| r.calibrated().as_secs_f64())
-        .collect()
-}
-
 /// Mean per-record cross-layer shares of the `action` records, from the
 /// full [`Diagnoser`] pipeline — the same attribution `repro chaos` uses.
 fn shares_of(col: &Collection, action: &str) -> LayerShares {
     let diagnoser = Diagnoser::new(col);
     let mut s = LayerShares::default();
     let mut n = 0.0;
-    for (_, rec) in col.behavior.iter() {
-        if rec.action != action || rec.timed_out {
-            continue;
-        }
+    for rec in completed(&col.behavior, action) {
         let d = diagnoser.diagnose(rec);
         s.device_s += d.split.device_latency.as_secs_f64();
         s.network_s += d.split.network_latency.as_secs_f64();
@@ -245,7 +233,10 @@ fn shares_of(col: &Collection, action: &str) -> LayerShares {
 fn fb_metrics(epoch: usize, col: &Collection) -> EpochMetrics {
     EpochMetrics {
         epoch,
-        metrics: vec![("ui_update_s".to_string(), latencies(col, PULL_TO_UPDATE))],
+        metrics: vec![(
+            "ui_update_s".to_string(),
+            latencies_secs(&col.behavior, PULL_TO_UPDATE),
+        )],
         layers: shares_of(col, PULL_TO_UPDATE),
     }
 }
@@ -258,7 +249,10 @@ fn video_metrics(epoch: usize, col: &Collection) -> EpochMetrics {
     EpochMetrics {
         epoch,
         metrics: vec![
-            ("load_s".to_string(), latencies(col, VIDEO_INITIAL_LOADING)),
+            (
+                "load_s".to_string(),
+                latencies_secs(&col.behavior, VIDEO_INITIAL_LOADING),
+            ),
             ("rebuffer".to_string(), rebuffer),
         ],
         layers: shares_of(col, VIDEO_INITIAL_LOADING),
@@ -281,10 +275,7 @@ fn promo_time(col: &Collection, drifted: bool) -> f64 {
     };
     let mut total = 0.0;
     let mut n = 0.0;
-    for (_, rec) in col.behavior.iter() {
-        if rec.action != PAGE_LOAD || rec.timed_out {
-            continue;
-        }
+    for rec in completed(&col.behavior, PAGE_LOAD) {
         for (_, tr) in rrc_transitions_in(qxdm, rec.start, rec.end) {
             total += match (tr.from, tr.to) {
                 (RrcState::Pch, RrcState::Fach) => pch_to_fach,
@@ -308,7 +299,10 @@ fn page_metrics(epoch: usize, drifted: bool, col: &Collection) -> EpochMetrics {
     layers.promo_s = promo_time(col, drifted);
     EpochMetrics {
         epoch,
-        metrics: vec![("page_load_s".to_string(), latencies(col, PAGE_LOAD))],
+        metrics: vec![(
+            "page_load_s".to_string(),
+            latencies_secs(&col.behavior, PAGE_LOAD),
+        )],
         layers,
     }
 }

@@ -1,8 +1,8 @@
 //! [`harness::Record`] implementations for every experiment row type, so
 //! each campaign can be written as a machine-readable JSON report
-//! (`repro … --json <dir>`). The `row()` strings are exactly the `Display`
-//! output the CLI prints; `sample_sets()` feeds the report's cross-job
-//! aggregates (merged summaries + exact CDFs).
+//! (`repro … --json <dir>`). A row's text is its `Display` output, which
+//! the CLI prints; `sample_sets()` feeds the report's cross-job aggregates
+//! (merged summaries + exact CDFs).
 
 use harness::{Json, Record};
 use simcore::Summary;
@@ -28,17 +28,6 @@ fn summary_json(s: &Summary) -> Json {
 }
 
 impl Record for Table3Part {
-    fn row(&self) -> String {
-        match self {
-            Table3Part::Bars(bars) => bars
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join("\n"),
-            Table3Part::Overhead(o) => o.to_string(),
-        }
-    }
-
     fn to_json(&self) -> Json {
         match self {
             Table3Part::Bars(bars) => Json::obj([(
@@ -83,10 +72,6 @@ impl Record for Table3Part {
 }
 
 impl Record for PostRun {
-    fn row(&self) -> String {
-        self.fig7.to_string()
-    }
-
     fn to_json(&self) -> Json {
         let f = &self.fig7;
         let fig8 = match &self.fig8 {
@@ -118,10 +103,6 @@ impl Record for PostRun {
 }
 
 impl Record for BackgroundRow {
-    fn row(&self) -> String {
-        self.to_string()
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),
@@ -134,10 +115,6 @@ impl Record for BackgroundRow {
 }
 
 impl Record for UpdateRun {
-    fn row(&self) -> String {
-        self.to_string()
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),
@@ -155,10 +132,6 @@ impl Record for UpdateRun {
 }
 
 impl Record for WatchRun {
-    fn row(&self) -> String {
-        self.to_string()
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),
@@ -191,10 +164,6 @@ impl Record for WatchRun {
 }
 
 impl Record for ThroughputTrace {
-    fn row(&self) -> String {
-        self.to_string()
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),
@@ -207,10 +176,6 @@ impl Record for ThroughputTrace {
 }
 
 impl Record for SweepPoint {
-    fn row(&self) -> String {
-        self.to_string()
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),
@@ -222,10 +187,6 @@ impl Record for SweepPoint {
 }
 
 impl Record for AdRun {
-    fn row(&self) -> String {
-        self.to_string()
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),
@@ -243,10 +204,6 @@ impl Record for AdRun {
 }
 
 impl Record for PageLoadRun {
-    fn row(&self) -> String {
-        self.to_string()
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("browser", Json::from(self.browser)),
@@ -265,22 +222,6 @@ impl Record for PageLoadRun {
 }
 
 impl Record for AblationPart {
-    fn row(&self) -> String {
-        match self {
-            AblationPart::Mapper(rows) => rows
-                .iter()
-                .map(|r| r.to_string())
-                .collect::<Vec<_>>()
-                .join("\n"),
-            AblationPart::Calibration(row) => row.to_string(),
-            AblationPart::Discipline(rows) => rows
-                .iter()
-                .map(|r| r.to_string())
-                .collect::<Vec<_>>()
-                .join("\n"),
-        }
-    }
-
     fn to_json(&self) -> Json {
         match self {
             AblationPart::Mapper(rows) => Json::obj([(

@@ -1,6 +1,20 @@
 //! Terminal rendering helpers: sparklines for time series and bar strips
 //! for CDFs, so `repro` output reads like the paper's figures.
 
+use std::fmt;
+
+/// Write `items` one per line, with no trailing newline: the row text of a
+/// campaign job that yields several rows.
+pub fn write_lines<T: fmt::Display>(f: &mut fmt::Formatter<'_>, items: &[T]) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            writeln!(f)?;
+        }
+        write!(f, "{item}")?;
+    }
+    Ok(())
+}
+
 /// Render `values` as a unicode sparkline, auto-scaled to its own range.
 pub fn sparkline(values: &[f64]) -> String {
     let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -1,6 +1,6 @@
 //! The `repro` binary's argument handling: malformed invocations are usage
-//! errors (exit 2, usage on stderr) that run nothing, and `list` prints the
-//! whole experiment index.
+//! errors (exit 2, usage on stderr) that run nothing, `list` prints the
+//! whole experiment index, and every id it lists runs.
 
 use std::process::{Command, Output};
 
@@ -38,27 +38,50 @@ fn bench_is_not_an_experiment() {
     assert_usage_error(&["bench"], "unknown experiment: bench");
 }
 
-#[test]
-fn list_prints_every_experiment_id() {
+/// The ids `repro list` prints, in order.
+fn listed_ids() -> Vec<String> {
     let out = repro(&["list"]);
     assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let ids: Vec<&str> = stdout
+    String::from_utf8_lossy(&out.stdout)
         .lines()
         .filter_map(|l| l.split_whitespace().next())
-        .collect();
-    for (id, _) in repro::cli::EXPERIMENTS {
-        assert!(ids.contains(id), "`list` is missing {id}:\n{stdout}");
-    }
+        .map(str::to_string)
+        .collect()
 }
 
 #[test]
-fn every_id_all_runs_is_a_listed_experiment() {
-    let ids: Vec<&str> = repro::cli::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
-    for id in repro::cli::ALL {
+fn list_prints_every_experiment_id() {
+    let ids = listed_ids();
+    let declared = repro::cli::EXPERIMENTS
+        .iter()
+        .flat_map(|e| e.ids)
+        .chain(repro::cli::COMMANDS);
+    for (id, _) in declared {
         assert!(
-            ids.contains(id),
-            "`all` runs {id}, which `list` does not describe"
+            ids.iter().any(|i| i == id),
+            "`list` is missing {id}: {ids:?}"
+        );
+    }
+}
+
+/// Every listed id, aliases included, dispatches: it runs at `--quick`,
+/// exits 0, and prints its own header.
+#[test]
+fn every_listed_id_runs_under_its_own_header() {
+    for id in listed_ids() {
+        if id == "list" || id == "all" {
+            continue;
+        }
+        let out = repro(&[&id, "--quick", "--jobs", "2"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{id}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains(&format!("=== {id} — ")),
+            "{id} printed no header of its own:\n{stdout}"
         );
     }
 }

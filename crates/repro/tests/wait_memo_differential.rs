@@ -157,7 +157,8 @@ fn monitor_playback(doctor: &mut Controller, action: &str, timeout: SimDuration)
     loop {
         let mut timed_out = true;
         while doctor.now < deadline {
-            let snapshot = doctor.parse_once();
+            let (snapshot, cost) = doctor.world.phone.parse_ui(doctor.now);
+            doctor.advance_to(doctor.now + cost);
             let rev = doctor.world.phone.ui_revision(doctor.now);
             if rev != last_rev {
                 last_rev = rev;
