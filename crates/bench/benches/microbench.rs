@@ -602,9 +602,9 @@ fn bench_bundle_codec(c: &mut Criterion) {
         b.iter(|| read_pdu_truth(&bytes).unwrap().len())
     });
 
-    // Whole bundles: the lossless full load against the declared-reads load
-    // of the analyzer that reads each one (Fig. 7/8 for the 3G photo posts,
-    // Fig. 17 for the LTE video session).
+    // Whole bundles: the save, and the lossless full load against the
+    // declared-reads load of the analyzer that reads each one (Fig. 7/8
+    // for the 3G photo posts, Fig. 17 for the LTE video session).
     let root = std::env::temp_dir().join(format!("qd-microbench-bundles-{}", std::process::id()));
     let mut sessions = harness::StagedCampaign::new("microbench");
     sessions.job(
@@ -627,6 +627,16 @@ fn bench_bundle_codec(c: &mut Criterion) {
     for (job, reads) in recorded.jobs.iter().zip([PHOTO_READS, WATCH_READS]) {
         let dir = &job.outcome.ok().expect("session recorded").dir;
         g.throughput(Throughput::Bytes(dir_bytes(dir)));
+        // Each save makes a fresh bundle directory, as a recorded job does.
+        let (col, meta) = Collection::load(dir).unwrap();
+        let saves = root.join(format!("{}-saves", job.label));
+        let mut n = 0u64;
+        g.bench_function(&format!("{}_save", job.label), |b| {
+            b.iter(|| {
+                n += 1;
+                col.save(&saves.join(n.to_string()), &meta).unwrap()
+            })
+        });
         g.bench_function(&format!("{}_full_load", job.label), |b| {
             b.iter(|| Collection::load(dir).unwrap().0.end)
         });

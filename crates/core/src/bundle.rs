@@ -8,18 +8,19 @@
 //! harness uses: it verifies every entry but decodes only those an analyzer
 //! declared (a [`Reads`] built from the entry names below).
 //!
-//! Artifact layout (all paths relative to the bundle directory; every
-//! record log is a `trace::column` log — a count, a delta-varint stamp
-//! column, then length-framed field columns):
+//! Entry layout: the entries are byte ranges of the bundle's one data file
+//! (`trace::DATA_FILE`), written in this order; every record log is a
+//! `trace::column` log — a count, a delta-varint stamp column, then
+//! length-framed field columns:
 //!
-//! | manifest entry | name constant | file               | contents                                  |
-//! |----------------|---------------|--------------------|-------------------------------------------|
-//! | `behavior`     | [`BEHAVIOR`]  | `behavior.bin`     | AppBehaviorLog (§4.3.1), one row column   |
-//! | `trace`        | [`TRACE`]     | `trace.pcapq`      | packet trace: flow dictionary, per-flow delta and run-length columns (`netstack::codec`) |
-//! | `qxdm`         | [`QXDM`]      | `qxdm.bin`         | QxDM log (cellular runs only): RRC rows, PDU and STATUS columns (`radio::codec`) |
-//! | `cpu`          | [`CPU`]       | `cpu.bin`          | app/controller CPU split                  |
-//! | truth `pdus`   | [`PDUS`]      | `truth_pdus.bin`   | full PDU coverage (cellular): PDU plus coverage columns |
-//! | truth `camera` | [`CAMERA`]    | `truth_camera.bin` | 60 fps screen ground truth, one row column |
+//! | manifest entry | name constant | contents                                  |
+//! |----------------|---------------|-------------------------------------------|
+//! | `behavior`     | [`BEHAVIOR`]  | AppBehaviorLog (§4.3.1), one row column   |
+//! | `trace`        | [`TRACE`]     | packet trace: flow dictionary, per-flow delta and run-length columns (`netstack::codec`) |
+//! | `qxdm`         | [`QXDM`]      | QxDM log (cellular runs only): RRC rows, PDU and STATUS columns (`radio::codec`) |
+//! | `cpu`          | [`CPU`]       | app/controller CPU split                  |
+//! | truth `pdus`   | [`PDUS`]      | full PDU coverage (cellular): PDU plus coverage columns |
+//! | truth `camera` | [`CAMERA`]    | 60 fps screen ground truth, one row column |
 //!
 //! The `qxdm`/`pdus` entries are simply absent for WiFi runs — absence in
 //! the manifest is the canonical encoding of `None`, so the WiFi case
@@ -116,28 +117,18 @@ impl Collection {
         let mut w = BundleWriter::create(dir, &meta)?;
         w.artifact(
             BEHAVIOR,
-            "behavior.bin",
             &encode_artifact(BEHAVIOR_MAGIC, FORMAT_VERSION, &self.behavior),
         )?;
-        w.artifact(
-            TRACE,
-            "trace.pcapq",
-            &netstack::pcap::write_trace(&self.trace),
-        )?;
+        w.artifact(TRACE, &netstack::pcap::write_trace(&self.trace))?;
         if let Some(qxdm) = &self.qxdm {
-            w.artifact(QXDM, "qxdm.bin", &write_qxdm(qxdm))?;
+            w.artifact(QXDM, &write_qxdm(qxdm))?;
         }
-        w.artifact(
-            CPU,
-            "cpu.bin",
-            &encode_artifact(CPU_MAGIC, FORMAT_VERSION, &self.cpu),
-        )?;
+        w.artifact(CPU, &encode_artifact(CPU_MAGIC, FORMAT_VERSION, &self.cpu))?;
         if let Some(truth) = &self.pdu_truth {
-            w.truth(PDUS, "truth_pdus.bin", &write_pdu_truth(truth))?;
+            w.truth(PDUS, &write_pdu_truth(truth))?;
         }
         w.truth(
             CAMERA,
-            "truth_camera.bin",
             &encode_artifact(CAMERA_MAGIC, FORMAT_VERSION, &self.camera),
         )?;
         w.finish()
@@ -228,7 +219,9 @@ impl BundleArtifact for Collection {
 /// Most jobs record exactly one session, but some record several (the
 /// throttle-discipline ablation runs a shaping world *and* a policing
 /// world); a set persists as one root bundle with one nested bundle per
-/// session, so a job's artifact is always a single directory.
+/// session, so a job's artifact is always a single directory. Two sessions
+/// whose names map to the same directory (`"a b"` and `"a-b"`) cannot be
+/// saved together: `save_bundle` refuses the second.
 #[derive(Debug, PartialEq)]
 pub struct CollectionSet {
     /// `(session name, collection)` in recorded order.
@@ -257,7 +250,7 @@ impl BundleArtifact for CollectionSet {
         };
         let mut w = BundleWriter::create(dir, &meta)?;
         for (name, col) in &self.items {
-            let sub = w.sub_dir(name);
+            let sub = w.sub_dir(name)?;
             col.save(&sub, &meta)?;
         }
         w.finish()

@@ -5,7 +5,8 @@
 //! the inline pipeline, so these properties guard the tentpole invariant.
 
 use std::fs;
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -25,8 +26,8 @@ use radio::rlc::PduEvent;
 use radio::rrc::{RrcState, RrcTransition};
 use simcore::{RecordLog, SimDuration, SimTime};
 use trace::{
-    decode_artifact, encode_artifact, entry_checksum, BundleArtifact, BundleMeta, Manifest, Reads,
-    TraceError, FORMAT_VERSION,
+    decode_artifact, encode_artifact, entry_checksum, seal_manifest, BundleArtifact, BundleMeta,
+    BundleReader, Manifest, Reads, TraceError, DATA_FILE, FORMAT_VERSION,
 };
 
 /// A fresh, unique scratch directory (cases within one property run
@@ -40,6 +41,34 @@ fn fresh_dir(tag: &str) -> PathBuf {
     ));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// The byte range of entry `name` in the bundle file under `dir`.
+fn entry_range(dir: &Path, name: &str) -> Range<usize> {
+    let r = BundleReader::open(dir).unwrap();
+    let range = r
+        .manifest()
+        .entry(name)
+        .expect("the bundle lists the entry")
+        .range();
+    range.start as usize..range.end as usize
+}
+
+/// The finished bundle's manifest, and its data file's bytes up to the
+/// manifest.
+fn split_bundle(dir: &Path) -> (Manifest, Vec<u8>) {
+    let manifest = BundleReader::open(dir).unwrap().manifest().clone();
+    let mut data = fs::read(dir.join(DATA_FILE)).unwrap();
+    data.truncate(manifest.data_len() as usize);
+    (manifest, data)
+}
+
+/// Replace the bundle's manifest text by `edit` of it, behind a footer
+/// that matches the new text, so only the manifest parser can object.
+fn edit_manifest(dir: &Path, edit: impl FnOnce(&str) -> String) {
+    let (manifest, mut data) = split_bundle(dir);
+    data.extend(seal_manifest(&edit(&manifest.render())));
+    fs::write(dir.join(DATA_FILE), data).unwrap();
 }
 
 fn meta(seed: u64, config_digest: u64) -> BundleMeta {
@@ -543,14 +572,14 @@ fn flipped_artifact_bytes_fail_the_load() {
     };
     let dir = fresh_dir("flip");
     col.save(&dir, &meta(5, 6)).unwrap();
-    for file in ["trace.pcapq", "qxdm.bin", "truth_pdus.bin"] {
-        let path = dir.join(file);
-        let good = fs::read(&path).unwrap();
-        for i in 0..good.len() {
+    let path = dir.join(DATA_FILE);
+    let good = fs::read(&path).unwrap();
+    for name in [TRACE, QXDM, PDUS] {
+        for i in entry_range(&dir, name) {
             let mut bad = good.clone();
             bad[i] ^= 0x01;
             fs::write(&path, &bad).unwrap();
-            assert!(Collection::load(&dir).is_err(), "{file} byte {i}");
+            assert!(Collection::load(&dir).is_err(), "{name} byte {i}");
         }
         fs::write(&path, &good).unwrap();
     }
@@ -764,19 +793,12 @@ fn full_cellular_collection() -> Collection {
 fn undeclared_entries_are_still_checksummed() {
     let dir = fresh_dir("reads-flip");
     full_cellular_collection().save(&dir, &meta(5, 6)).unwrap();
-    let entries = [
-        (BEHAVIOR, "behavior.bin"),
-        (TRACE, "trace.pcapq"),
-        (QXDM, "qxdm.bin"),
-        (CPU, "cpu.bin"),
-        (PDUS, "truth_pdus.bin"),
-        (CAMERA, "truth_camera.bin"),
-    ];
-    for (name, file) in entries {
-        let path = dir.join(file);
-        let good = fs::read(&path).unwrap();
+    let path = dir.join(DATA_FILE);
+    let good = fs::read(&path).unwrap();
+    for name in [BEHAVIOR, TRACE, QXDM, CPU, PDUS, CAMERA] {
+        let range = entry_range(&dir, name);
         let mut bad = good.clone();
-        bad[good.len() / 2] ^= 0x01;
+        bad[(range.start + range.end) / 2] ^= 0x01;
         fs::write(&path, &bad).unwrap();
         for reads in &READS_EACH {
             if reads.artifact(name) || reads.truth(name) {
@@ -785,7 +807,7 @@ fn undeclared_entries_are_still_checksummed() {
             match Collection::load_reading(&dir, reads) {
                 Err(TraceError::ChecksumMismatch { name: got }) => assert_eq!(got, name),
                 other => {
-                    panic!("{file} flipped, {reads:?}: expected a checksum error, got {other:?}")
+                    panic!("{name} flipped, {reads:?}: expected a checksum error, got {other:?}")
                 }
             }
         }
@@ -794,26 +816,28 @@ fn undeclared_entries_are_still_checksummed() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Append a byte to `file` and rewrite its manifest entry to match, so the
-/// checksum passes and only the decoder can object.
-fn append_with_consistent_checksum(dir: &std::path::Path, file: &str) {
-    let path = dir.join(file);
-    let mut bytes = fs::read(&path).unwrap();
-    bytes.push(0);
-    fs::write(&path, &bytes).unwrap();
-    let manifest_path = dir.join("manifest.txt");
-    let mut manifest = Manifest::parse(&fs::read_to_string(&manifest_path).unwrap()).unwrap();
+/// Append a byte to entry `name` and rewrite the manifest to match (the
+/// entry's length and checksum, the later entries' offsets), so the
+/// checksums pass and only the decoder can object.
+fn append_with_consistent_checksum(dir: &Path, name: &str) {
+    let (mut manifest, old) = split_bundle(dir);
+    let mut data = Vec::new();
     for entry in manifest
         .artifacts
         .iter_mut()
         .chain(manifest.truths.iter_mut())
     {
-        if entry.file == file {
-            entry.bytes = bytes.len() as u64;
+        let mut bytes = old[entry.range().start as usize..entry.range().end as usize].to_vec();
+        if entry.name == name {
+            bytes.push(0);
             entry.checksum = entry_checksum(&bytes);
         }
+        entry.offset = data.len() as u64;
+        entry.bytes = bytes.len() as u64;
+        data.extend(bytes);
     }
-    fs::write(&manifest_path, manifest.render()).unwrap();
+    data.extend(seal_manifest(&manifest.render()));
+    fs::write(dir.join(DATA_FILE), data).unwrap();
 }
 
 /// A declared entry keeps every canonical-bytes check: trailing bytes
@@ -821,18 +845,18 @@ fn append_with_consistent_checksum(dir: &std::path::Path, file: &str) {
 /// and only verified (so accepted) when it is not.
 #[test]
 fn non_canonical_declared_entry_is_rejected_despite_its_checksum() {
-    for (file, declared) in [
-        ("trace.pcapq", Reads::artifacts(&[TRACE])),
-        ("truth_pdus.bin", Reads::artifacts(&[]).and_truths(&[PDUS])),
+    for (name, declared) in [
+        (TRACE, Reads::artifacts(&[TRACE])),
+        (PDUS, Reads::artifacts(&[]).and_truths(&[PDUS])),
     ] {
         let dir = fresh_dir("reads-canon");
         full_cellular_collection().save(&dir, &meta(5, 6)).unwrap();
-        append_with_consistent_checksum(&dir, file);
+        append_with_consistent_checksum(&dir, name);
         match Collection::load_reading(&dir, &declared) {
             Err(TraceError::Corrupt(_)) => {}
-            other => panic!("{file}: expected a structural error, got {other:?}"),
+            other => panic!("{name}: expected a structural error, got {other:?}"),
         }
-        assert!(Collection::load(&dir).is_err(), "{file}: full load");
+        assert!(Collection::load(&dir).is_err(), "{name}: full load");
         let (col, _) = Collection::load_reading(&dir, &Reads::artifacts(&[BEHAVIOR])).unwrap();
         assert_eq!(col.behavior, full_cellular_collection().behavior);
         let _ = fs::remove_dir_all(&dir);
@@ -914,11 +938,10 @@ fn saved_bundle(tag: &str) -> PathBuf {
 #[test]
 fn truncated_manifest_is_a_structured_error() {
     let dir = saved_bundle("trunc");
-    let manifest = dir.join("manifest.txt");
-    let full = fs::read_to_string(&manifest).unwrap();
     // Cut mid-way through the fixed header fields.
-    let cut = full.find("end_us").unwrap();
-    fs::write(&manifest, &full[..cut]).unwrap();
+    edit_manifest(&dir, |full| {
+        full[..full.find("end_us").unwrap()].to_string()
+    });
     match Collection::load(&dir) {
         Err(TraceError::Manifest { .. }) => {}
         other => panic!("expected a manifest error, got {other:?}"),
@@ -929,7 +952,7 @@ fn truncated_manifest_is_a_structured_error() {
 #[test]
 fn garbage_manifest_is_a_structured_error() {
     let dir = saved_bundle("garbage");
-    fs::write(dir.join("manifest.txt"), "not a bundle at all\n").unwrap();
+    edit_manifest(&dir, |_| "not a bundle at all\n".to_string());
     match Collection::load(&dir) {
         Err(TraceError::BadMagic(_)) => {}
         other => panic!("expected a bad-magic error, got {other:?}"),
@@ -940,12 +963,12 @@ fn garbage_manifest_is_a_structured_error() {
 #[test]
 fn future_format_version_is_rejected() {
     let dir = saved_bundle("version");
-    let manifest = dir.join("manifest.txt");
-    let bumped = fs::read_to_string(&manifest).unwrap().replace(
-        &format!("qoe-trace-bundle v{FORMAT_VERSION}"),
-        "qoe-trace-bundle v99",
-    );
-    fs::write(&manifest, bumped).unwrap();
+    edit_manifest(&dir, |text| {
+        text.replace(
+            &format!("qoe-trace-bundle v{FORMAT_VERSION}"),
+            "qoe-trace-bundle v99",
+        )
+    });
     match Collection::load(&dir) {
         Err(TraceError::BadVersion { found: 99, .. }) => {}
         other => panic!("expected a version error, got {other:?}"),
@@ -956,10 +979,10 @@ fn future_format_version_is_rejected() {
 #[test]
 fn tampered_artifact_fails_its_checksum() {
     let dir = saved_bundle("tamper");
-    let behavior = dir.join("behavior.bin");
-    let mut bytes = fs::read(&behavior).unwrap();
-    *bytes.last_mut().unwrap() ^= 0xFF;
-    fs::write(&behavior, bytes).unwrap();
+    let path = dir.join(DATA_FILE);
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[entry_range(&dir, BEHAVIOR).end - 1] ^= 0xFF;
+    fs::write(&path, bytes).unwrap();
     match Collection::load(&dir) {
         Err(TraceError::ChecksumMismatch { .. }) => {}
         other => panic!("expected a checksum error, got {other:?}"),
@@ -970,10 +993,63 @@ fn tampered_artifact_fails_its_checksum() {
 #[test]
 fn missing_artifact_file_is_a_structured_error() {
     let dir = saved_bundle("missing");
-    fs::remove_file(dir.join("trace.pcapq")).unwrap();
+    // Every entry lives in the one data file.
+    fs::remove_file(dir.join(DATA_FILE)).unwrap();
     match Collection::load(&dir) {
         Err(TraceError::Io { .. }) => {}
         other => panic!("expected an io error, got {other:?}"),
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---- sessions of a set -------------------------------------------------
+
+fn one_session(end_secs: u64) -> Collection {
+    Collection {
+        end: SimTime::from_secs(end_secs),
+        ..full_cellular_collection()
+    }
+}
+
+/// A single-session set is a root bundle file and one session directory
+/// holding one file.
+#[test]
+fn single_session_set_is_one_file_per_directory() {
+    let dir = fresh_dir("single");
+    CollectionSet::single(one_session(3))
+        .save_bundle(&dir, &meta(1, 2))
+        .unwrap();
+    let names = |dir: &Path| -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(&dir), [DATA_FILE, "session"]);
+    assert_eq!(names(&dir.join("session")), [DATA_FILE]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Session names that map to one directory are refused, not saved over
+/// each other.
+#[test]
+fn colliding_session_names_are_refused() {
+    let set = CollectionSet {
+        items: vec![
+            ("a b".into(), one_session(3)),
+            ("a-b".into(), one_session(4)),
+        ],
+    };
+    let dir = fresh_dir("collide");
+    match set.save_bundle(&dir, &meta(1, 2)) {
+        Err(TraceError::SubDirectory { name, dir }) => {
+            assert_eq!((name.as_str(), dir.as_str()), ("a-b", "a-b"));
+        }
+        other => panic!("expected a sub-directory error, got {other:?}"),
+    }
+    // The set never completed, so nothing loads as if it had.
+    assert!(CollectionSet::load_bundle(&dir).is_err());
     let _ = fs::remove_dir_all(&dir);
 }

@@ -480,7 +480,7 @@ mod tests {
     use simcore::{watchdog, SimDuration};
     use std::fs;
     use std::time::Duration;
-    use trace::{BundleReader, BundleWriter, TraceError};
+    use trace::{BundleReader, BundleWriter, TraceError, DATA_FILE};
 
     /// Minimal artifact for exercising the staged executor: its payload
     /// doubles as its recording's end, in seconds.
@@ -494,7 +494,7 @@ mod tests {
                 ..meta.clone()
             };
             let mut w = BundleWriter::create(dir, &meta)?;
-            w.artifact("blob", "blob.bin", &self.0.to_le_bytes())?;
+            w.artifact("blob", &self.0.to_le_bytes())?;
             w.finish()
         }
         fn load_bundle(dir: &Path) -> Result<(Blob, BundleMeta), TraceError> {
@@ -639,13 +639,24 @@ mod tests {
 
     const RECORD_HINT: &str = "run `record` first";
 
+    /// Flip the first byte of the entry `name` in the bundle under `dir`.
+    fn flip_entry(dir: &Path, name: &str) {
+        let start = BundleReader::open(dir)
+            .unwrap()
+            .manifest()
+            .entry(name)
+            .unwrap()
+            .offset;
+        let path = dir.join(DATA_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[start as usize] ^= 0x01;
+        fs::write(&path, bytes).unwrap();
+    }
+
     #[test]
     fn damaged_bundle_names_the_damage() {
         let (root, dir) = recorded("hint-damaged");
-        let blob = dir.join("blob.bin");
-        let mut bytes = fs::read(&blob).unwrap();
-        bytes[0] ^= 0x01;
-        fs::write(&blob, bytes).unwrap();
+        flip_entry(&dir, "blob");
         let reason = analyze_fault(&root);
         assert!(
             reason.contains("'blob' does not match its manifest checksum"),
@@ -658,12 +669,18 @@ mod tests {
     #[test]
     fn wrong_version_bundle_names_the_version() {
         let (root, dir) = recorded("hint-version");
-        let manifest = dir.join("manifest.txt");
-        let bumped = fs::read_to_string(&manifest).unwrap().replace(
+        let manifest = BundleReader::open(&dir).unwrap().manifest().clone();
+        let bumped = manifest.render().replace(
             &format!("qoe-trace-bundle v{}", trace::FORMAT_VERSION),
             "qoe-trace-bundle v99",
         );
-        fs::write(&manifest, bumped).unwrap();
+        // A footer that matches the edited manifest, so only the version
+        // can object.
+        let path = dir.join(DATA_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.truncate(manifest.data_len() as usize);
+        bytes.extend(trace::seal_manifest(&bumped));
+        fs::write(&path, bytes).unwrap();
         let reason = analyze_fault(&root);
         assert!(reason.contains("unsupported format version 99"), "{reason}");
         assert!(!reason.contains(RECORD_HINT), "{reason}");
@@ -864,9 +881,13 @@ mod tests {
             .into_campaign(&StageMode::Cached(root.clone()))
             .run(1)
             .into_outputs();
-        let manifest = bundle_dir(&root, "staged/test", "cell 0", 100, 0xABC).join("manifest.txt");
-        let full = fs::read_to_string(&manifest).unwrap();
-        fs::write(&manifest, &full[..full.len() / 2]).unwrap();
+        // Cut the bundle file half-way through its manifest.
+        let dir = bundle_dir(&root, "staged/test", "cell 0", 100, 0xABC);
+        let manifest = BundleReader::open(&dir).unwrap().manifest().clone();
+        let path = dir.join(DATA_FILE);
+        let full = fs::read(&path).unwrap();
+        let cut = manifest.data_len() as usize + manifest.render().len() / 2;
+        fs::write(&path, &full[..cut]).unwrap();
 
         let rerun = staged(1)
             .into_campaign(&StageMode::Cached(root.clone()))
@@ -896,8 +917,8 @@ mod tests {
     impl BundleArtifact for Pair {
         fn save_bundle(&self, dir: &Path, meta: &BundleMeta) -> Result<(), TraceError> {
             let mut w = BundleWriter::create(dir, meta)?;
-            w.artifact("kept", "kept.bin", &self.kept.to_le_bytes())?;
-            w.artifact("skipped", "skipped.bin", &self.skipped.to_le_bytes())?;
+            w.artifact("kept", &self.kept.to_le_bytes())?;
+            w.artifact("skipped", &self.skipped.to_le_bytes())?;
             w.finish()
         }
         fn load_bundle(dir: &Path) -> Result<(Pair, BundleMeta), TraceError> {
@@ -970,10 +991,10 @@ mod tests {
             .into_campaign(&StageMode::Cached(root.clone()))
             .run(1)
             .into_outputs();
-        let skipped = bundle_dir(&root, "staged/pair", "cell 0", 300, 0).join("skipped.bin");
-        let mut bytes = fs::read(&skipped).unwrap();
-        bytes[0] ^= 0x01;
-        fs::write(&skipped, bytes).unwrap();
+        flip_entry(
+            &bundle_dir(&root, "staged/pair", "cell 0", 300, 0),
+            "skipped",
+        );
 
         let an = pair_staged()
             .into_campaign(&StageMode::Analyze(root.clone()))

@@ -236,7 +236,7 @@ mod tests {
     impl BundleArtifact for Blob {
         fn save_bundle(&self, dir: &Path, meta: &BundleMeta) -> Result<(), TraceError> {
             let mut w = BundleWriter::create(dir, meta)?;
-            w.artifact("blob", "blob.bin", &self.0.to_le_bytes())?;
+            w.artifact("blob", &self.0.to_le_bytes())?;
             w.finish()
         }
         fn load_bundle(dir: &Path) -> Result<(Blob, BundleMeta), TraceError> {

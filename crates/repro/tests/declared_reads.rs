@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use harness::{bundle_dir, Outcome, Record, StageMode, StagedCampaign};
 use repro::NetKind;
-use trace::BundleArtifact;
+use trace::{BundleArtifact, BundleReader, DATA_FILE};
 
 const SEED: u64 = 20140705;
 
@@ -126,24 +126,30 @@ fn monitor_reads_are_complete() {
     complete("monitor", || repro::monitor::spec(2, SEED).build());
 }
 
-/// Flip one byte of `file` in the bundle of `campaign`'s job `label`, then
-/// check that analyzing from disk faults that job with the checksum error
-/// of `entry`, and that a cached run counts one miss, re-records it and
-/// renders the cold rows again.
+/// Flip the middle byte of `entry` in the bundle of `campaign`'s job
+/// `label`, then check that analyzing from disk faults that job with the
+/// checksum error of `entry`, and that a cached run counts one miss,
+/// re-records it and renders the cold rows again.
 fn assert_damage_is_caught<A, T>(
     root: &Path,
     make: impl Fn() -> StagedCampaign<A, T>,
     cold: &[(String, Option<(String, String)>)],
     (campaign, label, seed, cfg): (&str, &str, u64, u64),
-    (entry, file): (&str, &str),
+    entry: &str,
 ) where
     A: BundleArtifact + Send + 'static,
     T: Record + Send + 'static,
 {
-    let path = bundle_dir(root, campaign, label, seed, cfg).join(file);
-    let mut bytes = fs::read(&path).expect("the job's bundle holds the entry");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
+    let dir = bundle_dir(root, campaign, label, seed, cfg);
+    let range = BundleReader::open(&dir)
+        .unwrap()
+        .manifest()
+        .entry(entry)
+        .expect("the job's bundle holds the entry")
+        .range();
+    let path = dir.join(DATA_FILE);
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[((range.start + range.end) / 2) as usize] ^= 0x01;
     fs::write(&path, bytes).unwrap();
 
     let an = make()
@@ -154,7 +160,7 @@ fn assert_damage_is_caught<A, T>(
             let want = format!("'{entry}' does not match its manifest checksum");
             match &j.outcome {
                 Outcome::Faulted(reason) => assert!(reason.contains(&want), "{reason}"),
-                _ => panic!("{campaign}/{label}: damaged {file} was not caught"),
+                _ => panic!("{campaign}/{label}: damaged {entry} was not caught"),
             }
         } else {
             assert!(j.outcome.is_ok(), "{campaign}/{}", j.label);
@@ -178,13 +184,7 @@ fn exp76_damaged_packet_trace_is_caught_though_undeclared() {
     let cold = assert_reads_complete(&root, make);
     let label = format!("{}/no-ad", NetKind::Lte.label());
     let cfg = repro::stage::config_digest("exp76", &label, &[1]);
-    assert_damage_is_caught(
-        &root,
-        make,
-        &cold,
-        ("exp76", &label, SEED, cfg),
-        ("trace", "trace.pcapq"),
-    );
+    assert_damage_is_caught(&root, make, &cold, ("exp76", &label, SEED, cfg), "trace");
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -201,7 +201,7 @@ fn fig7_damaged_pdu_truth_is_caught_though_undeclared() {
         make,
         &cold,
         ("fig7_fig8", &label, SEED ^ kind.label().len() as u64, cfg),
-        ("pdus", "truth_pdus.bin"),
+        "pdus",
     );
     let _ = fs::remove_dir_all(&root);
 }

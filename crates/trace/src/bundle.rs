@@ -1,6 +1,7 @@
 //! Bundle writers/readers and the [`BundleArtifact`] trait.
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use simcore::SimTime;
@@ -9,7 +10,43 @@ use crate::digest::entry_checksum;
 use crate::error::TraceError;
 use crate::manifest::{Manifest, ManifestEntry, FORMAT_VERSION};
 
-const MANIFEST_FILE: &str = "manifest.txt";
+/// Name of the one data file in a bundle directory: the entries, the
+/// manifest and the footer. Sub-bundle directory names never contain a
+/// `.`, so none can take this name.
+pub const DATA_FILE: &str = "bundle.qtb";
+
+/// Last bytes of every finished bundle file.
+const FOOTER_MAGIC: [u8; 8] = *b"QTBUNDLE";
+/// Footer length: the manifest's length and checksum (`u64` little-endian
+/// each), then [`FOOTER_MAGIC`].
+const FOOTER_LEN: u64 = 24;
+
+/// The bytes that close a bundle file after its entries: the manifest
+/// text, then the footer — the text's length and
+/// [`entry_checksum`](crate::entry_checksum), each a little-endian `u64`,
+/// and an 8-byte magic.
+pub fn seal_manifest(manifest: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(manifest.len() + FOOTER_LEN as usize);
+    out.extend_from_slice(manifest.as_bytes());
+    out.extend_from_slice(&(manifest.len() as u64).to_le_bytes());
+    out.extend_from_slice(&entry_checksum(manifest.as_bytes()).to_le_bytes());
+    out.extend_from_slice(&FOOTER_MAGIC);
+    out
+}
+
+/// Read exactly `len` bytes of `file` at `offset` into a buffer of their
+/// own.
+fn read_at(file: &File, path: &Path, offset: u64, len: u64) -> Result<Vec<u8>, TraceError> {
+    let mut file = file;
+    let mut bytes = Vec::with_capacity(len as usize);
+    file.seek(SeekFrom::Start(offset))
+        .and_then(|_| file.take(len).read_to_end(&mut bytes))
+        .map_err(|e| TraceError::io(path, e))?;
+    if bytes.len() as u64 != len {
+        return Err(TraceError::io(path, ErrorKind::UnexpectedEof.into()));
+    }
+    Ok(bytes)
+}
 
 /// Identity of one recorded run: everything that determines the simulation
 /// besides the code itself.
@@ -90,18 +127,26 @@ pub trait BundleArtifact: Sized {
     fn end(&self) -> SimTime;
 }
 
-/// Writes one bundle directory: artifacts first, manifest last.
+/// Writes one bundle: each entry streamed to the bundle file as it is
+/// added, the manifest and footer last.
 pub struct BundleWriter {
     dir: PathBuf,
+    path: PathBuf,
+    file: File,
     manifest: Manifest,
 }
 
 impl BundleWriter {
-    /// Create (or reuse) `dir` and start a bundle with `meta`'s identity.
+    /// Create (or reuse) `dir`, create its bundle file afresh, and start a
+    /// bundle with `meta`'s identity.
     pub fn create(dir: &Path, meta: &BundleMeta) -> Result<BundleWriter, TraceError> {
         fs::create_dir_all(dir).map_err(|e| TraceError::io(dir, e))?;
+        let path = dir.join(DATA_FILE);
+        let file = File::create(&path).map_err(|e| TraceError::io(&path, e))?;
         Ok(BundleWriter {
             dir: dir.to_path_buf(),
+            path,
+            file,
             manifest: Manifest {
                 format_version: FORMAT_VERSION,
                 seed: meta.seed,
@@ -115,73 +160,109 @@ impl BundleWriter {
         })
     }
 
-    fn write_file(&self, file: &str, bytes: &[u8]) -> Result<ManifestEntry, TraceError> {
-        let path = self.dir.join(file);
-        fs::write(&path, bytes).map_err(|e| TraceError::io(&path, e))?;
+    fn write_entry(&mut self, name: &str, bytes: &[u8]) -> Result<ManifestEntry, TraceError> {
+        self.file
+            .write_all(bytes)
+            .map_err(|e| TraceError::io(&self.path, e))?;
         Ok(ManifestEntry {
-            name: String::new(),
-            file: file.to_string(),
+            name: name.to_string(),
+            offset: self.manifest.data_len(),
             bytes: bytes.len() as u64,
             checksum: entry_checksum(bytes),
         })
     }
 
     /// Add an analyzer-visible artifact.
-    pub fn artifact(&mut self, name: &str, file: &str, bytes: &[u8]) -> Result<(), TraceError> {
-        let entry = ManifestEntry {
-            name: name.to_string(),
-            ..self.write_file(file, bytes)?
-        };
+    pub fn artifact(&mut self, name: &str, bytes: &[u8]) -> Result<(), TraceError> {
+        let entry = self.write_entry(name, bytes)?;
         self.manifest.artifacts.push(entry);
         Ok(())
     }
 
     /// Add an evaluation-only ground truth (segregated in the manifest).
-    pub fn truth(&mut self, name: &str, file: &str, bytes: &[u8]) -> Result<(), TraceError> {
-        let entry = ManifestEntry {
-            name: name.to_string(),
-            ..self.write_file(file, bytes)?
-        };
+    pub fn truth(&mut self, name: &str, bytes: &[u8]) -> Result<(), TraceError> {
+        let entry = self.write_entry(name, bytes)?;
         self.manifest.truths.push(entry);
         Ok(())
     }
 
     /// Register a nested bundle named `name` and hand back the directory
-    /// the caller should save it into.
-    pub fn sub_dir(&mut self, name: &str) -> PathBuf {
+    /// the caller should save it into. Every character but an ASCII
+    /// letter or digit maps to `-`, so distinct names can map to one
+    /// directory; the second of them is refused rather than saved over the
+    /// first.
+    pub fn sub_dir(&mut self, name: &str) -> Result<PathBuf, TraceError> {
         let dir_name: String = name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
             .collect();
-        self.manifest
-            .subs
-            .push((name.to_string(), dir_name.clone()));
-        self.dir.join(dir_name)
+        if dir_name.is_empty() || self.manifest.subs.iter().any(|(_, d)| *d == dir_name) {
+            return Err(TraceError::SubDirectory {
+                name: name.to_string(),
+                dir: dir_name,
+            });
+        }
+        let dir = self.dir.join(&dir_name);
+        self.manifest.subs.push((name.to_string(), dir_name));
+        Ok(dir)
     }
 
-    /// Write the manifest, completing the bundle. Until this runs the
-    /// directory has no manifest and cannot be opened — a crashed recorder
-    /// therefore leaves an unreadable directory, not a truncated bundle.
-    pub fn finish(self) -> Result<(), TraceError> {
-        let path = self.dir.join(MANIFEST_FILE);
-        fs::write(&path, self.manifest.render()).map_err(|e| TraceError::io(&path, e))
+    /// Write the manifest and footer, completing the bundle. Until this
+    /// runs the bundle file has no valid footer and cannot be opened — a
+    /// crashed recorder therefore leaves an unreadable bundle, not a
+    /// truncated one.
+    pub fn finish(mut self) -> Result<(), TraceError> {
+        self.file
+            .write_all(&seal_manifest(&self.manifest.render()))
+            .map_err(|e| TraceError::io(&self.path, e))
     }
 }
 
-/// Reads one bundle directory, verifying checksums on every access.
+/// Reads one bundle, verifying checksums on every access.
+///
+/// The bundle file stays open for the reader's life; each read seeks it,
+/// so one reader serves one thread at a time.
 pub struct BundleReader {
     dir: PathBuf,
+    path: PathBuf,
+    file: File,
     manifest: Manifest,
 }
 
 impl BundleReader {
-    /// Open `dir` by parsing and validating its manifest.
+    /// Open the bundle in `dir`: check its footer and the manifest's
+    /// checksum, parse the manifest, and check that its entries tile the
+    /// bytes before it.
     pub fn open(dir: &Path) -> Result<BundleReader, TraceError> {
-        let path = dir.join(MANIFEST_FILE);
-        let text = fs::read_to_string(&path).map_err(|e| TraceError::io(&path, e))?;
+        let path = dir.join(DATA_FILE);
+        let file = File::open(&path).map_err(|e| TraceError::io(&path, e))?;
+        let len = file.metadata().map_err(|e| TraceError::io(&path, e))?.len();
+        let no_footer = || TraceError::BadMagic(format!("{} has no bundle footer", path.display()));
+        let footer_at = len.checked_sub(FOOTER_LEN).ok_or_else(no_footer)?;
+        let footer = read_at(&file, &path, footer_at, FOOTER_LEN)?;
+        if footer[16..] != FOOTER_MAGIC {
+            return Err(no_footer());
+        }
+        let word = |i: usize| u64::from_le_bytes(footer[8 * i..8 * i + 8].try_into().unwrap());
+        let (manifest_len, checksum) = (word(0), word(1));
+        let data_len = footer_at.checked_sub(manifest_len).ok_or_else(|| {
+            TraceError::Corrupt(format!(
+                "manifest of {manifest_len} bytes does not fit in a {len}-byte bundle file"
+            ))
+        })?;
+        let text = read_at(&file, &path, data_len, manifest_len)?;
+        if entry_checksum(&text) != checksum {
+            return Err(TraceError::ManifestChecksum);
+        }
+        let text = String::from_utf8(text)
+            .map_err(|_| TraceError::Corrupt("manifest is not UTF-8".into()))?;
+        let manifest = Manifest::parse(&text)?;
+        manifest.check_layout(data_len)?;
         Ok(BundleReader {
             dir: dir.to_path_buf(),
-            manifest: Manifest::parse(&text)?,
+            path,
+            file,
+            manifest,
         })
     }
 
@@ -206,9 +287,8 @@ impl BundleReader {
     }
 
     fn read_entry(&self, entry: &ManifestEntry) -> Result<Vec<u8>, TraceError> {
-        let path = self.dir.join(&entry.file);
-        let bytes = fs::read(&path).map_err(|e| TraceError::io(&path, e))?;
-        if bytes.len() as u64 != entry.bytes || entry_checksum(&bytes) != entry.checksum {
+        let bytes = read_at(&self.file, &self.path, entry.offset, entry.bytes)?;
+        if entry_checksum(&bytes) != entry.checksum {
             return Err(TraceError::ChecksumMismatch {
                 name: entry.name.clone(),
             });
@@ -288,16 +368,48 @@ mod tests {
         dir
     }
 
+    /// Replace the manifest of the finished bundle in `dir` by `edit` of
+    /// its text, with a footer that matches the new text.
+    fn reseal(dir: &Path, edit: impl FnOnce(&str) -> String) {
+        let r = BundleReader::open(dir).unwrap();
+        let text = edit(&r.manifest().render());
+        let data_len = r.manifest().data_len() as usize;
+        let path = dir.join(DATA_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.truncate(data_len);
+        bytes.extend(seal_manifest(&text));
+        fs::write(&path, bytes).unwrap();
+    }
+
+    /// Open the bundle in `dir` and read every entry it lists.
+    fn read_all(dir: &Path) -> Result<(), TraceError> {
+        let r = BundleReader::open(dir)?;
+        for e in &r.manifest().artifacts {
+            r.artifact(&e.name)?;
+        }
+        for e in &r.manifest().truths {
+            r.truth(&e.name)?;
+        }
+        Ok(())
+    }
+
     #[test]
     fn write_read_and_segregation() {
         let dir = tmp("seg");
         let mut w = BundleWriter::create(&dir, &meta()).unwrap();
-        w.artifact("behavior", "behavior.bin", b"abc").unwrap();
-        w.truth("camera", "truth_camera.bin", b"xyz").unwrap();
+        w.artifact("behavior", b"abc").unwrap();
+        w.truth("camera", b"xyz").unwrap();
         w.finish().unwrap();
 
+        // The whole bundle is one file.
+        let files: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, [DATA_FILE]);
         let r = BundleReader::open(&dir).unwrap();
         assert_eq!(r.meta(), meta());
+        assert_eq!(r.manifest().entry("camera").unwrap().range(), 3..6);
         assert_eq!(r.artifact("behavior").unwrap(), b"abc");
         assert_eq!(r.truth("camera").unwrap(), b"xyz");
         // The artifact accessor must refuse ground truths outright.
@@ -316,14 +428,19 @@ mod tests {
     fn tampered_file_fails_checksum() {
         let dir = tmp("tamper");
         let mut w = BundleWriter::create(&dir, &meta()).unwrap();
-        w.artifact("behavior", "behavior.bin", b"abc").unwrap();
+        w.artifact("behavior", b"abc").unwrap();
+        w.artifact("cpu", b"def").unwrap();
         w.finish().unwrap();
-        fs::write(dir.join("behavior.bin"), b"abd").unwrap();
+        let path = dir.join(DATA_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[2] ^= b'c' ^ b'd';
+        fs::write(&path, bytes).unwrap();
         let r = BundleReader::open(&dir).unwrap();
         assert!(matches!(
             r.artifact("behavior"),
-            Err(TraceError::ChecksumMismatch { .. })
+            Err(TraceError::ChecksumMismatch { name }) if name == "behavior"
         ));
+        assert_eq!(r.artifact("cpu").unwrap(), b"def");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -331,13 +448,15 @@ mod tests {
     fn unfinished_bundle_has_no_manifest() {
         let dir = tmp("unfinished");
         let mut w = BundleWriter::create(&dir, &meta()).unwrap();
-        w.artifact("behavior", "behavior.bin", b"abc").unwrap();
-        // No finish(): simulates a recorder crash.
+        w.artifact("behavior", &[0x5a; 100]).unwrap();
+        // No finish(): simulates a recorder crash after the entry reached
+        // the file.
+        drop(w);
+        assert_eq!(fs::metadata(dir.join(DATA_FILE)).unwrap().len(), 100);
         assert!(matches!(
             BundleReader::open(&dir),
-            Err(TraceError::Io { .. })
+            Err(TraceError::BadMagic(_))
         ));
-        drop(w);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -345,32 +464,71 @@ mod tests {
     fn manifest_cannot_name_a_file_outside_the_bundle() {
         let root = tmp("escape");
         let dir = root.join("bundle");
-        let mut w = BundleWriter::create(&dir, &meta()).unwrap();
-        w.artifact("behavior", "behavior.bin", b"abc").unwrap();
-        w.finish().unwrap();
-        // A file beside the bundle whose length and checksum would pass.
-        fs::write(root.join("outside.bin"), b"abc").unwrap();
-        let manifest = dir.join(MANIFEST_FILE);
-        let text = fs::read_to_string(&manifest).unwrap();
-        fs::write(
-            &manifest,
-            text.replace(" behavior.bin ", " ../outside.bin "),
-        )
-        .unwrap();
+        let write = || {
+            let mut w = BundleWriter::create(&dir, &meta()).unwrap();
+            w.artifact("behavior", b"abc").unwrap();
+            w.sub_dir("inner").unwrap();
+            w.finish().unwrap();
+        };
+        // A sub-bundle directory beside the bundle, not inside it.
+        write();
+        reseal(&dir, |text| text.replace("sub inner ", "sub .. "));
         assert!(matches!(
             BundleReader::open(&dir),
-            Err(TraceError::Manifest { line: 6, .. })
+            Err(TraceError::Manifest { line: 7, .. })
+        ));
+        // An entry reaching into the manifest, with a checksum that would
+        // pass over those bytes.
+        write();
+        reseal(&dir, |text| {
+            let sealed = seal_manifest(text);
+            let sum = entry_checksum(&[b"abc".as_slice(), &sealed[..1]].concat());
+            let line = text.lines().find(|l| l.starts_with("artifact")).unwrap();
+            text.replace(line, &format!("artifact behavior 0 4 {sum:016x}"))
+        });
+        assert!(matches!(
+            BundleReader::open(&dir),
+            Err(TraceError::Corrupt(_))
         ));
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn every_prefix_and_flipped_byte_fails_structurally() {
+        let dir = tmp("damage");
+        let mut w = BundleWriter::create(&dir, &meta()).unwrap();
+        w.artifact("behavior", b"some behaviour bytes").unwrap();
+        w.artifact("trace", &(0..=255).collect::<Vec<u8>>())
+            .unwrap();
+        w.truth("camera", b"xyz").unwrap();
+        w.sub_dir("shaping run").unwrap();
+        w.finish().unwrap();
+        read_all(&dir).unwrap();
+        let path = dir.join(DATA_FILE);
+        let good = fs::read(&path).unwrap();
+        // Entries, manifest (identity fields included) and footer alike.
+        for cut in 0..good.len() {
+            fs::write(&path, &good[..cut]).unwrap();
+            assert!(read_all(&dir).is_err(), "a {cut}-byte prefix was accepted");
+        }
+        for i in 0..good.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = good.clone();
+                bad[i] ^= mask;
+                fs::write(&path, &bad).unwrap();
+                assert!(read_all(&dir).is_err(), "byte {i} ^ {mask:#x} was accepted");
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn sub_bundles_nest() {
         let dir = tmp("subs");
         let mut w = BundleWriter::create(&dir, &meta()).unwrap();
-        let sub = w.sub_dir("shaping run");
+        let sub = w.sub_dir("shaping run").unwrap();
         let mut sw = BundleWriter::create(&sub, &meta()).unwrap();
-        sw.artifact("behavior", "behavior.bin", b"inner").unwrap();
+        sw.artifact("behavior", b"inner").unwrap();
         sw.finish().unwrap();
         w.finish().unwrap();
 
@@ -378,6 +536,22 @@ mod tests {
         assert_eq!(r.sub_names(), ["shaping run"]);
         let sr = r.sub("shaping run").unwrap();
         assert_eq!(sr.artifact("behavior").unwrap(), b"inner");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sub_dir_refuses_a_directory_in_use() {
+        let dir = tmp("sub-collide");
+        let mut w = BundleWriter::create(&dir, &meta()).unwrap();
+        assert_eq!(w.sub_dir("a b").unwrap(), dir.join("a-b"));
+        for name in ["a-b", "a.b", ""] {
+            assert!(
+                matches!(w.sub_dir(name), Err(TraceError::SubDirectory { .. })),
+                "{name:?}"
+            );
+        }
+        w.finish().unwrap();
+        assert_eq!(BundleReader::open(&dir).unwrap().sub_names(), ["a b"]);
         let _ = fs::remove_dir_all(&dir);
     }
 }

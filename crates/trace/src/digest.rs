@@ -9,7 +9,7 @@
 //! bundles, digests configurations and guards the monitor's index lines;
 //! those inputs are short.
 //!
-//! Entry files are long (megabytes per bundle), and every load verifies
+//! Entries are long (megabytes per bundle), and every load verifies
 //! every entry, so they get a word-parallel checksum instead
 //! ([`entry_checksum`]): four independent lanes over 8-byte little-endian
 //! words, which the CPU runs side by side where FNV-1a's one byte-serial
@@ -107,7 +107,8 @@ fn le_word(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().expect("an 8-byte word"))
 }
 
-/// The 64-bit checksum of a bundle entry file (format v3).
+/// The 64-bit checksum of a bundle entry (since format v3), and of a
+/// bundle's manifest (since format v4).
 ///
 /// Words `4k + i` of the input go through lane `i`; the 0–7 tail bytes,
 /// zero-padded to a word, and the input length are folded into a final
@@ -203,7 +204,7 @@ mod tests {
 
     #[test]
     fn entry_checksum_is_pinned() {
-        // A bundle written by any build of format v3 must verify under
+        // A bundle written by any build of format v4 must verify under
         // every other: the value is part of the on-disk format.
         assert_eq!(entry_checksum(b""), 0xdad0_d397_ba71_dc4e);
         assert_eq!(entry_checksum(&sample(97)), 0x6b08_76aa_98ee_cb7e);

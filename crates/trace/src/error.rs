@@ -1,9 +1,9 @@
 //! Structured decode/IO errors.
 //!
 //! Every failure mode a reader can hit — truncated file, wrong magic, stale
-//! format version, corrupted manifest line, checksum mismatch — maps to a
-//! distinct variant so callers (and tests) can react to the *kind* of
-//! damage instead of parsing panic strings.
+//! format version, corrupted manifest line, entry or manifest checksum
+//! mismatch — maps to a distinct variant so callers (and tests) can react
+//! to the *kind* of damage instead of parsing panic strings.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -43,10 +43,21 @@ pub enum TraceError {
     /// An analyzer asked for an evaluation-only ground truth via the
     /// artifact accessor.
     TruthAccess(String),
-    /// A file's bytes do not match the length/checksum in the manifest.
+    /// An entry's bytes do not match the checksum in the manifest.
     ChecksumMismatch {
         /// Manifest name of the damaged entry.
         name: String,
+    },
+    /// The manifest's bytes do not match the checksum in the bundle
+    /// file's footer.
+    ManifestChecksum,
+    /// A nested bundle's name maps to no directory name, or to one an
+    /// earlier nested bundle of the same bundle already uses.
+    SubDirectory {
+        /// The nested bundle's name.
+        name: String,
+        /// The directory name it maps to.
+        dir: String,
     },
 }
 
@@ -73,6 +84,16 @@ impl fmt::Display for TraceError {
             TraceError::ChecksumMismatch { name } => {
                 write!(f, "artifact '{name}' does not match its manifest checksum")
             }
+            TraceError::ManifestChecksum => {
+                write!(f, "the manifest does not match its footer checksum")
+            }
+            TraceError::SubDirectory { name, dir } if dir.is_empty() => {
+                write!(f, "sub-bundle {name:?} maps to no directory name")
+            }
+            TraceError::SubDirectory { name, dir } => write!(
+                f,
+                "sub-bundle {name:?} maps to directory {dir:?}, which an earlier sub-bundle uses"
+            ),
         }
     }
 }

@@ -7,13 +7,23 @@
 //! objects so a recorded run can be re-analyzed, cached, shipped, or diffed
 //! without re-simulating.
 //!
-//! A **bundle** is a directory holding
+//! A **bundle** is a directory holding one data file, [`DATA_FILE`], and a
+//! directory per nested bundle. The data file (format v4) is
 //!
-//! * `manifest.txt` — format version, seed, config digest, scenario id, sim
-//!   end time, plus one line per contained file with its byte length and
-//!   checksum ([`entry_checksum`]), and
-//! * one binary artifact file per layer, each framed with a 4-byte magic and
-//!   a format version so stale files fail loudly rather than mis-decode.
+//! * the entries, one binary artifact per layer, back to back, each framed
+//!   with a 4-byte magic and a format version so stale bytes fail loudly
+//!   rather than mis-decode,
+//! * the manifest — format version, seed, config digest, scenario id, sim
+//!   end time, plus one line per entry with its byte offset, length and
+//!   checksum ([`entry_checksum`]) — and
+//! * a fixed-size footer holding the manifest's length and checksum and a
+//!   magic ([`seal_manifest`]).
+//!
+//! Writing the manifest and footer last means a crashed recorder leaves a
+//! file without a valid footer, which [`BundleReader::open`] refuses; the
+//! footer's checksum covers the identity fields as well as the entry list.
+//! One file per bundle keeps recording cheap: creating a file for each
+//! entry cost more than encoding and checksumming them all.
 //!
 //! Ground-truth artifacts that exist only for evaluating the tool (the
 //! per-PDU truth stream and the "camera" screen log) are **segregated** in
@@ -49,7 +59,9 @@ mod error;
 mod manifest;
 mod wire;
 
-pub use bundle::{BundleArtifact, BundleMeta, BundleReader, BundleWriter, Reads};
+pub use bundle::{
+    seal_manifest, BundleArtifact, BundleMeta, BundleReader, BundleWriter, Reads, DATA_FILE,
+};
 pub use codec::{decode_artifact, encode_artifact, Codec};
 pub use digest::{entry_checksum, fnv1a, Digest};
 pub use error::TraceError;

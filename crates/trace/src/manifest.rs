@@ -1,30 +1,41 @@
-//! The bundle manifest: a deterministic, line-oriented text file.
+//! The bundle manifest: a deterministic, line-oriented text.
 //!
 //! ```text
-//! qoe-trace-bundle v3
+//! qoe-trace-bundle v4
 //! seed 20140705
 //! config 00c0ffee00c0ffee
 //! end_us 315000000
 //! scenario fig17/3G @128kbps
-//! artifact behavior behavior.bin 1234 a1b2c3d4e5f60718
-//! truth camera truth_camera.bin 555 0011223344556677
+//! artifact behavior 0 1234 a1b2c3d4e5f60718
+//! truth camera 1234 555 0011223344556677
 //! sub shaping shaping
 //! ```
 //!
 //! Field lines are fixed-order (`seed`, `config`, `end_us`, `scenario`);
-//! entry lines follow in write order, each giving the file's byte length
-//! and its [`entry_checksum`](crate::entry_checksum) in hex. `artifact` entries are what an
-//! analyzer may read; `truth` entries are evaluation-only ground truths
-//! (per-PDU truth stream, camera screen log) that the artifact accessor
-//! refuses to serve — see the crate docs for why they are segregated.
-//! `sub` entries name nested bundles (used when one campaign job records
-//! several sessions). The manifest is written *last* so a crashed recorder
-//! leaves a directory without a manifest — unreadable — rather than a
-//! plausible-looking but incomplete bundle.
+//! entry lines follow in write order, each giving the entry's byte offset
+//! in the bundle file, its byte length and its
+//! [`entry_checksum`](crate::entry_checksum) in hex. `artifact` entries are
+//! what an analyzer may read; `truth` entries are evaluation-only ground
+//! truths (per-PDU truth stream, camera screen log) that the artifact
+//! accessor refuses to serve — see the crate docs for why they are
+//! segregated. `sub` entries name nested bundles (used when one campaign
+//! job records several sessions), each in a directory of its own beside
+//! the bundle file.
 //!
-//! Entry files and sub-bundle directories must be single plain path
-//! components (not empty, `.` or `..`, no `/` or `\`): a manifest can only
-//! point inside its own bundle directory.
+//! The manifest sits in the bundle file after the entries and before the
+//! footer, which carries its length and checksum (see
+//! [`seal_manifest`](crate::seal_manifest)); it is written *last*, so a
+//! crashed recorder leaves a file without a valid footer — unreadable —
+//! rather than a plausible-looking but incomplete bundle. The entries must
+//! tile the bytes before the manifest exactly, in some order: no gap, no
+//! overlap, nothing past the manifest's start, so every byte of the file
+//! is covered by a checksum.
+//!
+//! Sub-bundle directories must be single plain path components (not
+//! empty, `.` or `..`, no `/` or `\`): a manifest can only point inside
+//! its own bundle directory.
+
+use std::ops::Range;
 
 use simcore::SimTime;
 
@@ -32,39 +43,46 @@ use crate::error::TraceError;
 
 /// The bundle format version this build writes and reads.
 ///
-/// Policy: any change to the manifest grammar, the entry checksum, an
-/// artifact's framing, or a record's field layout bumps this constant;
-/// readers reject other versions outright ([`TraceError::BadVersion`])
-/// instead of guessing. There is no cross-version migration — bundles are
-/// cheap to re-record.
-pub const FORMAT_VERSION: u16 = 3;
+/// Policy: any change to the manifest grammar, the bundle file's layout or
+/// footer, the entry checksum, an artifact's framing, or a record's field
+/// layout bumps this constant; readers reject other versions outright
+/// ([`TraceError::BadVersion`]) instead of guessing. There is no
+/// cross-version migration — bundles are cheap to re-record.
+pub const FORMAT_VERSION: u16 = 4;
 
 const MAGIC_PREFIX: &str = "qoe-trace-bundle v";
 
-/// Accept `name` as a file or directory name inside the bundle only if it
-/// is one plain path component, so joining it onto the bundle directory
-/// cannot leave that directory.
+/// Accept `name` as a directory name inside the bundle only if it is one
+/// plain path component, so joining it onto the bundle directory cannot
+/// leave that directory.
 fn plain_component(name: &str, lineno: usize) -> Result<String, TraceError> {
     if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
         return Err(TraceError::Manifest {
             line: lineno,
-            msg: format!("{name:?} is not a plain file name inside the bundle"),
+            msg: format!("{name:?} is not a plain directory name inside the bundle"),
         });
     }
     Ok(name.to_string())
 }
 
-/// One file listed in the manifest.
+/// One entry listed in the manifest: a byte range of the bundle file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// Logical artifact name (what callers ask for).
     pub name: String,
-    /// File name inside the bundle directory.
-    pub file: String,
-    /// Exact file length in bytes.
+    /// Byte offset of the entry in the bundle file.
+    pub offset: u64,
+    /// Exact entry length in bytes.
     pub bytes: u64,
-    /// [`entry_checksum`](crate::entry_checksum) of the file contents.
+    /// [`entry_checksum`](crate::entry_checksum) of the entry's bytes.
     pub checksum: u64,
+}
+
+impl ManifestEntry {
+    /// The entry's absolute byte range in the bundle file.
+    pub fn range(&self) -> Range<u64> {
+        self.offset..self.offset + self.bytes
+    }
 }
 
 /// Parsed manifest contents.
@@ -89,6 +107,48 @@ pub struct Manifest {
 }
 
 impl Manifest {
+    /// The entry (artifact or truth) named `name`.
+    pub fn entry(&self, name: &str) -> Option<&ManifestEntry> {
+        self.artifacts
+            .iter()
+            .chain(&self.truths)
+            .find(|e| e.name == name)
+    }
+
+    /// Length of the bundle file's entry region: where the manifest starts.
+    pub fn data_len(&self) -> u64 {
+        self.artifacts
+            .iter()
+            .chain(&self.truths)
+            .map(|e| e.bytes)
+            .sum()
+    }
+
+    /// Check that the entries tile `0..data_len` exactly, so that no entry
+    /// reaches into the manifest and no byte before it goes unchecked.
+    pub(crate) fn check_layout(&self, data_len: u64) -> Result<(), TraceError> {
+        let mut entries: Vec<&ManifestEntry> = self.artifacts.iter().chain(&self.truths).collect();
+        entries.sort_by_key(|e| e.offset);
+        let mut cursor = 0;
+        for e in entries {
+            if e.offset != cursor || e.range().end > data_len {
+                return Err(TraceError::Corrupt(format!(
+                    "entry '{}' spans bytes {:?}, but the next entry must start at {cursor} \
+                     and the entries end at {data_len}",
+                    e.name,
+                    e.range()
+                )));
+            }
+            cursor = e.range().end;
+        }
+        if cursor != data_len {
+            return Err(TraceError::Corrupt(format!(
+                "entries end at byte {cursor}, but the manifest starts at {data_len}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Render to the canonical text form (byte-deterministic).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -101,7 +161,7 @@ impl Manifest {
             for e in entries {
                 out.push_str(&format!(
                     "{kind} {} {} {} {:016x}\n",
-                    e.name, e.file, e.bytes, e.checksum
+                    e.name, e.offset, e.bytes, e.checksum
                 ));
             }
         }
@@ -202,11 +262,21 @@ impl Manifest {
             }
             let parts: Vec<&str> = line.split(' ').collect();
             match parts.as_slice() {
-                [kind @ ("artifact" | "truth"), name, file, bytes, checksum] => {
+                [kind @ ("artifact" | "truth"), name, offset, bytes, checksum] => {
+                    let offset: u64 = offset.parse().map_err(|_| TraceError::Manifest {
+                        line: lineno,
+                        msg: format!("unparseable offset {offset:?}"),
+                    })?;
                     let bytes: u64 = bytes.parse().map_err(|_| TraceError::Manifest {
                         line: lineno,
                         msg: format!("unparseable byte count {bytes:?}"),
                     })?;
+                    if offset.checked_add(bytes).is_none() {
+                        return Err(TraceError::Manifest {
+                            line: lineno,
+                            msg: format!("entry {name:?} ends past the largest offset"),
+                        });
+                    }
                     let checksum =
                         u64::from_str_radix(checksum, 16).map_err(|_| TraceError::Manifest {
                             line: lineno,
@@ -214,7 +284,7 @@ impl Manifest {
                         })?;
                     let entry = ManifestEntry {
                         name: name.to_string(),
-                        file: plain_component(file, lineno)?,
+                        offset,
                         bytes,
                         checksum,
                     };
@@ -249,13 +319,13 @@ mod tests {
             end: SimTime::from_micros(315_000_000),
             artifacts: vec![ManifestEntry {
                 name: "behavior".into(),
-                file: "behavior.bin".into(),
+                offset: 0,
                 bytes: 77,
                 checksum: 0x0123_4567_89ab_cdef,
             }],
             truths: vec![ManifestEntry {
                 name: "camera".into(),
-                file: "truth_camera.bin".into(),
+                offset: 77,
                 bytes: 3,
                 checksum: 1,
             }],
@@ -299,26 +369,53 @@ mod tests {
 
     #[test]
     fn entries_must_stay_inside_the_bundle() {
-        for (from, to, line) in [
-            (" behavior.bin ", " ../x.bin ", 6),
-            (" behavior.bin ", " /tmp/x.bin ", 6),
-            (" behavior.bin ", " sub\\x.bin ", 6),
-            (" truth_camera.bin ", " .. ", 7),
-            ("sub shaping ", "sub .. ", 8),
-            ("sub shaping ", "sub . ", 8),
-            ("sub shaping ", "sub a/b ", 8),
-            ("sub shaping ", "sub  ", 8),
+        // Sub-bundle directories are single plain path components.
+        for (from, to) in [
+            ("sub shaping ", "sub .. "),
+            ("sub shaping ", "sub . "),
+            ("sub shaping ", "sub a/b "),
+            ("sub shaping ", "sub a\\b "),
+            ("sub shaping ", "sub  "),
         ] {
             let text = sample().render();
             assert!(text.contains(from), "{from:?} not in the sample");
             match Manifest::parse(&text.replace(from, to)) {
                 Err(TraceError::Manifest { line: l, msg }) => {
-                    assert_eq!(l, line, "{to:?}: {msg}");
-                    assert!(msg.contains("plain file name"), "{to:?}: {msg}");
+                    assert_eq!(l, 8, "{to:?}: {msg}");
+                    assert!(msg.contains("plain directory name"), "{to:?}: {msg}");
                 }
                 other => panic!("{to:?} accepted: {other:?}"),
             }
         }
+        // Entries tile the data region exactly, in any order.
+        let layouts = [
+            ((0, 77), (77, 3), 80, true),
+            ((3, 77), (0, 3), 80, true),   // written in another order
+            ((0, 77), (77, 3), 79, false), // past the manifest's start
+            ((0, 77), (77, 3), 81, false), // a byte no entry covers
+            ((0, 77), (78, 3), 81, false), // a gap
+            ((0, 77), (76, 3), 79, false), // an overlap
+            ((1, 77), (78, 3), 81, false), // not from byte 0
+            ((0, 77), (0, 3), 77, false),  // the same bytes twice
+        ];
+        for (behavior, camera, data_len, ok) in layouts {
+            let mut m = sample();
+            (m.artifacts[0].offset, m.artifacts[0].bytes) = behavior;
+            (m.truths[0].offset, m.truths[0].bytes) = camera;
+            match m.check_layout(data_len) {
+                Ok(()) => assert!(ok, "{behavior:?} {camera:?} in {data_len} accepted"),
+                Err(TraceError::Corrupt(msg)) => assert!(!ok, "{msg}"),
+                Err(e) => panic!("unstructured layout error {e:?}"),
+            }
+        }
+        // An entry whose end overflows is refused while parsing.
+        let text = sample()
+            .render()
+            .replace("behavior 0 77 ", &format!("behavior {} 77 ", u64::MAX));
+        assert!(matches!(
+            Manifest::parse(&text),
+            Err(TraceError::Manifest { line: 6, .. })
+        ));
     }
 
     #[test]

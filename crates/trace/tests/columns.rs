@@ -246,7 +246,7 @@ fn assert_version_rejected(found: u16) {
     match decode(&w.finish()) {
         Err(TraceError::BadVersion {
             found: f,
-            expected: 3,
+            expected: FORMAT_VERSION,
         }) if f == found => {}
         other => panic!("expected BadVersion, got {other:?}"),
     }
@@ -256,7 +256,7 @@ fn assert_version_rejected(found: u16) {
     match Manifest::parse(&manifest) {
         Err(TraceError::BadVersion {
             found: f,
-            expected: 3,
+            expected: FORMAT_VERSION,
         }) if f == found => {}
         other => panic!("expected BadVersion, got {other:?}"),
     }
@@ -264,7 +264,7 @@ fn assert_version_rejected(found: u16) {
 
 #[test]
 fn version_1_input_is_rejected() {
-    assert_eq!(FORMAT_VERSION, 3);
+    assert_eq!(FORMAT_VERSION, 4);
     assert_version_rejected(1);
 }
 
@@ -273,6 +273,13 @@ fn version_1_input_is_rejected() {
 #[test]
 fn version_2_input_is_rejected() {
     assert_version_rejected(2);
+}
+
+/// Format v3 differs from v4 only in the bundle layout (a file per entry
+/// beside `manifest.txt`), yet its artifacts and manifest are refused too.
+#[test]
+fn version_3_input_is_rejected() {
+    assert_version_rejected(3);
 }
 
 // ---- the fast paths against a plain reference decoder -------------------
