@@ -527,34 +527,25 @@ fn synthetic_pdus(n: u32) -> (QxdmLog, RecordLog<PduEvent>) {
         let at = SimTime::from_micros(u64::from(i) * 80);
         let boundary = i % 36 == 35;
         let ev = PduEvent {
-            dir,
-            sn: i / 2,
-            payload_len: 40,
-            first2: [(i * 7) as u8, (i * 13) as u8],
-            li: boundary.then_some(20),
-            poll: i % 64 == 0,
-            retransmission: i % 100 == 99,
+            pdu: PduRecord {
+                dir,
+                sn: i / 2,
+                payload_len: 40,
+                first2: [(i * 7) as u8, (i * 13) as u8],
+                li: boundary.then_some(20),
+                poll: i % 64 == 0,
+                retransmission: i % 100 == 99,
+            },
             covers: [(u64::from(i / 36), 0), (u64::from(i / 36) + 1, 0)],
             covers_len: 1 + boundary as u8,
         };
-        log.pdus.push(
-            at,
-            PduRecord {
-                dir: ev.dir,
-                sn: ev.sn,
-                payload_len: ev.payload_len,
-                first2: ev.first2,
-                li: ev.li,
-                poll: ev.poll,
-                retransmission: ev.retransmission,
-            },
-        );
-        if ev.poll {
+        log.pdus.push(at, ev.pdu);
+        if ev.pdu.poll {
             log.statuses.push(
                 at,
                 StatusRecord {
                     data_dir: dir,
-                    acks_sn: ev.sn,
+                    acks_sn: ev.pdu.sn,
                 },
             );
         }

@@ -32,7 +32,7 @@ use netstack::{FlowKey, IpPacket};
 use radio::qxdm::{PduRecord, QxdmLog};
 use radio::rlc::PduEvent;
 use radio::rrc::RrcTransition;
-use simcore::{RecordLog, SimDuration, SimTime, SortedSamples};
+use simcore::{Cdf, RecordLog, SimDuration, SimTime};
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------
@@ -293,8 +293,7 @@ impl<'a> PduIndex<'a> {
             .filter(|(_, p)| p.rec.li.is_some_and(|li| li < p.rec.payload_len))
             .map(|(i, _)| i as u32)
             .collect();
-        // One sort, in place — the reference routes this through
-        // `percentile`, which copies and re-sorts.
+        // One sort, in place — the reference copies the samples first.
         let rtts: Vec<f64> = super::radio::first_hop_ota_rtts(qxdm, dir)
             .iter()
             .map(|(_, d)| d.as_secs_f64())
@@ -302,7 +301,7 @@ impl<'a> PduIndex<'a> {
         let est_ota = if rtts.is_empty() {
             0.06
         } else {
-            SortedSamples::from_vec(rtts).percentile(50.0)
+            Cdf::from_vec(rtts).quantile(0.5)
         };
         PduIndex {
             qxdm,
@@ -352,12 +351,8 @@ pub fn long_jump_map(
         opts,
         |pkt| pkt.wire_view(),
         |wire, cursor, hi| {
-            if wire.len() < 2 {
-                // Degenerate sub-2-byte packets (no real IP packet: minimum
-                // wire size is 40 bytes) match on one byte or none — not
-                // indexable by the 2-byte key, so scan them linearly.
-                return reference::scan_linear(wire, pdus, cursor, hi, &opts);
-            }
+            // Every packet has at least `HEADER_BYTES` (40) wire bytes, so
+            // its first two bytes always make a key.
             let starts = index.starts_of([wire.at(0), wire.at(1)]);
             let mut si = starts.partition_point(|&j| (j as usize) < cursor);
             let mut bi = bridge_at.partition_point(|&j| (j as usize) < cursor);
@@ -419,7 +414,7 @@ fn drive_map<W: WireAccess>(
         let mut result: Option<(usize, usize, Vec<u32>)> = None;
 
         if let Some((cidx, cbytes)) = carry {
-            if let Some((last, sns)) = try_chain(&wire, &pdus, cbytes as usize, cidx + 1, cidx) {
+            if let Some((last, sns)) = try_chain(&wire, pdus, cbytes as usize, cidx + 1, cidx) {
                 result = Some((cidx, last, sns));
             }
             carry = None;
@@ -586,8 +581,8 @@ impl TruthCovers {
         let mut behind = Vec::new();
         let pairs = truth
             .iter()
-            .filter(|(_, ev)| ev.dir == dir)
-            .flat_map(|(_, ev)| ev.coverage().map(move |(pkt_id, _)| (pkt_id, ev.sn)));
+            .filter(|(_, ev)| ev.pdu.dir == dir)
+            .flat_map(|(_, ev)| ev.coverage().map(move |(pkt_id, _)| (pkt_id, ev.pdu.sn)));
         for pair in pairs {
             if run.last().is_some_and(|last| pair < *last) {
                 behind.push(pair);
@@ -776,12 +771,10 @@ pub fn net_latency_breakdown(
 /// benches measure against these (`cargo bench`).
 pub mod reference {
     use super::*;
-    use simcore::percentile;
 
     /// Linear chain-start scan over `[cursor, hi)` — the original O(window)
-    /// per-packet walk. Also used by the indexed mapper for degenerate
-    /// sub-2-byte packets, which the 2-byte index cannot serve.
-    pub(super) fn scan_linear<W: WireAccess>(
+    /// per-packet walk.
+    fn scan_linear<W: WireAccess>(
         wire: &W,
         pdus: &[DedupedPdu],
         cursor: usize,
@@ -863,7 +856,7 @@ pub mod reference {
         let est_ota = if rtts.is_empty() {
             0.06
         } else {
-            percentile(&rtts, 50.0)
+            Cdf::of(&rtts).quantile(0.5)
         };
         for w in pdu_times.windows(2) {
             let gap = w[1].saturating_since(w[0]).as_secs_f64();

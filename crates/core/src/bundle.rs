@@ -19,7 +19,7 @@
 //! | `trace`        | [`TRACE`]     | packet trace: flow dictionary, per-flow delta and run-length columns (`netstack::codec`) |
 //! | `qxdm`         | [`QXDM`]      | QxDM log (cellular runs only): RRC rows, PDU and STATUS columns (`radio::codec`) |
 //! | `cpu`          | [`CPU`]       | app/controller CPU split                  |
-//! | truth `pdus`   | [`PDUS`]      | full PDU coverage (cellular): PDU plus coverage columns |
+//! | truth `pdus`   | [`PDUS`]      | every PDU's QxDM record plus its coverage (cellular): PDU columns, then coverage columns |
 //! | truth `camera` | [`CAMERA`]    | 60 fps screen ground truth, one row column |
 //!
 //! The `qxdm`/`pdus` entries are simply absent for WiFi runs — absence in
@@ -51,7 +51,8 @@ pub const TRACE: &str = "trace";
 pub const QXDM: &str = "qxdm";
 /// Manifest name of the CPU-meter artifact.
 pub const CPU: &str = "cpu";
-/// Manifest name of the PDU-coverage truth (cellular runs only).
+/// Manifest name of the PDU truth: each PDU's QxDM record plus its
+/// coverage (cellular runs only).
 pub const PDUS: &str = "pdus";
 /// Manifest name of the camera truth (the 60 fps screen ground truth).
 pub const CAMERA: &str = "camera";

@@ -25,7 +25,8 @@ pub struct Collection {
     pub trace: RecordLog<PacketRecord>,
     /// QxDM diagnostic log — present only on cellular attachments.
     pub qxdm: Option<QxdmLog>,
-    /// Ground-truth PDU coverage (evaluation only).
+    /// Ground-truth PDU stream (evaluation only): each PDU's QxDM record,
+    /// including the records QxDM dropped, plus the packet bytes it carried.
     pub pdu_truth: Option<RecordLog<PduEvent>>,
     /// Ground-truth screen draw events (evaluation only; the paper's
     /// 60 fps camera).

@@ -169,7 +169,7 @@ fn st_sock() -> impl Strategy<Value = SocketAddr> {
 
 fn st_tcp() -> impl Strategy<Value = Option<TcpHeader>> {
     (any::<bool>(), st_u64(), st_u64(), 0u8..16).prop_map(|(present, seq, ack, bits)| {
-        present.then(|| TcpHeader {
+        present.then_some(TcpHeader {
             seq,
             ack,
             flags: TcpFlags {
@@ -283,15 +283,9 @@ fn st_cover() -> impl Strategy<Value = (u64, u32)> {
 }
 
 fn st_pdu_event() -> impl Strategy<Value = PduEvent> {
-    (st_pdu_record(), (st_cover(), st_cover(), 0u8..3)).prop_map(|(rec, (c0, c1, covers_len))| {
+    (st_pdu_record(), (st_cover(), st_cover(), 0u8..3)).prop_map(|(pdu, (c0, c1, covers_len))| {
         PduEvent {
-            dir: rec.dir,
-            sn: rec.sn,
-            payload_len: rec.payload_len,
-            first2: rec.first2,
-            li: rec.li,
-            poll: rec.poll,
-            retransmission: rec.retransmission,
+            pdu,
             covers: [c0, c1],
             covers_len,
         }
@@ -524,13 +518,15 @@ fn empty_and_single_record_logs_round_trip() {
     one_event.push(
         at,
         PduEvent {
-            dir: Direction::Uplink,
-            sn: 0,
-            payload_len: 0,
-            first2: [0, 0],
-            li: None,
-            poll: false,
-            retransmission: false,
+            pdu: PduRecord {
+                dir: Direction::Uplink,
+                sn: 0,
+                payload_len: 0,
+                first2: [0, 0],
+                li: None,
+                poll: false,
+                retransmission: false,
+            },
             covers: [(u64::MAX, u32::MAX), (0, 1)],
             covers_len: 1,
         },
@@ -550,13 +546,15 @@ fn flipped_artifact_bytes_fail_the_load() {
     truth.push(
         SimTime::from_micros(6),
         PduEvent {
-            dir: Direction::Downlink,
-            sn: 3,
-            payload_len: 40,
-            first2: [0x45, 6],
-            li: Some(40),
-            poll: true,
-            retransmission: false,
+            pdu: PduRecord {
+                dir: Direction::Downlink,
+                sn: 3,
+                payload_len: 40,
+                first2: [0x45, 6],
+                li: Some(40),
+                poll: true,
+                retransmission: false,
+            },
             covers: [(9, 0), (0, 0)],
             covers_len: 1,
         },
@@ -753,13 +751,15 @@ fn full_cellular_collection() -> Collection {
     truth.push(
         SimTime::from_micros(1_600_000),
         PduEvent {
-            dir: Direction::Uplink,
-            sn: 8,
-            payload_len: 40,
-            first2: [0x45, 0],
-            li: None,
-            poll: false,
-            retransmission: false,
+            pdu: PduRecord {
+                dir: Direction::Uplink,
+                sn: 8,
+                payload_len: 40,
+                first2: [0x45, 0],
+                li: None,
+                poll: false,
+                retransmission: false,
+            },
             covers: [(11, 0), (0, 0)],
             covers_len: 1,
         },

@@ -16,7 +16,7 @@ use qoe_doctor::analyze::crosslayer::{
     long_jump_map, net_latency_breakdown, reference, score_mapping, MappedPacket, MapperOptions,
     MappingScore, PduIndex, TruthCovers,
 };
-use radio::qxdm::{Qxdm, QxdmConfig};
+use radio::qxdm::{PduRecord, Qxdm, QxdmConfig};
 use radio::rlc::{PduEvent, RlcChannel, RlcConfig};
 use simcore::{DetRng, RecordLog, SimDuration, SimTime};
 
@@ -242,9 +242,9 @@ fn score_oracle(
     dir: Direction,
 ) -> MappingScore {
     let mut by_packet: HashMap<u64, BTreeSet<u32>> = HashMap::new();
-    for (_, ev) in truth.iter().filter(|(_, ev)| ev.dir == dir) {
+    for (_, ev) in truth.iter().filter(|(_, ev)| ev.pdu.dir == dir) {
         for (pkt_id, _) in ev.coverage() {
-            by_packet.entry(pkt_id).or_default().insert(ev.sn);
+            by_packet.entry(pkt_id).or_default().insert(ev.pdu.sn);
         }
     }
     let total = mapped.len();
@@ -288,13 +288,15 @@ proptest! {
         let mut truth = RecordLog::new();
         for (i, (up, sn, covers_len, (a, b), retx)) in events.into_iter().enumerate() {
             truth.push(SimTime::from_micros(i as u64), PduEvent {
-                dir: if up { Direction::Uplink } else { Direction::Downlink },
-                sn,
-                payload_len: 40,
-                first2: [0x45, 0],
-                li: None,
-                poll: false,
-                retransmission: retx,
+                pdu: PduRecord {
+                    dir: if up { Direction::Uplink } else { Direction::Downlink },
+                    sn,
+                    payload_len: 40,
+                    first2: [0x45, 0],
+                    li: None,
+                    poll: false,
+                    retransmission: retx,
+                },
                 covers: [(a, 7), (b, 9)],
                 covers_len,
             });
@@ -307,8 +309,8 @@ proptest! {
                 // from retransmissions kept), then shaped by `kind`.
                 let mut sns: Vec<u32> = truth
                     .iter()
-                    .filter(|(_, ev)| ev.dir == dir && ev.coverage().any(|(p, _)| p == packet_id))
-                    .map(|(_, ev)| ev.sn)
+                    .filter(|(_, ev)| ev.pdu.dir == dir && ev.coverage().any(|(p, _)| p == packet_id))
+                    .map(|(_, ev)| ev.pdu.sn)
                     .collect();
                 match kind {
                     0 => {}

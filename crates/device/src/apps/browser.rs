@@ -140,11 +140,9 @@ impl App for BrowserApp {
 
     fn on_ui_event(&mut self, ev: &UiEvent, cx: &mut AppCx) {
         match ev {
-            UiEvent::TypeText { target, text } => {
-                if target.id == "url_bar" {
-                    self.url_text = text.clone();
-                    cx.ui.set_text(cx.now, "url_bar", text);
-                }
+            UiEvent::TypeText { target, text } if target.id == "url_bar" => {
+                self.url_text = text.clone();
+                cx.ui.set_text(cx.now, "url_bar", text);
             }
             UiEvent::KeyEnter => {
                 if self.url_text.is_empty() {

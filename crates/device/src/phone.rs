@@ -98,9 +98,9 @@ pub enum NetAttachment {
     /// WiFi: a plain duplex link to the internet.
     Wifi {
         /// Device → internet pipe.
-        up: Pipe,
+        up: Box<Pipe>,
         /// Internet → device pipe.
-        down: Pipe,
+        down: Box<Pipe>,
     },
 }
 
@@ -115,8 +115,8 @@ impl NetAttachment {
             queue_bytes: 512_000,
         };
         NetAttachment::Wifi {
-            up: Pipe::new(cfg.clone(), rng.fork(11)),
-            down: Pipe::new(cfg, rng.fork(12)),
+            up: Box::new(Pipe::new(cfg.clone(), rng.fork(11))),
+            down: Box::new(Pipe::new(cfg, rng.fork(12))),
         }
     }
 

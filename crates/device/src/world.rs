@@ -146,6 +146,9 @@ fn register_host(cal: &mut WakeCalendar, base: ComponentId, phone: &mut Phone) {
 /// internet, whose servers have ids from `nodes` on. The link may first run
 /// private instants up to `limit` (`now` for none); the rest of the step then
 /// runs at the instant the link stopped, which is returned.
+// Each argument is a distinct borrow of the world the caller has split up;
+// bundling them would only add a struct to unpack again here.
+#[allow(clippy::too_many_arguments)]
 fn step_phone(
     cal: &mut WakeCalendar,
     nodes: ComponentId,

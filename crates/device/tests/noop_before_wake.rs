@@ -38,7 +38,7 @@ fn server_run(app: Box<dyn ServerApp>, extra: Option<u64>) -> Vec<(SimTime, IpPa
     let mut rng = extra.map(DetRng::seed_from_u64);
     let mut wire: Vec<(SimTime, IpPacket)> = Vec::new();
     let mut transcript = Vec::new();
-    let mut socks = vec![Vec::new(), Vec::new()];
+    let mut socks = [Vec::new(), Vec::new()];
     let mut server_due = true;
     let mut now = SimTime::ZERO;
     let mut extra_ticks = 0;

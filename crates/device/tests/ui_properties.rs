@@ -255,7 +255,7 @@ proptest! {
         let mut held: Vec<(View, Model)> = Vec::new();
         let mut now = SimTime::ZERO;
         for (kind, target, arg, dt_ms) in ops {
-            now = now + SimDuration::from_millis(dt_ms);
+            now += SimDuration::from_millis(dt_ms);
             let mut ids = Vec::new();
             model.live().ids(&mut ids);
             let id = ids[target % ids.len()].clone();

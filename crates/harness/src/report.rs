@@ -11,7 +11,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use simcore::{Cdf, SortedSamples, Summary};
+use simcore::{Cdf, Summary};
 
 use crate::campaign::{CampaignRun, Outcome};
 use crate::json::Json;
@@ -77,9 +77,9 @@ pub fn report_json<T: Record>(run: &CampaignRun<T>) -> Json {
                     }
                 };
                 // One sort serves both the summary and the CDF.
-                let sorted = SortedSamples::from_vec(samples);
-                sets[at].0.push(sorted.summary());
-                sets[at].1.push(sorted.into_cdf());
+                let cdf = Cdf::from_vec(samples);
+                sets[at].0.push(cdf.summary());
+                sets[at].1.push(cdf);
             }
         }
     }

@@ -72,9 +72,9 @@ pub fn explain(history: &CellHistory, detection: &Detection) -> RegressionDiagno
         promo_s: post.promo_s - pre.promo_s,
         rlc_retx: post.rlc_retx - pre.rlc_retx,
     };
-    let layer = if deltas.rlc_retx > 0.10 {
-        "radio"
-    } else if deltas.promo_s > 0.05 && deltas.promo_s >= 0.5 * deltas.network_s.max(0.0) {
+    let layer = if deltas.rlc_retx > 0.10
+        || (deltas.promo_s > 0.05 && deltas.promo_s >= 0.5 * deltas.network_s.max(0.0))
+    {
         "radio"
     } else if deltas.network_s > deltas.device_s {
         "network"

@@ -44,6 +44,8 @@ pub struct CellSpec<A> {
     pub reads: Reads,
     /// Pure analysis of epoch `e`'s artifact into its metric samples and
     /// cross-layer attribution.
+    // Spelled out like `record` beside it; an alias would only hide it.
+    #[allow(clippy::type_complexity)]
     pub analyze: Arc<dyn Fn(usize, &A) -> EpochMetrics + Send + Sync>,
     /// Digest of epoch `e`'s effective config.
     pub config_digest: Arc<dyn Fn(usize) -> u64 + Send + Sync>,

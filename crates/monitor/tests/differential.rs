@@ -170,7 +170,7 @@ proptest! {
     #[test]
     fn cusum_locates_a_clean_step(pre in 1usize..10, post in 1usize..10) {
         let mut series = vec![1.0; pre];
-        series.extend(std::iter::repeat(4.0).take(post));
+        series.extend(std::iter::repeat_n(4.0, post));
         let r = cusum_change_point(&series).unwrap();
         prop_assert_eq!(r.change_point, pre);
     }

@@ -326,8 +326,8 @@ mod tests {
             let eager = p.wire_bytes();
             let view = p.wire_view();
             assert_eq!(eager.len(), view.len());
-            for i in 0..eager.len() {
-                assert_eq!(eager[i], view.at(i), "byte {i} of {p:?}");
+            for (i, &b) in eager.iter().enumerate() {
+                assert_eq!(b, view.at(i), "byte {i} of {p:?}");
             }
         }
     }

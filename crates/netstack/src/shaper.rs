@@ -313,7 +313,7 @@ mod tests {
             for p in ready(&mut rl, t) {
                 passed_bytes += p.wire_len() as u64;
             }
-            t = t + step;
+            t += step;
         }
         let secs = 100.0;
         let achieved_bps = passed_bytes as f64 * 8.0 / secs;

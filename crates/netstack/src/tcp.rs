@@ -728,10 +728,7 @@ impl TcpSocket {
                 self.out_of_order.insert(hdr.seq, payload_len);
             }
             // Coalesce in-order data.
-            loop {
-                let Some((&seq, &len)) = self.out_of_order.iter().next() else {
-                    break;
-                };
+            while let Some((&seq, &len)) = self.out_of_order.iter().next() {
                 let end = seq + len as u64;
                 if seq > self.rcv_nxt {
                     break; // hole

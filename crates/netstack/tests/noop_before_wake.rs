@@ -96,7 +96,7 @@ fn tcp_transfer(bytes: u64, drop_one_in: u64, extra: Option<u64>) -> Vec<(SimTim
                 for p in out {
                     sent += 1;
                     transcript.push((now, p.clone()));
-                    if drop_one_in == 0 || sent % drop_one_in != 0 {
+                    if drop_one_in == 0 || !sent.is_multiple_of(drop_one_in) {
                         wire.push((now + SimDuration::from_millis(10), to_server, p));
                     }
                 }
@@ -224,7 +224,7 @@ fn host_exchange(drop_one_in: u64, extra: Option<u64>) -> Vec<(SimTime, IpPacket
             while let Some(p) = host.pop_egress() {
                 sent += 1;
                 transcript.push((now, p.clone()));
-                if drop_one_in == 0 || sent % drop_one_in != 0 {
+                if drop_one_in == 0 || !sent.is_multiple_of(drop_one_in) {
                     wire.push((now + SimDuration::from_millis(20), p));
                 }
             }
@@ -281,7 +281,7 @@ fn pipe_run(extra: Option<u64>) -> (Vec<(SimTime, u64)>, u64) {
     let mut delivered = Vec::new();
     let mut now = SimTime::ZERO;
     for i in 0..2_000u64 {
-        now = now + SimDuration::from_micros(workload.range_u64(0, 4_000));
+        now += SimDuration::from_micros(workload.range_u64(0, 4_000));
         if let Some(rng) = rng.as_mut() {
             let wake = pipe.next_wake();
             if let Some(t) = before_wake(rng, now, wake) {

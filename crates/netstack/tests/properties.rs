@@ -54,7 +54,7 @@ fn pump_lossy(a: &mut TcpSocket, b: &mut TcpSocket, drop_one_in: u64) -> bool {
         }
         for (from_a, p) in out {
             dropped += 1;
-            if drop_one_in > 0 && dropped % drop_one_in == 0 {
+            if drop_one_in > 0 && dropped.is_multiple_of(drop_one_in) {
                 continue; // lost
             }
             // 10 ms one-way delay keeps RTT sane for the estimator.
@@ -65,7 +65,7 @@ fn pump_lossy(a: &mut TcpSocket, b: &mut TcpSocket, drop_one_in: u64) -> bool {
                 a.on_packet(&p, arrive);
             }
         }
-        now = now + SimDuration::from_millis(1);
+        now += SimDuration::from_millis(1);
     }
     false
 }
@@ -182,7 +182,7 @@ proptest! {
         let mut rng = DetRng::seed_from_u64(7);
         for (i, size) in sizes.iter().enumerate() {
             let gap = gaps_ms.get(i % gaps_ms.len()).copied().unwrap_or(1);
-            now = now + SimDuration::from_millis(gap);
+            now += SimDuration::from_millis(gap);
             let pkt = IpPacket {
                 id: i as u64,
                 src: addr(1, 1),

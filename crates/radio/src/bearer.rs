@@ -534,13 +534,41 @@ mod tests {
             }
         }
         assert_eq!(got.len(), 1);
-        assert!(b.qxdm.truth.len() >= 1);
+        assert!(!b.qxdm.truth.is_empty());
         assert!(b
             .qxdm
             .truth
             .iter()
-            .any(|(_, e)| e.dir == Direction::Downlink));
+            .any(|(_, e)| e.pdu.dir == Direction::Downlink));
         assert!(!b.qxdm.log.rrc.is_empty());
+    }
+
+    /// QxDM logs each PDU's truth record unchanged or not at all: the log
+    /// is the truth's `(at, record)` pairs, in order, minus lost records.
+    #[test]
+    fn qxdm_log_is_the_truth_records_minus_lost_ones() {
+        for cfg in [BearerConfig::umts_3g(), BearerConfig::lte()] {
+            let mut rng = DetRng::seed_from_u64(11);
+            let mut b = CellBearer::new(cfg, &mut rng);
+            for i in 0..40 {
+                b.send_uplink(pkt(i, 1000), SimTime::ZERO);
+                b.send_downlink(pkt(100 + i, 1400), SimTime::ZERO);
+            }
+            drive(&mut b, SimTime::from_secs(30), true);
+            let truth: Vec<_> = b.qxdm.truth.iter().map(|(at, ev)| (at, ev.pdu)).collect();
+            let log: Vec<_> = b.qxdm.log.pdus.iter().map(|(at, r)| (at, *r)).collect();
+            let mut rest = truth.iter();
+            for rec in &log {
+                assert!(
+                    rest.any(|t| t == rec),
+                    "{rec:?} is not a later truth record"
+                );
+            }
+            for dir in [Direction::Uplink, Direction::Downlink] {
+                assert!(log.iter().any(|(_, r)| r.dir == dir), "no {dir:?} records");
+            }
+            assert!(log.len() < truth.len(), "no record was lost");
+        }
     }
 
     #[test]

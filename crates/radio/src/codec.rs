@@ -2,7 +2,7 @@
 //!
 //! Covers both the analyzer-visible QxDM log streams ([`PduRecord`],
 //! [`StatusRecord`], [`RrcTransition`]) and the evaluation-only ground
-//! truth ([`PduEvent`] with full coverage info). The two serialize through
+//! truth ([`PduEvent`]: the QxDM record plus coverage). The two serialize through
 //! *different* artifact entry points ([`write_qxdm`] vs
 //! [`write_pdu_truth`]) so a bundle can list them under different manifest
 //! classes.
@@ -14,7 +14,7 @@
 //! | stream | columns, in order                                             |
 //! |--------|---------------------------------------------------------------|
 //! | PDU    | `dir` (run-length), `sn` (zigzag delta per direction), `payload_len` (run-length), `first2` (raw), LI (run-length: 0 absent, else 1 + LI), poll/retx bits (run-length: poll + 2 × retx) |
-//! | truth  | the PDU columns, `covers_len` (run-length), cover packet id (zigzag delta per direction), cover offset (varint), unused-slots flag (run-length), unused slots (varints, only when one is non-zero) |
+//! | truth  | the PDU columns of each row's [`PduRecord`], then `covers_len` (run-length), cover packet id (zigzag delta per direction), cover offset (varint), unused-slots flag (run-length), unused slots (varints, only when one is non-zero) |
 //! | STATUS | `data_dir` (run-length), `acks_sn` (zigzag delta per direction) |
 //!
 //! The long-jump mapper (§5.4.2) reads only the PDU stream's stamp, `dir`,
@@ -164,7 +164,7 @@ impl<'a> ColumnDecoder<'a, PduRecord> for PduColumnsReader<'a> {
 }
 
 /// Column encoder of the ground-truth [`PduEvent`] stream: the PDU
-/// columns, then the coverage columns.
+/// columns of each row's record, then the coverage columns.
 #[derive(Default)]
 struct TruthColumns {
     pdu: PduColumns,
@@ -178,16 +178,8 @@ struct TruthColumns {
 
 impl ColumnEncoder<PduEvent> for TruthColumns {
     fn push(&mut self, ev: &PduEvent) {
-        self.pdu.push(&PduRecord {
-            dir: ev.dir,
-            sn: ev.sn,
-            payload_len: ev.payload_len,
-            first2: ev.first2,
-            li: ev.li,
-            poll: ev.poll,
-            retransmission: ev.retransmission,
-        });
-        let d = direction_tag(ev.dir) as usize;
+        self.pdu.push(&ev.pdu);
+        let d = direction_tag(ev.pdu.dir) as usize;
         let used = (ev.covers_len as usize).min(ev.covers.len());
         self.covers_len.push(u64::from(ev.covers_len));
         for &(id, off) in &ev.covers[..used] {
@@ -240,8 +232,8 @@ impl<'a> ColumnDecoder<'a, PduEvent> for TruthColumnsReader<'a> {
     }
 
     fn next(&mut self) -> Result<PduEvent, TraceError> {
-        let p = self.pdu.next()?;
-        let d = direction_tag(p.dir) as usize;
+        let pdu = self.pdu.next()?;
+        let d = direction_tag(pdu.dir) as usize;
         let covers_len = self.covers_len.read()? as u8;
         let mut covers: PduCoverage = [(0, 0); 2];
         let used = covers_len as usize;
@@ -266,13 +258,7 @@ impl<'a> ColumnDecoder<'a, PduEvent> for TruthColumnsReader<'a> {
             }
         }
         Ok(PduEvent {
-            dir: p.dir,
-            sn: p.sn,
-            payload_len: p.payload_len,
-            first2: p.first2,
-            li: p.li,
-            poll: p.poll,
-            retransmission: p.retransmission,
+            pdu,
             covers,
             covers_len,
         })
@@ -428,13 +414,15 @@ mod tests {
         truth.push(
             SimTime::from_micros(9),
             PduEvent {
-                dir: Direction::Uplink,
-                sn: 7,
-                payload_len: 80,
-                first2: [1, 2],
-                li: Some(40),
-                poll: false,
-                retransmission: true,
+                pdu: PduRecord {
+                    dir: Direction::Uplink,
+                    sn: 7,
+                    payload_len: 80,
+                    first2: [1, 2],
+                    li: Some(40),
+                    poll: false,
+                    retransmission: true,
+                },
                 covers: [(3, 40), (4, 40)],
                 covers_len: 2,
             },
@@ -449,13 +437,15 @@ mod tests {
         truth.push(
             SimTime::from_micros(1),
             PduEvent {
-                dir: Direction::Downlink,
-                sn: 1,
-                payload_len: 40,
-                first2: [0, 0],
-                li: None,
-                poll: false,
-                retransmission: false,
+                pdu: PduRecord {
+                    dir: Direction::Downlink,
+                    sn: 1,
+                    payload_len: 40,
+                    first2: [0, 0],
+                    li: None,
+                    poll: false,
+                    retransmission: false,
+                },
                 covers: [(3, 0), (0, 1)],
                 covers_len: 1,
             },

@@ -7,8 +7,10 @@
 //! reproduced here — the long-jump mapping algorithm and its sub-100%
 //! mapping ratio (Table 3) only make sense against a log with these defects.
 //!
-//! Ground-truth PDU coverage is retained in a *separate* log that only the
-//! accuracy evaluation reads; the analyzers never touch it.
+//! Ground truth is retained in a *separate* log that only the accuracy
+//! evaluation reads; the analyzers never touch it. Each truth row is the
+//! QxDM record plus coverage ([`PduEvent`]): the analyzer-visible log is
+//! the truth's records, in order, minus the records QxDM dropped.
 
 use crate::rlc::PduEvent;
 use crate::rrc::RrcTransition;
@@ -109,7 +111,7 @@ pub struct Qxdm {
     rng: DetRng,
     /// The log QoE Doctor's analyzers read.
     pub log: QxdmLog,
-    /// Ground truth: every PDU with full coverage info. Evaluation only.
+    /// Ground truth: every PDU's record with its coverage. Evaluation only.
     pub truth: RecordLog<PduEvent>,
 }
 
@@ -135,26 +137,15 @@ impl Qxdm {
         if !self.cfg.log_pdus {
             return;
         }
-        self.truth.push(at, ev.clone());
-        let loss = match ev.dir {
+        self.truth.push(at, *ev);
+        let loss = match ev.pdu.dir {
             Direction::Uplink => self.cfg.ul_record_loss,
             Direction::Downlink => self.cfg.dl_record_loss,
         };
         if self.rng.chance(loss) {
             return; // record missing from the log, as QxDM sometimes drops
         }
-        self.log.pdus.push(
-            at,
-            PduRecord {
-                dir: ev.dir,
-                sn: ev.sn,
-                payload_len: ev.payload_len,
-                first2: ev.first2,
-                li: ev.li,
-                poll: ev.poll,
-                retransmission: ev.retransmission,
-            },
-        );
+        self.log.pdus.push(at, ev.pdu);
     }
 
     /// Observe a STATUS PDU arrival.
@@ -221,13 +212,15 @@ mod tests {
 
     fn ev(dir: Direction, sn: u32) -> PduEvent {
         PduEvent {
-            dir,
-            sn,
-            payload_len: 40,
-            first2: [0x45, 6],
-            li: None,
-            poll: false,
-            retransmission: false,
+            pdu: PduRecord {
+                dir,
+                sn,
+                payload_len: 40,
+                first2: [0x45, 6],
+                li: None,
+                poll: false,
+                retransmission: false,
+            },
             covers: [(1, 40), (0, 0)],
             covers_len: 1,
         }

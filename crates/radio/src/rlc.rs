@@ -17,11 +17,12 @@
 //!   STATUS PDU one OTA RTT later. Lost PDUs are retransmitted after the
 //!   STATUS feedback, and delivery to the upper layer is in-sequence.
 //!
-//! Each transmitted PDU yields a [`PduEvent`] carrying both what QxDM would
-//! log (sequence number, length, *first two payload bytes*, LI, poll bit)
-//! and the ground-truth packet coverage used to score the mapping algorithm.
+//! Each transmitted PDU yields a [`PduEvent`]: the [`PduRecord`] QxDM would
+//! log (sequence number, length, *first two payload bytes*, LI, poll and
+//! retransmission bits) plus the ground-truth packet coverage used to score
+//! the mapping algorithm.
 
-use crate::qxdm::StatusRecord;
+use crate::qxdm::{PduRecord, StatusRecord};
 use netstack::pcap::Direction;
 use netstack::IpPacket;
 use simcore::{earlier, DetRng, EventQueue, SimDuration, SimTime};
@@ -102,24 +103,12 @@ impl RlcConfig {
 /// entries (tail of one packet + head of the next).
 pub type PduCoverage = [(u64, u32); 2];
 
-/// One transmitted PDU, with full ground truth attached.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One transmitted PDU: the QxDM record plus its ground-truth coverage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PduEvent {
-    /// Direction the PDU travelled.
-    pub dir: Direction,
-    /// RLC sequence number (increments per first transmission; reused on
-    /// retransmission).
-    pub sn: u32,
-    /// Payload bytes carried (excluding padding).
-    pub payload_len: u16,
-    /// First two payload bytes — all QxDM records of the content.
-    pub first2: [u8; 2],
-    /// Length Indicator: offset within the payload where an IP packet ends.
-    pub li: Option<u16>,
-    /// Poll request piggybacked.
-    pub poll: bool,
-    /// This transmission is a retransmission.
-    pub retransmission: bool,
+    /// What QxDM records about the PDU. Its `sn` increments per first
+    /// transmission and is reused on retransmission.
+    pub pdu: PduRecord,
     /// Ground truth: which packet bytes this PDU carries.
     pub covers: PduCoverage,
     /// Number of valid entries in `covers`.
@@ -144,15 +133,13 @@ struct QueuedPacket {
     pdus_outstanding: u32,
 }
 
+/// A segmented PDU, kept for retransmission until it is delivered.
 #[derive(Debug, Clone)]
 struct RetxPdu {
-    sn: u32,
-    payload_len: u16,
-    first2: [u8; 2],
-    li: Option<u16>,
-    covers: PduCoverage,
-    covers_len: u8,
-    /// Queue sequence numbers of the packets in `covers`, entry by entry.
+    /// The PDU as last transmitted; `transmit` sets its poll and
+    /// retransmission bits.
+    ev: PduEvent,
+    /// Queue sequence numbers of the packets in `ev.covers`, entry by entry.
     seqs: [u64; 2],
 }
 
@@ -332,20 +319,28 @@ impl RlcChannel {
         let sn = self.next_sn;
         self.next_sn += 1;
         RetxPdu {
-            sn,
-            payload_len: filled as u16,
-            first2,
-            li,
-            covers,
-            covers_len,
+            ev: PduEvent {
+                pdu: PduRecord {
+                    dir: self.dir,
+                    sn,
+                    payload_len: filled as u16,
+                    first2,
+                    li,
+                    poll: false,
+                    retransmission: false,
+                },
+                covers,
+                covers_len,
+            },
             seqs,
         }
     }
 
-    fn transmit(&mut self, now: SimTime, rate_bps: f64, pdu: RetxPdu, is_retx: bool) {
+    fn transmit(&mut self, now: SimTime, rate_bps: f64, mut r: RetxPdu, is_retx: bool) {
         let start = self.busy_until.max(now);
         // Fixed-payload channels burn air time for padding too.
-        let air_bytes = self.cfg.fixed_payload.unwrap_or(pdu.payload_len.max(1)) as f64 + 2.0;
+        let payload = r.ev.pdu.payload_len.max(1);
+        let air_bytes = self.cfg.fixed_payload.unwrap_or(payload) as f64 + 2.0;
         let dur =
             SimDuration::from_secs_f64(air_bytes * 8.0 / rate_bps) + self.cfg.per_pdu_overhead;
         let done = start + dur;
@@ -360,27 +355,19 @@ impl RlcChannel {
         }
 
         let lost = self.rng.chance(self.pdu_loss_at(start));
-        self.pdu_events.push(
-            done,
-            PduEvent {
-                dir: self.dir,
-                sn: pdu.sn,
-                payload_len: pdu.payload_len,
-                first2: pdu.first2,
-                li: pdu.li,
-                poll,
-                retransmission: is_retx,
-                covers: pdu.covers,
-                covers_len: pdu.covers_len,
-            },
-        );
+        r.ev.pdu = PduRecord {
+            poll,
+            retransmission: is_retx,
+            ..r.ev.pdu
+        };
+        self.pdu_events.push(done, r.ev);
         if poll {
             let rtt = self.rng.jittered(self.cfg.ota_rtt, self.cfg.ota_jitter);
             self.status_events.push(
                 done + rtt,
                 StatusRecord {
                     data_dir: self.dir,
-                    acks_sn: pdu.sn,
+                    acks_sn: r.ev.pdu.sn,
                 },
             );
         }
@@ -388,11 +375,11 @@ impl RlcChannel {
             // Retransmit after STATUS feedback (one OTA RTT after the poll
             // that reports the gap; approximated as one RTT after this PDU).
             let feedback = self.rng.jittered(self.cfg.ota_rtt, self.cfg.ota_jitter);
-            self.retx.push(done + feedback, pdu);
+            self.retx.push(done + feedback, r);
         } else {
             // Delivered: one-way OTA latency after transmission completes.
             let one_way = self.cfg.ota_rtt / 2;
-            self.complete_coverage(&pdu, done + one_way);
+            self.complete_coverage(&r, done + one_way);
         }
     }
 
@@ -400,7 +387,7 @@ impl RlcChannel {
     fn complete_coverage(&mut self, pdu: &RetxPdu, delivered_at: SimTime) {
         // A covered packet is still queued: it leaves only once every PDU
         // carrying it is delivered, and this one was not until now.
-        for &seq in pdu.seqs.iter().take(pdu.covers_len as usize) {
+        for &seq in pdu.seqs.iter().take(pdu.ev.covers_len as usize) {
             self.queue[(seq - self.front_seq) as usize].pdus_outstanding -= 1;
         }
         // In-sequence delivery: pop completed packets from the head only.
@@ -510,10 +497,10 @@ mod tests {
         let (exits, pdus) = drain_all(&mut ch, 1e6);
         assert_eq!(exits.len(), 1);
         assert_eq!(pdus.len(), 10);
-        assert!(pdus.iter().all(|p| p.payload_len == 40));
+        assert!(pdus.iter().all(|p| p.pdu.payload_len == 40));
         // Only the last PDU carries the boundary LI.
-        assert_eq!(pdus.iter().filter(|p| p.li.is_some()).count(), 1);
-        assert_eq!(pdus.last().unwrap().li, Some(40));
+        assert_eq!(pdus.iter().filter(|p| p.pdu.li.is_some()).count(), 1);
+        assert_eq!(pdus.last().unwrap().pdu.li, Some(40));
     }
 
     #[test]
@@ -530,7 +517,7 @@ mod tests {
         // One PDU covers both packets with LI = 10 (410 % 40).
         let bridge: Vec<&PduEvent> = pdus.iter().filter(|p| p.covers_len == 2).collect();
         assert_eq!(bridge.len(), 1);
-        assert_eq!(bridge[0].li, Some(10));
+        assert_eq!(bridge[0].pdu.li, Some(10));
         let cov: Vec<(u64, u32)> = bridge[0].coverage().collect();
         assert_eq!(cov, vec![(1, 10), (2, 30)]);
     }
@@ -544,7 +531,9 @@ mod tests {
         let (exits, pdus) = drain_all(&mut ch, 1e7);
         assert_eq!(exits.len(), 2);
         assert_eq!(pdus.len(), 2);
-        assert!(pdus.iter().all(|p| p.covers_len == 1 && p.li == Some(340)));
+        assert!(pdus
+            .iter()
+            .all(|p| p.covers_len == 1 && p.pdu.li == Some(340)));
     }
 
     #[test]
@@ -555,9 +544,9 @@ mod tests {
         let (exits, pdus) = drain_all(&mut ch, 1e7);
         assert_eq!(exits.len(), 1);
         assert_eq!(pdus.len(), 3);
-        assert_eq!(pdus[0].payload_len, 500);
-        assert_eq!(pdus[2].payload_len, 440);
-        assert_eq!(pdus[2].li, Some(440));
+        assert_eq!(pdus[0].pdu.payload_len, 500);
+        assert_eq!(pdus[2].pdu.payload_len, 440);
+        assert_eq!(pdus[2].pdu.li, Some(440));
     }
 
     #[test]
@@ -569,8 +558,8 @@ mod tests {
         ch.enqueue(p, SimTime::ZERO);
         let (_, pdus) = drain_all(&mut ch, 1e6);
         assert_eq!(pdus.len(), 4);
-        for (i, pdu) in pdus.iter().enumerate() {
-            assert_eq!(pdu.first2, [wire[i * 40], wire[i * 40 + 1]], "pdu {i}");
+        for (i, ev) in pdus.iter().enumerate() {
+            assert_eq!(ev.pdu.first2, [wire[i * 40], wire[i * 40 + 1]], "pdu {i}");
         }
     }
 
@@ -610,7 +599,7 @@ mod tests {
         let (exits, pdus) = drain_all(&mut ch, 1e6);
         assert_eq!(exits.len(), 10);
         assert!(
-            pdus.iter().any(|p| p.retransmission),
+            pdus.iter().any(|p| p.pdu.retransmission),
             "expected retransmissions"
         );
         // Delivery remains in order.
@@ -650,8 +639,8 @@ mod tests {
         }
         assert_eq!(pdus.len(), 5, "four PDUs and one retransmission");
         let (retx_done, retx) = pdus.last().expect("pdus");
-        assert!(retx.retransmission);
-        assert_eq!(retx.sn, 0);
+        assert!(retx.pdu.retransmission);
+        assert_eq!(retx.pdu.sn, 0);
         let one_way = RlcConfig::umts_uplink().ota_rtt / 2;
         let second_copy_delivered = pdus[3].0 + one_way;
         assert!(second_copy_delivered < *retx_done);
@@ -676,7 +665,7 @@ mod tests {
             ch.poll(now, true, 1e6);
             let mut evs = Vec::new();
             ch.take_pdu_events(now, &mut evs);
-            polls += evs.iter().filter(|(_, e)| e.poll).count();
+            polls += evs.iter().filter(|(_, e)| e.pdu.poll).count();
             let mut sts = Vec::new();
             ch.take_status_events(now, &mut sts);
             statuses += sts.len();

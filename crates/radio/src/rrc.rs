@@ -257,26 +257,22 @@ impl RrcMachine {
     pub fn on_data(&mut self, buffered_bytes: u32, now: SimTime) {
         self.last_activity = now;
         match (&self.cfg, self.state) {
-            (RrcConfig::Umts3g(cfg), RrcState::Pch) => {
-                if self.promotion.is_none() {
-                    let (target, delay) =
-                        if !cfg.fach_enabled || buffered_bytes > cfg.fach_buffer_threshold {
-                            (RrcState::Dch, cfg.pch_to_dch)
-                        } else {
-                            (RrcState::Fach, cfg.pch_to_fach)
-                        };
-                    self.promotion = Some((target, now + delay));
-                }
+            (RrcConfig::Umts3g(cfg), RrcState::Pch) if self.promotion.is_none() => {
+                let (target, delay) =
+                    if !cfg.fach_enabled || buffered_bytes > cfg.fach_buffer_threshold {
+                        (RrcState::Dch, cfg.pch_to_dch)
+                    } else {
+                        (RrcState::Fach, cfg.pch_to_fach)
+                    };
+                self.promotion = Some((target, now + delay));
             }
-            (RrcConfig::Umts3g(cfg), RrcState::Fach) => {
-                if self.promotion.is_none() && buffered_bytes > cfg.fach_buffer_threshold {
-                    self.promotion = Some((RrcState::Dch, now + cfg.fach_to_dch));
-                }
+            (RrcConfig::Umts3g(cfg), RrcState::Fach)
+                if self.promotion.is_none() && buffered_bytes > cfg.fach_buffer_threshold =>
+            {
+                self.promotion = Some((RrcState::Dch, now + cfg.fach_to_dch));
             }
-            (RrcConfig::Lte(cfg), RrcState::LteIdle) => {
-                if self.promotion.is_none() {
-                    self.promotion = Some((RrcState::LteContinuous, now + cfg.idle_to_connected));
-                }
+            (RrcConfig::Lte(cfg), RrcState::LteIdle) if self.promotion.is_none() => {
+                self.promotion = Some((RrcState::LteContinuous, now + cfg.idle_to_connected));
             }
             (RrcConfig::Lte(_), RrcState::LteShortDrx | RrcState::LteLongDrx) => {
                 // Activity in DRX snaps back to continuous reception
@@ -319,10 +315,7 @@ impl RrcMachine {
         }
         // Demotions (may cascade through several states if `tick` is called
         // after a long idle gap).
-        loop {
-            let Some((to, at)) = self.pending_demotion() else {
-                break;
-            };
+        while let Some((to, at)) = self.pending_demotion() {
             if now < at {
                 break;
             }

@@ -78,7 +78,7 @@ proptest! {
         prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
         // Coverage sums to wire length per packet (first transmissions).
         let mut covered: HashMap<u64, u64> = HashMap::new();
-        for pdu in pdus.iter().filter(|p| !p.retransmission) {
+        for pdu in pdus.iter().filter(|p| !p.pdu.retransmission) {
             for (pid, bytes) in pdu.coverage() {
                 *covered.entry(pid).or_default() += bytes as u64;
             }
@@ -99,12 +99,12 @@ proptest! {
             ch.enqueue(pkt(i as u64 + 1, *s), SimTime::ZERO);
         }
         let (_, pdus) = drain(&mut ch, 2e6);
-        prop_assert!(pdus.iter().all(|p| p.payload_len <= 40));
-        let boundaries = pdus.iter().filter(|p| p.li.is_some()).count();
+        prop_assert!(pdus.iter().all(|p| p.pdu.payload_len <= 40));
+        let boundaries = pdus.iter().filter(|p| p.pdu.li.is_some()).count();
         prop_assert_eq!(boundaries, sizes.len());
         for p in &pdus {
-            if let Some(li) = p.li {
-                prop_assert!(li as u16 <= p.payload_len);
+            if let Some(li) = p.pdu.li {
+                prop_assert!(li <= p.pdu.payload_len);
                 prop_assert!(li > 0);
             }
         }
@@ -155,7 +155,7 @@ proptest! {
         let mut lte = start_lte;
         let mut now = SimTime::ZERO;
         for (kind, delta_ms, buffered) in &ops {
-            now = now + SimDuration::from_millis(*delta_ms);
+            now += SimDuration::from_millis(*delta_ms);
             match kind {
                 0 => m.on_data(*buffered, now),
                 1 => m.tick(now),

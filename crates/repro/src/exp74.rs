@@ -7,8 +7,8 @@
 //! distribution (Fig. 14), the device/network breakdown (Fig. 15), and the
 //! per-update network data consumption (Fig. 16).
 
-use crate::scenario::{facebook_world, NetKind};
-use device::apps::FbVersion;
+use crate::scenario::{facebook_world_cfg, NetKind};
+use device::apps::{FacebookConfig, FbVersion};
 use device::{UiEvent, ViewSignature};
 use netstack::pcap::Direction;
 use qoe_doctor::analyze::app::completed;
@@ -21,7 +21,7 @@ use std::fmt;
 use trace::Reads;
 
 /// Notification payload for the §7.4 scenario (status-only posts).
-const STATUS_PUSH_BYTES: u64 = 2_400;
+pub(crate) const STATUS_PUSH_BYTES: u64 = 2_400;
 
 /// Results of one (version × network) configuration.
 #[derive(Debug, Clone)]
@@ -68,7 +68,8 @@ impl fmt::Display for UpdateRun {
 /// Run one configuration: `updates` feed updates, posts every 2 minutes.
 pub fn run_config(version: FbVersion, net: NetKind, updates: usize, seed: u64) -> UpdateRun {
     let label = format!("{}/{}", short_label(version), net.label());
-    summarize(&session(version, net, updates, seed), label)
+    let app = FacebookConfig::new(version);
+    summarize(&session(app, STATUS_PUSH_BYTES, net, updates, seed), label)
 }
 
 fn short_label(version: FbVersion) -> &'static str {
@@ -78,15 +79,25 @@ fn short_label(version: FbVersion) -> &'static str {
     }
 }
 
-/// Record one configuration's session.
-fn session(version: FbVersion, net: NetKind, updates: usize, seed: u64) -> Collection {
-    let auto = version == FbVersion::ListView50;
-    let world = facebook_world(
-        version,
-        None, // isolate the update action from background refresh
-        auto,
+/// Record `updates` feed updates of the app `cfg` on `net`, with its
+/// background refresh off to isolate the update action. Device A posts
+/// every 2 minutes; each post reaches the app as a `push_bytes` push.
+pub(crate) fn session(
+    cfg: FacebookConfig,
+    push_bytes: u64,
+    net: NetKind,
+    updates: usize,
+    seed: u64,
+) -> Collection {
+    let auto = cfg.auto_update_on_push;
+    let cfg = FacebookConfig {
+        refresh_interval: None,
+        ..cfg
+    };
+    let world = facebook_world_cfg(
+        cfg,
         Some(SimDuration::from_mins(2)),
-        STATUS_PUSH_BYTES,
+        push_bytes,
         net,
         seed,
         false,
@@ -156,11 +167,12 @@ pub fn staged(updates: usize, seed: u64) -> harness::StagedCampaign<Collection, 
             let label = format!("{}/{}", short_label(version), net.label());
             let cfg = crate::stage::config_digest("fig14_16", &label, &[updates as u64]);
             let analyze_label = label.clone();
+            let app = FacebookConfig::new(version);
             c.job(
                 label,
                 seed,
                 cfg,
-                move || session(version, net, updates, seed),
+                move || session(app.clone(), STATUS_PUSH_BYTES, net, updates, seed),
                 UPDATE_READS,
                 move |col: &Collection| summarize(col, analyze_label),
             );

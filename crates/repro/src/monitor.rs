@@ -24,9 +24,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::scenario::{
-    browser_world, facebook_world_cfg, youtube_world, NetKind, PAGE_URL, SLOW_PCH_TO_FACH,
-};
+use crate::scenario::{youtube_world, NetKind, SLOW_PCH_TO_FACH};
+use crate::{exp74, exp77};
 use device::apps::{BrowserConfig, FacebookConfig, FbVersion, VideoSpec};
 use monitor::{
     detect_cell, explain, histories, CellSpec, EpochMetrics, EpochRow, LayerShares, MonitorError,
@@ -35,7 +34,7 @@ use monitor::{
 use qoe_doctor::analyze::app::{completed, latencies_secs, playback_reports};
 use qoe_doctor::analyze::crosslayer::rrc_transitions_in;
 use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING};
-use qoe_doctor::{Collection, Controller, Diagnoser};
+use qoe_doctor::{Calendar, Collection, Controller, Diagnoser};
 use radio::rrc::{Rrc3gConfig, RrcState};
 use simcore::SimDuration;
 
@@ -46,9 +45,8 @@ const VIDEOS_PER_EPOCH: usize = 3;
 /// Pages loaded per browser epoch.
 const LOADS_PER_EPOCH: usize = 3;
 
-/// Pre-update push payload (status-only posts, as in §7.4).
-const PUSH_BYTES_V1: u64 = 2_400;
-/// Post-update push payload (the update inlines preview content).
+/// Post-update push payload (the update inlines preview content); before
+/// the update, pushes are §7.4's status-only ones.
 const PUSH_BYTES_V2: u64 = 4_800;
 /// Post-update feed parse/render time. The update replaces the compact
 /// ListView renderer (240 ms) with a heavier main-thread path — the §7.4
@@ -112,34 +110,19 @@ pub fn cell_info(cell: &str) -> &'static CellInfo {
         .expect("unknown monitor cell")
 }
 
-/// Record one Facebook epoch: `updates` self-triggered feed updates on the
-/// v5.0 ListView app, posts arriving every 2 minutes. After the app
-/// update, pushes carry more payload and the feed renderer spends
+/// Record one Facebook epoch: §7.4's session ([`exp74::session`]) of
+/// self-triggered feed updates on the v5.0 ListView app over LTE. After
+/// the app update, pushes carry more payload and the feed renderer spends
 /// [`UPDATED_FEED_PROC`] of main-thread time per update.
-fn fb_session(updated: bool, updates: usize, seed: u64) -> Collection {
-    let mut cfg = FacebookConfig::new(FbVersion::ListView50);
-    cfg.refresh_interval = None; // isolate the update action
-    cfg.auto_update_on_push = true;
+fn fb_session(updated: bool, seed: u64) -> Collection {
+    let mut app = FacebookConfig::new(FbVersion::ListView50);
     let push_bytes = if updated {
-        cfg.proc_feed_listview = UPDATED_FEED_PROC;
+        app.proc_feed_listview = UPDATED_FEED_PROC;
         PUSH_BYTES_V2
     } else {
-        PUSH_BYTES_V1
+        exp74::STATUS_PUSH_BYTES
     };
-    let world = facebook_world_cfg(
-        cfg,
-        Some(SimDuration::from_mins(2)),
-        push_bytes,
-        NetKind::Lte,
-        seed,
-        false,
-    );
-    let mut doctor = Controller::new(world);
-    doctor.advance(SimDuration::from_secs(20));
-    for _ in 0..updates {
-        replay::pull_to_update(&mut doctor, SimDuration::from_secs(180));
-    }
-    doctor.collect()
+    exp74::session(app, push_bytes, NetKind::Lte, UPDATES_PER_EPOCH, seed)
 }
 
 /// The short clips every video epoch watches (fixed across epochs so the
@@ -183,24 +166,16 @@ fn video_session(throttled: bool, videos: usize, seed: u64) -> Collection {
     doctor.collect()
 }
 
-/// Record one browser epoch: `loads` page loads from an idle radio, on the
-/// default 3G machine or the one with the lengthened promotion timer.
-fn page_session(drifted: bool, loads: usize, seed: u64) -> Collection {
+/// Record one browser epoch: §7.7's Chrome session ([`exp77::session`]),
+/// on the default 3G machine or the one with the lengthened promotion
+/// timer.
+fn page_session(drifted: bool, seed: u64) -> Collection {
     let net = if drifted {
         NetKind::Umts3gSlowPromo
     } else {
         NetKind::Umts3g
     };
-    let world = browser_world(BrowserConfig::chrome(), net, seed);
-    let mut doctor = Controller::new(world);
-    doctor.advance(SimDuration::from_secs(2));
-    doctor.interact(&replay::type_url(PAGE_URL));
-    for _ in 0..loads {
-        replay::load_page(&mut doctor, PAGE_URL, SimDuration::from_secs(90));
-        // Idle through full demotion so every load starts from PCH/IDLE.
-        doctor.advance(SimDuration::from_secs(25));
-    }
-    doctor.collect()
+    exp77::session::<Calendar>(BrowserConfig::chrome(), net, LOADS_PER_EPOCH, seed)
 }
 
 /// Mean per-record cross-layer shares of the `action` records, from the
@@ -337,42 +312,26 @@ fn cell(
 pub fn spec(epochs: usize, seed: u64) -> MonitorSpec<Collection> {
     let change = epochs / 2;
     let cells = vec![
-        cell(
-            &CELLS[0],
-            Some(change),
-            |drifted, seed| fb_session(drifted, UPDATES_PER_EPOCH, seed),
-            |epoch, col| fb_metrics(epoch, col),
-        ),
-        cell(
-            &CELLS[1],
-            None,
-            |drifted, seed| fb_session(drifted, UPDATES_PER_EPOCH, seed),
-            |epoch, col| fb_metrics(epoch, col),
-        ),
+        cell(&CELLS[0], Some(change), fb_session, fb_metrics),
+        cell(&CELLS[1], None, fb_session, fb_metrics),
         cell(
             &CELLS[2],
             Some(change),
             |drifted, seed| video_session(drifted, VIDEOS_PER_EPOCH, seed),
-            |epoch, col| video_metrics(epoch, col),
+            video_metrics,
         ),
         cell(
             &CELLS[3],
             None,
             |drifted, seed| video_session(drifted, VIDEOS_PER_EPOCH, seed),
-            |epoch, col| video_metrics(epoch, col),
+            video_metrics,
         ),
-        cell(
-            &CELLS[4],
-            Some(change),
-            |drifted, seed| page_session(drifted, LOADS_PER_EPOCH, seed),
-            move |epoch, col| page_metrics(epoch, epoch >= change, col),
-        ),
-        cell(
-            &CELLS[5],
-            None,
-            |drifted, seed| page_session(drifted, LOADS_PER_EPOCH, seed),
-            |epoch, col| page_metrics(epoch, false, col),
-        ),
+        cell(&CELLS[4], Some(change), page_session, move |epoch, col| {
+            page_metrics(epoch, epoch >= change, col)
+        }),
+        cell(&CELLS[5], None, page_session, |epoch, col| {
+            page_metrics(epoch, false, col)
+        }),
     ];
     MonitorSpec {
         name: "monitor".to_string(),

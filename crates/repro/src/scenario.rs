@@ -76,9 +76,10 @@ impl NetKind {
             }
             NetKind::Umts3gSlowPromo => {
                 let mut c = BearerConfig::umts_3g();
-                let mut rrc = Rrc3gConfig::default();
-                rrc.pch_to_fach = SLOW_PCH_TO_FACH;
-                c.rrc = RrcConfig::Umts3g(rrc);
+                c.rrc = RrcConfig::Umts3g(Rrc3gConfig {
+                    pch_to_fach: SLOW_PCH_TO_FACH,
+                    ..Rrc3gConfig::default()
+                });
                 c
             }
         };
@@ -182,6 +183,8 @@ pub fn facebook_world_cfg(
 }
 
 /// Convenience Facebook scenario (see [`facebook_world_cfg`]).
+// The arguments are the scenario's knobs, named at every call site.
+#[allow(clippy::too_many_arguments)]
 pub fn facebook_world(
     version: FbVersion,
     refresh_interval: Option<SimDuration>,

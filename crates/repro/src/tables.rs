@@ -130,8 +130,8 @@ pub fn table2() -> Vec<ExperimentRow> {
 /// Print Table 1.
 pub fn print_table1() {
     println!(
-        "{:<12} {:<16} {:<30} {:<26} {}",
-        "Application", "Behavior", "Metric", "Start", "End"
+        "{:<12} {:<16} {:<30} {:<26} End",
+        "Application", "Behavior", "Metric", "Start"
     );
     for r in table1() {
         println!(
@@ -144,8 +144,8 @@ pub fn print_table1() {
 /// Print Table 2.
 pub fn print_table2() {
     println!(
-        "{:<6} {:<52} {:<26} {:<12} {}",
-        "§", "Goal", "Factors", "App", "Regenerate"
+        "{:<6} {:<52} {:<26} {:<12} Regenerate",
+        "§", "Goal", "Factors", "App"
     );
     for r in table2() {
         println!(

@@ -32,7 +32,7 @@ pub use log::{RecordLog, Stamped};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use runner::{advance, earlier, run_until, ComponentId, Tick, WakeCalendar};
-pub use stats::{midranks, percentile, percentile_sorted, BinSeries, Cdf, SortedSamples, Summary};
+pub use stats::{midranks, BinSeries, Cdf, Summary};
 pub use time::{SimDuration, SimTime};
 
 #[cfg(test)]

@@ -67,87 +67,13 @@ impl Summary {
 
     /// Compute summary statistics of `samples`.
     pub fn of(samples: &[f64]) -> Summary {
-        SortedSamples::of(samples).summary()
-    }
-}
-
-/// A sample set sorted **once**, from which every order statistic — summary,
-/// percentiles, CDF — is derived without re-sorting.
-///
-/// [`Summary::of`], [`percentile`] and [`Cdf::of`] each sort their input;
-/// code that needs more than one of them from the same samples (the campaign
-/// report does all three per sample set) used to pay one `to_vec` + sort per
-/// call. Build a `SortedSamples` instead and every further question is
-/// `O(1)` or `O(log n)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SortedSamples {
-    sorted: Vec<f64>,
-}
-
-impl SortedSamples {
-    /// Copy and sort `samples` (the one and only sort).
-    pub fn of(samples: &[f64]) -> SortedSamples {
-        SortedSamples::from_vec(samples.to_vec())
-    }
-
-    /// Take ownership of `samples` and sort in place — no copy at all.
-    pub fn from_vec(mut samples: Vec<f64>) -> SortedSamples {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        SortedSamples { sorted: samples }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when no samples were given.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Percentile via [`percentile_sorted`] — no re-sort.
-    pub fn percentile(&self, p: f64) -> f64 {
-        percentile_sorted(&self.sorted, p)
-    }
-
-    /// Summary statistics. Min/max/median read the sorted ends directly;
-    /// mean and variance are one linear pass.
-    pub fn summary(&self) -> Summary {
-        if self.sorted.is_empty() {
-            return Summary {
-                n: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                max: 0.0,
-                median: 0.0,
-            };
-        }
-        let n = self.sorted.len();
-        let mean = self.sorted.iter().sum::<f64>() / n as f64;
-        let var = self.sorted.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        Summary {
-            n,
-            mean,
-            std_dev: var.sqrt(),
-            min: self.sorted[0],
-            max: self.sorted[n - 1],
-            median: percentile_sorted(&self.sorted, 50.0),
-        }
-    }
-
-    /// The empirical CDF, reusing this sort (consumes self; no copy).
-    pub fn into_cdf(self) -> Cdf {
-        Cdf {
-            values: self.sorted,
-        }
+        Cdf::of(samples).summary()
     }
 }
 
 /// Percentile of an ascending-sorted slice using linear interpolation.
 /// `p` is in `[0, 100]`. Panics if the slice is empty.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     let p = p.clamp(0.0, 100.0);
     if sorted.len() == 1 {
@@ -158,16 +84,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
-
-/// Percentile of an unsorted slice. Copies and sorts per call — callers that
-/// already hold sorted data (a [`Cdf`], a [`SortedSamples`]) must use
-/// [`percentile_sorted`] instead, and callers needing several percentiles of
-/// the same samples should sort once via [`SortedSamples`].
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-    percentile_sorted(&sorted, p)
 }
 
 /// Midranks of `samples`: element `i` of the result is the 1-based rank of
@@ -194,7 +110,9 @@ pub fn midranks(samples: &[f64]) -> Vec<f64> {
     ranks
 }
 
-/// An empirical CDF: sorted samples plus cumulative fractions.
+/// An empirical CDF: a sample set sorted **once**, from which every order
+/// statistic (summary, quantiles, cumulative fractions) is derived without
+/// re-sorting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     /// Sorted sample values.
@@ -202,22 +120,48 @@ pub struct Cdf {
 }
 
 impl Cdf {
-    /// Build a CDF from samples.
+    /// Build a CDF from a copy of `samples`.
     pub fn of(samples: &[f64]) -> Cdf {
-        let mut values = samples.to_vec();
+        Cdf::from_vec(samples.to_vec())
+    }
+
+    /// Build a CDF from `samples`, sorted in place (no copy).
+    pub fn from_vec(mut values: Vec<f64>) -> Cdf {
         values.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
         Cdf { values }
+    }
+
+    /// Summary statistics. Min/max/median read the sorted values directly;
+    /// mean and variance are one linear pass.
+    pub fn summary(&self) -> Summary {
+        let v = &self.values;
+        let Some((&min, &max)) = v.first().zip(v.last()) else {
+            return Summary {
+                n: 0,
+                mean: 0.0,
+                std_dev: 0.0,
+                min: 0.0,
+                max: 0.0,
+                median: 0.0,
+            };
+        };
+        let n = v.len();
+        let mean = v.iter().sum::<f64>() / n as f64;
+        let var = v.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        Summary {
+            n,
+            mean,
+            std_dev: var.sqrt(),
+            min,
+            max,
+            median: self.quantile(0.5),
+        }
     }
 
     /// Exact merge of CDFs over disjoint sample sets: the CDF of the
     /// concatenated samples.
     pub fn merge(parts: &[Cdf]) -> Cdf {
-        let mut values: Vec<f64> = parts
-            .iter()
-            .flat_map(|p| p.values.iter().copied())
-            .collect();
-        values.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        Cdf { values }
+        Cdf::from_vec(parts.iter().flat_map(|p| &p.values).copied().collect())
     }
 
     /// Fraction of samples `<= x`.
@@ -347,24 +291,21 @@ mod tests {
     }
 
     #[test]
-    fn sorted_samples_agree_with_ad_hoc_paths() {
+    fn one_cdf_serves_summary_and_quantiles() {
         let raw = [5.0, 1.0, 4.0, 2.0, 3.0];
-        let s = SortedSamples::of(&raw);
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.summary(), Summary::of(&raw));
-        assert!((s.percentile(50.0) - percentile(&raw, 50.0)).abs() < 1e-12);
-        assert_eq!(s.sorted, [1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(s.clone().into_cdf(), Cdf::of(&raw));
-        let empty = SortedSamples::of(&[]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.summary(), Summary::of(&[]));
+        let c = Cdf::of(&raw);
+        assert_eq!(c.values, [1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(c.summary(), Summary::of(&raw));
+        assert_eq!(c.summary().median, c.quantile(0.5));
+        assert_eq!(c.quantile(0.5), percentile_sorted(&c.values, 50.0));
+        assert_eq!(Cdf::of(&[]).summary(), Summary::of(&[]));
     }
 
     #[test]
-    fn sorted_samples_from_vec_avoids_copy() {
-        let s = SortedSamples::from_vec(vec![2.0, 1.0]);
-        assert_eq!(s.sorted, [1.0, 2.0]);
-        assert_eq!(s.into_cdf().values, vec![1.0, 2.0]);
+    fn cdf_from_vec_sorts_in_place() {
+        let c = Cdf::from_vec(vec![2.0, 1.0]);
+        assert_eq!(c.values, [1.0, 2.0]);
+        assert_eq!(c, Cdf::of(&[2.0, 1.0]));
     }
 
     #[test]
@@ -377,9 +318,9 @@ mod tests {
     #[test]
     fn percentile_interpolates() {
         let v = [10.0, 20.0, 30.0, 40.0];
-        assert!((percentile(&v, 0.0) - 10.0).abs() < 1e-12);
-        assert!((percentile(&v, 100.0) - 40.0).abs() < 1e-12);
-        assert!((percentile(&v, 50.0) - 25.0).abs() < 1e-12);
+        assert!((percentile_sorted(&v, 0.0) - 10.0).abs() < 1e-12);
+        assert!((percentile_sorted(&v, 100.0) - 40.0).abs() < 1e-12);
+        assert!((percentile_sorted(&v, 50.0) - 25.0).abs() < 1e-12);
     }
 
     #[test]
