@@ -11,7 +11,7 @@ use qoe_doctor::{Calendar, Collection, Controller, WaitCondition};
 use radio::bearer::{BearerConfig, CellBearer};
 use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
 use radio::qxdm::{PduRecord, Qxdm, QxdmConfig, QxdmLog, StatusRecord};
-use radio::rlc::{PduEvent, RlcChannel, RlcConfig};
+use radio::rlc::{PduCoverage, PduEvent, RlcChannel, RlcConfig};
 use repro::exp72::{PostKind, PHOTO_READS};
 use repro::exp75::WATCH_READS;
 use repro::scenario::{video_dataset, youtube_world};
@@ -388,6 +388,23 @@ fn bench_fig8_windows(c: &mut Criterion) {
     g.finish();
 }
 
+/// The whole-session analyzers on one recorded 3G photo session shaped like
+/// the Table 3 overhead job's (10 posts): the mapping score of both
+/// directions, and the Fig. 8 per-post breakdown. Outside a campaign no
+/// idle worker exists, so both run on the calling thread.
+fn bench_photo_session(c: &mut Criterion) {
+    let col = repro::exp72::run_posts(PostKind::Photos, NetKind::Umts3g, 10, 20140705 ^ 4);
+    let mut g = c.benchmark_group("analyzer");
+    g.sample_size(10);
+    g.bench_function("overhead_from_3g_photos", |b| {
+        b.iter(|| repro::exp71::overhead_from(&col).ul_mapping.mapped_ratio)
+    });
+    g.bench_function("photo_net_breakdown_3g_photos", |b| {
+        b.iter(|| repro::exp72::photo_net_breakdown(&col, "3G").map(|f| f.total))
+    });
+    g.finish();
+}
+
 /// A results screen shaped like the Fig. 17 one: 260 result rows under a
 /// five-view player layout, 267 views in all.
 fn results_screen() -> device::ui::View {
@@ -536,7 +553,7 @@ fn synthetic_pdus(n: u32) -> (QxdmLog, RecordLog<PduEvent>) {
                 poll: i % 64 == 0,
                 retransmission: i % 100 == 99,
             },
-            covers: [(u64::from(i / 36), 0), (u64::from(i / 36) + 1, 0)],
+            covers: PduCoverage::new([(u64::from(i / 36), 0), (u64::from(i / 36) + 1, 0)]),
             covers_len: 1 + boundary as u8,
         };
         log.pdus.push(at, ev.pdu);
@@ -656,6 +673,7 @@ criterion_group!(
     bench_bearer_uplink_burst,
     bench_long_jump_mapping,
     bench_fig8_windows,
+    bench_photo_session,
     bench_ui_parse,
     bench_wait_unchanged,
     bench_bundle_codec

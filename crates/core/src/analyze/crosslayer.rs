@@ -350,6 +350,7 @@ pub fn long_jump_map(
         pdus,
         opts,
         |pkt| pkt.wire_view(),
+        try_chain,
         |wire, cursor, hi| {
             // Every packet has at least `HEADER_BYTES` (40) wire bytes, so
             // its first two bytes always make a key.
@@ -387,16 +388,20 @@ pub fn long_jump_map(
     )
 }
 
+/// A chain walk: [`try_chain`]'s signature.
+type ChainFn<W> = fn(&W, &[DedupedPdu], usize, usize, usize) -> Option<(usize, Vec<u32>)>;
+
 /// The mapper driver: cursor advance, bridge carry, and gap credit are
 /// shared between the indexed mapper and the naive reference; only the
-/// wire representation and the chain-start scan strategy differ.
-/// `scan(wire, cursor, hi)` must return the first viable chain in
-/// `[cursor, hi)` as `(first, last, sns)`.
+/// wire representation, the chain walk and the chain-start scan strategy
+/// differ. `chain` continues a bridge carry; `scan(wire, cursor, hi)` must
+/// return the first viable chain in `[cursor, hi)` as `(first, last, sns)`.
 fn drive_map<W: WireAccess>(
     packets: &[(SimTime, &IpPacket)],
     pdus: &[DedupedPdu],
     opts: MapperOptions,
     mut wire_of: impl FnMut(&IpPacket) -> W,
+    chain: ChainFn<W>,
     mut scan: impl FnMut(&W, usize, usize) -> Option<(usize, usize, Vec<u32>)>,
 ) -> Vec<MappedPacket> {
     let mut out = Vec::with_capacity(packets.len());
@@ -414,7 +419,7 @@ fn drive_map<W: WireAccess>(
         let mut result: Option<(usize, usize, Vec<u32>)> = None;
 
         if let Some((cidx, cbytes)) = carry {
-            if let Some((last, sns)) = try_chain(&wire, pdus, cbytes as usize, cidx + 1, cidx) {
+            if let Some((last, sns)) = chain(&wire, pdus, cbytes as usize, cidx + 1, cidx) {
                 result = Some((cidx, last, sns));
             }
             carry = None;
@@ -495,6 +500,11 @@ fn drive_map<W: WireAccess>(
 /// Attempt to walk a chain covering `wire` starting with `cum` bytes
 /// already consumed (bridge carry) at PDU index `start_j`. Returns the last
 /// PDU index and the chain's sequence numbers (including the bridge PDU).
+///
+/// Most candidates fail somewhere along the walk, so the walk only checks
+/// and allocates nothing; the sequence numbers are collected once it has
+/// succeeded: the
+/// bridge PDU `first_idx` (when before `start_j`), then `start_j..=last`.
 fn try_chain<W: WireAccess>(
     wire: &W,
     pdus: &[DedupedPdu],
@@ -503,18 +513,15 @@ fn try_chain<W: WireAccess>(
     first_idx: usize,
 ) -> Option<(usize, Vec<u32>)> {
     let total = wire.len();
-    let mut sns = Vec::new();
-    if first_idx < start_j {
-        sns.push(pdus[first_idx].rec.sn);
-        if cum >= total {
-            // A bridge carry as large as the whole packet would mean two
-            // boundaries in one PDU, which 40-byte minimum packets make
-            // impossible — reject rather than accept unverifiable content.
-            return None;
-        }
+    let bridge = first_idx < start_j;
+    // A bridge carry as large as the whole packet would mean two
+    // boundaries in one PDU, which 40-byte minimum packets make
+    // impossible — reject rather than accept unverifiable content.
+    if bridge && cum >= total {
+        return None;
     }
     let mut j = start_j;
-    loop {
+    let last = loop {
         let pdu = pdus.get(j)?;
         // Match the first two payload bytes against the packet content at
         // the cumulative offset ("after matching these 2 bytes we skip over
@@ -529,17 +536,12 @@ fn try_chain<W: WireAccess>(
         if !ok {
             return None;
         }
-        sns.push(pdu.rec.sn);
         match pdu.rec.li {
-            Some(li) => {
-                // "We use the LI to map the end of an IP packet. If the
-                // cumulative mapped index equals the size of the IP packet,
-                // we have found a mapping; otherwise no mapping."
-                if cum + li as usize == total {
-                    return Some((j, sns));
-                }
-                return None;
-            }
+            // "We use the LI to map the end of an IP packet. If the
+            // cumulative mapped index equals the size of the IP packet, we
+            // have found a mapping; otherwise no mapping."
+            Some(li) if cum + li as usize == total => break j,
+            Some(_) => return None,
             None => {
                 cum += pdu.rec.payload_len as usize;
                 if cum >= total {
@@ -548,7 +550,13 @@ fn try_chain<W: WireAccess>(
                 j += 1;
             }
         }
-    }
+    };
+    let bridge_sn = bridge.then(|| pdus[first_idx].rec.sn);
+    let sns = bridge_sn
+        .into_iter()
+        .chain(pdus[start_j..=last].iter().map(|p| p.rec.sn))
+        .collect();
+    Some((last, sns))
 }
 
 /// Mapping quality against ground truth (Table 3's mapping ratios).
@@ -788,7 +796,7 @@ pub mod reference {
                 _ => pdus[j].rec.first2 == [wire.at(0), wire.at(1)],
             };
             if first2_ok {
-                if let Some((last, sns)) = try_chain(wire, pdus, 0, j, j) {
+                if let Some((last, sns)) = try_chain_incremental(wire, pdus, 0, j, j) {
                     return Some((j, last, sns));
                 }
             }
@@ -796,7 +804,9 @@ pub mod reference {
                 if let Some(li) = pdus[j].rec.li {
                     if li < pdus[j].rec.payload_len {
                         let bridged = (pdus[j].rec.payload_len - li) as usize;
-                        if let Some((last, sns)) = try_chain(wire, pdus, bridged, j + 1, j) {
+                        if let Some((last, sns)) =
+                            try_chain_incremental(wire, pdus, bridged, j + 1, j)
+                        {
                             return Some((j, last, sns));
                         }
                     }
@@ -804,6 +814,55 @@ pub mod reference {
             }
         }
         None
+    }
+
+    /// [`super::try_chain`] as first written: it collects the sequence
+    /// numbers while it walks, so every candidate allocates.
+    fn try_chain_incremental<W: WireAccess>(
+        wire: &W,
+        pdus: &[DedupedPdu],
+        mut cum: usize,
+        start_j: usize,
+        first_idx: usize,
+    ) -> Option<(usize, Vec<u32>)> {
+        let total = wire.len();
+        let mut sns = Vec::new();
+        if first_idx < start_j {
+            sns.push(pdus[first_idx].rec.sn);
+            if cum >= total {
+                return None;
+            }
+        }
+        let mut j = start_j;
+        loop {
+            let pdu = pdus.get(j)?;
+            let ok = if cum + 1 < total {
+                pdu.rec.first2 == [wire.at(cum), wire.at(cum + 1)]
+            } else if cum < total {
+                pdu.rec.first2[0] == wire.at(cum)
+            } else {
+                false
+            };
+            if !ok {
+                return None;
+            }
+            sns.push(pdu.rec.sn);
+            match pdu.rec.li {
+                Some(li) => {
+                    if cum + li as usize == total {
+                        return Some((j, sns));
+                    }
+                    return None;
+                }
+                None => {
+                    cum += pdu.rec.payload_len as usize;
+                    if cum >= total {
+                        return None;
+                    }
+                    j += 1;
+                }
+            }
+        }
     }
 
     /// [`super::long_jump_map`] with the original linear scan over
@@ -820,6 +879,7 @@ pub mod reference {
             &pdus,
             opts,
             |pkt| pkt.wire_bytes(),
+            try_chain_incremental,
             |wire, cursor, hi| scan_linear(wire, &pdus, cursor, hi, &opts),
         )
     }

@@ -37,7 +37,7 @@ use crate::collect::Collection;
 use device::phone::CpuMeter;
 use device::ui::ScreenEvent;
 use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
-use simcore::{RecordLog, SimDuration, SimTime};
+use simcore::{par, RecordLog, SimDuration, SimTime};
 use trace::{
     decode_artifact, encode_artifact, BundleArtifact, BundleMeta, BundleReader, BundleWriter,
     Codec, Reader, Reads, TraceError, Writer, FORMAT_VERSION,
@@ -163,24 +163,35 @@ impl Collection {
             .map(|b| decode_artifact(&b, BEHAVIOR_MAGIC, FORMAT_VERSION))
             .transpose()?
             .unwrap_or_default();
-        let trace = artifact(TRACE)?
-            .map(|b| netstack::pcap::read_trace(&b))
-            .transpose()?
-            .unwrap_or_default();
-        let qxdm = if r.has_artifact(QXDM) {
-            artifact(QXDM)?.map(|b| read_qxdm(&b)).transpose()?
-        } else {
-            None
+        // The three large entries are read and decoded in parallel when an
+        // idle campaign worker can help; every result is then checked in
+        // entry order, so a damaged bundle reports the same first error as
+        // a one-by-one load.
+        let load_trace = || {
+            artifact(TRACE)?
+                .map(|b| netstack::pcap::read_trace(&b))
+                .transpose()
         };
+        let load_qxdm = || {
+            if !r.has_artifact(QXDM) {
+                return Ok(None);
+            }
+            artifact(QXDM)?.map(|b| read_qxdm(&b)).transpose()
+        };
+        let load_pdus = || {
+            if !r.has_truth(PDUS) {
+                return Ok(None);
+            }
+            truth(PDUS)?.map(|b| read_pdu_truth(&b)).transpose()
+        };
+        let (trace, (qxdm, pdu_truth)) = par::join(load_trace, || par::join(load_qxdm, load_pdus));
+        let trace = trace?.unwrap_or_default();
+        let qxdm = qxdm?;
         let cpu: CpuMeter = artifact(CPU)?
             .map(|b| decode_artifact(&b, CPU_MAGIC, FORMAT_VERSION))
             .transpose()?
             .unwrap_or_default();
-        let pdu_truth = if r.has_truth(PDUS) {
-            truth(PDUS)?.map(|b| read_pdu_truth(&b)).transpose()?
-        } else {
-            None
-        };
+        let pdu_truth = pdu_truth?;
         let camera: RecordLog<ScreenEvent> = truth(CAMERA)?
             .map(|b| decode_artifact(&b, CAMERA_MAGIC, FORMAT_VERSION))
             .transpose()?
@@ -262,15 +273,20 @@ impl BundleArtifact for CollectionSet {
     }
 
     /// Load every session with [`Collection::load_reading`] under the same
-    /// `reads`.
+    /// `reads`, in parallel when idle campaign workers can help; the first
+    /// failing session in recorded order reports its error.
     fn load_reading(dir: &Path, reads: &Reads) -> Result<(CollectionSet, BundleMeta), TraceError> {
         let r = BundleReader::open(dir)?;
         let meta = r.meta();
-        let mut items = Vec::new();
-        for name in r.sub_names() {
-            let (col, _) = Collection::load_reading(&r.sub_path(name)?, reads)?;
-            items.push((name.to_string(), col));
-        }
+        let names = r.sub_names();
+        let cols = par::map(&names, |name| {
+            Collection::load_reading(&r.sub_path(name)?, reads).map(|(col, _)| col)
+        });
+        let items = names
+            .iter()
+            .zip(cols)
+            .map(|(name, col)| Ok((name.to_string(), col?)))
+            .collect::<Result<_, TraceError>>()?;
         Ok((CollectionSet { items }, meta))
     }
 

@@ -25,8 +25,8 @@ use netstack::IpPacket;
 use radio::qxdm::QxdmLog;
 use radio::rrc::RrcTransition;
 use simcore::{SimDuration, SimTime};
-use std::cell::OnceCell;
 use std::fmt;
+use std::sync::OnceLock;
 use trace::Reads;
 
 /// A per-flow line of the diagnosis.
@@ -72,11 +72,12 @@ pub struct Diagnosis {
 
 /// Diagnoses records against one collection, building each direction's
 /// [`PduIndex`] the first time a record needs it and reusing it for every
-/// later record.
+/// later record. A diagnoser may be shared by threads: each index is still
+/// built once, by the first thread that needs it.
 pub struct Diagnoser<'a> {
     col: &'a Collection,
-    uplink: OnceCell<PduIndex<'a>>,
-    downlink: OnceCell<PduIndex<'a>>,
+    uplink: OnceLock<PduIndex<'a>>,
+    downlink: OnceLock<PduIndex<'a>>,
 }
 
 impl<'a> Diagnoser<'a> {
@@ -89,8 +90,8 @@ impl<'a> Diagnoser<'a> {
     pub fn new(col: &'a Collection) -> Self {
         Diagnoser {
             col,
-            uplink: OnceCell::new(),
-            downlink: OnceCell::new(),
+            uplink: OnceLock::new(),
+            downlink: OnceLock::new(),
         }
     }
 

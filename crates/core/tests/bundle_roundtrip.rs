@@ -22,7 +22,7 @@ use qoe_doctor::bundle::{
 use qoe_doctor::{BehaviorRecord, Collection, CollectionSet, StartKind};
 use radio::codec::{read_pdu_truth, read_qxdm, write_pdu_truth, write_qxdm};
 use radio::qxdm::{PduRecord, QxdmLog, StatusRecord};
-use radio::rlc::PduEvent;
+use radio::rlc::{PduCoverage, PduEvent};
 use radio::rrc::{RrcState, RrcTransition};
 use simcore::{RecordLog, SimDuration, SimTime};
 use trace::{
@@ -286,7 +286,7 @@ fn st_pdu_event() -> impl Strategy<Value = PduEvent> {
     (st_pdu_record(), (st_cover(), st_cover(), 0u8..3)).prop_map(|(pdu, (c0, c1, covers_len))| {
         PduEvent {
             pdu,
-            covers: [c0, c1],
+            covers: PduCoverage::new([c0, c1]),
             covers_len,
         }
     })
@@ -527,7 +527,7 @@ fn empty_and_single_record_logs_round_trip() {
                 poll: false,
                 retransmission: false,
             },
-            covers: [(u64::MAX, u32::MAX), (0, 1)],
+            covers: PduCoverage::new([(u64::MAX, u32::MAX), (0, 1)]),
             covers_len: 1,
         },
     );
@@ -555,7 +555,7 @@ fn flipped_artifact_bytes_fail_the_load() {
                 poll: true,
                 retransmission: false,
             },
-            covers: [(9, 0), (0, 0)],
+            covers: PduCoverage::new([(9, 0), (0, 0)]),
             covers_len: 1,
         },
     );
@@ -582,6 +582,54 @@ fn flipped_artifact_bytes_fail_the_load() {
         fs::write(&path, &good).unwrap();
     }
     assert_eq!(Collection::load(&dir).unwrap().0, col);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// With idle workers decoding the large entries in parallel, a bundle
+/// damaged in several entries still reports the first of them in entry
+/// order, as a one-by-one load does.
+#[test]
+fn a_forked_load_reports_the_first_damaged_entry() {
+    let mut trace = RecordLog::new();
+    trace.push(SimTime::from_micros(5), flow_packet(5, 9));
+    let col = Collection {
+        behavior: RecordLog::new(),
+        trace,
+        qxdm: Some(QxdmLog::default()),
+        pdu_truth: Some(RecordLog::new()),
+        camera: RecordLog::new(),
+        cpu: CpuMeter::default(),
+        end: SimTime::from_secs(1),
+    };
+    let dir = fresh_dir("first-damage");
+    col.save(&dir, &meta(5, 6)).unwrap();
+    let path = dir.join(DATA_FILE);
+    let good = fs::read(&path).unwrap();
+    let pool = simcore::par::Pool::new();
+    pool.release();
+    pool.release();
+    for (damaged, first) in [
+        (&[TRACE, QXDM, PDUS][..], TRACE),
+        (&[QXDM, PDUS][..], QXDM),
+        (&[PDUS][..], PDUS),
+    ] {
+        let mut bad = good.clone();
+        for name in damaged {
+            bad[entry_range(&dir, name).start] ^= 0x01;
+        }
+        fs::write(&path, &bad).unwrap();
+        let inline = Collection::load(&dir).unwrap_err();
+        let forked = {
+            let _pool = simcore::par::install(pool.clone());
+            Collection::load(&dir).unwrap_err()
+        };
+        for err in [inline, forked] {
+            assert!(
+                matches!(&err, TraceError::ChecksumMismatch { name } if name == first),
+                "{damaged:?}: {err}"
+            );
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -760,7 +808,7 @@ fn full_cellular_collection() -> Collection {
                 poll: false,
                 retransmission: false,
             },
-            covers: [(11, 0), (0, 0)],
+            covers: PduCoverage::new([(11, 0), (0, 0)]),
             covers_len: 1,
         },
     );

@@ -17,7 +17,7 @@ use qoe_doctor::analyze::crosslayer::{
     MappingScore, PduIndex, TruthCovers,
 };
 use radio::qxdm::{PduRecord, Qxdm, QxdmConfig};
-use radio::rlc::{PduEvent, RlcChannel, RlcConfig};
+use radio::rlc::{PduCoverage, PduEvent, RlcChannel, RlcConfig};
 use simcore::{DetRng, RecordLog, SimDuration, SimTime};
 
 fn pkt(id: u64, payload: u32) -> IpPacket {
@@ -297,7 +297,7 @@ proptest! {
                     poll: false,
                     retransmission: retx,
                 },
-                covers: [(a, 7), (b, 9)],
+                covers: PduCoverage::new([(a, 7), (b, 9)]),
                 covers_len,
             });
         }

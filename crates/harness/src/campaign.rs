@@ -2,10 +2,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-use simcore::watchdog;
+use simcore::{par, watchdog};
 use simcore::{SimDuration, SimTime};
 
 /// A job's work: called once, it either produces a row — with the
@@ -171,6 +171,11 @@ impl<T: Send> Campaign<T> {
     /// and the campaign carries on. Because jobs are independent and slots
     /// are positional, the returned sequence — and anything printed from
     /// it — is identical for `workers = 1` and `workers = N`.
+    ///
+    /// With more than one worker the run installs a [`par::Pool`]: each
+    /// worker that finds the grid drained exits and becomes an idle permit,
+    /// which a job still running may borrow for a helper thread through
+    /// [`par::join`]. At most `workers` threads work at once.
     pub fn run(self, workers: usize) -> CampaignRun<T> {
         let Campaign {
             name,
@@ -187,39 +192,57 @@ impl<T: Send> Campaign<T> {
             jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
         let done: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
+        // Under one worker no pool exists, so no job code ever leaves it.
+        let pool = (workers > 1).then(par::Pool::new);
+        let (exited, exits) = mpsc::channel();
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                handles.push(scope.spawn(|| loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
+            for w in 0..workers {
+                let (pool, cursor, pending, done) = (pool.clone(), &cursor, &pending, &done);
+                let exited = exited.clone();
+                handles.push(Some(scope.spawn(move || {
+                    // Reports this worker's exit even if it unwinds.
+                    let _exit = ExitSignal(exited, w);
+                    let _pool = pool.map(par::install);
+                    loop {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
+                            break;
+                        }
+                        let Job { label, seed, run } = pending[idx]
+                            .lock()
+                            .unwrap()
+                            .take()
+                            .expect("job claimed twice");
+                        let t0 = Instant::now();
+                        let (outcome, sim_secs) = execute(run, sim_cap);
+                        *done[idx].lock().unwrap() = Some(JobResult {
+                            label,
+                            seed,
+                            sim_secs,
+                            wall: t0.elapsed(),
+                            outcome,
+                        });
                     }
-                    let Job { label, seed, run } = pending[idx]
-                        .lock()
-                        .unwrap()
-                        .take()
-                        .expect("job claimed twice");
-                    let t0 = Instant::now();
-                    let (outcome, sim_secs) = execute(run, sim_cap);
-                    *done[idx].lock().unwrap() = Some(JobResult {
-                        label,
-                        seed,
-                        sim_secs,
-                        wall: t0.elapsed(),
-                        outcome,
-                    });
-                }));
+                })));
             }
-            // Join each worker explicitly: the scope's implicit join returns
-            // once the closures finish, before the threads have exited and
-            // handed their malloc arenas back, so the next campaign's
-            // workers could find none free and create more, each keeping
-            // its freed memory.
-            for h in handles {
-                if let Err(payload) = h.join() {
+            drop(exited);
+            // Join each worker explicitly, in the order they run out of
+            // jobs: the scope's implicit join returns once the closures
+            // finish, before the threads have exited and handed their
+            // malloc arenas back, so a later thread could find none free
+            // and create more, each keeping its freed memory. Only once a
+            // worker has exited does its slot become an idle permit, so a
+            // helper takes over its arena and at most `workers` threads
+            // ever work at once.
+            for w in exits {
+                let handle = handles[w].take().expect("a worker exits once");
+                if let Err(payload) = handle.join() {
                     std::panic::resume_unwind(payload);
+                }
+                if let Some(pool) = &pool {
+                    pool.release();
                 }
             }
         });
@@ -234,6 +257,17 @@ impl<T: Send> Campaign<T> {
                 .collect(),
             stages: stage_counters.map(|c| c.snapshot()),
         }
+    }
+}
+
+/// Sends its worker's index when dropped, that is when the worker's
+/// closure returns or unwinds.
+struct ExitSignal(mpsc::Sender<usize>, usize);
+
+impl Drop for ExitSignal {
+    fn drop(&mut self) {
+        // The run thread outlives every worker; a send cannot fail.
+        let _ = self.0.send(self.1);
     }
 }
 
@@ -470,5 +504,79 @@ pub(crate) mod tests {
             Outcome::Faulted(reason) if watchdog::is_trip(reason)
         ));
         assert_eq!(run.jobs[1].outcome.ok(), Some(&11));
+    }
+
+    /// Run `f` on a helper thread: retry [`par::join`] until an idle
+    /// permit lends one.
+    fn on_helper<R: Send>(f: impl Fn() -> R + Sync) -> R {
+        let me = std::thread::current().id();
+        let t0 = Instant::now();
+        loop {
+            let (_, ran) = par::join(|| (), || (std::thread::current().id() != me).then(&f));
+            if let Some(r) = ran {
+                return r;
+            }
+            assert!(t0.elapsed() < Duration::from_secs(30), "no helper came");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn one_worker_never_lends_job_code_to_another_thread() {
+        let mut c: Campaign<bool> = Campaign::new("inline");
+        for i in 0..4 {
+            c.job(format!("j{i}"), i, || {
+                let me = std::thread::current().id();
+                let (a, b) = par::join(
+                    || std::thread::current().id(),
+                    || std::thread::current().id(),
+                );
+                let all = par::map(&[(); 5], |_| std::thread::current().id());
+                a == me && b == me && all.iter().all(|&t| t == me)
+            });
+        }
+        assert!(c.run(1).into_outputs().iter().all(|&inline| inline));
+    }
+
+    #[test]
+    fn a_long_job_gets_a_helper_once_the_other_worker_drains() {
+        let mut c: Campaign<bool> = Campaign::new("help");
+        c.job("long", 1, || on_helper(|| true));
+        c.job("short", 2, || false);
+        let run = c.run(2);
+        assert_eq!(run.workers, 2);
+        assert_eq!(run.into_outputs(), vec![true, false]);
+    }
+
+    #[test]
+    fn helper_panic_is_the_jobs_panic() {
+        let mut c: Campaign<u32> = Campaign::new("helper-panic");
+        c.job("long", 1, || {
+            on_helper(|| -> u32 { panic!("deliberate helper panic") })
+        });
+        c.job("short", 2, || 5);
+        let run = c.run(2);
+        assert!(matches!(
+            &run.jobs[0].outcome,
+            Outcome::Panicked(msg) if msg == "deliberate helper panic"
+        ));
+        assert_eq!(run.jobs[1].outcome.ok(), Some(&5));
+    }
+
+    #[test]
+    fn watchdog_trip_in_a_helper_faults_the_job() {
+        let mut c: Campaign<u32> = Campaign::new("helper-cap");
+        c.sim_cap(SimDuration::from_secs(5));
+        c.job("long", 1, || {
+            on_helper(run_forever);
+            0
+        });
+        c.job("short", 2, || 5);
+        let run = c.run(2);
+        assert!(matches!(
+            &run.jobs[0].outcome,
+            Outcome::Faulted(reason) if watchdog::is_trip(reason)
+        ));
+        assert_eq!(run.jobs[1].outcome.ok(), Some(&5));
     }
 }

@@ -22,7 +22,9 @@
 //! * The executor ([`Campaign::run`]) — scoped worker threads
 //!   (`std::thread::scope`) pulling jobs from a shared atomic cursor. A
 //!   panicking job is caught and recorded as a failed [`JobResult`]; it
-//!   never aborts the campaign.
+//!   never aborts the campaign. A worker left without jobs becomes an idle
+//!   permit that the jobs still running may borrow through
+//!   [`simcore::par`], so at most `workers` threads ever work at once.
 //! * The report ([`write_report`]) — a machine-readable JSON journal of the
 //!   run (per-job wall-clock, simulated time, seed, outcome, structured
 //!   row data) plus cross-job aggregates merged with `simcore::stats`

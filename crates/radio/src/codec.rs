@@ -180,17 +180,17 @@ impl ColumnEncoder<PduEvent> for TruthColumns {
     fn push(&mut self, ev: &PduEvent) {
         self.pdu.push(&ev.pdu);
         let d = direction_tag(ev.pdu.dir) as usize;
-        let used = (ev.covers_len as usize).min(ev.covers.len());
+        let used = (ev.covers_len as usize).min(2);
         self.covers_len.push(u64::from(ev.covers_len));
-        for &(id, off) in &ev.covers[..used] {
+        for (id, off) in (0..used).map(|i| ev.covers.get(i)) {
             self.cover_id.delta(&mut self.id_prev[d], id);
             self.cover_off.varint(u64::from(off));
         }
-        let rest = &ev.covers[used..];
-        let dirty = rest.iter().any(|&c| c != (0, 0));
+        let rest = used..2;
+        let dirty = rest.clone().any(|i| ev.covers.get(i) != (0, 0));
         self.dirty.push(dirty as u64);
         if dirty {
-            for &(id, off) in rest {
+            for (id, off) in rest.map(|i| ev.covers.get(i)) {
                 self.unused.varint(id);
                 self.unused.varint(u64::from(off));
             }
@@ -235,23 +235,21 @@ impl<'a> ColumnDecoder<'a, PduEvent> for TruthColumnsReader<'a> {
         let pdu = self.pdu.next()?;
         let d = direction_tag(pdu.dir) as usize;
         let covers_len = self.covers_len.read()? as u8;
-        let mut covers: PduCoverage = [(0, 0); 2];
+        let mut covers = PduCoverage::default();
         let used = covers_len as usize;
-        for c in &mut covers[..used] {
-            *c = (
-                self.cover_id.delta(&mut self.id_prev[d])?,
-                self.cover_off.varint_max(u64::from(u32::MAX))? as u32,
-            );
+        for i in 0..used {
+            let id = self.cover_id.delta(&mut self.id_prev[d])?;
+            let off = self.cover_off.varint_max(u64::from(u32::MAX))? as u32;
+            covers.set(i, (id, off));
         }
         if self.dirty.read()? == 1 {
-            for c in &mut covers[used..] {
-                *c = (
-                    self.unused.varint()?,
-                    self.unused.varint_max(u64::from(u32::MAX))? as u32,
-                );
+            for i in used..2 {
+                let id = self.unused.varint()?;
+                let off = self.unused.varint_max(u64::from(u32::MAX))? as u32;
+                covers.set(i, (id, off));
             }
             // An encoder stores the unused slots only when one is non-zero.
-            if covers[used..].iter().all(|&c| c == (0, 0)) {
+            if (used..2).all(|i| covers.get(i) == (0, 0)) {
                 return Err(TraceError::Corrupt(
                     "stored unused coverage slots are all zero".into(),
                 ));
@@ -423,7 +421,7 @@ mod tests {
                     poll: false,
                     retransmission: true,
                 },
-                covers: [(3, 40), (4, 40)],
+                covers: PduCoverage::new([(3, 40), (4, 40)]),
                 covers_len: 2,
             },
         );
@@ -446,7 +444,7 @@ mod tests {
                     poll: false,
                     retransmission: false,
                 },
-                covers: [(3, 0), (0, 1)],
+                covers: PduCoverage::new([(3, 0), (0, 1)]),
                 covers_len: 1,
             },
         );

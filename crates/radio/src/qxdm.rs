@@ -171,6 +171,7 @@ impl Qxdm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rlc::PduCoverage;
     use crate::rrc::RrcState;
 
     #[test]
@@ -221,7 +222,7 @@ mod tests {
                 poll: false,
                 retransmission: false,
             },
-            covers: [(1, 40), (0, 0)],
+            covers: PduCoverage::new([(1, 40), (0, 0)]),
             covers_len: 1,
         }
     }

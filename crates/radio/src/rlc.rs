@@ -100,8 +100,36 @@ impl RlcConfig {
 }
 
 /// Ground-truth coverage of a PDU: up to two `(packet_id, byte_count)`
-/// entries (tail of one packet + head of the next).
-pub type PduCoverage = [(u64, u32); 2];
+/// entries (tail of one packet + head of the next), stored as two
+/// side-by-side columns so that no entry carries padding.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PduCoverage {
+    /// Packet id of each entry.
+    pub ids: [u64; 2],
+    /// Byte count of each entry.
+    pub bytes: [u32; 2],
+}
+
+impl PduCoverage {
+    /// The coverage holding `entries`, in order.
+    pub const fn new(entries: [(u64, u32); 2]) -> Self {
+        PduCoverage {
+            ids: [entries[0].0, entries[1].0],
+            bytes: [entries[0].1, entries[1].1],
+        }
+    }
+
+    /// Entry `i` (0 or 1) as `(packet_id, byte_count)`.
+    pub fn get(&self, i: usize) -> (u64, u32) {
+        (self.ids[i], self.bytes[i])
+    }
+
+    /// Overwrite entry `i` (0 or 1).
+    pub fn set(&mut self, i: usize, (id, bytes): (u64, u32)) {
+        self.ids[i] = id;
+        self.bytes[i] = bytes;
+    }
+}
 
 /// One transmitted PDU: the QxDM record plus its ground-truth coverage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +146,7 @@ pub struct PduEvent {
 impl PduEvent {
     /// Iterate the ground-truth coverage entries.
     pub fn coverage(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.covers.iter().take(self.covers_len as usize).copied()
+        (0..self.covers_len as usize).map(|i| self.covers.get(i))
     }
 }
 
@@ -274,7 +302,7 @@ impl RlcChannel {
     /// Carve the next PDU from the head of the queue.
     fn build_pdu(&mut self) -> RetxPdu {
         let target = self.cfg.fixed_payload.unwrap_or(self.cfg.max_payload) as usize;
-        let mut covers: PduCoverage = [(0, 0); 2];
+        let mut covers = PduCoverage::default();
         let mut covers_len = 0u8;
         let mut seqs = [0u64; 2];
         let mut first2 = [0u8; 2];
@@ -295,7 +323,7 @@ impl RlcChannel {
                     first2[filled + k] = q.wire.at(q.cursor + k);
                 }
             }
-            covers[covers_len as usize] = (q.pkt.id, take as u32);
+            covers.set(covers_len as usize, (q.pkt.id, take as u32));
             seqs[covers_len as usize] = self.front_seq + self.segmented as u64;
             covers_len += 1;
             q.cursor += take;
@@ -520,6 +548,16 @@ mod tests {
         assert_eq!(bridge[0].pdu.li, Some(10));
         let cov: Vec<(u64, u32)> = bridge[0].coverage().collect();
         assert_eq!(cov, vec![(1, 10), (2, 30)]);
+    }
+
+    /// The coverage stores no padding: a PDU event is 48 bytes and a
+    /// truth-log row (with its 8-byte stamp) 56.
+    #[test]
+    fn pdu_event_is_padding_free() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<PduCoverage>(), 24);
+        assert_eq!(size_of::<PduEvent>(), 48);
+        assert_eq!(size_of::<simcore::Stamped<PduEvent>>(), 56);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use qoe_doctor::analyze::crosslayer::{
 };
 use qoe_doctor::bundle::{BEHAVIOR, CAMERA, PDUS, QXDM, TRACE};
 use qoe_doctor::{replay, Collection, CollectionSet, Controller};
-use simcore::{SimDuration, SimTime};
+use simcore::{par, SimDuration, SimTime};
 use std::fmt;
 use trace::Reads;
 
@@ -85,7 +85,9 @@ fn mapper_rows(col: &Collection) -> Vec<MapperAblationRow> {
         ),
     ];
     // One index and one set of truth covers per direction, shared by
-    // every configuration.
+    // every configuration. The directions, and the configurations within
+    // one, are independent: idle campaign workers, when there are any,
+    // take some of them.
     let scores = |dir: Direction| -> Vec<MappingScore> {
         let pkts: Vec<(SimTime, &IpPacket)> = col
             .trace
@@ -93,14 +95,13 @@ fn mapper_rows(col: &Collection) -> Vec<MapperAblationRow> {
             .filter(|(_, r)| r.dir == dir)
             .map(|(at, r)| (at, &r.pkt))
             .collect();
-        let index = PduIndex::new(qxdm, dir);
-        let covers = TruthCovers::new(truth, dir);
-        configs
-            .iter()
-            .map(|(_, opts)| score_mapping(&long_jump_map(&pkts, &index, *opts), &covers))
-            .collect()
+        let (index, covers) =
+            par::join(|| PduIndex::new(qxdm, dir), || TruthCovers::new(truth, dir));
+        par::map(&configs, |(_, opts)| {
+            score_mapping(&long_jump_map(&pkts, &index, *opts), &covers)
+        })
     };
-    let (ul, dl) = (scores(Direction::Uplink), scores(Direction::Downlink));
+    let (ul, dl) = par::join(|| scores(Direction::Uplink), || scores(Direction::Downlink));
     configs
         .iter()
         .zip(ul.into_iter().zip(dl))

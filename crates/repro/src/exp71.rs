@@ -18,7 +18,7 @@ use qoe_doctor::analyze::crosslayer::{
 use qoe_doctor::bundle::{BEHAVIOR, CAMERA, CPU, PDUS, QXDM, TRACE};
 use qoe_doctor::replay::{self, PAGE_LOAD, PULL_TO_UPDATE, VIDEO_INITIAL_LOADING};
 use qoe_doctor::{Collection, Controller};
-use simcore::{SimDuration, SimTime};
+use simcore::{par, SimDuration, SimTime};
 use std::fmt;
 use trace::Reads;
 
@@ -285,14 +285,22 @@ pub fn overhead_from(col: &Collection) -> ToolOverhead {
             .filter(|(_, r)| r.dir == dir)
             .map(|(at, r)| (at, &r.pkt))
             .collect();
-        let mapped = long_jump_map(&pkts, &PduIndex::new(qxdm, dir), MapperOptions::default());
-        score_mapping(&mapped, &TruthCovers::new(truth, dir))
+        let (index, covers) =
+            par::join(|| PduIndex::new(qxdm, dir), || TruthCovers::new(truth, dir));
+        let mapped = long_jump_map(&pkts, &index, MapperOptions::default());
+        score_mapping(&mapped, &covers)
     };
     let cpu = col.cpu;
     let total = cpu.app_busy.as_secs_f64() + cpu.controller_busy.as_secs_f64();
+    // Uplink and downlink are independent: an idle campaign worker, when
+    // there is one, maps one of them.
+    let (ul_mapping, dl_mapping) = par::join(
+        || map_dir(Direction::Uplink),
+        || map_dir(Direction::Downlink),
+    );
     ToolOverhead {
-        ul_mapping: map_dir(Direction::Uplink),
-        dl_mapping: map_dir(Direction::Downlink),
+        ul_mapping,
+        dl_mapping,
         cpu_overhead_percent: if total > 0.0 {
             cpu.controller_busy.as_secs_f64() / total * 100.0
         } else {

@@ -13,7 +13,7 @@ use qoe_doctor::analyze::app::completed;
 use qoe_doctor::analyze::crosslayer::{window_breakdown, NetLatencyBreakdown};
 use qoe_doctor::bundle::{BEHAVIOR, QXDM, TRACE};
 use qoe_doctor::{replay, Collection, Controller, Diagnoser};
-use simcore::{SimDuration, Summary};
+use simcore::{par, SimDuration, Summary};
 use std::fmt;
 use trace::Reads;
 
@@ -183,28 +183,32 @@ pub fn photo_net_breakdown(col: &Collection, net: &str) -> Option<PhotoNetBreakd
     let qxdm = col.qxdm.as_ref()?;
     // One uplink index serves every post's window.
     let diagnoser = Diagnoser::new(col);
-    let mut acc = NetLatencyBreakdown::default();
-    let mut pdus = 0usize;
-    let mut pkts = 0usize;
-    let mut n = 0usize;
-    for rec in completed(&col.behavior, "upload_post:photos") {
+    // The windows are independent: idle campaign workers, when there are
+    // any, break some of them down. They are summed in window order.
+    let posts: Vec<_> = completed(&col.behavior, "upload_post:photos").collect();
+    let windows = par::map(&posts, |rec| {
         let b = window_breakdown(rec, &col.trace);
-        let Some((nb, window_pkts)) =
-            diagnoser.radio_breakdown(rec, Direction::Uplink, b.network_latency, |_| true)
-        else {
-            continue;
-        };
-        acc.ip_to_rlc += nb.ip_to_rlc;
-        acc.rlc_tx += nb.rlc_tx;
-        acc.ota += nb.ota;
-        acc.other += nb.other;
-        acc.total += nb.total;
-        pdus += qxdm
+        let (nb, window_pkts) =
+            diagnoser.radio_breakdown(rec, Direction::Uplink, b.network_latency, |_| true)?;
+        let window_pdus = qxdm
             .pdus
             .window(rec.start, rec.end)
             .iter()
             .filter(|e| e.record.dir == Direction::Uplink)
             .count();
+        Some((nb, window_pdus, window_pkts))
+    });
+    let mut acc = NetLatencyBreakdown::default();
+    let mut pdus = 0usize;
+    let mut pkts = 0usize;
+    let mut n = 0usize;
+    for (nb, window_pdus, window_pkts) in windows.into_iter().flatten() {
+        acc.ip_to_rlc += nb.ip_to_rlc;
+        acc.rlc_tx += nb.rlc_tx;
+        acc.ota += nb.ota;
+        acc.other += nb.other;
+        acc.total += nb.total;
+        pdus += window_pdus;
         pkts += window_pkts;
         n += 1;
     }

@@ -17,10 +17,15 @@
 //!   network stacks, components are plain state machines that report when
 //!   they next need service and are ticked only then; there is no async
 //!   runtime and no threads inside the simulation.
+//! * **Threads only around it.** Threads run whole campaign jobs (the
+//!   `harness` workers) and, through [`par`], the pure analysis of
+//!   finished recordings on workers that have run out of jobs. Neither
+//!   ever runs inside a world step, so no output depends on scheduling.
 
 #![warn(missing_docs)]
 
 mod log;
+pub mod par;
 mod queue;
 mod rng;
 mod runner;

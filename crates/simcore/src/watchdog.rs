@@ -43,10 +43,16 @@ pub fn arm(cap: SimTime) -> SimGuard {
     SimGuard { _private: () }
 }
 
+/// The cap armed on the current thread, if any: what a helper thread
+/// re-arms so that work lent to it trips exactly where it would inline.
+pub fn cap() -> Option<SimTime> {
+    CAP.with(|c| c.get())
+}
+
 /// Report simulation progress. Panics with [`PANIC_PREFIX`] when the clock
 /// has passed the armed cap; a no-op when the watchdog is disarmed.
 pub fn observe(now: SimTime) {
-    if let Some(cap) = CAP.with(|c| c.get()) {
+    if let Some(cap) = cap() {
         if now > cap {
             panic!("{PANIC_PREFIX} sim time {now} exceeded cap {cap}");
         }

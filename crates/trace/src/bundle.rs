@@ -1,7 +1,8 @@
 //! Bundle writers/readers and the [`BundleArtifact`] trait.
 
 use std::fs::{self, File};
-use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use simcore::SimTime;
@@ -35,16 +36,12 @@ pub fn seal_manifest(manifest: &str) -> Vec<u8> {
 }
 
 /// Read exactly `len` bytes of `file` at `offset` into a buffer of their
-/// own.
+/// own. The read is positional: it leaves the file's cursor alone, so
+/// threads sharing one open file never see each other's bytes.
 fn read_at(file: &File, path: &Path, offset: u64, len: u64) -> Result<Vec<u8>, TraceError> {
-    let mut file = file;
-    let mut bytes = Vec::with_capacity(len as usize);
-    file.seek(SeekFrom::Start(offset))
-        .and_then(|_| file.take(len).read_to_end(&mut bytes))
+    let mut bytes = vec![0; len as usize];
+    file.read_exact_at(&mut bytes, offset)
         .map_err(|e| TraceError::io(path, e))?;
-    if bytes.len() as u64 != len {
-        return Err(TraceError::io(path, ErrorKind::UnexpectedEof.into()));
-    }
     Ok(bytes)
 }
 
@@ -220,8 +217,8 @@ impl BundleWriter {
 
 /// Reads one bundle, verifying checksums on every access.
 ///
-/// The bundle file stays open for the reader's life; each read seeks it,
-/// so one reader serves one thread at a time.
+/// The bundle file stays open for the reader's life; every read is
+/// positional, so threads may share one reader.
 pub struct BundleReader {
     dir: PathBuf,
     path: PathBuf,
@@ -552,6 +549,33 @@ mod tests {
         }
         w.finish().unwrap();
         assert_eq!(BundleReader::open(&dir).unwrap().sub_names(), ["a b"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn threads_sharing_one_reader_each_get_their_own_bytes() {
+        let dir = tmp("shared");
+        let mut w = BundleWriter::create(&dir, &meta()).unwrap();
+        // Entries of distinct lengths and fill bytes, so a read that got
+        // another entry's bytes fails its checksum or its length.
+        let entries: Vec<(String, Vec<u8>)> = (0..4u8)
+            .map(|i| (format!("e{i}"), vec![i; 4096 + 97 * i as usize]))
+            .collect();
+        for (name, bytes) in &entries {
+            w.artifact(name, bytes).unwrap();
+        }
+        w.finish().unwrap();
+        let r = BundleReader::open(&dir).unwrap();
+        std::thread::scope(|s| {
+            for (name, bytes) in &entries {
+                let r = &r;
+                s.spawn(move || {
+                    for _ in 0..200 {
+                        assert_eq!(&r.artifact(name).unwrap(), bytes);
+                    }
+                });
+            }
+        });
         let _ = fs::remove_dir_all(&dir);
     }
 }
